@@ -95,6 +95,14 @@ def analyze_filter(filt: Filter, refresh: bool = False) -> FilterAnalysis:
     rate analysis are the instance's *current* values, so callers that
     mutate configuration attributes after construction (or that analyze
     before ``init()``) can pass ``refresh=True``.
+
+    ``refresh=True`` bypasses only this per-instance cache.  The rate pass
+    underneath is memoised on the *values* it reads
+    (:func:`repro.analysis.rates.analyze_rates`), so a refresh of an
+    instance whose read attributes are unchanged — or equal to those of any
+    instance analyzed before — re-derives the per-instance diagnostics and
+    proof from the shared report without re-running the symbolic executor,
+    and one whose values changed gets a fresh run.
     """
     if not refresh:
         try:

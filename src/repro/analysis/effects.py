@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import ast
 import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.base import Filter
+from repro.graph.source import SourceUnavailable, function_ast
 
 #: Attributes that are runtime wiring, not filter state.
 CHANNEL_ATTRS = frozenset({"input", "output"})
@@ -37,22 +37,12 @@ CHANNEL_METHODS = frozenset({"pop", "peek", "push", "pop_many", "push_many"})
 _DYNAMIC_BUILTINS = frozenset({"setattr", "delattr", "vars"})
 
 
-class SourceUnavailable(Exception):
-    """The method's source text cannot be recovered (C ext, exec, REPL)."""
-
-
 def method_ast(cls: type, name: str = "work") -> ast.FunctionDef:
-    """Parse ``cls.<name>`` into a function AST (raises SourceUnavailable)."""
-    fn = inspect.unwrap(getattr(cls, name))
+    """The shared, read-only AST of ``cls.<name>`` (raises SourceUnavailable)."""
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError) as exc:
-        raise SourceUnavailable(f"{cls.__name__}.{name}: {exc}")
-    tree = ast.parse(source)
-    node = tree.body[0]
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise SourceUnavailable(f"{cls.__name__}.{name} is not a plain function")
-    return node
+        return function_ast(getattr(cls, name))
+    except SourceUnavailable as exc:
+        raise SourceUnavailable(f"{cls.__name__}.{name}: {exc}") from None
 
 
 @dataclass
@@ -79,14 +69,15 @@ class WorkEffects:
         return not self.dynamic and not self.escapes
 
 
-#: (class, method name) -> WorkEffects; classes are module-level, so the
-#: cache can key on the type object itself for the process lifetime.
-_EFFECTS_CACHE: Dict[Tuple[type, str], WorkEffects] = {}
+#: (class, method function) -> WorkEffects; classes are module-level, so the
+#: cache can key on the type object itself for the process lifetime.  The
+#: function is in the key so a re-assigned ``cls.work`` is analyzed afresh.
+_EFFECTS_CACHE: Dict[Tuple[type, object], WorkEffects] = {}
 
 
 def work_effects(cls: type, method: str = "work") -> WorkEffects:
     """Effects of ``cls.<method>`` including transitively-called helpers."""
-    key = (cls, method)
+    key = (cls, inspect.unwrap(getattr(cls, method)))
     if key not in _EFFECTS_CACHE:
         eff = WorkEffects()
         try:

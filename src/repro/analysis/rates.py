@@ -36,6 +36,7 @@ vectorization proof in :mod:`repro.analysis.vectorsafety`.
 from __future__ import annotations
 
 import ast
+import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from repro.analysis.effects import (
     SourceUnavailable,
     method_ast,
 )
-from repro.graph.base import Filter
+from repro.graph.base import Filter, Rate
 
 try:  # numpy is an optional acceleration dependency elsewhere in the repo
     import numpy as _np
@@ -265,6 +266,9 @@ class RateAnalyzer:
         #: this filter's channels, so such calls must degrade to dynamic.
         self.channel_escaped = False
         self.ended: List[_State] = []
+        #: ``self.<attr>`` read off the live instance -> fingerprint of the
+        #: value seen (None: opaque), in first-read order; the memo key.
+        self.reads: Dict[str, Any] = {}
 
     # -- notes ---------------------------------------------------------------
 
@@ -398,12 +402,9 @@ class RateAnalyzer:
                 value = self.eval(stmt.value, state, depth)
                 self.assign(stmt.target, value, state, depth)
         elif isinstance(stmt, ast.AugAssign):
-            load = ast.copy_location(
-                ast.BinOp(
-                    left=_as_load(stmt.target), op=stmt.op, right=stmt.value
-                ),
-                stmt,
-            )
+            # eval() never looks at an expression's context, so the
+            # Store-context target reads as a load.
+            load = ast.BinOp(left=stmt.target, op=stmt.op, right=stmt.value)
             value = self.eval(load, state, depth)
             self.assign(stmt.target, value, state, depth)
         elif isinstance(stmt, ast.If):
@@ -935,6 +936,8 @@ class RateAnalyzer:
                 return _Channel("in" if attr == "input" else "out")
             if attr in self.unstable:
                 return UNKNOWN
+            if attr not in self.reads:
+                self.reads[attr] = _read_fingerprint(self.filt, attr)
             try:
                 value = getattr(self.filt, attr)
             except AttributeError:
@@ -1192,11 +1195,6 @@ class RateAnalyzer:
         return UNKNOWN
 
 
-def _as_load(node: ast.expr) -> ast.expr:
-    clone = ast.copy_location(ast.parse(ast.unparse(node), mode="eval").body, node)
-    return clone
-
-
 def _has_channel_ops(node: ast.AST) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
@@ -1230,11 +1228,112 @@ def _is_plain_function(fn: Any) -> bool:
     return isinstance(fn, types.FunctionType)
 
 
+# -- the read-set memo --------------------------------------------------------
+
+_SCALAR_TYPES = frozenset({int, float, complex, bool, str, bytes, type(None)})
+_ABSENT = ("absent",)
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def _fingerprint(value: Any) -> Any:
+    """A hashable stand-in for ``value`` that is equal only for values the
+    analysis cannot tell apart, or None when there is none (opaque).
+
+    Exact builtin scalars are tagged with their type (``1``, ``1.0`` and
+    ``True`` differ; so do ``0.0`` and ``-0.0``, whose reprs differ); lists
+    and tuples recurse (then digest); ndarrays are dtype + shape + a digest
+    of the bytes; a :class:`Rate` is its three (validated int) fields.
+    Everything else — a Portal, a dict, a user object — is opaque.
+    """
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return (kind.__name__, repr(value))
+    if kind is list or kind is tuple:
+        items = tuple(map(_fingerprint, value))
+        if None in items:
+            return None
+        # Digested, so a 256-tap coefficient list costs the memo 16 bytes.
+        return (kind.__name__, len(items), _digest(repr(items).encode()))
+    if _np is not None and kind is _np.ndarray and not value.dtype.hasobject:
+        return ("ndarray", value.dtype.str, value.shape, _digest(value.tobytes()))
+    if kind is Rate:  # ``self.rate.peek`` as a loop bound is a common idiom
+        return ("Rate", _fingerprint((value.peek, value.pop, value.push)))
+    return None
+
+
+def _read_fingerprint(filt: Filter, attr: str) -> Any:
+    try:
+        return _fingerprint(getattr(filt, attr))
+    except AttributeError:
+        return _ABSENT
+
+
+class _ReadSetMemo:
+    """``key -> names read -> fingerprints of those names -> report``.
+
+    Holds fingerprints and reports only: no filter instance and no live
+    attribute value.  Bounded by dropping everything when full — a process
+    that keeps building *distinct* filters (a fuzzer) must not grow it
+    without limit, and a refill costs one analysis per distinct filter.
+    """
+
+    MAX_ENTRIES = 4096
+
+    def __init__(self) -> None:
+        self._by_key: Dict[tuple, Dict[Tuple[str, ...], Dict[tuple, RateReport]]] = {}
+        self._entries = 0
+
+    def __len__(self) -> int:
+        return self._entries
+
+    def clear(self) -> None:
+        self._by_key.clear()
+        self._entries = 0
+
+    def recall(self, key: tuple, filt: Filter) -> Optional[RateReport]:
+        for names, by_values in self._by_key.get(key, {}).items():
+            values = tuple(_read_fingerprint(filt, name) for name in names)
+            report = by_values.get(values)
+            if report is not None:
+                return report
+        return None
+
+    def remember(self, key: tuple, reads: Dict[str, Any], report: RateReport) -> None:
+        values = tuple(reads.values())
+        if None in values:  # an opaque read: nothing sound to key on
+            return
+        if self._entries >= self.MAX_ENTRIES:
+            self.clear()
+        by_values = self._by_key.setdefault(key, {}).setdefault(tuple(reads), {})
+        self._entries += values not in by_values
+        by_values[values] = report
+
+
+MEMO = _ReadSetMemo()
+
+
 def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
     """Symbolically execute ``filt.work()`` and report channel counts.
 
     ``unstable_attrs`` are the attributes the effects pass proved (or
     suspects) are mutated across firings — their reads evaluate to
     :data:`UNKNOWN` so the analysis never trusts a stale build-time value.
+
+    The report is a deterministic function of the class (its ``work()`` and
+    helper ASTs), the declared rates, the unstable set and the values of
+    the ``self.<attr>`` the run reads, so it is memoised on exactly those:
+    an instance whose current values fingerprint like an earlier run's
+    shares that run's (read-only) report.  A run that read an opaque value
+    is not memoised.
     """
-    return RateAnalyzer(filt, unstable_attrs).run()
+    cls = type(filt)
+    key = (cls, inspect_unwrap(cls.work), filt.rate, frozenset(unstable_attrs))
+    report = MEMO.recall(key, filt)
+    if report is None:
+        analyzer = RateAnalyzer(filt, unstable_attrs)
+        report = analyzer.run()
+        MEMO.remember(key, analyzer.reads, report)
+    return report

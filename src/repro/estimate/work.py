@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.base import Filter
 from repro.graph.flatgraph import FILTER, FlatGraph, FlatNode
+from repro.graph.source import SourceUnavailable, function_ast
 
 #: Assumed trip count when a loop bound is not statically resolvable.
 DEFAULT_TRIP = 8
@@ -208,14 +209,10 @@ def work_per_firing(filt: Filter) -> float:
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    import inspect
-    import textwrap
-
     try:
-        source = textwrap.dedent(inspect.getsource(type(filt).work))
-        fn = ast.parse(source).body[0]
+        fn = function_ast(type(filt).work)
         cost = _CostWalker(filt).body_cost(fn.body, {})
-    except (OSError, SyntaxError, TypeError):
+    except SourceUnavailable:
         # Fall back to a rate-proportional estimate for unanalyzable work.
         cost = 2.0 * (filt.rate.peek + filt.rate.push) + 4.0
     cost = max(cost, 1.0)

@@ -27,9 +27,7 @@ transformations used by the parallelizers.
 from __future__ import annotations
 
 import ast
-import inspect
 import math
-import textwrap
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
@@ -37,6 +35,7 @@ import numpy as np
 
 from repro.errors import ExtractionError
 from repro.graph.base import Filter
+from repro.graph.source import SourceUnavailable, function_ast
 from repro.linear.linrep import LinearRep
 
 _MAX_STEPS = 4_000_000
@@ -186,11 +185,9 @@ def mutated_attributes(work_ast: ast.AST) -> Set[str]:
 def work_source_ast(filt: Filter) -> ast.FunctionDef:
     """Parse the filter's ``work`` method into a function AST."""
     try:
-        source = inspect.getsource(type(filt).work)
-    except (OSError, TypeError) as exc:
+        fn = function_ast(type(filt).work)
+    except SourceUnavailable as exc:
         raise ExtractionError(f"cannot obtain source of {type(filt).__name__}.work: {exc}")
-    tree = ast.parse(textwrap.dedent(source))
-    fn = tree.body[0]
     if not isinstance(fn, ast.FunctionDef):
         raise ExtractionError(f"{type(filt).__name__}.work is not a plain function")
     return fn

@@ -35,12 +35,12 @@ Per-block lowering modes (reported through ``engine_report()`` and the
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
-import inspect
-import textwrap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
+from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.plan import CompiledPhase, CoreLoopRunner, FusedPhase
 from repro.runtime.vectorize import BatchExecutor
@@ -123,7 +123,7 @@ def _kernel_splicable(cls: type) -> bool:
             and args.kwarg is None
             and not args.defaults
         )
-    except (OSError, TypeError, SyntaxError, IndexError):
+    except Unsupported:
         return False
 
 
@@ -204,9 +204,11 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
 
 
 def _work_fdef(fn) -> ast.FunctionDef:
-    src = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(src)
-    fdef = tree.body[0]
+    """The process-wide shared AST of ``fn``: copy before rewriting."""
+    try:
+        fdef = function_ast(fn)
+    except SourceUnavailable as exc:
+        raise Unsupported(f"work() source unavailable: {exc}")
     if not isinstance(fdef, ast.FunctionDef):
         raise Unsupported("work() source is not a plain function definition")
     return fdef
@@ -221,10 +223,10 @@ def kernel_source(cls: type, kname: str) -> str:
     the exact vector-math namespace), exactly like
     :func:`~repro.runtime.vectorize.lift_work`.
     """
-    fdef = _work_fdef(cls.work)
+    fdef = copy.copy(_work_fdef(cls.work))  # only the def node is edited
     fdef.name = kname
     fdef.decorator_list = []
-    return ast.unparse(ast.fix_missing_locations(fdef))
+    return ast.unparse(fdef)
 
 
 # -- core work() inlining -----------------------------------------------------
@@ -304,7 +306,7 @@ class WorkInliner:
         out_items: Optional[str],
         gprefix: str,
     ) -> None:
-        fdef = _work_fdef(fn)
+        fdef = copy.deepcopy(_work_fdef(fn))  # expr() rewrites nodes in place
         if fn.__code__.co_freevars:
             raise Unsupported("work() closes over free variables")
         if not fdef.args.args:

@@ -9,9 +9,13 @@ and ``self`` aliased through helper methods.
 
 from __future__ import annotations
 
+import ast
+import gc
 import json
 import textwrap
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -23,12 +27,20 @@ from repro.analysis import (
     classify,
     work_effects,
 )
+from repro.analysis import rates as rates_mod
+from repro.analysis.effects import method_ast
 from repro.analysis.lint import main as lint_main
+from repro.analysis.rates import RateAnalyzer, _fingerprint
 from repro.apps import ALL_APPS
+from repro.apps.common import Adder, FIRFilter
 from repro.errors import ValidationError
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, validate
+from repro.graph import source as source_mod
+from repro.graph.source import SourceUnavailable, function_ast
 from repro.linear.extraction import try_extract
+from repro.runtime import Interpreter, clear_codegen_cache
 from repro.runtime.messaging import Portal
+from repro.runtime.plan import clear_plan_cache
 from tests.helpers import FIR, Gain
 
 
@@ -406,6 +418,245 @@ class TestRates:
 
 
 # ---------------------------------------------------------------------------
+# The read-set memo under analyze_rates: sound, value-keyed, holds no filter.
+# ---------------------------------------------------------------------------
+
+
+class ArrayBound(Filter):
+    """Push count read out of an ndarray attribute."""
+
+    def __init__(self, n):
+        super().__init__(pop=1, push=n)
+        self.bounds = np.array([n, 0])
+
+    def work(self):
+        x = self.pop()
+        for _ in range(int(self.bounds[0])):
+            self.push(x)
+
+
+class PortalGuard(Filter):
+    """Reads (never calls) a Portal attribute: an opaque value."""
+
+    def __init__(self, portal):
+        super().__init__(pop=1, push=1)
+        self.portal = portal
+
+    def work(self):
+        x = self.pop()
+        if self.portal is not None:
+            x = x + 1.0
+        self.push(x)
+
+
+def _unstable(analysis):
+    effects = analysis.effects
+    return set(effects.mutated) | {attr for attr, _ in effects.message_sends}
+
+
+@pytest.fixture
+def analyzer_runs(monkeypatch):
+    """Names of the filters the symbolic executor actually ran on."""
+    ran = []
+    real_run = RateAnalyzer.run
+
+    def run(self):
+        ran.append(self.filt.name)
+        return real_run(self)
+
+    monkeypatch.setattr(RateAnalyzer, "run", run)
+    return ran
+
+
+class TestRateMemo:
+    def test_memoised_report_equals_fresh_run_on_every_app_filter(self):
+        for name, build in sorted(ALL_APPS.items()):
+            build()  # first instances fill the memo...
+            analyze_stream(build())
+            for filt in build().filters():  # ...these are served from it
+                analysis = analyze_filter(filt)
+                if analysis.rates is None:
+                    continue
+                fresh = RateAnalyzer(filt, _unstable(analysis)).run()
+                assert analysis.rates == fresh, (name, filt.name)
+
+    def test_repeated_template_is_analysed_once(self, analyzer_runs):
+        rates_mod.MEMO.clear()
+        analyze_stream(ALL_APPS["DCT"]())
+        first = len(analyzer_runs)
+        analyze_stream(ALL_APPS["DCT"]())
+        assert 0 < first < len(list(ALL_APPS["DCT"]().filters()))
+        assert len(analyzer_runs) == first  # second build: all hits
+
+    def test_mutated_scalar_attribute_yields_new_report(self):
+        adder = Adder(4)
+        assert analyze_filter(adder).rates.pop.lo == 4
+        adder.n = 2
+        analysis, codes = codes_of(adder)
+        assert analysis.rates.pop.exact and analysis.rates.pop.lo == 2
+        assert "SL002" in codes
+
+    def test_coefficients_of_another_length_yield_new_report(self):
+        fir = FIRFilter([0.25] * 4)
+        assert analyze_filter(fir).rates.max_peek == 3
+        fir.coeffs = type(fir.coeffs)([0.25] * 2)
+        analysis, _ = codes_of(fir)
+        assert analysis.rates.max_peek == 1
+
+    def test_ndarray_edited_in_place_yields_new_report(self):
+        filt = ArrayBound(2)
+        assert analyze_filter(filt).rates.push.lo == 2
+        filt.bounds[0] = 3
+        analysis, codes = codes_of(filt)
+        assert analysis.rates.push.exact and analysis.rates.push.lo == 3
+        assert "SL001" in codes
+
+    def test_fingerprints_are_type_and_sign_exact(self):
+        distinct = [
+            0.0, -0.0, 1, 1.0, True, 1 + 0j, "1", b"1", None,
+            [1], [1.0], [True], (1,), [[1]], [(1,)], [1, [2.0]], [1, [2]],
+            np.array([1, 2]), np.array([1.0, 2.0]), np.array([[1, 2]]),
+            np.array([0.0]), np.array([-0.0]),
+        ]
+        prints = [_fingerprint(v) for v in distinct]
+        assert None not in prints
+        assert len(set(prints)) == len(distinct)
+        assert _fingerprint([1.5, (2, "x")]) == _fingerprint([1.5, (2, "x")])
+        for opaque in (Portal(), {"a": 1}, {1}, object(), [1, object()],
+                       np.array([object()])):
+            assert _fingerprint(opaque) is None
+
+    def test_filter_reading_a_portal_is_never_memoised(self, analyzer_runs):
+        before = len(rates_mod.MEMO)
+        portal = Portal()
+        for _ in range(2):
+            analysis, codes = codes_of(PortalGuard(portal))
+            assert analysis.rates.exact and "SL005" not in codes
+        assert len(analyzer_runs) == 2
+        assert len(rates_mod.MEMO) == before
+
+    def test_unread_attributes_do_not_split_entries(self, analyzer_runs):
+        rates_mod.MEMO.clear()
+        one, two = Gain(2.0, name="one"), Gain(2.0, name="two")
+        two.scratch = object()  # never read by work()
+        assert analyze_filter(one).rates is analyze_filter(two).rates
+        assert analyzer_runs == ["one"]
+        assert len(rates_mod.MEMO) == 1
+        # ...while diagnostics still carry each instance's own name.
+        [diag] = analyze_filter(two).diagnostics.by_code("SL300")
+        assert diag.subject == "two"
+        assert analyze_filter(Gain(3.0)).rates is not analyze_filter(one).rates
+        assert len(rates_mod.MEMO) == 2
+
+    def test_memo_does_not_keep_the_filter_alive(self):
+        filt = FIR([0.5, 0.25, 0.125])
+        analyze_filter(filt)
+        ref = weakref.ref(filt)
+        del filt
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_is_bounded(self, monkeypatch):
+        rates_mod.MEMO.clear()
+        monkeypatch.setattr(rates_mod.MEMO, "MAX_ENTRIES", 3)
+        for k in range(8):
+            analyze_filter(Gain(float(k)))
+            assert len(rates_mod.MEMO) <= 3
+
+
+# ---------------------------------------------------------------------------
+# The shared source -> AST provider.
+# ---------------------------------------------------------------------------
+
+
+class Swappable(Filter):
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        self.push(self.pop())
+
+
+def _push_twice(self):
+    x = self.pop()
+    self.push(x)
+    self.push(x)
+
+
+def _sourceless_filter_class():
+    namespace = {"Filter": Filter}
+    exec(
+        textwrap.dedent(
+            """
+            class Sourceless(Filter):
+                def __init__(self):
+                    super().__init__(pop=1, push=1)
+                def work(self):
+                    self.push(self.pop())
+            """
+        ),
+        namespace,
+    )
+    return namespace["Sourceless"]
+
+
+class TestSourceProvider:
+    def test_one_tree_per_function(self):
+        assert method_ast(Gain) is method_ast(Gain)
+        assert function_ast(Gain.work) is method_ast(Gain)
+
+    def test_reassigned_work_is_seen(self, monkeypatch):
+        _, codes = codes_of(Swappable())
+        assert "SL001" not in codes
+        before = method_ast(Swappable)
+        monkeypatch.setattr(Swappable, "work", _push_twice)
+        assert method_ast(Swappable) is not before
+        analysis, codes = codes_of(Swappable())
+        assert "SL001" in codes
+        assert analysis.rates.push.lo == 2
+
+    def test_sourceless_function_raises_every_time_and_is_not_cached(self):
+        cls = _sourceless_filter_class()
+        for _ in range(2):
+            with pytest.raises(SourceUnavailable):
+                function_ast(cls.work)
+        assert cls.work not in source_mod._ASTS
+        analysis, codes = codes_of(cls())
+        assert "SL005" in codes and not analysis.certified
+
+    def test_consumers_leave_the_shared_trees_unmodified(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        clear_codegen_cache()
+        clear_plan_cache()
+
+        def dumps():
+            return {
+                fn: ast.dump(tree, include_attributes=True)
+                for fn, tree in source_mod._ASTS.items()
+            }
+
+        for build in ALL_APPS.values():
+            analyze_stream(build())
+        before = dumps()
+        assert len(before) >= 40
+        # A compile-cold-style sweep: every app from build() to first output
+        # on the codegen engine, emit included, then linear extraction.
+        for build in ALL_APPS.values():
+            app = build()
+            with Interpreter(app, check=True, engine="codegen") as interp:
+                interp.run_init()
+                interp.run_steady(1)
+            for filt in app.filters():
+                try:
+                    try_extract(filt)
+                except Exception:
+                    pass  # extraction refusals are not this test's subject
+        clear_codegen_cache()
+        after = dumps()
+        assert {fn: after[fn] for fn in before} == before
+
+
+# ---------------------------------------------------------------------------
 # Stateful / hidden-state diagnostics.
 # ---------------------------------------------------------------------------
 
@@ -670,3 +921,17 @@ class TestLintCLI:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "0 error(s), 0 warning(s)" in out
+
+    def test_app_suite_report_identical_when_fully_memoised(self, tmp_path, capsys):
+        # Same diagnostics, same order, same names whether the rate pass ran
+        # (first run, memo emptied) or every report came from the memo.
+        rates_mod.MEMO.clear()
+        reports = []
+        for run in ("cold", "memoised"):
+            path = tmp_path / f"{run}.json"
+            rc = lint_main(
+                ["src/repro/apps", "--graph", "--strict", "--json", str(path)]
+            )
+            assert rc == 0
+            reports.append((path.read_bytes(), capsys.readouterr().out))
+        assert reports[0] == reports[1]
