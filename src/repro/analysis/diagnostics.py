@@ -66,7 +66,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "SL303": (Severity.WARNING, "superbatch-degraded"),
     "SL304": (Severity.WARNING, "engine-parallel-fallback"),
     "SL305": (Severity.WARNING, "codegen-fallback"),
-    "SL306": (Severity.WARNING, "tuned-plan-discarded"),
     # -- whole-graph analysis (SL4xx) --------------------------------------
     "SL401": (Severity.WARNING, "shared-mutable-state"),
     "SL402": (Severity.WARNING, "unbounded-parallel-effects"),
@@ -96,7 +95,6 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "SL303": "superbatching degraded: a feedback core runs period-at-a-time",
     "SL304": "engine request downgraded from parallel to batched execution",
     "SL305": "whole-program codegen fell back to executor calls for some or all blocks",
-    "SL306": "cached tuned parameters discarded (plan/host fingerprint mismatch or corrupt entry)",
     "SL401": "two or more filter instances alias the same mutable object and at least one mutates it (a parallel race across forked workers)",
     "SL402": "work()'s effects cannot be bounded statically (dynamic writes or self escapes), so parallel race freedom cannot be proven",
     "SL403": "a teleport portal targets a receiver in a different worker partition than its sender",

@@ -2,8 +2,7 @@
 
 * ``report`` — render the per-filter attribution table (self-time, stall%,
   teleport boundaries, engine downgrades) from a streamscope trace;
-  ``--json`` emits the same aggregation machine-readably (the document
-  ``repro.tune.Profile.from_report_json`` consumes);
+  ``--json`` emits the same aggregation machine-readably;
 * ``validate`` — check the file against the Chrome trace-event schema and
   print a shape summary (the CI ``obs-smoke`` gate);
 * ``monitor`` — live top-style view over the metrics snapshots a running

@@ -290,7 +290,7 @@ class MetricsRegistry:
 class MeteredStats(dict):
     """A counters dict whose positive increments mirror into a metric family.
 
-    The cache layers (plan, codegen, tuned) already account events with
+    The cache layers (plan, codegen) already account events with
     plain ``stats["hits"] += 1`` dicts; wrapping those dicts keeps every
     call site — and every existing test asserting on them — unchanged while
     feeding the always-on registry.  Decreases (the ``clear_*_cache``

@@ -77,17 +77,6 @@ class ArrayChannel:
         self._head = 0
         self._tail = occ
 
-    def reserve(self, n: int) -> None:
-        """Pre-size the buffer so ``n`` more items fit without regrowing.
-
-        The tuned-plan presizing hook: a superbatched chunk of ``c``
-        periods pushes ``c * items_per_period`` onto each edge before the
-        consumer drains it, so reserving that up front moves every buffer
-        doubling out of the steady loop.  Semantically a no-op.
-        """
-        if n > 0:
-            self._reserve(int(n))
-
     # -- scalar API (Channel-compatible) ---------------------------------------
 
     def push(self, item: float) -> None:

@@ -66,37 +66,10 @@ def layout_blocks(plan) -> List[Tuple[str, object]]:
     """
     blocks: List[Tuple[str, object]] = []
     if plan.superbatch:
-        # Certified cross-splitjoin fusion regions (repro.analysis.graph):
-        # all member phases collapse into one ("region", (region, runner))
-        # block at the *first* member's position — safe because the region
-        # is convex (no outside node reads a region-internal edge) and the
-        # joiner's output only appears earlier than before.  A SISO fused
-        # chain can never straddle a region boundary (splitters/joiners
-        # break chains), but guard anyway: a region whose members mix into
-        # a chain with outsiders is skipped.
-        regions = list(getattr(plan, "certified_regions", ()) or ())
-        member_of: Dict[object, int] = {}
-        for ri, (region, _runner) in enumerate(regions):
-            for n in region.members:
-                member_of[n] = ri
-        usable = [True] * len(regions)
-        for ph in plan.steady_phases:
-            if isinstance(ph, FusedPhase):
-                inside = {member_of.get(st.node) for st in ph.stages}
-                if len(inside) > 1:
-                    for ri in inside:
-                        if ri is not None:
-                            usable[ri] = False
-        placed: set = set()
-        for ph in plan.steady_phases:
-            first = ph.stages[0].node if isinstance(ph, FusedPhase) else ph.node
-            ri = member_of.get(first)
-            if ri is not None and usable[ri]:
-                if ri not in placed:
-                    placed.add(ri)
-                    blocks.append(("region", regions[ri]))
-                continue
-            blocks.append(("fused", ph) if isinstance(ph, FusedPhase) else ("phase", ph))
+        blocks.extend(
+            ("fused", ph) if isinstance(ph, FusedPhase) else ("phase", ph)
+            for ph in plan.steady_phases
+        )
     elif plan.segments is not None:
         prefix, core, suffix = plan.segments
         blocks.extend(("phase", ph) for ph in prefix)
@@ -178,11 +151,6 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
     class name, same rates) invalidates cached modules.
     """
     parts: List[str] = [repr(signature), version, str(EMITTER_VERSION)]
-    # Region layout is part of the module shape: toggling
-    # REPRO_CODEGEN_REGIONS (or a change in certification) must miss the
-    # cache rather than rebind a module with a different block sequence.
-    for region, _runner in getattr(plan, "certified_regions", ()) or ():
-        parts.append("region=" + "+".join(region.member_names))
     for node in plan.graph.nodes:
         if node.kind != FILTER:
             if node.kind == JOINER and node.flavor == COMBINE:
@@ -558,12 +526,9 @@ def classify_core_edges(core: CoreLoopRunner):
 class CoreEmitter:
     """Emits the inlined closed loop for one cyclic schedule core."""
 
-    def __init__(
-        self, plan, core: CoreLoopRunner, node_index, edge_index, var: str = "_core"
-    ) -> None:
+    def __init__(self, plan, core: CoreLoopRunner, node_index, edge_index) -> None:
         self.plan = plan
         self.core = core
-        self.var = var
         self.node_index = node_index
         self.edge_index = edge_index
         self.globals_map: Dict[int, List[str]] = {}
@@ -603,11 +568,9 @@ class CoreEmitter:
                 )
         if not period:
             raise Unsupported("empty cyclic core")
-        lines = [f"{self.var}.begin()"]
+        lines = ["_core.begin()"]
         for edge in self.edges:
-            lines.append(
-                f"{self._tape(edge)} = {self.var}.items({self.edge_index[edge]})"
-            )
+            lines.append(f"{self._tape(edge)} = _core.items({self.edge_index[edge]})")
         for edge in self.edges:
             if edge in self.popped:
                 lines.append(f"{self._cur(edge)} = 0")
@@ -621,9 +584,9 @@ class CoreEmitter:
         for edge in self.edges:
             if edge in self.popped:
                 lines.append(
-                    f"{self.var}.set_cursor({self.edge_index[edge]}, {self._cur(edge)})"
+                    f"_core.set_cursor({self.edge_index[edge]}, {self._cur(edge)})"
                 )
-        lines.append(f"{self.var}.end(scale)")
+        lines.append("_core.end(scale)")
         return lines
 
     # -- per-node statement lowering -----------------------------------------
@@ -813,43 +776,6 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                     "name": names,
                 }
             )
-        elif kind == "region":
-            region, runner = obj
-            rk = sum(1 for b in meta_blocks if b.get("kind") == "region")
-            var = f"_rg{rk}"
-            rnodes = sorted(node_index[n] for n in region.members)
-            body.append(
-                f"# fusion region {region.name}: "
-                f"{'+'.join(n.name for n in region.members)}"
-            )
-            try:
-                emitter = CoreEmitter(plan, runner, node_index, edge_index, var=var)
-                lines = emitter.emit()
-            except Unsupported as exc:
-                body.append(f"# region fallback ({exc})")
-                body.append(f"{var}_run(scale)")
-                meta_blocks.append(
-                    {
-                        "kind": "region",
-                        "mode": "fallback",
-                        "nodes": rnodes,
-                        "name": region.name,
-                        "reason": str(exc),
-                    }
-                )
-            else:
-                body.extend(lines)
-                meta_blocks.append(
-                    {
-                        "kind": "region",
-                        "mode": "inline",
-                        "nodes": rnodes,
-                        "name": region.name,
-                        "filters": emitter.filter_idx,
-                        "globals": {str(k): v for k, v in emitter.globals_map.items()},
-                        "reducers": emitter.reducer_idx,
-                    }
-                )
         else:  # core
             core: CoreLoopRunner = obj
             core_nodes = sorted(node_index[n] for n in core.nodes)

@@ -52,7 +52,6 @@ loop-sequential app filters, the generic lifter, and the FFT filters do;
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -878,50 +877,6 @@ class ExecutionPlan:
         return out
 
     @property
-    def certified_regions(self) -> List[Tuple[object, CoreLoopRunner]]:
-        """Certified cross-splitjoin fusion regions, with a runner for each.
-
-        Only superbatch plans qualify (a single topological sweep makes
-        every region single-appearance), and only the codegen engine
-        consumes the result — it collapses each region's member phases into
-        one closed loop at the first member's position.  Each entry is
-        ``(FusionRegion, CoreLoopRunner)``; the runner fires the region's
-        nodes in the global steady order, once per period, over hoisted
-        list tapes — observationally identical to the member phases it
-        replaces.  Opt-in via ``REPRO_CODEGEN_REGIONS=1``: the certificate
-        guarantees bit-exactness, but the region runner fires one firing at
-        a time, and E15 measured that trading the members' *vectorized*
-        block kernels for it loses 3-50x at codegen's superbatch operating
-        point on every suite app with a region — so the default leaves the
-        proved fusion unused.  Lazy and instance-specific: runners capture
-        this plan's live channels, so the result never enters the shared
-        analysis cache.
-        """
-        cached = getattr(self, "_certified_regions", None)
-        if cached is not None:
-            return cached
-        regions: List[Tuple[object, CoreLoopRunner]] = []
-        if self.superbatch and os.environ.get("REPRO_CODEGEN_REGIONS", "0") == "1":
-            try:
-                from repro.analysis.graph import certified_fusion_regions
-                from repro.scheduling.steady import restrict_schedule
-
-                program = self.interp.program
-                for region in certified_fusion_regions(self.graph):
-                    phases = restrict_schedule(
-                        program.steady, set(region.members)
-                    )
-                    if not phases.phases:
-                        continue
-                    regions.append(
-                        (region, CoreLoopRunner(list(phases.phases), self.channels))
-                    )
-            except Exception:  # pragma: no cover - analysis layer unavailable
-                regions = []
-        self._certified_regions = regions
-        return regions
-
-    @property
     def fused_chains(self) -> List[Tuple[str, ...]]:
         """Stage names of each fused chain (introspection/testing)."""
         return [
@@ -933,38 +888,14 @@ class ExecutionPlan:
     def _chunk_periods(self, program) -> int:
         """Periods per superbatched pass, bounding per-edge buffer growth.
 
-        This is the *static* heuristic (512 KiB of float64 per edge); the
-        profile-guided tuner (:mod:`repro.tune`) replaces it with a
-        measured best-of-ladder choice by assigning ``plan.chunk_periods``
-        after construction — the ladder always includes this default, so
-        tuning can only match or beat it.
+        A static heuristic: 512 KiB of float64 on the busiest edge.
+        ``plan.chunk_periods`` is read at run time, so a caller may assign
+        a different value after construction.
         """
         per_period = 1
         for edge in self.graph.edges:
             per_period = max(per_period, program.reps.get(edge.src, 0) * edge.push_rate)
         return max(1, _CHUNK_ITEM_CAP // per_period)
-
-    def presize(self, reserve_items: Dict[str, int]) -> None:
-        """Apply tuned presize hints (edge name -> items) to the tapes.
-
-        Pre-grows each edge's :class:`ArrayChannel` and each fused chain's
-        scratch tape so the first tuned-size chunk runs without a single
-        buffer doubling.  Purely an allocation hint — never semantic.
-        """
-        if not reserve_items:
-            return
-        for edge in self.graph.edges:
-            n = reserve_items.get(f"{edge.src.name}->{edge.dst.name}", 0)
-            chan = self.channels.get(edge)
-            if n and isinstance(chan, ArrayChannel):
-                chan.reserve(n)
-        for phase in self.steady_phases:
-            if isinstance(phase, FusedPhase):
-                for st, tape in zip(phase.stages[:-1], phase._tapes):
-                    edge = st.node.out_edges[0]
-                    n = reserve_items.get(f"{edge.src.name}->{edge.dst.name}", 0)
-                    if n:
-                        tape.reserve(n)
 
     # -- execution ------------------------------------------------------------
 

@@ -14,17 +14,21 @@ import pytest
 from repro.apps import ALL_APPS
 from repro.apps.common import FIRFilter
 from repro.errors import StreamItError
+from repro.graph import ArraySource, Filter, Pipeline
 from repro.graph.builtins import CollectSink
 from repro.linear.linrep import LinearFilter, LinearRep
 from repro.runtime import ArrayChannel, Channel, Interpreter, compile_and_run
+from repro.runtime.plan import _CHUNK_ITEM_CAP
+
+from .helpers import FIR, Gain
 
 
 def _run(builder, engine: str, periods: int):
     app = builder()
-    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    sink = next((f for f in app.filters() if isinstance(f, CollectSink)), None)
     interp = Interpreter(app, check=False, engine=engine)
     interp.run(periods)
-    return list(sink.collected), interp
+    return (list(sink.collected) if sink is not None else []), interp
 
 
 @pytest.mark.parametrize("app_name", sorted(ALL_APPS), ids=str)
@@ -93,6 +97,102 @@ def test_compile_and_run_returns_finished_interpreter():
     assert interp.engine == "batched"
     assert interp.plan is not None
     assert len(sink.collected) > 0
+
+
+# -- chunk_periods: static heuristic and run-time override --------------------
+
+
+def _pipeline():
+    return Pipeline(
+        ArraySource([float(i) for i in range(8)]),
+        FIR([0.25, 0.5, 0.25], name="fir"),
+        Gain(2.0, name="gain"),
+        CollectSink(),
+    )
+
+
+class _WidePush(Filter):
+    """Pushes more items per firing than the 512 KiB chunk cap covers."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__(pop=1, push=width)
+        self.width = width
+
+    def work(self) -> None:
+        x = self.pop()
+        for _ in range(self.width):
+            self.push(x)
+
+
+class _WideSink(Filter):
+    def __init__(self, width: int) -> None:
+        super().__init__(pop=width, push=0)
+        self.width = width
+
+    def work(self) -> None:
+        for _ in range(self.width):
+            self.pop()
+
+
+class TestChunkPeriods:
+    """Edge cases of the static chunk heuristic and its run-time override."""
+
+    def test_tiny_graph_gets_full_cap(self):
+        _, interp = _run(_pipeline, "batched", 2)
+        # All edges move 1 item/period, so the cap divides down to itself.
+        assert interp.plan.chunk_periods == _CHUNK_ITEM_CAP
+
+    def test_huge_rate_edge_clamps_to_one(self):
+        width = _CHUNK_ITEM_CAP * 2
+
+        def build():
+            return Pipeline(
+                ArraySource([1.0, 2.0]), _WidePush(width), _WideSink(width)
+            )
+
+        _, interp = _run(build, "batched", 2)
+        # One period already overflows the per-edge cap: max(1, cap // width).
+        assert interp.plan.chunk_periods == 1
+
+    def test_feedback_segmented_plan_still_chunks(self):
+        from repro.graph import Identity, joiner_roundrobin, roundrobin
+        from repro.graph.composites import FeedbackLoop
+
+        def build():
+            loop = FeedbackLoop(
+                joiner_roundrobin(1, 1),
+                Gain(0.5),
+                roundrobin(1, 1),
+                Identity(),
+                delay=2,
+                init_path=lambda i: 0.0,
+            )
+            return Pipeline(
+                ArraySource([1.0, 2.0, 3.0]), loop, CollectSink()
+            )
+
+        _, interp = _run(build, "batched", 4)
+        plan = interp.plan
+        assert plan.segments is not None and not plan.superbatch
+        assert plan.chunk_periods >= 1
+        # The override is an attribute on segmented plans too.
+        plan.chunk_periods = 7
+        assert plan.chunk_periods == 7
+
+    def test_manual_override_is_honored_by_run(self):
+        def run_with_chunk(chunk):
+            app = _pipeline()
+            sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+            interp = Interpreter(app, check=False, engine="batched")
+            interp.plan.chunk_periods = chunk
+            interp.run(periods=9)
+            interp.close()
+            return list(sink.collected)
+
+        scalar, _ = _run(_pipeline, "scalar", 9)
+        assert run_with_chunk(1) == scalar
+        assert run_with_chunk(4) == scalar
+        assert run_with_chunk(10_000) == scalar
 
 
 # -- work_batch kernel units --------------------------------------------------

@@ -8,8 +8,7 @@ Covers the three certified artifacts end to end:
   capacity under ``REPRO_RING_SLACK=0`` and still produces bit-identical
   output;
 * certified cross-splitjoin fusion regions — detection on hand-built
-  graphs, rejection of uncertifiable shapes, and bit-exact codegen fusion
-  with the region visible in the emitted module's meta.
+  graphs and rejection of uncertifiable shapes.
 """
 
 from __future__ import annotations
@@ -183,49 +182,6 @@ class TestFusionRegions:
         )
         app = Pipeline(_source(), loop, CollectSink())
         assert certified_fusion_regions(flatten(app)) == []
-
-    def test_codegen_fuses_region_bit_exact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_REGIONS", "1")
-
-        def build():
-            return _splitjoin_app(
-                [Pipeline(Gain(2.0), FIR([0.5, 0.5])), Gain(-1.0)]
-            )
-
-        ref_app = build()
-        ref_sink = next(
-            f for f in ref_app.filters() if isinstance(f, CollectSink)
-        )
-        Interpreter(ref_app, engine="scalar").run(4)
-
-        cg_app = build()
-        cg_sink = next(f for f in cg_app.filters() if isinstance(f, CollectSink))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp = Interpreter(cg_app, engine="codegen")
-        interp.run(4)
-        assert list(cg_sink.collected) == list(ref_sink.collected)
-        report = interp.engine_report()
-        blocks = report["codegen"]["blocks"] or []
-        region_blocks = [b for b in blocks if b["kind"] == "region"]
-        assert region_blocks and region_blocks[0]["mode"] == "inline"
-        fused = report["graph_analysis"]["regions_fused"]
-        assert len(fused) == 1 and fused[0]["branches"] == 2
-
-    def test_region_fusion_defaults_off(self, monkeypatch):
-        # The certificate is sound but the firing-at-a-time region runner
-        # loses to the members' vectorized kernels (E15), so fusion must
-        # not engage unless explicitly requested.
-        monkeypatch.delenv("REPRO_CODEGEN_REGIONS", raising=False)
-        app = _splitjoin_app([Gain(2.0), Gain(3.0)])
-        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp = Interpreter(app, engine="codegen")
-        interp.run(4)
-        report = interp.engine_report()
-        blocks = report["codegen"]["blocks"] or []
-        assert not [b for b in blocks if b["kind"] == "region"]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 from repro.runtime.ring import RingAbort, RingArena, RingStall
 
+from .helpers import FIR, Gain
+
 STRATEGY_NAMES = tuple(STRATEGIES)
 
 
@@ -551,8 +553,24 @@ class TestDoubleBuffered:
         assert proto["barrier_waits"] == 2 * commands
         assert out == ref
 
-    def test_legacy_env_restores_dag_barriers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_LEGACY", "1")
+    def test_unproved_ring_keeps_dag_barriers(self, monkeypatch):
+        # A ring whose capacity proof is unavailable must not run
+        # barrier-free: the session keeps the per-batch "dag" barrier.
+        import dataclasses
+
+        import repro.analysis.graph as graph_analysis
+
+        prove = graph_analysis.ring_capacity_proofs
+
+        def unproved(program, node_wid, batch_periods, monolithic):
+            return {
+                e: dataclasses.replace(
+                    p, proved=False, capacity=p.db_capacity + 64, db_capacity=0
+                )
+                for e, p in prove(program, node_wid, batch_periods, monolithic).items()
+            }
+
+        monkeypatch.setattr(graph_analysis, "ring_capacity_proofs", unproved)
         builder = ALL_APPS["FilterBank"]
         ref, _ = _run(builder, "batched", periods=6)
         interp, sink = _fresh_parallel(builder, strategy="task")
@@ -563,8 +581,9 @@ class TestDoubleBuffered:
             out = list(sink.collected)
         finally:
             interp.close()
+            clear_struct_cache()  # drop the fabricated proofs
         commands = proto["commands"]["init"] + proto["commands"]["steady"]
-        assert proto["barrier_waits"] > 2 * commands  # step barriers are back
+        assert proto["barrier_waits"] > 2 * commands  # a step barrier per batch
         assert out == ref
 
     def test_proofs_certify_double_buffer_capacity(self):
@@ -608,46 +627,29 @@ class TestWarmStructures:
         assert out == ref
 
 
-class TestRebalance:
-    def test_busy_skew_arithmetic(self):
-        from repro.tune import busy_skew
+def _small_pipeline():
+    return Pipeline(
+        ArraySource([float(i) for i in range(8)]),
+        FIR([0.25, 0.5, 0.25], name="fir"),
+        Gain(2.0, name="gain"),
+        CollectSink(),
+    )
 
-        report = {
-            0: {"busy_s": 3.0, "stall_s": 1.0, "wall_s": 4.0, "busy_share": 0.75},
-            1: {"busy_s": 1.0, "stall_s": 3.0, "wall_s": 4.0, "busy_share": 0.25},
-        }
-        assert busy_skew(report) == pytest.approx(0.75 / 0.5)
-        assert busy_skew({}) == 0.0
 
-    def test_rebalance_stores_profile_and_retune_applies(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.tune import rebalance_parallel
+class TestHonestCores:
+    def test_single_core_auto_degrades_with_sl304(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.warns(EngineDowngradeWarning, match=r"\[SL304\]"):
+            interp = Interpreter(_small_pipeline(), check=False, engine="parallel")
+        assert interp.engine_used == "batched"
+        assert any(d.code == "SL304" for d in interp.downgrades)
+        interp.close()
 
-        monkeypatch.setenv("REPRO_TUNED_CACHE", str(tmp_path))
-        builder = ALL_APPS["FilterBank"]
-        interp, _ = _fresh_parallel(builder)
-        try:
-            interp.run(6)
-            report = rebalance_parallel(interp, threshold=0.5)
-        finally:
-            interp.close()
-        assert report.triggered and report.stored
-        assert report.profile  # measured per-node work ratios
-        assert report.skew >= 1.0
-
-        app = builder()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp2 = Interpreter(
-                app, engine="parallel", strategy="softpipe", cores=2, tune=True
-            )
-        try:
-            if interp2.engine_used != "parallel":
-                pytest.skip("parallel engine downgraded")
-            assert interp2.tuned is not None
-            assert interp2.tuned.work == report.profile
-            interp2.run(2)  # the re-cut partition must still run clean
-        finally:
-            interp2.close()
-            drain_warm_arenas()
+    def test_explicit_cores_override_wins(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        scalar, _ = _run(_small_pipeline, "scalar", periods=6, check=False)
+        collected, interp = _run(
+            _small_pipeline, "parallel", periods=6, check=False, cores=2
+        )
+        assert interp.engine_used == "parallel"
+        assert collected == scalar

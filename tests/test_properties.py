@@ -350,12 +350,15 @@ def _random_stage(gen):
     )
 
 
-def _run_engine(build, engine, periods, **engine_opts):
+def _run_engine(build, engine, periods, chunk_periods=None, **engine_opts):
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineDowngradeWarning)
         interp = Interpreter(app, check=False, engine=engine, **engine_opts)
+        if chunk_periods is not None:
+            # Superbatch and segmented plans both read this at run time.
+            interp.plan.chunk_periods = chunk_periods
         try:
             interp.run(periods=periods)
         finally:
@@ -383,37 +386,14 @@ def _isolated_codegen_cache():
     clear_codegen_cache()
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _isolated_tuned_cache():
-    """Force-tuned fuzz arms get a private cache and a tiny ladder budget."""
-    import os
-    import tempfile
-
-    from repro.tune import clear_tuned_cache
-
-    old_cache = os.environ.get("REPRO_TUNED_CACHE")
-    old_budget = os.environ.get("REPRO_TUNE_BUDGET")
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_TUNED_CACHE"] = tmp
-        os.environ["REPRO_TUNE_BUDGET"] = "0.005"
-        clear_tuned_cache()
-        yield
-    for key, old in (
-        ("REPRO_TUNED_CACHE", old_cache),
-        ("REPRO_TUNE_BUDGET", old_budget),
-    ):
-        if old is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = old
-    clear_tuned_cache()
-
-
 class TestBatchedEngineDifferential:
     """Randomized engine-differential tests: every generated graph must
     produce bit-identical outputs on the scalar, batched, and codegen
     engines (a three-way matrix — the codegen module splices the same
-    kernels the batched plan runs, so it inherits the same contract)."""
+    kernels the batched plan runs, so it inherits the same contract).
+    The pipeline and feedback tests rerun both compiled engines with
+    ``plan.chunk_periods`` in {1, 2, 3}, so the run really splits into
+    several chunks."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -422,6 +402,7 @@ class TestBatchedEngineDifferential:
         data = [float(v) for v in gen.uniform(-4, 4, size=8)]
         n_stages = int(gen.integers(1, 4))
         spec_seed = int(gen.integers(0, 2**32))
+        chunk = int(gen.integers(1, 4))
 
         def build():
             g = np.random.default_rng(spec_seed)
@@ -438,12 +419,12 @@ class TestBatchedEngineDifferential:
         generated, cg_interp = _run_engine(build, "codegen", 5)
         assert cg_interp.engine_used == "codegen"
         assert generated == scalar
-        # The tuned arm: force-tune (measured chunk + presize hints applied)
-        # and demand the same bits — tuning must never change semantics.
-        tuned, tuned_interp = _run_engine(build, "codegen", 5, tune="force")
-        assert tuned_interp.engine_used == "codegen"
-        assert tuned_interp.engine_report()["tuned"]["outcome"] == "forced"
-        assert tuned == scalar
+        # The chunk-split arms: 5 periods in chunks of 1-3 must give the
+        # same bits — chunking must never change semantics.
+        for engine in ("batched", "codegen"):
+            split, split_interp = _run_engine(build, engine, 5, chunk_periods=chunk)
+            assert split_interp.engine_used == engine
+            assert split == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -455,6 +436,7 @@ class TestBatchedEngineDifferential:
         data = [float(v) for v in gen.uniform(-2, 2, size=6)]
         leak = float(gen.uniform(0.1, 0.9))
         taps = [float(v) for v in gen.uniform(-1, 1, size=4)]
+        chunk = int(gen.integers(1, 4))
 
         def build():
             loop = FeedbackLoop(
@@ -478,6 +460,11 @@ class TestBatchedEngineDifferential:
         generated, cg_interp = _run_engine(build, "codegen", 6)
         assert cg_interp.engine_used == "codegen"
         assert generated == scalar
+        for engine in ("batched", "codegen"):
+            split, split_interp = _run_engine(build, engine, 6, chunk_periods=chunk)
+            assert split_interp.engine_used == engine
+            assert split_interp.plan.segments is not None
+            assert split == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -673,7 +660,7 @@ class TestGraphAnalysisDifferential:
     """Randomized guards on the whole-graph analysis artifacts.
 
     Every random splitjoin built from pure branches must yield a certified
-    fusion region; fusing it in codegen must stay bit-exact vs scalar; and
+    fusion region; codegen must stay bit-exact vs scalar on it; and
     the parallel engine must run stall-free at the statically-proved
     minimal ring capacities (``REPRO_RING_SLACK=0``) with identical output.
     """
@@ -681,8 +668,6 @@ class TestGraphAnalysisDifferential:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_certified_regions_fuse_bit_exact(self, seed):
-        import os
-
         from repro.analysis.graph import certified_fusion_regions
         from repro.graph.flatgraph import flatten
 
@@ -701,22 +686,8 @@ class TestGraphAnalysisDifferential:
         assert regions, "pure-branch splitjoin must certify a region"
 
         scalar, _ = _run_engine(build, "scalar", 5)
-        old = os.environ.get("REPRO_CODEGEN_REGIONS")
-        os.environ["REPRO_CODEGEN_REGIONS"] = "1"
-        try:
-            generated, cg_interp = _run_engine(build, "codegen", 5)
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_CODEGEN_REGIONS", None)
-            else:
-                os.environ["REPRO_CODEGEN_REGIONS"] = old
+        generated, _ = _run_engine(build, "codegen", 5)
         assert generated == scalar
-        if cg_interp.engine_used == "codegen":
-            report = cg_interp.engine_report()["codegen"]
-            blocks = report["blocks"] or []
-            assert [b for b in blocks if b["kind"] == "region"], (
-                "certified region did not reach the emitted module"
-            )
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
