@@ -1264,6 +1264,11 @@ def _fingerprint(value: Any) -> Any:
     return None
 
 
+#: Public name: the runtime compares live filter state with the same
+#: fingerprints the memo is keyed on (region lowering's collapse tier).
+value_fingerprint = _fingerprint
+
+
 def _read_fingerprint(filt: Filter, attr: str) -> Any:
     try:
         return _fingerprint(getattr(filt, attr))

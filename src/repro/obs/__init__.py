@@ -54,6 +54,7 @@ from repro.obs.tracer import (
     CAT_KERNEL,
     CAT_META,
     CAT_PLAN,
+    CAT_REGION,
     CAT_TELEPORT,
     CAT_WORKER,
     NULL_TRACER,
@@ -70,6 +71,7 @@ __all__ = [
     "CAT_KERNEL",
     "CAT_META",
     "CAT_PLAN",
+    "CAT_REGION",
     "CAT_TELEPORT",
     "CAT_WORKER",
     "FLIGHT",

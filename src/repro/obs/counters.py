@@ -41,6 +41,12 @@ class HwmArrayChannel(ArrayChannel):
         if self.occupancy > self.high_water:
             self.high_water = self.occupancy
 
+    def alloc_block(self, n: int) -> np.ndarray:
+        view = super().alloc_block(n)
+        if self.occupancy > self.high_water:
+            self.high_water = self.occupancy
+        return view
+
     def adopt_block(self, block: np.ndarray) -> None:
         super().adopt_block(block)
         if self.occupancy > self.high_water:

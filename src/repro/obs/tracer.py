@@ -35,6 +35,7 @@ CAT_ENGINE = "engine"        # run_init / run_steady envelopes
 CAT_FILTER = "filter"        # scalar-engine per-phase firings
 CAT_KERNEL = "batch_kernel"  # batched-engine block-kernel executions
 CAT_FUSED = "fused_chain"    # batched-engine fused-chain composites
+CAT_REGION = "region"        # batched-engine lowered splitjoin regions
 CAT_CORE = "core_loop"       # CoreLoopRunner chunks (cyclic cores)
 CAT_WORKER = "worker"        # parallel-engine per-worker firings
 CAT_CODEGEN = "codegen"      # codegen-engine generated-module chunks
@@ -44,7 +45,7 @@ CAT_META = "meta"            # run-level annotations (errors, reports)
 
 #: Span categories whose durations count as filter self-time in reports.
 SELF_TIME_CATS = frozenset(
-    {CAT_FILTER, CAT_KERNEL, CAT_FUSED, CAT_CORE, CAT_WORKER, CAT_CODEGEN}
+    {CAT_FILTER, CAT_KERNEL, CAT_FUSED, CAT_REGION, CAT_CORE, CAT_WORKER, CAT_CODEGEN}
 )
 
 

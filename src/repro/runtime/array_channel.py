@@ -122,13 +122,32 @@ class ArrayChannel:
     # -- block API (the batched fast path) -------------------------------------
 
     def push_block(self, block: np.ndarray) -> None:
-        """Enqueue a whole array of items (flattened in C order)."""
-        block = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+        """Enqueue a whole array of items (flattened in C order).
+
+        One copy whatever the layout: a strided or Fortran-order block is
+        assigned through a reshaped view of the tail, never compacted first.
+        """
+        if type(block) is not np.ndarray:
+            block = np.asarray(block, dtype=np.float64)
         n = block.size
         self._reserve(n)
-        self._buf[self._tail : self._tail + n] = block
-        self._tail += n
+        tail = self._tail
+        if block.ndim > 1:
+            self._buf[tail : tail + n].reshape(block.shape)[...] = block
+        else:
+            self._buf[tail : tail + n] = block
+        self._tail = tail + n
         self.pushed_count += n
+
+    def alloc_block(self, n: int) -> np.ndarray:
+        """Reserve ``n`` items at the back, count them as pushed, and return
+        the writable view the caller fills in place (valid until the next
+        mutation of this channel)."""
+        self._reserve(n)
+        tail = self._tail
+        self._tail = tail + n
+        self.pushed_count += n
+        return self._buf[tail : tail + n]
 
     def adopt_block(self, block: np.ndarray) -> None:
         """Make ``block`` the channel's entire contents, copying only if needed.
@@ -177,6 +196,18 @@ class ArrayChannel:
             )
         self._head += count
         self.popped_count += count
+
+    def trim(self) -> None:
+        """Shrink the buffer to the live items (at least ``_MIN_CAPACITY``);
+        contents and history counters are unchanged."""
+        occ = self._tail - self._head
+        cap = max(_MIN_CAPACITY, occ)
+        if self._buf.size > cap:
+            new = np.empty(cap, dtype=np.float64)
+            new[:occ] = self._buf[self._head : self._tail]
+            self._buf = new
+            self._head = 0
+            self._tail = occ
 
     def detach_all(self) -> List[float]:
         """Remove and return every live item *without* touching the history

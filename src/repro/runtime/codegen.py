@@ -274,6 +274,7 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
         raise BindMismatch("block count mismatch")
     for edge, i in edge_index.items():
         ns[f"ch{i}"] = plan.channels[edge]
+    plan._module_tapes.clear()
 
     fallbacks: List[str] = []
     core_mode: Optional[str] = None
@@ -308,11 +309,22 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
             ]:
                 raise BindMismatch("fused chain mismatch")
             for j, st in enumerate(stages[:-1]):
-                ns[f"tp{bi}_{j}"] = _FusionTape(name=f"codegen:{st.node.name}")
+                tape = ns[f"tp{bi}_{j}"] = _FusionTape(name=f"codegen:{st.node.name}")
+                plan._module_tapes.append(tape)
             for st, sm in zip(stages, m.get("stages", ())):
                 # Every stage's channel attributes are rebound by name.
                 ns[f"f{node_index[st.node]}"] = st.node.filter
                 bind_phase(st, sm)
+        elif kind == "region":
+            if (
+                m.get("kind") != "region"
+                or m.get("tier") != obj.tier
+                or m.get("nodes") != [node_index[ph.node] for ph in obj.members]
+            ):
+                raise BindMismatch("region block mismatch")
+            ns[f"rg{bi}"] = obj.run
+            if m.get("mode") == "fallback":
+                fallbacks.append(obj.name)
         else:  # core
             core: CoreLoopRunner = obj
             if m.get("kind") != "core" or m.get("nodes") != sorted(
@@ -372,6 +384,8 @@ class CodegenPlan(ExecutionPlan):
         self.cache_outcome: Optional[str] = None
         self.fingerprint: Optional[str] = None
         self._run_chunk = None
+        #: Scratch tapes bound into the generated module (see release_scratch).
+        self._module_tapes: List[_FusionTape] = []
         self._materialized = False
         self._firings_per_period = 0
         if self.messaging:
@@ -385,6 +399,8 @@ class CodegenPlan(ExecutionPlan):
 
     def _materialize(self) -> None:
         self._materialized = True
+        if not self._regions_decided:  # driven without run_init()
+            self._lower_regions()
         interp = self.interp
         from repro import __version__
 
@@ -517,6 +533,11 @@ class CodegenPlan(ExecutionPlan):
             for node, count in phase.accounting:
                 fired[node] += count * periods
 
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        for tape in self._module_tapes:
+            tape.release()
+
     # -- introspection ---------------------------------------------------------
 
     def codegen_report(self) -> Dict[str, object]:
@@ -534,13 +555,14 @@ class CodegenPlan(ExecutionPlan):
                         }
                     )
                 else:
-                    blocks.append(
-                        {
-                            "kind": m["kind"],
-                            "name": m.get("name", m["kind"]),
-                            "mode": m.get("mode"),
-                        }
-                    )
+                    row = {
+                        "kind": m["kind"],
+                        "name": m.get("name", m["kind"]),
+                        "mode": m.get("mode"),
+                    }
+                    if "tier" in m:
+                        row["tier"] = m["tier"]
+                    blocks.append(row)
         return {
             "active": self.codegen_active,
             "materialized": self._materialized,

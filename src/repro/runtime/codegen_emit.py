@@ -25,7 +25,8 @@ Per-block lowering modes (reported through ``engine_report()`` and the
   kernel called through :func:`~repro.runtime.vectorize.run_lifted`, or a
   core work() body rewritten to flat statements);
 * ``call`` — a direct call to an existing batched executor (hand
-  ``work_batch``, vectorized splitter/joiner) — no dispatch loop, but the
+  ``work_batch``, vectorized splitter/joiner, a lowered splitjoin
+  :class:`~repro.runtime.regions.RegionPhase`) — no dispatch loop, but the
   body lives outside the module;
 * ``fallback`` — an uncertified filter keeps its adaptive
   :class:`~repro.runtime.vectorize.BatchExecutor` (trial machinery and
@@ -43,11 +44,12 @@ from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.plan import CompiledPhase, CoreLoopRunner, FusedPhase
+from repro.runtime.regions import RegionPhase
 from repro.runtime.vectorize import BatchExecutor
 
 #: Bump on any change to the emitted module's shape or binding contract;
 #: part of the cache key, so stale on-disk modules are never rebound.
-EMITTER_VERSION = 2
+EMITTER_VERSION = 3
 
 
 class Unsupported(Exception):
@@ -66,10 +68,8 @@ def layout_blocks(plan) -> List[Tuple[str, object]]:
     """
     blocks: List[Tuple[str, object]] = []
     if plan.superbatch:
-        blocks.extend(
-            ("fused", ph) if isinstance(ph, FusedPhase) else ("phase", ph)
-            for ph in plan.steady_phases
-        )
+        kinds = {FusedPhase: "fused", RegionPhase: "region"}
+        blocks.extend((kinds.get(type(ph), "phase"), ph) for ph in plan.steady_phases)
     elif plan.segments is not None:
         prefix, core, suffix = plan.segments
         blocks.extend(("phase", ph) for ph in prefix)
@@ -151,6 +151,14 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
     class name, same rates) invalidates cached modules.
     """
     parts: List[str] = [repr(signature), version, str(EMITTER_VERSION)]
+    # A region's tier is decided from live state, not structure: a module
+    # must never be rebound to a plan that lowered differently.  (The
+    # parallel engine keys its struct cache on a bare interpreter, which
+    # lowers nothing.)
+    region_report = getattr(plan, "region_report", None)
+    if region_report is not None:
+        # Rows are in graph order; names may be auto-generated per build.
+        parts.append(repr([row["tier"] for row in region_report()]))
     for node in plan.graph.nodes:
         if node.kind != FILTER:
             if node.kind == JOINER and node.flavor == COMBINE:
@@ -774,6 +782,22 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                     "nodes": [node_index[st.node] for st in stages],
                     "stages": stage_meta,
                     "name": names,
+                }
+            )
+        elif kind == "region":
+            modes = [
+                resolve_phase_mode(ph) for ph in obj.members if ph.node.kind == FILTER
+            ]
+            mode = "fallback" if "fallback" in modes else "call"
+            body.append(f"# region {obj.name}: {obj.tier} ({mode})")
+            body.append(f"rg{len(meta_blocks)}(scale)")
+            meta_blocks.append(
+                {
+                    "kind": "region",
+                    "mode": mode,
+                    "tier": obj.tier,
+                    "nodes": [node_index[ph.node] for ph in obj.members],
+                    "name": obj.name,
                 }
             )
         else:  # core

@@ -259,6 +259,8 @@ class Interpreter:
                     name=f"{edge.src.name}->{edge.dst.name}", initial=edge.initial
                 )
         self._owner_token = object()
+        #: Every filter, for the per-call ownership check.
+        self._filters = [node.filter for node in self.graph.filter_nodes()]
         for node in self.graph.nodes:
             if node.kind == FILTER:
                 filt = node.filter
@@ -337,10 +339,13 @@ class Interpreter:
 
         ``downgrades`` lists the analysis diagnostics (``SL302`` scalar
         fallback, ``SL303`` superbatch degradation) behind every
-        :class:`EngineDowngradeWarning` this interpreter emitted, and
+        :class:`EngineDowngradeWarning` this interpreter emitted,
         ``vectorization`` (batched engine only) maps each generically-lifted
         filter to its executor mode, trusted-proof status, and structured
-        downgrade reason.
+        downgrade reason, and ``regions`` has one ``{name, tier, branches,
+        reason}`` row per splitjoin: the tier it was lowered by
+        (``collapse`` / ``permute`` / ``columns``) or why it was not
+        (empty until ``run_init``).
         """
         report: Dict[str, Any] = {
             "requested": self.engine,
@@ -351,6 +356,7 @@ class Interpreter:
         }
         if self.plan is not None:
             report["vectorization"] = self.plan.vectorization_report()
+            report["regions"] = self.plan.region_report()
             from repro.runtime.plan import plan_cache_summary
 
             report["plan_cache"] = plan_cache_summary()
@@ -415,10 +421,11 @@ class Interpreter:
         return portals
 
     def _check_ownership(self) -> None:
-        for node in self.graph.filter_nodes():
-            if getattr(node.filter, "_rt_owner", None) is not self._owner_token:
+        token = self._owner_token
+        for filt in self._filters:
+            if filt._rt_owner is not token:
                 raise StreamItError(
-                    f"filter {node.filter.name!r} has been re-bound by another "
+                    f"filter {filt.name!r} has been re-bound by another "
                     "Interpreter since this one was created; a filter's "
                     "input/output channels (and mutable state) belong to one "
                     "live interpreter at a time — build a fresh stream per "
@@ -838,10 +845,12 @@ class Interpreter:
             self._trace_path = None
 
     def close(self) -> None:
-        """Release engine resources (parallel workers, shared memory).
+        """Release engine resources (parallel workers, shared memory,
+        grown channel buffers).
 
-        Idempotent and safe on every engine; only the parallel engine holds
-        resources that outlive the interpreter object.  Traced runs flush
+        Idempotent and safe on every engine.  The batched and codegen
+        engines shrink every tape to its live items; introspection still
+        answers, and running on simply regrows them.  Traced runs flush
         their metadata (and the ``trace=<path>`` file) here.
         """
         # Snapshot counters before the parallel arena (and its ring-control
@@ -849,6 +858,13 @@ class Interpreter:
         self.flush_trace()
         if self.parallel is not None:
             self.parallel.close()
+        elif self.plan is not None:
+            # A closed session stays reachable through plan<->interpreter
+            # cycles until a full collection: hand its grown tapes back now.
+            # Live items, counters and snapshot() are untouched.
+            self.plan.release_scratch()
+            for chan in self.channels.values():
+                chan.trim()
         METRICS.maybe_publish()
 
     def __enter__(self) -> "Interpreter":

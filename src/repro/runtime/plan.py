@@ -22,6 +22,12 @@ tapes:
   :class:`_FusionTape` scratch channels that *adopt* each stage's output
   array (zero-copy handoff, no slide-to-front compaction, no per-stage
   ArrayChannel traffic on the real graph edges);
+* **region lowering** — a certified flat splitjoin (``SL405``) whose members
+  are one contiguous run of a single-sweep schedule runs as *one*
+  :class:`~repro.runtime.regions.RegionPhase`: a single kernel over the
+  unsplit tape (``collapse``),
+  one static gather (``permute``), or per-branch kernels over column views
+  writing the joiner's output in place (``columns``);
 * **period superbatching** — when the steady schedule is a pure topological
   pass (each node fires once, producers strictly before consumers — i.e. no
   feedback), ``P`` requested periods are folded into one pass with every
@@ -59,6 +65,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import StreamItError
+from repro.graph.composites import SplitJoin
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER, FlatGraph, FlatNode
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.array_channel import ArrayChannel
@@ -146,15 +153,23 @@ def make_joiner_executor(
 
     weights = [node.in_rates[e.dst_port] for e in node.in_edges]
     total = node.out_rates[0]
+    # An ArrayChannel hands out its own tail to interleave into; a ring
+    # (parallel engine) still takes one finished block.
+    in_place = isinstance(out_chan, ArrayChannel)
 
     def fire_roundrobin(n: int) -> None:
-        cycles = np.empty((n, total))
+        blocks = [chan.pop_block(n * w) for chan, w in zip(ins, weights)]
+        if in_place:
+            cycles = out_chan.alloc_block(n * total).reshape(n, total)
+        else:
+            cycles = np.empty((n, total))
         offset = 0
-        for chan, w in zip(ins, weights):
+        for block, w in zip(blocks, weights):
             if w:
-                cycles[:, offset : offset + w] = chan.pop_block(n * w).reshape(n, w)
+                cycles[:, offset : offset + w] = block.reshape(n, w)
             offset += w
-        out_chan.push_block(cycles)
+        if not in_place:
+            out_chan.push_block(cycles)
 
     return fire_roundrobin, True
 
@@ -288,6 +303,16 @@ class _FusionTape(ArrayChannel):
         else:
             ArrayChannel.push_block(self, block)
 
+    def release(self) -> None:
+        """Forget the (drained) adopted block so it can be freed."""
+        self._buf = _NO_ITEMS
+        self._head = self._tail = 0
+
+
+#: Shared backing store of every released scratch tape (never written:
+#: a push to an empty tape adopts, a scalar push reserves a fresh buffer).
+_NO_ITEMS = np.empty(0, dtype=np.float64)
+
 
 @dataclass
 class CompiledPhase:
@@ -305,6 +330,15 @@ class CompiledPhase:
     @property
     def accounting(self) -> Tuple[Tuple[FlatNode, int], ...]:
         return ((self.node, self.count),)
+
+    def span(self, scale: int) -> Tuple[str, str, int, int]:
+        """``(name, category, firings, items)`` of one traced ``run(scale)``."""
+        from repro.obs.tracer import CAT_KERNEL
+
+        node = self.node
+        firings = self.count * scale
+        push = node.out_edges[0].push_rate if node.out_edges else 0
+        return node.name, CAT_KERNEL, firings, firings * push
 
 
 class FusedPhase:
@@ -339,6 +373,22 @@ class FusedPhase:
     @property
     def accounting(self) -> Tuple[Tuple[FlatNode, int], ...]:
         return tuple((st.node, st.count) for st in self.stages)
+
+    def span(self, scale: int) -> Tuple[str, str, int, int]:
+        from repro.obs.tracer import CAT_FUSED
+
+        last = self.stages[-1]
+        push = last.node.out_edges[0].push_rate if last.node.out_edges else 0
+        return (
+            "+".join(st.node.name for st in self.stages),
+            CAT_FUSED,
+            sum(st.count for st in self.stages) * scale,
+            last.count * scale * push,
+        )
+
+    def release(self) -> None:
+        for tape in self._tapes:
+            tape.release()
 
     def run(self, scale: int) -> None:
         stages = self.stages
@@ -625,7 +675,15 @@ class ExecutionPlan:
         self.superbatch: bool = analysis["superbatch"]
         self.chunk_periods: int = analysis["chunk_periods"]
         self.fusion_ranges: Tuple[Tuple[int, int], ...] = analysis["fusion_ranges"]
-        self.steady_phases = self._apply_fusion(steady, self.fusion_ranges)
+        #: Provisional until :meth:`_lower_regions` (end of ``run_init``)
+        #: has replaced every lowerable splitjoin by its RegionPhase.
+        self.steady_phases = self._apply_fusion(steady, self.fusion_ranges, {})
+        self._steady_flat = steady
+        self._analysis = analysis
+        self._regions_decided = False
+        #: Per splitjoin: (name, branches, its RegionPhase or None, the
+        #: reason it has none); see :meth:`region_report`.
+        self._region_rows: List[tuple] = []
         self.segments = self._build_segments(
             steady, analysis["segments_idx"], analysis.get("segmented", False)
         )
@@ -863,18 +921,160 @@ class ExecutionPlan:
         return tuple(ranges)
 
     def _apply_fusion(
-        self, phases: List[CompiledPhase], ranges: Tuple[Tuple[int, int], ...]
+        self,
+        phases: List[CompiledPhase],
+        ranges: Tuple[Tuple[int, int], ...],
+        regions: Dict[int, object],
     ) -> List[object]:
-        if not ranges:
-            return list(phases)
+        """The steady program: ``regions`` (keyed by the index of their
+        first member phase) replace their members — including any fused
+        chain inside a branch — and the remaining ``ranges`` fuse."""
+        chains = dict(ranges)
         out: List[object] = []
         pos = 0
-        for start, end in ranges:
-            out.extend(phases[pos:start])
-            out.append(FusedPhase(phases[start : end + 1], self.channels))
-            pos = end + 1
-        out.extend(phases[pos:])
+        while pos < len(phases):
+            if pos in regions:
+                out.append(regions[pos])
+                pos += len(regions[pos].members)
+            elif pos in chains:
+                end = chains[pos]
+                out.append(FusedPhase(phases[pos : end + 1], self.channels))
+                pos = end + 1
+            else:
+                out.append(phases[pos])
+                pos += 1
         return out
+
+    # -- region lowering ------------------------------------------------------
+
+    def _lower_regions(self) -> None:
+        """Decide, once, how every splitjoin runs.
+
+        Runs at the end of ``run_init`` — after the ``init()`` hooks and the
+        init schedule — because which tier is sound depends on live filter
+        state.  Structural verdicts (member ranges, gather maps) are shared
+        through the plan cache; certification and tiers are per plan.
+        """
+        self._regions_decided = True
+        splitters = [
+            n for n in self.graph.nodes
+            if n.kind == SPLITTER and isinstance(n.obj, SplitJoin)
+        ]
+        if not splitters:
+            return
+        try:
+            from repro.analysis.graph import certified_fusion_regions
+
+            certified = {r.splitter: r for r in certified_fusion_regions(self.graph)}
+            uncertified = (
+                "not certified (SL405): stateful or inexact-rate branch filter, "
+                "nested splitjoin, or initial items"
+            )
+        except Exception as exc:  # the plan must run whatever the analyzer does
+            certified = {}
+            uncertified = f"certifier failed: {type(exc).__name__}: {exc}"
+        from repro.runtime.regions import RegionPhase
+
+        index = {node: i for i, node in enumerate(self.graph.nodes)}
+        structure = self._analysis.setdefault("regions", {})
+        caches = self._analysis.setdefault("region_caches", {})
+        lowered: Dict[int, object] = {}
+        for splitter in splitters:
+            region = certified.get(splitter)
+            key = index[splitter]
+            verdict: object = uncertified
+            if region is not None:
+                # Only the range is cached: a refusal names this plan's nodes.
+                verdict = structure.get(key) or self._region_range(region)
+            phase = None
+            if not isinstance(verdict, str):
+                start, end = structure[key] = verdict
+                phase = lowered[start] = RegionPhase(
+                    region,
+                    self._steady_flat[start : end + 1],
+                    self.channels,
+                    caches.setdefault(key, {}),
+                )
+            self._region_rows.append(
+                (splitter.obj.name, len(splitter.out_edges), phase, verdict)
+            )
+        if lowered:
+            self.steady_phases = self._apply_fusion(
+                self._steady_flat, self.fusion_ranges, lowered
+            )
+        tracer = self.interp.tracer
+        if tracer.enabled:
+            from repro.obs.tracer import CAT_PLAN
+
+            tracer.instant(
+                "plan.regions",
+                CAT_PLAN,
+                args={"splitjoins": len(splitters), "tiers": self.region_tiers()},
+            )
+
+    def _region_range(self, region) -> object:
+        """``(first, last)`` member index in the flat steady phase list when
+        the region can run as one phase, else the reason it cannot.  Depends
+        only on what the plan signature covers."""
+        if not self.single_sweep:
+            return "the steady schedule is not a single topological sweep"
+        if region.joiner.flavor == COMBINE:
+            return "COMBINE joiner"
+        for node in region.members:
+            if node in self._senders or node in self._receivers:
+                return f"messaging endpoint {node.name!r} inside the region"
+        if not all(region.branches):
+            return "a branch has no filter"
+        init_counts = self.interp.program.init.counts()
+        internal = list(region.splitter.out_edges) + [
+            n.out_edges[0] for n in region.filters
+        ]
+        for e in internal:
+            if e.push_rate <= 0 or e.pop_rate <= 0:
+                return f"zero-weight edge {e.src.name}->{e.dst.name}"
+            if e.peek_rate != e.pop_rate:
+                where = "head" if e.src is region.splitter else "stage"
+                return f"peeking {where} {e.dst.name!r}"
+            if (
+                len(e.initial)
+                + init_counts.get(e.src, 0) * e.push_rate
+                - init_counts.get(e.dst, 0) * e.pop_rate
+            ):
+                return f"init residue on {e.src.name}->{e.dst.name}"
+        position = {ph.node: i for i, ph in enumerate(self._steady_flat)}
+        spots = sorted(position[n] for n in region.members)
+        if spots[-1] - spots[0] + 1 != len(spots):
+            return "members are not one contiguous run of the steady schedule"
+        return spots[0], spots[-1]
+
+    def region_report(self) -> List[Dict[str, object]]:
+        """``[{name, tier | None, branches, reason}]``, one row per splitjoin
+        in graph order (``engine_report()["regions"]``); ``reason`` says why
+        ``tier`` is None.  Empty until ``run_init`` has decided."""
+        rows = []
+        for name, branches, phase, verdict in self._region_rows:
+            tier, reason = (
+                (phase.tier, phase.reason) if phase is not None else (None, verdict)
+            )
+            rows.append(
+                {"name": name, "tier": tier, "branches": branches, "reason": reason}
+            )
+        return rows
+
+    def region_tiers(self) -> Dict[str, int]:
+        """How many regions run lowered by each tier (``collapse`` /
+        ``permute`` / ``columns``); refused and demoted ones do not count."""
+        tiers: Dict[str, int] = {}
+        for row in self.region_report():
+            if row["tier"] is not None:
+                tiers[row["tier"]] = tiers.get(row["tier"], 0) + 1
+        return tiers
+
+    def release_scratch(self) -> None:
+        """Let go of every drained scratch tape's last block (``close()``)."""
+        for phase in self.steady_phases:
+            if isinstance(phase, FusedPhase):
+                phase.release()
 
     @property
     def fused_chains(self) -> List[Tuple[str, ...]]:
@@ -908,10 +1108,13 @@ class ExecutionPlan:
         for phase in self.init_phases:
             for node, count in phase.accounting:
                 fired[node] += count
+        self._lower_regions()
 
     def run_steady(self, fired: Dict[FlatNode, int], periods: int) -> None:
         if periods <= 0:
             return
+        if not self._regions_decided:  # driven without run_init()
+            self._lower_regions()
         if self.interp.tracer.enabled:
             self._run_steady_traced(fired, periods)
             return
@@ -953,28 +1156,18 @@ class ExecutionPlan:
     # chain, or cyclic-core chunk — which is both the engine's unit of work
     # and the granularity a profile attributes time at.
 
-    def _trace_phase(self, phase: object, scale: int) -> None:
+    def _trace_phase(self, phase: object, scale: int, fire=None) -> None:
+        """Run one phase under a span; ``fire(phase)`` replaces
+        ``phase.run(scale)`` for messaging endpoints."""
         from time import perf_counter
 
-        from repro.obs.tracer import CAT_FUSED, CAT_KERNEL
-
         t0 = perf_counter()
-        phase.run(scale)
-        dur = perf_counter() - t0
-        if isinstance(phase, FusedPhase):
-            name = "+".join(st.node.name for st in phase.stages)
-            cat = CAT_FUSED
-            firings = sum(st.count for st in phase.stages) * scale
-            last = phase.stages[-1].node
-            push = last.out_edges[0].push_rate if last.out_edges else 0
-            items = phase.stages[-1].count * scale * push
+        if fire is None:
+            phase.run(scale)
         else:
-            node = phase.node
-            name = node.name
-            cat = CAT_KERNEL
-            firings = phase.count * scale
-            push = node.out_edges[0].push_rate if node.out_edges else 0
-            items = firings * push
+            fire(phase)
+        dur = perf_counter() - t0
+        name, cat, firings, items = phase.span(scale)
         self.interp.tracer.complete(
             name, cat, t0, dur, args={"firings": firings, "items": items}
         )
@@ -1030,81 +1223,42 @@ class ExecutionPlan:
     # -- batched teleport messaging -------------------------------------------
 
     def _run_phases_msg(self, phases: Sequence[object]) -> None:
-        if self.interp.tracer.enabled:
-            self._run_phases_msg_traced(phases)
-            return
-        self._run_phases_msg_plain(phases)
-
-    def _run_phases_msg_traced(self, phases: Sequence[object]) -> None:
-        """Messaging pass with one span per phase (see ``_run_phases_msg``)."""
-        from time import perf_counter
-
-        from repro.obs.tracer import CAT_FUSED, CAT_KERNEL
-
-        interp = self.interp
-        tracer = interp.tracer
-        for phase in phases:
-            t0 = perf_counter()
-            if isinstance(phase, FusedPhase):
-                phase.run(1)
-                tracer.complete(
-                    "+".join(st.node.name for st in phase.stages),
-                    CAT_FUSED,
-                    t0,
-                    perf_counter() - t0,
-                    args={"firings": sum(st.count for st in phase.stages), "items": 0},
-                )
-                continue
-            node = phase.node
-            if node in self._senders:
-                interp._current_node = node
-                work = node.filter.work
-                for _ in range(phase.count):
-                    interp._deliver_before(node)
-                    work()
-                    interp._deliver_after(node)
-                interp._current_node = None
-            elif interp._pending.get(node):
-                self._fire_receiver(phase)
-            else:
-                phase.run(1)
-            push = node.out_edges[0].push_rate if node.out_edges else 0
-            tracer.complete(
-                node.name,
-                CAT_KERNEL,
-                t0,
-                perf_counter() - t0,
-                args={"firings": phase.count, "items": phase.count * push},
-            )
-
-    def _run_phases_msg_plain(self, phases: Sequence[object]) -> None:
         """One pass with messaging semantics intact.
 
         Senders fire one ``work()`` at a time on the real channels (their
         output counters drive wavefront thresholds *during* the firing);
         receivers with pending messages fire in sub-batches that stop
-        exactly at each message's delivery point; every other node takes the
-        plain batched path — it can neither send nor receive, so no delivery
-        checks apply.
+        exactly at each message's delivery point; every other phase — fused
+        chains and lowered regions hold no endpoint by construction — takes
+        the plain batched path: it can neither send nor receive, so no
+        delivery checks apply.  Traced runs get one span per phase.
         """
         interp = self.interp
+        traced = interp.tracer.enabled
         for phase in phases:
-            if isinstance(phase, FusedPhase):
+            fire = None
+            if type(phase) is CompiledPhase:
+                if phase.node in self._senders:
+                    fire = self._fire_sender
+                elif interp._pending.get(phase.node):
+                    fire = self._fire_receiver
+            if traced:
+                self._trace_phase(phase, 1, fire)
+            elif fire is None:
                 phase.run(1)
-                continue
-            node = phase.node
-            if node in self._senders:
-                interp._current_node = node
-                work = node.filter.work
-                for _ in range(phase.count):
-                    interp._deliver_before(node)
-                    work()
-                    interp._deliver_after(node)
-                interp._current_node = None
-            elif interp._pending.get(node):
-                self._fire_receiver(phase)
             else:
-                phase.run(1)
+                fire(phase)
+
+    def _fire_sender(self, phase: CompiledPhase) -> None:
+        interp = self.interp
+        node = phase.node
+        interp._current_node = node
+        work = node.filter.work
+        for _ in range(phase.count):
+            interp._deliver_before(node)
+            work()
+            interp._deliver_after(node)
+        interp._current_node = None
 
     def _fire_receiver(self, phase: CompiledPhase) -> None:
         interp = self.interp

@@ -147,3 +147,89 @@ def test_array_channel_growth_keeps_views_contiguous():
             assert window.flags["C_CONTIGUOUS"]
             chan.drop(3)
     assert chan.pushed_count - chan.popped_count == chan.occupancy
+
+
+# -- one-copy push_block, alloc_block, trim ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "block, flat",
+    [
+        (np.arange(24.0).reshape(4, 6)[:, 1:4], None),  # strided 2-D
+        (np.asfortranarray(np.arange(12.0).reshape(3, 4)), None),  # Fortran order
+        (np.arange(10.0)[1::3], None),  # strided 1-D
+        (np.arange(6, dtype=np.int32).reshape(2, 3), None),  # int dtype
+        ([1, 2.5, 3], [1.0, 2.5, 3.0]),  # list
+        ([[1, 2], [3, 4]], [1.0, 2.0, 3.0, 4.0]),  # nested list
+        (np.float64(7.0), [7.0]),  # 0-d
+        (np.empty((0, 3)), []),  # nothing
+    ],
+    ids=["strided2d", "fortran", "strided1d", "int", "list", "nested", "scalar", "empty"],
+)
+def test_push_block_flattens_any_layout_in_c_order(block, flat):
+    if flat is None:
+        flat = np.asarray(block, dtype=np.float64).reshape(-1).tolist()
+    chan = ArrayChannel(name="layout", initial=[-1.0])
+    chan.push_block(block)
+    assert chan.snapshot() == [-1.0] + flat
+    assert chan.pushed_count == 1 + len(flat)
+    _invariant(chan)
+
+
+def test_push_block_does_not_alias_its_argument():
+    block = np.arange(6.0).reshape(2, 3)
+    chan = ArrayChannel(name="alias")
+    chan.push_block(block[:, ::2])
+    block[:] = -1.0
+    assert chan.snapshot() == [0.0, 2.0, 3.0, 5.0]
+
+
+def test_alloc_block_is_a_writable_view_counted_as_pushed():
+    chan = ArrayChannel(name="alloc", initial=[1.0, 2.0])
+    view = chan.alloc_block(6)
+    assert view.shape == (6,) and view.flags.writeable
+    assert chan.pushed_count == 8 and chan.occupancy == 8
+    view.reshape(2, 3)[:, 1] = [10.0, 20.0]  # filled in place, any order
+    view.reshape(2, 3)[:, 0] = [5.0, 6.0]
+    view.reshape(2, 3)[:, 2] = [7.0, 8.0]
+    assert chan.snapshot() == [1.0, 2.0, 5.0, 10.0, 7.0, 6.0, 20.0, 8.0]
+    assert chan.alloc_block(0).size == 0
+    _invariant(chan)
+
+
+def test_alloc_and_strided_push_across_slide_and_growth():
+    # Interleave with pops so _reserve takes both the slide-to-front and
+    # the reallocation path while live items sit in the buffer.
+    chan = ArrayChannel(name="reserve")
+    expect = []
+    rng = np.random.default_rng(7)
+    for step in range(400):
+        n = int(rng.integers(1, 40))
+        if step % 2:
+            values = rng.uniform(-1, 1, size=n)
+            chan.alloc_block(n)[:] = values
+        else:
+            wide = rng.uniform(-1, 1, size=(n, 3))
+            values = wide[:, 1]
+            chan.push_block(wide[:, 1:2])
+        expect.extend(values.tolist())
+        take = int(rng.integers(0, len(expect) + 1))
+        assert chan.pop_block(take).tolist() == expect[:take]
+        del expect[:take]
+        _invariant(chan)
+    assert chan.snapshot() == expect
+
+
+def test_trim_keeps_contents_and_counters():
+    chan = ArrayChannel(name="trim")
+    chan.push_block(np.arange(5000.0))
+    chan.drop(4990)
+    chan.trim()
+    assert chan._buf.size == 16  # _MIN_CAPACITY floor
+    assert chan.snapshot() == [float(v) for v in range(4990, 5000)]
+    assert (chan.pushed_count, chan.popped_count) == (5000, 4990)
+    chan.push_block(np.arange(100.0))  # regrows on demand
+    assert chan.occupancy == 110
+    chan.trim()
+    assert chan._buf.size == 110
+    _invariant(chan)

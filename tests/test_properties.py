@@ -251,6 +251,35 @@ class _FuzzRate(Filter):
             self.push(total * (j + 1))
 
 
+class _FuzzPairSort(Filter):
+    """Stateless compare-exchange lane (pop 2, push 2)."""
+
+    def __init__(self, ascending: bool) -> None:
+        super().__init__(pop=2, push=2)
+        self.ascending = ascending
+
+    def work(self) -> None:
+        a = self.pop()
+        b = self.pop()
+        if (a <= b) == self.ascending:
+            self.push(a)
+            self.push(b)
+        else:
+            self.push(b)
+            self.push(a)
+
+
+class _FuzzLookup(Filter):
+    """Stateless table lookup (data-dependent index: never vector-lifted)."""
+
+    def __init__(self, table) -> None:
+        super().__init__(pop=1, push=1)
+        self.table = tuple(table)
+
+    def work(self) -> None:
+        self.push(self.table[int(abs(self.pop()) * 3.0) % len(self.table)])
+
+
 class _FuzzStateful(Filter):
     """Serial recurrence (the trial demotes this to the hoisted loop path)."""
 
@@ -350,6 +379,49 @@ def _random_stage(gen):
     )
 
 
+def _random_flat_splitjoin(gen):
+    """A flat splitjoin of pure rate-preserving lanes with random (balanced)
+    weights — the shape region lowering consumes.  Draws identical lanes
+    (collapse), Identity shuffles (permute) and mixed lanes (columns),
+    behind roundrobin or duplicate splitters."""
+    branches = int(gen.integers(2, 5))
+    table = [float(v) for v in gen.uniform(-3, 3, size=4)]
+    a, b = float(gen.uniform(-2, 2)), float(gen.uniform(-1, 1))
+    up = bool(gen.integers(0, 2))
+    makers = [
+        Identity,
+        lambda: _FuzzMap(a, b, 0),
+        lambda: _FuzzPairSort(up),
+        lambda: _FuzzLookup(table),
+    ]
+    flavour = int(gen.integers(0, 3))
+    if flavour == 0:  # identical lanes, now and then with one odd one out
+        lanes = [makers[int(gen.integers(1, 4))]] * branches
+        children = [make() for make in lanes]
+        if gen.integers(0, 3) == 0:
+            children[-1] = _FuzzMap(a + 1.0, b, 0)
+    elif flavour == 1:
+        children = [Identity() for _ in range(branches)]
+    else:
+        children = [makers[int(gen.integers(0, 4))]() for _ in range(branches)]
+    unit = [child.rate.pop for child in children]  # push == pop on every lane
+    if gen.integers(0, 4) == 0:
+        width = int(gen.integers(1, 4))
+        return SplitJoin(
+            duplicate(), children, joiner_roundrobin(*([width] * branches))
+        )
+    same = flavour == 0 and gen.integers(0, 2)
+    reps = [1 if same else int(gen.integers(1, 3)) for _ in children]
+    m_split, m_join = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+    if same:
+        m_join = m_split
+    return SplitJoin(
+        roundrobin(*(u * r * m_split for u, r in zip(unit, reps))),
+        children,
+        joiner_roundrobin(*(u * r * m_join for u, r in zip(unit, reps))),
+    )
+
+
 def _run_engine(build, engine, periods, chunk_periods=None, **engine_opts):
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
@@ -424,6 +496,36 @@ class TestBatchedEngineDifferential:
         for engine in ("batched", "codegen"):
             split, split_interp = _run_engine(build, engine, 5, chunk_periods=chunk)
             assert split_interp.engine_used == engine
+            assert split == scalar
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_random_flat_splitjoins_bit_exact(self, seed):
+        """The region-lowering arm: whatever tier each random splitjoin
+        takes (or is refused), all three engines agree bit for bit, in one
+        chunk and in chunks of 1-3 periods."""
+        gen = np.random.default_rng(seed)
+        data = [float(v) for v in gen.uniform(-4, 4, size=12)]
+        n_regions = int(gen.integers(1, 3))
+        spec_seed = int(gen.integers(0, 2**32))
+        chunk = int(gen.integers(1, 4))
+
+        def build():
+            g = np.random.default_rng(spec_seed)
+            return Pipeline(
+                ArraySource(data),
+                *[_random_flat_splitjoin(g) for _ in range(n_regions)],
+                CollectSink(),
+            )
+
+        scalar, _ = _run_engine(build, "scalar", 5)
+        for engine in ("batched", "codegen"):
+            whole, interp = _run_engine(build, engine, 5)
+            assert interp.engine_used == engine
+            assert whole == scalar
+            rows = interp.engine_report()["regions"]
+            assert len(rows) == n_regions and all(r["tier"] for r in rows), rows
+            split, _ = _run_engine(build, engine, 5, chunk_periods=chunk)
             assert split == scalar
 
     @settings(max_examples=12, deadline=None)
