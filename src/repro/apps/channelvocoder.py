@@ -14,6 +14,7 @@ from repro.apps.common import FIRFilter, bandpass_taps, lowpass_taps, signal, so
 from repro.graph.base import Filter
 from repro.graph.composites import Pipeline, SplitJoin
 from repro.graph.splitjoin import duplicate, joiner_roundrobin
+from repro.runtime.kernels import ordered_mac, unit_taps
 
 N_CHANNELS = 16
 DEFAULT_TAPS = 24
@@ -39,13 +40,9 @@ class EnvelopeFollower(Filter):
     supports_work_batch = True
 
     def work_batch(self, n: int) -> None:
-        # Accumulate |x| tap by tap across all firings — the same i-order
-        # additions as the scalar loop, so sums are bit-identical.
         w = self.window
-        window = self.input.peek_block(n - 1 + w)
-        total = np.zeros(n)
-        for i in range(w):
-            total += np.abs(window[i : i + n])
+        magnitudes = np.abs(self.input.peek_block(n - 1 + w))
+        total = ordered_mac(magnitudes, unit_taps(w), n, 1)
         self.input.drop(n)
         self.output.push_block(total / w)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.graph.base import Filter
 from repro.graph.builtins import ArraySource, CollectSink
+from repro.runtime.kernels import ordered_mac, unit_taps
 
 
 def signal(n: int, seed: int = 12345) -> List[float]:
@@ -81,15 +82,9 @@ class FIRFilter(Filter):
         self.push(total)
 
     def work_batch(self, n: int) -> None:
-        # Vectorized across firings, tap-sequential within each firing —
-        # firing j accumulates window[j*pop + i] * coeffs[i] in the same
-        # order as work(), so outputs are bit-identical to the scalar path.
         pop = self.rate.pop
         window = self.input.peek_block((n - 1) * pop + self.rate.peek)
-        total = np.zeros(n)
-        stop = (n - 1) * pop + 1
-        for i, c in enumerate(self.coeffs):
-            total += window[i : i + stop : pop] * c
+        total = ordered_mac(window, self.coeffs, n, pop)
         self.input.drop(n * pop)
         self.output.push_block(total)
 
@@ -110,11 +105,8 @@ class Adder(Filter):
         self.push(total)
 
     def work_batch(self, n: int) -> None:
-        groups = self.input.pop_block(n * self.n).reshape(n, self.n)
-        total = np.zeros(n)
-        for c in range(self.n):  # left-to-right sum, as work() accumulates
-            total += groups[:, c]
-        self.output.push_block(total)
+        groups = self.input.pop_block(n * self.n)
+        self.output.push_block(ordered_mac(groups, unit_taps(self.n), n, self.n))
 
 
 class Scale(Filter):
@@ -162,19 +154,10 @@ class MatrixFilter(Filter):
             self.pop()
 
     def work_batch(self, n: int) -> None:
-        # The order-preserving form costs n_out * n_in vector ops per batch;
-        # for small batches the scalar loop is cheaper.
-        if n < 16:
-            for _ in range(n):
-                self.work()
-            return
-        blocks = self.input.pop_block(n * self.n_in).reshape(n, self.n_in)
+        blocks = self.input.pop_block(n * self.n_in)
         out = np.empty((n, self.n_out))
-        for r in range(self.n_out):
-            total = np.zeros(n)
-            for c in range(self.n_in):
-                total += blocks[:, c] * self.matrix[r][c]
-            out[:, r] = total
+        for r, row in enumerate(self.matrix):
+            out[:, r] = ordered_mac(blocks, row, n, self.n_in)
         self.output.push_block(out)
 
 

@@ -21,6 +21,7 @@ from repro.apps.common import lowpass_taps, signal, source_and_sink
 from repro.graph.base import Filter
 from repro.graph.composites import Pipeline, SplitJoin
 from repro.graph.splitjoin import duplicate, joiner_roundrobin, roundrobin
+from repro.runtime.kernels import ordered_mac
 
 N_CHANNELS = 12
 N_BEAMS = 4
@@ -61,27 +62,24 @@ class BeamFirFilter(Filter):
     supports_work_batch = True
 
     def work_batch(self, n: int) -> None:
-        # Concatenate the delay line (unrolled oldest-first) with the new
-        # block; firing k's tap-i operand is then a strided slice, so the
-        # accumulation runs tap-major with the scalar loop's i-order (bit-
-        # identical sums), and the ring state is rebuilt from the tail.
+        # The delay line and the new block laid out newest-first, so firing
+        # k's tap-i operand sits i items into a window that starts
+        # (n - 1 - k) * dec items in: the scalar loop's newest-to-oldest
+        # i-order is the primitive's, with the firings in reverse.  The
+        # ring state is rebuilt from the head.
         taps, dec = self.taps, self.decimation
         t = len(taps)
         pos = self.pos
-        block = self.input.pop_block(n * dec)
-        full = np.empty(t + n * dec)
-        for m in range(t):
-            full[m] = self.history[(pos + m) % t]
-        full[t:] = block
-        total = np.zeros(n)
-        for i in range(t):
-            start = t + dec - 1 - i
-            total += taps[i] * full[start : start + n * dec : dec]
-        self.output.push_block(total)
-        new_pos = (pos + n * dec) % t
+        fresh = n * dec
+        newest_first = np.empty(fresh + t)
+        newest_first[:fresh] = self.input.pop_block(fresh)[::-1]
         history = self.history
         for i in range(t):
-            history[(new_pos - 1 - i) % t] = float(full[t + n * dec - 1 - i])
+            newest_first[fresh + i] = history[(pos - 1 - i) % t]
+        self.output.push_block(ordered_mac(newest_first, taps, n, dec)[::-1])
+        new_pos = (pos + fresh) % t
+        for i, value in enumerate(newest_first[:t].tolist()):
+            history[(new_pos - 1 - i) % t] = value
         self.pos = new_pos
 
 

@@ -14,6 +14,13 @@ Three optimization levels, matching the paper's experiments:
 
 All three return a **new** stream tree; the input tree is never mutated
 (untouched subtrees are cloned).
+
+Nothing inside a :class:`FeedbackLoop` is ever replaced: the loop's delay
+fixes the legal rates, so only a rate-preserving replacement of one filter
+by its own :class:`LinearFilter` would be legal there.  That combines
+nothing, and it swaps a few scalar flops the engines inline for a per-firing
+matrix-vector product they cannot (DToA's 3-flop loop body ran 0.05x).
+Loops are cloned unchanged; everything outside them is still optimised.
 """
 
 from __future__ import annotations
@@ -227,48 +234,22 @@ def _make_rewriter(
     run_builder: Callable[[Sequence[Stream], LinearRep], Stream],
     report: OptimizationReport,
 ) -> Callable[[Stream], Stream]:
-    def rewrite(stream: Stream, in_loop: bool = False) -> Stream:
+    def rewrite(stream: Stream) -> Stream:
         if isinstance(stream, Pipeline):
-            if in_loop:
-                # Inside a feedback loop rate changes are forbidden (they
-                # would demand more delay than declared); rewrite children
-                # individually and rate-preservingly instead of collapsing
-                # runs.
-                return Pipeline(
-                    *[rewrite(c, in_loop=True) for c in stream.children()],
-                    name=stream.name,
-                )
             return _rewrite_pipeline(stream, rewrite, run_builder, report)
-        if (
-            not in_loop
-            and isinstance(stream, (SplitJoin, FeedbackLoop))
-            and not _is_io_filter(stream)
-        ):
+        if isinstance(stream, SplitJoin):
             rep = collapse_linear(stream)
             if rep is not None:
                 replacement = run_builder([stream], rep)
                 report.note(f"collapsed {stream.name}")
                 return replacement
-        if isinstance(stream, SplitJoin):
-            new_children = [rewrite(child, in_loop) for child in stream.children()]
+            new_children = [rewrite(child) for child in stream.children()]
             return SplitJoin(stream.splitter, new_children, stream.joiner, name=stream.name)
-        if isinstance(stream, FeedbackLoop):
-            return FeedbackLoop(
-                stream.joiner,
-                rewrite(stream.body, in_loop=True),
-                stream.splitter,
-                rewrite(stream.loopback, in_loop=True),
-                stream.delay,
-                stream.init_path,
-                name=stream.name,
-            )
         if isinstance(stream, Filter) and not _is_io_filter(stream):
             rep = collapse_linear(stream)
             if rep is not None:
-                if in_loop:
-                    # Rate-preserving direct form only (no block expansion).
-                    return LinearFilter(rep, name=f"linear[{stream.name}]")
                 return run_builder([stream], rep)
+        # Feedback loops land here whole (see the module docstring).
         return clone_stream(stream)
 
     return rewrite
@@ -320,9 +301,7 @@ def apply_selection(stream: Stream) -> Tuple[Stream, OptimizationReport]:
     """
     report = OptimizationReport()
 
-    def choose(stream_: Stream, in_loop: bool = False) -> Tuple[Stream, float]:
-        if in_loop:
-            return choose_in_loop(stream_)
+    def choose(stream_: Stream) -> Tuple[Stream, float]:
         if isinstance(stream_, Pipeline):
             return choose_pipeline(stream_)
         base_cost = _safe_cost(stream_)
@@ -337,59 +316,15 @@ def apply_selection(stream: Stream) -> Tuple[Stream, OptimizationReport]:
             assert rep is not None
             report.note(f"{stream_.name}: frequency replacement")
             return FrequencyFilter(rep, name=f"freq[{stream_.name}]"), cost
-        # keep: recurse into composites to optimize their insides.
+        # keep: recurse into split-joins to optimize their insides; a
+        # feedback loop is kept whole (see the module docstring).
         if isinstance(stream_, SplitJoin):
             kids = [choose(c) for c in stream_.children()]
             new = SplitJoin(
                 stream_.splitter, [k[0] for k in kids], stream_.joiner, name=stream_.name
             )
             return new, _safe_cost(new)
-        if isinstance(stream_, FeedbackLoop):
-            new = FeedbackLoop(
-                stream_.joiner,
-                choose(stream_.body, in_loop=True)[0],
-                stream_.splitter,
-                choose(stream_.loopback, in_loop=True)[0],
-                stream_.delay,
-                stream_.init_path,
-                name=stream_.name,
-            )
-            return new, _safe_cost(new)
         return clone_stream(stream_), base_cost
-
-    def choose_in_loop(stream_: Stream) -> Tuple[Stream, float]:
-        """Rate-preserving choices only: loop delays fix the legal rates."""
-        if isinstance(stream_, Pipeline):
-            kids = [choose_in_loop(c) for c in stream_.children()]
-            new = Pipeline(*[k[0] for k in kids], name=stream_.name)
-            return new, _safe_cost(new)
-        if isinstance(stream_, SplitJoin):
-            kids = [choose_in_loop(c) for c in stream_.children()]
-            new = SplitJoin(
-                stream_.splitter, [k[0] for k in kids], stream_.joiner, name=stream_.name
-            )
-            return new, _safe_cost(new)
-        if isinstance(stream_, FeedbackLoop):
-            new = FeedbackLoop(
-                stream_.joiner,
-                choose_in_loop(stream_.body)[0],
-                stream_.splitter,
-                choose_in_loop(stream_.loopback)[0],
-                stream_.delay,
-                stream_.init_path,
-                name=stream_.name,
-            )
-            return new, _safe_cost(new)
-        if isinstance(stream_, Filter) and not _is_io_filter(stream_):
-            rep = collapse_linear(stream_)
-            base_cost = _safe_cost(stream_)
-            if rep is not None:
-                direct = direct_flops_per_firing(rep) / rep.pop
-                if direct < base_cost:
-                    report.note(f"{stream_.name}: direct linear replacement (in loop)")
-                    return LinearFilter(rep, name=f"linear[{stream_.name}]"), direct
-            return clone_stream(stream_), base_cost
-        return clone_stream(stream_), _safe_cost(stream_)
 
     def choose_pipeline(pipe: Pipeline) -> Tuple[Stream, float]:
         children = list(pipe.children())

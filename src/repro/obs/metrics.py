@@ -170,6 +170,9 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: Dict[str, Family] = {}
+        #: Bumped by :meth:`clear`, which detaches every child handed out
+        #: before it: a holder of cached children re-binds when it changes.
+        self._epoch = 0
         self._dirty = False
         self._last_publish = 0.0
         self._lock = threading.Lock()
@@ -211,6 +214,7 @@ class MetricsRegistry:
         with self._lock:
             for family in self._families.values():
                 family._children.clear()
+            self._epoch += 1
         self._dirty = False
 
     # -- export -------------------------------------------------------------

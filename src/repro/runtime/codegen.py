@@ -387,7 +387,6 @@ class CodegenPlan(ExecutionPlan):
         #: Scratch tapes bound into the generated module (see release_scratch).
         self._module_tapes: List[_FusionTape] = []
         self._materialized = False
-        self._firings_per_period = 0
         if self.messaging:
             interp._engine_downgrade(
                 "teleport messaging needs per-delivery firing boundaries that "
@@ -442,9 +441,6 @@ class CodegenPlan(ExecutionPlan):
         self.generated_source = source
         self.cache_outcome = outcome
         self.codegen_fallbacks = fallbacks
-        self._firings_per_period = sum(
-            count for ph in self.steady_phases for _node, count in ph.accounting
-        )
         if fallbacks:
             interp._engine_downgrade(
                 "codegen fell back to executor calls for: "
@@ -506,6 +502,7 @@ class CodegenPlan(ExecutionPlan):
             from repro.obs.tracer import CAT_CODEGEN
 
             tracer = self.interp.tracer
+            firings = self.interp.program.steady.total_firings
             left = periods
             while left > 0:
                 scale = min(left, chunk)
@@ -519,7 +516,7 @@ class CodegenPlan(ExecutionPlan):
                     dur,
                     args={
                         "periods": scale,
-                        "firings": self._firings_per_period * scale,
+                        "firings": firings * scale,
                     },
                 )
                 left -= scale
@@ -529,9 +526,7 @@ class CodegenPlan(ExecutionPlan):
                 scale = min(left, chunk)
                 run_chunk(scale)
                 left -= scale
-        for phase in self.steady_phases:
-            for node, count in phase.accounting:
-                fired[node] += count * periods
+        self._account(fired, periods)
 
     def release_scratch(self) -> None:
         super().release_scratch()

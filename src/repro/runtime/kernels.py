@@ -1,0 +1,99 @@
+"""Kernel primitives shared by the hand-written ``work_batch`` kernels.
+
+One primitive so far: :func:`ordered_mac`, the sliding dot product every
+FIR-shaped filter is built from, computed in the scalar loop's own
+association order so a batched kernel stays bit-identical to ``work()``.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
+
+_F64 = np.dtype(np.float64)
+
+#: Most firings the table form takes; above it the tap loop runs.  The loop
+#: pays two numpy calls (~1 us) per tap whatever ``n`` is, the table three
+#: calls in total but ~4.4 ns per product against the loop's ~0.4 ns, so
+#: the crossover sits at n ~ 1 us / 4 ns ~ 200-250 whatever the tap count
+#: or stride.  Measured on the reference host (EXPERIMENTS.md E21),
+#: tap loop / table, microseconds per call:
+#:
+#:     taps    n=1     n=32    n=128     n=256     n=4096
+#:       8    11/2      8/4     8/8       9/12
+#:      16    21/2     16/5    16/12     17/21     42/308
+#:      64    84/2    58/11    60/36     66/73   162/1167
+#:     512   654/4   467/62  477/258   502/558
+#:
+#: 128 keeps the table at 1 KiB per tap (64 KiB for a 64-tap FIR).
+TABLE_MAX_FIRINGS = 128
+
+#: Coefficient columns of the table form, keyed by the *identity* of the
+#: coefficient tuple (the entry holds the tuple, so its id cannot be
+#: reused).  Not by value: ``0.0 == -0.0`` and they hash alike, but
+#: ``x * 0.0`` and ``x * -0.0`` differ in sign.
+_COLUMNS: Dict[int, Tuple[tuple, np.ndarray]] = {}
+_COLUMNS_MAX = 1024
+
+
+def _column(coeffs: Sequence[float]) -> np.ndarray:
+    """``coeffs`` as a ``(taps, 1)`` float64 column (cached for tuples)."""
+    if type(coeffs) is not tuple:  # mutable or foreign: never cached
+        return np.array(coeffs, dtype=np.float64).reshape(-1, 1)
+    entry = _COLUMNS.get(id(coeffs))
+    if entry is None or entry[0] is not coeffs:
+        if len(_COLUMNS) >= _COLUMNS_MAX:
+            _COLUMNS.clear()
+        entry = (coeffs, np.array(coeffs, dtype=np.float64).reshape(-1, 1))
+        _COLUMNS[id(coeffs)] = entry
+    return entry[1]
+
+
+@lru_cache(maxsize=None)
+def unit_taps(taps: int) -> Tuple[float, ...]:
+    """``taps`` ones — the coefficients of a plain ordered sum (``x * 1.0``
+    is exact for every ``x``).  The same tuple object on every call, so
+    :func:`ordered_mac` finds its cached column."""
+    return (1.0,) * taps
+
+
+def ordered_mac(
+    window: np.ndarray, coeffs: Sequence[float], n: int, stride: int
+) -> np.ndarray:
+    """``n`` sliding dot products in the scalar loop's association order.
+
+    ``out[j]`` is bit-identical, sign of zero included, to::
+
+        total = 0.0
+        for i in range(len(coeffs)):
+            total += window[j * stride + i] * coeffs[i]
+
+    ``window`` is a 1-D float64 array of at least ``(n - 1) * stride +
+    len(coeffs)`` items.  Returns a fresh array of ``n`` items.
+
+    Two forms, chosen by ``n`` (:data:`TABLE_MAX_FIRINGS`): a tap loop
+    vectorised across firings, and up to the crossover one ``(taps, n)``
+    table of products accumulated down its first axis.  ``np.add.reduce``
+    is *not* an equivalent of the second: it reorders axes by stride and
+    sums contiguous runs pairwise.
+    """
+    taps = len(coeffs)
+    if n > TABLE_MAX_FIRINGS or not taps:
+        total = np.zeros(n)
+        stop = (n - 1) * stride + 1
+        for i, c in enumerate(coeffs):
+            items = window[i : i + stop : stride]
+            total += items if c == 1.0 else items * c  # x * 1.0 is x, bit for bit
+        return total
+    if window.dtype != _F64 or not window.flags.c_contiguous:
+        window = np.ascontiguousarray(window, dtype=np.float64)
+    # table[i, j] = window[j * stride + i] * coeffs[i].  The constructor
+    # bounds-checks the view against ``window`` (as_strided would not, and
+    # its Python wrapper alone costs ~5 us).
+    table = np.ndarray((taps, n), _F64, window, 0, (8, 8 * stride)) * _column(coeffs)
+    np.add.accumulate(table, axis=0, out=table)
+    # accumulate starts at p0, the scalar loop at 0.0 + p0: they differ
+    # only when every product is -0.0, which the + 0.0 restores.
+    return table[-1] + 0.0

@@ -327,10 +327,6 @@ class CompiledPhase:
     def run(self, scale: int) -> None:
         self.fire(self.count * scale)
 
-    @property
-    def accounting(self) -> Tuple[Tuple[FlatNode, int], ...]:
-        return ((self.node, self.count),)
-
     def span(self, scale: int) -> Tuple[str, str, int, int]:
         """``(name, category, firings, items)`` of one traced ``run(scale)``."""
         from repro.obs.tracer import CAT_KERNEL
@@ -369,10 +365,6 @@ class FusedPhase:
     @property
     def count(self) -> int:
         return self.stages[0].count
-
-    @property
-    def accounting(self) -> Tuple[Tuple[FlatNode, int], ...]:
-        return tuple((st.node, st.count) for st in self.stages)
 
     def span(self, scale: int) -> Tuple[str, str, int, int]:
         from repro.obs.tracer import CAT_FUSED
@@ -679,6 +671,12 @@ class ExecutionPlan:
         #: has replaced every lowerable splitjoin by its RegionPhase.
         self.steady_phases = self._apply_fusion(steady, self.fusion_ranges, {})
         self._steady_flat = steady
+        #: ``(node, firings per period)``, one entry per node.  Fusion and
+        #: region lowering regroup the phases and never change what fires,
+        #: so this comes straight from the schedule, once.
+        self._per_period: Tuple[Tuple[FlatNode, int], ...] = tuple(
+            program.steady.counts().items()
+        )
         self._analysis = analysis
         self._regions_decided = False
         #: Per splitjoin: (name, branches, its RegionPhase or None, the
@@ -1105,10 +1103,14 @@ class ExecutionPlan:
         else:
             for phase in self.init_phases:
                 phase.run(1)
-        for phase in self.init_phases:
-            for node, count in phase.accounting:
-                fired[node] += count
+        for node, count in self.interp.program.init:
+            fired[node] += count
         self._lower_regions()
+
+    def _account(self, fired: Dict[FlatNode, int], periods: int) -> None:
+        """Credit ``periods`` steady periods to ``fired``."""
+        for node, count in self._per_period:
+            fired[node] += count * periods
 
     def run_steady(self, fired: Dict[FlatNode, int], periods: int) -> None:
         if periods <= 0:
@@ -1144,9 +1146,7 @@ class ExecutionPlan:
             for _ in range(periods):
                 for phase in phases:
                     phase.run(1)
-        for phase in phases:
-            for node, count in phase.accounting:
-                fired[node] += count * periods
+        self._account(fired, periods)
 
     # -- traced execution ------------------------------------------------------
     #
@@ -1216,9 +1216,7 @@ class ExecutionPlan:
             for _ in range(periods):
                 for phase in phases:
                     self._trace_phase(phase, 1)
-        for phase in phases:
-            for node, count in phase.accounting:
-                fired[node] += count * periods
+        self._account(fired, periods)
 
     # -- batched teleport messaging -------------------------------------------
 

@@ -34,7 +34,6 @@ import numpy as np
 from repro.errors import StreamItError
 from repro.graph.base import Rate
 from repro.graph.builtins import Identity
-from repro.graph.flatgraph import FlatNode
 from repro.graph.splitjoin import DUPLICATE
 from repro.runtime.plan import CompiledPhase, _FusionTape
 
@@ -164,10 +163,9 @@ class RegionPhase:
     """One certified splitjoin region run as a single steady phase.
 
     ``members`` are the region's flat phases in schedule order (splitter,
-    branch stages, joiner); they are what a demoted region runs, and what
-    ``fired`` accounting sees either way.  History counters of the
-    bypassed internal edges are bumped in bulk after every fire (the
-    :class:`FusedPhase` convention).
+    branch stages, joiner); they are what a demoted region runs.  History
+    counters of the bypassed internal edges are bumped in bulk after every
+    fire (the :class:`FusedPhase` convention).
     """
 
     __slots__ = (
@@ -175,7 +173,6 @@ class RegionPhase:
         "tier",
         "reason",
         "members",
-        "accounting",
         "_fire",
         "_guard",
         "_bumps",
@@ -193,9 +190,6 @@ class RegionPhase:
         stored there must depend on weights and repetition counts only."""
         self.name: str = region.name
         self.members: Tuple[CompiledPhase, ...] = tuple(members)
-        self.accounting: Tuple[Tuple[FlatNode, int], ...] = tuple(
-            (ph.node, ph.count) for ph in self.members
-        )
         self.reason: Optional[str] = None
         self._guard: Optional[Callable[[], bool]] = None
         by_node = {ph.node: ph for ph in self.members}

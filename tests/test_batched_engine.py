@@ -8,16 +8,19 @@ is the one documented exception (GEMM vs GEMV kernel selection inside BLAS)
 and is covered by a tight ``allclose`` unit test instead.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPS
+from repro.apps import ALL_APPS, channelvocoder, common, radar
 from repro.apps.common import FIRFilter
-from repro.errors import StreamItError
+from repro.errors import EngineDowngradeWarning, StreamItError
 from repro.graph import ArraySource, Filter, Pipeline
 from repro.graph.builtins import CollectSink
 from repro.linear.linrep import LinearFilter, LinearRep
 from repro.runtime import ArrayChannel, Channel, Interpreter, compile_and_run
+from repro.runtime.kernels import TABLE_MAX_FIRINGS, ordered_mac
 from repro.runtime.plan import _CHUNK_ITEM_CAP
 
 from .helpers import FIR, Gain
@@ -242,6 +245,54 @@ def test_linear_filter_work_batch_allclose():
         batched.output.snapshot(), scalar.output.snapshot(), rtol=1e-13, atol=1e-13
     )
     assert batched.input.popped_count == scalar.input.popped_count
+
+
+# -- one period at a time vs one long run ------------------------------------
+#
+# ``ordered_mac`` picks its form from the firing count, so how a stream is
+# chopped into run_steady calls now decides which code computes each item.
+# Chopping must still never show in the output.
+
+
+@pytest.mark.parametrize("engine", ["batched", "codegen"])
+@pytest.mark.parametrize(
+    "app_name",
+    ["FIR", "FMRadio", "FilterBank", "ChannelVocoder", "DCT", "Radar", "DToA"],
+)
+def test_one_period_calls_equal_one_long_run(app_name, engine, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+    periods = TABLE_MAX_FIRINGS + 22
+    firings = []
+
+    def recording(window, coeffs, n, stride):
+        firings.append(n)
+        return ordered_mac(window, coeffs, n, stride)
+
+    for module in (common, channelvocoder, radar):
+        monkeypatch.setattr(module, "ordered_mac", recording)
+
+    def drive(engine, calls):
+        app = ALL_APPS[app_name]()
+        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EngineDowngradeWarning)
+            with Interpreter(app, check=False, engine=engine) as interp:
+                interp.run_init()
+                del firings[:]
+                for count in calls:
+                    interp.run_steady(count)
+                assert engine == "scalar" or interp.engine_used == engine
+        return np.array(sink.collected), sorted(set(firings))
+
+    want, _ = drive("scalar", [periods])
+    long_run, long_firings = drive(engine, [periods])
+    chopped, chopped_firings = drive(engine, [1] * periods)
+    # The long run took the tap loop, the one-period calls the table.
+    assert long_firings and min(long_firings) > TABLE_MAX_FIRINGS
+    assert chopped_firings and max(chopped_firings) <= TABLE_MAX_FIRINGS
+    for got in (long_run, chopped):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # -- cross-wiring regression --------------------------------------------------

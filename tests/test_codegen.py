@@ -83,6 +83,32 @@ def test_dtoa_core_is_inlined():
     assert interp.plan.codegen_fallbacks == []
 
 
+def test_core_round_is_emitted_once_however_often_it_repeats():
+    """A loop fed many items a period repeats one short round; the emitter
+    loops over it instead of inlining every copy (the inlined form made the
+    job of a frequency-translated DToA 6x slower to compile)."""
+    from repro.apps import dtoa
+    from repro.linear import apply_selection
+    from repro.runtime.codegen_emit import _repeating_unit
+
+    assert _repeating_unit(list("abab")) == (list("ab"), 2)
+    assert _repeating_unit(list("aaaa")) == (["a"], 4)
+    assert _repeating_unit(list("abac")) == (list("abac"), 1)
+    assert _repeating_unit(list("aba")) == (list("aba"), 1)
+
+    scalar, _ = _run(lambda: apply_selection(dtoa.build())[0], "scalar", 3)
+    generated, interp = _run(lambda: apply_selection(dtoa.build())[0], "codegen", 3)
+    # LinearFilter / FrequencyFilter batch kernels are allclose, not bit-exact.
+    assert len(generated) == len(scalar) > 0
+    assert max(abs(a - b) for a, b in zip(generated, scalar)) < 1e-12
+    _, core, _ = interp.plan.segments
+    rounds = len(core.phases) // 4
+    assert rounds >= 32  # the up+interp FrequencyFilter pushes a block a period
+    source = interp.plan.generated_source
+    assert f"for _ in range({rounds}):" in source
+    assert source.count(".leak") == 1  # ErrorShaper's body, once
+
+
 # -- generated-module introspection ------------------------------------------
 
 

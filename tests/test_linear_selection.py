@@ -176,3 +176,69 @@ class TestLoopSafety:
             got = run_stream(opt, periods=16)
             m = min(len(base), len(got))
             assert m > 8 and np.allclose(base[:m], got[:m])
+
+    @staticmethod
+    def _shape(stream):
+        """Class, name and (for filters) rates and plain attributes, recursively."""
+        from repro.graph import Filter
+
+        if isinstance(stream, Filter):
+            plain = {
+                k: v for k, v in vars(stream).items()
+                if isinstance(v, (int, float, tuple, str)) and not k.startswith("_")
+            }
+            return (type(stream), stream.name, stream.rate, plain)
+        return (type(stream), stream.name, [TestLoopSafety._shape(c) for c in stream.children()])
+
+    @pytest.mark.parametrize(
+        "optimize", [apply_combination, apply_frequency, apply_selection]
+    )
+    def test_nothing_inside_a_loop_is_replaced(self, optimize):
+        """A loop's rates are fixed by its delay, so only a lone filter could
+        be swapped for its own LinearFilter — which combines nothing and
+        trades inlinable scalar flops for a per-firing GEMV."""
+        from repro.graph import FeedbackLoop, roundrobin
+        from repro.apps import dtoa
+
+        def nested():
+            loop = FeedbackLoop(
+                joiner_roundrobin(1, 1),
+                Pipeline(dtoa.ErrorShaper(name="shape"), Gain(2.0), Gain(0.5), name="body"),
+                roundrobin(1, 1),
+                Pipeline(Gain(1.0), Identity(), name="back"),
+                delay=1,
+                name="loop",
+            )
+            return Pipeline(
+                ArraySource(DATA), FIR(C1, name="pre"), Gain(0.5), loop, CollectSink()
+            )
+
+        for build in (dtoa.build, nested):
+            original = build()
+            loop = next(s for s in original.streams() if isinstance(s, FeedbackLoop))
+            opt, report = optimize(original)  # the input tree is never mutated
+            [kept] = [s for s in opt.streams() if isinstance(s, FeedbackLoop)]
+            assert kept is not loop and kept.delay == loop.delay
+            assert self._shape(kept.body) == self._shape(loop.body)
+            assert self._shape(kept.loopback) == self._shape(loop.loopback)
+            assert not any("in loop" in note for note in report.replacements)
+            # ... while everything outside the loop is still optimised.
+            assert any(
+                isinstance(f, (LinearFilter, FrequencyFilter)) for f in opt.filters()
+            )
+
+    def test_selected_dtoa_keeps_its_core_inline_under_codegen(self, tmp_path, monkeypatch):
+        import warnings
+
+        from repro.apps import dtoa
+
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        opt, _ = apply_selection(dtoa.build())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no SL305 fallback warning either
+            with Interpreter(opt, check=False, engine="codegen", strict=True) as interp:
+                interp.run(8)
+                assert interp.engine_used == "codegen"
+                blocks = interp.engine_report()["codegen"]["blocks"]
+        cores = [b for b in blocks if b["kind"] == "core"]
+        assert [b["mode"] for b in cores] == ["inline"]

@@ -333,6 +333,63 @@ class TestInterpreterIntegration:
         assert out == baseline
         assert _counter("repro_runs_total", engine="batched") == runs0
 
+    def test_bound_children_report_the_same_series(self, tmp_path, monkeypatch):
+        """The interpreter resolves its five per-run children once per
+        (engine, registry epoch); the series must read as when every call
+        went through ``Family.inc(engine=...)``."""
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+
+        def series(engine):
+            return (
+                _counter("repro_runs_total", engine=engine),
+                _counter("repro_periods_total", engine=engine),
+                _counter("repro_items_total", engine=engine),
+                METRICS.histogram("repro_run_seconds").labels(engine=engine).count,
+                METRICS.histogram("repro_run_items").labels(engine=engine).count,
+            )
+
+        def moved(engine, before):
+            return tuple(b - a for a, b in zip(before, series(engine)))
+
+        want, _ = _run_app("FIR", "scalar", periods=10)
+        app = ALL_APPS["FIR"]()
+        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        interp = Interpreter(app, check=False, engine="codegen")
+        interp.run_init()
+        per_period = interp._items_per_period
+        codegen0, batched0 = series("codegen"), series("batched")
+        for _ in range(3):
+            interp.run_steady(1)
+        assert interp.engine_used == "codegen"
+        assert moved("codegen", codegen0) == (3, 3, 3 * per_period, 3, 3)
+        assert moved("batched", batched0) == (0, 0, 0, 0, 0)
+
+        # Mid-session downgrade (what _materialize does on Unsupported).
+        interp.plan.codegen_active = False
+        interp.run_steady(2)
+        interp.run_steady(2)
+        assert interp.engine_used == "batched"
+        assert moved("codegen", codegen0) == (3, 3, 3 * per_period, 3, 3)
+        assert moved("batched", batched0) == (2, 4, 4 * per_period, 2, 2)
+
+        METRICS.set_enabled(False)
+        try:
+            interp.run_steady(1)
+            assert moved("batched", batched0) == (2, 4, 4 * per_period, 2, 2)
+        finally:
+            METRICS.set_enabled(True)
+        interp.run_steady(1)
+        assert moved("batched", batched0) == (3, 5, 5 * per_period, 3, 3)
+
+        # clear() detaches every child handed out before it; the interpreter
+        # must notice and not count into the orphans.
+        METRICS.clear()
+        interp.run_steady(1)
+        assert series("batched") == (1, 1, per_period, 1, 1)
+        assert series("codegen") == (0, 0, 0, 0, 0)
+        interp.close()
+        assert list(sink.collected) == want
+
     def test_live_registry_prometheus_parses(self):
         _run_app("FIR", "batched", periods=2)
         text = METRICS.prometheus()
