@@ -96,18 +96,26 @@ class FrequencyFilter(Filter):
         W = np.lib.stride_tricks.sliding_window_view(window, rate.peek)[:: rate.pop][:n]
         # Bound the (rows, push, n_fft) intermediate to ~16 MiB per slab.
         slab = max(1, (1 << 21) // max(rep.push * self.n_fft, 1))
-        outs = []
+        # conv[t*pop + peek - 1] for t in [0, block): an arithmetic
+        # progression, so a strided slice.  Written firing-major with the
+        # push outputs of a firing adjacent (the transpose), straight into
+        # the one result array.
+        lo = rep.peek - 1
+        hi = lo + rep.pop * (self.block - 1) + 1
+        result = np.empty((n, self.block, rep.push))
         for s in range(0, n, slab):
-            Wb = W[s : s + slab]
-            spectra = np.fft.rfft(Wb, n=self.n_fft, axis=1)
+            spectra = np.fft.rfft(W[s : s + slab], n=self.n_fft, axis=1)
             conv = np.fft.irfft(
                 self._spectra[None, :, :] * spectra[:, None, :], n=self.n_fft, axis=2
             )
-            outputs = conv[:, :, self._taps] + rep.b[None, :, None]
-            # Firing-major, push-order within each firing (= outputs.T per row).
-            outs.append(np.transpose(outputs, (0, 2, 1)).reshape(len(Wb), -1))
+            # ``+ b`` stays even when b == 0: it is what turns -0.0 into 0.0.
+            np.add(
+                conv[:, :, lo : hi : rep.pop].transpose(0, 2, 1),
+                rep.b,
+                out=result[s : s + slab],
+            )
         self.input.drop(n * rate.pop)
-        self.output.push_block(np.concatenate(outs))
+        self.output.push_block(result)
 
 
 def frequency_replace(rep: LinearRep, block: Optional[int] = None, name: Optional[str] = None) -> FrequencyFilter:

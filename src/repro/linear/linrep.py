@@ -164,7 +164,8 @@ class LinearFilter(Filter):
         rep = self.rep
         window = self.input.peek_block((n - 1) * rep.pop + rep.peek)
         X = np.lib.stride_tricks.sliding_window_view(window, rep.peek)[:: rep.pop][:n]
-        Y = X @ rep.A.T + rep.b
+        Y = X @ rep.A.T
+        np.add(Y, rep.b, out=Y)
         self.input.drop(n * rep.pop)
         self.output.push_block(Y)
 

@@ -16,7 +16,8 @@ Generated modules are cached twice:
 * **on disk**, one ``<fingerprint>.py`` per module under
   ``.repro_codegen/`` (override with ``REPRO_CODEGEN_CACHE``), bounded by
   mtime eviction — a second process compiling the same graph skips
-  emission entirely.
+  emission entirely.  An entry's first line is the SHA-256 of the module
+  text below it; one that does not verify counts as absent.
 
 Counters for both levels live in :data:`codegen_cache_stats` and surface
 through ``engine_report()`` and ``python -m repro.obs report``.
@@ -34,6 +35,7 @@ Fallback ladder (all reported through the ``SL305`` diagnostic, which
 
 from __future__ import annotations
 
+import hashlib
 import math as _real_math
 import os
 import types
@@ -137,11 +139,30 @@ def _disk_path(fingerprint: str) -> Path:
     return cache_dir() / f"{fingerprint}.py"
 
 
+def _digest_line(body: bytes) -> bytes:
+    """First line of the on-disk entry holding module text ``body``.  Only
+    the file carries it: what is compiled and what ``generated_source``
+    shows is the module text alone."""
+    return b"# repro-codegen sha256=" + hashlib.sha256(body).hexdigest().encode()
+
+
+def _read_entry(path: Path) -> Optional[str]:
+    """The module text stored at ``path``; None if there is no such file or
+    its first line is not the digest of the rest (truncated, edited in
+    place, or written before entries carried one)."""
+    try:
+        header, _, body = path.read_bytes().partition(b"\n")
+    except OSError:
+        return None
+    if header != _digest_line(body):
+        return None
+    return body.decode()
+
+
 def _disk_load(fingerprint: str) -> Optional[str]:
     path = _disk_path(fingerprint)
-    try:
-        source = path.read_text()
-    except OSError:
+    source = _read_entry(path)
+    if source is None:  # the caller regenerates and overwrites the entry
         codegen_cache_stats["disk_misses"] += 1
         return None
     codegen_cache_stats["disk_hits"] += 1
@@ -155,10 +176,11 @@ def _disk_load(fingerprint: str) -> Optional[str]:
 def _disk_store(fingerprint: str, source: str) -> Optional[Path]:
     directory = cache_dir()
     path = _disk_path(fingerprint)
+    body = source.encode()
     try:
         directory.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(source)
+        tmp.write_bytes(_digest_line(body) + b"\n" + body)
         os.replace(tmp, path)
     except OSError:
         return None
@@ -457,7 +479,7 @@ class CodegenPlan(ExecutionPlan):
             source = self.generated_source
             path = _disk_path(fingerprint)
             if source is None:
-                source = _read_quiet(path)
+                source = _read_entry(path)
             self.generated_path = str(path) if path.is_file() else None
             if source is not None:
                 return source, "mem_hit"
@@ -571,10 +593,3 @@ class CodegenPlan(ExecutionPlan):
 
 def _path_str(path: Optional[Path]) -> Optional[str]:
     return str(path) if path is not None else None
-
-
-def _read_quiet(path: Path) -> Optional[str]:
-    try:
-        return path.read_text()
-    except OSError:
-        return None

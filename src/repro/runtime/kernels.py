@@ -30,6 +30,24 @@ _F64 = np.dtype(np.float64)
 #: 128 keeps the table at 1 KiB per tap (64 KiB for a 64-tap FIR).
 TABLE_MAX_FIRINGS = 128
 
+#: Above this many firings the tap loop runs block by block, ``_LOOP_BLOCK``
+#: firings at a time (each block is a plain ``ordered_mac`` call, so the
+#: operations per element and their order are those of one pass).  One pass
+#: streams three n-item arrays per tap — the total, the window slice and the
+#: product — and past ~48 Ki firings they no longer share the reference
+#: host's 1.25 MiB L2.  Measured there (EXPERIMENTS.md E22), one pass /
+#: blocked, microseconds per call at stride 1:
+#:
+#:     taps   n=41248    n=49153      n=57344      n=65536
+#:       16     323      435/440      543/515     1215/571
+#:       64    1223     1650/1625    2175/1922    3359/2154
+#:      128    2625     3316/3212    4257/3818    6159/4230
+#:
+#: i.e. 0.50 ns per product up to ~48 Ki firings, 0.73 at 64 Ki in one pass
+#: and 0.50 blocked.  Only FIR's 65 536-firing chunk gets here today.
+LOOP_BLOCK_ABOVE = 49_152
+_LOOP_BLOCK = 16_384
+
 #: Coefficient columns of the table form, keyed by the *identity* of the
 #: coefficient tuple (the entry holds the tuple, so its id cannot be
 #: reused).  Not by value: ``0.0 == -0.0`` and they hash alike, but
@@ -74,11 +92,18 @@ def ordered_mac(
     len(coeffs)`` items.  Returns a fresh array of ``n`` items.
 
     Two forms, chosen by ``n`` (:data:`TABLE_MAX_FIRINGS`): a tap loop
-    vectorised across firings, and up to the crossover one ``(taps, n)``
+    vectorised across firings (cache-blocked above
+    :data:`LOOP_BLOCK_ABOVE`), and up to the crossover one ``(taps, n)``
     table of products accumulated down its first axis.  ``np.add.reduce``
     is *not* an equivalent of the second: it reorders axes by stride and
     sums contiguous runs pairwise.
     """
+    if n > LOOP_BLOCK_ABOVE:
+        total = np.empty(n)
+        for start in range(0, n, _LOOP_BLOCK):
+            block = total[start : start + _LOOP_BLOCK]
+            block[:] = ordered_mac(window[start * stride :], coeffs, block.size, stride)
+        return total
     taps = len(coeffs)
     if n > TABLE_MAX_FIRINGS or not taps:
         total = np.zeros(n)

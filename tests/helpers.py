@@ -138,3 +138,12 @@ def run_stream(app: Stream, periods: int) -> List[float]:
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     Interpreter(app).run(periods=periods)
     return list(sink.collected)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal float64 arrays bit for bit, sign of zero included."""
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    held = ~np.isnan(want)  # a NaN's sign and payload are not part of the contract
+    assert np.array_equal(got[held], want[held])
+    assert np.array_equal(np.signbit(got[held]), np.signbit(want[held]))

@@ -9,7 +9,9 @@ module cache — in-memory within a process, on disk across "processes"
 (simulated here by clearing the memory level).
 """
 
+import hashlib
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +155,59 @@ def test_second_run_hits_memory_then_disk_cache():
     assert codegen_cache_stats["disk_hits"] == 1
     assert codegen_cache_stats["disk_misses"] == 0
     assert out_disk == out_scalar  # the rebound cached module still runs
+
+
+def _drop_last_lines(raw: bytes) -> bytes:
+    return b"".join(raw.splitlines(keepends=True)[:-3])
+
+
+def _flip_one_byte(raw: bytes) -> bytes:
+    at = len(raw) // 2
+    return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :]
+
+
+def _drop_digest_line(raw: bytes) -> bytes:  # what a pre-digest writer left
+    return raw.partition(b"\n")[2]
+
+
+def _digest_of_another_module(raw: bytes) -> bytes:
+    _, other = _run(ALL_APPS["FMRadio"], "codegen", 2)
+    other_digest = Path(other.plan.generated_path).read_bytes().partition(b"\n")[0]
+    return other_digest + b"\n" + raw.partition(b"\n")[2]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_drop_last_lines, _flip_one_byte, _drop_digest_line, _digest_of_another_module],
+)
+def test_disk_entry_that_does_not_verify_is_a_miss(damage):
+    builder = ALL_APPS["FIR"]
+    scalar, _ = _run(builder, "scalar", 3)
+    _, first = _run(builder, "codegen", 3)
+    path = Path(first.plan.generated_path)
+    intact = path.read_bytes()
+    header, _, body = intact.partition(b"\n")
+    assert header == b"# repro-codegen sha256=" + hashlib.sha256(body).hexdigest().encode()
+    # Only the file carries the digest line.
+    assert body.decode() == first.plan.generated_source
+    damaged = damage(intact)
+    # Line-boundary truncation and a flipped byte can both leave valid Python.
+    assert damaged != intact
+    path.write_bytes(damaged)
+
+    clear_codegen_cache()  # memory level and counters only
+    out, second = _run(builder, "codegen", 3)
+    assert second.plan.cache_outcome == "miss"
+    assert codegen_cache_stats["disk_misses"] == 1
+    assert codegen_cache_stats["disk_hits"] == 0
+    assert out == scalar
+    assert second.plan.generated_source == first.plan.generated_source
+    assert path.read_bytes() == intact  # regenerated and overwritten
+
+    clear_codegen_cache()
+    out, third = _run(builder, "codegen", 3)
+    assert third.plan.cache_outcome == "disk_hit"
+    assert out == scalar
 
 
 def test_memory_cache_eviction_is_bounded(monkeypatch):

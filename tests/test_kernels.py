@@ -13,7 +13,14 @@ from repro.apps.channelvocoder import EnvelopeFollower
 from repro.apps.common import Adder, FIRFilter, MatrixFilter
 from repro.apps.radar import BeamFirFilter
 from repro.runtime import ArrayChannel, kernels
-from repro.runtime.kernels import TABLE_MAX_FIRINGS, ordered_mac, unit_taps
+from repro.runtime.kernels import (
+    LOOP_BLOCK_ABOVE,
+    TABLE_MAX_FIRINGS,
+    ordered_mac,
+    unit_taps,
+)
+
+from .helpers import assert_same_bits
 
 
 def scalar_mac(window, coeffs, n, stride):
@@ -25,14 +32,6 @@ def scalar_mac(window, coeffs, n, stride):
             total += items[j * stride + i] * coeffs[i]
         out.append(total)
     return np.array(out, dtype=np.float64)
-
-
-def assert_same_bits(got, want):
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    held = ~np.isnan(want)  # a NaN's sign and payload are not part of the contract
-    assert np.array_equal(got[held], want[held])
-    assert np.array_equal(np.signbit(got[held]), np.signbit(want[held]))
 
 
 @pytest.fixture
@@ -76,6 +75,34 @@ def test_matches_scalar_loop_in_both_forms(stride, table_calls):
             assert took_table == (n <= TABLE_MAX_FIRINGS)
             loops += not took_table
     assert table_calls and loops  # both forms ran
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_blocked_tap_loop_matches_scalar_loop(stride, monkeypatch):
+    """Above ``LOOP_BLOCK_ABOVE`` the loop runs block by block; a block is an
+    ``ordered_mac`` call of its own (whose tail may even take the table)."""
+    block = kernels._LOOP_BLOCK
+    calls = []
+
+    def recording(window, coeffs, n, stride):
+        calls.append(n)
+        return ordered_mac(window, coeffs, n, stride)
+
+    monkeypatch.setattr(kernels, "ordered_mac", recording)
+    rng = np.random.default_rng(200 + stride)
+    cases = [
+        (LOOP_BLOCK_ABOVE - 1, None),
+        (LOOP_BLOCK_ABOVE, None),
+        (LOOP_BLOCK_ABOVE + 1, [block] * (LOOP_BLOCK_ABOVE // block) + [1]),
+        (4 * block + 131, [block] * 4 + [131]),
+    ]
+    for n, blocks in cases:
+        coeffs = tuple(float(c) for c in _mixed(rng, 3)) + (1.0,)
+        window = _mixed(rng, (n - 1) * stride + len(coeffs))
+        del calls[:]
+        got = kernels.ordered_mac(window, coeffs, n, stride)
+        assert calls == [n] + (blocks or [])
+        assert_same_bits(got, scalar_mac(window, coeffs, n, stride))
 
 
 @pytest.mark.parametrize("n", [1, 5, TABLE_MAX_FIRINGS, TABLE_MAX_FIRINGS + 1])

@@ -18,7 +18,8 @@ from repro.linear import (
     frequency_replace,
 )
 from repro.linear.costmodel import fft_size
-from tests.helpers import run_pipeline
+from repro.runtime import ArrayChannel
+from tests.helpers import assert_same_bits, run_pipeline
 
 rng = np.random.default_rng(99)
 
@@ -81,6 +82,66 @@ class TestFrequencyCorrectness:
         freq = run_rep_freq(rep, data, periods=2, block=block)
         m = min(len(direct), len(freq))
         assert np.allclose(direct[:m], freq[:m])
+
+
+def _gathered_frequency_batch(filt, window, n):
+    """``FrequencyFilter.work_batch`` as it was before it wrote its result
+    once: index-array gather, ``+ b``, transpose, reshape copy, concatenate."""
+    rep, rate = filt.rep, filt.rate
+    W = np.lib.stride_tricks.sliding_window_view(window, rate.peek)[:: rate.pop][:n]
+    slab = max(1, (1 << 21) // max(rep.push * filt.n_fft, 1))
+    outs = []
+    for s in range(0, n, slab):
+        Wb = W[s : s + slab]
+        spectra = np.fft.rfft(Wb, n=filt.n_fft, axis=1)
+        conv = np.fft.irfft(
+            filt._spectra[None, :, :] * spectra[:, None, :], n=filt.n_fft, axis=2
+        )
+        outputs = conv[:, :, filt._taps] + rep.b[None, :, None]
+        outs.append(np.transpose(outputs, (0, 2, 1)).reshape(len(Wb), -1))
+    return np.concatenate(outs).reshape(-1), -(-n // slab)
+
+
+def _batch_output(filt, window, n):
+    filt.input = ArrayChannel(initial=window)
+    filt.output = ArrayChannel()
+    filt.work_batch(n)
+    assert filt.input.popped_count == n * filt.rate.pop
+    return filt.output.pop_block(filt.output.occupancy)
+
+
+class TestOneWriteKernels:
+    """The batch kernels build their output once; every bit stays where the
+    gather / temporary / concatenate formulations put it."""
+
+    @pytest.mark.parametrize("pop", [1, 3])
+    @pytest.mark.parametrize("push", [1, 2, 16])
+    def test_frequency_filter(self, pop, push):
+        gen = np.random.default_rng(10 * pop + push)
+        A = gen.standard_normal((push, 61))
+        A[0, ::2] = 0.0  # exact and signed zeros reach the ``+ b``
+        b = gen.standard_normal(push)
+        b[0] = 0.0
+        filt = FrequencyFilter(LinearRep(A, b, pop=pop), block=8)
+        n = 3 * ((1 << 21) // (push * filt.n_fft)) // 2 + 5  # ends mid-slab
+        window = gen.standard_normal((n - 1) * filt.rate.pop + filt.rate.peek)
+        window[: filt.rate.peek * 40] = 0.0
+        want, slabs = _gathered_frequency_batch(filt, window, n)
+        assert slabs == 2
+        assert_same_bits(_batch_output(filt, window, n), want)
+
+    @pytest.mark.parametrize("pop", [1, 3])
+    @pytest.mark.parametrize("push", [1, 2, 16])
+    def test_linear_filter(self, pop, push):
+        gen = np.random.default_rng(20 * pop + push)
+        rep = LinearRep(gen.standard_normal((push, 9)), gen.standard_normal(push), pop=pop)
+        rep.b[0] = 0.0
+        n = 700
+        window = gen.standard_normal((n - 1) * pop + rep.peek)
+        window[:50] = -0.0
+        X = np.lib.stride_tricks.sliding_window_view(window, rep.peek)[::pop][:n]
+        want = (X @ rep.A.T + rep.b).reshape(-1)
+        assert_same_bits(_batch_output(LinearFilter(rep), window, n), want)
 
 
 class TestCostModel:
