@@ -33,9 +33,12 @@ from repro.analysis.diagnostics import (
     suppressed_codes,
 )
 from repro.analysis.effects import (
+    UNRESOLVED,
     EffectsReport,
+    SendSite,
     WorkEffects,
     classify,
+    send_sites,
     work_effects,
 )
 from repro.analysis.linearity import affine_prescreen, affine_prescreen_report
@@ -50,7 +53,9 @@ __all__ = [
     "EffectsReport",
     "FilterAnalysis",
     "RateReport",
+    "SendSite",
     "Severity",
+    "UNRESOLVED",
     "VectorProof",
     "WorkEffects",
     "affine_prescreen",
@@ -60,6 +65,7 @@ __all__ = [
     "analyze_stream",
     "classify",
     "prove_vectorizable",
+    "send_sites",
     "suppressed_codes",
     "work_effects",
 ]
@@ -166,6 +172,8 @@ def _analyze(filt: Filter) -> FilterAnalysis:
         )
 
     _emit_effects_diags(filt, effects, emit)
+    if effects.message_sends or not effects.effects.bounded:
+        _emit_send_diags(filt, effects, emit)
     if rates is not None:
         _emit_rate_diags(filt, rates, emit)
 
@@ -244,6 +252,20 @@ def _emit_effects_diags(filt: Filter, effects: EffectsReport, emit) -> None:
             "SL104",
             f"self escapes work() of filter {filt.name!r}: {reason}; "
             f"no static effect guarantees apply",
+        )
+
+
+def _emit_send_diags(filt: Filter, effects: EffectsReport, emit) -> None:
+    for site in dict.fromkeys(send_sites(filt, effects)):  # one per distinct send
+        if isinstance(site.latency, int):
+            continue
+        send = f"self.{site.attr}.{site.method}()" if site.method else f"self.{site.attr}"
+        what = "is best-effort" if site.latency is None else f"is unresolved ({site.reason})"
+        emit(
+            "SL307",
+            f"filter {filt.name!r}: {send} {what} — teleport latency is not a "
+            f"compile-time constant; the batched engine runs this graph one "
+            f"period per pass",
         )
 
 

@@ -66,6 +66,8 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "SL303": (Severity.WARNING, "superbatch-degraded"),
     "SL304": (Severity.WARNING, "engine-parallel-fallback"),
     "SL305": (Severity.WARNING, "codegen-fallback"),
+    # SL306 ("tuned-plan-discarded") retired with repro.tune; never reused.
+    "SL307": (Severity.INFO, "teleport-latency-dynamic"),
     # -- whole-graph analysis (SL4xx) --------------------------------------
     "SL401": (Severity.WARNING, "shared-mutable-state"),
     "SL402": (Severity.WARNING, "unbounded-parallel-effects"),
@@ -95,6 +97,7 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "SL303": "superbatching degraded: a feedback core runs period-at-a-time",
     "SL304": "engine request downgraded from parallel to batched execution",
     "SL305": "whole-program codegen fell back to executor calls for some or all blocks",
+    "SL307": "a teleport send's latency is best-effort or no compile-time constant, so the batched engine runs the graph one period per pass",
     "SL401": "two or more filter instances alias the same mutable object and at least one mutates it (a parallel race across forked workers)",
     "SL402": "work()'s effects cannot be bounded statically (dynamic writes or self escapes), so parallel race freedom cannot be proven",
     "SL403": "a teleport portal targets a receiver in a different worker partition than its sender",

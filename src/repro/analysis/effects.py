@@ -16,7 +16,9 @@ Two layers:
 * :func:`classify` — per-instance.  Resolves attribute method calls against
   the live instance (a call on a :class:`~repro.runtime.messaging.Portal`
   attribute is a *message send*, not a state write) and produces the
-  stateless / peeking / stateful classification the optimizers consume.
+  stateless / peeking / stateful classification the optimizers consume;
+  :func:`send_sites` reads each send's teleport latency off its
+  ``interval=`` keyword where that is a compile-time constant.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import ast
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.graph.base import Filter
 from repro.graph.source import SourceUnavailable, function_ast
@@ -45,17 +47,39 @@ def method_ast(cls: type, name: str = "work") -> ast.FunctionDef:
         raise SourceUnavailable(f"{cls.__name__}.{name}: {exc}") from None
 
 
+class CallSite(NamedTuple):
+    """One ``self.<attr>.<method>(…)`` call, kept for :func:`send_sites`."""
+
+    attr: str
+    method: str
+    #: The ``interval=`` keyword's AST (None when the keyword is absent).
+    interval: Optional[ast.expr]
+    #: The call spreads ``**kwargs``, which may carry an ``interval``.
+    spread: bool
+    #: What a name in ``interval`` means where the call stands: the names
+    #: bound to ``self``, the enclosing function (its locals shadow
+    #: globals) and that function's globals.
+    self_names: frozenset
+    function: ast.FunctionDef
+    globals: Dict[str, object]
+
+
 @dataclass
 class WorkEffects:
     """Class-level effect summary of ``work`` plus reachable helpers."""
 
     #: ``self`` attributes read (excluding channels).
     reads: Set[str] = field(default_factory=set)
+    #: The subset of ``reads`` used as a *value* — aliased, passed, compared,
+    #: subscripted — i.e. anywhere but as the owner in ``self.X.method(…)``.
+    value_reads: Set[str] = field(default_factory=set)
     #: ``self`` attributes written directly, by subscript, or via an alias.
     writes: Set[str] = field(default_factory=set)
     #: ``(attr, method)`` calls on self attributes — possible mutations
     #: (``self.buf.append``) or message sends (``self.portal.retune``).
     attr_calls: Set[Tuple[str, str]] = field(default_factory=set)
+    #: Every call behind ``attr_calls`` made directly on ``self.<attr>``.
+    call_sites: List[CallSite] = field(default_factory=list)
     #: Reasons the analysis had to give up on bounding the write set.
     dynamic: List[str] = field(default_factory=list)
     #: Reasons ``self`` escapes to code the analysis cannot see.
@@ -85,9 +109,26 @@ def work_effects(cls: type, method: str = "work") -> WorkEffects:
         except SourceUnavailable as exc:
             eff.dynamic.append(str(exc))
         else:
-            _Scanner(cls, eff, visiting={method}).run(fn)
+            _Scanner(cls, eff, visiting={method}).run(fn, key[1])
         _EFFECTS_CACHE[key] = eff
     return _EFFECTS_CACHE[key]
+
+
+def _bound_names(fn: ast.FunctionDef) -> frozenset:
+    """Every name ``fn`` binds, i.e. that does *not* mean a global in it."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return frozenset(names)
 
 
 class _Scanner:
@@ -105,9 +146,11 @@ class _Scanner:
 
     # -- entry ---------------------------------------------------------------
 
-    def run(self, fn: ast.FunctionDef) -> None:
+    def run(self, fn: ast.FunctionDef, function: object) -> None:
         self_name = fn.args.args[0].arg if fn.args.args else "self"
         self.aliases[self_name] = "self"
+        self.function = fn
+        self.globals = getattr(function, "__globals__", {})
         self.body(fn.body)
 
     # -- alias helpers -------------------------------------------------------
@@ -227,6 +270,7 @@ class _Scanner:
                     self.aliases[node.id] = ("attr", attr)
                     if attr not in CHANNEL_ATTRS:
                         self.eff.reads.add(attr)
+                        self.eff.value_reads.add(attr)
                 else:
                     self.aliases.pop(node.id, None)
             return
@@ -272,6 +316,7 @@ class _Scanner:
                     self.eff.dynamic.append("touches self.__dict__")
                 elif attr not in CHANNEL_ATTRS:
                     self.eff.reads.add(attr)
+                    self.eff.value_reads.add(attr)
                 return
             self.expr(node.value)
             return
@@ -321,6 +366,8 @@ class _Scanner:
                         # classify() decides using the instance).
                         self.eff.attr_calls.add((attr, method))
                         self.eff.reads.add(attr)
+                        if self._self_attr(owner) is not None:
+                            self.eff.call_sites.append(self._call_site(attr, node))
             if not handled_owner:
                 self.expr(owner)
         elif isinstance(func, ast.Name) and func.id in _DYNAMIC_BUILTINS:
@@ -338,6 +385,23 @@ class _Scanner:
                 self.eff.escapes.append("self passed as a call argument")
             elif kw.value is not None:
                 self.expr(kw.value)
+
+    def _call_site(self, attr: str, node: ast.Call) -> CallSite:
+        interval = None
+        for kw in node.keywords:
+            if kw.arg == "interval":
+                interval = kw.value
+        return CallSite(
+            attr=attr,
+            method=node.func.attr,
+            interval=interval,
+            spread=any(kw.arg is None for kw in node.keywords),
+            self_names=frozenset(
+                name for name, alias in self.aliases.items() if alias == "self"
+            ),
+            function=self.function,
+            globals=self.globals,
+        )
 
     def helper_call(self, method: str) -> None:
         """Resolve and recurse into a ``self.<method>(…)`` helper."""
@@ -366,7 +430,7 @@ class _Scanner:
         sub = _Scanner(
             self.cls, self.eff, visiting=self.visiting | {method}, depth=self.depth + 1
         )
-        sub.run(helper)
+        sub.run(helper, inspect.unwrap(fn))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +442,24 @@ PEEKING = "peeking"
 STATEFUL = "stateful"
 
 
+#: :attr:`SendSite.latency` of a send whose latency is no compile-time
+#: constant.
+UNRESOLVED = "unresolved"
+
+
+class SendSite(NamedTuple):
+    """One teleport send of a filter instance, with the latency it states."""
+
+    attr: str
+    #: ``""`` for a whole portal the analysis lost track of.
+    method: str
+    #: Wavefront latency in sender firings (``int``), ``None`` for
+    #: best-effort delivery, or :data:`UNRESOLVED`.
+    latency: object
+    #: Why the latency is :data:`UNRESOLVED`.
+    reason: str = ""
+
+
 @dataclass
 class EffectsReport:
     """Instance-level effect summary consumed by the optimizers."""
@@ -385,7 +467,8 @@ class EffectsReport:
     classification: str
     #: Complete mutated-attribute set (empty unless provably bounded).
     mutated: Tuple[str, ...]
-    #: ``(attr, method)`` teleport sends through Portal attributes.
+    #: ``(attr, method)`` teleport sends through Portal attributes
+    #: (:func:`send_sites` has them call site by call site, with latency).
     message_sends: Tuple[Tuple[str, str], ...]
     dynamic: Tuple[str, ...]
     escapes: Tuple[str, ...]
@@ -428,3 +511,103 @@ def classify(filt: Filter) -> EffectsReport:
         escapes=tuple(dict.fromkeys(eff.escapes)),
         effects=eff,
     )
+
+
+def send_sites(filt: Filter, report: Optional[EffectsReport] = None) -> List[SendSite]:
+    """Every teleport send ``work()`` can make, with the latency it states
+    (``report`` = ``classify(filt)``, when the caller has it).
+
+    A portal is lost track of — one :data:`UNRESOLVED` entry, whatever
+    call sites are visible — when the write set is not bounded, when
+    ``work()`` rebinds the attribute, or when the portal is used as a value
+    (aliased, passed on, kept in a container beside the attribute): a send
+    could then happen where this pass cannot see its ``interval=``.
+
+    Not a field of :class:`EffectsReport`: it scans every attribute of the
+    instance, which only a filter that holds a Portal should pay for.
+    """
+    from repro.runtime.messaging import Portal
+
+    portals = [a for a, v in vars(filt).items() if isinstance(v, Portal)]
+    if not portals:
+        return []
+    if report is None:
+        report = classify(filt)
+    eff = report.effects
+    mutated = set(report.mutated)
+
+    def holds_portal(value: object) -> bool:
+        if isinstance(value, dict):
+            value = list(value.values())
+        return isinstance(value, (list, tuple, set, frozenset)) and any(
+            isinstance(v, Portal) for v in value
+        )
+
+    sites: List[SendSite] = []
+    lost = None
+    if not eff.bounded:
+        lost = "work()'s effects are not statically bounded"
+    elif any(holds_portal(v) for v in vars(filt).values()):
+        lost = "a container attribute holds a Portal"
+    for attr in portals:
+        why = lost
+        if why is None and attr in eff.writes:
+            why = f"work() rebinds self.{attr}"
+        elif why is None and attr in eff.value_reads:
+            why = f"self.{attr} is used as a value, not only called"
+        if why is not None:
+            sites.append(SendSite(attr, "", UNRESOLVED, why))
+            continue
+        for site in eff.call_sites:
+            if site.attr == attr:
+                latency, reason = _site_latency(filt, site, mutated)
+                sites.append(SendSite(attr, site.method, latency, reason))
+    return sites
+
+
+def _site_latency(filt: Filter, site: CallSite, mutated: Set[str]) -> Tuple[object, str]:
+    """``(latency, reason)`` of one send: what its ``interval=`` states."""
+    from repro.runtime.messaging import TimeInterval
+
+    def constant(node: ast.expr) -> Tuple[bool, object]:
+        """``(known, value)`` of a literal, a module global, or a
+        ``self.<attr>`` that ``work()`` provably never writes."""
+        if isinstance(node, ast.Constant):
+            return True, node.value
+        if isinstance(node, ast.Name):
+            if node.id in site.globals and node.id not in shadowed:
+                return True, site.globals[node.id]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in site.self_names
+            and node.attr not in mutated
+            and node.attr in vars(filt)
+        ):
+            return True, vars(filt)[node.attr]
+        return False, None
+
+    node = site.interval
+    if site.spread:
+        return UNRESOLVED, "the call spreads **kwargs"
+    if node is None:
+        return None, ""
+    shadowed = _bound_names(site.function)
+    known, value = constant(node)
+    if known and value is None:
+        return None, ""
+    if known and isinstance(value, TimeInterval):
+        return value.max_time, ""
+    if (
+        isinstance(node, ast.Call)
+        and constant(node.func)[1] is TimeInterval
+        and not any(isinstance(a, ast.Starred) for a in node.args)
+        and not any(kw.arg is None for kw in node.keywords)
+    ):
+        stated = [kw.value for kw in node.keywords if kw.arg == "max_time"]
+        stated = stated or list(node.args[:1])
+        if stated:
+            known, value = constant(stated[0])
+            if known and isinstance(value, int) and not isinstance(value, bool):
+                return value, ""
+    return UNRESOLVED, f"interval={ast.unparse(node)} is not a compile-time constant"

@@ -52,18 +52,22 @@ class RFtoIF(Filter):
 
     def __init__(self, freq: float, name: Optional[str] = None) -> None:
         super().__init__(pop=1, push=1, name=name)
-        self.weights = _weights_for(freq)
         self.count = 0
-        self.freq = freq
         self.hops = 0  # messages received (for tests/demos)
+        self._tune(freq)
 
     def init(self) -> None:
         self.count = 0
 
-    def setf(self, freq: float) -> None:
-        """Teleport message handler: retune the mixer."""
+    def _tune(self, freq: float) -> None:
         self.freq = freq
         self.weights = _weights_for(freq)
+        #: ``weights`` as float64, for ``work_batch``; they change together.
+        self._table = np.asarray(self.weights)
+
+    def setf(self, freq: float) -> None:
+        """Teleport message handler: retune the mixer."""
+        self._tune(freq)
         self.count = 0
         self.hops += 1
 
@@ -79,12 +83,16 @@ class RFtoIF(Filter):
         # Teleport retunes (``setf``) land between sub-batches: the plan
         # splits receiver batches at delivery points, so within one call the
         # weight table is fixed and only the phase counter advances.
-        weights = np.asarray(self.weights)
-        length = weights.size
+        table = self._table
+        length = table.size
+        count = self.count
         block = self.input.pop_block(n)
-        phase = (self.count + np.arange(n)) % length
-        self.output.push_block(block * weights[phase])
-        self.count = int((self.count + n) % length)
+        if count + n <= length:
+            weights = table[count : count + n]
+        else:
+            weights = table[(count + np.arange(n)) % length]
+        self.output.push_block(block * weights)
+        self.count = (count + n) % length
 
 
 class Booster(Filter):

@@ -18,8 +18,9 @@ engines"):
 * ``engine="batched"`` — an :class:`~repro.runtime.plan.ExecutionPlan`
   compiled from the same schedule, running block kernels over
   :class:`~repro.runtime.array_channel.ArrayChannel` tapes.  Portal-bound
-  programs run batched too (period-at-a-time, with receiver batches split
-  at the SDEP-derived delivery points); the only remaining fallback to the
+  programs run batched too (as many periods per pass as the stated
+  latencies allow, with receiver batches split at the SDEP-derived
+  delivery points); the only remaining fallback to the
   scalar path is a portal inside a feedback-interleaved schedule, which is
   reported via :class:`~repro.errors.EngineDowngradeWarning` (or raises
   with ``strict=True``).  Check :attr:`Interpreter.engine_used` to see
@@ -110,7 +111,7 @@ class Interpreter:
         check: run full semantic validation before executing.
         engine: ``"scalar"`` (reference, one ``work()`` per firing),
             ``"batched"`` (compiled plan over array channels; teleport
-            portals run batched period-at-a-time), ``"parallel"``
+            portals run batched in latency-bounded chunks), ``"parallel"``
             (batched executors across forked worker processes; see
             :mod:`repro.runtime.parallel`), or ``"codegen"`` (one fused
             generated module per plan; see :mod:`repro.runtime.codegen`).
@@ -180,6 +181,9 @@ class Interpreter:
         self._pending: Dict[FlatNode, List[PendingMessage]] = {}
         self._oracle: Optional[WavefrontOracle] = None
         self._current_node: Optional[FlatNode] = None
+        #: Stamped on every message sent (:attr:`PendingMessage.order`); the
+        #: batched plan moves it per sender firing, see ``_fire_sender``.
+        self._send_order: Tuple[int, ...] = ()
         self._initialized = False
         self.plan: Optional[ExecutionPlan] = None
         #: Live multicore session when ``engine="parallel"`` is in effect.
@@ -361,7 +365,11 @@ class Interpreter:
         downgrade reason, and ``regions`` has one ``{name, tier, branches,
         reason}`` row per splitjoin: the tier it was lowered by
         (``collapse`` / ``permute`` / ``columns``) or why it was not
-        (empty until ``run_init``).
+        (empty until ``run_init``).  Portal-bound plans add ``messaging``:
+        ``{chunk_periods, constraints, limited_by}`` — the periods one pass
+        covers, every (send, receiver) with its direction, latency and
+        ``slack_periods``, and the constraint (or reason) that binds; None
+        until a multi-period ``run_steady`` has derived it.
         """
         report: Dict[str, Any] = {
             "requested": self.engine,
@@ -373,6 +381,8 @@ class Interpreter:
         if self.plan is not None:
             report["vectorization"] = self.plan.vectorization_report()
             report["regions"] = self.plan.region_report()
+            if self.has_messaging:
+                report["messaging"] = self.plan.messaging_report()
             from repro.runtime.plan import plan_cache_summary
 
             report["plan_cache"] = plan_cache_summary()
@@ -528,6 +538,7 @@ class Interpreter:
             args=args,
             kwargs=dict(kwargs),
             latency=latency,
+            order=self._send_order,
         )
         deliver_now = False
         if latency is not None:
@@ -547,8 +558,29 @@ class Interpreter:
                 message.threshold = self._oracle.min_items(
                     o_b, o_a, s + push_a * latency
                 )
+                n_b = self.channels[o_b].pushed_count
+                plan = self.plan
+                if (
+                    n_b > message.threshold
+                    and plan is not None
+                    and plan.scale_in_flight > 1
+                ):
+                    # The receiver ran ahead on the latency the schedule
+                    # was derived from; the scalar engine would have
+                    # delivered at a point that is now in its past.
+                    raise MessagingError(
+                        f"message {sender.name} -> {receiver.name}.{method} "
+                        f"with latency {latency} is due at n(O_B)="
+                        f"{message.threshold}, but the receiver has already "
+                        f"pushed {n_b}: the batched engine runs "
+                        f"{plan.scale_in_flight} periods per pass on a slack "
+                        f"of {plan.message_slack} derived from the latencies "
+                        f"work() stated on the first multi-period run — a "
+                        f"latency was lowered since, or a message handler "
+                        f"sends; build a fresh Interpreter"
+                    )
                 # Already past the wavefront: deliver immediately.
-                deliver_now = self.channels[o_b].pushed_count >= message.threshold
+                deliver_now = n_b >= message.threshold
             elif self._oracle.is_upstream(o_a, o_b):
                 message.direction = "downstream"
                 message.threshold = self._oracle.max_items(
@@ -564,7 +596,13 @@ class Interpreter:
         if deliver_now:
             self._deliver_one(message)
             return
-        self._pending.setdefault(recv_node, []).append(message)
+        # Kept in scalar-schedule send order (stable, so plain arrival
+        # order wherever the stamps tie).
+        queue = self._pending.setdefault(recv_node, [])
+        at = len(queue)
+        while at and queue[at - 1].order > message.order:
+            at -= 1
+        queue.insert(at, message)
 
     def _deliver_one(self, msg: PendingMessage) -> None:
         msg.deliver()
@@ -578,6 +616,9 @@ class Interpreter:
         from repro.obs.tracer import CAT_TELEPORT
 
         out_edge = recv_node.out_edges[0] if recv_node.out_edges else None
+        sent_n = int(self.channels[out_edge].pushed_count) if out_edge else 0
+        if self.plan is not None and self.plan.scale_in_flight > 1:
+            sent_n = self.plan.scalar_position(recv_node, sent_n, message.direction)
         record = {
             "sender": message.sender.name,
             "receiver": message.receiver.name,
@@ -585,9 +626,10 @@ class Interpreter:
             "latency": message.latency,
             "direction": message.direction,
             "threshold": message.threshold,
-            #: n(O_receiver) at send time — delivery latency in receiver
-            #: firings is measured from here.
-            "sent_n": int(self.channels[out_edge].pushed_count) if out_edge else 0,
+            #: n(O_receiver) at send time in the scalar schedule (however
+            #: far a batched pass has the receiver ahead of or behind it) —
+            #: delivery latency in receiver firings is measured from here.
+            "sent_n": sent_n,
             "push": out_edge.push_rate if out_edge is not None else 0,
             "delivered_n": None,
             "latency_iterations": None,
@@ -683,20 +725,23 @@ class Interpreter:
             self._execute_phases_traced(phases)
             return
         executors = self._executors
-        for node, count in phases:
-            fire = executors[node]
-            self._current_node = node
-            if self._pending:
-                for _ in range(count):
-                    self._deliver_before(node)
-                    fire()
-                    self._deliver_after(node)
-            else:
-                for _ in range(count):
-                    fire()
-                    if self._pending:
+        try:
+            for node, count in phases:
+                fire = executors[node]
+                self._current_node = node
+                if self._pending:
+                    for _ in range(count):
+                        self._deliver_before(node)
+                        fire()
                         self._deliver_after(node)
-            self.fired[node] += count
+                else:
+                    for _ in range(count):
+                        fire()
+                        if self._pending:
+                            self._deliver_after(node)
+                self.fired[node] += count
+        finally:
+            # Also after a raising work(): no stale sender for a later send.
             self._current_node = None
 
     def _execute_phases_traced(self, phases: Sequence[Tuple[FlatNode, int]]) -> None:
@@ -712,29 +757,31 @@ class Interpreter:
 
         tracer = self.tracer
         executors = self._executors
-        for node, count in phases:
-            fire = executors[node]
-            self._current_node = node
-            push = node.out_edges[0].push_rate if node.out_edges else 0
-            t0 = perf_counter()
-            if self._pending:
-                for _ in range(count):
-                    self._deliver_before(node)
-                    fire()
-                    self._deliver_after(node)
-            else:
-                for _ in range(count):
-                    fire()
-                    if self._pending:
+        try:
+            for node, count in phases:
+                fire = executors[node]
+                self._current_node = node
+                push = node.out_edges[0].push_rate if node.out_edges else 0
+                t0 = perf_counter()
+                if self._pending:
+                    for _ in range(count):
+                        self._deliver_before(node)
+                        fire()
                         self._deliver_after(node)
-            tracer.complete(
-                node.name,
-                CAT_FILTER,
-                t0,
-                perf_counter() - t0,
-                args={"firings": count, "items": count * push},
-            )
-            self.fired[node] += count
+                else:
+                    for _ in range(count):
+                        fire()
+                        if self._pending:
+                            self._deliver_after(node)
+                tracer.complete(
+                    node.name,
+                    CAT_FILTER,
+                    t0,
+                    perf_counter() - t0,
+                    args={"firings": count, "items": count * push},
+                )
+                self.fired[node] += count
+        finally:
             self._current_node = None
 
     def run_init(self) -> None:

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MessagingError
 from repro.graph.base import Filter
+from repro.scheduling.sdep import delivery_firings
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,13 @@ class PendingMessage:
     direction: str = "downstream"
     #: Open streamscope send→delivery record (:mod:`repro.obs`), if traced.
     obs: Optional[Dict[str, Any]] = None
+    #: Send position in the *scalar* schedule: ``(sender's period, its
+    #: phase index, firing within the period)``, init sends at period -1.
+    #: A receiver's queue is kept in this order, so messages due at one
+    #: boundary land as the scalar engine lands them however the batched
+    #: engine chunked the senders.  ``()`` where sends already happen in
+    #: schedule order (the scalar engine).
+    order: Tuple[int, ...] = ()
 
     def firings_until_due(self, produced: int, push: int) -> int:
         """Safe batch size for the receiver before this message is due.
@@ -76,8 +84,6 @@ class PendingMessage:
         re-checking delivery, so chunk boundaries land exactly on the
         SDEP-derived delivery points.
         """
-        from repro.scheduling.sdep import delivery_firings
-
         return delivery_firings(self.threshold, produced, push, self.direction)
 
     def deliver(self) -> None:

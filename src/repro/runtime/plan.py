@@ -39,8 +39,10 @@ tapes:
   only the cyclic core iterates period-at-a-time.  Data always flows
   forward, so running the prefix ``P`` periods ahead merely buffers more,
   and the suffix drains exactly what the core produced;
-* **batched teleport messaging** — portal-bound programs run
-  period-at-a-time with sender firings interleaved with delivery checks and
+* **batched teleport messaging** — portal-bound programs run in chunks of
+  as many periods as the latencies their senders state leave the receivers
+  free to run ahead (:attr:`ExecutionPlan.message_slack`, Eq. mc1 read as a
+  schedule input), with sender firings interleaved with delivery checks and
   receiver batches split exactly at the SDEP-derived delivery points
   (:meth:`~repro.runtime.messaging.PendingMessage.firings_until_due`), so
   message timing is identical to the scalar engine's per-firing semantics;
@@ -678,6 +680,13 @@ class ExecutionPlan:
             program.steady.counts().items()
         )
         self._analysis = analysis
+        #: Periods a portal-bound pass may cover; derived on first use (it
+        #: reads instance latencies, so it is no part of ``analysis``).
+        self._message_slack: Optional[float] = None
+        self._message_rows: List[Tuple[Dict[str, object], str]] = []
+        #: Periods the running ``_run_phases_msg`` pass covers (1 outside).
+        self.scale_in_flight = 1
+        self._periods_done = 0
         self._regions_decided = False
         #: Per splitjoin: (name, branches, its RegionPhase or None, the
         #: reason it has none); see :meth:`region_report`.
@@ -766,9 +775,7 @@ class ExecutionPlan:
         return {
             "single_sweep": single_sweep,
             "superbatch": superbatch,
-            "chunk_periods": self._chunk_periods(program)
-            if not self.messaging
-            else 1,
+            "chunk_periods": self._chunk_periods(program),
             "segments_idx": segments_idx,
             "segmented": segmented,
             "fusion_ranges": fusion_ranges,
@@ -1099,7 +1106,7 @@ class ExecutionPlan:
 
     def run_init(self, fired: Dict[FlatNode, int]) -> None:
         if self.messaging:
-            self._run_phases_msg(self.init_phases)
+            self._run_phases_msg(self.init_phases, 1, -1)
         else:
             for phase in self.init_phases:
                 phase.run(1)
@@ -1117,13 +1124,20 @@ class ExecutionPlan:
             return
         if not self._regions_decided:  # driven without run_init()
             self._lower_regions()
-        if self.interp.tracer.enabled:
-            self._run_steady_traced(fired, periods)
-            return
         phases = self.steady_phases
         if self.messaging:
-            for _ in range(periods):
-                self._run_phases_msg(phases)
+            # One period never asks for the slack: a job's first call and a
+            # per-call probe must not pay its ``min_items`` searches.
+            cap = 1 if periods == 1 else min(self.chunk_periods, self.message_slack)
+            left = periods
+            while left > 0:
+                scale = min(left, cap)
+                self._run_phases_msg(phases, scale, self._periods_done)
+                self._periods_done += scale
+                left -= scale
+        elif self.interp.tracer.enabled:
+            self._run_steady_traced(fired, periods)
+            return
         elif self.superbatch:
             left = periods
             while left > 0:
@@ -1157,7 +1171,7 @@ class ExecutionPlan:
     # and the granularity a profile attributes time at.
 
     def _trace_phase(self, phase: object, scale: int, fire=None) -> None:
-        """Run one phase under a span; ``fire(phase)`` replaces
+        """Run one phase under a span; ``fire()`` replaces
         ``phase.run(scale)`` for messaging endpoints."""
         from time import perf_counter
 
@@ -1165,7 +1179,7 @@ class ExecutionPlan:
         if fire is None:
             phase.run(scale)
         else:
-            fire(phase)
+            fire()
         dur = perf_counter() - t0
         name, cat, firings, items = phase.span(scale)
         self.interp.tracer.complete(
@@ -1191,10 +1205,7 @@ class ExecutionPlan:
 
     def _run_steady_traced(self, fired: Dict[FlatNode, int], periods: int) -> None:
         phases = self.steady_phases
-        if self.messaging:
-            for _ in range(periods):
-                self._run_phases_msg(phases)
-        elif self.superbatch:
+        if self.superbatch:
             left = periods
             while left > 0:
                 scale = min(left, self.chunk_periods)
@@ -1220,8 +1231,8 @@ class ExecutionPlan:
 
     # -- batched teleport messaging -------------------------------------------
 
-    def _run_phases_msg(self, phases: Sequence[object]) -> None:
-        """One pass with messaging semantics intact.
+    def _run_phases_msg(self, phases: Sequence[object], scale: int, period: int) -> None:
+        """One pass over ``scale`` periods with messaging semantics intact.
 
         Senders fire one ``work()`` at a time on the real channels (their
         output counters drive wavefront thresholds *during* the firing);
@@ -1230,41 +1241,55 @@ class ExecutionPlan:
         chains and lowered regions hold no endpoint by construction — takes
         the plain batched path: it can neither send nor receive, so no
         delivery checks apply.  Traced runs get one span per phase.
+
+        ``period`` is the steady period the pass starts at (-1 for the init
+        schedule); it only feeds the send-order stamps.
         """
         interp = self.interp
         traced = interp.tracer.enabled
-        for phase in phases:
-            fire = None
-            if type(phase) is CompiledPhase:
-                if phase.node in self._senders:
-                    fire = self._fire_sender
-                elif interp._pending.get(phase.node):
-                    fire = self._fire_receiver
-            if traced:
-                self._trace_phase(phase, 1, fire)
-            elif fire is None:
-                phase.run(1)
-            else:
-                fire(phase)
+        self.scale_in_flight = scale
+        try:
+            for index, phase in enumerate(phases):
+                fire = None
+                if type(phase) is CompiledPhase:
+                    if phase.node in self._senders:
+                        fire = lambda: self._fire_sender(phase, scale, period, index)
+                    elif interp._pending.get(phase.node):
+                        fire = lambda: self._fire_receiver(phase, scale)
+                if traced:
+                    self._trace_phase(phase, scale, fire)
+                elif fire is None:
+                    phase.run(scale)
+                else:
+                    fire()
+        finally:
+            self.scale_in_flight = 1
 
-    def _fire_sender(self, phase: CompiledPhase) -> None:
+    def _fire_sender(self, phase: CompiledPhase, scale: int, period: int, index: int) -> None:
+        """A pass fires this sender's periods ``period … period+scale-1``
+        back to back, ahead of every later sender's first: each send is
+        stamped with where the scalar schedule has it."""
         interp = self.interp
         node = phase.node
-        interp._current_node = node
+        count = phase.count
         work = node.filter.work
-        for _ in range(phase.count):
-            interp._deliver_before(node)
-            work()
-            interp._deliver_after(node)
-        interp._current_node = None
+        interp._current_node = node
+        try:
+            for k in range(count * scale):
+                interp._send_order = (period + k // count, index, k % count)
+                interp._deliver_before(node)
+                work()
+                interp._deliver_after(node)
+        finally:
+            interp._current_node = None
 
-    def _fire_receiver(self, phase: CompiledPhase) -> None:
+    def _fire_receiver(self, phase: CompiledPhase, scale: int) -> None:
         interp = self.interp
         node = phase.node
         out_edge = node.out_edges[0] if node.out_edges else None
         chan = self.channels[out_edge] if out_edge is not None else None
         push_b = out_edge.push_rate if out_edge is not None else 0
-        left = phase.count
+        left = phase.count * scale
         while left > 0:
             interp._deliver_before(node)
             queue = interp._pending.get(node)
@@ -1279,6 +1304,144 @@ class ExecutionPlan:
             phase.fire(step)
             interp._deliver_after(node)
             left -= step
+
+    def scalar_position(self, recv: FlatNode, pushed: int, direction: str) -> int:
+        """``n(O_recv)`` where the scalar schedule has it at the send now in
+        flight, given the ``pushed`` it physically stands at mid-pass: an
+        upstream receiver has already run the whole pass, a downstream one
+        has not started it (traces only)."""
+        into = self.interp._send_order[0] - self._periods_done
+        per_period = self.interp.program.reps[recv] * recv.out_edges[0].push_rate
+        if direction == "upstream":
+            return pushed - (self.scale_in_flight - 1 - into) * per_period
+        return pushed + into * per_period
+
+    @property
+    def message_slack(self) -> float:
+        """Steady periods one pass of a portal-bound plan may cover.
+
+        The minimum, over every send ``work()`` can make and every receiver
+        of its portal, of the periods that receiver may run ahead of the
+        sender before the stated latency binds — Eq. mc1 through
+        :meth:`ConstraintSystem.slack_periods` and the run's own wavefront
+        oracle.  1 as soon as one send is best-effort or states no
+        compile-time latency (SL307), one receiver sends itself, or one
+        endpoint has no output tape; ``inf`` when nothing binds.  Derived
+        once, from the latencies of the first multi-period ``run_steady``;
+        ``post_message`` raises if a later send undercuts it.
+        """
+        if self._message_slack is None:
+            from time import perf_counter
+
+            t0 = perf_counter()
+            self._derive_message_slack()
+            tracer = self.interp.tracer
+            if tracer.enabled:  # inside the first multi-period run_steady
+                from repro.obs.tracer import CAT_PLAN
+
+                tracer.complete(
+                    "plan.message_slack",
+                    CAT_PLAN,
+                    t0,
+                    perf_counter() - t0,
+                    args={"constraints": len(self._message_rows)},
+                )
+        return self._message_slack
+
+    def _derive_message_slack(self) -> None:
+        from repro.analysis.effects import send_sites
+        from repro.scheduling.sdep import WavefrontOracle
+
+        interp = self.interp
+        reps = interp.program.reps
+        if interp._oracle is None:
+            interp._oracle = WavefrontOracle(self.graph)
+        # Tape counts at this period boundary and the next two.
+        boundaries = [
+            {
+                e: chan.pushed_count + k * reps[e.src] * e.push_rate
+                for e, chan in self.channels.items()
+            }
+            for k in range(3)
+        ]
+        rows: List[Tuple[Dict[str, object], str]] = []
+        seen = set()
+        for node in (n for n in self.graph.nodes if n in self._senders):
+            filt = node.filter
+            for site in send_sites(filt):
+                portal = getattr(filt, site.attr)
+                for receiver in portal.receivers:
+                    key = (node, receiver, site.attr, site.method, site.latency)
+                    if key in seen:  # a second call site saying the same
+                        continue
+                    seen.add(key)
+                    direction, slack, why = self._send_slack(
+                        node, receiver, site, boundaries
+                    )
+                    row = {
+                        "sender": filt.name,
+                        "receiver": receiver.name,
+                        "portal": portal.name,
+                        "method": site.method,
+                        "direction": direction,
+                        "latency": "best-effort" if site.latency is None else site.latency,
+                        "slack_periods": slack,
+                    }
+                    rows.append((row, why))
+        self._message_rows = rows
+        bounds = [r["slack_periods"] for r, _ in rows if r["slack_periods"] is not None]
+        self._message_slack = max(1, min(bounds)) if bounds else float("inf")
+
+    def _send_slack(self, node: FlatNode, receiver, site, boundaries) -> tuple:
+        """``(direction, slack_periods, why)`` of one send to one receiver;
+        ``why`` names the reason wherever the slack is 1 by rule, not by
+        Eq. mc1, and a slack of None is no bound."""
+        from repro.analysis.effects import UNRESOLVED
+        from repro.errors import MessagingError
+        from repro.scheduling.constraints import ConstraintSystem, MessageConstraint
+
+        recv = self.graph.node_for(receiver)
+        if site.latency is None:
+            return None, 1, "delivery is best-effort"
+        if site.latency == UNRESOLVED:
+            return None, 1, site.reason
+        if recv in self._senders:
+            return None, 1, "the receiver holds a Portal itself"
+        if not (node.out_edges and recv.out_edges):
+            return None, 1, "an endpoint has no output tape"
+        try:
+            system = ConstraintSystem(
+                self.graph,
+                [MessageConstraint(node.filter, receiver, site.latency)],
+                oracle=self.interp._oracle,
+            )
+        except MessagingError as exc:  # endpoints on parallel branches
+            return None, 1, str(exc)
+        reps = self.interp.program.reps
+        slacks = [system.slack_periods(counts, 0, reps) for counts in boundaries]
+        return system.direction(0), None if slacks[0] is None else min(slacks), ""
+
+    def messaging_report(self) -> Optional[Dict[str, object]]:
+        """``engine_report()["messaging"]``: the chunk a portal-bound plan
+        runs at, every (send, receiver) constraint behind it, and which one
+        binds.  None until the slack has been derived."""
+        if self._message_slack is None:
+            return None
+        chunk = min(self.chunk_periods, self._message_slack)
+        limited_by: object = "plan.chunk_periods (the per-edge buffer cap)"
+        for row, why in self._message_rows:
+            slack = row["slack_periods"]
+            if slack is not None and max(1, slack) == chunk:
+                limited_by = row
+                if why:
+                    method = f".{row['method']}" if row["method"] else ""
+                    limited_by = f"{row['sender']} -> {row['receiver']}{method}: {why}"
+                break
+        return {
+            "chunk_periods": chunk,
+            "constraints": [row for row, _ in self._message_rows],
+            "limited_by": limited_by,
+        }
 
 
 def compile_and_run(

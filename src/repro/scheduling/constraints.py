@@ -56,10 +56,16 @@ def max_latency(upstream: Filter, downstream: Filter, n: int) -> MessageConstrai
 class ConstraintSystem:
     """Evaluates message constraints against tape-count configurations."""
 
-    def __init__(self, graph: FlatGraph, constraints: Sequence[MessageConstraint]) -> None:
+    def __init__(
+        self,
+        graph: FlatGraph,
+        constraints: Sequence[MessageConstraint],
+        oracle: Optional[WavefrontOracle] = None,
+    ) -> None:
         self.graph = graph
         self.constraints = list(constraints)
-        self.oracle = WavefrontOracle(graph)
+        #: Pass a live run's oracle to share its ``max``/``min`` caches.
+        self.oracle = oracle if oracle is not None else WavefrontOracle(graph)
         self._bindings: List[Tuple[MessageConstraint, FlatEdge, FlatEdge, str]] = []
         for constraint in self.constraints:
             node_a = graph.node_for(constraint.sender)
@@ -95,6 +101,34 @@ class ConstraintSystem:
         if direction == "upstream":
             return self.oracle.min_items(o_b, o_a, n_oa + push_a * constraint.latency)
         return self.oracle.max_items(o_a, o_b, n_oa + push_a * (constraint.latency - 1))
+
+    def direction(self, binding_index: int) -> str:
+        """``"upstream"`` or ``"downstream"``: where the receiver sits."""
+        return self._bindings[binding_index][3]
+
+    def slack_periods(
+        self, counts: Dict[FlatEdge, int], binding_index: int, reps: Dict[FlatNode, int]
+    ) -> Optional[int]:
+        """Whole steady periods the receiver may run beyond ``counts``
+        before one constraint binds (``reps`` = firings per period).
+
+        For an upstream receiver this is Eq. mc1 read as a schedule input:
+        ``(receiver_bound - n(O_B)) // (reps_B·push_B)``.  A downstream
+        receiver fires after its sender in any topological order and Eq.
+        mc2 depends on the sender's count alone, so running *both* ahead
+        together is unconstrained (``None``) — as long as the threshold
+        cannot lie behind the receiver, which ``max[O_A->O_B]`` guarantees
+        from latency 1 up; a latency-0 message sent before the push can
+        already be overdue, and then *when* the receiver hears of it
+        matters: no slack.
+        """
+        constraint, _o_a, o_b, direction = self._bindings[binding_index]
+        if direction == "downstream":
+            return None if constraint.latency >= 1 else 0
+        ahead = self.receiver_bound(counts, binding_index) - counts.get(
+            o_b, len(o_b.initial)
+        )
+        return ahead // (reps[o_b.src] * o_b.push_rate)
 
     def satisfied(self, counts: Dict[FlatEdge, int]) -> bool:
         """The paper's ``P(C)``: all constraints hold for these tape counts."""

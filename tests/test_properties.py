@@ -571,7 +571,7 @@ class TestBatchedEngineDifferential:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        latency=st.integers(min_value=1, max_value=8),
+        latency=st.integers(min_value=1, max_value=12),
         upstream=st.booleans(),
     )
     def test_random_portal_messaging_bit_exact(self, seed, latency, upstream):
@@ -591,14 +591,18 @@ class TestBatchedEngineDifferential:
             )
             return Pipeline(ArraySource(data), *stages, CollectSink())
 
-        scalar, scalar_interp = _run_engine(build, "scalar", 8)
-        batched, interp = _run_engine(build, "batched", 8)
+        # 24 periods: an upstream receiver runs ``latency`` periods per pass
+        # (tests/test_teleport_chunks.py), so the run spans several passes.
+        scalar, scalar_interp = _run_engine(build, "scalar", 24)
+        batched, interp = _run_engine(build, "batched", 24)
         assert scalar_interp.has_messaging
         assert interp.engine_used == "batched"
         assert batched == scalar
+        if upstream:
+            assert interp.plan.message_slack == latency
         # Teleport messaging disables codegen for the whole plan (SL305):
         # the request must still run, batched, with identical output.
-        generated, cg_interp = _run_engine(build, "codegen", 8)
+        generated, cg_interp = _run_engine(build, "codegen", 24)
         assert cg_interp.engine_used in ("batched", "scalar")
         assert generated == scalar
 
