@@ -21,6 +21,7 @@ from repro.apps.common import signal, source_and_sink
 from repro.graph.base import Filter
 from repro.graph.composites import Pipeline, SplitJoin
 from repro.graph.splitjoin import duplicate, joiner_roundrobin, roundrobin
+from repro.runtime.kernels import const_array, firing_windows
 
 N_ROUNDS = 16
 BLOCK = 64
@@ -72,16 +73,13 @@ class PermuteBits(Filter):
     def work_batch(self, n: int) -> None:
         # Pure data movement: gather the permuted columns in one fancy index.
         peek, pop = self.rate.peek, self.rate.pop
-        perm = list(self.perm)
+        perm = const_array(self.perm, np.intp)
         if peek == pop:
             windows = self.input.pop_block(n * pop).reshape(n, pop)
             self.output.push_block(windows[:, perm])
         else:
-            from numpy.lib.stride_tricks import sliding_window_view
-
             base = self.input.peek_block((n - 1) * pop + peek)
-            windows = sliding_window_view(base, peek)[::pop]
-            out = windows[:, perm]
+            out = firing_windows(base, peek, pop, n)[:, perm]
             self.input.drop(n * pop)
             self.output.push_block(out)
 
@@ -131,8 +129,12 @@ class KeyXor(Filter):
         # k=0 columns pass through untouched.
         length = len(self.key)
         blocks = self.input.pop_block(n * length).reshape(n, length)
-        flip = np.asarray(self.key) == 1
+        flip = const_array(self.key, np.int64) == 1
         self.output.push_block(np.where(flip, 1.0 - blocks, blocks))
+
+
+#: Place values of an S-box's six input bits, most significant first.
+_SBOX_WEIGHTS = (32.0, 16.0, 8.0, 4.0, 2.0, 1.0)
 
 
 class SBox(Filter):
@@ -160,8 +162,8 @@ class SBox(Filter):
         # Bits are exact 0.0/1.0 floats, so the weighted sum reproduces the
         # scalar accumulation exactly; output bits are table bit extraction.
         bits = self.input.pop_block(n * 6).reshape(n, 6)
-        index = (bits @ np.array([32.0, 16.0, 8.0, 4.0, 2.0, 1.0])).astype(np.intp)
-        values = np.asarray(self.table, dtype=np.int64)[index]
+        index = (bits @ const_array(_SBOX_WEIGHTS, np.float64)).astype(np.intp)
+        values = const_array(self.table, np.int64)[index]
         out = np.empty((n, 4))
         for j, bit in enumerate((3, 2, 1, 0)):
             out[:, j] = (values >> bit) & 1

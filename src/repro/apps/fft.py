@@ -15,6 +15,7 @@ import numpy as np
 from repro.apps.common import signal, source_and_sink
 from repro.graph.base import Filter
 from repro.graph.composites import Pipeline
+from repro.runtime.kernels import const_array
 
 DEFAULT_N = 64
 
@@ -91,8 +92,8 @@ class CombineDFT(Filter):
         ai = block[:, 0, :, 1]
         br = block[:, 1, :, 0]
         bi = block[:, 1, :, 1]
-        wr = np.asarray(self.wr)
-        wi = np.asarray(self.wi)
+        wr = const_array(self.wr, np.float64)
+        wi = const_array(self.wi, np.float64)
         tr = br * wr - bi * wi
         ti = br * wi + bi * wr
         out = np.empty((n, 2, w, 2))

@@ -22,6 +22,7 @@ from repro.errors import StreamItError
 from repro.graph.base import Filter
 from repro.linear.costmodel import best_block, fft_size
 from repro.linear.linrep import LinearRep
+from repro.runtime.kernels import firing_windows
 
 
 class FrequencyFilter(Filter):
@@ -93,7 +94,7 @@ class FrequencyFilter(Filter):
         rep = self.rep
         rate = self.rate
         window = self.input.peek_block((n - 1) * rate.pop + rate.peek)
-        W = np.lib.stride_tricks.sliding_window_view(window, rate.peek)[:: rate.pop][:n]
+        W = firing_windows(window, rate.peek, rate.pop, n)
         # Bound the (rows, push, n_fft) intermediate to ~16 MiB per slab.
         slab = max(1, (1 << 21) // max(rep.push * self.n_fft, 1))
         # conv[t*pop + peek - 1] for t in [0, block): an arithmetic

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import StreamItError
 from repro.graph.base import Filter
+from repro.runtime.kernels import firing_windows
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class LinearFilter(Filter):
         """
         rep = self.rep
         window = self.input.peek_block((n - 1) * rep.pop + rep.peek)
-        X = np.lib.stride_tricks.sliding_window_view(window, rep.peek)[:: rep.pop][:n]
+        X = firing_windows(window, rep.peek, rep.pop, n)
         Y = X @ rep.A.T
         np.add(Y, rep.b, out=Y)
         self.input.drop(n * rep.pop)

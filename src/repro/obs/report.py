@@ -239,6 +239,22 @@ def render_report(payload: Dict[str, Any], top: Optional[int] = None) -> str:
             if isinstance(d, dict):
                 lines.append(f"  downgrade [{d.get('code')}]: {d.get('message')}")
 
+    codegen = report.get("codegen")
+    blocks = codegen.get("blocks") if isinstance(codegen, dict) else None
+    for block in blocks or []:
+        if isinstance(block, dict) and "forwarded" in block:
+            taped = block.get("taped", {})
+            lines.append(
+                f"  codegen core ({block.get('mode')}): "
+                f"{len(block['forwarded'])} tape(s) in locals, {len(taped)} on lists"
+            )
+            for name in block["forwarded"]:
+                lines.append(f"    forwarded {name}")
+            for name, why in taped.items():
+                lines.append(f"    taped {name}: {why}")
+            if block.get("hoisted"):
+                lines.append(f"    hoisted {', '.join(block['hoisted'])}")
+
     cache = meta.get("plan_cache")
     if isinstance(cache, dict) and cache:
         lines.append(

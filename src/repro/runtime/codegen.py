@@ -52,6 +52,7 @@ from repro.runtime.codegen_emit import (
     emit_module,
     layout_blocks,
     plan_fingerprint,
+    plain_attribute,
 )
 from repro.runtime.plan import (
     CoreLoopRunner,
@@ -214,8 +215,10 @@ class _CoreState:
     """Chunk-boundary channel I/O for an *inlined* cyclic core.
 
     The generated module handles everything inside a chunk itself (the
-    closed loop over plain-list tapes); this wrapper owns what happens at
-    the edges, mirroring :meth:`CoreLoopRunner.run` exactly: ``begin()``
+    closed loop, each tape a plain list or a handful of locals loaded from
+    the list above the loop and stored back below it); this wrapper owns
+    what happens at the edges, mirroring :meth:`CoreLoopRunner.run`
+    exactly, so either can run the next chunk: ``begin()``
     snapshots external inputs into their tapes, ``end(scale)`` drops the
     consumed input prefix, lands accumulated outputs as one ``push_block``,
     compacts internal tapes, and bulk-bumps bypassed history counters.
@@ -235,6 +238,17 @@ class _CoreState:
         self._ext_out = [(core.channels[e], core._tape_for(e)) for e in ext_out]
         self._internal = [core._tape_for(e) for e in internal]
         self._bumps = core._bumps
+
+    def check_forms(self, forwarded: Dict[str, int], taped: Dict[str, str]) -> None:
+        """A module keeps every tape of this core in one of two forms; a
+        forwarded one carries a fixed number of items between periods."""
+        named = {int(index) for index in list(forwarded) + list(taped)}
+        if named != set(self._by_index):
+            raise BindMismatch("core tapes differ from the module's")
+        for index, held in forwarded.items():
+            tape = self._by_index[int(index)]
+            if len(tape.items) - tape.cursor != held:
+                raise BindMismatch(f"core tape {tape.name} does not hold {held} items")
 
     def items(self, index: int) -> list:
         return self._by_index[index].items
@@ -359,9 +373,13 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
                 ns["_core_run"] = core.run
                 fallbacks.append(core_name)
             else:
-                ns["_core"] = _CoreState(core, edge_index)
+                state = ns["_core"] = _CoreState(core, edge_index)
+                state.check_forms(m.get("forwarded", {}), m.get("taped", {}))
                 for i in m.get("filters", ()):
                     ns[f"f{i}"] = nodes[i].filter
+                for i, attr in m.get("hoisted", ()):
+                    if not plain_attribute(nodes[i].filter, attr):
+                        raise BindMismatch(f"{nodes[i].name}.{attr} cannot be hoisted")
                 for si, names in m.get("globals", {}).items():
                     i = int(si)
                     g = type(nodes[i].filter).work.__globals__
@@ -579,6 +597,16 @@ class CodegenPlan(ExecutionPlan):
                     }
                     if "tier" in m:
                         row["tier"] = m["tier"]
+                    if "forwarded" in m:  # an inlined core: the form of each tape
+                        edges, nodes = self.graph.edges, self.graph.nodes
+                        names = {
+                            str(i): f"{e.src.name}->{e.dst.name}" for i, e in enumerate(edges)
+                        }
+                        row["forwarded"] = [names[i] for i in m["forwarded"]]
+                        row["taped"] = {names[i]: why for i, why in m["taped"].items()}
+                        row["hoisted"] = sorted(
+                            f"{nodes[i].name}.{attr}" for i, attr in m["hoisted"]
+                        )
                     blocks.append(row)
         return {
             "active": self.codegen_active,

@@ -7,8 +7,9 @@ loop: the plan's phase list becomes straight-line statements, lifted kernel
 ASTs are spliced in as module-level functions, fused SISO chains unroll into
 per-stage statements over scratch tapes, and a segmented feedback core
 (:class:`~repro.runtime.plan.CoreLoopRunner`) becomes an inlined closed
-loop over plain-list tapes — ``self.pop()``/``peek``/``push`` rewritten to
-list indexing by a statement-level hoisting AST transformer.
+loop — ``self.pop()``/``peek``/``push`` rewritten by a statement-level AST
+transformer to reads and bindings of locals where the emitter can follow a
+tape's contents through the loop body, to list indexing where it cannot.
 
 The module is *source*, not closures, so it can be cached on disk and
 rebound to a structurally identical plan later (see
@@ -49,7 +50,7 @@ from repro.runtime.vectorize import BatchExecutor
 
 #: Bump on any change to the emitted module's shape or binding contract;
 #: part of the cache key, so stale on-disk modules are never rebound.
-EMITTER_VERSION = 3
+EMITTER_VERSION = 4
 
 
 class Unsupported(Exception):
@@ -259,29 +260,26 @@ def _parse_stmt(src: str) -> ast.stmt:
 
 
 class WorkInliner:
-    """Rewrites one scalar work() body into flat statements over list tapes.
+    """Rewrites one scalar work() body into flat statements over core tapes.
 
-    ``self.pop()`` becomes a hoisted ``_hK = <items>[<cur>]; <cur> += 1``
-    pair emitted *before* the statement containing it (in evaluation
-    order, so mixed pop/peek expressions stay order-exact); ``self.peek(E)``
-    hoists ``_hK = <items>[<cur> + E]``; ``self.push(E)`` (statement
-    position only) becomes ``<out>.append(E)``; ``self.attr`` becomes
-    ``f<i>.attr`` on the live filter instance, so arbitrary state mutation
-    keeps working.  Channel ops inside conditionally-evaluated positions
-    (``and``/``or`` tails, ternaries, chained-comparison tails, ``while``
-    tests) raise :class:`Unsupported` — the whole core then falls back to
-    the :class:`~repro.runtime.plan.CoreLoopRunner`.
+    Channel calls go to ``tapes`` (the :class:`CoreEmitter`), which knows
+    each tape's form: ``self.pop()`` / ``self.peek(E)`` become the name that
+    holds the item — a forwarded local, or a list read hoisted *before* the
+    statement containing it (in evaluation order, so mixed pop/peek
+    expressions stay order-exact) — and ``self.push(E)`` (statement
+    position only) binds a local or appends.  Each call says whether it sits
+    inside a loop or a conditional of the body, where only the list form
+    works.  ``self.attr`` becomes ``f<i>.attr`` on the live filter instance,
+    so arbitrary state mutation keeps working; an attribute the body never
+    stores is read through ``_f<i>_attr``, which the emitter loads once
+    above the loop (``hoisted``).  Channel ops inside conditionally-evaluated
+    positions (``and``/``or`` tails, ternaries, chained-comparison tails,
+    ``while`` tests) raise :class:`Unsupported` — the whole core then falls
+    back to the :class:`~repro.runtime.plan.CoreLoopRunner`.
     """
 
-    def __init__(
-        self,
-        fn,
-        fvar: str,
-        in_items: Optional[str],
-        in_cur: Optional[str],
-        out_items: Optional[str],
-        gprefix: str,
-    ) -> None:
+    def __init__(self, filt, fvar: str, gprefix: str, tapes, in_edge, out_edge) -> None:
+        fn = type(filt).work
         fdef = copy.deepcopy(_work_fdef(fn))  # expr() rewrites nodes in place
         if fn.__code__.co_freevars:
             raise Unsupported("work() closes over free variables")
@@ -294,13 +292,23 @@ class WorkInliner:
                 raise Unsupported(f"work() uses {type(node).__name__}")
         self.fdef = fdef
         self.self_name = fdef.args.args[0].arg
+        self.filt = filt
         self.fvar = fvar
-        self.in_items, self.in_cur, self.out_items = in_items, in_cur, out_items
+        self.tapes, self.in_edge, self.out_edge = tapes, in_edge, out_edge
         self.gprefix = gprefix
         self.fn_globals = fn.__globals__
         self.assigned = _assigned_names(fdef)
+        self.stored_attrs = {
+            node.attr
+            for node in ast.walk(fdef)
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == self.self_name
+        }
         self.globals_seen: set = set()
-        self._tmp = 0
+        self.hoisted: set = set()
+        self.depth = 0  # loops and conditionals of the body around this point
         self.pre: List[ast.stmt] = []
 
     def inline(self) -> List[ast.stmt]:
@@ -312,6 +320,12 @@ class WorkInliner:
         out: List[ast.stmt] = []
         for st in body:
             out.extend(self.stmt(st))
+        return out
+
+    def _nested(self, body: Sequence[ast.stmt]) -> List[ast.stmt]:
+        self.depth += 1
+        out = self.stmts(body)
+        self.depth -= 1
         return out
 
     def _self_call(self, node, attr: str) -> bool:
@@ -332,21 +346,13 @@ class WorkInliner:
                 call = st.value
                 if len(call.args) != 1 or call.keywords:
                     raise Unsupported("push() with unexpected arguments")
-                if self.out_items is None:
+                if self.out_edge is None:
                     raise Unsupported("push() on a filter with no output edge")
                 val = self.expr(call.args[0], False)
-                new: ast.stmt = ast.Expr(
-                    value=ast.Call(
-                        func=ast.Attribute(
-                            value=_name(self.out_items), attr="append", ctx=ast.Load()
-                        ),
-                        args=[val],
-                        keywords=[],
-                    )
-                )
-                return self.pre + [new]
+                self.tapes.push(self.out_edge, val, self.pre, self.depth > 0)
+                return self.pre
             value = self.expr(st.value, False)
-            if isinstance(value, ast.Name):  # a lone hoisted pop/peek temp
+            if isinstance(value, ast.Name):  # a lone pop/peek: the item is unused
                 return self.pre
             return self.pre + [ast.Expr(value=value)]
         if isinstance(st, ast.Assign):
@@ -366,14 +372,14 @@ class WorkInliner:
         if isinstance(st, ast.If):
             test = self.expr(st.test, False)
             pre = self.pre
-            body = self.stmts(st.body) or [ast.Pass()]
-            orelse = self.stmts(st.orelse)
+            body = self._nested(st.body) or [ast.Pass()]
+            orelse = self._nested(st.orelse)
             return pre + [ast.If(test=test, body=body, orelse=orelse)]
         if isinstance(st, ast.While):
             test = self.expr(st.test, True)  # re-evaluated: no channel ops
             pre = self.pre
-            body = self.stmts(st.body) or [ast.Pass()]
-            orelse = self.stmts(st.orelse)
+            body = self._nested(st.body) or [ast.Pass()]
+            orelse = self._nested(st.orelse)
             return pre + [ast.While(test=test, body=body, orelse=orelse)]
         if isinstance(st, ast.For):
             it = self.expr(st.iter, False)
@@ -382,8 +388,8 @@ class WorkInliner:
             target = self.expr(st.target, True)
             if self.pre:
                 raise Unsupported("channel op in a for-loop target")
-            body = self.stmts(st.body) or [ast.Pass()]
-            orelse = self.stmts(st.orelse)
+            body = self._nested(st.body) or [ast.Pass()]
+            orelse = self._nested(st.orelse)
             return pre + [ast.For(target=target, iter=it, body=body, orelse=orelse)]
         if isinstance(st, (ast.Pass, ast.Break, ast.Continue)):
             return [st]
@@ -394,10 +400,6 @@ class WorkInliner:
         raise Unsupported(type(st).__name__)
 
     # -- expressions ---------------------------------------------------------
-
-    def _new_tmp(self) -> str:
-        self._tmp += 1
-        return f"_h{self._tmp}"
 
     def expr(self, node, cond: bool):
         if node is None:
@@ -416,36 +418,18 @@ class WorkInliner:
                         raise Unsupported("pop() in a conditionally-evaluated position")
                     if node.args or node.keywords:
                         raise Unsupported("pop() with arguments")
-                    if self.in_items is None:
+                    if self.in_edge is None:
                         raise Unsupported("pop() on a filter with no input edge")
-                    tmp = self._new_tmp()
-                    self.pre.append(
-                        _parse_stmt(f"{tmp} = {self.in_items}[{self.in_cur}]")
-                    )
-                    self.pre.append(_parse_stmt(f"{self.in_cur} += 1"))
-                    return _name(tmp)
+                    return self.tapes.pop(self.in_edge, self.pre, self.depth > 0)
                 if f.attr == "peek":
                     if cond:
                         raise Unsupported("peek() in a conditionally-evaluated position")
                     if len(node.args) != 1 or node.keywords:
                         raise Unsupported("peek() with unexpected arguments")
-                    if self.in_items is None:
+                    if self.in_edge is None:
                         raise Unsupported("peek() on a filter with no input edge")
                     idx = self.expr(node.args[0], cond)
-                    tmp = self._new_tmp()
-                    self.pre.append(
-                        ast.Assign(
-                            targets=[_store(tmp)],
-                            value=ast.Subscript(
-                                value=_name(self.in_items),
-                                slice=ast.BinOp(
-                                    left=_name(self.in_cur), op=ast.Add(), right=idx
-                                ),
-                                ctx=ast.Load(),
-                            ),
-                        )
-                    )
-                    return _name(tmp)
+                    return self.tapes.peek(self.in_edge, idx, self.pre, self.depth > 0)
                 if f.attr == "push":
                     raise Unsupported("push() used as an expression")
                 raise Unsupported(f"opaque self.{f.attr}() call")
@@ -458,6 +442,13 @@ class WorkInliner:
             return ast.Call(func=func, args=args, keywords=keywords)
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == self.self_name:
+                if (
+                    isinstance(node.ctx, ast.Load)
+                    and node.attr not in self.stored_attrs
+                    and plain_attribute(self.filt, node.attr)
+                ):
+                    self.hoisted.add(node.attr)
+                    return _name(f"_{self.fvar}_{node.attr}")
                 return ast.Attribute(value=_name(self.fvar), attr=node.attr, ctx=node.ctx)
             return ast.Attribute(
                 value=self.expr(node.value, cond), attr=node.attr, ctx=node.ctx
@@ -531,8 +522,25 @@ def classify_core_edges(core: CoreLoopRunner):
     return internal, ext_in, ext_out
 
 
+def plain_attribute(filt, attr: str) -> bool:
+    """Is ``filt.attr`` a plain instance attribute — one whose value can only
+    change by a store to it?  (A property or other class-level name may
+    compute its value from state the loop body changes.)"""
+    return attr in getattr(filt, "__dict__", ()) and not hasattr(type(filt), attr)
+
+
 #: Copies of a core's round that are still inlined rather than looped over.
 _INLINE_ROUNDS = 8
+
+#: Most items a tape may hold between units and still be kept in locals.
+#: Every unit re-binds all of a tape's carried locals (a pop shifts each one
+#: place), a list pops by bumping a cursor whatever it holds.  A loop whose
+#: only state is its delay line, ns a period on the reference host:
+#:
+#:     delay       1     2     4     8    16    32
+#:     locals    138   144   176   204   252   542
+#:     list      179   183   185   184   182   181
+_CARRY_MAX = 4
 
 
 def _repeating_unit(phases: list) -> Tuple[list, int]:
@@ -544,37 +552,72 @@ def _repeating_unit(phases: list) -> Tuple[list, int]:
     return phases, 1
 
 
-def _counted_loop(count: int, body: List[ast.stmt]) -> ast.For:
+def _counted_loop(count, body: List[ast.stmt]) -> ast.For:
+    """``for _ in range(count): body`` (``count`` an int or a name)."""
+    bound = ast.Constant(value=count) if isinstance(count, int) else _name(count)
     return ast.For(
         target=_store("_"),
-        iter=ast.Call(
-            func=_name("range"), args=[ast.Constant(value=count)], keywords=[]
-        ),
+        iter=ast.Call(func=_name("range"), args=[bound], keywords=[]),
         body=body,
         orelse=[],
     )
 
 
 class CoreEmitter:
-    """Emits the inlined closed loop for one cyclic schedule core."""
+    """Emits the inlined closed loop for one cyclic schedule core.
+
+    The loop body is one *unit* — the core's period, or the round it
+    repeats — as straight-line code.  While emitting it the emitter
+    simulates every tape as a queue of *symbolic values*: a push onto an
+    internal tape binds a fresh local (``_v<n>``, one name per value) and
+    queues its name, a pop or a ``peek(k)`` at a literal ``k`` reads the
+    queued name and emits nothing.  The ``d`` items a tape holds at every
+    unit boundary (a loop's delay, a peek residue) are ``d`` carried locals
+    ``_k<edge>_<j>``: loaded from the tape above the loop, re-bound in one
+    assignment at the end of the unit, stored back below the loop — so at a
+    chunk boundary the tapes hold exactly what the list form leaves there.
+
+    A tape the simulation cannot follow stays a list with a cursor
+    (``taped``, each with its reason): an access inside a loop or a
+    conditional, a ``peek`` at a computed position, a node fired several
+    times in a row, more than :data:`_CARRY_MAX` items to carry, an
+    external tape (read through its one running cursor, written through an
+    ``append`` bound above the loop).  Both forms live in one unit;
+    arithmetic and its order are those of the scalar ``work()`` bodies
+    either way.
+    """
 
     def __init__(self, plan, core: CoreLoopRunner, node_index, edge_index) -> None:
         self.plan = plan
         self.core = core
         self.node_index = node_index
         self.edge_index = edge_index
-        self.globals_map: Dict[int, List[str]] = {}
-        self.filter_idx: List[int] = []
-        self.reducer_idx: List[int] = []
+        if core._ops is None:
+            core._build()  # the tapes now hold what sits on the edges between periods
         internal, ext_in, ext_out = classify_core_edges(core)
         self.edges = internal + ext_in + ext_out
+        self.ext_out = set(ext_out)
         self.popped = set(internal + ext_in)
+        #: internal edge -> items on it at every unit boundary
+        self.carried: Dict[object, int] = {}
+        for edge in internal:
+            tape = core._tape_for(edge)
+            self.carried[edge] = len(tape.items) - tape.cursor
+        #: edge -> why it stays a list
+        self.taped: Dict[object, str] = {e: "external input" for e in ext_in}
+        self.taped.update((e, "external output") for e in ext_out)
+        for edge, held in self.carried.items():
+            if held > _CARRY_MAX:
+                self.taped[edge] = f"holds {held} items between periods"
 
     def _tape(self, edge) -> str:
         return f"t{self.edge_index[edge]}"
 
     def _cur(self, edge) -> str:
         return f"t{self.edge_index[edge]}_c"
+
+    def _carry_names(self, edge) -> List[str]:
+        return [f"_k{self.edge_index[edge]}_{j}" for j in range(self.carried[edge])]
 
     def emit(self) -> List[str]:
         """The core's statement lines, at run_chunk body indentation."""
@@ -588,39 +631,163 @@ class CoreEmitter:
         round_, repeats = _repeating_unit(phases)
         if repeats <= _INLINE_ROUNDS:
             round_, repeats = phases, 1
-        period: List[ast.stmt] = []
-        for node, count in round_:
-            stmts = self._node_stmts(node)
-            if not stmts:
-                continue
-            if count == 1:
-                period.extend(stmts)
-            else:
-                period.append(_counted_loop(count, stmts))
-        if not period:
+        # Sending a tape back to list form changes how every access to it
+        # is emitted: go round again until a pass sends none.
+        while True:
+            known = len(self.taped)
+            unit = self._unit(round_)
+            if len(self.taped) == known:
+                break
+        if not unit:
             raise Unsupported("empty cyclic core")
         if repeats > 1:
-            period = [_counted_loop(repeats, period)]
+            unit = [_counted_loop(repeats, unit)]
         lines = ["_core.begin()"]
+        below: List[str] = []
         for edge in self.edges:
-            lines.append(f"{self._tape(edge)} = _core.items({self.edge_index[edge]})")
-        for edge in self.edges:
-            if edge in self.popped:
-                lines.append(f"{self._cur(edge)} = 0")
-        loop = ast.For(
-            target=_store("_"),
-            iter=ast.Call(func=_name("range"), args=[_name("scale")], keywords=[]),
-            body=period,
-            orelse=[],
-        )
+            index, tape = self.edge_index[edge], self._tape(edge)
+            if edge in self.taped:
+                lines.append(f"{tape} = _core.items({index})")
+                if edge in self.ext_out:
+                    lines.append(f"{tape}_push = {tape}.append")
+                if edge in self.popped:
+                    lines.append(f"{self._cur(edge)} = 0")
+                    below.append(f"_core.set_cursor({index}, {self._cur(edge)})")
+            elif self.carried[edge]:
+                names = ", ".join(self._carry_names(edge))
+                lines.append(f"{tape} = _core.items({index})")
+                lines.append(f"{names}, = {tape}")  # fails unless it holds exactly these
+                below.append(f"{tape}[:] = [{names}]")
+        for i, attr in sorted(self.hoisted):
+            lines.append(f"_f{i}_{attr} = f{i}.{attr}")
+        loop = _counted_loop("scale", unit)
         lines.extend(ast.unparse(ast.fix_missing_locations(loop)).splitlines())
-        for edge in self.edges:
-            if edge in self.popped:
-                lines.append(
-                    f"_core.set_cursor({self.edge_index[edge]}, {self._cur(edge)})"
-                )
+        lines.extend(below)
         lines.append("_core.end(scale)")
         return lines
+
+    def meta(self) -> dict:
+        """What the binder needs and ``codegen_report`` shows, by index."""
+        index = self.edge_index
+        return {
+            "filters": self.filter_idx,
+            "globals": {str(k): v for k, v in self.globals_map.items()},
+            "reducers": self.reducer_idx,
+            "forwarded": {
+                str(index[e]): held for e, held in self.carried.items() if e not in self.taped
+            },
+            "taped": {str(index[e]): why for e, why in self.taped.items()},
+            "hoisted": [list(pair) for pair in sorted(self.hoisted)],
+        }
+
+    # -- one pass over the unit ----------------------------------------------
+
+    def _unit(self, round_) -> List[ast.stmt]:
+        """The unit's statements under the current ``taped`` set (which the
+        pass may grow)."""
+        self.globals_map: Dict[int, List[str]] = {}
+        self.filter_idx: List[int] = []
+        self.reducer_idx: List[int] = []
+        self.hoisted: set = set()
+        self._values = 0
+        #: forwarded edge -> names of the items on it, oldest first
+        self.queue = {
+            e: self._carry_names(e) for e in self.carried if e not in self.taped
+        }
+        #: names bound once per unit: safe to queue without a copy
+        self.symbols = {name for names in self.queue.values() for name in names}
+        unit: List[ast.stmt] = []
+        for node, count in round_:
+            self._looped = count > 1
+            stmts = self._node_stmts(node)
+            if stmts and count > 1:
+                stmts = [_counted_loop(count, stmts)]
+            unit.extend(stmts)
+        targets, values = [], []
+        for edge, queue in self.queue.items():
+            names = self._carry_names(edge)
+            if edge not in self.taped and len(queue) != len(names):
+                self.taped[edge] = "item count changes across the unit"
+            for target, value in zip(names, queue):
+                if target != value:
+                    targets.append(target)
+                    values.append(value)
+        if targets:  # one assignment: a carried local may be both read and re-bound
+            unit.append(_parse_stmt(f"{', '.join(targets)} = {', '.join(values)}"))
+        return unit
+
+    # -- tape access -----------------------------------------------------------
+
+    def _symbolic(self, edge, nested: bool) -> bool:
+        """Does this access go through the symbolic queue?  One the
+        simulation cannot follow sends the tape back to list form."""
+        if edge in self.taped:
+            return False
+        if self._looped:
+            self.taped[edge] = "its node fires several times in a row"
+        elif nested:
+            self.taped[edge] = "accessed inside a loop or a conditional"
+        return edge not in self.taped
+
+    def _new_value(self, value: ast.expr, out: List[ast.stmt]) -> ast.Name:
+        self._values += 1
+        name = f"_v{self._values}"
+        self.symbols.add(name)
+        out.append(ast.Assign(targets=[_store(name)], value=value))
+        return _name(name)
+
+    def _read(self, edge, position: Optional[ast.expr], out: List[ast.stmt]) -> ast.Name:
+        index: ast.expr = _name(self._cur(edge))
+        if position is not None:
+            index = ast.BinOp(left=index, op=ast.Add(), right=position)
+        item = ast.Subscript(value=_name(self._tape(edge)), slice=index, ctx=ast.Load())
+        return self._new_value(item, out)
+
+    def pop(self, edge, out: List[ast.stmt], nested: bool = False) -> ast.Name:
+        """The name holding the next item of ``edge``; list reads go to ``out``."""
+        if self._symbolic(edge, nested):
+            if self.queue[edge]:
+                return _name(self.queue[edge].pop(0))
+            self.taped[edge] = "read past the items its schedule provides"
+        item = self._read(edge, None, out)
+        out.append(_parse_stmt(f"{self._cur(edge)} += 1"))
+        return item
+
+    def peek(self, edge, position: ast.expr, out: List[ast.stmt], nested: bool = False) -> ast.Name:
+        fixed = (
+            isinstance(position, ast.Constant)
+            and type(position.value) is int
+            and position.value >= 0
+        )
+        if edge not in self.taped and not fixed:
+            self.taped[edge] = "peek at a computed position"
+        if self._symbolic(edge, nested):
+            if position.value < len(self.queue[edge]):
+                return _name(self.queue[edge][position.value])
+            self.taped[edge] = "read past the items its schedule provides"
+        return self._read(edge, position, out)
+
+    def push(self, edge, value: ast.expr, out: List[ast.stmt], nested: bool = False) -> None:
+        if self._symbolic(edge, nested):
+            if not (isinstance(value, ast.Name) and value.id in self.symbols):
+                value = self._new_value(value, out)
+            self.queue[edge].append(value.id)
+            return
+        tape = self._tape(edge)
+        push = _name(f"{tape}_push") if edge in self.ext_out else ast.Attribute(
+            value=_name(tape), attr="append", ctx=ast.Load()
+        )
+        out.append(ast.Expr(value=ast.Call(func=push, args=[value], keywords=[])))
+
+    def _move(self, src, dst, w: int, out: List[ast.stmt]) -> None:
+        """``w`` items from the front of ``src`` onto the back of ``dst``."""
+        if w > 1 and not (self._symbolic(src, False) or self._symbolic(dst, False)):
+            ts, cs, td = self._tape(src), self._cur(src), self._tape(dst)
+            out.append(_parse_stmt(f"{td}.extend({ts}[{cs}:{cs} + {w}])"))
+            out.append(_parse_stmt(f"{cs} += {w}"))
+            return
+        for _ in range(w):
+            self.push(dst, self.pop(src, out), out)
 
     # -- per-node statement lowering -----------------------------------------
 
@@ -637,76 +804,56 @@ class CoreEmitter:
 
     def _filter_stmts(self, node) -> List[ast.stmt]:
         i = self.node_index[node]
-        in_edge = node.in_edges[0] if node.in_edges else None
-        out_edge = node.out_edges[0] if node.out_edges else None
         inliner = WorkInliner(
-            type(node.filter).work,
+            node.filter,
             fvar=f"f{i}",
-            in_items=self._tape(in_edge) if in_edge is not None else None,
-            in_cur=self._cur(in_edge) if in_edge is not None else None,
-            out_items=self._tape(out_edge) if out_edge is not None else None,
             gprefix=f"_g{i}_",
+            tapes=self,
+            in_edge=node.in_edges[0] if node.in_edges else None,
+            out_edge=node.out_edges[0] if node.out_edges else None,
         )
         stmts = inliner.inline()
         if inliner.globals_seen:
             self.globals_map[i] = sorted(inliner.globals_seen)
+        self.hoisted.update((i, attr) for attr in inliner.hoisted)
         self.filter_idx.append(i)
         return stmts
 
-    def _move(self, src_items: str, src_cur: str, dst_items: str, w: int) -> List[ast.stmt]:
-        if w == 1:
-            return [
-                _parse_stmt(f"{dst_items}.append({src_items}[{src_cur}])"),
-                _parse_stmt(f"{src_cur} += 1"),
-            ]
-        return [
-            _parse_stmt(
-                f"{dst_items}.extend({src_items}[{src_cur}:{src_cur} + {w}])"
-            ),
-            _parse_stmt(f"{src_cur} += {w}"),
-        ]
-
     def _splitter_stmts(self, node) -> List[ast.stmt]:
         in_edge = node.in_edges[0]
-        tin, cin = self._tape(in_edge), self._cur(in_edge)
         stmts: List[ast.stmt] = []
         if node.flavor == DUPLICATE:
-            stmts.append(_parse_stmt(f"_d = {tin}[{cin}]"))
-            stmts.append(_parse_stmt(f"{cin} += 1"))
+            item = self.pop(in_edge, stmts)
             for e in node.out_edges:
-                stmts.append(_parse_stmt(f"{self._tape(e)}.append(_d)"))
+                self.push(e, item, stmts)
             return stmts
         for e in node.out_edges:
             w = node.out_rates[e.src_port]
             if w:
-                stmts.extend(self._move(tin, cin, self._tape(e), w))
+                self._move(in_edge, e, w, stmts)
         return stmts
 
     def _joiner_stmts(self, node) -> List[ast.stmt]:
         out_edge = node.out_edges[0]
-        tout = self._tape(out_edge)
         stmts: List[ast.stmt] = []
         if node.flavor == COMBINE:
-            i = self.node_index[node]
+            items: List[ast.expr] = [self.pop(e, stmts) for e in node.in_edges]
             reducer = getattr(getattr(node.obj, "joiner", None), "reducer", None)
-            pops = []
-            for k, e in enumerate(node.in_edges):
-                tin, cin = self._tape(e), self._cur(e)
-                stmts.append(_parse_stmt(f"_c{k} = {tin}[{cin}]"))
-                stmts.append(_parse_stmt(f"{cin} += 1"))
-                pops.append(f"_c{k}")
-            if reducer is None:
-                stmts.append(_parse_stmt(f"{tout}.append(_c0)"))
-            else:
+            value = items[0]
+            if reducer is not None:
+                i = self.node_index[node]
                 self.reducer_idx.append(i)
-                stmts.append(
-                    _parse_stmt(f"{tout}.append(_rd{i}([{', '.join(pops)}]))")
+                value = ast.Call(
+                    func=_name(f"_rd{i}"),
+                    args=[ast.List(elts=items, ctx=ast.Load())],
+                    keywords=[],
                 )
+            self.push(out_edge, value, stmts)
             return stmts
         for e in node.in_edges:
             w = node.in_rates[e.dst_port]
             if w:
-                stmts.extend(self._move(self._tape(e), self._cur(e), tout, w))
+                self._move(e, out_edge, w, stmts)
         return stmts
 
 
@@ -850,9 +997,7 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                         "kind": "core",
                         "mode": "inline",
                         "nodes": core_nodes,
-                        "filters": emitter.filter_idx,
-                        "globals": {str(k): v for k, v in emitter.globals_map.items()},
-                        "reducers": emitter.reducer_idx,
+                        **emitter.meta(),
                     }
                 )
 

@@ -1,8 +1,12 @@
-"""Kernel primitives shared by the hand-written ``work_batch`` kernels.
+"""Kernel primitives shared by the ``work_batch`` kernels, hand-written and
+compiler-made alike.
 
-One primitive so far: :func:`ordered_mac`, the sliding dot product every
-FIR-shaped filter is built from, computed in the scalar loop's own
-association order so a batched kernel stays bit-identical to ``work()``.
+* :func:`ordered_mac` — the sliding dot product every FIR-shaped filter is
+  built from, computed in the scalar loop's own association order so a
+  batched kernel stays bit-identical to ``work()``;
+* :func:`firing_windows` — the ``(n, peek)`` view of ``n`` firings' peek
+  windows over an input tape, the only way ``src/`` builds one;
+* :func:`const_array` — a filter's constant tuple as an ndarray, built once.
 """
 
 from __future__ import annotations
@@ -48,25 +52,67 @@ TABLE_MAX_FIRINGS = 128
 LOOP_BLOCK_ABOVE = 49_152
 _LOOP_BLOCK = 16_384
 
-#: Coefficient columns of the table form, keyed by the *identity* of the
-#: coefficient tuple (the entry holds the tuple, so its id cannot be
-#: reused).  Not by value: ``0.0 == -0.0`` and they hash alike, but
-#: ``x * 0.0`` and ``x * -0.0`` differ in sign.
-_COLUMNS: Dict[int, Tuple[tuple, np.ndarray]] = {}
-_COLUMNS_MAX = 1024
+#: Arrays built from constant tuples, keyed by the *identity* of the tuple
+#: (the entry holds the tuple, so its id cannot be reused).  Not by value:
+#: ``0.0 == -0.0`` and they hash alike, but ``x * 0.0`` and ``x * -0.0``
+#: differ in sign.  ``id`` alone keys a coefficient column, ``(id, dtype)``
+#: a :func:`const_array`.
+_CONSTS: Dict[object, Tuple[tuple, np.ndarray]] = {}
+_CONSTS_MAX = 1024
+
+
+def _remember(key: object, values: tuple, array: np.ndarray) -> np.ndarray:
+    if len(_CONSTS) >= _CONSTS_MAX:
+        _CONSTS.clear()
+    array.flags.writeable = False  # shared by every caller
+    _CONSTS[key] = (values, array)
+    return array
 
 
 def _column(coeffs: Sequence[float]) -> np.ndarray:
     """``coeffs`` as a ``(taps, 1)`` float64 column (cached for tuples)."""
+    entry = _CONSTS.get(id(coeffs))
+    if entry is not None and entry[0] is coeffs:
+        return entry[1]
+    column = np.array(coeffs, dtype=np.float64).reshape(-1, 1)
     if type(coeffs) is not tuple:  # mutable or foreign: never cached
-        return np.array(coeffs, dtype=np.float64).reshape(-1, 1)
-    entry = _COLUMNS.get(id(coeffs))
-    if entry is None or entry[0] is not coeffs:
-        if len(_COLUMNS) >= _COLUMNS_MAX:
-            _COLUMNS.clear()
-        entry = (coeffs, np.array(coeffs, dtype=np.float64).reshape(-1, 1))
-        _COLUMNS[id(coeffs)] = entry
-    return entry[1]
+        return column
+    return _remember(id(coeffs), coeffs, column)
+
+
+def const_array(values: Sequence, dtype) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``dtype``.
+
+    Built once per tuple object, so a kernel can ask on every call; a filter
+    keeps its constants as plain tuples (a private ndarray attribute would
+    count as live state to the region lowering's collapse guard).  Anything
+    but a tuple is mutable or foreign and is converted afresh.
+    """
+    key = (id(values), dtype)
+    entry = _CONSTS.get(key)
+    if entry is not None and entry[0] is values:
+        return entry[1]
+    array = np.array(values, dtype=dtype)
+    if type(values) is not tuple:
+        return array
+    return _remember(key, values, array)
+
+
+def firing_windows(base: np.ndarray, peek: int, pop: int, n: int) -> np.ndarray:
+    """Read-only ``(n, peek)`` view of ``n`` firings' peek windows.
+
+    Row ``j`` is ``base[j * pop : j * pop + peek]`` — what firing ``j`` of a
+    ``(peek, pop)`` filter sees on a tape whose live items are ``base``.
+    The view is built by the ``np.ndarray`` constructor, which checks it
+    against ``base``'s buffer: a window that would run past the end raises
+    instead of reading beyond it.  A ``base`` that is not contiguous
+    float64 is copied first.
+    """
+    if base.dtype != _F64 or not base.flags.c_contiguous:
+        base = np.ascontiguousarray(base, dtype=np.float64)
+    windows = np.ndarray((n, peek), _F64, base, 0, (8 * pop, 8))
+    windows.setflags(write=False)
+    return windows
 
 
 @lru_cache(maxsize=None)
@@ -114,9 +160,8 @@ def ordered_mac(
         return total
     if window.dtype != _F64 or not window.flags.c_contiguous:
         window = np.ascontiguousarray(window, dtype=np.float64)
-    # table[i, j] = window[j * stride + i] * coeffs[i].  The constructor
-    # bounds-checks the view against ``window`` (as_strided would not, and
-    # its Python wrapper alone costs ~5 us).
+    # table[i, j] = window[j * stride + i] * coeffs[i], as a view the
+    # constructor bounds-checks against ``window`` (see firing_windows).
     table = np.ndarray((taps, n), _F64, window, 0, (8, 8 * stride)) * _column(coeffs)
     np.add.accumulate(table, axis=0, out=table)
     # accumulate starts at p0, the scalar loop at 0.0 + p0: they differ

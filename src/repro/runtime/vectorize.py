@@ -5,9 +5,11 @@ PR 1's batched engine only vectorized filters with a hand-written
 
 * **Lifting** (stateless filters): the filter's own ``work()`` is re-run with
   its channels rebound to *vector shims* — ``pop()``/``peek(i)`` return whole
-  columns of a ``sliding_window_view`` over the input tape (one row per
-  firing, stride = pop rate), ``push()`` collects column vectors — so one
-  call of ``work`` computes all ``n`` firings at once.  ``math.*`` calls are
+  columns of the :func:`~repro.runtime.kernels.firing_windows` view over the
+  input tape (one row per firing, stride = pop rate), ``push()`` collects
+  column vectors, written straight onto the output tape once the declared
+  rates are seen to hold — so one call of ``work`` computes all ``n``
+  firings at once.  ``math.*`` calls are
   redirected to a vector-math namespace that is *bit-identical* to ``math``
   per element (numpy ufuncs where this platform's libm agrees bit-for-bit,
   ``np.frompyfunc`` element-wise wrappers everywhere else), preserving the
@@ -40,9 +42,9 @@ import types
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.runtime.array_channel import ArrayChannel, ChannelUnderflow
+from repro.runtime.kernels import firing_windows
 from repro.runtime.messaging import Portal
 
 #: Firings used by the bit-exactness trial (capped so a superbatched first
@@ -228,14 +230,18 @@ def run_lifted(filt, lifted: Callable, n: int) -> None:
     """Execute ``n`` firings of ``filt`` through one lifted ``work`` call.
 
     The real channels are untouched until the lifted call has produced a
-    complete, rate-consistent output matrix — on any failure the caller can
-    fall back to the per-firing loop with no state to unwind.
+    complete, rate-consistent set of output columns — on any failure the
+    caller can fall back to the per-firing loop with no state to unwind.
     """
     rate = filt.rate
     pop, peek, push = rate.pop, rate.peek, rate.push
     inp, out = filt.input, filt.output
     base = inp.peek_block((n - 1) * pop + peek)
-    windows = sliding_window_view(base, peek)[::pop]
+    if pop == peek:
+        windows = base.reshape(n, pop)
+        windows.setflags(write=False)  # an in-place op on a column must fail
+    else:
+        windows = firing_windows(base, peek, pop, n)
     vin = _VecIn(windows, peek)
     vout = _VecOut()
     filt.input = vin
@@ -247,21 +253,24 @@ def run_lifted(filt, lifted: Callable, n: int) -> None:
         filt.output = out
     if vin.cursor != pop:
         raise _LiftError(f"popped {vin.cursor}, declared {pop}")
-    if len(vout.cols) != push:
-        raise _LiftError(f"pushed {len(vout.cols)} columns, declared {push}")
-    if push:
-        mat = np.empty((n, push))
-        for j, col in enumerate(vout.cols):
-            arr = np.asarray(col, dtype=np.float64)
-            if arr.ndim == 0:
-                mat[:, j] = arr
-            elif arr.shape == (n,):
-                mat[:, j] = arr
-            else:
-                raise _LiftError(f"column {j} has shape {arr.shape}, need ({n},)")
+    cols = vout.cols
+    if len(cols) != push:
+        raise _LiftError(f"pushed {len(cols)} columns, declared {push}")
+    for j, col in enumerate(cols):
+        cols[j] = col = np.asarray(col, dtype=np.float64)
+        if col.ndim and col.shape != (n,):
+            raise _LiftError(f"column {j} has shape {col.shape}, need ({n},)")
     inp.drop(n * pop)
     if push:
-        out.push_block(mat)
+        # Fill the output tape's own tail where it can hand one out (a ring
+        # or a region's column slice cannot).  Columns may be views of the
+        # input tape: dropped items stay in its buffer, which is not this one.
+        alloc = getattr(out, "alloc_block", None)
+        mat = np.empty((n, push)) if alloc is None else alloc(n * push).reshape(n, push)
+        for j, col in enumerate(cols):
+            mat[:, j] = col
+        if alloc is None:
+            out.push_block(mat)
 
 
 # -- hoisted-I/O per-firing loop -------------------------------------------

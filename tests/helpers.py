@@ -7,11 +7,23 @@ estimation analyses.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import warnings
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph import ArraySource, CollectSink, Filter, Pipeline, Stream
+from repro.graph import (
+    ArraySource,
+    CollectSink,
+    Filter,
+    Identity,
+    Pipeline,
+    Stream,
+    joiner_roundrobin,
+    roundrobin,
+)
+from repro.errors import EngineDowngradeWarning
+from repro.graph.composites import FeedbackLoop
 from repro.runtime import Interpreter
 
 
@@ -125,6 +137,87 @@ class PeekAverage(Filter):
         self.push(total / 4.0)
 
 
+class LoopShaper(Filter):
+    """Feedback-loop body head: merges the input with the fed-back item."""
+
+    def __init__(self, leak: float) -> None:
+        super().__init__(pop=2, push=2)
+        self.leak = float(leak)
+
+    def work(self) -> None:
+        x = self.pop()
+        fed = self.pop()
+        y = x - self.leak * fed
+        self.push(y)
+        self.push(y * 0.5)
+
+
+class Peek3(Filter):
+    """Peeking (peek 3, pop 1) with every position a literal."""
+
+    def __init__(self, a: float, b: float, c: float) -> None:
+        super().__init__(peek=3, pop=1, push=1)
+        self.a, self.b, self.c = float(a), float(b), float(c)
+
+    def work(self) -> None:
+        y = self.peek(0) * self.a + self.peek(1) * self.b + self.peek(2) * self.c
+        self.pop()
+        self.push(y)
+
+
+class Fold(Filter):
+    """Pushes from inside a conditional."""
+
+    def __init__(self, at: float) -> None:
+        super().__init__(pop=1, push=1)
+        self.at = float(at)
+
+    def work(self) -> None:
+        x = self.pop()
+        if x > self.at:
+            self.push(x * 0.5)
+        else:
+            self.push(self.at - x)
+
+
+class Upsample(Filter):
+    """pop 1 / push k: the item, then k - 1 scaled copies."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__(pop=1, push=k)
+        self.k = k
+
+    def work(self) -> None:
+        x = self.pop()
+        for j in range(self.k):
+            self.push(x * (j + 1))
+
+
+def feedback_app(
+    data: Sequence[float],
+    body: Sequence[Stream] = (),
+    loopback: Sequence[Stream] = (),
+    delay: int = 1,
+    rounds: int = 1,
+    leak: float = 0.5,
+) -> Pipeline:
+    """source -> (x ``rounds``) -> loop -> gain -> sink, where the loop is
+    ``joiner(1, 1) -> LoopShaper -> *body -> splitter(1, 1)`` with
+    ``loopback`` stages on the way back and ``delay`` items primed on it.
+    ``rounds`` items enter the loop each period, so its core repeats one
+    round that many times."""
+    loop = FeedbackLoop(
+        joiner_roundrobin(1, 1),
+        Pipeline(LoopShaper(leak), *body),
+        roundrobin(1, 1),
+        Pipeline(*loopback) if loopback else Identity(),
+        delay=delay,
+        init_path=lambda i: 0.25 * (i + 1),
+    )
+    spread = [Upsample(rounds)] if rounds > 1 else []
+    return Pipeline(ArraySource(list(data)), *spread, loop, Gain(0.5), CollectSink())
+
+
 def run_pipeline(*stages, data: Sequence[float], periods: int) -> List[float]:
     """Build source -> stages -> sink, run, and return collected output."""
     sink = CollectSink()
@@ -147,3 +240,26 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     held = ~np.isnan(want)  # a NaN's sign and payload are not part of the contract
     assert np.array_equal(got[held], want[held])
     assert np.array_equal(np.signbit(got[held]), np.signbit(want[held]))
+
+
+def run_calls(
+    build, engine: str, calls: Sequence[int], downgrade_before: Optional[int] = None
+) -> Tuple[List[float], Interpreter]:
+    """``run_init()`` then one ``run_steady`` per entry of ``calls`` on a
+    fresh ``build()``.  From call ``downgrade_before`` on, a codegen plan
+    runs its batched parent — what ``CodegenPlan._materialize`` does on
+    ``Unsupported``, here between two calls of a session."""
+    app = build()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        interp = Interpreter(app, check=False, engine=engine)
+        try:
+            interp.run_init()
+            for k, periods in enumerate(calls):
+                if k == downgrade_before:
+                    interp.plan.codegen_active = False
+                interp.run_steady(periods)
+        finally:
+            interp.close()
+    return list(sink.collected), interp

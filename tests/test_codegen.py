@@ -9,6 +9,7 @@ module cache — in-memory within a process, on disk across "processes"
 (simulated here by clearing the memory level).
 """
 
+import copy
 import hashlib
 import warnings
 from pathlib import Path
@@ -17,8 +18,9 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.errors import EngineDowngradeWarning, StreamItError
-from repro.graph import ArraySource, CollectSink, Pipeline
+from repro.graph import ArraySource, CollectSink, Filter, Pipeline, SplitJoin, duplicate
 from repro.graph.builtins import Identity
+from repro.graph.splitjoin import combine
 from repro.runtime import (
     CodegenPlan,
     Interpreter,
@@ -28,7 +30,7 @@ from repro.runtime import (
 )
 from repro.runtime import codegen as codegen_mod
 from repro.runtime.plan import clear_plan_cache, plan_cache_summary
-from tests.helpers import Accumulator, Gain
+from tests.helpers import FIR, Accumulator, Fold, Gain, Peek3, feedback_app, run_calls
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +111,189 @@ def test_core_round_is_emitted_once_however_often_it_repeats():
     source = interp.plan.generated_source
     assert f"for _ in range({rounds}):" in source
     assert source.count(".leak") == 1  # ErrorShaper's body, once
+
+
+# -- the inlined core: tapes in locals, tapes on lists ---------------------------
+
+
+def _core_row(interp) -> dict:
+    (row,) = [b for b in interp.engine_report()["codegen"]["blocks"] if b["kind"] == "core"]
+    return row
+
+
+def _core_source(interp) -> str:
+    source = interp.plan.generated_source
+    return source[source.index("_core.begin()") : source.index("_core.end(")]
+
+
+def _assert_chopping_invariant(builder, total=9):
+    """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a), and a
+    codegen run handed to the interpreted ``CoreLoopRunner`` between two
+    calls carries on from what the forwarded tapes left on the lists."""
+    scalar, _ = run_calls(builder, "scalar", (total,))
+    assert len(scalar) > 0
+    for calls in ((total,), (1,) * total, (4, total - 4)):
+        got, interp = run_calls(builder, "codegen", calls)
+        assert interp.engine_used == "codegen"
+        assert got == scalar, calls
+    got, downgraded = run_calls(builder, "codegen", (4, total - 4), downgrade_before=1)
+    assert downgraded.engine_used == "batched"
+    assert got == scalar
+    return interp
+
+
+def test_dtoa_core_keeps_its_tapes_in_locals():
+    interp = _assert_chopping_invariant(ALL_APPS["DToA"], total=12)
+    row = _core_row(interp)
+    assert row["mode"] == "inline"
+    assert sorted(row["forwarded"]) == sorted(
+        [
+            "noise_shaper.join->shape",
+            "shape->noise_shaper.split",
+            "noise_shaper.split->loopgain",
+            "loopgain->noise_shaper.join",
+        ]
+    )
+    assert row["taped"] == {
+        "interp->noise_shaper.join": "external input",
+        "noise_shaper.split->smooth": "external output",
+    }
+    assert row["hoisted"] == ["loopgain.factor", "shape.leak"]
+    core = _core_source(interp)
+    assert ".append(" not in core and ".extend(" not in core  # no internal list traffic
+    assert core.count(".append") == 1  # the output tape's append, bound once above the loop
+    assert ".leak" not in core.split("for _ in range(scale):")[1]
+
+    # The report is read from the module's own meta: a disk hit says the same.
+    clear_codegen_cache()
+    _, again = _run(ALL_APPS["DToA"], "codegen", 2)
+    assert again.plan.cache_outcome == "disk_hit"
+    assert _core_row(again) == row
+
+
+def _mix(items):
+    return items[0] - 0.25 * items[1]
+
+
+class Leveled(Filter):
+    """Reads its state back through a property the loop must not hoist."""
+
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
+        self.decay = 0.5
+        self._level = 0.0
+
+    def init(self) -> None:
+        self._level = 0.0
+
+    @property
+    def level(self) -> float:
+        return self._level
+
+    def work(self) -> None:
+        self._level = self._level * self.decay + self.pop()
+        self.push(self.level)
+
+
+DATA = [0.5, -1.25, 2.0, 0.75, -0.5]
+
+
+def test_conditional_pushes_and_loop_peeks_stay_on_lists():
+    def folded():
+        return feedback_app(DATA, loopback=[Fold(0.1)])
+
+    row = _core_row(_assert_chopping_invariant(folded))
+    (why,) = [why for name, why in row["taped"].items() if name.startswith("Fold_")]
+    assert why == "accessed inside a loop or a conditional"
+    assert row["forwarded"]  # the rest of the loop is still in locals
+
+    def looped():
+        return feedback_app(DATA, loopback=[FIR([0.3, -0.2, 0.1])], delay=3)
+
+    row = _core_row(_assert_chopping_invariant(looped))
+    (why,) = [why for name, why in row["taped"].items() if "->FIR_" in name]
+    assert why == "peek at a computed position"
+    assert row["forwarded"]
+
+
+def test_long_delay_line_stays_on_a_list():
+    """Carried locals are re-bound every unit, so past a few items the
+    cursor of a list is cheaper (codegen_emit._CARRY_MAX)."""
+
+    def build():
+        return feedback_app(DATA, delay=6)
+
+    row = _core_row(_assert_chopping_invariant(build))
+    (why,) = [w for w in row["taped"].values() if not w.startswith("external")]
+    assert why == "holds 6 items between periods"
+    assert len(row["forwarded"]) == 3
+
+
+def test_literal_peeks_read_carried_locals():
+    def build():
+        return feedback_app(DATA, loopback=[Peek3(0.2, -0.3, 0.4)], delay=3)
+
+    interp = _assert_chopping_invariant(build)
+    row = _core_row(interp)
+    (into_peek,) = [name for name in row["forwarded"] if "->Peek3_" in name]
+    assert set(row["taped"].values()) == {"external input", "external output"}
+    (core,) = [b for b in interp.plan.codegen_meta["blocks"] if b["kind"] == "core"]
+    # delay 3 = the filter's two-item peek residue + one item on the way in.
+    assert sorted(core["forwarded"].values()) == [0, 0, 1, 2]
+    source = _core_source(interp)
+    assert ".append(" not in source
+    assert source.count("[:] = [") == 2  # both carrying tapes are stored back
+
+
+def test_stored_attributes_and_properties_are_not_hoisted():
+    def build():
+        return feedback_app(DATA, body=[Accumulator()], loopback=[Leveled(), Gain(0.9)])
+
+    interp = _assert_chopping_invariant(build)
+    hoisted = _core_row(interp)["hoisted"]
+    assert [name.split(".")[1] for name in hoisted] == ["k", "decay", "leak"]
+    loop = _core_source(interp).split("for _ in range(scale):")[1]
+    assert ".total" in loop and "._level" in loop and ".level" in loop
+    assert ".decay" not in loop and ".leak" not in loop
+
+
+def test_reducer_and_repeated_round():
+    def build():
+        lanes = SplitJoin(duplicate(), [Gain(0.7), Accumulator()], combine(_mix))
+        return feedback_app(DATA, loopback=[lanes], rounds=9)
+
+    interp = _assert_chopping_invariant(build)
+    row = _core_row(interp)
+    assert set(row["taped"].values()) == {"external input", "external output"}
+    source = _core_source(interp)
+    assert "for _ in range(9):" in source  # one round, looped
+    assert source.count("_rd") == 1 and source.count(".total") == 2  # emitted once
+
+
+def test_bind_refuses_a_core_that_is_not_this_plans():
+    from repro.runtime.codegen import BindMismatch, bind_module
+
+    _, interp = _run(ALL_APPS["DToA"], "codegen", 2)
+    plan = interp.plan
+
+    def bind(edit):
+        meta = copy.deepcopy(plan.codegen_meta)
+        (core,) = [b for b in meta["blocks"] if b["kind"] == "core"]
+        edit(core)
+        ns = {}
+        exec(compile(plan.generated_source, "<test>", "exec"), ns)
+        return bind_module(plan, ns, meta)
+
+    assert bind(lambda core: None) == ([], "inline")
+    edge = next(iter(plan.codegen_meta["blocks"][3]["forwarded"]))
+    with pytest.raises(BindMismatch, match="tapes differ"):  # an edge the plan lacks
+        bind(lambda core: core["forwarded"].update({"99": core["forwarded"].pop(edge)}))
+    with pytest.raises(BindMismatch, match="tapes differ"):  # an edge the module lacks
+        bind(lambda core: core["taped"].popitem())
+    with pytest.raises(BindMismatch, match="does not hold"):
+        bind(lambda core: core["forwarded"].update({edge: 5}))
+    with pytest.raises(BindMismatch, match="hoisted"):
+        bind(lambda core: core["hoisted"].append([core["filters"][0], "rate_of_nothing"]))
 
 
 # -- generated-module introspection ------------------------------------------

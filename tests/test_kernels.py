@@ -1,21 +1,33 @@
-"""``ordered_mac``: the one ordered multiply-accumulate primitive.
+"""``runtime.kernels``: the primitives batch kernels are built from.
 
-Its contract is bit-identity — sign of zero included — with the scalar loop
-``total = 0.0; for i: total += window[j*stride+i] * coeffs[i]``, in both of
-its forms (the tap loop and the product table).  The reference here is that
-loop in pure Python floats; nothing below tolerates a last-digit difference.
+``ordered_mac``'s contract is bit-identity — sign of zero included — with
+the scalar loop ``total = 0.0; for i: total += window[j*stride+i] *
+coeffs[i]``, in both of its forms (the tap loop and the product table).
+The reference here is that loop in pure Python floats; nothing below
+tolerates a last-digit difference.  ``firing_windows`` is checked against
+the ``sliding_window_view`` formulation it replaced (kept here, and only
+here, as the reference); ``const_array`` against a fresh conversion.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.apps import des, fft
 from repro.apps.channelvocoder import EnvelopeFollower
 from repro.apps.common import Adder, FIRFilter, MatrixFilter
 from repro.apps.radar import BeamFirFilter
-from repro.runtime import ArrayChannel, kernels
+from repro.graph.base import Filter
+from repro.runtime import ArrayChannel, kernels, vectorize
 from repro.runtime.kernels import (
     LOOP_BLOCK_ABOVE,
     TABLE_MAX_FIRINGS,
+    const_array,
+    firing_windows,
     ordered_mac,
     unit_taps,
 )
@@ -267,3 +279,168 @@ def test_beam_fir_delay_line(n, decimation):
         out, history, pos = run(split)
         assert_same_bits(out, want[0])
         assert history == want[1] and pos == want[2]
+
+
+# -- firing_windows ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("peek", range(1, 10))
+@pytest.mark.parametrize("pop", range(1, 10))  # pop > peek: items between windows are skipped
+def test_firing_windows_equal_the_sliding_window_formulation(peek, pop):
+    rng = np.random.default_rng(100 * peek + pop)
+    for n in (1, 2, 3, 8, 33, 64, 65):
+        base = rng.standard_normal((n - 1) * pop + peek + int(rng.integers(0, 4)))
+        got = firing_windows(base, peek, pop, n)
+        want = sliding_window_view(base, peek)[::pop][:n]
+        assert got.shape == (n, peek) and got.strides == (8 * pop, 8)
+        assert_same_bits(got, want)
+        assert np.shares_memory(got, base)  # a view: nothing was copied
+        assert not got.flags.writeable and base.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+
+def test_firing_windows_never_read_past_the_base():
+    base = np.arange(10.0)
+    assert firing_windows(base, 4, 3, 3)[-1].tolist() == [6.0, 7.0, 8.0, 9.0]
+    for peek, pop, n in ((4, 3, 4), (11, 1, 1), (1, 1, 11), (5, 6, 2)):
+        with pytest.raises((TypeError, ValueError)):
+            firing_windows(base, peek, pop, n)
+    # The bound is the slice handed in, not the buffer it is a view of.
+    with pytest.raises((TypeError, ValueError)):
+        firing_windows(np.arange(64.0)[:10], 4, 3, 4)
+
+
+def test_firing_windows_copy_a_base_they_cannot_stride_over():
+    ints = np.arange(12)
+    strided = np.arange(24.0)[::2]
+    for base in (ints, strided, ints.astype(np.float32)):
+        got = firing_windows(base, 3, 2, 5)
+        assert not np.shares_memory(got, base)
+        assert_same_bits(got, sliding_window_view(base.astype(np.float64), 3)[::2][:5])
+
+
+def test_src_builds_firing_windows_one_way_only():
+    """``firing_windows`` is the only strided-window construction under
+    ``src/``: the numpy helpers it replaced must not come back beside it."""
+    banned = re.compile("sliding_window_" + "view|as_" + "strided")
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = [str(p) for p in src.rglob("*.py") if banned.search(p.read_text())]
+    assert hits == []
+
+
+class _Taps3(Filter):
+    """Peeking and decimating: pop 2, peek 3, push 2 (one column a scalar)."""
+
+    def __init__(self):
+        super().__init__(peek=3, pop=2, push=2)
+
+    def work(self):
+        self.push(self.peek(0) * 0.5 + self.peek(2))
+        self.pop()
+        self.pop()
+        self.push(1.25)
+
+
+class _Pairs(Filter):
+    """pop == peek: the windows are a plain reshape of the tape."""
+
+    def __init__(self):
+        super().__init__(pop=2, push=1)
+
+    def work(self):
+        a = self.pop()
+        self.push(a - self.pop())
+
+
+class _InPlace(Filter):
+    """A body that would write into its input window if it could."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        x = self.pop()
+        x += 1.0
+        self.push(x)
+
+
+@pytest.mark.parametrize("make", [_Taps3, _Pairs])
+def test_run_lifted_writes_the_output_tape_in_place(make):
+    rng = np.random.default_rng(3)
+    n = 9
+    filt = make()
+    rate = filt.rate
+    data = _mixed(rng, (n - 1) * rate.pop + rate.peek)
+    want = make()
+    want.input, want.output = ArrayChannel("in", data), ArrayChannel("out")
+    for _ in range(n):
+        want.work()
+    filt.input, filt.output = ArrayChannel("in", data), ArrayChannel("out", [7.0])
+    vectorize.run_lifted(filt, vectorize.lift_work(make), n)
+    assert_same_bits(np.array(filt.output.snapshot()[1:]), np.array(want.output.snapshot()))
+    assert filt.output.pushed_count == 1 + n * rate.push
+    assert filt.input.popped_count == n * rate.pop
+
+
+def test_run_lifted_leaves_the_channels_alone_when_a_check_fails():
+    filt = _Taps3()
+    filt.rate = type(filt.rate)(peek=3, pop=2, push=3)  # declares one push too many
+    data = np.arange(11.0)
+    filt.input, filt.output = ArrayChannel("in", data), ArrayChannel("out")
+    with pytest.raises(vectorize._LiftError):
+        vectorize.run_lifted(filt, vectorize.lift_work(_Taps3), 5)
+    assert filt.input.popped_count == 0 and filt.output.pushed_count == 0
+    # A window is read-only whichever way it was built, so an in-place
+    # update of a popped column fails instead of rewriting the input tape.
+    filt = _InPlace()
+    filt.input, filt.output = ArrayChannel("in", data), ArrayChannel("out")
+    with pytest.raises(ValueError):
+        vectorize.run_lifted(filt, vectorize.lift_work(_InPlace, trusted=True), 11)
+    assert filt.input.snapshot() == data.tolist() and len(filt.output) == 0
+
+
+# -- const_array ------------------------------------------------------------------------
+
+
+def test_const_array_is_built_once_per_tuple_and_dtype():
+    table = (3, 1, 2)
+    first = const_array(table, np.int64)
+    assert first is const_array(table, np.int64)
+    assert first.dtype == np.int64 and first.tolist() == [3, 1, 2]
+    assert not first.flags.writeable
+    as_index = const_array(table, np.intp)
+    floats = const_array(table, np.float64)
+    assert floats is not first and floats.dtype == np.float64 and as_index.dtype == np.intp
+    # Identity, not value: an equal tuple is another constant, and the sign
+    # of a zero survives.
+    assert const_array(tuple([3, 1, 2]), np.int64) is not first
+    zeros, negative = (0.0, 1.0), (-0.0, 1.0)
+    assert np.signbit(const_array(negative, np.float64)[0])
+    assert not np.signbit(const_array(zeros, np.float64)[0])
+    # A coefficient column of the same tuple is a separate entry.
+    assert kernels._column(zeros).shape == (2, 1)
+    assert const_array(zeros, np.float64).shape == (2,)
+
+
+def test_const_array_never_caches_a_mutable_sequence():
+    values = [1, 2, 3]
+    first = const_array(values, np.int64)
+    values[0] = 9
+    assert const_array(values, np.int64).tolist() == [9, 2, 3]
+    assert first.tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_kernels_with_constant_tables_match_their_work(n):
+    """The DES and FFT kernels that read their tables through
+    ``const_array`` — on a first call and on a cached one."""
+    rng = np.random.default_rng(40 + n)
+    bits = lambda size: (rng.random(size) > 0.5).astype(np.float64)
+    for _ in range(2):
+        _drive(lambda: des.SBox(3), bits(6 * n), n)
+        _drive(lambda: des.KeyXor(des._round_key(2)), bits(48 * n), n)
+        _drive(lambda: des.PermuteBits(des._PPERM), bits(32 * n), n)
+        _drive(lambda: des.PermuteBits(des._EXPANSION, pop=32), bits(32 * n), n)
+        _drive(lambda: des.PermuteBits([5, 0, 3], pop=2), bits(2 * n + 4), n)  # peek > pop
+        _drive(lambda: fft.CombineDFT(4), _mixed(rng, 16 * n), n)

@@ -27,7 +27,17 @@ from repro.linear import LinearRep, combine_pipeline, extract_linear, fir_rep
 from repro.runtime import Channel, Interpreter
 from repro.runtime.messaging import Portal, TimeInterval
 from repro.scheduling import build_schedule, repetitions
-from tests.helpers import FIR, run_pipeline
+from repro.graph.splitjoin import combine
+from tests.helpers import (
+    FIR,
+    Accumulator,
+    Fold,
+    Gain,
+    Peek3,
+    feedback_app,
+    run_calls,
+    run_pipeline,
+)
 
 rng = np.random.default_rng(7)
 
@@ -422,6 +432,42 @@ def _random_flat_splitjoin(gen):
     )
 
 
+def _mix(items):
+    return items[0] - 0.25 * items[1]
+
+
+#: Loop stages by what they make the inlined core do: literal peeks stay
+#: forwardable, a stored-and-read attribute must not be hoisted, pushes under
+#: an ``if`` and peeks in a ``for`` must stay taped, a COMBINE joiner calls
+#: its reducer.  All are rate 1:1.
+_LOOP_STAGES = {
+    "peek3": lambda g: Peek3(*(float(v) for v in g.uniform(-0.5, 0.5, size=3))),
+    "fir": lambda g: FIR([float(v) for v in g.uniform(-0.5, 0.5, size=3)]),
+    "acc": lambda g: Accumulator(),
+    "fold": lambda g: Fold(float(g.uniform(-0.5, 0.5))),
+    "gain": lambda g: Gain(float(g.uniform(-0.9, 0.9))),
+    "dup": lambda g: SplitJoin(
+        duplicate(), [Gain(float(g.uniform(-0.9, 0.9))), Accumulator()], combine(_mix)
+    ),
+}
+_PEEKING = ("peek3", "fir")
+
+
+def _random_loop_stages(gen, delay):
+    """``(body, loopback)`` stage kinds a loop with ``delay`` primed items
+    can schedule: a two-item peek residue needs delay >= 2 on the body and
+    3 on the way back, and the delays drawn here cover only one of them."""
+    plain = [k for k in _LOOP_STAGES if k not in _PEEKING]
+    body = [str(k) for k in gen.choice(plain, size=int(gen.integers(0, 3)))]
+    loopback = [str(k) for k in gen.choice(plain, size=int(gen.integers(0, 2)))]
+    where = int(gen.integers(0, 3))
+    if where == 1 and delay >= 2:
+        body.insert(int(gen.integers(0, len(body) + 1)), str(gen.choice(_PEEKING)))
+    elif where == 2 and delay >= 3:
+        loopback.append(str(gen.choice(_PEEKING)))
+    return body, loopback
+
+
 def _run_engine(build, engine, periods, chunk_periods=None, **engine_opts):
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
@@ -567,6 +613,59 @@ class TestBatchedEngineDifferential:
             assert split_interp.engine_used == engine
             assert split_interp.plan.segments is not None
             assert split == scalar
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        delay=st.sampled_from([1, 2, 3]),
+        rounds=st.sampled_from([1, 2, 9, 11]),
+    )
+    def test_random_feedback_bodies_bit_exact(self, seed, delay, rounds):
+        """The inlined core keeps some tapes in locals and some on lists,
+        by what the loop's filters do; whatever mix a random loop gets, the
+        engines agree bit for bit however the run is chopped, and a
+        codegen run handed to the interpreted core runner mid-session
+        carries on from the state the forwarded tapes left behind."""
+        gen = np.random.default_rng(seed)
+        data = [float(v) for v in gen.uniform(-2, 2, size=7)]
+        body, loopback = _random_loop_stages(gen, delay)
+        spec_seed = int(gen.integers(0, 2**32))
+        total = 10
+        first = int(gen.integers(1, total))
+
+        def build():
+            g = np.random.default_rng(spec_seed)
+            return feedback_app(
+                data,
+                [_LOOP_STAGES[k](g) for k in body],
+                [_LOOP_STAGES[k](g) for k in loopback],
+                delay=delay,
+                rounds=rounds,  # > 8: the core's round is emitted once, in a loop
+                leak=float(g.uniform(0.1, 0.9)),
+            )
+
+        scalar, _ = run_calls(build, "scalar", (total,))
+        assert len(scalar) == total * rounds
+        choppings = ((total,), (1,) * total, (first, total - first))
+        for engine in ("batched", "codegen"):
+            for calls in choppings:
+                got, interp = run_calls(build, engine, calls)
+                assert interp.engine_used == engine
+                assert got == scalar, (engine, calls)
+        (core,) = [
+            b for b in interp.engine_report()["codegen"]["blocks"] if b["kind"] == "core"
+        ]
+        assert core["mode"] == "inline"
+        kinds = body + loopback
+        if "fold" in kinds:  # its pushes sit under an ``if``
+            assert any(name.startswith("Fold_") for name in core["taped"])
+        if "fir" in kinds:  # its peeks sit in a ``for``
+            assert any("->FIR_" in name for name in core["taped"])
+        assert not any(name.endswith(".total") for name in core["hoisted"])
+        assert any(name.endswith(".leak") for name in core["hoisted"])
+        got, interp = run_calls(build, "codegen", (first, total - first), downgrade_before=1)
+        assert interp.engine_used == "batched"
+        assert got == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
