@@ -4,9 +4,11 @@ Every execution engine threads a :class:`Tracer` through its hot loops.
 The contract keeping the disabled path free (the CI guard holds it to ~2%
 of the untraced engine):
 
-* engines check ``tracer.enabled`` **once per phase or chunk**, never per
-  item, and take a physically separate untraced code path when it is
-  false;
+* a plan reads ``tracer.enabled`` **when it builds its block list**, and
+  only then: a traced plan calls each block through one timing wrapper
+  (:func:`repro.runtime.plan.timed`), an untraced one calls the bare
+  blocks and reads no clock (the scalar oracle and the parallel workers
+  check once per phase, never per item);
 * the default tracer is the process-wide :data:`NULL_TRACER` singleton —
   ``enabled`` is ``False`` and every method is a no-op, so even code that
   forgets the check only pays an attribute load and a no-op call.
@@ -57,8 +59,8 @@ class Tracer:
     parallel engine, 0 elsewhere).
     """
 
-    #: Engines branch on this once per phase/chunk; False means every
-    #: recording method is a no-op.
+    #: Fixed per tracer class; plans read it once, when they build their
+    #: block list.  False means every recording method is a no-op.
     enabled: bool = False
 
     def complete(

@@ -43,23 +43,14 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.runtime.codegen_emit import (
     EMITTER_VERSION,
     Unsupported,
-    classify_core_edges,
     emit_module,
-    layout_blocks,
     plan_fingerprint,
     plain_attribute,
 )
-from repro.runtime.plan import (
-    CoreLoopRunner,
-    ExecutionPlan,
-    _FusionTape,
-    _plan_signature,
-)
+from repro.runtime.plan import ExecutionPlan, _FusionTape, _plan_signature, timed
 from repro.runtime.vectorize import VEC_MATH, BatchExecutor, run_lifted, run_loop
 
 # -- module cache (memory + disk) ---------------------------------------------
@@ -211,72 +202,6 @@ class BindMismatch(Exception):
     """A cached module's meta does not line up with this plan's layout."""
 
 
-class _CoreState:
-    """Chunk-boundary channel I/O for an *inlined* cyclic core.
-
-    The generated module handles everything inside a chunk itself (the
-    closed loop, each tape a plain list or a handful of locals loaded from
-    the list above the loop and stored back below it); this wrapper owns
-    what happens at the edges, mirroring :meth:`CoreLoopRunner.run`
-    exactly, so either can run the next chunk: ``begin()``
-    snapshots external inputs into their tapes, ``end(scale)`` drops the
-    consumed input prefix, lands accumulated outputs as one ``push_block``,
-    compacts internal tapes, and bulk-bumps bypassed history counters.
-    Tapes are exposed to the module by global edge index.
-    """
-
-    __slots__ = ("_by_index", "_ext_in", "_ext_out", "_internal", "_bumps")
-
-    def __init__(self, core: CoreLoopRunner, edge_index) -> None:
-        if core._ops is None:
-            core._build()
-        internal, ext_in, ext_out = classify_core_edges(core)
-        self._by_index = {
-            edge_index[e]: core._tape_for(e) for e in internal + ext_in + ext_out
-        }
-        self._ext_in = [(core.channels[e], core._tape_for(e)) for e in ext_in]
-        self._ext_out = [(core.channels[e], core._tape_for(e)) for e in ext_out]
-        self._internal = [core._tape_for(e) for e in internal]
-        self._bumps = core._bumps
-
-    def check_forms(self, forwarded: Dict[str, int], taped: Dict[str, str]) -> None:
-        """A module keeps every tape of this core in one of two forms; a
-        forwarded one carries a fixed number of items between periods."""
-        named = {int(index) for index in list(forwarded) + list(taped)}
-        if named != set(self._by_index):
-            raise BindMismatch("core tapes differ from the module's")
-        for index, held in forwarded.items():
-            tape = self._by_index[int(index)]
-            if len(tape.items) - tape.cursor != held:
-                raise BindMismatch(f"core tape {tape.name} does not hold {held} items")
-
-    def items(self, index: int) -> list:
-        return self._by_index[index].items
-
-    def set_cursor(self, index: int, cursor: int) -> None:
-        self._by_index[index].cursor = cursor
-
-    def begin(self) -> None:
-        for chan, tape in self._ext_in:
-            tape.items = chan.peek_block(len(chan)).tolist()
-            tape.cursor = 0
-
-    def end(self, scale: int) -> None:
-        for chan, tape in self._ext_in:
-            if tape.cursor:
-                chan.drop(tape.cursor)
-        for chan, tape in self._ext_out:
-            if tape.items:
-                chan.push_block(np.asarray(tape.items, dtype=np.float64))
-                tape.items = []
-        for tape in self._internal:
-            tape.compact()
-        for chan, per_period in self._bumps:
-            moved = per_period * scale
-            chan.pushed_count += moved
-            chan.popped_count += moved
-
-
 def _rebind_kernel(ns: dict, kname: str, fn) -> None:
     """Rebuild a spliced kernel over the original work()'s globals (with
     ``math`` swapped for the exact vector namespace — lift_work semantics)."""
@@ -294,7 +219,7 @@ def _rebind_kernel(ns: dict, kname: str, fn) -> None:
 def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
     """Inject this plan's live objects into an exec'd generated module.
 
-    Walks the plan layout and the module's ``__codegen_meta__`` in
+    Walks ``plan.blocks`` and the module's ``__codegen_meta__`` in
     lockstep, verifying structure as it goes (any disagreement raises
     :class:`BindMismatch` — the caller regenerates).  Returns the names of
     fallback blocks and the core's lowering mode (``None`` if no core).
@@ -303,12 +228,12 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
         raise BindMismatch("emitter version mismatch")
     nodes = list(plan.graph.nodes)
     node_index = {n: i for i, n in enumerate(nodes)}
-    edge_index = {e: i for i, e in enumerate(plan.graph.edges)}
-    blocks = layout_blocks(plan)
+    edges = plan.graph.edges
+    blocks = plan.blocks
     mblocks = meta.get("blocks", [])
     if len(blocks) != len(mblocks):
         raise BindMismatch("block count mismatch")
-    for edge, i in edge_index.items():
+    for i, edge in enumerate(edges):
         ns[f"ch{i}"] = plan.channels[edge]
     plan._module_tapes.clear()
 
@@ -335,7 +260,8 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
             if mode == "fallback":
                 fallbacks.append(node.name)
 
-    for bi, ((kind, obj), m) in enumerate(zip(blocks, mblocks)):
+    for bi, (obj, m) in enumerate(zip(blocks, mblocks)):
+        kind = obj.kind
         if kind == "phase":
             bind_phase(obj, m)
         elif kind == "fused":
@@ -361,20 +287,32 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
             ns[f"rg{bi}"] = obj.run
             if m.get("mode") == "fallback":
                 fallbacks.append(obj.name)
-        else:  # core
-            core: CoreLoopRunner = obj
+        elif kind == "core":
+            core = obj
             if m.get("kind") != "core" or m.get("nodes") != sorted(
                 node_index[n] for n in core.nodes
             ):
                 raise BindMismatch("core block mismatch")
             core_mode = m.get("mode")
-            core_name = "core:" + "+".join(sorted(n.name for n in core.nodes))
             if core_mode == "fallback":
                 ns["_core_run"] = core.run
-                fallbacks.append(core_name)
+                fallbacks.append(core.name)
             else:
-                state = ns["_core"] = _CoreState(core, edge_index)
-                state.check_forms(m.get("forwarded", {}), m.get("taped", {}))
+                # The module keeps every tape of the core in one of two
+                # forms; a forwarded one carries a fixed number of items.
+                ns["_core"] = core
+                forwarded, taped = m.get("forwarded", {}), m.get("taped", {})
+                if {int(i) for i in [*forwarded, *taped]} != set(
+                    core.edge_index.values()
+                ):
+                    raise BindMismatch("core tapes differ from the module's")
+                for index, held in forwarded.items():
+                    edge = edges[int(index)]
+                    if core.held(edge) != held:
+                        raise BindMismatch(
+                            f"core tape {edge.src.name}->{edge.dst.name} does "
+                            f"not hold {held} items"
+                        )
                 for i in m.get("filters", ()):
                     ns[f"f{i}"] = nodes[i].filter
                 for i, attr in m.get("hoisted", ()):
@@ -423,7 +361,9 @@ class CodegenPlan(ExecutionPlan):
         self.generated_path: Optional[str] = None
         self.cache_outcome: Optional[str] = None
         self.fingerprint: Optional[str] = None
-        self._run_chunk = None
+        #: What a pass calls while codegen is active: the bound module's
+        #: ``run_chunk``, alone (under tracing, timed like any block).
+        self._chunk_steps: tuple = ()
         #: Scratch tapes bound into the generated module (see release_scratch).
         self._module_tapes: List[_FusionTape] = []
         self._materialized = False
@@ -438,8 +378,6 @@ class CodegenPlan(ExecutionPlan):
 
     def _materialize(self) -> None:
         self._materialized = True
-        if not self._regions_decided:  # driven without run_init()
-            self._lower_regions()
         interp = self.interp
         from repro import __version__
 
@@ -476,7 +414,11 @@ class CodegenPlan(ExecutionPlan):
                 code="SL305",
             )
             return
-        self._run_chunk = ns["run_chunk"]
+        run_chunk = ns["run_chunk"]
+        tracer = interp.tracer
+        if tracer.enabled:
+            run_chunk = timed(tracer, run_chunk, self._chunk_span)
+        self._chunk_steps = (run_chunk,)
         self.codegen_meta = meta
         self.generated_source = source
         self.cache_outcome = outcome
@@ -526,47 +468,18 @@ class CodegenPlan(ExecutionPlan):
 
     # -- execution ------------------------------------------------------------
 
-    def run_steady(self, fired, periods: int) -> None:
-        if periods <= 0:
-            return
+    def _pass_steps(self):
+        """A pass is one ``run_chunk(scale)`` call while codegen is active,
+        the parent's walk over the blocks once it is not."""
         if self.codegen_active and not self._materialized:
             self._materialize()
-        if not self.codegen_active:
-            super().run_steady(fired, periods)
-            return
-        run_chunk = self._run_chunk
-        chunk = self.chunk_periods
-        if self.interp.tracer.enabled:
-            from time import perf_counter
+        return self._chunk_steps if self.codegen_active else self._steps
 
-            from repro.obs.tracer import CAT_CODEGEN
+    def _chunk_span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
+        from repro.obs.tracer import CAT_CODEGEN
 
-            tracer = self.interp.tracer
-            firings = self.interp.program.steady.total_firings
-            left = periods
-            while left > 0:
-                scale = min(left, chunk)
-                t0 = perf_counter()
-                run_chunk(scale)
-                dur = perf_counter() - t0
-                tracer.complete(
-                    "codegen:run_chunk",
-                    CAT_CODEGEN,
-                    t0,
-                    dur,
-                    args={
-                        "periods": scale,
-                        "firings": firings * scale,
-                    },
-                )
-                left -= scale
-        else:
-            left = periods
-            while left > 0:
-                scale = min(left, chunk)
-                run_chunk(scale)
-                left -= scale
-        self._account(fired, periods)
+        firings = self.interp.program.steady.total_firings * scale
+        return "codegen:run_chunk", CAT_CODEGEN, {"periods": scale, "firings": firings}
 
     def release_scratch(self) -> None:
         super().release_scratch()

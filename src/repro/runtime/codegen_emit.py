@@ -44,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
-from repro.runtime.plan import CompiledPhase, CoreLoopRunner, FusedPhase
-from repro.runtime.regions import RegionPhase
+from repro.runtime.plan import CompiledPhase, CoreLoopRunner
 from repro.runtime.vectorize import BatchExecutor
 
 #: Bump on any change to the emitted module's shape or binding contract;
@@ -57,28 +56,7 @@ class Unsupported(Exception):
     """A construct the emitter cannot lower; callers fall back."""
 
 
-# -- deterministic layout -----------------------------------------------------
-
-
-def layout_blocks(plan) -> List[Tuple[str, object]]:
-    """The plan's steady program as an ordered list of codegen blocks.
-
-    Deterministic given the plan's structural signature, so the emitter (at
-    generation time) and the binder (when rebinding a cached module to a
-    fresh plan) walk the same sequence.
-    """
-    blocks: List[Tuple[str, object]] = []
-    if plan.superbatch:
-        kinds = {FusedPhase: "fused", RegionPhase: "region"}
-        blocks.extend((kinds.get(type(ph), "phase"), ph) for ph in plan.steady_phases)
-    elif plan.segments is not None:
-        prefix, core, suffix = plan.segments
-        blocks.extend(("phase", ph) for ph in prefix)
-        blocks.append(("core", core))
-        blocks.extend(("phase", ph) for ph in suffix)
-    else:
-        raise Unsupported("plan shape has no codegen lowering (messaging?)")
-    return blocks
+# -- per-phase lowering mode ---------------------------------------------------
 
 
 def _kernel_splicable(cls: type) -> bool:
@@ -501,27 +479,6 @@ class WorkInliner:
 # -- core section emission ----------------------------------------------------
 
 
-def classify_core_edges(core: CoreLoopRunner):
-    """(internal, ext_in, ext_out) edge lists of a cyclic core (deterministic
-    order: first-seen over the per-node edge lists, like the runner)."""
-    internal, ext_in, ext_out = [], [], []
-    seen = set()
-    for node, _count in core.phases:
-        for edge in list(node.in_edges) + list(node.out_edges):
-            if edge in seen:
-                continue
-            seen.add(edge)
-            inside_src = edge.src in core.nodes
-            inside_dst = edge.dst in core.nodes
-            if inside_src and inside_dst:
-                internal.append(edge)
-            elif inside_dst:
-                ext_in.append(edge)
-            elif inside_src:
-                ext_out.append(edge)
-    return internal, ext_in, ext_out
-
-
 def plain_attribute(filt, attr: str) -> bool:
     """Is ``filt.attr`` a plain instance attribute — one whose value can only
     change by a store to it?  (A property or other class-level name may
@@ -592,17 +549,13 @@ class CoreEmitter:
         self.core = core
         self.node_index = node_index
         self.edge_index = edge_index
-        if core._ops is None:
-            core._build()  # the tapes now hold what sits on the edges between periods
-        internal, ext_in, ext_out = classify_core_edges(core)
+        internal, ext_in, ext_out = core.internal, core.ext_in, core.ext_out
         self.edges = internal + ext_in + ext_out
         self.ext_out = set(ext_out)
         self.popped = set(internal + ext_in)
-        #: internal edge -> items on it at every unit boundary
-        self.carried: Dict[object, int] = {}
-        for edge in internal:
-            tape = core._tape_for(edge)
-            self.carried[edge] = len(tape.items) - tape.cursor
+        #: internal edge -> items on it at every unit boundary (the tapes
+        #: hold what sits on the edges between periods)
+        self.carried: Dict[object, int] = {e: core.held(e) for e in internal}
         #: edge -> why it stays a list
         self.taped: Dict[object, str] = {e: "external input" for e in ext_in}
         self.taped.update((e, "external output") for e in ext_out)
@@ -890,8 +843,6 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
     """
     node_index = {node: i for i, node in enumerate(plan.graph.nodes)}
     edge_index = {edge: i for i, edge in enumerate(plan.graph.edges)}
-    blocks = layout_blocks(plan)
-
     meta_blocks: List[dict] = []
     kernel_defs: List[str] = []
     kernels_done: set = set()
@@ -915,7 +866,8 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
             out.append(f"x{i}({ph.count} * scale)")
         return {"kind": "phase", "node": i, "mode": mode, "name": node.name}
 
-    for kind, obj in blocks:
+    for obj in plan.blocks:
+        kind = obj.kind
         if kind == "phase":
             meta_blocks.append(emit_phase(obj, body))
         elif kind == "fused":
@@ -972,7 +924,7 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                     "name": obj.name,
                 }
             )
-        else:  # core
+        elif kind == "core":
             core: CoreLoopRunner = obj
             core_nodes = sorted(node_index[n] for n in core.nodes)
             body.append(f"# cyclic core: {'+'.join(sorted(n.name for n in core.nodes))}")
@@ -1000,6 +952,8 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                         **emitter.meta(),
                     }
                 )
+        else:
+            raise Unsupported(f"a {kind} block has no codegen lowering")
 
     meta = {
         "emitter": EMITTER_VERSION,

@@ -43,6 +43,7 @@ engines"):
 from __future__ import annotations
 
 import warnings
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineDowngradeWarning, MessagingError, StreamItError
@@ -52,6 +53,7 @@ from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL, ROUND_ROBIN
 from repro.graph.validation import validate
 from repro.obs.metrics import METRICS
 from repro.obs.recorder import FLIGHT
+from repro.obs.tracer import CAT_ENGINE, CAT_FILTER
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel
 from repro.runtime.messaging import PendingMessage, Portal
@@ -182,7 +184,7 @@ class Interpreter:
         self._oracle: Optional[WavefrontOracle] = None
         self._current_node: Optional[FlatNode] = None
         #: Stamped on every message sent (:attr:`PendingMessage.order`); the
-        #: batched plan moves it per sender firing, see ``_fire_sender``.
+        #: batched plan moves it per sender firing, see ``SenderPhase``.
         self._send_order: Tuple[int, ...] = ()
         self._initialized = False
         self.plan: Optional[ExecutionPlan] = None
@@ -298,7 +300,7 @@ class Interpreter:
                 self.plan = CodegenPlan(self)
             else:
                 self.plan = ExecutionPlan(self)
-                if not self.plan.superbatch and not self.has_messaging:
+                if any(block.kind == "core" for block in self.plan.blocks):
                     self._engine_downgrade(
                         "feedback loop interleaves the steady schedule; batched "
                         "execution degrades to segmented superbatching (the "
@@ -721,48 +723,20 @@ class Interpreter:
     # -- execution -----------------------------------------------------------
 
     def _execute_phases(self, phases: Sequence[Tuple[FlatNode, int]]) -> None:
-        if self.tracer.enabled:
-            self._execute_phases_traced(phases)
-            return
-        executors = self._executors
-        try:
-            for node, count in phases:
-                fire = executors[node]
-                self._current_node = node
-                if self._pending:
-                    for _ in range(count):
-                        self._deliver_before(node)
-                        fire()
-                        self._deliver_after(node)
-                else:
-                    for _ in range(count):
-                        fire()
-                        if self._pending:
-                            self._deliver_after(node)
-                self.fired[node] += count
-        finally:
-            # Also after a raising work(): no stale sender for a later send.
-            self._current_node = None
-
-    def _execute_phases_traced(self, phases: Sequence[Tuple[FlatNode, int]]) -> None:
-        """Scalar execution with one span per schedule phase.
+        """Scalar execution, under tracing with one span per schedule phase.
 
         Per-phase (not per-firing) spans keep the recorder small and the
         overhead bounded: a phase fires one node ``count`` times back to
         back, which is exactly the granularity a profile attributes time at.
         """
-        from time import perf_counter
-
-        from repro.obs.tracer import CAT_FILTER
-
-        tracer = self.tracer
+        tracer = self.tracer if self.tracer.enabled else None
         executors = self._executors
         try:
             for node, count in phases:
                 fire = executors[node]
                 self._current_node = node
-                push = node.out_edges[0].push_rate if node.out_edges else 0
-                t0 = perf_counter()
+                if tracer is not None:
+                    t0 = perf_counter()
                 if self._pending:
                     for _ in range(count):
                         self._deliver_before(node)
@@ -773,15 +747,18 @@ class Interpreter:
                         fire()
                         if self._pending:
                             self._deliver_after(node)
-                tracer.complete(
-                    node.name,
-                    CAT_FILTER,
-                    t0,
-                    perf_counter() - t0,
-                    args={"firings": count, "items": count * push},
-                )
+                if tracer is not None:
+                    push = node.out_edges[0].push_rate if node.out_edges else 0
+                    tracer.complete(
+                        node.name,
+                        CAT_FILTER,
+                        t0,
+                        perf_counter() - t0,
+                        args={"firings": count, "items": count * push},
+                    )
                 self.fired[node] += count
         finally:
+            # Also after a raising work(): no stale sender for a later send.
             self._current_node = None
 
     def run_init(self) -> None:
@@ -794,10 +771,6 @@ class Interpreter:
         # Workers fork on the first parallel command — i.e. here, after the
         # init() hooks above, so children inherit initialized filter state.
         if self.tracer.enabled:
-            from time import perf_counter
-
-            from repro.obs.tracer import CAT_ENGINE
-
             t0 = perf_counter()
         if self.parallel is not None:
             self.parallel.run_init(self.fired)
@@ -814,11 +787,11 @@ class Interpreter:
         if not self._initialized:
             self.run_init()
         self._check_ownership()
+        if periods <= 0:
+            # Nothing runs, so nothing is recorded: no span, no flight
+            # event, and no negative step on a monotonic counter.
+            return
         if self.tracer.enabled:
-            from time import perf_counter
-
-            from repro.obs.tracer import CAT_ENGINE
-
             t0 = perf_counter()
             try:
                 self._run_steady_engine(periods)
@@ -837,8 +810,6 @@ class Interpreter:
         if not METRICS.enabled:
             self._dispatch_steady(periods)
             return
-        from time import perf_counter
-
         engine = self.engine_used
         FLIGHT.record("run_start", engine=engine, periods=periods)
         t0 = perf_counter()

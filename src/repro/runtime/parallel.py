@@ -63,7 +63,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StreamItError
 from repro.graph.flatgraph import FILTER, FlatNode
@@ -525,7 +525,7 @@ class ParallelSession:
         self._step_barrier = self._ctx.Barrier(self.n_workers)
         self._errors = self._ctx.SimpleQueue()
         self._procs: List[multiprocessing.Process] = []
-        self._exec_cache: Dict[FlatNode, Tuple] = {}
+        self._exec_cache: Dict[FlatNode, Callable[[int], None]] = {}
         self._started = False
         self._failed = False
         self._closed = False
@@ -581,11 +581,10 @@ class ParallelSession:
     # -- worker body (both the parent-as-worker-0 and forked children) --------
 
     def _executor(self, node: FlatNode):
-        entry = self._exec_cache.get(node)
-        if entry is None:
-            entry = make_node_executor(node, self.channels)
-            self._exec_cache[node] = entry
-        return entry[0]
+        fire = self._exec_cache.get(node)
+        if fire is None:
+            fire = self._exec_cache[node] = make_node_executor(node, self.channels)
+        return fire
 
     def _fire(
         self,

@@ -28,25 +28,26 @@ tapes:
   unsplit tape (``collapse``),
   one static gather (``permute``), or per-branch kernels over column views
   writing the joiner's output in place (``columns``);
-* **period superbatching** — when the steady schedule is a pure topological
-  pass (each node fires once, producers strictly before consumers — i.e. no
-  feedback), ``P`` requested periods are folded into one pass with every
-  firing count scaled by ``P`` (chunked so buffers stay bounded);
-* **segmented superbatching** — when feedback *does* interleave the
-  schedule, the feedforward prefix (nodes that fire once per period and
-  consume only from earlier prefix nodes) and suffix (nodes that fire once
-  and feed only later suffix nodes) still superbatch at full chunk scale;
-  only the cyclic core iterates period-at-a-time.  Data always flows
-  forward, so running the prefix ``P`` periods ahead merely buffers more,
-  and the suffix drains exactly what the core produced;
-* **batched teleport messaging** — portal-bound programs run in chunks of
-  as many periods as the latencies their senders state leave the receivers
-  free to run ahead (:attr:`ExecutionPlan.message_slack`, Eq. mc1 read as a
-  schedule input), with sender firings interleaved with delivery checks and
-  receiver batches split exactly at the SDEP-derived delivery points
+* **one block list, one pass** — the result is :attr:`ExecutionPlan.blocks`,
+  the steady program every back end reads.  Each block (a phase, a fused
+  chain, a region, a teleport endpoint, the cyclic core) has a ``kind``,
+  ``run(scale)`` and ``span(scale)``; ``run_steady`` is one loop of passes,
+  each running every block once with its firing count scaled by the periods
+  the pass covers (chunked so buffers stay bounded).  A schedule that is a
+  pure topological pass is its own block order; where feedback interleaves
+  it, the feedforward prefix and suffix are blocks either side of one
+  :class:`CoreLoopRunner`, the only block that iterates period-at-a-time —
+  data always flows forward, so running the prefix ``P`` periods ahead
+  merely buffers more, and the suffix drains exactly what the core produced;
+* **batched teleport messaging** — a portal-bound pass covers as many
+  periods as the latencies its senders state leave the receivers free to
+  run ahead (:attr:`ExecutionPlan.message_slack`, Eq. mc1 read as a
+  schedule input); a :class:`SenderPhase` interleaves its firings with
+  delivery checks and a :class:`ReceiverPhase` splits its batch exactly at
+  the SDEP-derived delivery points
   (:meth:`~repro.runtime.messaging.PendingMessage.firings_until_due`), so
   message timing is identical to the scalar engine's per-firing semantics;
-* **plan caching** — the schedule/fusion/superbatch analysis is memoized on
+* **plan caching** — the schedule/fusion/segment analysis is memoized on
   a structural graph signature, so repeated ``Interpreter`` constructions
   over the same program shape (the bench harness, parameter sweeps) skip
   recompilation.
@@ -88,21 +89,21 @@ _CHUNK_ITEM_CAP = 1 << 16
 
 def make_filter_executor(
     node: FlatNode, allow_trusted: bool = True
-) -> Tuple[Callable[[int], None], bool]:
+) -> Callable[[int], None]:
     filt = node.filter
     if type(filt).supports_work_batch:
-        return filt.work_batch, True
+        return filt.work_batch
     # Teleport receivers mutate configuration attributes at delivery
     # points, so a build-time static proof cannot speak for every batch:
     # they must earn lifting through the empirical trial instead.
-    return BatchExecutor(filt, allow_trusted=allow_trusted), True
+    return BatchExecutor(filt, allow_trusted=allow_trusted)
 
 
 def make_splitter_executor(
     node: FlatNode, channels: Dict[object, object]
-) -> Tuple[Callable[[int], None], bool]:
+) -> Callable[[int], None]:
     if node.flavor == NULL:
-        return (lambda n: None), True
+        return lambda n: None
     in_chan = channels[node.in_edges[0]]
     outs = [channels[e] for e in node.out_edges]
     if node.flavor == DUPLICATE:
@@ -112,7 +113,7 @@ def make_splitter_executor(
             for chan in outs:
                 chan.push_block(block)
 
-        return fire_duplicate, True
+        return fire_duplicate
 
     weights = [node.out_rates[e.src_port] for e in node.out_edges]
     total = node.in_rates[0]
@@ -125,14 +126,14 @@ def make_splitter_executor(
                 chan.push_block(cycles[:, offset : offset + w])
             offset += w
 
-    return fire_roundrobin, True
+    return fire_roundrobin
 
 
 def make_joiner_executor(
     node: FlatNode, channels: Dict[object, object]
-) -> Tuple[Callable[[int], None], bool]:
+) -> Callable[[int], None]:
     if node.flavor == NULL:
-        return (lambda n: None), True
+        return lambda n: None
     out_chan = channels[node.out_edges[0]]
     ins = [channels[e] for e in node.in_edges]
     if node.flavor == COMBINE:
@@ -145,13 +146,13 @@ def make_joiner_executor(
                     chan.drop(n)
                 out_chan.push_block(first)
 
-            return fire_combine, True
+            return fire_combine
 
         def fire_combine_reduce(n: int) -> None:
             for _ in range(n):
                 out_chan.push(reducer([chan.pop() for chan in ins]))
 
-        return fire_combine_reduce, False
+        return fire_combine_reduce
 
     weights = [node.in_rates[e.dst_port] for e in node.in_edges]
     total = node.out_rates[0]
@@ -173,15 +174,15 @@ def make_joiner_executor(
         if not in_place:
             out_chan.push_block(cycles)
 
-    return fire_roundrobin, True
+    return fire_roundrobin
 
 
 def make_node_executor(
     node: FlatNode,
     channels: Dict[object, object],
     allow_trusted: bool = True,
-) -> Tuple[Callable[[int], None], bool]:
-    """Batched ``(fire, batched)`` executor for any node kind."""
+) -> Callable[[int], None]:
+    """Batched ``fire(n)`` executor for any node kind."""
     if node.kind == FILTER:
         return make_filter_executor(node, allow_trusted)
     if node.kind == SPLITTER:
@@ -257,7 +258,7 @@ def _plan_signature(graph: FlatGraph, program, senders, receivers) -> tuple:
     """Structural fingerprint of (graph, schedule, messaging endpoints).
 
     Two programs with the same signature have identical plan *shape* —
-    phases, fusion chains, superbatch legality — even though they are built
+    phases, fusion chains, single-sweep legality — even though they are built
     from distinct filter instances, so the analysis is reusable.
     """
     index = {node: i for i, node in enumerate(graph.nodes)}
@@ -316,27 +317,122 @@ class _FusionTape(ArrayChannel):
 _NO_ITEMS = np.empty(0, dtype=np.float64)
 
 
+def timed(tracer, run: Callable[[int], None], span) -> Callable[[int], None]:
+    """``run`` under a span: the one way a traced engine times a block.
+
+    ``span(scale)`` gives ``(name, category, args)`` of one ``run(scale)``.
+    A plan built with tracing on calls these in place of the bare ``run``s;
+    one built with it off never sees them, so it reads no clock.
+    """
+    from time import perf_counter
+
+    complete = tracer.complete
+
+    def run_timed(scale: int) -> None:
+        t0 = perf_counter()
+        run(scale)
+        dur = perf_counter() - t0
+        name, cat, args = span(scale)
+        complete(name, cat, t0, dur, args=args)
+
+    return run_timed
+
+
 @dataclass
 class CompiledPhase:
     """One entry of the preresolved firing program: fire ``node`` ``count``
-    times per period via ``fire(count)``."""
+    times per period via ``fire(count)``.
+
+    The plainest *block* of a steady program.  Every block carries ``kind``,
+    ``run(scale)`` — its share of ``scale`` periods — and ``span(scale)``,
+    the ``(name, category, args)`` a traced ``run(scale)`` is recorded as.
+    """
 
     node: FlatNode
     count: int
     fire: Callable[[int], None]
-    batched: bool
+
+    kind = "phase"
 
     def run(self, scale: int) -> None:
         self.fire(self.count * scale)
 
-    def span(self, scale: int) -> Tuple[str, str, int, int]:
-        """``(name, category, firings, items)`` of one traced ``run(scale)``."""
+    def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_KERNEL
 
         node = self.node
         firings = self.count * scale
         push = node.out_edges[0].push_rate if node.out_edges else 0
-        return node.name, CAT_KERNEL, firings, firings * push
+        return node.name, CAT_KERNEL, {"firings": firings, "items": firings * push}
+
+
+@dataclass
+class SenderPhase(CompiledPhase):
+    """A teleport sender: one ``work()`` at a time on the real channels —
+    its output counter drives wavefront thresholds *during* the firing —
+    with a delivery check either side of each (a sender may receive too).
+
+    A pass fires this sender's periods ``done … done+scale-1`` back to
+    back, ahead of every later sender's first: each send is stamped with
+    where the scalar schedule has it (``index`` is the sender's place in
+    that schedule).  ``fire`` is the executor ``vectorization_report``
+    lists for the node; a sender never calls it.
+    """
+
+    plan: "ExecutionPlan"
+    index: int
+
+    kind = "sender"
+
+    def run(self, scale: int) -> None:
+        plan = self.plan
+        interp = plan.interp
+        node, count, index = self.node, self.count, self.index
+        work = node.filter.work
+        period = plan.periods_done
+        plan.scale_in_flight = scale
+        interp._current_node = node
+        try:
+            for k in range(count * scale):
+                interp._send_order = (period + k // count, index, k % count)
+                interp._deliver_before(node)
+                work()
+                interp._deliver_after(node)
+        finally:
+            interp._current_node = None
+            plan.scale_in_flight = 1
+
+
+@dataclass
+class ReceiverPhase(CompiledPhase):
+    """A teleport receiver: while messages are pending it fires in
+    sub-batches that stop exactly at each one's delivery point."""
+
+    plan: "ExecutionPlan"
+
+    kind = "receiver"
+
+    def run(self, scale: int) -> None:
+        interp = self.plan.interp
+        node, fire = self.node, self.fire
+        out_edge = node.out_edges[0] if node.out_edges else None
+        chan = self.plan.channels[out_edge] if out_edge is not None else None
+        push_b = out_edge.push_rate if out_edge is not None else 0
+        left = self.count * scale
+        while left > 0:
+            interp._deliver_before(node)
+            queue = interp._pending.get(node)
+            if not queue:
+                # Queue drained; no new messages can arrive while this
+                # (non-sender) node is firing.
+                fire(left)
+                return
+            produced = chan.pushed_count if chan is not None else 0
+            step = min(msg.firings_until_due(produced, push_b) for msg in queue)
+            step = max(1, min(step, left))
+            fire(step)
+            interp._deliver_after(node)
+            left -= step
 
 
 class FusedPhase:
@@ -349,6 +445,8 @@ class FusedPhase:
 
     __slots__ = ("stages", "_tapes", "_bumps")
 
+    kind = "fused"
+
     def __init__(self, stages: Sequence[CompiledPhase], channels) -> None:
         self.stages: Tuple[CompiledPhase, ...] = tuple(stages)
         self._tapes = [
@@ -360,15 +458,7 @@ class FusedPhase:
             for st in self.stages[:-1]
         ]
 
-    @property
-    def node(self) -> FlatNode:
-        return self.stages[0].node
-
-    @property
-    def count(self) -> int:
-        return self.stages[0].count
-
-    def span(self, scale: int) -> Tuple[str, str, int, int]:
+    def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_FUSED
 
         last = self.stages[-1]
@@ -376,8 +466,10 @@ class FusedPhase:
         return (
             "+".join(st.node.name for st in self.stages),
             CAT_FUSED,
-            sum(st.count for st in self.stages) * scale,
-            last.count * scale * push,
+            {
+                "firings": sum(st.count for st in self.stages) * scale,
+                "items": last.count * scale * push,
+            },
         )
 
     def release(self) -> None:
@@ -466,60 +558,64 @@ class CoreLoopRunner:
     bumped in bulk (the :class:`FusedPhase` convention).
     """
 
-    def __init__(self, phases: Sequence[Tuple[FlatNode, int]], channels) -> None:
+    kind = "core"
+
+    def __init__(
+        self, phases: Sequence[Tuple[FlatNode, int]], channels, graph_edges: Sequence
+    ) -> None:
         self.phases: Tuple[Tuple[FlatNode, int], ...] = tuple(phases)
         self.channels = channels
         self.nodes = {node for node, _ in self.phases}
+        self.name = "core:" + "+".join(sorted(n.name for n in self.nodes))
+        nodes = self.nodes
+        own = dict.fromkeys(  # an ordered set: first-seen over the phases' edge lists
+            e for n, _ in self.phases for e in (*n.in_edges, *n.out_edges)
+        )
+        #: The core's edges by where their ends lie, in the one order the
+        #: interpreted loop, the emitter and a module bound in another
+        #: process all agree on.
+        self.internal = [e for e in own if e.src in nodes and e.dst in nodes]
+        self.ext_in = [e for e in own if e.src not in nodes]
+        self.ext_out = [e for e in own if e.dst not in nodes]
+        #: Graph-wide index of each of those edges (what a generated module
+        #: names a tape by).
+        self.edge_index = {e: i for i, e in enumerate(graph_edges) if e in own}
         self._ops: Optional[Tuple[Callable[[], None], ...]] = None
+
+    def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
+        from repro.obs.tracer import CAT_CORE
+
+        firings = sum(count for _node, count in self.phases) * scale
+        return self.name, CAT_CORE, {"firings": firings, "items": 0}
 
     # -- compilation (lazy: runs after init, when channels hold real state) --
 
-    def _tape_for(self, edge) -> _LTape:
-        tape = self._tapes.get(edge)
-        if tape is None:
-            tape = _LTape(f"core:{edge.src.name}->{edge.dst.name}")
-            self._tapes[edge] = tape
-        return tape
-
     def _build(self) -> None:
-        self._tapes: Dict[object, _LTape] = {}
-        internal, ext_in, ext_out = [], [], []
+        tapes = self._tapes = {
+            e: _LTape(f"core:{e.src.name}->{e.dst.name}") for e in self.edge_index
+        }
+        self._by_index = {i: tapes[e] for e, i in self.edge_index.items()}
         counts: Dict[FlatNode, int] = {}
         for node, count in self.phases:
             counts[node] = counts.get(node, 0) + count
-        seen = set()
-        for node in self.nodes:
-            for edge in list(node.in_edges) + list(node.out_edges):
-                if edge in seen:
-                    continue
-                seen.add(edge)
-                inside_src = edge.src in self.nodes
-                inside_dst = edge.dst in self.nodes
-                if inside_src and inside_dst:
-                    internal.append(edge)
-                elif inside_dst:
-                    ext_in.append(edge)
-                elif inside_src:
-                    ext_out.append(edge)
         # Internal tapes inherit the live post-init channel contents
         # (feedback delay items); the channels stay empty from here on,
         # with their history counters bumped in bulk per chunk.
-        for edge in internal:
-            tape = self._tape_for(edge)
-            tape.items = self.channels[edge].detach_all()
-        self._ext_in = [(self.channels[e], self._tape_for(e)) for e in ext_in]
-        self._ext_out = [(self.channels[e], self._tape_for(e)) for e in ext_out]
-        self._internal = [self._tapes[e] for e in internal]
+        for edge in self.internal:
+            tapes[edge].items = self.channels[edge].detach_all()
+        self._ext_in = [(self.channels[e], tapes[e]) for e in self.ext_in]
+        self._ext_out = [(self.channels[e], tapes[e]) for e in self.ext_out]
+        self._internal = [tapes[e] for e in self.internal]
         self._bumps = [
-            (self.channels[e], counts[e.src] * e.push_rate) for e in internal
+            (self.channels[e], counts[e.src] * e.push_rate) for e in self.internal
         ]
         bind, restore = [], []
         for node in self.nodes:
             if node.kind != FILTER:
                 continue
             filt = node.filter
-            tin = self._tape_for(node.in_edges[0]) if node.in_edges else None
-            tout = self._tape_for(node.out_edges[0]) if node.out_edges else None
+            tin = tapes[node.in_edges[0]] if node.in_edges else None
+            tout = tapes[node.out_edges[0]] if node.out_edges else None
             cin = self.channels[node.in_edges[0]] if node.in_edges else None
             cout = self.channels[node.out_edges[0]] if node.out_edges else None
             bind.append((filt, tin, tout))
@@ -538,8 +634,8 @@ class CoreLoopRunner:
         if node.flavor == NULL:
             return lambda: None
         if node.kind == SPLITTER:
-            tin = self._tape_for(node.in_edges[0])
-            outs = [self._tape_for(e) for e in node.out_edges]
+            tin = self._tapes[node.in_edges[0]]
+            outs = [self._tapes[e] for e in node.out_edges]
             if node.flavor == DUPLICATE:
 
                 def fire_duplicate() -> None:
@@ -561,8 +657,8 @@ class CoreLoopRunner:
 
             return fire_split
         # Joiner.
-        tout = self._tape_for(node.out_edges[0])
-        ins = [self._tape_for(e) for e in node.in_edges]
+        tout = self._tapes[node.out_edges[0]]
+        ins = [self._tapes[e] for e in node.in_edges]
         if node.flavor == COMBINE:
             reducer = getattr(getattr(node.obj, "joiner", None), "reducer", None)
             if reducer is None:
@@ -586,25 +682,38 @@ class CoreLoopRunner:
         return fire_join
 
     # -- execution -----------------------------------------------------------
+    #
+    # ``begin`` / ``end`` are the chunk boundary, whoever runs the chunk in
+    # between: ``run`` below, or a generated module's inlined loop, which
+    # reaches its tapes through ``items`` and hands back the read positions
+    # it kept in locals through ``set_cursor``.  Either can take the next
+    # chunk over from the other.
 
-    def run(self, scale: int) -> None:
+    def held(self, edge) -> int:
+        """Items on ``edge``'s tape at a chunk boundary."""
+        if self._ops is None:
+            self._build()
+        tape = self._tapes[edge]
+        return len(tape.items) - tape.cursor
+
+    def items(self, index: int) -> list:
+        return self._by_index[index].items
+
+    def set_cursor(self, index: int, cursor: int) -> None:
+        self._by_index[index].cursor = cursor
+
+    def begin(self) -> None:
+        """Snapshot every external input into its tape."""
         if self._ops is None:
             self._build()
         for chan, tape in self._ext_in:
             tape.items = chan.peek_block(len(chan)).tolist()
             tape.cursor = 0
-        for filt, tin, tout in self._bind:
-            filt.input = tin
-            filt.output = tout
-        try:
-            ops = self._ops
-            for _ in range(scale):
-                for op in ops:
-                    op()
-        finally:
-            for filt, cin, cout in self._restore:
-                filt.input = cin
-                filt.output = cout
+
+    def end(self, scale: int) -> None:
+        """Drop the consumed input prefix, land the accumulated outputs as
+        one ``push_block`` each, compact the internal tapes and bulk-bump
+        the bypassed history counters."""
         for chan, tape in self._ext_in:
             if tape.cursor:
                 chan.drop(tape.cursor)
@@ -619,6 +728,22 @@ class CoreLoopRunner:
             chan.pushed_count += moved
             chan.popped_count += moved
 
+    def run(self, scale: int) -> None:
+        self.begin()
+        for filt, tin, tout in self._bind:
+            filt.input = tin
+            filt.output = tout
+        try:
+            ops = self._ops
+            for _ in range(scale):
+                for op in ops:
+                    op()
+        finally:
+            for filt, cin, cout in self._restore:
+                filt.input = cin
+                filt.output = cout
+        self.end(scale)
+
 
 class ExecutionPlan:
     """The batched engine's compiled form of one interpreter's schedule."""
@@ -629,7 +754,7 @@ class ExecutionPlan:
         self.channels = interp.channels
         self.messaging = interp.has_messaging
         self._senders, self._receivers = self._messaging_endpoints(interp)
-        self._executors: Dict[FlatNode, Tuple[Callable[[int], None], bool]] = {}
+        self._executors: Dict[FlatNode, Callable[[int], None]] = {}
 
         program = interp.program
         signature = _plan_signature(
@@ -647,8 +772,8 @@ class ExecutionPlan:
             "hits": plan_cache_stats["hits"],
             "misses": plan_cache_stats["misses"],
         }
-        tracer = getattr(interp, "tracer", None)
-        if tracer is not None and tracer.enabled:
+        tracer = interp.tracer
+        if tracer.enabled:
             from repro.obs.tracer import CAT_PLAN
 
             tracer.instant(
@@ -657,7 +782,7 @@ class ExecutionPlan:
                 args=dict(self.cache_stats),
             )
 
-        self.init_phases = self._compile(program.init)
+        self.init_blocks = self._compile(program.init)
         steady = self._compile(program.steady)
         if analysis is None:
             analysis = self._analyze(program, steady)
@@ -666,12 +791,8 @@ class ExecutionPlan:
                 _PLAN_CACHE.popitem(last=False)
                 plan_cache_stats["evictions"] += 1
         self.single_sweep: bool = analysis["single_sweep"]
-        self.superbatch: bool = analysis["superbatch"]
         self.chunk_periods: int = analysis["chunk_periods"]
         self.fusion_ranges: Tuple[Tuple[int, int], ...] = analysis["fusion_ranges"]
-        #: Provisional until :meth:`_lower_regions` (end of ``run_init``)
-        #: has replaced every lowerable splitjoin by its RegionPhase.
-        self.steady_phases = self._apply_fusion(steady, self.fusion_ranges, {})
         self._steady_flat = steady
         #: ``(node, firings per period)``, one entry per node.  Fusion and
         #: region lowering regroup the phases and never change what fires,
@@ -684,16 +805,37 @@ class ExecutionPlan:
         #: reads instance latencies, so it is no part of ``analysis``).
         self._message_slack: Optional[float] = None
         self._message_rows: List[Tuple[Dict[str, object], str]] = []
-        #: Periods the running ``_run_phases_msg`` pass covers (1 outside).
+        #: Periods the pass a sender is firing in covers (1 outside one).
         self.scale_in_flight = 1
-        self._periods_done = 0
-        self._regions_decided = False
+        #: Steady periods completed before the pass now running; -1 while
+        #: the init schedule runs.  Senders stamp their sends from it.
+        self.periods_done = 0
         #: Per splitjoin: (name, branches, its RegionPhase or None, the
         #: reason it has none); see :meth:`region_report`.
         self._region_rows: List[tuple] = []
-        self.segments = self._build_segments(
-            steady, analysis["segments_idx"], analysis.get("segmented", False)
+        #: Provisional until :meth:`_lower_regions` (end of ``run_init``)
+        #: has replaced every lowerable splitjoin by its RegionPhase.
+        self._set_blocks(
+            self._apply_fusion(steady, self.fusion_ranges, {})
+            if self.single_sweep
+            else self._segmented(steady, analysis["segments_idx"])
         )
+
+    def _set_blocks(self, blocks: List[object]) -> None:
+        """Make ``blocks`` the steady program.
+
+        ``blocks`` is what every back end reads: a batched pass runs them in
+        order, the emitter writes one section per block, the binder walks a
+        cached module's meta against them.  ``_steps`` is what a pass
+        actually calls, one ``run(scale)`` per block — under tracing (fixed
+        when the interpreter was built) each through :func:`timed`.
+        """
+        self.blocks = blocks
+        tracer = self.interp.tracer
+        if tracer.enabled:
+            self._steps = tuple(timed(tracer, b.run, b.span) for b in blocks)
+        else:
+            self._steps = tuple(b.run for b in blocks)
 
     # -- messaging endpoints --------------------------------------------------
 
@@ -715,14 +857,18 @@ class ExecutionPlan:
         phases: List[CompiledPhase] = []
         for node, count in schedule:
             if phases and phases[-1].node is node:
-                prev = phases[-1]
-                phases[-1] = CompiledPhase(node, prev.count + count, prev.fire, prev.batched)
+                phases[-1].count += count
                 continue
-            fire, batched = self._executor(node)
-            phases.append(CompiledPhase(node, count, fire, batched))
+            fire = self._executor(node)
+            if node in self._senders:
+                phases.append(SenderPhase(node, count, fire, self, len(phases)))
+            elif node in self._receivers:
+                phases.append(ReceiverPhase(node, count, fire, self))
+            else:
+                phases.append(CompiledPhase(node, count, fire))
         return phases
 
-    def _executor(self, node: FlatNode) -> Tuple[Callable[[int], None], bool]:
+    def _executor(self, node: FlatNode) -> Callable[[int], None]:
         if node not in self._executors:
             self._executors[node] = make_node_executor(
                 node, self.channels, allow_trusted=node not in self._receivers
@@ -736,7 +882,7 @@ class ExecutionPlan:
         plan has run at least once.
         """
         report: Dict[str, Dict[str, object]] = {}
-        for node, (fire, _batched) in self._executors.items():
+        for node, fire in self._executors.items():
             if node.kind != FILTER:
                 continue
             if isinstance(fire, BatchExecutor):
@@ -759,25 +905,19 @@ class ExecutionPlan:
     # -- analysis -------------------------------------------------------------
 
     def _analyze(self, program, steady: List[CompiledPhase]) -> dict:
+        # A portal-bound schedule is always a single sweep here: the
+        # interpreter runs any other on the scalar engine (SL302).
         single_sweep = single_topological_sweep(self.graph, program.steady)
-        superbatch = single_sweep and not self.messaging
-        segmented = False
         if single_sweep:
             segments_idx = ((), ())
             fusion_ranges = self._fusion_ranges(steady, program.init.counts())
-        elif not self.messaging:
-            segments_idx = self._segment_sets()
-            fusion_ranges = ()
-            segmented = True
         else:
-            segments_idx = ((), ())
+            segments_idx = self._segment_sets()
             fusion_ranges = ()
         return {
             "single_sweep": single_sweep,
-            "superbatch": superbatch,
             "chunk_periods": self._chunk_periods(program),
             "segments_idx": segments_idx,
-            "segmented": segmented,
             "fusion_ranges": fusion_ranges,
         }
 
@@ -821,19 +961,17 @@ class ExecutionPlan:
             tuple(sorted(index[n] for n in suffix)),
         )
 
-    def _build_segments(
+    def _segmented(
         self,
         steady: List[CompiledPhase],
         segments_idx: Tuple[Tuple[int, ...], Tuple[int, ...]],
-        segmented: bool,
-    ) -> Optional[Tuple[List[CompiledPhase], CoreLoopRunner, List[CompiledPhase]]]:
-        """Materialize ``(prefix, core, suffix)`` from the cached node-index
-        sets: batched phase lists for the feedforward segments (aggregated
-        per-period firings, topologically ordered within the segment), and a
-        :class:`CoreLoopRunner` for the cyclic core."""
+    ) -> List[object]:
+        """The block list of a feedback-interleaved program, from the cached
+        node-index sets: the feedforward prefix as batched phases
+        (aggregated per-period firings, topologically ordered within the
+        segment), one :class:`CoreLoopRunner` for the cyclic core, then the
+        suffix likewise."""
         pre_idx, suf_idx = segments_idx
-        if not segmented:
-            return None
         nodes = list(self.graph.nodes)
         pre_set = {nodes[i] for i in pre_idx}
         suf_set = {nodes[i] for i in suf_idx}
@@ -857,11 +995,10 @@ class ExecutionPlan:
                         indeg[e.dst] -= 1
                         if indeg[e.dst] == 0:
                             ready.append(e.dst)
-            phases = []
-            for node in ordered:
-                fire, batched = self._executor(node)
-                phases.append(CompiledPhase(node, counts[node], fire, batched))
-            return phases
+            return [
+                CompiledPhase(node, counts[node], self._executor(node))
+                for node in ordered
+            ]
 
         # Core phases fire at n≈1 each period, where block-kernel setup costs
         # more than it saves — run the whole cyclic core over hoisted list
@@ -871,8 +1008,8 @@ class ExecutionPlan:
             for ph in steady
             if ph.node not in pre_set and ph.node not in suf_set
         ]
-        core = CoreLoopRunner(core_phases, self.channels)
-        return aggregate(pre_set), core, aggregate(suf_set)
+        core = CoreLoopRunner(core_phases, self.channels, self.graph.edges)
+        return aggregate(pre_set) + [core] + aggregate(suf_set)
 
     def _fusion_ranges(
         self, phases: List[CompiledPhase], init_counts: Dict[FlatNode, int]
@@ -960,7 +1097,6 @@ class ExecutionPlan:
         state.  Structural verdicts (member ranges, gather maps) are shared
         through the plan cache; certification and tiers are per plan.
         """
-        self._regions_decided = True
         splitters = [
             n for n in self.graph.nodes
             if n.kind == SPLITTER and isinstance(n.obj, SplitJoin)
@@ -1004,8 +1140,8 @@ class ExecutionPlan:
                 (splitter.obj.name, len(splitter.out_edges), phase, verdict)
             )
         if lowered:
-            self.steady_phases = self._apply_fusion(
-                self._steady_flat, self.fusion_ranges, lowered
+            self._set_blocks(
+                self._apply_fusion(self._steady_flat, self.fusion_ranges, lowered)
             )
         tracer = self.interp.tracer
         if tracer.enabled:
@@ -1077,17 +1213,17 @@ class ExecutionPlan:
 
     def release_scratch(self) -> None:
         """Let go of every drained scratch tape's last block (``close()``)."""
-        for phase in self.steady_phases:
-            if isinstance(phase, FusedPhase):
-                phase.release()
+        for block in self.blocks:
+            if block.kind == "fused":
+                block.release()
 
     @property
     def fused_chains(self) -> List[Tuple[str, ...]]:
         """Stage names of each fused chain (introspection/testing)."""
         return [
-            tuple(st.node.name for st in ph.stages)
-            for ph in self.steady_phases
-            if isinstance(ph, FusedPhase)
+            tuple(st.node.name for st in block.stages)
+            for block in self.blocks
+            if block.kind == "fused"
         ]
 
     def _chunk_periods(self, program) -> int:
@@ -1105,11 +1241,10 @@ class ExecutionPlan:
     # -- execution ------------------------------------------------------------
 
     def run_init(self, fired: Dict[FlatNode, int]) -> None:
-        if self.messaging:
-            self._run_phases_msg(self.init_phases, 1, -1)
-        else:
-            for phase in self.init_phases:
-                phase.run(1)
+        self.periods_done = -1
+        for block in self.init_blocks:
+            block.run(1)
+        self.periods_done = 0
         for node, count in self.interp.program.init:
             fired[node] += count
         self._lower_regions()
@@ -1119,198 +1254,35 @@ class ExecutionPlan:
         for node, count in self._per_period:
             fired[node] += count * periods
 
+    def _pass_steps(self) -> Sequence[Callable[[int], None]]:
+        """What one pass over ``scale`` periods calls, in order."""
+        return self._steps
+
     def run_steady(self, fired: Dict[FlatNode, int], periods: int) -> None:
-        if periods <= 0:
-            return
-        if not self._regions_decided:  # driven without run_init()
-            self._lower_regions()
-        phases = self.steady_phases
-        if self.messaging:
+        """Run ``periods`` steady periods in passes of up to ``chunk_periods``
+        (so buffers stay bounded), every firing count of a pass scaled by
+        the periods it covers."""
+        steps = self._pass_steps()
+        cap = self.chunk_periods
+        if self.messaging and periods > 1:
             # One period never asks for the slack: a job's first call and a
             # per-call probe must not pay its ``min_items`` searches.
-            cap = 1 if periods == 1 else min(self.chunk_periods, self.message_slack)
-            left = periods
-            while left > 0:
-                scale = min(left, cap)
-                self._run_phases_msg(phases, scale, self._periods_done)
-                self._periods_done += scale
-                left -= scale
-        elif self.interp.tracer.enabled:
-            self._run_steady_traced(fired, periods)
-            return
-        elif self.superbatch:
-            left = periods
-            while left > 0:
-                scale = min(left, self.chunk_periods)
-                for phase in phases:
-                    phase.run(scale)
-                left -= scale
-        elif self.segments is not None:
-            prefix, core, suffix = self.segments
-            left = periods
-            while left > 0:
-                scale = min(left, self.chunk_periods)
-                for phase in prefix:
-                    phase.run(scale)
-                core.run(scale)
-                for phase in suffix:
-                    phase.run(scale)
-                left -= scale
-        else:
-            for _ in range(periods):
-                for phase in phases:
-                    phase.run(1)
-        self._account(fired, periods)
-
-    # -- traced execution ------------------------------------------------------
-    #
-    # A physically separate code path: the untraced branches above stay free
-    # of any per-phase clock reads or attribute loads.  One span is emitted
-    # per ``phase.run(scale)`` — i.e. per batched kernel execution, fused
-    # chain, or cyclic-core chunk — which is both the engine's unit of work
-    # and the granularity a profile attributes time at.
-
-    def _trace_phase(self, phase: object, scale: int, fire=None) -> None:
-        """Run one phase under a span; ``fire()`` replaces
-        ``phase.run(scale)`` for messaging endpoints."""
-        from time import perf_counter
-
-        t0 = perf_counter()
-        if fire is None:
-            phase.run(scale)
-        else:
-            fire()
-        dur = perf_counter() - t0
-        name, cat, firings, items = phase.span(scale)
-        self.interp.tracer.complete(
-            name, cat, t0, dur, args={"firings": firings, "items": items}
-        )
-
-    def _trace_core(self, core: CoreLoopRunner, scale: int) -> None:
-        from time import perf_counter
-
-        from repro.obs.tracer import CAT_CORE
-
-        t0 = perf_counter()
-        core.run(scale)
-        dur = perf_counter() - t0
-        firings = sum(count for _node, count in core.phases) * scale
-        self.interp.tracer.complete(
-            "core:" + "+".join(sorted(n.name for n in core.nodes)),
-            CAT_CORE,
-            t0,
-            dur,
-            args={"firings": firings, "items": 0},
-        )
-
-    def _run_steady_traced(self, fired: Dict[FlatNode, int], periods: int) -> None:
-        phases = self.steady_phases
-        if self.superbatch:
-            left = periods
-            while left > 0:
-                scale = min(left, self.chunk_periods)
-                for phase in phases:
-                    self._trace_phase(phase, scale)
-                left -= scale
-        elif self.segments is not None:
-            prefix, core, suffix = self.segments
-            left = periods
-            while left > 0:
-                scale = min(left, self.chunk_periods)
-                for phase in prefix:
-                    self._trace_phase(phase, scale)
-                self._trace_core(core, scale)
-                for phase in suffix:
-                    self._trace_phase(phase, scale)
-                left -= scale
-        else:
-            for _ in range(periods):
-                for phase in phases:
-                    self._trace_phase(phase, 1)
-        self._account(fired, periods)
-
-    # -- batched teleport messaging -------------------------------------------
-
-    def _run_phases_msg(self, phases: Sequence[object], scale: int, period: int) -> None:
-        """One pass over ``scale`` periods with messaging semantics intact.
-
-        Senders fire one ``work()`` at a time on the real channels (their
-        output counters drive wavefront thresholds *during* the firing);
-        receivers with pending messages fire in sub-batches that stop
-        exactly at each message's delivery point; every other phase — fused
-        chains and lowered regions hold no endpoint by construction — takes
-        the plain batched path: it can neither send nor receive, so no
-        delivery checks apply.  Traced runs get one span per phase.
-
-        ``period`` is the steady period the pass starts at (-1 for the init
-        schedule); it only feeds the send-order stamps.
-        """
-        interp = self.interp
-        traced = interp.tracer.enabled
-        self.scale_in_flight = scale
-        try:
-            for index, phase in enumerate(phases):
-                fire = None
-                if type(phase) is CompiledPhase:
-                    if phase.node in self._senders:
-                        fire = lambda: self._fire_sender(phase, scale, period, index)
-                    elif interp._pending.get(phase.node):
-                        fire = lambda: self._fire_receiver(phase, scale)
-                if traced:
-                    self._trace_phase(phase, scale, fire)
-                elif fire is None:
-                    phase.run(scale)
-                else:
-                    fire()
-        finally:
-            self.scale_in_flight = 1
-
-    def _fire_sender(self, phase: CompiledPhase, scale: int, period: int, index: int) -> None:
-        """A pass fires this sender's periods ``period … period+scale-1``
-        back to back, ahead of every later sender's first: each send is
-        stamped with where the scalar schedule has it."""
-        interp = self.interp
-        node = phase.node
-        count = phase.count
-        work = node.filter.work
-        interp._current_node = node
-        try:
-            for k in range(count * scale):
-                interp._send_order = (period + k // count, index, k % count)
-                interp._deliver_before(node)
-                work()
-                interp._deliver_after(node)
-        finally:
-            interp._current_node = None
-
-    def _fire_receiver(self, phase: CompiledPhase, scale: int) -> None:
-        interp = self.interp
-        node = phase.node
-        out_edge = node.out_edges[0] if node.out_edges else None
-        chan = self.channels[out_edge] if out_edge is not None else None
-        push_b = out_edge.push_rate if out_edge is not None else 0
-        left = phase.count * scale
+            cap = min(cap, self.message_slack)
+        left = periods
         while left > 0:
-            interp._deliver_before(node)
-            queue = interp._pending.get(node)
-            if not queue:
-                # Queue drained; no new messages can arrive while this
-                # (non-sender) node is firing.
-                phase.fire(left)
-                return
-            produced = chan.pushed_count if chan is not None else 0
-            step = min(msg.firings_until_due(produced, push_b) for msg in queue)
-            step = max(1, min(step, left))
-            phase.fire(step)
-            interp._deliver_after(node)
-            left -= step
+            scale = min(left, cap)
+            for step in steps:
+                step(scale)
+            self.periods_done += scale
+            left -= scale
+        self._account(fired, periods)
 
     def scalar_position(self, recv: FlatNode, pushed: int, direction: str) -> int:
         """``n(O_recv)`` where the scalar schedule has it at the send now in
         flight, given the ``pushed`` it physically stands at mid-pass: an
         upstream receiver has already run the whole pass, a downstream one
         has not started it (traces only)."""
-        into = self.interp._send_order[0] - self._periods_done
+        into = self.interp._send_order[0] - self.periods_done
         per_period = self.interp.program.reps[recv] * recv.out_edges[0].push_rate
         if direction == "upstream":
             return pushed - (self.scale_in_flight - 1 - into) * per_period

@@ -179,6 +179,8 @@ class RegionPhase:
         "_items",
     )
 
+    kind = "region"
+
     def __init__(
         self,
         region,
@@ -233,11 +235,11 @@ class RegionPhase:
                 region, branches, splits, joins, in_chan, out_chan
             )
 
-    def span(self, scale: int) -> Tuple[str, str, int, int]:
+    def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_REGION
 
         firings = sum(ph.count for ph in self.members) * scale
-        return self.name, CAT_REGION, firings, self._items * scale
+        return self.name, CAT_REGION, {"firings": firings, "items": self._items * scale}
 
     def run(self, scale: int) -> None:
         if self._guard is not None and not self._guard():

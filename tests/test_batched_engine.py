@@ -55,12 +55,12 @@ def test_fired_counts_match_scalar(app_name):
 def test_superbatch_equals_per_period_execution():
     builder = ALL_APPS["FilterBank"]
     reference, ref_interp = _run(builder, "batched", 7)
-    assert ref_interp.plan is not None and ref_interp.plan.superbatch
+    assert ref_interp.plan is not None and ref_interp.plan.chunk_periods >= 7
 
     app = builder()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     interp = Interpreter(app, check=False, engine="batched")
-    interp.plan.superbatch = False  # force period-at-a-time batching
+    interp.plan.chunk_periods = 1  # force period-at-a-time batching
     interp.run(7)
     assert list(sink.collected) == reference
 
@@ -83,7 +83,8 @@ def test_messaging_app_runs_batched():
     assert interp.has_messaging
     assert interp.plan is not None  # portals no longer force the scalar path
     assert interp.engine_used == "batched"
-    assert not interp.plan.superbatch  # delivery points bound each period
+    # Delivery points bound each pass: the endpoints are blocks of their own.
+    assert {"sender", "receiver"} <= {b.kind for b in interp.plan.blocks}
     assert isinstance(next(iter(interp.channels.values())), ArrayChannel)
     assert batched == scalar
 
@@ -176,7 +177,7 @@ class TestChunkPeriods:
 
         _, interp = _run(build, "batched", 4)
         plan = interp.plan
-        assert plan.segments is not None and not plan.superbatch
+        assert [b.kind for b in plan.blocks].count("core") == 1
         assert plan.chunk_periods >= 1
         # The override is an attribute on segmented plans too.
         plan.chunk_periods = 7

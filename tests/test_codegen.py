@@ -105,7 +105,7 @@ def test_core_round_is_emitted_once_however_often_it_repeats():
     # LinearFilter / FrequencyFilter batch kernels are allclose, not bit-exact.
     assert len(generated) == len(scalar) > 0
     assert max(abs(a - b) for a, b in zip(generated, scalar)) < 1e-12
-    _, core, _ = interp.plan.segments
+    (core,) = [b for b in interp.plan.blocks if b.kind == "core"]
     rounds = len(core.phases) // 4
     assert rounds >= 32  # the up+interp FrequencyFilter pushes a block a period
     source = interp.plan.generated_source

@@ -17,6 +17,7 @@ from repro.apps import ALL_APPS, freqhop
 from repro.errors import EngineDowngradeWarning
 from repro.graph.builtins import CollectSink
 from repro.obs import (
+    CAT_ENGINE,
     CAT_FILTER,
     CAT_KERNEL,
     CAT_FUSED,
@@ -31,6 +32,7 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.obs.chrome import track_names
+from repro.obs.tracer import CAT_CODEGEN, SELF_TIME_CATS
 from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 from repro.scheduling.sdep import delivery_on_boundary
@@ -261,6 +263,107 @@ class TestEngineTracing:
             assert {"kind", "trusted", "code", "reason"} <= set(row)
         # The run resolved executors, so nothing is left untried.
         assert all(row["kind"] != "untried" for row in vec.values())
+
+
+# ---------------------------------------------------------------------------
+# A traced run's spans are the plan's block list, pass by pass
+# ---------------------------------------------------------------------------
+
+
+def _drive(builder, engine, chunk, trace):
+    """run(3) then run_steady(2), at ``chunk`` periods a pass if given."""
+    app = builder()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        interp = Interpreter(app, check=False, engine=engine, trace=trace)
+    if chunk is not None and interp.plan is not None:
+        interp.plan.chunk_periods = chunk
+    interp.run(periods=3)
+    interp.run_steady(2)
+    interp.close()
+    return sink, interp
+
+
+def _teleport_keys(interp):
+    return sorted(
+        (r["sender"], r["receiver"], r["sent_n"], r["delivered_n"], r["threshold"])
+        for r in interp.tracer.meta.get("teleports", ())
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 2], ids=["default", "chunk2"])
+@pytest.mark.parametrize("engine", ["scalar", "batched", "codegen"])
+@pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+def test_spans_are_the_block_list(app_name, engine, chunk):
+    builder = ALL_APPS[app_name]
+    plain_sink, plain = _drive(builder, engine, chunk, None)
+    sink, interp = _drive(builder, engine, chunk, True)
+
+    # Tracing changes nothing a run computes or counts.
+    assert list(sink.collected) == list(plain_sink.collected)
+    assert [interp.fired[n] for n in interp.graph.nodes] == [
+        plain.fired[n] for n in plain.graph.nodes
+    ]
+    assert [
+        (c.pushed_count, c.popped_count) for c in interp.channels.values()
+    ] == [(c.pushed_count, c.popped_count) for c in plain.channels.values()]
+
+    # Kernel-level spans, grouped under the engine envelope that closes
+    # after them (a span is recorded when it completes).
+    calls, open_spans = [], []
+    for event in interp.tracer.events:
+        if event["ph"] != "X":
+            continue
+        if event["cat"] == CAT_ENGINE:
+            calls.append((event["name"], open_spans))
+            open_spans = []
+        elif event["cat"] in SELF_TIME_CATS:
+            open_spans.append((event["name"], event["cat"], event["args"]))
+    assert not open_spans
+    assert [name for name, _ in calls] == ["run_init", "run_steady x3", "run_steady x2"]
+
+    program, plan = interp.program, interp.plan
+    for periods, (_, spans) in zip((3, 2), calls[1:]):
+        assert sum(args["firings"] for *_, args in spans) == (
+            program.steady.total_firings * periods
+        )
+        if plan is None:  # the scalar oracle: one span per schedule phase
+            one_period = [
+                (
+                    node.name,
+                    CAT_FILTER,
+                    {
+                        "firings": count,
+                        "items": count * (node.out_edges[0].push_rate if node.out_edges else 0),
+                    },
+                )
+                for node, count in program.steady
+            ]
+            assert spans == one_period * periods
+            continue
+        cap = plan.chunk_periods
+        if plan.messaging:
+            cap = min(cap, plan.message_slack)
+        expected, left = [], periods
+        while left > 0:
+            scale = min(left, cap)
+            if interp.engine_used == "codegen":
+                expected.append(
+                    (
+                        "codegen:run_chunk",
+                        CAT_CODEGEN,
+                        {"periods": scale, "firings": program.steady.total_firings * scale},
+                    )
+                )
+            else:
+                expected.extend(block.span(scale) for block in plan.blocks)
+            left -= scale
+        assert spans == expected
+
+    if interp.has_messaging:
+        _, oracle = _drive(builder, "scalar", None, True)
+        assert _teleport_keys(interp) and _teleport_keys(interp) == _teleport_keys(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,45 @@ class TestInterpreterIntegration:
         assert end["periods"] == 3
         assert end["seconds"] >= 0.0
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched", "codegen", "parallel"])
+    def test_nonpositive_run_steady_records_nothing(self, engine):
+        """``run_steady(periods <= 0)`` runs nothing on any engine, so the
+        monotonic counters must not step (it used to add ``periods`` — and
+        ``periods x items`` — to them) and no run_start/run_end pair lands
+        in the flight ring."""
+        app = ALL_APPS["FilterBank"]()
+        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        with Interpreter(
+            app, check=False, engine=engine, strategy="softpipe", cores=2
+        ) as interp:
+            interp.run(periods=3)
+            used = interp.engine_used
+            assert used == engine
+
+            def books():
+                return (
+                    [
+                        _counter(name, engine=used)
+                        for name in ("repro_runs_total", "repro_periods_total", "repro_items_total")
+                    ],
+                    [
+                        METRICS.histogram(name).labels(engine=used).count
+                        for name in ("repro_run_seconds", "repro_run_items")
+                    ],
+                    dict(interp.fired),
+                    list(sink.collected),
+                    FLIGHT.tail(FLIGHT.capacity),
+                )
+
+            before = books()
+            interp.run_steady(0)
+            interp.run_steady(-3)
+            assert books() == before
+            interp.run_steady(1)  # and the session carries on
+            after = books()
+            assert after[0] == [before[0][0] + 1, before[0][1] + 1, after[0][2]]
+            assert after[0][2] > before[0][2] and len(after[3]) > len(before[3])
+
     def test_downgrade_bumps_code_labelled_counter_and_flight(self):
         before = _counter("repro_engine_downgrades_total", code="SL304")
         app = Pipeline(

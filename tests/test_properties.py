@@ -602,8 +602,7 @@ class TestBatchedEngineDifferential:
         scalar, _ = _run_engine(build, "scalar", 6)
         batched, interp = _run_engine(build, "batched", 6)
         assert interp.engine_used == "batched"
-        assert not interp.plan.superbatch
-        assert interp.plan.segments is not None
+        assert [b.kind for b in interp.plan.blocks].count("core") == 1
         assert batched == scalar
         generated, cg_interp = _run_engine(build, "codegen", 6)
         assert cg_interp.engine_used == "codegen"
@@ -611,7 +610,7 @@ class TestBatchedEngineDifferential:
         for engine in ("batched", "codegen"):
             split, split_interp = _run_engine(build, engine, 6, chunk_periods=chunk)
             assert split_interp.engine_used == engine
-            assert split_interp.plan.segments is not None
+            assert [b.kind for b in split_interp.plan.blocks].count("core") == 1
             assert split == scalar
 
     @settings(max_examples=20, deadline=None)

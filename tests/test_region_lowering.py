@@ -23,9 +23,8 @@ from repro.graph.composites import SplitJoin
 from repro.graph.splitjoin import combine, duplicate, joiner_roundrobin, roundrobin
 from repro.runtime import Interpreter, Portal, clear_codegen_cache
 from repro.runtime.array_channel import _MIN_CAPACITY
-from repro.runtime.codegen_emit import layout_blocks, plan_fingerprint
+from repro.runtime.codegen_emit import plan_fingerprint
 from repro.runtime.plan import _plan_signature, clear_plan_cache, plan_cache_stats
-from repro.runtime.regions import RegionPhase
 from tests.helpers import FIR, Accumulator, Gain
 
 DATA = [0.5, -1.25, 3.0, -0.0, 2.5, 0.0, -4.0, 1.75, 6.0, -2.0, 0.25, 9.0]
@@ -156,7 +155,7 @@ def _check_against_scalar(build, expect_tier, periods=5):
         assert _same_bits(got, want), engine
         assert _books(interp) == _books(oracle), engine
         assert [r["tier"] for r in interp.engine_report()["regions"]] == [expect_tier]
-        regions = [p for p in interp.plan.steady_phases if isinstance(p, RegionPhase)]
+        regions = [b for b in interp.plan.blocks if b.kind == "region"]
         assert len(regions) == (expect_tier is not None)
         lowered.append(interp)
     return lowered
@@ -509,7 +508,7 @@ def test_traced_run_emits_one_span_per_region():
         warnings.simplefilter("ignore", EngineDowngradeWarning)
         interp = Interpreter(app, check=False, engine="batched", trace=True)
     interp.run(4)
-    regions = [p for p in interp.plan.steady_phases if isinstance(p, RegionPhase)]
+    regions = [b for b in interp.plan.blocks if b.kind == "region"]
     assert len(regions) == 3
     spans = [e for e in interp.tracer.events if e.get("cat") == "region"]
     assert sorted({e["name"] for e in spans}) == sorted(r.name for r in regions)
@@ -532,7 +531,7 @@ def test_report_is_empty_until_init_then_one_row_per_splitjoin():
 
 # -- the application suite --------------------------------------------------------------------
 
-#: Steady block ceilings (CI gates the same numbers); parent: 86/281/273/39/27.
+#: Steady block ceilings; before region lowering: 86/281/273/39/27.
 BLOCK_CEILINGS = {
     "BitonicSort": 24,
     "Serpent": 20,
@@ -551,8 +550,9 @@ def test_apps_bit_exact_including_sign_of_zero(app_name):
         assert _same_bits(got, want), engine
         assert _books(interp) == _books(oracle), engine
         if app_name in BLOCK_CEILINGS:
+            assert interp.engine_used == engine
             assert interp.plan.region_tiers(), "a lowered app has a tier histogram"
-            assert len(layout_blocks(interp.plan)) <= BLOCK_CEILINGS[app_name]
+            assert len(interp.plan.blocks) <= BLOCK_CEILINGS[app_name]
 
 
 # -- close() hands the tapes back ---------------------------------------------------------------

@@ -540,10 +540,16 @@ def test_shipped_radios_resolve():
         assert all(s.latency == 6 for s in send_sites(filt))
     full = freqhop.build()
     assert {s.latency for s in send_sites(named(full, "quality"))} == {None}
-    scalar, _, _ = run(freqhop.build, "scalar", [120])
-    out, interp, _ = run(freqhop.build, "batched", [120])
-    assert interp.engine_report()["messaging"]["chunk_periods"] == 1
-    assert np.array_equal(out, scalar)
+    # As shipped (no noise): 6 periods a pass, the best-effort radio 1.
+    for build, chunk in ((freqhop.build_teleport, 6), (freqhop.build, 1)):
+        scalar, _, _ = run(build, "scalar", [600])
+        out, interp, _ = run(build, "batched", [600], trace=True)
+        assert interp.engine_used == "batched"
+        assert interp.engine_report()["messaging"]["chunk_periods"] == chunk
+        assert np.array_equal(out, scalar)
+        records = interp.tracer.meta["teleports"]
+        delivered = [r for r in records if r["delivered_n"] is not None]
+        assert delivered and all(r["sdep_ok"] for r in delivered)
 
 
 # -- (e) a latency lowered behind the schedule's back -------------------------
