@@ -9,8 +9,12 @@ reports, per-run totals).  The cost model:
 
 * **idle** — a disabled registry's ``inc``/``observe`` is one attribute
   check and a return; an *enabled* one is a dict add on a pre-resolved
-  child.  Nothing here runs per item or per firing — only per run, per
-  command, per cache lookup.
+  child.  Nothing here runs per item or per firing — only per session,
+  per command, per cache lookup.
+* **never per call what can be per read** — a ``run_steady()`` call
+  touches no family: it adds to its session's tally, and
+  :meth:`MetricsRegistry.fold` turns the tallies' deltas into the run
+  families (and the flight ring's run boundary) whenever either is read.
 * **bounded** — histograms bucket by ``log2(value)`` into a sparse dict
   (at most ~64 buckets), so memory is fixed regardless of run count.
 
@@ -20,9 +24,9 @@ Exported two ways: :meth:`MetricsRegistry.snapshot` (JSON) and
 (`python -m repro.obs monitor`), :func:`publish` drops an atomic JSON
 snapshot (metrics + flight-recorder ring) into :func:`obs_dir`;
 :func:`maybe_publish` rate-limits that to every ``REPRO_OBS_PUBLISH_S``
-seconds (default 2) and is called from run boundaries, watchdog ticks,
-and an atexit hook.  Forked parallel workers exit via ``os._exit`` and
-therefore never publish — snapshots always describe the parent.
+seconds (default 2) and is called from run boundaries (once that is
+due), watchdog ticks, and an atexit hook.  Forked parallel workers exit via
+``os._exit`` and therefore never publish — snapshots describe the parent.
 
 Env knobs: ``REPRO_METRICS=0`` disables the registry,
 ``REPRO_OBS_DIR`` overrides the snapshot directory,
@@ -40,6 +44,9 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
+from time import perf_counter
+from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.recorder import FLIGHT
@@ -115,12 +122,14 @@ class Histogram(_Child):
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        k = bucket_exponent(value)
-        self.buckets[k] = self.buckets.get(k, 0) + 1
-        self.count += 1
-        self.sum += value
+        if self._registry.enabled:
+            self.add(bucket_exponent(value), 1, value)
+
+    def add(self, exponent: int, count: int, total: float) -> None:
+        """``count`` observations summing to ``total``, all of bucket ``exponent``."""
+        self.buckets[exponent] = self.buckets.get(exponent, 0) + count
+        self.count += count
+        self.sum += total
         self._registry._dirty = True
 
 
@@ -164,18 +173,30 @@ class Family:
             yield dict(key), child
 
 
+#: What a session's run tally folds into, in the order ``fold`` unpacks.
+_RUN_FAMILIES = (
+    ("repro_runs_total", "counter", "run_steady() calls by engine"),
+    ("repro_periods_total", "counter", "Steady-state periods executed by engine"),
+    ("repro_items_total", "counter", "Items moved across graph edges (rate-derived) by engine"),
+    ("repro_run_seconds", "histogram", "Wall-clock latency of one run_steady() call"),
+    ("repro_run_items", "histogram", "Rate-derived item volume of one run_steady() call"),
+)
+
+
 class MetricsRegistry:
     """All metric families for one process, with JSON/Prometheus export."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: Dict[str, Family] = {}
-        #: Bumped by :meth:`clear`, which detaches every child handed out
-        #: before it: a holder of cached children re-binds when it changes.
-        self._epoch = 0
+        #: Every run tally whose session is alive or not yet folded for good.
+        self._tallies: List[SimpleNamespace] = []
         self._dirty = False
+        #: ``perf_counter()`` of the last publish and when the next is due;
+        #: a steady call compares its end time against the latter.
         self._last_publish = 0.0
-        self._lock = threading.Lock()
+        self._publish_due = 0.0
+        self._lock = threading.RLock()
 
     # -- family construction ------------------------------------------------
 
@@ -211,16 +232,81 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop all recorded values (families stay registered)."""
+        self.fold()  # calls already made belong to what is dropped
         with self._lock:
             for family in self._families.values():
                 family._children.clear()
-            self._epoch += 1
         self._dirty = False
+
+    # -- run tallies --------------------------------------------------------
+
+    def run_tally(self, owner: Any, engine: str, items_per_period: int) -> Any:
+        """``owner``'s ``run_steady()`` accounts under one engine label.
+
+        Single-writer and monotonic: the session's thread adds to ``counts``
+        (``{(periods, bucket exponent of seconds, unclamped): calls}``) and
+        ``seconds``, then names the call in ``last`` (``(periods, seconds,
+        end)``; a running one is ``in_flight``, ``(periods, start)``).
+        :meth:`fold` reads from any thread, never resets, and keeps what it
+        has already folded in ``seen`` / ``shown`` under the registry lock.
+        """
+        tally = SimpleNamespace(
+            owner=weakref.ref(owner), engine=engine, items_per_period=items_per_period
+        )
+        tally.counts, tally.seconds, tally.last, tally.in_flight = {}, 0.0, None, None
+        tally.seen, tally.shown = (None, 0.0, {}), None
+        with self._lock:
+            self._tallies.append(tally)
+        return tally
+
+    def fold(self) -> None:
+        """Settle what every session tallied since the last fold: deltas
+        into the run families under the tally's engine label, the run
+        boundary into the flight ring (one ``run_end`` for all of a
+        session's calls, ``run_start`` for one still running).  Every read
+        of the registry or the ring starts here."""
+        if not self._tallies:
+            return
+        wall = time.time() - perf_counter()  # what turns a stamp into a ``ts``
+        with self._lock:
+            # Asked before anything is read: a dead owner has written its last.
+            alive = [t for t in self._tallies if t.owner() is not None]
+            for tally in self._tallies:
+                last, start = tally.last, tally.in_flight
+                seen_last, seen_seconds, seen = tally.seen
+                labels = {"engine": tally.engine}
+                if last is not seen_last:
+                    seconds, counts = tally.seconds, dict(tally.counts)
+                    tally.seen = (last, seconds, counts)
+                    runs, periods, items, latency, volume = (
+                        self._family(*family).labels(**labels)
+                        for family in _RUN_FAMILIES
+                    )
+                    before = runs.value
+                    latency.sum += seconds - seen_seconds
+                    for (size, exponent), n in counts.items():
+                        n -= seen.get((size, exponent), 0)
+                        if n:
+                            moved = size * tally.items_per_period
+                            runs.value += n
+                            periods.value += n * size
+                            items.value += n * moved
+                            latency.add(max(_MIN_EXP, min(_MAX_EXP, exponent)), n, 0.0)
+                            volume.add(bucket_exponent(moved), n, n * moved)
+                    fields = dict(labels, runs=int(runs.value - before))
+                    fields.update(periods=last[0], seconds=round(last[1], 6))
+                    FLIGHT.append(wall + last[2], "run_end", fields)
+                if start is not None and start is not tally.shown:
+                    tally.shown = start
+                    fields = dict(labels, periods=start[0])
+                    FLIGHT.append(wall + start[1], "run_start", fields)
+            self._tallies = alive
 
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable view: ``{name: {type, help, samples: [...]}}``."""
+        self.fold()
         out: Dict[str, Any] = {}
         with self._lock:
             families = list(self._families.values())
@@ -270,7 +356,8 @@ class MetricsRegistry:
         }
         try:
             os.makedirs(directory, exist_ok=True)
-            tmp = path + f".tmp{os.getpid()}"
+            # One temp file per writer: the watchdog thread publishes too.
+            tmp = path + f".tmp{os.getpid()}.{threading.get_ident()}"
             with open(tmp, "w") as fh:
                 json.dump(payload, fh, default=str)
             os.replace(tmp, path)
@@ -278,17 +365,22 @@ class MetricsRegistry:
         except OSError:
             return None
         self._dirty = False
-        self._last_publish = time.monotonic()
+        self._last_publish = perf_counter()
+        self._publish_due = self._last_publish + _publish_interval()
         return path
 
     def maybe_publish(self, directory: Optional[str] = None) -> Optional[str]:
         """Publish if dirty and the ``REPRO_OBS_PUBLISH_S`` interval elapsed."""
-        if not self.enabled or not self._dirty:
+        if not self.enabled:
             return None
-        interval = _publish_interval()
-        if interval > 0 and time.monotonic() - self._last_publish < interval:
+        interval, now = _publish_interval(), perf_counter()
+        if interval > 0 and now - self._last_publish < interval:
+            self._publish_due = self._last_publish + interval
             return None
-        return self.publish(directory)
+        # Run boundaries come back once per interval even if the write fails.
+        self._publish_due = now + interval
+        self.fold()
+        return self.publish(directory) if self._dirty else None
 
 
 class MeteredStats(dict):
@@ -534,6 +626,7 @@ def _prune_snapshots(directory: str) -> None:
 
 #: The process-wide registry every engine records into.
 METRICS = MetricsRegistry(enabled=os.environ.get("REPRO_METRICS", "1") != "0")
+FLIGHT.settle = METRICS.fold
 
 
 @atexit.register
@@ -541,6 +634,7 @@ def _publish_at_exit() -> None:
     # Forked parallel workers exit via os._exit and never reach here, so
     # the final snapshot always describes the parent process.
     try:
+        METRICS.fold()
         if METRICS.enabled and METRICS._dirty:
             METRICS.publish()
     except Exception:

@@ -3,11 +3,15 @@
 Streamscope tracing (PR 5) answers "what happened" only if you asked
 *before* the run.  Long-running stream graphs fail later, not at startup,
 so the flight recorder keeps the last :data:`~FlightRecorder.capacity`
-coarse events — run start/end, engine selection, structured downgrades,
+coarse events — run boundaries, engine selection, structured downgrades,
 parallel commands, ring stalls, watchdog suspicions, worker errors — in a
 bounded process-wide ring that is always recording.  The cost of one event
 is a dict build plus a deque append (well under a microsecond), and events
-are recorded at *run/command* granularity, never per item or per firing.
+are recorded at *session/command* granularity, never per item or firing.
+A ``run_steady()`` call records nothing: :meth:`MetricsRegistry.fold
+<repro.obs.metrics.MetricsRegistry.fold>` settles run boundaries into the
+ring whenever it is read or recorded into — one coalesced ``run_end`` per
+session (``runs=N``), ``run_start`` only for a run still in flight.
 
 The ring pays for itself at post-mortem time:
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 _DEFAULT_CAPACITY = 256
 
@@ -49,16 +53,29 @@ class FlightRecorder:
         self.capacity = (
             _default_capacity() if capacity is None else max(1, int(capacity))
         )
-        self.events: deque = deque(maxlen=self.capacity)
+        self._events: deque = deque(maxlen=self.capacity)
         self.dropped = 0
+        #: Called before the ring is read or recorded into, so run
+        #: boundaries nobody recorded land in order (the registry's fold).
+        self.settle: Callable[[], None] = lambda: None
+
+    @property
+    def events(self) -> deque:
+        """The ring, oldest first, pending run boundaries settled."""
+        self.settle()
+        return self._events
 
     def record(self, kind: str, **fields: Any) -> None:
-        """Append one event (cheap: call at run/command granularity only)."""
-        if len(self.events) == self.capacity:
+        """Append one event (cheap: call at session/command granularity only)."""
+        self.settle()
+        self.append(time.time(), kind, fields)
+
+    def append(self, ts: float, kind: str, fields: Dict[str, Any]) -> None:
+        """Append an event stamped ``ts`` as is (what ``settle`` itself calls)."""
+        events = self._events
+        if len(events) == self.capacity:
             self.dropped += 1
-        event = {"ts": time.time(), "kind": kind}
-        event.update(fields)
-        self.events.append(event)
+        events.append({"ts": ts, "kind": kind, **fields})
 
     def tail(self, n: int = 8, kinds: Optional[Iterable[str]] = None) -> List[Dict]:
         """The last ``n`` events (optionally only of the given kinds)."""

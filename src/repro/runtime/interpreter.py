@@ -43,7 +43,9 @@ engines"):
 from __future__ import annotations
 
 import warnings
+from math import frexp
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineDowngradeWarning, MessagingError, StreamItError
@@ -64,24 +66,11 @@ from repro.scheduling.steady import ProgramSchedule, build_schedule
 #: Valid values for ``Interpreter(engine=...)``.
 ENGINES = ("scalar", "batched", "parallel", "codegen")
 
-# Always-on telemetry (repro.obs.metrics): families resolved once at import
-# so the per-run cost is a handful of dict adds.  Everything here records at
-# *run* granularity — never per period, firing, or item.
+# Always-on telemetry (repro.obs.metrics): families resolved once at import.
+# Everything here records at *session* granularity; a ``run_steady()`` call
+# adds to its session's ``RunTally`` and the registry folds that when read.
 _M_SESSIONS = METRICS.counter(
     "repro_sessions_total", "Interpreter sessions by the engine that actually ran"
-)
-_M_RUNS = METRICS.counter("repro_runs_total", "run_steady() calls by engine")
-_M_PERIODS = METRICS.counter(
-    "repro_periods_total", "Steady-state periods executed by engine"
-)
-_M_ITEMS = METRICS.counter(
-    "repro_items_total", "Items moved across graph edges (rate-derived) by engine"
-)
-_M_RUN_SECONDS = METRICS.histogram(
-    "repro_run_seconds", "Wall-clock latency of one run_steady() call"
-)
-_M_RUN_ITEMS = METRICS.histogram(
-    "repro_run_items", "Rate-derived item volume of one run_steady() call"
 )
 _M_RUN_ERRORS = METRICS.counter(
     "repro_run_errors_total", "run_steady() calls that raised, by engine"
@@ -89,20 +78,6 @@ _M_RUN_ERRORS = METRICS.counter(
 _M_DOWNGRADES = METRICS.counter(
     "repro_engine_downgrades_total", "Structured engine downgrades by SLxxx code"
 )
-
-
-def _bind_run_metrics(engine: str) -> tuple:
-    """The per-run children under ``engine``, resolved once: a one-period
-    ``run_steady`` is a few microseconds, and five label-key builds per
-    call were a third of it.  Keyed by ``(engine, registry epoch)``."""
-    return (
-        (engine, METRICS._epoch),
-        _M_RUNS.labels(engine=engine),
-        _M_PERIODS.labels(engine=engine),
-        _M_ITEMS.labels(engine=engine),
-        _M_RUN_SECONDS.labels(engine=engine),
-        _M_RUN_ITEMS.labels(engine=engine),
-    )
 
 
 class Interpreter:
@@ -178,7 +153,10 @@ class Interpreter:
             self.graph = flatten(stream)
         self.program: ProgramSchedule = build_schedule(self.graph)
         self.channels: Dict[object, Channel] = {}
-        self.fired: Dict[FlatNode, int] = {node: 0 for node in self.graph.nodes}
+        self._fired: Dict[FlatNode, int] = {node: 0 for node in self.graph.nodes}
+        #: Steady periods a plan or the parallel session ran that
+        #: :attr:`fired` has not been credited with yet.
+        self._unsettled_periods = 0
         self._executors: Dict[FlatNode, Callable[[], None]] = {}
         self._pending: Dict[FlatNode, List[PendingMessage]] = {}
         self._oracle: Optional[WavefrontOracle] = None
@@ -278,15 +256,18 @@ class Interpreter:
                 self.channels[edge] = channel_cls(
                     name=f"{edge.src.name}->{edge.dst.name}", initial=edge.initial
                 )
-        self._owner_token = object()
-        #: Every filter, for the per-call ownership check.
-        self._filters = [node.filter for node in self.graph.filter_nodes()]
+        #: This interpreter's hold on its filters' channels: a later one that
+        #: binds any of them names it in ``rebound``, which revokes the hold.
+        self._binding = SimpleNamespace(rebound=None)
         for node in self.graph.nodes:
             if node.kind == FILTER:
                 filt = node.filter
                 filt.input = self.channels[node.in_edges[0]] if node.in_edges else None
                 filt.output = self.channels[node.out_edges[0]] if node.out_edges else None
-                filt._rt_owner = self._owner_token
+                previous = getattr(filt, "_rt_owner", None)
+                if previous is not None and previous.rebound is None:
+                    previous.rebound = filt
+                filt._rt_owner = self._binding
             self._executors[node] = self._make_executor(node)
         for portal in portals:
             portal.bind(self)
@@ -307,14 +288,18 @@ class Interpreter:
                         "cyclic core runs period-at-a-time)",
                         code="SL303",
                     )
+        #: What runs whole passes (``run_init()`` / ``run_steady(periods)``):
+        #: the parallel session or the plan; None on the scalar engine.
+        self._runner = self.plan if self.parallel is None else self.parallel
         # Rate-derived items per steady period (static rates make this
         # exact): the per-run volume metric without counting anything at
         # run time.
         self._items_per_period = sum(
             self.program.reps[e.src] * e.push_rate for e in self.graph.edges
         )
-        #: See :func:`_bind_run_metrics`.
-        self._run_metrics: Optional[tuple] = None
+        #: This session's run accounts under the engine now in use; made by
+        #: the first metered call, and again when the engine changes.
+        self._tally: Any = None
         if METRICS.enabled:
             used = self.engine_used
             _M_SESSIONS.inc(engine=used)
@@ -449,16 +434,15 @@ class Interpreter:
         return portals
 
     def _check_ownership(self) -> None:
-        token = self._owner_token
-        for filt in self._filters:
-            if filt._rt_owner is not token:
-                raise StreamItError(
-                    f"filter {filt.name!r} has been re-bound by another "
-                    "Interpreter since this one was created; a filter's "
-                    "input/output channels (and mutable state) belong to one "
-                    "live interpreter at a time — build a fresh stream per "
-                    "interpreter instead of sharing one"
-                )
+        filt = self._binding.rebound
+        if filt is not None:
+            raise StreamItError(
+                f"filter {filt.name!r} has been re-bound by another "
+                "Interpreter since this one was created; a filter's "
+                "input/output channels (and mutable state) belong to one "
+                "live interpreter at a time — build a fresh stream per "
+                "interpreter instead of sharing one"
+            )
 
     def _make_executor(self, node: FlatNode) -> Callable[[], None]:
         if node.kind == FILTER:
@@ -756,7 +740,7 @@ class Interpreter:
                         perf_counter() - t0,
                         args={"firings": count, "items": count * push},
                     )
-                self.fired[node] += count
+                self._fired[node] += count
         finally:
             # Also after a raising work(): no stale sender for a later send.
             self._current_node = None
@@ -772,12 +756,13 @@ class Interpreter:
         # init() hooks above, so children inherit initialized filter state.
         if self.tracer.enabled:
             t0 = perf_counter()
-        if self.parallel is not None:
-            self.parallel.run_init(self.fired)
-        elif self.plan is not None:
-            self.plan.run_init(self.fired)
-        else:
+        runner = self._runner
+        if runner is None:
             self._execute_phases(list(self.program.init))
+        else:
+            runner.run_init()
+            for node, count in self.program.init:
+                self._fired[node] += count
         if self.tracer.enabled:
             self.tracer.complete("run_init", CAT_ENGINE, t0, perf_counter() - t0)
         self._initialized = True
@@ -811,43 +796,54 @@ class Interpreter:
             self._dispatch_steady(periods)
             return
         engine = self.engine_used
-        FLIGHT.record("run_start", engine=engine, periods=periods)
+        tally = self._tally
+        if tally is None or tally.engine != engine:
+            tally = self._tally = METRICS.run_tally(
+                self, engine, self._items_per_period
+            )
         t0 = perf_counter()
+        tally.in_flight = (periods, t0)
         try:
             self._dispatch_steady(periods)
         except BaseException as exc:
-            FLIGHT.record(
-                "run_error", engine=engine, error=exc.__class__.__name__
-            )
+            # Settles this run's ``run_start`` ahead of the error.
+            FLIGHT.record("run_error", engine=engine, error=exc.__class__.__name__)
+            tally.in_flight = None
             _M_RUN_ERRORS.inc(engine=engine)
             METRICS.maybe_publish()
             raise
-        elapsed = perf_counter() - t0
-        items = periods * self._items_per_period
-        FLIGHT.record(
-            "run_end", engine=engine, periods=periods, seconds=round(elapsed, 6)
-        )
-        bound = self._run_metrics
-        if bound is None or bound[0] != (engine, METRICS._epoch):
-            bound = self._run_metrics = _bind_run_metrics(engine)
-        _, runs, run_periods, run_items, seconds, volume = bound
-        runs.inc()
-        run_periods.inc(periods)
-        run_items.inc(items)
-        seconds.observe(elapsed)
-        volume.observe(items)
-        METRICS.maybe_publish()
+        end = perf_counter()
+        took = end - t0
+        mantissa, exponent = frexp(took)  # bucket_exponent(), unclamped, inline
+        key = (periods, exponent - (mantissa == 0.5))
+        tally.counts[key] = tally.counts.get(key, 0) + 1
+        tally.seconds += took
+        tally.in_flight = None
+        tally.last = (periods, took, end)
+        if end >= METRICS._publish_due:
+            METRICS.maybe_publish()
 
     def _dispatch_steady(self, periods: int) -> None:
-        if self.parallel is not None:
-            self.parallel.run_steady(self.fired, periods)
+        runner = self._runner
+        if runner is None:
+            phases = list(self.program.steady)
+            for _ in range(periods):
+                self._execute_phases(phases)
             return
-        if self.plan is not None:
-            self.plan.run_steady(self.fired, periods)
-            return
-        phases = list(self.program.steady)
-        for _ in range(periods):
-            self._execute_phases(phases)
+        runner.run_steady(periods)
+        self._unsettled_periods += periods
+
+    @property
+    def fired(self) -> Dict[FlatNode, int]:
+        """Firings per node so far.  The scalar engine counts as it fires;
+        a plan or parallel run leaves whole periods to settle here."""
+        periods = self._unsettled_periods
+        if periods:
+            self._unsettled_periods = 0
+            fired = self._fired
+            for node, reps in self.program.reps.items():
+                fired[node] += reps * periods
+        return self._fired
 
     def run(self, periods: int = 1) -> None:
         """Initialize then run ``periods`` steady-state periods."""
@@ -903,6 +899,7 @@ class Interpreter:
             self.plan.release_scratch()
             for chan in self.channels.values():
                 chan.trim()
+        METRICS.fold()
         METRICS.maybe_publish()
 
     def __enter__(self) -> "Interpreter":

@@ -1033,10 +1033,8 @@ class ParallelSession:
 
     # -- public API ------------------------------------------------------------
 
-    def run_init(self, fired: Dict[FlatNode, int]) -> None:
+    def run_init(self) -> None:
         self._run_command(_CMD_INIT)
-        for node, count in self.interp.program.init:
-            fired[node] += count
         # The parent runs worker 0's slice, so entering steady state with
         # the collector debt from graph construction and forking unpaid
         # slows its slice and starves every ring it feeds (measured 4-7x
@@ -1044,12 +1042,10 @@ class ParallelSession:
         # settle the heap here, once, never inside a steady run.
         gc.collect()
 
-    def run_steady(self, fired: Dict[FlatNode, int], periods: int) -> None:
+    def run_steady(self, periods: int) -> None:
         if periods <= 0:
             return
         self._run_command(_CMD_STEADY, periods)
-        for node, count in self.interp.program.steady:
-            fired[node] += count * periods
 
     @property
     def alive_workers(self) -> int:

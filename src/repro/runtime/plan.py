@@ -794,12 +794,6 @@ class ExecutionPlan:
         self.chunk_periods: int = analysis["chunk_periods"]
         self.fusion_ranges: Tuple[Tuple[int, int], ...] = analysis["fusion_ranges"]
         self._steady_flat = steady
-        #: ``(node, firings per period)``, one entry per node.  Fusion and
-        #: region lowering regroup the phases and never change what fires,
-        #: so this comes straight from the schedule, once.
-        self._per_period: Tuple[Tuple[FlatNode, int], ...] = tuple(
-            program.steady.counts().items()
-        )
         self._analysis = analysis
         #: Periods a portal-bound pass may cover; derived on first use (it
         #: reads instance latencies, so it is no part of ``analysis``).
@@ -1240,28 +1234,23 @@ class ExecutionPlan:
 
     # -- execution ------------------------------------------------------------
 
-    def run_init(self, fired: Dict[FlatNode, int]) -> None:
+    def run_init(self) -> None:
         self.periods_done = -1
         for block in self.init_blocks:
             block.run(1)
         self.periods_done = 0
-        for node, count in self.interp.program.init:
-            fired[node] += count
         self._lower_regions()
-
-    def _account(self, fired: Dict[FlatNode, int], periods: int) -> None:
-        """Credit ``periods`` steady periods to ``fired``."""
-        for node, count in self._per_period:
-            fired[node] += count * periods
 
     def _pass_steps(self) -> Sequence[Callable[[int], None]]:
         """What one pass over ``scale`` periods calls, in order."""
         return self._steps
 
-    def run_steady(self, fired: Dict[FlatNode, int], periods: int) -> None:
+    def run_steady(self, periods: int) -> None:
         """Run ``periods`` steady periods in passes of up to ``chunk_periods``
         (so buffers stay bounded), every firing count of a pass scaled by
-        the periods it covers."""
+        the periods it covers.  Fusion and region lowering regroup the
+        phases and never change what fires, so the interpreter credits its
+        firing counts from the schedule (:attr:`Interpreter.fired`)."""
         steps = self._pass_steps()
         cap = self.chunk_periods
         if self.messaging and periods > 1:
@@ -1275,7 +1264,6 @@ class ExecutionPlan:
                 step(scale)
             self.periods_done += scale
             left -= scale
-        self._account(fired, periods)
 
     def scalar_position(self, recv: FlatNode, pushed: int, direction: str) -> int:
         """``n(O_recv)`` where the scalar schedule has it at the send now in

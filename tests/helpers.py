@@ -193,6 +193,29 @@ class Upsample(Filter):
             self.push(x * (j + 1))
 
 
+class Tripwire(Filter):
+    """Identity that raises ``ValueError("tripped")`` on its ``trip``-th firing."""
+
+    def __init__(self, trip: int) -> None:
+        super().__init__(pop=1, push=1, name="tripwire")
+        self.trip = trip
+        self.count = 0
+
+    def work(self) -> None:
+        self.count += 1
+        if self.count == self.trip:
+            raise ValueError("tripped")
+        self.push(self.pop())
+
+
+def open_session(app: Stream, engine: str) -> Interpreter:
+    """An unchecked interpreter (two cores when parallel), downgrade
+    warnings silenced; the caller closes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        return Interpreter(app, check=False, engine=engine, strategy="softpipe", cores=2)
+
+
 def feedback_app(
     data: Sequence[float],
     body: Sequence[Stream] = (),

@@ -23,7 +23,7 @@ from repro.runtime import ArrayChannel, Channel, Interpreter, compile_and_run
 from repro.runtime.kernels import TABLE_MAX_FIRINGS, ordered_mac
 from repro.runtime.plan import _CHUNK_ITEM_CAP
 
-from .helpers import FIR, Gain
+from .helpers import FIR, Gain, Tripwire, open_session, run_calls
 
 
 def _run(builder, engine: str, periods: int):
@@ -307,8 +307,82 @@ def test_second_interpreter_invalidates_first():
     # Constructing a second interpreter rebinds the shared filters ...
     second = Interpreter(app, check=False, engine="batched")
     # ... so the stale interpreter must refuse to run rather than
-    # cross-wire both onto a mix of channel sets.
-    with pytest.raises(StreamItError, match="re-bound"):
+    # cross-wire both onto a mix of channel sets, naming a filter it lost.
+    named = repr(first.graph.filter_nodes()[0].filter.name)
+    with pytest.raises(StreamItError, match="re-bound") as refusal:
         first.run_steady(1)
+    assert named in str(refusal.value)
     second.run(1)
     assert len(sink.collected) > 0
+
+    # Closing the owner hands nothing back, and a third binding revokes the
+    # second without reviving the first.
+    second.close()
+    third = Interpreter(app, check=False, engine="codegen")
+    for stale in (first, second):
+        with pytest.raises(StreamItError, match="re-bound") as refusal:
+            stale.run_steady(1)
+        assert named in str(refusal.value)
+    before = len(sink.collected)
+    third.run(2)
+    third.close()
+    assert len(sink.collected) > before
+
+    # An interpreter that never lost a filter keeps running after another
+    # stream's interpreter comes and goes.
+    other = Interpreter(ALL_APPS["FIR"](), check=False, engine="batched")
+    other.run(1)
+    third.run_steady(1)
+
+
+# -- firing counts settle when read -------------------------------------------
+
+
+def _by_name(interp, fired):
+    """Counts in graph order (auto-numbered names differ between builds)."""
+    assert set(fired) == set(interp.graph.nodes)
+    return [(node.name.rstrip("0123456789"), fired[node]) for node in interp.graph.nodes]
+
+
+@pytest.mark.parametrize("engine", ["batched", "codegen", "parallel"])
+@pytest.mark.parametrize("app_name", ["FIR", "DToA", "BitonicSort", "FreqHopRadio"])
+def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
+    """``fired`` is credited whole periods when somebody reads it; however a
+    run is chopped, every way of reading it agrees with the scalar count."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+    builder, periods, first = ALL_APPS[app_name], 7, 3
+    _, scalar = run_calls(builder, "scalar", [periods])
+    want = _by_name(scalar, scalar.fired)
+    downgrade = 1 if engine == "codegen" else None  # mid-session, to batched
+    chopped = ([1] * periods, None), ([periods], None), ([first, periods - first], downgrade)
+    for calls, downgrade_before in chopped:
+        _, interp = run_calls(builder, engine, calls, downgrade_before)
+        assert _by_name(interp, interp.fired) == want
+        assert _by_name(interp, dict(interp.fired)) == want
+        assert [
+            interp.firings(node.filter) for node in interp.graph.filter_nodes()
+        ] == [scalar.firings(node.filter) for node in scalar.graph.filter_nodes()]
+    with open_session(builder(), engine) as interp:  # a read between the calls
+        interp.run(first)
+        assert sum(interp.fired.values()) < sum(n for _, n in want)
+        interp.run_steady(periods - first)
+        assert _by_name(interp, interp.fired) == want
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineDowngradeWarning")
+@pytest.mark.parametrize("engine", ["batched", "codegen", "parallel"])
+def test_a_run_that_raises_is_credited_nothing(engine, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+
+    def builder():
+        data = [float(v) for v in range(8)]
+        return Pipeline(ArraySource(data), Gain(2.0), Tripwire(6), CollectSink())
+
+    _, scalar = run_calls(builder, "scalar", [3])
+    want = _by_name(scalar, scalar.fired)
+    with open_session(builder(), engine) as interp:
+        interp.run(1)
+        interp.run_steady(2)
+        with pytest.raises((ValueError, StreamItError), match="tripped"):
+            interp.run_steady(4)
+        assert _by_name(interp, interp.fired) == want

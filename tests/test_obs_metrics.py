@@ -8,7 +8,11 @@ a deliberately stalled parallel run produces a watchdog suspicion plus a
 flight-recorder tail naming the blocked edge — with no pre-enabled tracer.
 """
 
+import gc
 import json
+import os
+import sys
+import threading
 import time
 import warnings
 
@@ -23,6 +27,9 @@ from repro.graph.composites import Pipeline
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import (
     METRICS,
+    Counter,
+    Family,
+    Histogram,
     MeteredStats,
     MetricsRegistry,
     bucket_exponent,
@@ -39,9 +46,22 @@ from repro.obs.recorder import (
 from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 
+from .helpers import Tripwire, open_session
+
+
+def _sample(name, **labels):
+    """One series out of a registry read (``snapshot()`` folds the run
+    tallies first; a child read directly may be a fold behind)."""
+    family = METRICS.snapshot().get(name, {"samples": []})
+    return next((s for s in family["samples"] if s["labels"] == labels), {})
+
 
 def _counter(name, **labels):
-    return METRICS.counter(name).labels(**labels).value
+    return _sample(name, **labels).get("value", 0.0)
+
+
+def _observations(name, **labels):
+    return _sample(name, **labels).get("count", 0)
 
 
 def _run_app(name="FMRadio", engine="batched", periods=4, **opts):
@@ -274,8 +294,7 @@ class TestInterpreterIntegration:
         runs0 = _counter("repro_runs_total", engine="batched")
         sessions0 = _counter("repro_sessions_total", engine="batched")
         items0 = _counter("repro_items_total", engine="batched")
-        hist = METRICS.histogram("repro_run_seconds").labels(engine="batched")
-        count0 = hist.count
+        count0 = _observations("repro_run_seconds", engine="batched")
 
         out, interp = _run_app("FMRadio", "batched", periods=4)
         assert out
@@ -283,7 +302,7 @@ class TestInterpreterIntegration:
         # run(periods=4) = init + one steady run.
         assert _counter("repro_runs_total", engine="batched") >= runs0 + 1
         assert _counter("repro_items_total", engine="batched") > items0
-        assert hist.count >= count0 + 1
+        assert _observations("repro_run_seconds", engine="batched") >= count0 + 1
         kinds = [e["kind"] for e in FLIGHT.tail(16)]
         assert "engine_selected" in kinds or "run_end" in kinds
         assert "run_end" in kinds
@@ -317,7 +336,7 @@ class TestInterpreterIntegration:
                         for name in ("repro_runs_total", "repro_periods_total", "repro_items_total")
                     ],
                     [
-                        METRICS.histogram(name).labels(engine=used).count
+                        _observations(name, engine=used)
                         for name in ("repro_run_seconds", "repro_run_items")
                     ],
                     dict(interp.fired),
@@ -373,9 +392,9 @@ class TestInterpreterIntegration:
         assert _counter("repro_runs_total", engine="batched") == runs0
 
     def test_bound_children_report_the_same_series(self, tmp_path, monkeypatch):
-        """The interpreter resolves its five per-run children once per
-        (engine, registry epoch); the series must read as when every call
-        went through ``Family.inc(engine=...)``."""
+        """The interpreter tallies its calls and the registry folds them on
+        read; the series must read as when every call went through
+        ``Family.inc(engine=...)``."""
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
 
         def series(engine):
@@ -383,8 +402,8 @@ class TestInterpreterIntegration:
                 _counter("repro_runs_total", engine=engine),
                 _counter("repro_periods_total", engine=engine),
                 _counter("repro_items_total", engine=engine),
-                METRICS.histogram("repro_run_seconds").labels(engine=engine).count,
-                METRICS.histogram("repro_run_items").labels(engine=engine).count,
+                _observations("repro_run_seconds", engine=engine),
+                _observations("repro_run_items", engine=engine),
             )
 
         def moved(engine, before):
@@ -420,8 +439,8 @@ class TestInterpreterIntegration:
         interp.run_steady(1)
         assert moved("batched", batched0) == (3, 5, 5 * per_period, 3, 3)
 
-        # clear() detaches every child handed out before it; the interpreter
-        # must notice and not count into the orphans.
+        # clear() drops every series; calls made before it must not leak
+        # into the ones that start after it.
         METRICS.clear()
         interp.run_steady(1)
         assert series("batched") == (1, 1, per_period, 1, 1)
@@ -437,6 +456,284 @@ class TestInterpreterIntegration:
         assert families["repro_runs_total"]["type"] == "counter"
         assert "repro_run_seconds" in families
         assert families["repro_run_seconds"]["type"] == "histogram"
+
+
+# ---------------------------------------------------------------------------
+# The pull model: a steady call writes nothing, a read folds everything
+# ---------------------------------------------------------------------------
+
+
+_GATE_ENTERED = threading.Event()
+_GATE_OPEN = threading.Event()
+
+
+class _Gate(Filter):
+    """Blocks its ``hold``-th firing until the test opens the gate."""
+
+    def __init__(self, hold: int) -> None:
+        super().__init__(pop=1, push=1, name="gate")
+        self.hold = hold
+        self.count = 0
+
+    def work(self) -> None:
+        self.count += 1
+        if self.count == self.hold:
+            _GATE_ENTERED.set()
+            _GATE_OPEN.wait(30)
+        self.push(self.pop())
+
+
+def _chain(middle):
+    data = [float(v) for v in np.arange(8.0)]
+    return Pipeline(ArraySource(data), middle, CollectSink())
+
+
+class TestSteadyCallWritesNothing:
+    @pytest.mark.parametrize("engine", ["batched", "codegen"])
+    def test_two_hundred_calls_touch_no_family_no_ring_no_environment(
+        self, engine, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        monkeypatch.delenv("REPRO_OBS_PUBLISH_S", raising=False)
+        with open_session(ALL_APPS["BitonicSort"](), "scalar") as scalar:
+            scalar.run(203)
+            want = [scalar.fired[node] for node in scalar.graph.nodes]
+        interp = open_session(ALL_APPS["BitonicSort"](), engine)
+        interp.run(3)
+        assert interp.engine_used == engine
+        runs0 = _counter("repro_runs_total", engine=engine)
+        # A publish now: the next is a whole default interval away.
+        assert METRICS.publish(str(tmp_path)) is not None
+
+        touched = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                touched.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(FlightRecorder, "record")
+        counting(Counter, "inc")
+        counting(Histogram, "observe")
+        counting(Family, "labels")
+        counting(os.environ, "get")
+
+        class Touched(dict):
+            def __getitem__(self, key):
+                touched.append("fired[]")
+                return dict.__getitem__(self, key)
+
+            def __setitem__(self, key, value):
+                touched.append("fired[]=")
+                dict.__setitem__(self, key, value)
+
+        interp._fired = Touched(interp.fired)
+        monkeypatch.setattr(
+            Filter,
+            "_rt_owner",
+            property(lambda f: touched.append("_rt_owner") or vars(f)["_rt_owner"]),
+            raising=False,
+        )
+        for _ in range(200):
+            interp.run_steady(1)
+        assert touched == []
+
+        # Nothing was lost by not writing it down.
+        assert [interp.fired[node] for node in interp.graph.nodes] == want
+        assert touched.count("fired[]=") == len(interp.graph.nodes)
+        monkeypatch.undo()
+        assert _counter("repro_runs_total", engine=engine) == runs0 + 200
+        [end] = FLIGHT.tail(1, kinds=("run_end",))
+        assert (end["engine"], end["runs"], end["periods"]) == (engine, 200, 1)
+        interp.close()
+
+
+class TestReadsAreUnchanged:
+    """One scripted set of sessions; every way of reading the registry must
+    carry exactly the counts the script implies, per engine label."""
+
+    FAMILIES = ("repro_runs_total", "repro_periods_total", "repro_items_total")
+
+    def _expect(self, want, interp, calls):
+        runs, periods, items, volumes = want.setdefault(
+            interp.engine_used, [0, 0, 0, {}]
+        )
+        for n in calls:
+            moved = n * interp._items_per_period
+            le = str(2 ** bucket_exponent(moved))
+            volumes[le] = volumes.get(le, 0) + 1
+            runs, periods, items = runs + 1, periods + n, items + moved
+        want[interp.engine_used] = [runs, periods, items, volumes]
+
+    def _drive(self, want, interp, calls):
+        interp.run_init()
+        for n in calls:
+            interp.run_steady(n)
+        self._expect(want, interp, calls)
+
+    def _check(self, want, families):
+        for engine, (runs, periods, items, volumes) in want.items():
+            def series(name):
+                [sample] = [
+                    s for s in families[name]["samples"]
+                    if s["labels"] == {"engine": engine}
+                ]
+                return sample
+
+            got = [series(name)["value"] for name in self.FAMILIES]
+            assert got == [runs, periods, items], engine
+            seconds, volume = series("repro_run_seconds"), series("repro_run_items")
+            assert seconds["count"] == volume["count"] == runs, engine
+            assert sum(seconds["buckets"].values()) == runs, engine
+            assert seconds["sum"] >= 0.0
+            assert volume["sum"] == items, engine
+            assert volume["buckets"] == volumes, engine
+        for name in self.FAMILIES:
+            labelled = {s["labels"]["engine"] for s in families[name]["samples"]}
+            assert labelled == set(want), name
+
+    def _check_every_read(self, want, tmp_path):
+        self._check(want, METRICS.snapshot())
+        self._check(want, parse_prometheus(METRICS.prometheus()))
+        path = METRICS.publish(str(tmp_path))
+        assert path == str(tmp_path / f"obs-{os.getpid()}.json")
+        with open(path) as fh:
+            self._check(want, json.load(fh)["metrics"])
+
+    def test_scripted_sessions(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_OBS_PUBLISH_S", "0")  # publish at every boundary
+        METRICS.clear()
+        FLIGHT.clear()
+        stop = threading.Event()
+
+        def watchdog():  # what StallWatchdog.run does between its samples
+            while not stop.wait(0.001):
+                METRICS.maybe_publish()
+
+        thread = threading.Thread(target=watchdog, daemon=True)
+        thread.start()
+        try:
+            self._script(tmp_path)
+        finally:
+            stop.set()
+            _GATE_OPEN.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert not list(tmp_path.glob("*.tmp*"))
+
+    def _script(self, tmp_path):
+        want = {}
+        errors0 = _counter("repro_run_errors_total", engine="batched")
+        with open_session(ALL_APPS["FIR"](), "scalar") as interp:
+            self._drive(want, interp, [2, 1, 1, 1])
+        with open_session(ALL_APPS["FMRadio"](), "batched") as interp:
+            self._drive(want, interp, [1, 1, 1, 1, 1, 4])
+        with open_session(ALL_APPS["FilterBank"](), "parallel") as interp:
+            self._drive(want, interp, [3, 1])
+
+        # The downgrade of test_bound_children_report_the_same_series, and
+        # a window with the registry off (those calls are nobody's).
+        interp = open_session(ALL_APPS["FIR"](), "codegen")
+        self._drive(want, interp, [1, 1, 1])
+        assert interp.engine_used == "codegen"
+        interp.plan.codegen_active = False
+        self._drive(want, interp, [2, 2])
+        assert interp.engine_used == "batched"
+        with METRICS.disabled():
+            interp.run_steady(5)
+        self._drive(want, interp, [1])
+        interp.close()
+
+        # A work() that raises: its call counts as an error, not as a run.
+        interp = open_session(_chain(Tripwire(4)), "batched")
+        self._drive(want, interp, [2])
+        with pytest.raises(ValueError, match="tripped"):
+            interp.run_steady(3)
+        interp.close()
+        assert _counter("repro_run_errors_total", engine="batched") == errors0 + 1
+        kinds = [e["kind"] for e in FLIGHT.tail(3)]
+        assert kinds[-2:] == ["run_start", "run_error"], kinds
+        assert FLIGHT.tail(1)[0]["error"] == "ValueError"
+
+        # A session dropped without close() keeps its counts.
+        interp = open_session(ALL_APPS["FIR"](), "batched")
+        self._drive(want, interp, [2, 3])
+        del interp
+        gc.collect()
+        self._check_every_read(want, tmp_path)
+        [end] = FLIGHT.tail(1, kinds=("run_end",))
+        # (runs is 1 or 2: the publisher thread may have folded in between.)
+        assert (end["engine"], end["periods"]) == ("batched", 3)
+        assert end["runs"] in (1, 2) and end["seconds"] >= 0.0
+
+        # A run blocked inside work() shows as run_start, then as run_end.
+        _GATE_ENTERED.clear()
+        _GATE_OPEN.clear()
+        interp = open_session(_chain(_Gate(3)), "batched")
+        self._drive(want, interp, [2])
+        runner = threading.Thread(target=interp.run_steady, args=(6,), daemon=True)
+        runner.start()
+        assert _GATE_ENTERED.wait(30)
+        last = FLIGHT.tail(1)[0]
+        assert (last["kind"], last["periods"]) == ("run_start", 6)
+        assert [e["kind"] for e in FLIGHT.tail(8)].count("run_start") == 2
+        _GATE_OPEN.set()
+        runner.join(30)
+        assert not runner.is_alive()
+        self._expect(want, interp, [6])
+        last = FLIGHT.tail(1)[0]
+        assert (last["kind"], last["runs"], last["periods"]) == ("run_end", 1, 6)
+        interp.close()
+        self._check_every_read(want, tmp_path)
+
+        # clear() between two runs: the calls before it are gone for good.
+        interp = open_session(ALL_APPS["FIR"](), "batched")
+        self._drive(want, interp, [4])
+        METRICS.clear()
+        want = {}
+        self._drive(want, interp, [1, 2])
+        interp.close()
+        self._check_every_read(want, tmp_path)
+
+
+class TestConcurrentPublish:
+    def test_two_publishing_threads_never_tear_a_snapshot(self, tmp_path):
+        METRICS.counter("repro_test_dirty_total").inc()
+        results, torn = [], []
+
+        def publisher():
+            for _ in range(200):
+                results.append(METRICS.publish(str(tmp_path)))
+
+        threads = [threading.Thread(target=publisher, daemon=True) for _ in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                for path in tmp_path.glob("obs-*.json"):
+                    try:
+                        json.loads(path.read_text())
+                    except ValueError as exc:
+                        torn.append(exc)
+                time.sleep(0)
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        path = str(tmp_path / f"obs-{os.getpid()}.json")
+        assert results == [path] * 400
+        assert json.loads((tmp_path / f"obs-{os.getpid()}.json").read_text())["pid"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +767,30 @@ class TestPublishAndCli:
         METRICS.counter("repro_test_dirty_total").inc()
         assert METRICS.maybe_publish() is not None
         assert list(tmp_path.glob("obs-*.json"))
+
+    def test_failing_publish_is_retried_per_interval_not_per_call(
+        self, tmp_path, monkeypatch
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(blocker / "sub"))  # makedirs fails
+        monkeypatch.delenv("REPRO_OBS_PUBLISH_S", raising=False)
+        monkeypatch.setattr(METRICS, "_last_publish", float("-inf"))
+        monkeypatch.setattr(METRICS, "_publish_due", 0.0)
+        attempts = []
+        real = MetricsRegistry.publish
+
+        def publish(self, directory=None):
+            attempts.append(real(self, directory))
+            return attempts[-1]
+
+        monkeypatch.setattr(MetricsRegistry, "publish", publish)
+        with open_session(ALL_APPS["FIR"](), "batched") as interp:
+            interp.run(1)
+            for _ in range(50):
+                interp.run_steady(1)
+        # The first run boundary and close(); not one write per call.
+        assert attempts == [None, None]
 
     def test_monitor_once_renders_page(self, published, capsys):
         assert obs_main(["monitor", "--once", "--dir", str(published)]) == 0
@@ -540,12 +861,11 @@ class TestStallWatchdog:
         drain_warm_arenas()
         clear_struct_cache()
         FLIGHT.clear()
-        suspected0 = sum(
-            child.value
-            for _, child in METRICS.counter(
-                "repro_watchdog_stall_suspected_total"
-            ).samples()
-        )
+        def suspected():
+            family = METRICS.snapshot()["repro_watchdog_stall_suspected_total"]
+            return sum(s["value"] for s in family["samples"])
+
+        suspected0 = suspected()
         app = _nap_chain()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EngineDowngradeWarning)
@@ -568,13 +888,7 @@ class TestStallWatchdog:
             assert event["side"] in ("producer", "consumer")
             assert event["suspect"] in ("starvation", "convoy/backpressure")
             assert event["need"] >= 1
-        suspected1 = sum(
-            child.value
-            for _, child in METRICS.counter(
-                "repro_watchdog_stall_suspected_total"
-            ).samples()
-        )
-        assert suspected1 > suspected0
+        assert suspected() > suspected0
 
         # The error text carries the flight tail, and the tail names at
         # least one blocked edge — the post-mortem needs no trace file.
@@ -591,7 +905,7 @@ class TestStallWatchdog:
         monkeypatch.setenv("REPRO_WATCHDOG_S", "0.02")
         drain_warm_arenas()
         clear_struct_cache()
-        ticks_before = METRICS.counter("repro_watchdog_ticks_total").labels().value
+        ticks_before = _counter("repro_watchdog_ticks_total")
         out, interp = _run_app(
             "FMRadio", "parallel", periods=16, strategy="softpipe", cores=2
         )
@@ -599,8 +913,7 @@ class TestStallWatchdog:
             pytest.skip("parallel engine downgraded on this host")
         assert out
         assert interp.parallel._watchdog is None, "watchdog stopped on close"
-        ticks_after = METRICS.counter("repro_watchdog_ticks_total").labels().value
-        assert ticks_after > ticks_before
+        assert _counter("repro_watchdog_ticks_total") > ticks_before
 
     def test_watchdog_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCHDOG", "0")

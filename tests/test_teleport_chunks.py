@@ -645,7 +645,7 @@ def test_traced_spans_carry_the_real_scale():
     interp.run_steady(14)  # passes of 6, 6 and 2 periods
     [derived] = [e for e in interp.tracer.events if e["name"] == "plan.message_slack"]
     assert derived["args"] == {"constraints": 4}
-    per_period = {node.name: count for node, count in interp.plan._per_period}
+    per_period = {node.name: reps for node, reps in interp.program.reps.items()}
     for name in ("rf2if", "cfh_d0", "check_freq_hop.split"):
         spans = [e for e in interp.tracer.events if e.get("name") == name and "dur" in e]
         assert [s["args"]["firings"] for s in spans] == [
