@@ -448,8 +448,9 @@ class RingProof:
     #: replay models no barriers at all), so one extra batch generation of
     #: headroom lets producers run a whole batch ahead of consumers while
     #: the proof's deadlock-freedom argument still applies verbatim — the
-    #: 2× bound the double-buffered discipline allocates at the default
-    #: REPRO_RING_SLACK=1.  Meaningful only when ``proved`` is True.
+    #: 2× bound the double-buffered discipline allocates (the parallel
+    #: engine's ``RING_SLACK_BATCHES``).  Meaningful only when ``proved``
+    #: is True.
     db_capacity: int = 0
 
     def payload(self) -> Dict[str, Any]:

@@ -8,11 +8,9 @@ from repro.bench.harness import (
     render_bars,
     speedup_table,
     strategy_result,
-    time_breakdown,
 )
 
 __all__ = [
-    "time_breakdown",
     "geometric_mean",
     "strategy_result",
     "speedup_table",

@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -117,73 +117,6 @@ def measure_throughput(
         outputs=outputs,
         seconds=elapsed,
     )
-
-
-def measure_best(
-    builder: Callable[[], object],
-    periods: int,
-    label: str = "",
-    repeats: int = 3,
-    engine: str = "batched",
-    **engine_opts,
-) -> ThroughputSample:
-    """Best-of-``repeats`` throughput — the benchmarks' standard measurement.
-
-    Interference on a shared host only ever slows a run down, so the max
-    over a few repeats estimates the undisturbed rate (the same pattern the
-    E10 guard and the overhead studies use inline).
-    """
-    best: Optional[ThroughputSample] = None
-    for _ in range(repeats):
-        sample = measure_throughput(
-            builder, periods, label=label, engine=engine, **engine_opts
-        )
-        if best is None or sample.items_per_second > best.items_per_second:
-            best = sample
-    assert best is not None
-    return best
-
-
-def time_breakdown(
-    builder: Callable[[], object],
-    periods: int,
-    engine: str = "batched",
-    top: int = 3,
-    **engine_opts,
-) -> Tuple[str, Dict[str, object]]:
-    """Where the time goes: a short traced run's per-filter attribution.
-
-    Runs ``periods`` periods with streamscope tracing on (:mod:`repro.obs`)
-    and returns ``(text, metrics)`` — ``text`` is a compact
-    ``"name:45% name:30% ..."`` column for benchmark tables (the ``top``
-    most expensive filters by self-time), ``metrics`` the full
-    :meth:`~repro.obs.MemoryTracer.metrics` dict.  The traced run is
-    separate from the timed one, so the measurement itself stays untraced.
-    """
-    app = builder()
-    interp = Interpreter(app, check=False, engine=engine, trace=True, **engine_opts)
-    try:
-        interp.run(periods=periods)
-    finally:
-        interp.close()
-    metrics = interp.tracer.metrics()
-    filters = metrics.get("filters", {})
-    total = sum(row["self_time"] for row in filters.values())
-    if total <= 0:
-        return "n/a", metrics
-    def short(name: str) -> str:
-        # Fully-fused chains concatenate every stage name; keep the ends.
-        if len(name) > 28 and "+" in name:
-            stages = name.split("+")
-            return f"{stages[0]}+..+{stages[-1]}[{len(stages)}]"
-        return name
-
-    ordered = sorted(filters.items(), key=lambda kv: -kv[1]["self_time"])[:top]
-    text = " ".join(
-        f"{short(name)}:{100.0 * row['self_time'] / total:.0f}%"
-        for name, row in ordered
-    )
-    return text, metrics
 
 
 def normalize_periods(base_builder: Callable, opt_builder: Callable, base_periods: int) -> int:

@@ -103,16 +103,14 @@ def _check_static_semantics(graph: FlatGraph) -> None:
     """Run the static work() analysis; raise on definite errors.
 
     Suppressed diagnostics (``lint_suppress``) never raise.  An internal
-    analyzer failure degrades to a warning — validation must not be less
-    reliable than the analyses it hosts.
+    analyzer failure is reported as a ``RuntimeWarning``, not hidden —
+    validation must not be less reliable than the analyses it hosts.
     """
-    try:
-        from repro.analysis import analyze_graph
-    except Exception:  # pragma: no cover - analysis layer unavailable
-        return
+    from repro.analysis import analyze_graph
+
     try:
         bag = analyze_graph(graph)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         warnings.warn(
             f"static analysis failed during validate(): {type(exc).__name__}: {exc}",
             RuntimeWarning,

@@ -622,14 +622,11 @@ def try_extract(filt: Filter) -> ExtractionResult:
     """
     if filt.rate.pop == 0 or filt.rate.push == 0:
         return ExtractionResult(None, stateful=False, reason="source or sink filter")
-    try:
-        from repro.analysis.linearity import affine_prescreen
-    except Exception:  # pragma: no cover - analysis layer unavailable
-        affine_prescreen = None
-    if affine_prescreen is not None:
-        candidate, reason = affine_prescreen(filt)
-        if not candidate:
-            return ExtractionResult(None, stateful=True, reason=reason)
+    from repro.analysis.linearity import affine_prescreen
+
+    candidate, reason = affine_prescreen(filt)
+    if not candidate:
+        return ExtractionResult(None, stateful=True, reason=reason)
     fn = work_source_ast(filt)
     analyzer = _Analyzer(filt)
     if analyzer.mutated:

@@ -353,24 +353,23 @@ def partition_nodes(stream, graph, reps, strategy: str, n_cores: int):
     # plus the race hazards the whole-graph analysis finds (shared mutable
     # objects, teleport portal endpoint sets).
     constraints: List[List[FlatNode]] = [list(scc) for scc in _strongly_connected(graph)]
-    try:
-        from repro.analysis.graph import portal_links, shared_state_groups
+    # An analyzer crash propagates: dropping these constraints silently
+    # could put two filters that share a mutable object on two workers.
+    from repro.analysis.graph import portal_links, shared_state_groups
 
-        by_name = {n.name: n for n in graph.nodes}
-        for group in shared_state_groups(graph):
-            constraints.append(
-                [by_name[nm] for nm in group.filter_names if nm in by_name]
-            )
-        for link in portal_links(graph):
-            constraints.append(
-                [
-                    by_name[nm]
-                    for nm in (link.sender, *link.receivers)
-                    if nm in by_name
-                ]
-            )
-    except Exception:  # pragma: no cover - analysis layer unavailable
-        pass
+    by_name = {n.name: n for n in graph.nodes}
+    for group in shared_state_groups(graph):
+        constraints.append(
+            [by_name[nm] for nm in group.filter_names if nm in by_name]
+        )
+    for link in portal_links(graph):
+        constraints.append(
+            [
+                by_name[nm]
+                for nm in (link.sender, *link.receivers)
+                if nm in by_name
+            ]
+        )
     # Merge overlapping constraint sets (union-find), then move each merged
     # cluster onto its majority core.
     leader: Dict[FlatNode, FlatNode] = {}

@@ -4,7 +4,7 @@
   teleport boundaries, engine downgrades) from a streamscope trace;
   ``--json`` emits the same aggregation machine-readably;
 * ``validate`` — check the file against the Chrome trace-event schema and
-  print a shape summary (the CI ``obs-smoke`` gate);
+  print a shape summary;
 * ``monitor`` — live top-style view over the metrics snapshots a running
   (or recently exited) session publishes into the obs directory
   (``--once`` for one page, ``--json`` for the raw snapshot);
@@ -149,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--min-tracks",
         type=int,
         default=1,
-        help="require at least this many distinct tracks (CI gate)",
+        help="require at least this many distinct tracks",
     )
 
     p_monitor = sub.add_parser(

@@ -23,14 +23,13 @@ Exported two ways: :meth:`MetricsRegistry.snapshot` (JSON) and
 :func:`parse_prometheus` as its test-time inverse).  For live inspection
 (`python -m repro.obs monitor`), :func:`publish` drops an atomic JSON
 snapshot (metrics + flight-recorder ring) into :func:`obs_dir`;
-:func:`maybe_publish` rate-limits that to every ``REPRO_OBS_PUBLISH_S``
-seconds (default 2) and is called from run boundaries (once that is
-due), watchdog ticks, and an atexit hook.  Forked parallel workers exit via
+:func:`maybe_publish` rate-limits that to every :data:`PUBLISH_S` seconds
+and is called from run boundaries (once that is due), watchdog ticks, and
+an atexit hook.  Forked parallel workers exit via
 ``os._exit`` and therefore never publish — snapshots describe the parent.
 
-Env knobs: ``REPRO_METRICS=0`` disables the registry,
-``REPRO_OBS_DIR`` overrides the snapshot directory,
-``REPRO_OBS_PUBLISH_S`` the publish interval.
+Env knobs: ``REPRO_METRICS=0`` disables the registry, ``REPRO_OBS_DIR``
+overrides the snapshot directory.
 """
 
 from __future__ import annotations
@@ -366,19 +365,19 @@ class MetricsRegistry:
             return None
         self._dirty = False
         self._last_publish = perf_counter()
-        self._publish_due = self._last_publish + _publish_interval()
+        self._publish_due = self._last_publish + PUBLISH_S
         return path
 
     def maybe_publish(self, directory: Optional[str] = None) -> Optional[str]:
-        """Publish if dirty and the ``REPRO_OBS_PUBLISH_S`` interval elapsed."""
+        """Publish if dirty and :data:`PUBLISH_S` seconds have elapsed."""
         if not self.enabled:
             return None
-        interval, now = _publish_interval(), perf_counter()
-        if interval > 0 and now - self._last_publish < interval:
-            self._publish_due = self._last_publish + interval
+        now = perf_counter()
+        if now - self._last_publish < PUBLISH_S:
+            self._publish_due = self._last_publish + PUBLISH_S
             return None
         # Run boundaries come back once per interval even if the write fails.
-        self._publish_due = now + interval
+        self._publish_due = now + PUBLISH_S
         self.fold()
         return self.publish(directory) if self._dirty else None
 
@@ -502,7 +501,7 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
     """Parse exposition text back into ``{name: {type, help, samples}}``.
 
     Covers the subset :func:`prometheus_text` emits (enough for round-trip
-    tests and the obs-smoke CI assertions, not a general scrape parser).
+    tests, not a general scrape parser).
     Histogram series (``_bucket``/``_sum``/``_count``) fold back into their
     base family name.
     """
@@ -589,7 +588,8 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 _MAX_SNAPSHOTS = 32
-_DEFAULT_PUBLISH_S = 2.0
+#: Seconds between two rate-limited snapshot publishes.
+PUBLISH_S = 2.0
 
 
 def obs_dir() -> str:
@@ -599,13 +599,6 @@ def obs_dir() -> str:
         return configured
     uid = os.getuid() if hasattr(os, "getuid") else 0
     return os.path.join(tempfile.gettempdir(), f"repro-obs-{uid}")
-
-
-def _publish_interval() -> float:
-    try:
-        return float(os.environ.get("REPRO_OBS_PUBLISH_S", _DEFAULT_PUBLISH_S))
-    except ValueError:
-        return _DEFAULT_PUBLISH_S
 
 
 def _prune_snapshots(directory: str) -> None:

@@ -4,7 +4,7 @@ Running sessions :func:`~repro.obs.metrics.MetricsRegistry.publish` atomic
 ``obs-<pid>.json`` snapshots (metrics + flight-recorder ring) into
 :func:`~repro.obs.metrics.obs_dir`.  This module finds the newest snapshot
 (or a specific ``--pid``) and renders it as a top-style text page — live
-processes refresh theirs every ``REPRO_OBS_PUBLISH_S`` seconds, crashed
+processes refresh theirs every ``metrics.PUBLISH_S`` seconds, crashed
 ones leave their final atexit snapshot behind for post-mortems.
 """
 

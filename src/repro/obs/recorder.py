@@ -22,24 +22,16 @@ The ring pays for itself at post-mortem time:
   every published snapshot, so ``python -m repro.obs flight`` can show the
   final moments of a crashed process with no pre-arranged tracer.
 
-``REPRO_FLIGHT_CAP`` overrides the default 256-event capacity.
+The process-wide ring holds :data:`DEFAULT_CAPACITY` events.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-_DEFAULT_CAPACITY = 256
-
-
-def _default_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_FLIGHT_CAP", _DEFAULT_CAPACITY)))
-    except ValueError:
-        return _DEFAULT_CAPACITY
+DEFAULT_CAPACITY = 256
 
 
 class FlightRecorder:
@@ -49,10 +41,8 @@ class FlightRecorder:
     ...fields}``.  Old events fall off the front; ``dropped`` counts them.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = (
-            _default_capacity() if capacity is None else max(1, int(capacity))
-        )
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        self.capacity = max(1, int(capacity))
         self._events: deque = deque(maxlen=self.capacity)
         self.dropped = 0
         #: Called before the ring is read or recorded into, so run

@@ -1,8 +1,8 @@
 """The ``streamscope`` tracer core: protocol, null tracer, ring recorder.
 
 Every execution engine threads a :class:`Tracer` through its hot loops.
-The contract keeping the disabled path free (the CI guard holds it to ~2%
-of the untraced engine):
+The contract keeping the disabled path free (the cost ledger reads the
+traced / untraced ratio as ``obs.trace_overhead_ratio``):
 
 * a plan reads ``tracer.enabled`` **when it builds its block list**, and
   only then: a traced plan calls each block through one timing wrapper
@@ -119,27 +119,17 @@ class MemoryTracer(Tracer):
     ``dropped`` counts them), so a long traced run degrades to a sliding
     window instead of unbounded memory.
 
-    ``capacity`` defaults to the ``REPRO_TRACE_CAP`` environment variable
-    (or 1,000,000 spans when unset) so long soak runs can shrink the
-    window — ~200 bytes/span means the default ring tops out near 200 MB —
-    without touching the code that constructs the tracer.
+    ``capacity`` defaults to :attr:`DEFAULT_CAPACITY` spans — at ~200
+    bytes/span the default ring tops out near 200 MB; a long soak run
+    passes a smaller one.
     """
 
     enabled = True
 
     DEFAULT_CAPACITY = 1_000_000
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            import os
-
-            try:
-                capacity = max(
-                    1, int(os.environ.get("REPRO_TRACE_CAP", self.DEFAULT_CAPACITY))
-                )
-            except ValueError:
-                capacity = self.DEFAULT_CAPACITY
-        self.capacity = int(capacity)
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        self.capacity = max(1, int(capacity))
         self.events: deque = deque(maxlen=self.capacity)
         self.dropped = 0
         #: Run-level facts keyed by section name; see the engines and

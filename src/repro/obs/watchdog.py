@@ -1,12 +1,13 @@
 """Parent-side **stall watchdog** for the parallel engine.
 
-A ``RingStall`` fires only after the ring's timeout (``REPRO_RING_STALL_S``,
-default 120 s) — two minutes of silence before the error names the blocked
-edge.  The watchdog closes that gap: a daemon sampler thread in the parent
-reads each cross-worker ring's counters, occupancy, and blocked-``need``
-slots (:meth:`~repro.runtime.ring.RingChannel.blocked_needs`) straight out
-of the shared arena, plus worker process liveness, every
-``REPRO_WATCHDOG_S`` seconds (default 0.25).  When a ring's counters stop
+A ``RingStall`` fires only after the ring's timeout
+(``repro.runtime.parallel.RING_STALL_S``, 120 s) — two minutes of silence
+before the error names the blocked edge.  The watchdog closes that gap: a
+daemon sampler thread in the parent reads each cross-worker ring's
+counters, occupancy, and blocked-``need`` slots
+(:meth:`~repro.runtime.ring.RingChannel.blocked_needs`) straight out of
+the shared arena, plus worker process liveness, every
+:data:`INTERVAL_S` seconds.  When a ring's counters stop
 moving while a side is provably blocked on it, the watchdog records a
 structured ``stall_suspected`` flight event — *consumer* blocked means the
 edge is **starved** (its producer isn't delivering), *producer* blocked
@@ -17,32 +18,20 @@ workers get a ``worker_dead`` event the tick they are noticed.
 Everything the watchdog does is read-only and advisory: ticks are fully
 exception-guarded (a detached channel mid-``close()`` is expected, not an
 error), and the thread is a daemon so it can never hold the process alive.
-``REPRO_WATCHDOG=0`` disables it entirely.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import METRICS
 from repro.obs.recorder import FLIGHT
 
-_DEFAULT_INTERVAL_S = 0.25
+#: Seconds between two samples of a session's rings.
+INTERVAL_S = 0.25
 #: Consecutive no-progress ticks (with a blocked side) before suspicion.
 _STUCK_TICKS = 2
-
-
-def _interval() -> float:
-    try:
-        return max(0.01, float(os.environ.get("REPRO_WATCHDOG_S", _DEFAULT_INTERVAL_S)))
-    except ValueError:
-        return _DEFAULT_INTERVAL_S
-
-
-def watchdog_enabled() -> bool:
-    return os.environ.get("REPRO_WATCHDOG", "1") != "0"
 
 
 class StallWatchdog(threading.Thread):
@@ -51,7 +40,7 @@ class StallWatchdog(threading.Thread):
     def __init__(self, session, interval: Optional[float] = None) -> None:
         super().__init__(name="repro-stall-watchdog", daemon=True)
         self._session = session
-        self.interval = _interval() if interval is None else interval
+        self.interval = INTERVAL_S if interval is None else interval
         self._stop_event = threading.Event()
         # Per-edge progress memory: (pushed, popped) at the last tick and
         # how many consecutive ticks it has been both frozen and blocked.

@@ -314,14 +314,10 @@ class Interpreter:
         if METRICS.enabled:
             _M_DOWNGRADES.inc(code=code)
             FLIGHT.record("engine_downgrade", code=code, reason=reason[:160])
-        diagnostic = None
-        try:
-            from repro.analysis import Diagnostic
+        from repro.analysis import Diagnostic
 
-            diagnostic = Diagnostic.make(code, reason, self.stream)
-            self.downgrades.append(diagnostic)
-        except Exception:  # pragma: no cover - analysis layer unavailable
-            pass
+        diagnostic = Diagnostic.make(code, reason, self.stream)
+        self.downgrades.append(diagnostic)
         if self.strict:
             raise StreamItError(
                 f"engine={self.engine!r} strict mode: [{code}] {reason}"
@@ -391,10 +387,8 @@ class Interpreter:
         for every engine.  ``None`` for plain scalar/batched runs with
         nothing to report.
         """
-        try:
-            from repro.analysis.graph import analyze_flat_graph
-        except Exception:  # pragma: no cover - analysis layer unavailable
-            return None
+        from repro.analysis.graph import analyze_flat_graph
+
         try:
             analysis = analyze_flat_graph(self.graph)
         except Exception:  # pragma: no cover - analyzer crash

@@ -34,7 +34,7 @@ produced by the :mod:`repro.mapping.strategies` pipeline on real OS cores:
   (period count + chunk schedule, written once into the arena header) per
   ``run_steady()`` call, so workers free-run through the whole request with
   zero mid-run round trips.  Control traffic is counted
-  (``protocol_report()``) and CI asserts O(1) commands per worker per run.
+  (``protocol_report()``) and tier-1 asserts O(1) commands per worker per run.
   Failures are reported through an error queue tagged with the firing
   filter's instance name, and every peer is unblocked via the arena-wide
   abort flag — no orphaned processes, no partial hangs;
@@ -69,7 +69,7 @@ from repro.errors import StreamItError
 from repro.graph.flatgraph import FILTER, FlatNode
 from repro.obs.metrics import METRICS
 from repro.obs.recorder import FLIGHT, format_flight_tail
-from repro.obs.watchdog import StallWatchdog, watchdog_enabled
+from repro.obs.watchdog import StallWatchdog
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.plan import make_node_executor
 from repro.runtime.ring import (
@@ -126,13 +126,13 @@ _DAG_STRATEGIES = frozenset({"task", "fine_grained", "data"})
 _TRACE_BUF_CAP = 200_000
 
 
-def _stall_deadline() -> float:
-    """Seconds a blocked ring wait may starve before RingStall fires
-    (``REPRO_RING_STALL_S``, default 120)."""
-    try:
-        return max(0.01, float(os.environ.get("REPRO_RING_STALL_S", "120")))
-    except ValueError:
-        return 120.0
+#: Seconds a blocked ring wait may starve before RingStall fires.
+RING_STALL_S = 120.0
+
+#: Extra batches of ring headroom on top of each proved minimal capacity:
+#: one lets a producer run a whole batch generation ahead (the double
+#: buffer); zero runs at the proved minimum, still stall-free.
+RING_SLACK_BATCHES = 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +206,17 @@ def clear_struct_cache() -> None:
     struct_cache_stats["misses"] = 0
 
 
-def _struct_cache_key(interp, strategy: str, cores: int) -> Optional[Tuple]:
+def _struct_cache_key(interp, strategy: str, cores: int) -> Tuple:
     """(plan fingerprint, strategy, cores): the codegen cache's fingerprint
     (structural signature + per-class work code hashes) without messaging
     endpoints — portal-bound graphs never reach the parallel engine."""
-    try:
-        from repro import __version__
-        from repro.runtime.codegen_emit import plan_fingerprint
-        from repro.runtime.plan import _plan_signature
+    from repro import __version__
+    from repro.runtime.codegen_emit import plan_fingerprint
+    from repro.runtime.plan import _plan_signature
 
-        signature = _plan_signature(interp.graph, interp.program, (), ())
-        # plan_fingerprint reads only ``.graph`` of its plan argument.
-        fingerprint = plan_fingerprint(interp, signature, __version__)
-    except Exception:  # pragma: no cover - fingerprint layer unavailable
-        return None
+    signature = _plan_signature(interp.graph, interp.program, (), ())
+    # plan_fingerprint reads only ``.graph`` of its plan argument.
+    fingerprint = plan_fingerprint(interp, signature, __version__)
     return (fingerprint, strategy, int(cores))
 
 
@@ -286,7 +283,7 @@ class ParallelSession:
         self.cores = int(cores)
         #: Control-plane accounting: every fork, command, and barrier wait
         #: the parent issues.  ``steady_commands / steady_runs == 1`` is the
-        #: batched-protocol invariant CI asserts.
+        #: batched-protocol invariant tier-1 asserts.
         self.protocol: Dict[str, object] = {
             "fork_count": 0,
             "commands": {"init": 0, "steady": 0, "shutdown": 0},
@@ -318,11 +315,7 @@ class ParallelSession:
         # the same plan fingerprint reuse them instead of re-running the
         # model transforms and the proof replay.
         self._struct_key = _struct_cache_key(interp, strategy, self.cores)
-        cached = (
-            _STRUCT_CACHE.get(self._struct_key)
-            if self._struct_key is not None
-            else None
-        )
+        cached = _STRUCT_CACHE.get(self._struct_key)
         by_name = {n.name: n for n in graph.nodes}
         if cached is not None:
             struct_cache_stats["hits"] += 1
@@ -333,9 +326,8 @@ class ParallelSession:
                 if name in by_name
             }
         else:
-            if self._struct_key is not None:
-                struct_cache_stats["misses"] += 1
-                self.protocol["struct_cache"] = "miss"
+            struct_cache_stats["misses"] += 1
+            self.protocol["struct_cache"] = "miss"
             from repro.mapping.strategies import partition_nodes
 
             try:
@@ -399,35 +391,32 @@ class ParallelSession:
         # Ring capacities: the whole-graph analysis replays the per-worker
         # schedules at this session's exact firing granularity and proves a
         # minimal stall-free capacity per cross edge (repro.analysis.graph).
-        # Allocated capacity adds REPRO_RING_SLACK extra batches of headroom
-        # (default 1) so producers can run a whole batch generation ahead —
-        # the double buffer — without touching the proof; REPRO_RING_SLACK=0
-        # runs at the proved minimum (still stall-free: the witness replay
-        # certifies deadlock freedom at the peak, barrier or no barrier).
-        # If the replay cannot complete, the proof object itself carries the
-        # legacy guess (init peak + two batches + slop) with proved=False.
+        # Allocated capacity adds RING_SLACK_BATCHES extra batches of
+        # headroom without touching the proof (at zero the session is still
+        # stall-free: the witness replay certifies deadlock freedom at the
+        # peak, barrier or no barrier).  If the replay cannot complete, the
+        # proof object itself carries the legacy guess (init peak + two
+        # batches + slop) with proved=False.
         self.ring_proofs: Dict[object, object] = {}
         edge_key = lambda e: (e.src.name, e.dst.name, e.src_port, e.dst_port)
-        if cached is not None and "proofs" in cached:
-            try:
-                from repro.analysis.graph import RingProof
+        from repro.analysis.graph import RingProof, ring_capacity_proofs
 
-                stored = cached["proofs"]
-                self.ring_proofs = {
-                    e: RingProof(**stored[edge_key(e)])
-                    for e in cross
-                    if edge_key(e) in stored
-                }
-            except Exception:  # pragma: no cover - analysis layer unavailable
-                self.ring_proofs = {}
+        if cached is not None and "proofs" in cached:
+            stored = cached["proofs"]
+            self.ring_proofs = {
+                e: RingProof(**stored[edge_key(e)])
+                for e in cross
+                if edge_key(e) in stored
+            }
         if not self.ring_proofs:
             try:
-                from repro.analysis.graph import ring_capacity_proofs
-
                 self.ring_proofs = ring_capacity_proofs(
                     program, self.node_wid, self.batch_periods, self.monolithic
                 )
-            except Exception:  # pragma: no cover - analysis layer unavailable
+            except Exception:
+                # An analyzer crash proves nothing: every edge takes the
+                # stricter unproved path below (legacy capacity guess,
+                # per-batch barrier for DAG strategies).
                 self.ring_proofs = {}
         # Discipline.  Pipelined strategies always free-run.  DAG strategies
         # free-run *double-buffered* when every cross edge has a proved
@@ -441,17 +430,15 @@ class ParallelSession:
             self.discipline = "double_buffered" if all_proved else "dag"
         else:
             self.discipline = "pipelined"
-        try:
-            slack_batches = max(0, int(os.environ.get("REPRO_RING_SLACK", "1")))
-        except ValueError:
-            slack_batches = 1
         capacities: List[int] = []
         for e in cross:
             proof = self.ring_proofs.get(e)
             if proof is not None:
                 cap = proof.capacity
                 if proof.proved:
-                    cap += slack_batches * self.batch_periods * items_per_period[e]
+                    cap += (
+                        RING_SLACK_BATCHES * self.batch_periods * items_per_period[e]
+                    )
             else:
                 cap = (
                     program.buffer_bounds[e]
@@ -459,7 +446,7 @@ class ParallelSession:
                     + 64
                 )
             capacities.append(cap)
-        if self._struct_key is not None and cached is None:
+        if cached is None:
             import dataclasses
 
             entry: Dict[str, object] = {
@@ -476,7 +463,6 @@ class ParallelSession:
         # Blocked-wait policy: with more workers than CPUs, spinning steals
         # the quantum the peer needs; yield immediately instead.
         self._spin = 0 if self.n_workers > (os.cpu_count() or 1) else _SPIN_ITERS
-        self._ring_timeout = _stall_deadline()
         segment = _adopt_warm_arena(RingArena.required_size(capacities))
         self._arena = RingArena(capacities, segment=segment)
         self.protocol["arena_reused"] = self._arena.reused
@@ -486,7 +472,7 @@ class ParallelSession:
                 i,
                 name=f"{edge.src.name}->{edge.dst.name}",
                 initial=edge.initial,
-                timeout=self._ring_timeout,
+                timeout=RING_STALL_S,
                 spin=self._spin,
                 max_sleep=_WAIT_SLEEP_CAP,
             )
@@ -554,15 +540,17 @@ class ParallelSession:
         the ring capacities and restricted schedules are sized from the
         declared static rates, so such a filter could deadlock a worker.
         """
-        try:
-            from repro.analysis import analyze_filter
-        except Exception:  # pragma: no cover - analysis layer unavailable
-            return
+        from repro.analysis import analyze_filter
+
         for node in graph.filter_nodes():
             try:
-                rates = analyze_filter(node.filter).rates
-            except Exception:  # pragma: no cover - analyzer crash
-                continue
+                analysis = analyze_filter(node.filter)
+            except Exception as exc:
+                raise ParallelUnsafe(
+                    f"static analysis of filter {node.name!r} failed "
+                    f"({type(exc).__name__}: {exc})"
+                )
+            rates = analysis.rates
             if rates is not None and rates.dynamic:
                 raise ParallelUnsafe(
                     f"filter {node.name!r} has dynamic rates "
@@ -570,7 +558,7 @@ class ParallelSession:
                 )
             # SL402: unbounded effects (dynamic writes, self escapes) mean
             # race freedom across forked workers cannot be proven.
-            effects = analyze_filter(node.filter).effects
+            effects = analysis.effects
             if effects is not None and (effects.dynamic or effects.escapes):
                 reasons = "; ".join((*effects.dynamic, *effects.escapes))
                 raise ParallelUnsafe(
@@ -806,9 +794,8 @@ class ParallelSession:
                 strategy=self.strategy,
                 discipline=self.discipline,
             )
-            if watchdog_enabled():
-                self._watchdog = StallWatchdog(self)
-                self._watchdog.start()
+            self._watchdog = StallWatchdog(self)
+            self._watchdog.start()
 
     def _run_command(self, cmd: int, periods: int = 0) -> None:
         if self._closed or self._failed:

@@ -452,12 +452,9 @@ class BatchExecutor:
         self._allow_trusted = bool(allow_trusted) and self.lifted is not None
 
     def _make_downgrade(self, reasons):
-        try:
-            from repro.analysis.vectorsafety import VectorProof
+        from repro.analysis.vectorsafety import VectorProof
 
-            return VectorProof(False, tuple(reasons)).diagnostic(self.filt)
-        except Exception:  # pragma: no cover - analysis layer unavailable
-            return None
+        return VectorProof(False, tuple(reasons)).diagnostic(self.filt)
 
     def _certify(self) -> bool:
         """Consult the static vectorization proof; record the outcome.
@@ -465,11 +462,13 @@ class BatchExecutor:
         Runs at first call — after ``init()`` — so the effects/rate passes
         see the instance's live attribute values.
         """
-        try:
-            from repro.analysis import analyze_filter
+        from repro.analysis import analyze_filter
 
+        try:
             analysis = analyze_filter(self.filt, refresh=True)
-        except Exception:  # pragma: no cover - analysis layer unavailable
+        except Exception:
+            # An analyzer crash certifies nothing: the caller falls back
+            # to the stricter path, the empirical trial on clones.
             return False
         proof = analysis.proof
         if proof.certified:

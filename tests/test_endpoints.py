@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import ALL_APPS
 from repro.errors import EngineDowngradeWarning
 from repro.graph.builtins import ArraySource, Collected, CollectSink
+from repro.linear import apply_selection
 from repro.runtime import ArrayChannel, Interpreter
 from repro.runtime.plan import _FusionTape
 
@@ -367,3 +368,27 @@ def test_a_run_leaves_no_python_object_per_item(tmp_path, monkeypatch):
     assert np.array_equal(np.concatenate([first, second]), whole)
     prefix = _scalar("FIR")
     assert first[: len(prefix)].tolist() == prefix
+
+
+def test_a_linear_replaced_run_leaves_no_python_object_per_item(tmp_path, monkeypatch):
+    """The same contract on compiler-made kernels: FilterBank as
+    ``apply_selection`` rewrites it (``LinearFilter`` / ``FrequencyFilter``)."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+    periods = 50_000
+    want = np.asarray(_drive("FilterBank", [20], engine="batched")[0])
+    app = apply_selection(ALL_APPS["FilterBank"]())[0]
+    sink = _sink(app)
+    with Interpreter(app, check=False, engine="codegen") as interp:
+        interp.run(periods=periods)  # warm: module bound, tapes grown
+        assert interp.engine_used == "codegen"
+        got = np.asarray(sink.collected)
+        sink.collected.clear()
+        gc.collect()
+        before = sys.getallocatedblocks()
+        interp.run_steady(periods)
+        count = len(sink.collected)
+        window = np.asarray(sink.collected)
+        grown = sys.getallocatedblocks() - before
+    assert len(want) > 0 and np.abs(got[: len(want)] - want).max() <= 1e-9
+    assert count == len(window) >= periods
+    assert grown < 1000, grown

@@ -5,8 +5,8 @@ Covers the three certified artifacts end to end:
 * shared-state race detection (SL401/SL402) and the partition fixup that
   co-locates racy filters and portal endpoints on one worker;
 * ring-capacity proofs — the parallel engine allocates exactly the proved
-  capacity under ``REPRO_RING_SLACK=0`` and still produces bit-identical
-  output;
+  capacity (``RING_SLACK_BATCHES`` patched to 0) and still produces
+  bit-identical output;
 * certified cross-splitjoin fusion regions — detection on hand-built
   graphs and rejection of uncertifiable shapes.
 """
@@ -25,7 +25,7 @@ from repro.analysis.graph import (
     ring_capacity_proofs,
     shared_state_groups,
 )
-from repro.apps import fmradio, freqhop
+from repro.apps import ALL_APPS, fmradio, freqhop
 from repro.errors import EngineDowngradeWarning
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, validate
 from repro.graph.composites import FeedbackLoop, SplitJoin
@@ -198,10 +198,10 @@ class TestRingProofs:
         assert all(p.capacity >= 1 for p in report.proofs)
 
     def test_parallel_runs_at_proved_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RING_SLACK", "0")
+        monkeypatch.setattr("repro.runtime.parallel.RING_SLACK_BATCHES", 0)
 
-        def run(engine):
-            app = fmradio.build()
+        def run(name, engine):
+            app = ALL_APPS[name]()
             sink = next(
                 f for f in app.filters() if isinstance(f, CollectSink)
             )
@@ -216,16 +216,17 @@ class TestRingProofs:
                 interp.close()
             return list(sink.collected), interp
 
-        ref, _ = run("batched")
-        out, interp = run("parallel")
-        assert out == ref
-        session = interp.parallel
-        assert session is not None
-        proofs = session.ring_proofs
-        assert proofs and all(p.proved for p in proofs.values())
-        # With zero slack the allocated capacity IS the proved minimum.
-        for edge in session.ring_edges:
-            assert session.channels[edge].capacity == proofs[edge].capacity
+        for name in ("FMRadio", "FilterBank", "Beamformer"):
+            ref, _ = run(name, "batched")
+            out, interp = run(name, "parallel")
+            assert out == ref, name
+            session = interp.parallel
+            assert session is not None, name
+            proofs = session.ring_proofs
+            assert proofs and all(p.proved for p in proofs.values()), name
+            # With zero slack the allocated capacity IS the proved minimum.
+            for edge in session.ring_edges:
+                assert session.channels[edge].capacity == proofs[edge].capacity
 
     def test_engine_report_records_proofs(self):
         app = fmradio.build()

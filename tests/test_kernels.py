@@ -17,12 +17,14 @@ import pytest
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.apps import des, fft
+from repro.apps import ALL_APPS, des, fft
 from repro.apps.channelvocoder import EnvelopeFollower
 from repro.apps.common import Adder, FIRFilter, MatrixFilter
 from repro.apps.radar import BeamFirFilter
 from repro.graph.base import Filter
-from repro.runtime import ArrayChannel, kernels, vectorize
+from repro.graph.builtins import CollectSink
+from repro.linear import apply_selection
+from repro.runtime import ArrayChannel, Interpreter, kernels, vectorize
 from repro.runtime.kernels import (
     LOOP_BLOCK_ABOVE,
     TABLE_MAX_FIRINGS,
@@ -32,7 +34,7 @@ from repro.runtime.kernels import (
     unit_taps,
 )
 
-from .helpers import assert_same_bits
+from .helpers import assert_same_bits, run_stream
 
 
 def scalar_mac(window, coeffs, n, stride):
@@ -327,6 +329,27 @@ def test_src_builds_firing_windows_one_way_only():
     src = Path(__file__).resolve().parents[1] / "src"
     hits = [str(p) for p in src.rglob("*.py") if banned.search(p.read_text())]
     assert hits == []
+
+
+def test_compiler_made_kernels_call_no_numpy_window_helper(monkeypatch):
+    """The dynamic twin of the grep: FMRadio as the linear optimiser
+    rewrites it, one period a call, with numpy's helper set to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sliding_window_view called under src/")
+
+    want = np.asarray(run_stream(ALL_APPS["FMRadio"](), periods=2000))
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+    app = apply_selection(ALL_APPS["FMRadio"]())[0]
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with Interpreter(app, check=False, engine="codegen", strict=True) as interp:
+        interp.run_init()
+        for _ in range(200):
+            interp.run_steady(1)
+    got = np.asarray(sink.collected)
+    assert interp.engine_used == "codegen"
+    assert len(got) >= len(want) > 0
+    assert np.abs(got[: len(want)] - want).max() <= 1e-9
 
 
 class _Taps3(Filter):

@@ -23,6 +23,7 @@ from repro.obs import (
     CAT_FUSED,
     CAT_WORKER,
     NULL_TRACER,
+    FlightRecorder,
     HwmArrayChannel,
     MemoryTracer,
     NullTracer,
@@ -148,10 +149,9 @@ class TestValidation:
 
 
 class TestTraceCapacity:
-    def test_env_capacity_bounds_the_ring(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CAP", "10")
-        tracer = MemoryTracer()
-        assert tracer.capacity == 10
+    def test_capacity_bounds_the_ring(self):
+        assert MemoryTracer().capacity == MemoryTracer.DEFAULT_CAPACITY
+        tracer = MemoryTracer(capacity=10)
         for i in range(25):
             tracer.instant(f"e{i}", "meta")
         assert len(tracer.events) == 10
@@ -160,17 +160,20 @@ class TestTraceCapacity:
         assert tracer.events[0]["name"] == "e15"
         assert tracer.events[-1]["name"] == "e24"
 
-    def test_explicit_capacity_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CAP", "10")
-        assert MemoryTracer(capacity=3).capacity == 3
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CAP", "a lot please")
-        assert MemoryTracer().capacity == MemoryTracer.DEFAULT_CAPACITY
-
-    def test_unset_env_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CAP", raising=False)
-        assert MemoryTracer().capacity == MemoryTracer.DEFAULT_CAPACITY
+    @pytest.mark.parametrize(
+        "cls, record",
+        [
+            (MemoryTracer, lambda ring: ring.instant("tick", "meta")),
+            (FlightRecorder, lambda ring: ring.record("tick")),
+        ],
+        ids=["tracer", "flight"],
+    )
+    def test_zero_capacity_clamps_to_one_event(self, cls, record):
+        ring = cls(capacity=0)
+        assert ring.capacity == 1
+        for _ in range(3):
+            record(ring)
+        assert len(ring.events) == 1 and ring.dropped == 2
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +489,21 @@ class TestCli:
 
     def test_report_top_limits_rows(self, trace_file, capsys):
         assert obs_main(["report", str(trace_file), "--top", "1"]) == 0
+
+    def test_parallel_trace_file_has_worker_tracks_and_reports_json(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "fm.parallel.trace.json"
+        _, interp = _run_traced(
+            ALL_APPS["FMRadio"], "parallel", trace=str(path),
+            strategy="softpipe", cores=2,
+        )
+        if interp.engine_used != "parallel":
+            pytest.skip("degenerate partition on this host")
+        assert obs_main(["validate", str(path), "--min-tracks", "2"]) == 0
+        capsys.readouterr()
+        assert obs_main(["report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,6 @@ class TestFlightRecorder:
         assert rec.payload()["capacity"] == 4
         assert rec.payload()["dropped"] == 6
 
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_CAP", "7")
-        assert FlightRecorder().capacity == 7
-        monkeypatch.setenv("REPRO_FLIGHT_CAP", "bogus")
-        assert FlightRecorder().capacity == 256
-
     def test_tail_filters_by_kind(self):
         rec = FlightRecorder(capacity=16)
         rec.record("run_start", periods=2)
@@ -494,7 +488,6 @@ class TestSteadyCallWritesNothing:
         self, engine, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
-        monkeypatch.delenv("REPRO_OBS_PUBLISH_S", raising=False)
         with open_session(ALL_APPS["BitonicSort"](), "scalar") as scalar:
             scalar.run(203)
             want = [scalar.fired[node] for node in scalar.graph.nodes]
@@ -607,7 +600,8 @@ class TestReadsAreUnchanged:
     def test_scripted_sessions(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_OBS_PUBLISH_S", "0")  # publish at every boundary
+        # Publish at every boundary.
+        monkeypatch.setattr("repro.obs.metrics.PUBLISH_S", 0.0)
         METRICS.clear()
         FLIGHT.clear()
         stop = threading.Event()
@@ -763,7 +757,7 @@ class TestPublishAndCli:
 
     def test_maybe_publish_honours_zero_interval(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_OBS_PUBLISH_S", "0")
+        monkeypatch.setattr("repro.obs.metrics.PUBLISH_S", 0.0)
         METRICS.counter("repro_test_dirty_total").inc()
         assert METRICS.maybe_publish() is not None
         assert list(tmp_path.glob("obs-*.json"))
@@ -774,7 +768,6 @@ class TestPublishAndCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         monkeypatch.setenv("REPRO_OBS_DIR", str(blocker / "sub"))  # makedirs fails
-        monkeypatch.delenv("REPRO_OBS_PUBLISH_S", raising=False)
         monkeypatch.setattr(METRICS, "_last_publish", float("-inf"))
         monkeypatch.setattr(METRICS, "_publish_due", 0.0)
         attempts = []
@@ -856,8 +849,8 @@ class TestStallWatchdog:
     def test_starved_run_yields_suspicion_and_flight_tail_names_edge(
         self, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_RING_STALL_S", "0.4")
-        monkeypatch.setenv("REPRO_WATCHDOG_S", "0.05")
+        monkeypatch.setattr("repro.runtime.parallel.RING_STALL_S", 0.4)
+        monkeypatch.setattr("repro.obs.watchdog.INTERVAL_S", 0.05)
         drain_warm_arenas()
         clear_struct_cache()
         FLIGHT.clear()
@@ -902,10 +895,11 @@ class TestStallWatchdog:
         assert any(edge and str(edge) in message for edge in edges)
 
     def test_watchdog_gauges_update_on_healthy_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_S", "0.02")
+        monkeypatch.setattr("repro.obs.watchdog.INTERVAL_S", 0.02)
         drain_warm_arenas()
         clear_struct_cache()
         ticks_before = _counter("repro_watchdog_ticks_total")
+        steady_before = _counter("repro_parallel_commands_total", kind="steady")
         out, interp = _run_app(
             "FMRadio", "parallel", periods=16, strategy="softpipe", cores=2
         )
@@ -914,21 +908,7 @@ class TestStallWatchdog:
         assert out
         assert interp.parallel._watchdog is None, "watchdog stopped on close"
         assert _counter("repro_watchdog_ticks_total") > ticks_before
-
-    def test_watchdog_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG", "0")
-        drain_warm_arenas()
-        clear_struct_cache()
-        app = ALL_APPS["FMRadio"]()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp = Interpreter(
-                app, check=False, engine="parallel", strategy="softpipe", cores=2
-            )
-        try:
-            if interp.engine_used != "parallel":
-                pytest.skip("parallel engine downgraded on this host")
-            assert interp.parallel._watchdog is None
-            interp.run(periods=4)
-        finally:
-            interp.close()
+        assert (
+            _counter("repro_parallel_commands_total", kind="steady")
+            == steady_before + 1
+        )

@@ -334,6 +334,30 @@ class TestParallelDowngrade:
                 app, engine="parallel", strategy="softpipe", cores=1, strict=True
             )
 
+    def test_analyzer_crash_refuses_instead_of_dropping_constraints(
+        self, monkeypatch
+    ):
+        # The co-location constraints keep two filters that share a mutable
+        # object on one worker; an analysis that crashed has found none.
+        def crash(graph):
+            raise RuntimeError("analyzer exploded")
+
+        monkeypatch.setattr("repro.analysis.graph.shared_state_groups", crash)
+        clear_struct_cache()
+        with pytest.warns(EngineDowngradeWarning, match="SL304"):
+            interp = Interpreter(
+                ALL_APPS["FMRadio"](), check=False, engine="parallel", cores=2
+            )
+        assert interp.engine_used == "batched"
+        [downgrade] = [d for d in interp.downgrades if d.code == "SL304"]
+        assert "analyzer exploded" in downgrade.message
+        interp.close()
+        with pytest.raises(StreamItError, match="analyzer exploded"):
+            Interpreter(
+                ALL_APPS["FMRadio"](), check=False, engine="parallel", cores=2,
+                strict=True,
+            )
+
     def test_downgrade_report_is_structured(self):
         app = _chain_app(Identity())
         with warnings.catch_warnings():
@@ -469,7 +493,7 @@ class TestStructuredStall:
         # One filter naps far past the stall deadline: whichever worker is
         # blocked on the starved ring must raise a structured error naming
         # the edge and the worker — not hang for the default two minutes.
-        monkeypatch.setenv("REPRO_RING_STALL_S", "0.4")
+        monkeypatch.setattr("repro.runtime.parallel.RING_STALL_S", 0.4)
         interp, _ = _fresh_parallel(lambda: _chain_app(_SlowFilter(3.0)))
         t0 = time.perf_counter()
         with pytest.raises(StreamItError) as excinfo:
@@ -534,24 +558,25 @@ class TestDoubleBuffered:
     def test_dag_strategies_run_barrier_free_at_proved_capacity(
         self, strategy, monkeypatch
     ):
-        # REPRO_RING_SLACK=0 allocates exactly the certified capacity: the
-        # proofs alone must make the barrier-free run safe and bit-exact.
-        monkeypatch.setenv("REPRO_RING_SLACK", "0")
-        builder = ALL_APPS["FilterBank"]
-        ref, _ = _run(builder, "batched", periods=6)
-        interp, sink = _fresh_parallel(builder, strategy=strategy)
-        try:
-            assert interp.parallel.discipline == "double_buffered"
-            interp.run(4)
-            interp.run_steady(2)
-            proto = interp.parallel.protocol_report()
-            out = list(sink.collected)
-        finally:
-            interp.close()
-        # Start + finish per command only — zero per-batch step barriers.
-        commands = proto["commands"]["init"] + proto["commands"]["steady"]
-        assert proto["barrier_waits"] == 2 * commands
-        assert out == ref
+        # Zero slack allocates exactly the certified capacity: the proofs
+        # alone must make the barrier-free run safe and bit-exact.
+        monkeypatch.setattr("repro.runtime.parallel.RING_SLACK_BATCHES", 0)
+        for name in ("FilterBank", "FMRadio", "Beamformer"):
+            builder = ALL_APPS[name]
+            ref, _ = _run(builder, "batched", periods=6)
+            interp, sink = _fresh_parallel(builder, strategy=strategy)
+            try:
+                assert interp.parallel.discipline == "double_buffered", name
+                interp.run(4)
+                interp.run_steady(2)
+                proto = interp.parallel.protocol_report()
+                out = list(sink.collected)
+            finally:
+                interp.close()
+            # Start + finish per command only — zero per-batch step barriers.
+            commands = proto["commands"]["init"] + proto["commands"]["steady"]
+            assert proto["barrier_waits"] == 2 * commands, name
+            assert out == ref, name
 
     def test_unproved_ring_keeps_dag_barriers(self, monkeypatch):
         # A ring whose capacity proof is unavailable must not run

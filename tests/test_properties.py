@@ -866,7 +866,7 @@ class TestGraphAnalysisDifferential:
     Every random splitjoin built from pure branches must yield a certified
     fusion region; codegen must stay bit-exact vs scalar on it; and
     the parallel engine must run stall-free at the statically-proved
-    minimal ring capacities (``REPRO_RING_SLACK=0``) with identical output.
+    minimal ring capacities (``RING_SLACK_BATCHES = 0``) with identical output.
     """
 
     @settings(max_examples=15, deadline=None)
@@ -896,8 +896,6 @@ class TestGraphAnalysisDifferential:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_parallel_stall_free_at_proved_capacity(self, seed):
-        import os
-
         gen = np.random.default_rng(seed)
         data = [float(v) for v in gen.uniform(-4, 4, size=8)]
         spec_seed = int(gen.integers(0, 2**32))
@@ -912,17 +910,11 @@ class TestGraphAnalysisDifferential:
             )
 
         scalar, _ = _run_engine(build, "scalar", 5)
-        old = os.environ.get("REPRO_RING_SLACK")
-        os.environ["REPRO_RING_SLACK"] = "0"
-        try:
+        with pytest.MonkeyPatch.context() as patch:  # per Hypothesis example
+            patch.setattr("repro.runtime.parallel.RING_SLACK_BATCHES", 0)
             out, interp = _run_engine(
                 build, "parallel", 5, strategy="softpipe", cores=2
             )
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_RING_SLACK", None)
-            else:
-                os.environ["REPRO_RING_SLACK"] = old
         assert out == scalar
         if interp.engine_used == "parallel":
             session = interp.parallel
