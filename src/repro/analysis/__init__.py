@@ -5,11 +5,14 @@ The pass pipeline (see DESIGN.md "Static analysis layer"):
 1. :mod:`~repro.analysis.effects` — effects/purity: which ``self``
    attributes does ``work()`` read/write (through loops, branches, helper
    methods, aliases)?  Classifies stateless / peeking / stateful.
-2. :mod:`~repro.analysis.rates` — symbolic channel counting: do the
-   ``push``/``pop``/``peek`` occurrences match the declared rates, and do
-   peek offsets stay in bounds?
-3. :mod:`~repro.analysis.linearity` — affine pre-screen gating
-   :func:`repro.linear.extraction.try_extract`.
+2. :mod:`~repro.analysis.rates` — the one symbolic executor of ``work()``:
+   do the ``push``/``pop``/``peek`` occurrences match the declared rates,
+   do peek offsets stay in bounds — and, asked for rows by
+   :func:`repro.linear.extraction.try_extract`, which affine form of the
+   input window is each pushed item?
+3. :mod:`~repro.analysis.linearity` — the effects-only half of linearity:
+   the ``SL201`` candidates and the ``stateful:`` reasons ``try_extract``
+   reports.
 4. :mod:`~repro.analysis.vectorsafety` — a machine-checkable proof that
    batched (column-wise) execution is bit-exact, consumed by
    :class:`repro.runtime.vectorize.BatchExecutor`.

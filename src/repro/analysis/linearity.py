@@ -1,15 +1,10 @@
-"""Linearity pre-screen: cheap static gate in front of linear extraction.
+"""Linearity pre-screen: what the effects pass alone says about linearity.
 
-:mod:`repro.linear.extraction` runs a full affine abstract interpretation
-of ``work()`` to recover a :class:`~repro.linear.representation.LinearRep`.
-That interpretation is comparatively expensive and — before this pass —
-was applied to *every* filter during ``collapse_linear``.  Worse, its
-treatment of subscript stores can write through aliases into **live**
-attribute lists of the instance under analysis.
-
-This pre-screen uses the alias-aware effects pass to answer, without any
-abstract interpretation, the questions whose answers are always "not
-linear":
+:func:`repro.linear.extraction.try_extract` recovers a filter's
+:class:`~repro.linear.linrep.LinearRep` by running the symbolic executor
+of :mod:`repro.analysis.rates` with affine rows.  Before that, the
+alias-aware effects pass answers the questions whose answer is always "not
+linear", each with the reason ``try_extract`` reports:
 
 * sources and sinks (pop == 0 or push == 0) have no input-to-output map;
 * any state write (including aliased and helper-reached ones) makes the
@@ -18,9 +13,8 @@ linear":
   mean statefulness cannot be ruled out;
 * teleport-message sends are side effects a linear node cannot represent.
 
-Only filters that pass the screen are handed to the extraction
-interpreter, which both speeds up ``collapse_linear`` on big graphs and
-keeps the interpreter away from filters whose aliasing it could mishandle.
+A filter that passes is an *affine candidate* (``SL201``); whether it is
+affine is the executor's verdict.
 """
 
 from __future__ import annotations

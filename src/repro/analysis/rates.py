@@ -6,7 +6,11 @@ three-level domain:
 * **concrete** Python values (ints, floats, lists, modules, …) — evaluated
   exactly, so constant-bound loops contribute exact channel counts;
 * :data:`DATA` — a value derived from the input channel (``pop``/``peek``
-  results and anything computed from them);
+  results and anything computed from them).  When the caller asked for
+  *rows* (linear extraction, :func:`affine_rows`) such a value is an
+  :class:`Affine` form ``c0 + Σ c_i · peek(i)`` for as long as only
+  ``+ − ·const /const`` touch it — the paper's linear dataflow analysis is
+  this executor with a finer DATA;
 * :data:`UNKNOWN` — a non-channel value the analysis cannot resolve (reads
   of mutated attributes, results of opaque calls).
 
@@ -25,8 +29,11 @@ Safety rules — the analyzer must never perturb the program under analysis:
   invoked/inlined.  Anything else yields :data:`UNKNOWN` *without being
   called* (a ``self.portal.retune(…)`` must not send a real message at
   lint time!);
-* **no instance mutation**: mutable attribute values are shallow-copied on
-  read, and stores into containers that alias live objects are skipped.
+* **no mutation of live objects**: whatever is read off the instance or
+  the module is copied through and through, the copies are remembered as
+  *foreign*, and a store into a foreign object is not performed — it is
+  reported (:data:`FOREIGN_STORE`): ``work()`` keeps state where neither
+  the effects pass nor a trial clone can see it.
 
 The pass also records *certification blockers*: reasons the computation is
 not provably safe to run column-wise over a whole batch.  These feed the
@@ -38,6 +45,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -94,17 +102,65 @@ class _Channel:
         self.direction = direction
 
 
+class Affine(_Data):
+    """Stream data that is still an affine form over the input window:
+    ``const + Σ coeffs[i]·peek(i)``."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: Optional[Dict[int, float]] = None, const: float = 0.0) -> None:
+        self.coeffs: Dict[int, float] = coeffs if coeffs is not None else {}
+        self.const = float(const)
+
+    @staticmethod
+    def of_peek(index: int) -> "Affine":
+        return Affine({index: 1.0}, 0.0)
+
+    def add(self, other: "Affine") -> "Affine":
+        coeffs = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0.0) + v
+        return Affine(coeffs, self.const + other.const)
+
+    def neg(self) -> "Affine":
+        return Affine({k: -v for k, v in self.coeffs.items()}, -self.const)
+
+    def scale(self, factor: float) -> "Affine":
+        factor = float(factor)
+        return Affine({k: v * factor for k, v in self.coeffs.items()}, self.const * factor)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Affine({self.coeffs}, {self.const})"
+
+
 DATA = _Data()
 UNKNOWN = _Unknown()
 SELF = _Self()
 
+#: The blocker (and, behind ``stateful:``, the extraction reason) for a
+#: store into an object ``work()`` does not own.  The batched engine reads
+#: it too: such a filter may not even be *tried* on clones.
+FOREIGN_STORE = "work() stores into a non-local object"
+
 
 def _tainted(*values: Any) -> Any:
-    """Combine taints: DATA dominates UNKNOWN dominates concrete."""
-    if any(v is DATA for v in values):
-        return DATA
-    if any(v is UNKNOWN for v in values):
-        return UNKNOWN
+    """Combine taints: DATA (opaque or affine) dominates UNKNOWN dominates
+    concrete."""
+    taint = None
+    for v in values:
+        if isinstance(v, _Data):
+            return DATA
+        if v is UNKNOWN:
+            taint = UNKNOWN
+    return taint
+
+
+def _as_affine(value: Any) -> Optional[Affine]:
+    """``value`` as an affine form: itself, or a real number as a constant."""
+    if isinstance(value, Affine):
+        return value
+    if isinstance(value, numbers.Real):
+        return Affine({}, value)
     return None
 
 
@@ -153,6 +209,11 @@ class RateReport:
     peek_violations: Tuple[str, ...]
     #: Reasons batch (column-wise) execution is not provably safe.
     cert_blockers: Tuple[str, ...]
+    #: The affine form of each pushed item, in push order; None when rows
+    #: were not asked for or ``work()`` is not affine — ``nonlinear`` says
+    #: which, naming the first construct that lost the form.
+    rows: Optional[Tuple[Affine, ...]]
+    nonlinear: Optional[str]
 
     @property
     def exact(self) -> bool:
@@ -211,17 +272,21 @@ _MAX_CALL_DEPTH = 8
 
 
 class _State:
-    """Mutable per-path state: environment + channel counters."""
+    """Mutable per-path state: environment, channel counters and the
+    affine rows pushed so far (an immutable tuple, so clones share it)."""
 
-    __slots__ = ("env", "pop", "push")
+    __slots__ = ("env", "pop", "push", "rows")
 
-    def __init__(self, env: Dict[str, Any], pop: Interval, push: Interval) -> None:
+    def __init__(
+        self, env: Dict[str, Any], pop: Interval, push: Interval, rows: tuple = ()
+    ) -> None:
         self.env = env
         self.pop = pop
         self.push = push
+        self.rows = rows
 
     def clone(self) -> "_State":
-        return _State(dict(self.env), self.pop.copy(), self.push.copy())
+        return _State(dict(self.env), self.pop.copy(), self.push.copy(), self.rows)
 
     def merge(self, other: "_State") -> None:
         self.pop = self.pop.merged(other.pop)
@@ -249,17 +314,24 @@ class _State:
 class RateAnalyzer:
     """Symbolic executor for one filter instance's ``work()``."""
 
-    def __init__(self, filt: Filter, unstable_attrs: Set[str]) -> None:
+    def __init__(self, filt: Filter, unstable_attrs: Set[str], rows: bool = False) -> None:
         self.filt = filt
         self.cls = type(filt)
         self.unstable = set(unstable_attrs)
+        #: Why pushed items have no affine rows (the first reason stands);
+        #: while it is None, ``pop``/``peek`` hand out :class:`Affine` forms.
+        self.nonlinear: Optional[str] = None if rows else "rows not requested"
         self.max_peek: float = -1
         self.dynamic: List[str] = []
         self.violations: List[str] = []
         self.blockers: List[str] = []
         self.steps = 0
-        #: id()s of objects owned by the live instance — never mutate them.
-        self.foreign: Set[int] = set()
+        #: id() -> (object, the analysis's stand-in for it), for every live
+        #: object met (on the instance, in the module) and for every
+        #: stand-in: a private copy of a container, the object itself when
+        #: opaque.  Both are held, so no id is reused within a run; a store
+        #: into any of them is never performed.
+        self.foreign: Dict[int, Tuple[Any, Any]] = {}
         #: True once a channel reference was stored somewhere the analysis
         #: cannot see through (an attribute of an opaque object, an argument
         #: to an unevaluated call).  After that, any opaque call may drive
@@ -273,8 +345,17 @@ class RateAnalyzer:
     # -- notes ---------------------------------------------------------------
 
     def note_dynamic(self, reason: str) -> None:
+        self.void(reason)
         if reason not in self.dynamic:
             self.dynamic.append(reason)
+
+    def void(self, reason: str) -> None:
+        """From here on the pushed items are not known affine forms."""
+        self.nonlinear = self.nonlinear or reason
+
+    def note_foreign_store(self) -> None:
+        self.note_blocker(FOREIGN_STORE)
+        self.void(f"stateful: {FOREIGN_STORE}")
 
     def note_blocker(self, reason: str) -> None:
         if reason not in self.blockers:
@@ -322,9 +403,9 @@ class RateAnalyzer:
         for done in self.ended:
             state.pop = state.pop.merged(done.pop)
             state.push = state.push.merged(done.push)
-        return self._report(state.pop, state.push)
+        return self._report(state.pop, state.push, state.rows)
 
-    def _report(self, pop: Interval, push: Interval) -> RateReport:
+    def _report(self, pop: Interval, push: Interval, rows: tuple = ()) -> RateReport:
         return RateReport(
             pop=pop,
             push=push,
@@ -332,6 +413,8 @@ class RateAnalyzer:
             dynamic=tuple(self.dynamic),
             peek_violations=tuple(self.violations),
             cert_blockers=tuple(self.blockers),
+            rows=None if self.nonlinear else rows,
+            nonlinear=self.nonlinear,
         )
 
     # -- channel ops ---------------------------------------------------------
@@ -343,7 +426,7 @@ class RateAnalyzer:
                 f"{self.filt.rate.pop}"
             )
         state.pop.bump()
-        return DATA
+        return DATA if self.nonlinear else Affine.of_peek(int(state.pop.lo) - 1)
 
     def do_peek(self, state: _State, index: Any) -> Any:
         declared = self.filt.rate.peek
@@ -351,10 +434,12 @@ class RateAnalyzer:
             taint = _tainted(index)
             if taint is DATA:
                 self.note_blocker("peek index depends on stream data")
+                self.void("peek with a data-dependent index")
             # peek() never consumes, so an unresolvable index costs only the
             # static peek bound — the pop/push counts stay exact.
             self.max_peek = math.inf
             self.note_blocker("peek index is not statically resolvable")
+            self.void("peek index is not statically resolvable")
             return DATA
         if index < 0:
             self.note_violation(f"negative peek index {index!r}")
@@ -367,15 +452,21 @@ class RateAnalyzer:
                 f"peek rate {declared}"
             )
         self.max_peek = max(self.max_peek, hi_off)
-        return DATA
+        return DATA if self.nonlinear else Affine.of_peek(int(lo_off))
 
     def do_push(self, state: _State, value: Any) -> None:
         if value is UNKNOWN:
             self.note_blocker("pushes a value the analysis cannot type")
-        elif value is not DATA and not isinstance(value, (int, float, complex, bool)):
+        elif not isinstance(value, (_Data, int, float, complex, bool)):
             self.note_blocker(
                 f"pushes a non-scalar {type(value).__name__} value"
             )
+        if not self.nonlinear:
+            row = _as_affine(value)
+            if row is None:
+                self.void(f"value {value!r} cannot appear in stream arithmetic")
+            else:
+                state.rows += (row,)
         if state.push.exact and state.push.hi == self.filt.rate.push:
             self.note_violation(
                 f"work() pushes more than the declared push rate "
@@ -419,6 +510,7 @@ class RateAnalyzer:
         elif isinstance(stmt, ast.Raise):
             raise _PathRaise
         elif isinstance(stmt, ast.Assert):
+            held = self.nonlinear
             test = self.eval(stmt.test, state, depth)
             if _tainted(test) is None:
                 try:
@@ -428,6 +520,11 @@ class RateAnalyzer:
                     raise
                 except Exception:
                     pass
+            elif not self.dynamic:
+                # A check *on* stream data is not stream arithmetic: what
+                # its test lost of the affine forms is not held against
+                # the rows (a linear node just does not make the check).
+                self.nonlinear = held
         elif isinstance(stmt, (ast.Break,)):
             raise _Break
         elif isinstance(stmt, ast.Continue):
@@ -435,7 +532,7 @@ class RateAnalyzer:
         elif isinstance(stmt, ast.Pass):
             pass
         elif isinstance(stmt, ast.Delete):
-            pass
+            self.void("unsupported statement Delete")
         elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
             pass  # effects pass reports these
         elif isinstance(stmt, ast.Try):
@@ -471,6 +568,7 @@ class RateAnalyzer:
         self.exec_body(stmt.finalbody, state, depth)
 
     def _degrade_if_channel_ops(self, node: ast.AST, what: str) -> None:
+        self.void(f"unsupported {what}")
         if _has_consuming_ops(node):
             self.note_dynamic(f"channel operation inside unanalyzable {what}")
         elif _has_channel_ops(node):
@@ -497,8 +595,10 @@ class RateAnalyzer:
                 return
         if taint is DATA:
             self.note_blocker("branch condition depends on stream data")
+            self.void("branch on a data-dependent condition")
         else:
             self.note_blocker("branch condition is not statically resolvable")
+            self.void("branch condition is not statically resolvable")
         self._run_both(stmt.body, stmt.orelse, state, depth)
 
     def _run_both(
@@ -559,6 +659,7 @@ class RateAnalyzer:
         if taint is not None:
             if taint is DATA:
                 self.note_blocker("loop iterates over stream data")
+                self.void("iteration over a data-dependent value")
             self._dynamic_loop(stmt, state, depth, "for loop over an unresolvable iterable")
             return
         try:
@@ -591,6 +692,7 @@ class RateAnalyzer:
         test = self.eval(stmt.test, state, depth)
         if _tainted(test) is DATA:
             self.note_blocker("while condition depends on stream data")
+            self.void("while on a data-dependent condition")
         else:
             self.note_blocker("while loop is not statically bounded")
         self._dynamic_loop(stmt, state, depth, "while loop with an unresolvable bound")
@@ -623,6 +725,7 @@ class RateAnalyzer:
 
     def _dynamic_loop(self, stmt: ast.AST, state: _State, depth: int, what: str) -> None:
         """A loop whose trip count is unknown: body 0..inf times."""
+        self.void(what)
         body = stmt.body if hasattr(stmt, "body") else []
         if _has_consuming_ops(stmt):
             self.note_dynamic(f"channel operation inside {what}")
@@ -677,14 +780,16 @@ class RateAnalyzer:
             index = self.eval(target.slice, state, depth)
             if _tainted(index) is DATA:
                 self.note_blocker("store index depends on stream data")
-            if _tainted(container) is not None or id(container) in self.foreign:
-                return
-            if _tainted(index) is not None:
-                return
-            try:
-                container[index] = value
-            except Exception:
-                pass
+                self.void("store with a data-dependent index")
+            if id(container) in self.foreign:
+                self.note_foreign_store()
+            elif _tainted(container, index) is None:
+                try:
+                    container[index] = value
+                    return
+                except Exception:
+                    pass
+            self.void("a subscript store the analysis cannot perform")
             return
         if isinstance(target, ast.Attribute):
             # self.X = … — a state write; the effects pass reports it.  The
@@ -697,6 +802,8 @@ class RateAnalyzer:
                 self.channel_escaped = True
             if base is SELF:
                 self.unstable.add(target.attr)
+            elif id(base) in self.foreign:
+                self.note_foreign_store()
             return
         if isinstance(target, ast.Starred):
             self.assign(target.value, UNKNOWN, state, depth)
@@ -721,7 +828,9 @@ class RateAnalyzer:
             right = self.eval(node.right, state, depth)
             taint = _tainted(left, right)
             if taint is not None:
-                return taint
+                if taint is UNKNOWN or self.nonlinear:
+                    return taint
+                return self.affine_op(type(node.op), left, right)
             op = _BIN_OPS.get(type(node.op))
             if op is None:
                 return UNKNOWN
@@ -735,6 +844,12 @@ class RateAnalyzer:
             if taint is not None:
                 if isinstance(node.op, ast.Not) and taint is DATA:
                     self.note_blocker("boolean not applied to stream data")
+                if taint is DATA and not self.nonlinear:
+                    if isinstance(operand, Affine) and isinstance(node.op, (ast.USub, ast.UAdd)):
+                        return operand.neg() if isinstance(node.op, ast.USub) else operand
+                    self.void(
+                        f"unary {type(node.op).__name__} of a data-dependent value"
+                    )
                 return taint
             op = _UNARY_OPS.get(type(node.op))
             if op is None:
@@ -750,6 +865,7 @@ class RateAnalyzer:
             if taint is not None:
                 if taint is DATA:
                     self.note_blocker("comparison over stream data")
+                    self.void("comparison of a data-dependent value")
                 return taint
             try:
                 result = True
@@ -800,8 +916,10 @@ class RateAnalyzer:
                     return self.eval(node.body if taken else node.orelse, state, depth)
             if taint is DATA:
                 self.note_blocker("conditional expression over stream data")
+                self.void("conditional expression on a data-dependent value")
             else:
                 self.note_blocker("conditional expression is not statically resolvable")
+                self.void("conditional expression is not statically resolvable")
             a = self.eval(node.body, state, depth)
             b = self.eval(node.orelse, state, depth)
             if a is b:
@@ -820,8 +938,8 @@ class RateAnalyzer:
                 result = container[index]
             except Exception:
                 return UNKNOWN
-            if id(container) in self.foreign:
-                result = self._import_value(result)
+            if id(container) in self.foreign and not _copied(container):
+                result = self._import_value(result)  # an opaque object's item
             return result
         if isinstance(node, (ast.List, ast.Set)):
             items = [self.eval(e, state, depth) for e in node.elts]
@@ -870,6 +988,29 @@ class RateAnalyzer:
             self.max_peek = math.inf
         return UNKNOWN
 
+    def affine_op(self, op: type, left: Any, right: Any) -> Any:
+        """``left op right`` over stream data while rows are tracked: the
+        affine form if the operation keeps one, else opaque :data:`DATA`."""
+        a, b = _as_affine(left), _as_affine(right)
+        if a is None or b is None:
+            lost = left if a is None else right
+            self.void(f"value {lost!r} cannot appear in stream arithmetic")
+        elif op is ast.Add:
+            return a.add(b)
+        elif op is ast.Sub:
+            return a.add(b.neg())
+        elif op is ast.Mult and not (a.coeffs and b.coeffs):
+            return a.scale(b.const) if a.coeffs else b.scale(a.const)
+        elif op is ast.Mult:
+            self.void("product of two data-dependent values")
+        elif op is ast.Div and not b.coeffs and b.const:
+            return a.scale(1.0 / b.const)
+        elif op is ast.Div:
+            self.void("division by a data-dependent value or by zero")
+        else:
+            self.void(f"nonlinear operator {op.__name__} on a data-dependent value")
+        return DATA
+
     def eval_comprehension(self, node: ast.expr, state: _State, depth: int) -> Any:
         gens = node.generators
         if len(gens) != 1 or gens[0].is_async:
@@ -917,9 +1058,7 @@ class RateAnalyzer:
         fn = inspect_unwrap(getattr(self.cls, "work"))
         globs = getattr(fn, "__globals__", {})
         if name in globs:
-            value = globs[name]
-            self.foreign.add(id(value))
-            return value
+            return self._import_value(globs[name])
         builtins_mod = globs.get("__builtins__", __builtins__)
         builtins_dict = (
             builtins_mod if isinstance(builtins_mod, dict) else vars(builtins_mod)
@@ -961,22 +1100,28 @@ class RateAnalyzer:
         return value
 
     def _import_value(self, value: Any) -> Any:
-        """Bring a live object into the analysis without risking mutation."""
-        if isinstance(value, (list, set)):
-            copied = type(value)(value)
-            return copied
-        if isinstance(value, dict):
-            return dict(value)
-        if isinstance(value, bytearray):
-            return bytearray(value)
-        if _np is not None and isinstance(value, _np.ndarray):
-            return value.copy()
-        if isinstance(value, (int, float, complex, bool, str, bytes, tuple, frozenset, type(None))):
+        """The analysis's stand-in for a live object, made once per run:
+        numbers and strings are themselves, builtin containers and arrays are
+        copied all the way down (nothing the analysis can store into aliases
+        the instance), anything else — a Portal, a module, a callable — is
+        itself: usable for identity and marker checks, never mutated or
+        called blindly.  Copies and opaque objects alike are ``foreign``."""
+        kind = type(value)
+        if kind in _SCALAR_TYPES or isinstance(value, numbers.Number):
             return value
-        # Opaque live object (Portal, callable, module instance, …): usable
-        # for identity/marker checks but never mutated or called blindly.
-        self.foreign.add(id(value))
-        return value
+        known = self.foreign.get(id(value))
+        if known is not None:
+            return known[1]
+        if not _copied(value):
+            mine = value
+        elif kind is dict:
+            mine = {k: self._import_value(v) for k, v in value.items()}
+        elif kind in (list, tuple, set, frozenset):
+            mine = kind(map(self._import_value, value))
+        else:
+            mine = value.copy()
+        self.foreign[id(value)] = self.foreign[id(mine)] = (value, mine)
+        return mine
 
     # -- calls ---------------------------------------------------------------
 
@@ -991,6 +1136,7 @@ class RateAnalyzer:
                 return self.call_channel(node, owner, method, state, depth)
             taint = _tainted(owner)
             if taint is not None:
+                self.void(f"call to method {method!r} on a value that is not constant")
                 args = [self.eval(a, state, depth) for a in node.args]
                 if taint is DATA:
                     self.note_blocker(
@@ -1020,6 +1166,7 @@ class RateAnalyzer:
         return self.call_concrete(node, callee, state, depth)
 
     def _consume_args(self, node: ast.Call, state: _State, depth: int) -> List[Any]:
+        self.void("a call the analysis cannot resolve")
         args = []
         for a in node.args:
             args.append(self.eval(a, state, depth))
@@ -1130,7 +1277,7 @@ class RateAnalyzer:
             self.note_blocker(
                 f"stream data flows into helper self.{method}()"
             )
-        sub = _State(env, state.pop, state.push)
+        sub = _State(env, state.pop, state.push, state.rows)
         result: Any = None
         try:
             self.exec_body(helper.body, sub, depth + 1)
@@ -1141,6 +1288,7 @@ class RateAnalyzer:
             result = UNKNOWN
         state.pop = sub.pop
         state.push = sub.push
+        state.rows = sub.rows
         return result
 
     def call_concrete(self, node: ast.Call, callee: Any, state: _State, depth: int) -> Any:
@@ -1166,6 +1314,11 @@ class RateAnalyzer:
         )
         is_np = _np is not None and (module.startswith("numpy"))
         if has_data:
+            if not self.nonlinear:
+                self.void(
+                    f"call to {getattr(callee, '__name__', callee)!r} with a "
+                    "data-dependent argument"
+                )
             if is_math:
                 name = getattr(callee, "__name__", "?")
                 if name not in VECTOR_SAFE_MATH or depth > 0:
@@ -1181,9 +1334,12 @@ class RateAnalyzer:
             if callee in _SAFE_BUILTINS or is_np:
                 return DATA
             return DATA
+        pure = callee in _SAFE_BUILTINS or is_math or is_np
         if has_unknown:
+            if not pure:  # never run: what it does to its arguments is lost
+                self.void("a call the analysis cannot resolve")
             return UNKNOWN
-        if callee in _SAFE_BUILTINS or is_math or is_np:
+        if pure:
             try:
                 return callee(*args, **kwargs)
             except Exception:
@@ -1193,6 +1349,14 @@ class RateAnalyzer:
         name = getattr(callee, "__name__", type(callee).__name__)
         self.note_dynamic(f"unwhitelisted call {name}() left unevaluated")
         return UNKNOWN
+
+
+def _copied(value: Any) -> bool:
+    """Does :meth:`RateAnalyzer._import_value` copy ``value`` (or hand it
+    over as the live, opaque object it is)?"""
+    return type(value) in (list, tuple, set, frozenset, dict, bytearray) or (
+        _np is not None and isinstance(value, _np.ndarray)
+    )
 
 
 def _has_channel_ops(node: ast.AST) -> bool:
@@ -1334,11 +1498,24 @@ def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
     shares that run's (read-only) report.  A run that read an opaque value
     is not memoised.
     """
+    return _memoised(filt, unstable_attrs, rows=False)
+
+
+def affine_rows(filt: Filter) -> RateReport:
+    """:func:`analyze_rates` of a filter the linearity pre-screen passed (no
+    unstable attribute), with the affine form of every pushed item in
+    ``report.rows`` — or the reason there is none in ``report.nonlinear``.
+    A second memo entry beside the rate report's: ``validate()`` and
+    streamlint never ask for rows and never pay for them."""
+    return _memoised(filt, frozenset(), rows=True)
+
+
+def _memoised(filt: Filter, unstable_attrs: Set[str], rows: bool) -> RateReport:
     cls = type(filt)
-    key = (cls, inspect_unwrap(cls.work), filt.rate, frozenset(unstable_attrs))
+    key = (cls, inspect_unwrap(cls.work), filt.rate, frozenset(unstable_attrs), rows)
     report = MEMO.recall(key, filt)
     if report is None:
-        analyzer = RateAnalyzer(filt, unstable_attrs)
+        analyzer = RateAnalyzer(filt, unstable_attrs, rows)
         report = analyzer.run()
         MEMO.remember(key, analyzer.reads, report)
     return report

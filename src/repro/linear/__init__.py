@@ -16,8 +16,8 @@ from repro.linear.costmodel import (
     freq_flops_per_block,
     freq_flops_per_input,
 )
+from repro.analysis.rates import Affine
 from repro.linear.extraction import (
-    Affine,
     ExtractionResult,
     extract_linear,
     is_stateful,

@@ -463,6 +463,7 @@ class BatchExecutor:
         see the instance's live attribute values.
         """
         from repro.analysis import analyze_filter
+        from repro.analysis.rates import FOREIGN_STORE
 
         try:
             analysis = analyze_filter(self.filt, refresh=True)
@@ -475,6 +476,10 @@ class BatchExecutor:
             self.downgrade = None
             return True
         self.downgrade = proof.diagnostic(self.filt)
+        if FOREIGN_STORE in proof.reasons:
+            # State outside the instance: clones would share it, so the
+            # trial itself would corrupt the run.  Straight to the loop.
+            self.mode = "loop"
         return False
 
     @property
@@ -491,7 +496,7 @@ class BatchExecutor:
                 # demote-on-exception below remain as a runtime safety net.
                 self.trusted = True
                 self.mode = "lifted"
-            else:
+            elif self.mode is None:  # _certify() may have ruled the trial out
                 ok = _trial_ok(self.filt, self.lifted, min(n, _TRIAL_FIRINGS))
                 self.mode = "lifted" if ok else "loop"
         if self.mode == "lifted":

@@ -13,6 +13,7 @@ import ast
 import gc
 import json
 import textwrap
+import warnings
 import weakref
 
 import numpy as np
@@ -37,10 +38,12 @@ from repro.errors import ValidationError
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, validate
 from repro.graph import source as source_mod
 from repro.graph.source import SourceUnavailable, function_ast
-from repro.linear.extraction import try_extract
+from repro.linear import apply_selection
+from repro.linear.extraction import is_stateful, try_extract
 from repro.runtime import Interpreter, clear_codegen_cache
 from repro.runtime.messaging import Portal
 from repro.runtime.plan import clear_plan_cache
+from repro.transforms import fiss
 from tests.helpers import FIR, Gain
 
 
@@ -548,6 +551,18 @@ class TestRateMemo:
         assert analyze_filter(Gain(3.0)).rates is not analyze_filter(one).rates
         assert len(rates_mod.MEMO) == 2
 
+    def test_equal_taps_share_one_run_with_rows(self, analyzer_runs):
+        rates_mod.MEMO.clear()
+        taps = [0.5, 0.25, 0.125]
+        one, two = FIR(taps, name="one"), FIR(taps, name="two")
+        assert np.array_equal(try_extract(one).rep.A, try_extract(two).rep.A)
+        assert analyzer_runs == ["one"]
+        assert len(rates_mod.MEMO) == 1
+        # Rows are a memo entry of their own: validate()'s report has none.
+        assert analyze_filter(two).rates.rows is None
+        assert analyzer_runs == ["one", "two"]
+        assert len(rates_mod.MEMO) == 2
+
     def test_memo_does_not_keep_the_filter_alive(self):
         filt = FIR([0.5, 0.25, 0.125])
         analyze_filter(filt)
@@ -712,6 +727,126 @@ class TestLinearityPrescreen:
     def test_extraction_still_works_for_linear_filters(self):
         result = try_extract(FIR([1.0, 2.0, 3.0]))
         assert result.linear
+
+
+# ---------------------------------------------------------------------------
+# State the effects pass cannot see: outside the instance, or behind a
+# nested alias.  And one definition of "stateful".
+# ---------------------------------------------------------------------------
+
+TABLE = [1.0, 2.0]
+
+
+class GlobalStore(Filter):
+    """``y = x + previous x``, the previous x kept in a module-level list."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        x = self.pop()
+        self.push(x + TABLE[0])
+        TABLE[0] = x
+
+
+class NestedAliasWriter(Filter):
+    """Writes a row of a nested list through two local names."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+        self.rows = [[0.0, 0.0], [1.0, 1.0]]
+
+    def work(self):
+        rows = self.rows
+        row = rows[0]
+        x = self.pop()
+        self.push(x + row[0])
+        row[0] = x
+
+
+class LocalCopyWriter(Filter):
+    """Edits a slice of a coefficient list: a local, not state."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+        self.coeffs = [2.0, 3.0]
+
+    def work(self):
+        mine = self.coeffs[:]
+        mine[0] = 5.0
+        self.push(self.pop() * mine[0] + mine[1])
+
+
+@pytest.fixture
+def table():
+    TABLE[:] = [1.0, 2.0]
+    yield TABLE
+    TABLE[:] = [1.0, 2.0]
+
+
+class TestStateOutsideTheInstance:
+    def test_extraction_refuses_and_leaves_the_module_alone(self, table):
+        result = try_extract(GlobalStore())
+        assert table == [1.0, 2.0]
+        assert not result.linear and result.stateful
+        assert "non-local" in result.reason
+
+    def test_not_certified(self, table):
+        analysis, codes = codes_of(GlobalStore())
+        assert not analysis.certified and "SL301" in codes
+        assert rates_mod.FOREIGN_STORE in analysis.proof.reasons
+        assert table == [1.0, 2.0]
+
+    @pytest.mark.parametrize("engine", ["batched", "codegen"])
+    def test_engines_match_the_scalar_oracle(self, table, engine, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+
+        def run(engine):
+            TABLE[:] = [1.0, 2.0]
+            sink = CollectSink()
+            app = Pipeline(ArraySource([1.0, 2.0, 3.0, 4.0]), GlobalStore(), sink)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with Interpreter(app, check=False, engine=engine) as interp:
+                    interp.run(8)
+            return list(sink.collected), list(TABLE)
+
+        assert run(engine) == run("scalar")
+        assert run("scalar")[0] == [2.0, 3.0, 5.0, 7.0, 5.0, 3.0, 5.0, 7.0]
+
+    def test_selection_leaves_it_in_place(self, table):
+        app = Pipeline(ArraySource([1.0, 2.0, 3.0, 4.0]), GlobalStore(), CollectSink())
+        optimised, report = apply_selection(app)
+        assert not report.replacements
+        assert any(isinstance(f, GlobalStore) for f in optimised.filters())
+
+    def test_nested_alias_write_is_seen_and_not_performed(self):
+        filt = NestedAliasWriter()
+        analysis, _ = codes_of(filt)
+        result = try_extract(filt)
+        assert filt.rows == [[0.0, 0.0], [1.0, 1.0]]
+        assert not analysis.certified
+        assert not result.linear and result.stateful
+
+    def test_a_sliced_copy_is_a_local(self):
+        filt = LocalCopyWriter()
+        analysis, _ = codes_of(filt)
+        assert analysis.certified, analysis.proof.reasons
+        rep = try_extract(filt).rep
+        assert np.array_equal(rep.A, [[5.0]]) and np.array_equal(rep.b, [3.0])
+        assert filt.coeffs == [2.0, 3.0]
+
+
+class TestOneDefinitionOfStateful:
+    @pytest.mark.parametrize("cls", [AliasBufWriter, AliasHelperState])
+    def test_alias_and_helper_writes_are_stateful(self, cls):
+        assert is_stateful(cls())
+        with pytest.raises(ValidationError, match="stateful"):
+            fiss(cls(), 2)
+
+    def test_unbounded_effects_are_stateful(self):
+        assert is_stateful(SetattrState()) and is_stateful(EscapingSelf())
+        assert not is_stateful(FIR([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Tests for linear extraction (the paper's linear dataflow analysis)."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import work_effects
+from repro.analysis.rates import value_fingerprint
+from repro.apps import ALL_APPS
 from repro.errors import ExtractionError
 from repro.graph import Expander, Filter, Identity
 from repro.linear import extract_linear, is_stateful, try_extract
+from repro.runtime.channel import Channel
 from tests.helpers import (
     FIR,
     Accumulator,
@@ -127,6 +135,34 @@ class RateCheat(Filter):
         self.push(0.0)
 
 
+class AssertsOnInput(Filter):
+    """A sanity check on stream data: no stream semantics."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        x = self.pop()
+        assert x >= 0.0
+        self.push(2.0 * x)
+
+
+class ScalesThroughHelper(Filter):
+    """The arithmetic lives in a helper method and a sliced coefficient list."""
+
+    def __init__(self):
+        super().__init__(pop=2, push=1)
+        self.k = [3.0, -1.0, 9.0]
+
+    def mix(self, a, b):
+        k = self.k[:2]
+        return a * k[0] + b * k[1]
+
+    def work(self):
+        a = self.pop()
+        self.push(self.mix(a, self.pop()) + 1.0)
+
+
 class TupleAssign(Filter):
     def __init__(self):
         super().__init__(pop=2, push=2)
@@ -193,6 +229,13 @@ class TestExtraction:
     def test_upsampler(self):
         rep = extract_linear(Upsample3())
         assert rep.push == 3
+
+    def test_assertion_on_stream_data_is_ignored(self):
+        assert np.allclose(extract_linear(AssertsOnInput()).A, [[2.0]])
+
+    def test_helper_methods_are_inlined(self):
+        rep = extract_linear(ScalesThroughHelper())
+        assert np.array_equal(rep.A, [[3.0, -1.0]]) and np.array_equal(rep.b, [1.0])
 
 
 class TestNonLinear:
@@ -272,3 +315,57 @@ class TestExtractionAgainstExecution:
         stream = [data[i % len(data)] for i in range(periods + len(coeffs) - 1)]
         expected = rep.apply_stream(stream)
         assert np.allclose(out, expected[: len(out)])
+
+
+def _shipped_linear_filters():
+    """One filter per distinct (class, fingerprint of the attributes its
+    ``work()`` reads) over every app, keeping those extraction calls linear."""
+    seen, cases = set(), []
+    for app, build in sorted(ALL_APPS.items()):
+        for filt in build().filters():
+            reads = sorted(work_effects(type(filt)).reads)
+            key = (type(filt), tuple(value_fingerprint(getattr(filt, a, None)) for a in reads))
+            if key in seen or not (filt.rate.pop and filt.rate.push):
+                continue
+            seen.add(key)
+            if try_extract(filt).linear:
+                cases.append(pytest.param(filt, id=f"{app}:{filt.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("filt", _shipped_linear_filters())
+def test_shipped_rep_equals_one_scalar_firing(filt):
+    """The oracle for every rep the apps ship: ``A @ window + b`` is what one
+    scalar ``work()`` firing pushes."""
+    rep = try_extract(filt).rep
+    window = np.random.default_rng(len(filt.name) + rep.peek).uniform(-2.0, 2.0, rep.peek)
+    filt.input, filt.output = Channel("in", window.tolist()), Channel("out")
+    try:
+        filt.work()
+        pushed = filt.output.snapshot()
+        assert filt.input.popped_count == rep.pop
+    finally:
+        filt.input = filt.output = None
+    assert len(pushed) == rep.push
+    assert np.abs(rep.A @ window + rep.b - np.asarray(pushed)).max() <= 1e-12
+
+
+class TestOneReaderOfWork:
+    """The fork cannot come back: ``work()`` has one symbolic executor."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def test_one_module_defines_exec_stmt(self):
+        hits = [
+            str(p.relative_to(self.SRC))
+            for p in self.SRC.rglob("*.py")
+            if re.search(r"^\s*def exec_stmt\b", p.read_text(), re.M)
+        ]
+        assert hits == ["repro/analysis/rates.py"]
+
+    def test_linear_package_walks_no_ast(self):
+        for path in (self.SRC / "repro" / "linear").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases = {ast.unparse(b) for b in node.bases}
+                    assert not bases & {"ast.NodeVisitor", "NodeVisitor"}, (path.name, node.name)
