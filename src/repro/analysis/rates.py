@@ -43,11 +43,17 @@ vectorization proof in :mod:`repro.analysis.vectorsafety`.
 from __future__ import annotations
 
 import ast
+import builtins
+import functools
 import hashlib
+import marshal
 import math
 import numbers
 import operator
+import sys
+import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.effects import (
@@ -55,6 +61,7 @@ from repro.analysis.effects import (
     SourceUnavailable,
     method_ast,
 )
+from repro.diskcache import cache_dir, codegen_cache_stats, evict, read_entry, write_entry
 from repro.graph.base import Filter, Rate
 
 try:  # numpy is an optional acceleration dependency elsewhere in the repo
@@ -338,9 +345,13 @@ class RateAnalyzer:
         #: this filter's channels, so such calls must degrade to dynamic.
         self.channel_escaped = False
         self.ended: List[_State] = []
-        #: ``self.<attr>`` read off the live instance -> fingerprint of the
-        #: value seen (None: opaque), in first-read order; the memo key.
-        self.reads: Dict[str, Any] = {}
+        #: Where work()'s free names resolve.
+        self.globals: Dict[str, Any] = _work_globals(self.cls)
+        #: ``self.<attr>`` read off the live instance (key ``attr``) and
+        #: module globals or builtins resolved (key ``("global", name)``) ->
+        #: fingerprint of the value seen (None: opaque), in first-read
+        #: order; the memo key.
+        self.reads: Dict[Any, Any] = {}
 
     # -- notes ---------------------------------------------------------------
 
@@ -1055,17 +1066,13 @@ class RateAnalyzer:
     # -- attribute / global resolution ---------------------------------------
 
     def _global(self, name: str) -> Any:
-        fn = inspect_unwrap(getattr(self.cls, "work"))
-        globs = getattr(fn, "__globals__", {})
+        globs = self.globals
+        read = ("global", name)
+        if read not in self.reads:
+            self.reads[read] = _global_fingerprint(globs, name)
         if name in globs:
             return self._import_value(globs[name])
-        builtins_mod = globs.get("__builtins__", __builtins__)
-        builtins_dict = (
-            builtins_mod if isinstance(builtins_mod, dict) else vars(builtins_mod)
-        )
-        if name in builtins_dict:
-            return builtins_dict[name]
-        return UNKNOWN
+        return _builtins_of(globs).get(name, UNKNOWN)
 
     def eval_attribute(self, node: ast.Attribute, state: _State, depth: int) -> Any:
         owner = self.eval(node.value, state, depth)
@@ -1076,7 +1083,7 @@ class RateAnalyzer:
             if attr in self.unstable:
                 return UNKNOWN
             if attr not in self.reads:
-                self.reads[attr] = _read_fingerprint(self.filt, attr)
+                self.reads[attr] = _read_fingerprint(self.filt, self.globals, attr)
             try:
                 value = getattr(self.filt, attr)
             except AttributeError:
@@ -1387,9 +1394,16 @@ def inspect_unwrap(fn: Any) -> Any:
 
 
 def _is_plain_function(fn: Any) -> bool:
-    import types
-
     return isinstance(fn, types.FunctionType)
+
+
+def _work_globals(cls: type) -> Dict[str, Any]:
+    return getattr(inspect_unwrap(cls.work), "__globals__", {})
+
+
+def _builtins_of(globs: Dict[str, Any]) -> Dict[str, Any]:
+    found = globs.get("__builtins__", builtins)
+    return found if isinstance(found, dict) else vars(found)
 
 
 # -- the read-set memo --------------------------------------------------------
@@ -1407,19 +1421,24 @@ def _fingerprint(value: Any) -> Any:
     analysis cannot tell apart, or None when there is none (opaque).
 
     Exact builtin scalars are tagged with their type (``1``, ``1.0`` and
-    ``True`` differ; so do ``0.0`` and ``-0.0``, whose reprs differ); lists
-    and tuples recurse (then digest); ndarrays are dtype + shape + a digest
-    of the bytes; a :class:`Rate` is its three (validated int) fields.
-    Everything else — a Portal, a dict, a user object — is opaque.
+    ``True`` differ; so do ``0.0`` and ``-0.0``, whose reprs differ); a
+    flat list or tuple of them is one digested repr under a tag of its own
+    (no two of those types share a repr, so it separates exactly what one
+    tag per item would); other lists and tuples recurse (then digest);
+    ndarrays are dtype + shape + a digest of the bytes; a :class:`Rate` is
+    its three (validated int) fields.  Everything else — a Portal, a dict,
+    a user object — is opaque.
     """
     kind = type(value)
     if kind in _SCALAR_TYPES:
         return (kind.__name__, repr(value))
     if kind is list or kind is tuple:
+        # Digested, so a 256-tap coefficient list costs the memo 16 bytes.
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            return (kind.__name__ + " of scalars", len(value), _digest(repr(value).encode()))
         items = tuple(map(_fingerprint, value))
         if None in items:
             return None
-        # Digested, so a 256-tap coefficient list costs the memo 16 bytes.
         return (kind.__name__, len(items), _digest(repr(items).encode()))
     if _np is not None and kind is _np.ndarray and not value.dtype.hasobject:
         return ("ndarray", value.dtype.str, value.shape, _digest(value.tobytes()))
@@ -1433,9 +1452,24 @@ def _fingerprint(value: Any) -> Any:
 value_fingerprint = _fingerprint
 
 
-def _read_fingerprint(filt: Filter, attr: str) -> Any:
+def _global_fingerprint(globs: Dict[str, Any], name: str) -> Any:
+    """What ``work()`` resolves the free name ``name`` to: a data value by
+    its fingerprint, a module by its name, a builtin by its own name —
+    anything else (a function, a class, an object) is opaque."""
+    if name in globs:
+        value = globs[name]
+        if isinstance(value, types.ModuleType):
+            return ("module", value.__name__)
+        return _fingerprint(value)
+    return ("builtin", name) if name in _builtins_of(globs) else _ABSENT
+
+
+def _read_fingerprint(filt: Filter, globs: Dict[str, Any], name: Any) -> Any:
+    """The current fingerprint of one read (a key of ``RateAnalyzer.reads``)."""
+    if type(name) is tuple:
+        return _global_fingerprint(globs, name[1])
     try:
-        return _fingerprint(getattr(filt, attr))
+        return _fingerprint(getattr(filt, name))
     except AttributeError:
         return _ABSENT
 
@@ -1447,13 +1481,25 @@ class _ReadSetMemo:
     attribute value.  Bounded by dropping everything when full — a process
     that keeps building *distinct* filters (a fuzzer) must not grow it
     without limit, and a refill costs one analysis per distinct filter.
+
+    The cache directory (:func:`repro.diskcache.cache_dir`) keeps a copy
+    for the next process: one ``<stem>.rates`` entry per key, whose stem
+    names the class by module, qualified name and source digest instead of
+    by object (:func:`_store_stem`).  The first miss on a key reads its
+    entry (:meth:`load`); :meth:`flush` writes the keys that gained
+    entries, and only a codegen session calls it — ``validate()`` and
+    streamlint read and never write.
     """
 
     MAX_ENTRIES = 4096
 
     def __init__(self) -> None:
-        self._by_key: Dict[tuple, Dict[Tuple[str, ...], Dict[tuple, RateReport]]] = {}
+        self._by_key: Dict[tuple, Dict[tuple, Dict[tuple, RateReport]]] = {}
         self._entries = 0
+        #: key -> its entry's stem (None: not storable), once it was read.
+        self._stems: Dict[tuple, Optional[str]] = {}
+        #: storable keys with entries the directory does not have yet.
+        self._dirty: Set[tuple] = set()
 
     def __len__(self) -> int:
         return self._entries
@@ -1461,24 +1507,150 @@ class _ReadSetMemo:
     def clear(self) -> None:
         self._by_key.clear()
         self._entries = 0
+        self._stems.clear()
+        self._dirty.clear()
 
     def recall(self, key: tuple, filt: Filter) -> Optional[RateReport]:
+        globs = getattr(key[1], "__globals__", {})
         for names, by_values in self._by_key.get(key, {}).items():
-            values = tuple(_read_fingerprint(filt, name) for name in names)
+            values = tuple(_read_fingerprint(filt, globs, name) for name in names)
             report = by_values.get(values)
             if report is not None:
                 return report
         return None
 
-    def remember(self, key: tuple, reads: Dict[str, Any], report: RateReport) -> None:
+    def _put(self, key: tuple, names: tuple, values: tuple, report: RateReport) -> bool:
+        by_values = self._by_key.setdefault(key, {}).setdefault(names, {})
+        new = values not in by_values
+        self._entries += new
+        by_values[values] = report
+        return new
+
+    def remember(self, key: tuple, reads: Dict[Any, Any], report: RateReport) -> None:
         values = tuple(reads.values())
         if None in values:  # an opaque read: nothing sound to key on
             return
         if self._entries >= self.MAX_ENTRIES:
             self.clear()
-        by_values = self._by_key.setdefault(key, {}).setdefault(tuple(reads), {})
-        self._entries += values not in by_values
-        by_values[values] = report
+        if self._put(key, tuple(reads), values, report) and self._stems.get(key):
+            self._dirty.add(key)
+
+    def load(self, key: tuple, filt: Filter) -> Optional[RateReport]:
+        """On the first miss of ``key``: read its stored entries, then
+        recall ``filt`` again.  One analysis hit or miss per storable key;
+        an entry that is absent, damaged or from another Python is a miss."""
+        if key in self._stems:
+            return None
+        stem = self._stems[key] = _store_stem(key)
+        if stem is None:
+            return None
+        body = read_entry(cache_dir() / f"{stem}.rates", _STORE_TAG)
+        if body is not None:
+            try:
+                version, stored, entries = marshal.loads(body)
+                if (version, stored) == (sys.version_info[:2], stem):
+                    for names, values, data in entries:
+                        self._put(key, names, values, _report_of(data))
+            except (EOFError, ValueError, TypeError):  # verified bytes of another shape
+                pass
+        report = self.recall(key, filt)
+        codegen_cache_stats["analysis_misses" if report is None else "analysis_hits"] += 1
+        return report
+
+    def flush(self) -> None:
+        """Write every key that gained entries since it was read, with all
+        of its entries (those read included), then bound the directory."""
+        directory = cache_dir()
+        for key in self._dirty:
+            stem = self._stems[key]
+            entries = tuple(
+                (names, values, _report_data(report))
+                for names, by_values in self._by_key.get(key, {}).items()
+                for values, report in by_values.items()
+            )
+            try:
+                body = marshal.dumps((sys.version_info[:2], stem, entries))
+            except ValueError:  # a numpy scalar in a report: keep it in-process
+                continue
+            write_entry(directory / f"{stem}.rates", _STORE_TAG, body)
+        if self._dirty:
+            self._dirty.clear()
+            evict(directory, ".rates", STORE_MAX)
+
+
+# -- the store ----------------------------------------------------------------
+
+#: Rate entries a cache directory keeps (the oldest written go first).
+STORE_MAX = 1024
+_STORE_TAG = "repro-rates"
+
+
+@functools.lru_cache(maxsize=None)
+def _file_digest(path: str) -> Optional[str]:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _analysis_digest() -> str:
+    """This package's own source: a stored report is its executor's output."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return "".join(_file_digest(str(path)) or "?" for path in files)
+
+
+def _class_origin(k: type) -> Optional[tuple]:
+    """``(module, qualname, source digest)`` of one class of a filter's MRO;
+    None when another process could not name it so: defined inside a
+    function, no source file, or a function in its namespace that was
+    defined elsewhere (a ``work`` assigned at run time)."""
+    qualname = k.__qualname__
+    path = getattr(sys.modules.get(k.__module__), "__file__", None)
+    if "<locals>" in qualname or not path:
+        return None
+    for value in vars(k).values():
+        fn = getattr(value, "__func__", value)  # staticmethod, classmethod
+        if isinstance(fn, types.FunctionType) and not (
+            fn.__module__ == k.__module__ and fn.__qualname__.startswith(qualname + ".")
+        ):
+            return None
+    digest = _file_digest(path)
+    return None if digest is None else (k.__module__, qualname, digest)
+
+
+def _store_stem(key: tuple) -> Optional[str]:
+    """The name ``key``'s entries are stored under, the same in every
+    process: its class by :func:`_class_origin` of each class of the MRO,
+    the declared rate, the unstable set, the rows flag, this package's
+    source, the Python version and numpy's; None when the class has no
+    such name."""
+    cls, _work, rate, unstable, rows = key
+    origins = [_class_origin(k) for k in cls.__mro__ if k is not object]
+    if None in origins:
+        return None
+    parts = (
+        origins, (rate.peek, rate.pop, rate.push), sorted(unstable), rows,
+        _analysis_digest(), sys.version_info[:2], getattr(_np, "__version__", None),
+    )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:32]
+
+
+def _report_data(report: RateReport) -> tuple:
+    """``report`` as plain tuples, strings and numbers (what marshal takes)."""
+    rows = report.rows and tuple((tuple(row.coeffs.items()), row.const) for row in report.rows)
+    return (
+        report.pop.lo, report.pop.hi, report.push.lo, report.push.hi, report.max_peek,
+        report.dynamic, report.peek_violations, report.cert_blockers, rows, report.nonlinear,
+    )
+
+
+def _report_of(data: tuple) -> RateReport:
+    pop_lo, pop_hi, push_lo, push_hi, *findings, rows, nonlinear = data
+    rows = rows and tuple(Affine(dict(coeffs), const) for coeffs, const in rows)
+    return RateReport(
+        Interval(pop_lo, pop_hi), Interval(push_lo, push_hi), *findings, rows, nonlinear
+    )
 
 
 MEMO = _ReadSetMemo()
@@ -1493,10 +1665,11 @@ def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
 
     The report is a deterministic function of the class (its ``work()`` and
     helper ASTs), the declared rates, the unstable set and the values of
-    the ``self.<attr>`` the run reads, so it is memoised on exactly those:
-    an instance whose current values fingerprint like an earlier run's
-    shares that run's (read-only) report.  A run that read an opaque value
-    is not memoised.
+    the ``self.<attr>`` and module globals the run reads, so it is memoised
+    on exactly those: an instance whose current values fingerprint like an
+    earlier run's shares that run's (read-only) report — in this process
+    or, through the cache directory, in a later one.  A run that read an
+    opaque value is not memoised.
     """
     return _memoised(filt, unstable_attrs, rows=False)
 
@@ -1514,6 +1687,8 @@ def _memoised(filt: Filter, unstable_attrs: Set[str], rows: bool) -> RateReport:
     cls = type(filt)
     key = (cls, inspect_unwrap(cls.work), filt.rate, frozenset(unstable_attrs), rows)
     report = MEMO.recall(key, filt)
+    if report is None:
+        report = MEMO.load(key, filt)
     if report is None:
         analyzer = RateAnalyzer(filt, unstable_attrs, rows)
         report = analyzer.run()

@@ -30,13 +30,8 @@ Enable tracing with ``Interpreter(app, trace=True)`` (inspect
 recorder are on by default (``REPRO_METRICS=0`` disables).
 """
 
-from repro.obs.chrome import (
-    TraceFormatError,
-    load_trace,
-    trace_summary,
-    validate_trace,
-)
-from repro.obs.counters import HwmArrayChannel, channel_snapshot
+import importlib
+
 from repro.obs.metrics import (
     METRICS,
     MetricsRegistry,
@@ -45,7 +40,6 @@ from repro.obs.metrics import (
     prometheus_text,
 )
 from repro.obs.recorder import FLIGHT, FlightRecorder, format_flight_tail
-from repro.obs.report import aggregate_filters, render_report
 from repro.obs.tracer import (
     CAT_CORE,
     CAT_ENGINE,
@@ -62,6 +56,23 @@ from repro.obs.tracer import (
     NullTracer,
     Tracer,
 )
+
+#: Names a run never needs, imported on first use (PEP 562): the trace
+#: file readers and the report, and the counters (which import the runtime).
+_LAZY_MODULES = {
+    "repro.obs.chrome": ("TraceFormatError", "load_trace", "trace_summary", "validate_trace"),
+    "repro.obs.report": ("aggregate_filters", "render_report"),
+    "repro.obs.counters": ("HwmArrayChannel", "channel_snapshot"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
 
 __all__ = [
     "CAT_CORE",

@@ -1,5 +1,7 @@
 """Runtime execution: channels, the interpreter, and teleport messaging."""
 
+import importlib
+
 from repro.errors import EngineDowngradeWarning
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel, ChannelUnderflow
@@ -18,9 +20,23 @@ from repro.runtime.plan import (
     plan_cache_stats,
     plan_cache_summary,
 )
-from repro.runtime.parallel import ParallelSession, ParallelUnsafe
-from repro.runtime.ring import RingAbort, RingArena, RingChannel, RingStall
 from repro.runtime.vectorize import BatchExecutor
+
+#: The multi-process engine's names, imported on first use (PEP 562): a
+#: single-process run never loads it.
+_LAZY_MODULES = {
+    "repro.runtime.parallel": ("ParallelSession", "ParallelUnsafe"),
+    "repro.runtime.ring": ("RingAbort", "RingArena", "RingChannel", "RingStall"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
 
 __all__ = [
     "ArrayChannel",

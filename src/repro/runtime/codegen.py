@@ -13,14 +13,19 @@ Generated modules are cached twice:
 
 * **in memory**, keyed by the plan fingerprint (structural signature +
   work() code hashes + emitter revision), bounded LRU;
-* **on disk**, one ``<fingerprint>.py`` per module under
-  ``.repro_codegen/`` (override with ``REPRO_CODEGEN_CACHE``), bounded by
-  mtime eviction — a second process compiling the same graph skips
-  emission entirely.  An entry's first line is the SHA-256 of the module
-  text below it; one that does not verify counts as absent.
+* **on disk** (:mod:`repro.diskcache`), one ``<fingerprint>.py`` per module
+  and beside it the compiled ``<fingerprint>.code``, bounded by mtime
+  eviction — a second process compiling the same graph skips emission and
+  ``compile()`` both.  The code object is tied to this interpreter's
+  bytecode magic and to the text it was compiled from; one that does not
+  verify is recompiled from the (verified) text.
 
-Counters for both levels live in :data:`codegen_cache_stats` and surface
-through ``engine_report()`` and ``python -m repro.obs report``.
+Materializing also writes the rate reports this process computed
+(:meth:`repro.analysis.rates._ReadSetMemo.flush`) into the same directory,
+so the next process's ``validate()`` reads them instead of re-running the
+symbolic executor.  Counters for every level live in
+:data:`codegen_cache_stats` and surface through ``engine_report()`` and
+``python -m repro.obs report``.
 
 Fallback ladder (all reported through the ``SL305`` diagnostic, which
 ``strict=True`` turns into an error):
@@ -36,6 +41,8 @@ Fallback ladder (all reported through the ``SL305`` diagnostic, which
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import marshal
 import math as _real_math
 import os
 import types
@@ -43,6 +50,14 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.diskcache import (
+    cache_dir,
+    clear_disk,
+    codegen_cache_stats,
+    evict,
+    read_entry,
+    write_entry,
+)
 from repro.runtime.codegen_emit import (
     EMITTER_VERSION,
     Unsupported,
@@ -59,102 +74,61 @@ _MEM_CACHE: "OrderedDict[str, types.CodeType]" = OrderedDict()
 _MEM_CACHE_MAX = 64
 _DISK_CACHE_MAX = 128
 
-#: Cumulative cache counters for both levels (process lifetime); increments
-#: mirror into the always-on metrics registry as repro_codegen_cache_total,
-#: with the "mem_hits" keys split into {level="mem", event="hits"} labels.
-from repro.obs.metrics import METRICS as _METRICS
-from repro.obs.metrics import MeteredStats as _MeteredStats
-
-
-def _codegen_cache_labels(key: str) -> Dict[str, str]:
-    level, _, event = key.partition("_")
-    return {"level": level, "event": event}
-
-
-codegen_cache_stats: Dict[str, int] = _MeteredStats(
-    _METRICS.counter(
-        "repro_codegen_cache_total",
-        "Generated-module cache events by level (mem/disk)",
-    ),
-    _codegen_cache_labels,
-    {
-        "mem_hits": 0,
-        "mem_misses": 0,
-        "disk_hits": 0,
-        "disk_misses": 0,
-        "mem_evictions": 0,
-        "disk_evictions": 0,
-    },
-)
-
-DEFAULT_CACHE_DIR = ".repro_codegen"
-
-
-def cache_dir() -> Path:
-    """On-disk module cache directory (``REPRO_CODEGEN_CACHE`` overrides)."""
-    return Path(os.environ.get("REPRO_CODEGEN_CACHE") or DEFAULT_CACHE_DIR)
+#: Only the file carries its digest line: what is compiled and what
+#: ``generated_source`` shows is the module text alone.
+_SOURCE_TAG = "repro-codegen"
 
 
 def clear_codegen_cache(disk: bool = False) -> None:
     """Drop the in-memory module cache and zero the counters; with
-    ``disk=True`` also delete the on-disk cache files."""
+    ``disk=True`` also delete every on-disk entry (modules, code objects,
+    rate reports)."""
     _MEM_CACHE.clear()
     for key in codegen_cache_stats:
         codegen_cache_stats[key] = 0
     if disk:
-        directory = cache_dir()
-        if directory.is_dir():
-            for path in directory.glob("*.py"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        clear_disk()
 
 
 def codegen_cache_summary() -> Dict[str, object]:
-    """Counters plus current sizes of both cache levels."""
+    """Counters plus current sizes of every cache level."""
     directory = cache_dir()
     try:
-        disk_size = sum(1 for _ in directory.glob("*.py")) if directory.is_dir() else 0
+        names = [p.name for p in directory.iterdir()] if directory.is_dir() else []
     except OSError:
-        disk_size = 0
+        names = []
     summary: Dict[str, object] = dict(codegen_cache_stats)
     summary["mem_size"] = len(_MEM_CACHE)
     summary["mem_max"] = _MEM_CACHE_MAX
-    summary["disk_size"] = disk_size
+    summary["disk_size"] = sum(name.endswith(".py") for name in names)
     summary["disk_max"] = _DISK_CACHE_MAX
+    summary["analysis_size"] = sum(name.endswith(".rates") for name in names)
     summary["disk_dir"] = str(directory)
     return summary
 
 
-def _disk_path(fingerprint: str) -> Path:
-    return cache_dir() / f"{fingerprint}.py"
+def _disk_path(fingerprint: str, suffix: str = ".py") -> Path:
+    return cache_dir() / f"{fingerprint}{suffix}"
 
 
-def _digest_line(body: bytes) -> bytes:
-    """First line of the on-disk entry holding module text ``body``.  Only
-    the file carries it: what is compiled and what ``generated_source``
-    shows is the module text alone."""
-    return b"# repro-codegen sha256=" + hashlib.sha256(body).hexdigest().encode()
+def _code_tag(source: str) -> str:
+    """A code object is valid for this interpreter's bytecode and for the
+    one text it was compiled from."""
+    magic = importlib.util.MAGIC_NUMBER.hex()
+    return f"repro-code magic={magic} source={hashlib.sha256(source.encode()).hexdigest()}"
 
 
-def _read_entry(path: Path) -> Optional[str]:
-    """The module text stored at ``path``; None if there is no such file or
-    its first line is not the digest of the rest (truncated, edited in
-    place, or written before entries carried one)."""
-    try:
-        header, _, body = path.read_bytes().partition(b"\n")
-    except OSError:
-        return None
-    if header != _digest_line(body):
-        return None
-    return body.decode()
+def _compile(fingerprint: str, source: str) -> types.CodeType:
+    return compile(source, f"<codegen:{fingerprint[:12]}>", "exec")
 
 
-def _disk_load(fingerprint: str) -> Optional[str]:
+def _disk_load(fingerprint: str) -> Optional[Tuple[str, Optional[types.CodeType]]]:
+    """The stored module text, None if it does not verify (the caller
+    regenerates and overwrites the entry), with its stored code object,
+    None if that does not verify or load."""
     path = _disk_path(fingerprint)
-    source = _read_entry(path)
-    if source is None:  # the caller regenerates and overwrites the entry
+    body = read_entry(path, _SOURCE_TAG)
+    if body is None:
         codegen_cache_stats["disk_misses"] += 1
         return None
     codegen_cache_stats["disk_hits"] += 1
@@ -162,29 +136,40 @@ def _disk_load(fingerprint: str) -> Optional[str]:
         os.utime(path)
     except OSError:
         pass
-    return source
+    source = body.decode()
+    blob = read_entry(_disk_path(fingerprint, ".code"), _code_tag(source))
+    try:
+        code = None if blob is None else marshal.loads(blob)
+    except (EOFError, ValueError, TypeError):
+        code = None
+    if not isinstance(code, types.CodeType):
+        codegen_cache_stats["code_misses"] += 1
+        return source, None
+    codegen_cache_stats["code_hits"] += 1
+    return source, code
 
 
-def _disk_store(fingerprint: str, source: str) -> Optional[Path]:
-    directory = cache_dir()
+def _code_store(fingerprint: str, source: str, code: types.CodeType) -> None:
+    write_entry(_disk_path(fingerprint, ".code"), _code_tag(source), marshal.dumps(code))
+
+
+def _disk_store(fingerprint: str, source: str, code: types.CodeType) -> Optional[Path]:
     path = _disk_path(fingerprint)
-    body = source.encode()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_bytes(_digest_line(body) + b"\n" + body)
-        os.replace(tmp, path)
-    except OSError:
+    if not write_entry(path, _SOURCE_TAG, source.encode()):
         return None
-    try:
-        entries = sorted(directory.glob("*.py"), key=lambda p: p.stat().st_mtime)
-        while len(entries) > _DISK_CACHE_MAX:
-            victim = entries.pop(0)
-            victim.unlink()
-            codegen_cache_stats["disk_evictions"] += 1
-    except OSError:
-        pass
+    _code_store(fingerprint, source, code)
+    for victim in evict(path.parent, ".py", _DISK_CACHE_MAX):
+        victim.with_suffix(".code").unlink(missing_ok=True)
+        codegen_cache_stats["disk_evictions"] += 1
     return path
+
+
+def _store_rate_reports() -> None:
+    """Write the rate reports this process computed beside the modules: a
+    codegen session is their only writer (see ``rates._ReadSetMemo``)."""
+    from repro.analysis.rates import MEMO
+
+    MEMO.flush()
 
 
 def _mem_store(fingerprint: str, code: types.CodeType) -> None:
@@ -368,6 +353,7 @@ class CodegenPlan(ExecutionPlan):
         self._module_tapes: List[_FusionTape] = []
         self._materialized = False
         if self.messaging:
+            _store_rate_reports()  # there is no module to write
             interp._engine_downgrade(
                 "teleport messaging needs per-delivery firing boundaries that "
                 "a fused module cannot honour; running the batched engine",
@@ -381,6 +367,7 @@ class CodegenPlan(ExecutionPlan):
         interp = self.interp
         from repro import __version__
 
+        _store_rate_reports()
         signature = _plan_signature(
             self.graph, interp.program, self._senders, self._receivers
         )
@@ -399,9 +386,9 @@ class CodegenPlan(ExecutionPlan):
             except BindMismatch:
                 # Stale or foreign cached module: regenerate once.
                 source, meta = emit_module(self, fingerprint)
-                code = compile(source, f"<codegen:{fingerprint[:12]}>", "exec")
+                code = _compile(fingerprint, source)
                 _mem_store(fingerprint, code)
-                self.generated_path = _path_str(_disk_store(fingerprint, source))
+                self.generated_path = _path_str(_disk_store(fingerprint, source, code))
                 ns = {}
                 exec(code, ns)
                 fallbacks, core_mode = bind_module(self, ns, meta)
@@ -439,7 +426,8 @@ class CodegenPlan(ExecutionPlan):
             source = self.generated_source
             path = _disk_path(fingerprint)
             if source is None:
-                source = _read_entry(path)
+                body = read_entry(path, _SOURCE_TAG)
+                source = None if body is None else body.decode()
             self.generated_path = str(path) if path.is_file() else None
             if source is not None:
                 return source, "mem_hit"
@@ -448,12 +436,13 @@ class CodegenPlan(ExecutionPlan):
             source, _meta = emit_module(self, fingerprint)
             return source, "mem_hit"
         codegen_cache_stats["mem_misses"] += 1
-        source = _disk_load(fingerprint)
-        if source is not None:
+        stored = _disk_load(fingerprint)
+        if stored is not None:
+            source, code = stored
             try:
-                code = compile(
-                    source, f"<codegen:{fingerprint[:12]}>", "exec"
-                )
+                if code is None:
+                    code = _compile(fingerprint, source)
+                    _code_store(fingerprint, source, code)
             except SyntaxError:
                 pass  # corrupt artifact: fall through to regeneration
             else:
@@ -461,9 +450,9 @@ class CodegenPlan(ExecutionPlan):
                 self.generated_path = str(_disk_path(fingerprint))
                 return source, "disk_hit"
         source, _meta = emit_module(self, fingerprint)
-        code = compile(source, f"<codegen:{fingerprint[:12]}>", "exec")
+        code = _compile(fingerprint, source)
         _mem_store(fingerprint, code)
-        self.generated_path = _path_str(_disk_store(fingerprint, source))
+        self.generated_path = _path_str(_disk_store(fingerprint, source, code))
         return source, "miss"
 
     # -- execution ------------------------------------------------------------

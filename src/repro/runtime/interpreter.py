@@ -46,7 +46,7 @@ import warnings
 from math import frexp
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineDowngradeWarning, MessagingError, StreamItError
 from repro.graph.base import Filter, Stream
@@ -60,8 +60,10 @@ from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel
 from repro.runtime.messaging import PendingMessage, Portal
 from repro.runtime.plan import ExecutionPlan, single_topological_sweep
-from repro.scheduling.sdep import WavefrontOracle
 from repro.scheduling.steady import ProgramSchedule, build_schedule
+
+if TYPE_CHECKING:
+    from repro.scheduling.sdep import WavefrontOracle
 
 #: Valid values for ``Interpreter(engine=...)``.
 ENGINES = ("scalar", "batched", "parallel", "codegen")
@@ -523,6 +525,8 @@ class Interpreter:
         deliver_now = False
         if latency is not None:
             if self._oracle is None:
+                from repro.scheduling.sdep import WavefrontOracle
+
                 self._oracle = WavefrontOracle(self.graph)
             if not sender_node.out_edges or not recv_node.out_edges:
                 raise MessagingError(

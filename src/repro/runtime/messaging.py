@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MessagingError
 from repro.graph.base import Filter
-from repro.scheduling.sdep import delivery_firings
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,8 @@ class PendingMessage:
         re-checking delivery, so chunk boundaries land exactly on the
         SDEP-derived delivery points.
         """
+        from repro.scheduling.sdep import delivery_firings
+
         return delivery_firings(self.threshold, produced, push, self.direction)
 
     def deliver(self) -> None:

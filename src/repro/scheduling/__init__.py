@@ -1,33 +1,34 @@
 """Static scheduling: SDF rates, schedules, wavefronts, verification."""
 
-from repro.scheduling.constraints import (
-    Configuration,
-    ConstraintSystem,
-    MessageConstraint,
-    max_latency,
-)
+import importlib
+
 from repro.scheduling.rates import repetitions, steady_state_items
-from repro.scheduling.sdep import (
-    TransferFunction,
-    WavefrontOracle,
-    filter_tf,
-    identity_tf,
-    joiner_branch_tf,
-    pipeline_tf,
-    splitter_branch_tf,
-)
 from repro.scheduling.steady import ProgramSchedule, Schedule, build_schedule, init_counts
-from repro.scheduling.verification import (
-    DEADLOCK,
-    OK,
-    OVERFLOW,
-    LoopVerdict,
-    VerificationReport,
-    analyze_feedback_loop,
-    splitjoin_drift,
-    steady_gain,
-    verify_program,
-)
+
+#: Teleport constraints, SDEP and verification, imported on first use (PEP
+#: 562): a run without portals or feedback loops never loads them.
+_LAZY_MODULES = {
+    "repro.scheduling.constraints": (
+        "Configuration", "ConstraintSystem", "MessageConstraint", "max_latency",
+    ),
+    "repro.scheduling.sdep": (
+        "TransferFunction", "WavefrontOracle", "filter_tf", "identity_tf",
+        "joiner_branch_tf", "pipeline_tf", "splitter_branch_tf",
+    ),
+    "repro.scheduling.verification": (
+        "DEADLOCK", "OK", "OVERFLOW", "LoopVerdict", "VerificationReport",
+        "analyze_feedback_loop", "splitjoin_drift", "steady_gain", "verify_program",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
 
 __all__ = [
     "repetitions",

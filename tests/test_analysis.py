@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import sys
 import textwrap
 import warnings
 import weakref
@@ -471,7 +472,45 @@ def analyzer_runs(monkeypatch):
     return ran
 
 
+#: Read by ``PopsGlobal.work()``; tests reassign it.
+POPS = 2
+
+
+class PopsGlobal(Filter):
+    """Pops a module global's worth of items against a declared pop of 2."""
+
+    def __init__(self):
+        super().__init__(pop=2, push=1)
+
+    def work(self):
+        total = 0.0
+        for _ in range(POPS):
+            total += self.pop()
+        self.push(total)
+
+
+def _scale(x):
+    return 2.0 * x
+
+
+class CallsModuleFunction(Filter):
+    """Reads a module-level function: an opaque global."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        self.push(_scale(self.pop()))
+
+
 class TestRateMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_store(self, tmp_path, monkeypatch):
+        """These tests count executor runs: no report may come from a
+        stored entry another test left behind."""
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        rates_mod.MEMO.clear()
+
     def test_memoised_report_equals_fresh_run_on_every_app_filter(self):
         for name, build in sorted(ALL_APPS.items()):
             build()  # first instances fill the memo...
@@ -528,6 +567,45 @@ class TestRateMemo:
         for opaque in (Portal(), {"a": 1}, {1}, object(), [1, object()],
                        np.array([object()])):
             assert _fingerprint(opaque) is None
+
+    def test_flat_sequences_are_told_apart_exactly_as_their_items(self):
+        # A flat list or tuple of exact scalars is one repr; it must keep
+        # the classes one (type, repr) per item gave.
+        pool = [1, 1.0, True, 0, 0.0, -0.0, float("nan"), float("inf"), 1 + 0j,
+                "1", b"1", "a, b", "a", " b", "'", None]
+        seqs = [kind(s) for kind in (list, tuple) for s in (
+            [], *([x] for x in pool), *([x, y] for x in pool for y in pool))]
+
+        def items(seq):
+            return type(seq), tuple((type(v), repr(v)) for v in seq)
+
+        prints = [(_fingerprint(s), items(s)) for s in seqs]
+        for print_a, items_a in prints:
+            for print_b, items_b in prints:
+                assert (print_a == print_b) == (items_a == items_b), (items_a, items_b)
+        # ...and never meets the recursive form: nesting still separates.
+        nested = [[1.0, 2.0], [[1.0, 2.0]], [(1.0, 2.0)], [[1.0], [2.0]], ([1.0, 2.0],)]
+        assert len({_fingerprint(s) for s in nested}) == len(nested)
+        assert _fingerprint([[1.0, 2.0], [3.0]]) == _fingerprint([[1.0, 2.0], [3.0]])
+        assert _fingerprint([[1.0, 2.0], [3.0]]) != _fingerprint([[1.0, 2.0], [3]])
+        assert _fingerprint([1.0, np.float64(2.0)]) is None  # not an exact scalar
+        assert rates_mod.value_fingerprint is _fingerprint  # region collapse
+
+    def test_module_global_is_part_of_the_read_set(self, monkeypatch, analyzer_runs):
+        first = rates_mod.analyze_rates(PopsGlobal(), set())
+        assert first.pop.exact and first.pop.lo == 2
+        monkeypatch.setattr(sys.modules[__name__], "POPS", 4)
+        again = rates_mod.analyze_rates(PopsGlobal(), set())
+        assert again is not first and again.pop.exact and again.pop.lo == 4
+        monkeypatch.setattr(sys.modules[__name__], "POPS", 2)
+        assert rates_mod.analyze_rates(PopsGlobal(), set()) is first
+        assert len(analyzer_runs) == 2
+
+    def test_filter_reading_an_opaque_global_is_never_memoised(self, analyzer_runs):
+        for _ in range(2):
+            rates_mod.analyze_rates(CallsModuleFunction(), set())
+        assert len(analyzer_runs) == 2
+        assert len(rates_mod.MEMO) == 0
 
     def test_filter_reading_a_portal_is_never_memoised(self, analyzer_runs):
         before = len(rates_mod.MEMO)

@@ -11,12 +11,22 @@ module cache — in-memory within a process, on disk across "processes"
 
 import copy
 import hashlib
+import importlib.util
+import json
+import marshal
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import analyze_filter
+from repro.analysis import rates as rates_mod
 from repro.apps import ALL_APPS
+from repro.diskcache import cache_dir
+from repro.obs import METRICS
 from repro.errors import EngineDowngradeWarning, StreamItError
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, SplitJoin, duplicate
 from repro.graph.builtins import Identity
@@ -413,6 +423,209 @@ def test_disk_cache_eviction_is_bounded(monkeypatch):
     assert summary["disk_evictions"] >= 1
 
 
+def _run_checked(builder, periods: int = 3):
+    """A ``check=True`` codegen run (rate analysis included): output and
+    every filter's diagnostics."""
+    app = builder()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        with Interpreter(app, check=True, engine="codegen") as interp:
+            interp.run(periods)
+    diagnostics = [d.format() for f in app.filters() for d in analyze_filter(f).diagnostics]
+    return list(sink.collected), diagnostics, interp
+
+
+def _new_process() -> None:
+    """What a second process starts with: no module, no report in memory."""
+    clear_codegen_cache()
+    rates_mod.MEMO.clear()
+
+
+def _entries(suffix: str):
+    return sorted(cache_dir().glob(f"*{suffix}"))
+
+
+def _wrong_python(raw: bytes) -> bytes:
+    """A rate entry that verifies but was written by another Python."""
+    _version, stem, entries = marshal.loads(raw.partition(b"\n")[2])
+    body = marshal.dumps(((2, 7), stem, entries))
+    header = b"# repro-rates sha256=" + hashlib.sha256(body).hexdigest().encode()
+    return header + b"\n" + body
+
+
+def _wrong_magic(raw: bytes) -> bytes:
+    """A code object that verifies but is another interpreter's bytecode."""
+    magic = importlib.util.MAGIC_NUMBER.hex().encode()
+    return raw.replace(b"magic=" + magic, b"magic=" + b"0" * len(magic), 1)
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_last_lines, _flip_one_byte, _drop_digest_line, _wrong_python]
+)
+def test_rate_entry_that_does_not_verify_is_a_miss(damage):
+    builder = ALL_APPS["FIR"]
+    _new_process()
+    cold, cold_diagnostics, _ = _run_checked(builder)
+    entries = _entries(".rates")
+    assert entries and codegen_cache_stats["analysis_misses"] == len(entries)
+    entries[0].write_bytes(damage(entries[0].read_bytes()))
+
+    _new_process()
+    out, diagnostics, _ = _run_checked(builder)
+    assert codegen_cache_stats["analysis_misses"] == 1
+    assert codegen_cache_stats["analysis_hits"] == len(entries) - 1
+    assert (out, diagnostics) == (cold, cold_diagnostics)
+
+    _new_process()  # the miss rewrote the entry
+    assert _run_checked(builder)[:2] == (cold, cold_diagnostics)
+    assert codegen_cache_stats["analysis_hits"] == len(entries)
+    assert codegen_cache_stats["analysis_misses"] == 0
+
+
+class PushOnce(Filter):
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        self.push(self.pop())
+
+
+def _push_twice(self):
+    x = self.pop()
+    self.push(x)
+    self.push(x)
+
+
+def test_work_assigned_at_run_time_is_not_read_from_the_store(monkeypatch):
+    app = Pipeline(ArraySource([1.0, 2.0]), PushOnce(), CollectSink())
+    Interpreter(app, check=True, engine="codegen").run(1)
+    assert _entries(".rates")  # PushOnce's report is stored...
+    _new_process()
+    monkeypatch.setattr(PushOnce, "work", _push_twice)
+    # ...and another process whose PushOnce.work is not the source's own
+    # does not read it.
+    assert rates_mod.analyze_rates(PushOnce(), set()).push.lo == 2
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_last_lines, _flip_one_byte, _drop_digest_line, _wrong_magic]
+)
+def test_code_object_that_does_not_verify_is_recompiled(damage):
+    builder = ALL_APPS["FMRadio"]
+    scalar, _ = _run(builder, "scalar", 3)
+    out, _, first = _run_checked(builder)
+    blob = Path(first.plan.generated_path).with_suffix(".code")
+    intact = blob.read_bytes()
+    blob.write_bytes(damage(intact))
+
+    _new_process()
+    out, _, second = _run_checked(builder)
+    assert second.plan.cache_outcome == "disk_hit"
+    assert codegen_cache_stats["code_misses"] == 1
+    assert codegen_cache_stats["code_hits"] == 0
+    assert out == scalar
+    assert second.plan.generated_source == first.plan.generated_source
+
+    _new_process()
+    out, _, third = _run_checked(builder)
+    assert third.plan.cache_outcome == "disk_hit"
+    assert codegen_cache_stats["code_hits"] == 1
+    assert out == scalar
+
+
+def test_warm_run_hits_every_level_and_the_registry_sees_it():
+    builder = ALL_APPS["DToA"]
+    _new_process()
+    cold = _run_checked(builder)[:2]
+    _new_process()
+    before = _cache_events("analysis", "hits")
+    assert _run_checked(builder)[:2] == cold
+    stats = dict(codegen_cache_stats)
+    assert stats["disk_hits"] == stats["code_hits"] == 1
+    assert stats["analysis_hits"] > 0
+    assert stats["disk_misses"] == stats["code_misses"] == stats["analysis_misses"] == 0
+    assert _cache_events("analysis", "hits") - before == stats["analysis_hits"]
+
+
+def _cache_events(level: str, event: str) -> float:
+    family = METRICS.snapshot().get("repro_codegen_cache_total", {"samples": []})
+    labels = {"level": level, "event": event}
+    return sum(s["value"] for s in family["samples"] if s["labels"] == labels)
+
+
+def test_clear_disk_removes_every_entry_kind():
+    _new_process()
+    _run_checked(ALL_APPS["FIR"])
+    assert _entries(".py") and _entries(".code") and _entries(".rates")
+    clear_codegen_cache(disk=True)
+    assert list(cache_dir().iterdir()) == []
+
+
+def test_eviction_bounds_every_entry_kind(monkeypatch):
+    monkeypatch.setattr(codegen_mod, "_DISK_CACHE_MAX", 1)
+    monkeypatch.setattr(rates_mod, "STORE_MAX", 2)
+    _new_process()
+    for name in ("FIR", "FMRadio", "DToA"):
+        _run_checked(ALL_APPS[name])
+    assert len(_entries(".py")) == len(_entries(".code")) == 1
+    assert len(_entries(".rates")) == 2
+
+
+_SWEEP = """
+import json, sys
+from repro.analysis import analyze_filter
+from repro.apps import ALL_APPS
+from repro.graph import CollectSink
+from repro.runtime import Interpreter, codegen_cache_stats
+
+result = {"apps": {}}
+for name in sys.argv[1:]:
+    app = ALL_APPS[name]()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with Interpreter(app, check=True, engine="codegen") as interp:
+        interp.run(3)
+    result["apps"][name] = {
+        "output": list(sink.collected),
+        "diagnostics": [
+            d.format() for f in app.filters() for d in analyze_filter(f).diagnostics
+        ],
+    }
+result["stats"] = dict(codegen_cache_stats)
+print(json.dumps(result))
+"""
+
+
+def _sweep_process(cache: Path, apps) -> subprocess.Popen:
+    src = str(Path(codegen_mod.__file__).resolve().parents[2])
+    env = dict(
+        os.environ,
+        REPRO_CODEGEN_CACHE=str(cache),
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    return subprocess.Popen(
+        [sys.executable, "-W", "ignore", "-c", _SWEEP, *apps],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def test_racing_processes_share_one_cache_directory(tmp_path):
+    apps = ["FIR", "DToA", "BitonicSort"]
+    cache = tmp_path / "shared"
+    racers = [_sweep_process(cache, apps) for _ in range(2)]
+    cold = [json.loads(p.communicate(timeout=300)[0]) for p in racers]
+    warm = json.loads(_sweep_process(cache, apps).communicate(timeout=300)[0])
+    stats = warm["stats"]
+    assert stats["disk_hits"] == stats["code_hits"] == len(apps)
+    assert stats["analysis_hits"] > 0
+    assert stats["disk_misses"] == stats["code_misses"] == stats["analysis_misses"] == 0
+    for name in apps:
+        scalar, _ = _run(ALL_APPS[name], "scalar", 3)
+        assert warm["apps"][name]["output"] == scalar
+        for racer in cold:
+            assert racer["apps"][name] == warm["apps"][name]
+
+
 def test_plan_cache_eviction_counter(monkeypatch):
     from repro.runtime import plan as plan_mod
 
@@ -505,6 +718,7 @@ def test_traced_codegen_run_renders_cache_section():
     assert spans, "expected codegen:run_chunk spans in the trace"
     text = render_report(payload)
     assert "codegen cache:" in text
+    assert "code objects 0 hit(s) / 0 miss(es), rate reports" in text
 
 
 def test_codegen_spans_count_as_self_time():
