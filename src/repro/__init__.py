@@ -21,6 +21,24 @@ Quick start::
 
 __version__ = "1.0.0"
 
+import importlib
+import sys
+
 from repro import errors
 
 __all__ = ["errors", "__version__"]
+
+
+def lazy_getattr(package: str, modules: dict):
+    """A module ``__getattr__`` (PEP 562) for ``package`` that imports the
+    names of ``modules`` (module -> the names it defines) on first use."""
+    home = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(home[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__

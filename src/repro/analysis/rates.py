@@ -347,9 +347,10 @@ class RateAnalyzer:
         self.ended: List[_State] = []
         #: Where work()'s free names resolve.
         self.globals: Dict[str, Any] = _work_globals(self.cls)
-        #: ``self.<attr>`` read off the live instance (key ``attr``) and
-        #: module globals or builtins resolved (key ``("global", name)``) ->
-        #: fingerprint of the value seen (None: opaque), in first-read
+        #: ``self.<attr>`` read off the live instance (key ``attr``), module
+        #: globals or builtins resolved (key ``("global", name)``) and
+        #: attributes read through a module (key ``("attr", module, name)``)
+        #: -> fingerprint of the value seen (None: opaque), in first-read
         #: order; the memo key.
         self.reads: Dict[Any, Any] = {}
 
@@ -1074,6 +1075,17 @@ class RateAnalyzer:
             return self._import_value(globs[name])
         return _builtins_of(globs).get(name, UNKNOWN)
 
+    def _module_read(self, module: types.ModuleType, attr: str) -> None:
+        """Record ``module.attr`` (``cfg.GAIN``) in the read set, unless the
+        module comes with the Python or numpy the stored key names."""
+        name = module.__name__
+        if name.partition(".")[0] in _VERSIONED_MODULES:
+            return
+        read = ("attr", name, attr)
+        if read not in self.reads:
+            mine = sys.modules.get(name) is module
+            self.reads[read] = _attr_fingerprint(name, attr) if mine else None
+
     def eval_attribute(self, node: ast.Attribute, state: _State, depth: int) -> Any:
         owner = self.eval(node.value, state, depth)
         if owner is SELF:
@@ -1098,6 +1110,8 @@ class RateAnalyzer:
             return UNKNOWN
         if isinstance(owner, _Channel):
             return UNKNOWN
+        if isinstance(owner, types.ModuleType):
+            self._module_read(owner, node.attr)
         try:
             value = getattr(owner, node.attr)
         except Exception:
@@ -1158,6 +1172,8 @@ class RateAnalyzer:
                         "channel reference escaped"
                     )
                 return UNKNOWN
+            if isinstance(owner, types.ModuleType):
+                self._module_read(owner, method)
             callee = getattr(owner, method, None)
             return self.call_concrete(node, callee, state, depth)
         callee = self.eval(func, state, depth)
@@ -1452,22 +1468,46 @@ def _fingerprint(value: Any) -> Any:
 value_fingerprint = _fingerprint
 
 
+#: Modules whose contents the stored key's Python and numpy versions fix:
+#: ``work()`` reading ``math.pi`` or ``np.float64`` records no read.
+_VERSIONED_MODULES = frozenset(sys.stdlib_module_names) | {"numpy"}
+
+
+def _resolved(value: Any) -> Any:
+    """A value ``work()`` reaches by name: a module by its name (what it
+    reads through the module is a read of its own), data by its
+    fingerprint, anything else (a function, a class, an object) opaque."""
+    if isinstance(value, types.ModuleType):
+        return ("module", value.__name__)
+    return _fingerprint(value)
+
+
 def _global_fingerprint(globs: Dict[str, Any], name: str) -> Any:
-    """What ``work()`` resolves the free name ``name`` to: a data value by
-    its fingerprint, a module by its name, a builtin by its own name —
-    anything else (a function, a class, an object) is opaque."""
+    """What ``work()`` resolves the free name ``name`` to: a global by
+    :func:`_resolved`, a builtin by its own name."""
     if name in globs:
-        value = globs[name]
-        if isinstance(value, types.ModuleType):
-            return ("module", value.__name__)
-        return _fingerprint(value)
+        return _resolved(globs[name])
     return ("builtin", name) if name in _builtins_of(globs) else _ABSENT
+
+
+def _attr_fingerprint(module_name: str, attr: str) -> Any:
+    """What ``work()`` reads as ``attr`` of the module imported as
+    ``module_name``; opaque when no module is."""
+    module = sys.modules.get(module_name)
+    if module is None:
+        return None
+    try:
+        return _resolved(getattr(module, attr))
+    except Exception:
+        return _ABSENT
 
 
 def _read_fingerprint(filt: Filter, globs: Dict[str, Any], name: Any) -> Any:
     """The current fingerprint of one read (a key of ``RateAnalyzer.reads``)."""
     if type(name) is tuple:
-        return _global_fingerprint(globs, name[1])
+        if name[0] == "global":
+            return _global_fingerprint(globs, name[1])
+        return _attr_fingerprint(name[1], name[2])
     try:
         return _fingerprint(getattr(filt, name))
     except AttributeError:
@@ -1478,9 +1518,9 @@ class _ReadSetMemo:
     """``key -> names read -> fingerprints of those names -> report``.
 
     Holds fingerprints and reports only: no filter instance and no live
-    attribute value.  Bounded by dropping everything when full — a process
-    that keeps building *distinct* filters (a fuzzer) must not grow it
-    without limit, and a refill costs one analysis per distinct filter.
+    attribute value.  Bounded by dropping (nearly) everything when full — a
+    process that keeps building *distinct* filters (a fuzzer) must not grow
+    it without limit, and a refill costs one analysis per distinct filter.
 
     The cache directory (:func:`repro.diskcache.cache_dir`) keeps a copy
     for the next process: one ``<stem>.rates`` entry per key, whose stem
@@ -1520,18 +1560,31 @@ class _ReadSetMemo:
         return None
 
     def _put(self, key: tuple, names: tuple, values: tuple, report: RateReport) -> bool:
+        if self._entries >= self.MAX_ENTRIES:
+            self._make_room(key)
         by_values = self._by_key.setdefault(key, {}).setdefault(names, {})
         new = values not in by_values
         self._entries += new
         by_values[values] = report
         return new
 
+    def _make_room(self, key: tuple) -> None:
+        """Drop the entries of every key but ``key`` and those with entries
+        not written yet — or theirs too, when they alone fill half the memo
+        (a process that never writes).  ``key`` keeps its stem, so what is
+        put next is still written."""
+        kept = {k: self._by_key[k] for k in self._dirty | {key} if k in self._by_key}
+        count = sum(len(by_values) for k in kept for by_values in kept[k].values())
+        if count > self.MAX_ENTRIES // 2:
+            kept, count = {}, 0
+        self._by_key, self._entries = kept, count
+        self._stems = {k: s for k, s in self._stems.items() if k in kept or k == key}
+        self._dirty &= set(kept)
+
     def remember(self, key: tuple, reads: Dict[Any, Any], report: RateReport) -> None:
         values = tuple(reads.values())
         if None in values:  # an opaque read: nothing sound to key on
             return
-        if self._entries >= self.MAX_ENTRIES:
-            self.clear()
         if self._put(key, tuple(reads), values, report) and self._stems.get(key):
             self._dirty.add(key)
 
@@ -1665,7 +1718,8 @@ def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
 
     The report is a deterministic function of the class (its ``work()`` and
     helper ASTs), the declared rates, the unstable set and the values of
-    the ``self.<attr>`` and module globals the run reads, so it is memoised
+    the ``self.<attr>``, module globals and module attributes the run
+    reads, so it is memoised
     on exactly those: an instance whose current values fingerprint like an
     earlier run's shares that run's (read-only) report — in this process
     or, through the cache directory, in a later one.  A run that read an

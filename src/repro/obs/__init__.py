@@ -30,8 +30,7 @@ Enable tracing with ``Interpreter(app, trace=True)`` (inspect
 recorder are on by default (``REPRO_METRICS=0`` disables).
 """
 
-import importlib
-
+from repro import lazy_getattr
 from repro.obs.metrics import (
     METRICS,
     MetricsRegistry,
@@ -57,22 +56,13 @@ from repro.obs.tracer import (
     Tracer,
 )
 
-#: Names a run never needs, imported on first use (PEP 562): the trace
-#: file readers and the report, and the counters (which import the runtime).
-_LAZY_MODULES = {
+#: Names a run never needs, imported on first use: the trace file readers
+#: and the report, and the counters (which import the runtime).
+__getattr__ = lazy_getattr(__name__, {
     "repro.obs.chrome": ("TraceFormatError", "load_trace", "trace_summary", "validate_trace"),
     "repro.obs.report": ("aggregate_filters", "render_report"),
     "repro.obs.counters": ("HwmArrayChannel", "channel_snapshot"),
-}
-_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
-    return value
-
+})
 
 __all__ = [
     "CAT_CORE",

@@ -269,12 +269,7 @@ def render_report(payload: Dict[str, Any], top: Optional[int] = None) -> str:
             f"({cg.get('mem_size', 0)}/{cg.get('mem_max', 0)} modules), "
             f"disk {cg.get('disk_hits', 0)} hit(s) / "
             f"{cg.get('disk_misses', 0)} miss(es) "
-            f"({cg.get('disk_size', 0)} files in {cg.get('disk_dir', '?')}), "
-            f"code objects {cg.get('code_hits', 0)} hit(s) / "
-            f"{cg.get('code_misses', 0)} miss(es), "
-            f"rate reports {cg.get('analysis_hits', 0)} hit(s) / "
-            f"{cg.get('analysis_misses', 0)} miss(es) "
-            f"({cg.get('analysis_size', 0)} files)"
+            f"({cg.get('disk_size', 0)} files in {cg.get('disk_dir', '?')})"
         )
         evictions = cg.get("mem_evictions", 0) + cg.get("disk_evictions", 0)
         if evictions:

@@ -1,7 +1,6 @@
 """Runtime execution: channels, the interpreter, and teleport messaging."""
 
-import importlib
-
+from repro import lazy_getattr
 from repro.errors import EngineDowngradeWarning
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel, ChannelUnderflow
@@ -22,21 +21,12 @@ from repro.runtime.plan import (
 )
 from repro.runtime.vectorize import BatchExecutor
 
-#: The multi-process engine's names, imported on first use (PEP 562): a
+#: The multi-process engine's names, imported on first use: a
 #: single-process run never loads it.
-_LAZY_MODULES = {
+__getattr__ = lazy_getattr(__name__, {
     "repro.runtime.parallel": ("ParallelSession", "ParallelUnsafe"),
     "repro.runtime.ring": ("RingAbort", "RingArena", "RingChannel", "RingStall"),
-}
-_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
-    return value
-
+})
 
 __all__ = [
     "ArrayChannel",

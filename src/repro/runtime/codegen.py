@@ -91,18 +91,17 @@ def clear_codegen_cache(disk: bool = False) -> None:
 
 
 def codegen_cache_summary() -> Dict[str, object]:
-    """Counters plus current sizes of every cache level."""
+    """Counters plus current sizes of both cache levels."""
     directory = cache_dir()
     try:
-        names = [p.name for p in directory.iterdir()] if directory.is_dir() else []
+        disk_size = sum(1 for _ in directory.glob("*.py")) if directory.is_dir() else 0
     except OSError:
-        names = []
+        disk_size = 0
     summary: Dict[str, object] = dict(codegen_cache_stats)
     summary["mem_size"] = len(_MEM_CACHE)
     summary["mem_max"] = _MEM_CACHE_MAX
-    summary["disk_size"] = sum(name.endswith(".py") for name in names)
+    summary["disk_size"] = disk_size
     summary["disk_max"] = _DISK_CACHE_MAX
-    summary["analysis_size"] = sum(name.endswith(".rates") for name in names)
     summary["disk_dir"] = str(directory)
     return summary
 
@@ -162,14 +161,6 @@ def _disk_store(fingerprint: str, source: str, code: types.CodeType) -> Optional
         victim.with_suffix(".code").unlink(missing_ok=True)
         codegen_cache_stats["disk_evictions"] += 1
     return path
-
-
-def _store_rate_reports() -> None:
-    """Write the rate reports this process computed beside the modules: a
-    codegen session is their only writer (see ``rates._ReadSetMemo``)."""
-    from repro.analysis.rates import MEMO
-
-    MEMO.flush()
 
 
 def _mem_store(fingerprint: str, code: types.CodeType) -> None:
@@ -353,7 +344,9 @@ class CodegenPlan(ExecutionPlan):
         self._module_tapes: List[_FusionTape] = []
         self._materialized = False
         if self.messaging:
-            _store_rate_reports()  # there is no module to write
+            from repro.analysis.rates import MEMO
+
+            MEMO.flush()  # there is no module to write: store the reports now
             interp._engine_downgrade(
                 "teleport messaging needs per-delivery firing boundaries that "
                 "a fused module cannot honour; running the batched engine",
@@ -366,8 +359,9 @@ class CodegenPlan(ExecutionPlan):
         self._materialized = True
         interp = self.interp
         from repro import __version__
+        from repro.analysis.rates import MEMO
 
-        _store_rate_reports()
+        MEMO.flush()  # a codegen session is the rate reports' only writer
         signature = _plan_signature(
             self.graph, interp.program, self._senders, self._receivers
         )

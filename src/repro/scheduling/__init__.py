@@ -1,13 +1,12 @@
 """Static scheduling: SDF rates, schedules, wavefronts, verification."""
 
-import importlib
-
+from repro import lazy_getattr
 from repro.scheduling.rates import repetitions, steady_state_items
 from repro.scheduling.steady import ProgramSchedule, Schedule, build_schedule, init_counts
 
-#: Teleport constraints, SDEP and verification, imported on first use (PEP
-#: 562): a run without portals or feedback loops never loads them.
-_LAZY_MODULES = {
+#: Teleport constraints, SDEP and verification, imported on first use: a
+#: run without portals or feedback loops never loads them.
+__getattr__ = lazy_getattr(__name__, {
     "repro.scheduling.constraints": (
         "Configuration", "ConstraintSystem", "MessageConstraint", "max_latency",
     ),
@@ -19,16 +18,7 @@ _LAZY_MODULES = {
         "DEADLOCK", "OK", "OVERFLOW", "LoopVerdict", "VerificationReport",
         "analyze_feedback_loop", "splitjoin_drift", "steady_gain", "verify_program",
     ),
-}
-_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
-    return value
-
+})
 
 __all__ = [
     "repetitions",

