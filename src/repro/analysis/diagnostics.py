@@ -63,9 +63,10 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "SL300": (Severity.INFO, "vector-certified"),
     "SL301": (Severity.INFO, "not-vectorizable"),
     "SL302": (Severity.WARNING, "engine-scalar-fallback"),
-    "SL303": (Severity.WARNING, "superbatch-degraded"),
+    # SL303 ("superbatch-degraded") retired: a feedback core is a block of
+    # the one compiled engine, not a degradation; never reused.
     "SL304": (Severity.WARNING, "engine-parallel-fallback"),
-    "SL305": (Severity.WARNING, "codegen-fallback"),
+    "SL305": (Severity.WARNING, "core-not-lowered"),
     # SL306 ("tuned-plan-discarded") retired with repro.tune; never reused.
     "SL307": (Severity.INFO, "teleport-latency-dynamic"),
     # -- whole-graph analysis (SL4xx) --------------------------------------
@@ -94,10 +95,9 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "SL300": "static proof certifies the generic vector lifting of this filter",
     "SL301": "filter cannot be vectorized generically (stateful or opaque)",
     "SL302": "engine request downgraded to the scalar interpreter",
-    "SL303": "superbatching degraded: a feedback core runs period-at-a-time",
-    "SL304": "engine request downgraded from parallel to batched execution",
-    "SL305": "whole-program codegen fell back to executor calls for some or all blocks",
-    "SL307": "a teleport send's latency is best-effort or no compile-time constant, so the batched engine runs the graph one period per pass",
+    "SL304": "engine request downgraded from parallel to single-process execution",
+    "SL305": "a feedback core the emitter cannot lower runs the interpreted core loop",
+    "SL307": "a teleport send's latency is best-effort or no compile-time constant, so the compiled engine runs the graph one period per pass",
     "SL401": "two or more filter instances alias the same mutable object and at least one mutates it (a parallel race across forked workers)",
     "SL402": "work()'s effects cannot be bounded statically (dynamic writes or self escapes), so parallel race freedom cannot be proven",
     "SL403": "a teleport portal targets a receiver in a different worker partition than its sender",

@@ -36,7 +36,7 @@ single-output filters with *pure* effects and *exact* rates, with no
 initial items on any internal edge.  Executing such a region's nodes in
 the global steady order, once per period, is observationally identical to
 the scalar interpreter (same firings, same item routing, same
-floating-point order per firing) — so the codegen engine may fuse across
+floating-point order per firing) — so the compiled engine may fuse across
 the splitjoin boundary it previously treated as a hard block wall.
 """
 
@@ -226,7 +226,7 @@ class FusionRegion:
     """A splitjoin certified safe for cross-boundary fusion.
 
     ``members`` lists the region's flat nodes — splitter, branch filters,
-    joiner — and is the unit the codegen engine fuses: the whole region
+    joiner — and is the unit the compiled engine fuses: the whole region
     runs once per steady period as a single closed loop.  Certification
     (pure effects, exact rates, no initial items) guarantees that loop is
     bit-exact against the scalar schedule: every firing consumes and

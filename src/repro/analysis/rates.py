@@ -1527,8 +1527,8 @@ class _ReadSetMemo:
     names the class by module, qualified name and source digest instead of
     by object (:func:`_store_stem`).  The first miss on a key reads its
     entry (:meth:`load`); :meth:`flush` writes the keys that gained
-    entries, and only a codegen session calls it — ``validate()`` and
-    streamlint read and never write.
+    entries, and only a compiled session calls it, at its first steady
+    pass — ``validate()`` and streamlint read and never write.
     """
 
     MAX_ENTRIES = 4096

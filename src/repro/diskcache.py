@@ -3,7 +3,7 @@
 One directory — ``.repro_codegen/``, ``REPRO_CODEGEN_CACHE`` overrides —
 holds one file per entry:
 
-* ``<fingerprint>.py``: a generated module's text
+* ``<fingerprint>.py``: the text of a feedback core's generated module
   (:mod:`repro.runtime.codegen`);
 * ``<fingerprint>.code``: that text compiled, as a marshalled code object;
 * ``<key>.rates``: the rate reports of one filter class

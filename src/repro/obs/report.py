@@ -6,7 +6,7 @@ fused chain / cyclic core), how many spans and firings ran, how many items
 moved, how much wall-clock self-time was spent, and — for parallel traces
 — what fraction of that time was ring-buffer stall, attributed to the
 producer/consumer filters of each cross-worker edge.  Engine downgrades
-(SL302/SL303/SL304) recorded in the trace metadata are printed below the
+(SL302/SL304/SL305) recorded in the trace metadata are printed below the
 table, so a "why is this slow" question and a "why did my engine change"
 question have the same entry point.
 """

@@ -38,9 +38,9 @@ CAT_FILTER = "filter"        # scalar-engine per-phase firings
 CAT_KERNEL = "batch_kernel"  # batched-engine block-kernel executions
 CAT_FUSED = "fused_chain"    # batched-engine fused-chain composites
 CAT_REGION = "region"        # batched-engine lowered splitjoin regions
-CAT_CORE = "core_loop"       # CoreLoopRunner chunks (cyclic cores)
+CAT_CORE = "core_loop"       # interpreted CoreLoopRunner chunks (cyclic cores)
 CAT_WORKER = "worker"        # parallel-engine per-worker firings
-CAT_CODEGEN = "codegen"      # codegen-engine generated-module chunks
+CAT_CODEGEN = "codegen"      # a feedback core's generated-module chunks
 CAT_TELEPORT = "teleport"    # message send/delivery instants
 CAT_PLAN = "plan"            # plan compilation, cache hits/misses
 CAT_META = "meta"            # run-level annotations (errors, reports)

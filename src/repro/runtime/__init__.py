@@ -5,7 +5,6 @@ from repro.errors import EngineDowngradeWarning
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel, ChannelUnderflow
 from repro.runtime.codegen import (
-    CodegenPlan,
     clear_codegen_cache,
     codegen_cache_stats,
     codegen_cache_summary,
@@ -33,7 +32,6 @@ __all__ = [
     "BatchExecutor",
     "Channel",
     "ChannelUnderflow",
-    "CodegenPlan",
     "ENGINES",
     "EngineDowngradeWarning",
     "ExecutionPlan",

@@ -1,37 +1,26 @@
-"""Source emission for the whole-program codegen engine.
+"""Source emission for the one block that runs generated code: the cyclic
+core of a feedback loop.
 
-Given a compiled :class:`~repro.runtime.plan.ExecutionPlan`, this module
-emits **one self-contained Python source module** whose ``run_chunk(scale)``
-function executes ``scale`` steady periods with no interpreter dispatch
-loop: the plan's phase list becomes straight-line statements, lifted kernel
-ASTs are spliced in as module-level functions, fused SISO chains unroll into
-per-stage statements over scratch tapes, and a segmented feedback core
-(:class:`~repro.runtime.plan.CoreLoopRunner`) becomes an inlined closed
-loop — ``self.pop()``/``peek``/``push`` rewritten by a statement-level AST
-transformer to reads and bindings of locals where the emitter can follow a
-tape's contents through the loop body, to list indexing where it cannot.
+Every other block of a plan runs as the walk calls it (see
+:mod:`repro.runtime.plan`).  A feedback core fires each node about once a
+period, so it is the block where per-firing Python overhead — a bound
+method call, a list push and pop per item — is the whole cost.
+:func:`emit_module` writes the core of a compiled plan as **one small
+Python source module** whose ``run_chunk(scale)`` runs ``scale`` periods
+of it as an inlined closed loop: the scalar ``work()`` bodies are rewritten
+by a statement-level AST transformer, ``self.pop()``/``peek``/``push``
+becoming reads and bindings of locals where :class:`CoreEmitter` can follow
+a tape's contents through the loop body, and list indexing where it
+cannot.
 
 The module is *source*, not closures, so it can be cached on disk and
 rebound to a structurally identical plan later (see
 :mod:`repro.runtime.codegen` for the cache and the binder).  Everything a
-bound module needs at run time — filter instances, channels, executors,
-kernel globals — is injected into the module namespace under deterministic
-names derived from node/edge indices, so emission and binding can happen in
-different processes.
-
-Per-block lowering modes (reported through ``engine_report()`` and the
-``SL305`` diagnostic):
-
-* ``inline`` — the block's computation is spliced into the module (a lifted
-  kernel called through :func:`~repro.runtime.vectorize.run_lifted`, or a
-  core work() body rewritten to flat statements);
-* ``call`` — a direct call to an existing batched executor (hand
-  ``work_batch``, vectorized splitter/joiner, a lowered splitjoin
-  :class:`~repro.runtime.regions.RegionPhase`) — no dispatch loop, but the
-  body lives outside the module;
-* ``fallback`` — an uncertified filter keeps its adaptive
-  :class:`~repro.runtime.vectorize.BatchExecutor` (trial machinery and
-  demotion intact); these blocks are what ``SL305`` reports.
+bound module needs at run time — filter instances, kernel globals,
+reducers, the core runner itself — is injected into the module namespace
+under deterministic names derived from node/edge indices, so emission and
+binding can happen in different processes.  A core the emitter cannot
+lower raises :class:`Unsupported`; it then runs interpreted (``SL305``).
 """
 
 from __future__ import annotations
@@ -44,61 +33,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
-from repro.runtime.plan import CompiledPhase, CoreLoopRunner
-from repro.runtime.vectorize import BatchExecutor
+from repro.runtime.plan import CoreLoopRunner
 
 #: Bump on any change to the emitted module's shape or binding contract;
 #: part of the cache key, so stale on-disk modules are never rebound.
-EMITTER_VERSION = 4
+EMITTER_VERSION = 5
 
 
 class Unsupported(Exception):
     """A construct the emitter cannot lower; callers fall back."""
-
-
-# -- per-phase lowering mode ---------------------------------------------------
-
-
-def _kernel_splicable(cls: type) -> bool:
-    """Can this class's work() source be spliced as a module-level kernel?"""
-    try:
-        fn = cls.work
-        if fn.__code__.co_freevars:
-            return False
-        fdef = _work_fdef(fn)
-        args = fdef.args
-        return (
-            len(args.args) == 1
-            and not args.posonlyargs
-            and not args.kwonlyargs
-            and args.vararg is None
-            and args.kwarg is None
-            and not args.defaults
-        )
-    except Unsupported:
-        return False
-
-
-def resolve_phase_mode(ph: CompiledPhase) -> str:
-    """Lowering mode for one flat phase; certifies lazily when needed.
-
-    Runs post-init (the static certification passes read live attribute
-    state).  A successful certification is recorded on the executor so
-    ``vectorization_report()`` agrees with the emitted module.
-    """
-    node = ph.node
-    if node.kind != FILTER:
-        return "call"
-    fire = ph.fire
-    if not isinstance(fire, BatchExecutor):
-        return "call"  # hand work_batch
-    if fire.mode == "lifted" and fire.trusted:
-        return "inline" if _kernel_splicable(type(node.filter)) else "call"
-    if fire.mode is None and fire._allow_trusted and fire._certify():
-        fire.mode = "lifted"
-        fire.trusted = True
-        return "inline" if _kernel_splicable(type(node.filter)) else "call"
-    return "fallback"
 
 
 # -- fingerprinting -----------------------------------------------------------
@@ -126,8 +69,8 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
     """Cache key: structural signature + per-class work code + emitter rev.
 
     The structural signature pins the plan *shape*; the per-class code
-    hashes pin the spliced bodies, so editing a filter's ``work()`` (same
-    class name, same rates) invalidates cached modules.
+    hashes pin the bodies a core module inlines, so editing a filter's
+    ``work()`` (same class name, same rates) invalidates cached modules.
     """
     parts: List[str] = [repr(signature), version, str(EMITTER_VERSION)]
     # A region's tier is decided from live state, not structure: a module
@@ -167,21 +110,6 @@ def _work_fdef(fn) -> ast.FunctionDef:
     if not isinstance(fdef, ast.FunctionDef):
         raise Unsupported("work() source is not a plain function definition")
     return fdef
-
-
-def kernel_source(cls: type, kname: str) -> str:
-    """The class's work() source as a module-level kernel definition.
-
-    The body is verbatim — vectorization comes from the channel shims bound
-    by :func:`~repro.runtime.vectorize.run_lifted`, and the binder rebuilds
-    the function with its original ``__globals__`` (``math`` swapped for
-    the exact vector-math namespace), exactly like
-    :func:`~repro.runtime.vectorize.lift_work`.
-    """
-    fdef = copy.copy(_work_fdef(cls.work))  # only the def node is edited
-    fdef.name = kname
-    fdef.decorator_list = []
-    return ast.unparse(fdef)
 
 
 # -- core work() inlining -----------------------------------------------------
@@ -544,8 +472,7 @@ class CoreEmitter:
     either way.
     """
 
-    def __init__(self, plan, core: CoreLoopRunner, node_index, edge_index) -> None:
-        self.plan = plan
+    def __init__(self, core: CoreLoopRunner, node_index, edge_index) -> None:
         self.core = core
         self.node_index = node_index
         self.edge_index = edge_index
@@ -813,170 +740,50 @@ class CoreEmitter:
 # -- module emission ----------------------------------------------------------
 
 
-def _indent(lines: Sequence[str], level: int = 1) -> List[str]:
-    pad = "    " * level
-    return [pad + line if line else line for line in lines]
-
-
-def _kernel_call_lines(i: int, count: int) -> List[str]:
-    """Guarded inline-kernel invocation with the runtime demotion net."""
-    return [
-        f"_n = {count} * scale",
-        f"if _dm.get({i}):",
-        f"    _run_loop(f{i}, _n)",
-        "else:",
-        "    try:",
-        f"        _run_lifted(f{i}, _K{i}, _n)",
-        "    except Exception:",
-        f"        _dm[{i}] = True",
-        f"        _run_loop(f{i}, _n)",
-    ]
-
-
 def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
-    """Emit the plan's fused source module; returns ``(source, meta)``.
+    """Emit the module of the plan's feedback core; returns ``(source, meta)``.
 
-    ``meta`` (also embedded in the source as ``__codegen_meta__``) records
-    the per-block lowering so a cached module can be rebound without
-    re-running mode resolution, and so ``engine_report()`` can show
-    codegen-vs-fallback per block.
+    ``meta`` (also embedded in the source as ``__codegen_meta__``) has one
+    entry in ``blocks``, the core's: which nodes it covers and what the
+    binder needs to rebind a cached copy (:meth:`CoreEmitter.meta`).
+    Raises :class:`Unsupported` when the plan has no core or the emitter
+    cannot lower it.
     """
+    cores = [block for block in plan.blocks if block.kind == "core"]
+    if not cores:
+        raise Unsupported("the plan has no feedback core")
+    (core,) = cores
     node_index = {node: i for i, node in enumerate(plan.graph.nodes)}
     edge_index = {edge: i for i, edge in enumerate(plan.graph.edges)}
-    meta_blocks: List[dict] = []
-    kernel_defs: List[str] = []
-    kernels_done: set = set()
-    body: List[str] = []
-
-    def add_kernel(node) -> None:
-        i = node_index[node]
-        if i not in kernels_done:
-            kernels_done.add(i)
-            kernel_defs.append(kernel_source(type(node.filter), f"_K{i}"))
-
-    def emit_phase(ph: CompiledPhase, out: List[str]) -> dict:
-        node = ph.node
-        i = node_index[node]
-        mode = resolve_phase_mode(ph)
-        out.append(f"# {node.name}: {mode}")
-        if mode == "inline":
-            add_kernel(node)
-            out.extend(_kernel_call_lines(i, ph.count))
-        else:
-            out.append(f"x{i}({ph.count} * scale)")
-        return {"kind": "phase", "node": i, "mode": mode, "name": node.name}
-
-    for obj in plan.blocks:
-        kind = obj.kind
-        if kind == "phase":
-            meta_blocks.append(emit_phase(obj, body))
-        elif kind == "fused":
-            stages: Sequence[CompiledPhase] = obj.stages
-            names = "+".join(st.node.name for st in stages)
-            body.append(f"# fused chain: {names}")
-            stage_meta: List[dict] = []
-            chain_idx = len(meta_blocks)
-            inner: List[str] = []
-            restore: List[str] = []
-            last = len(stages) - 1
-            for si, st in enumerate(stages):
-                node = st.node
-                i = node_index[node]
-                if si:
-                    tape = f"tp{chain_idx}_{si - 1}"
-                    inner.append(f"f{i}.input = {tape}")
-                    restore.append(f"f{i}.input = ch{edge_index[node.in_edges[0]]}")
-                if si < last:
-                    tape = f"tp{chain_idx}_{si}"
-                    inner.append(f"f{i}.output = {tape}")
-                    restore.append(f"f{i}.output = ch{edge_index[node.out_edges[0]]}")
-                stage_meta.append(emit_phase(st, inner))
-            body.append("try:")
-            body.extend(_indent(inner))
-            body.append("finally:")
-            body.extend(_indent(restore))
-            for st in stages[:-1]:
-                e = st.node.out_edges[0]
-                moved = st.count * e.push_rate
-                body.append(f"ch{edge_index[e]}.pushed_count += {moved} * scale")
-                body.append(f"ch{edge_index[e]}.popped_count += {moved} * scale")
-            meta_blocks.append(
-                {
-                    "kind": "fused",
-                    "nodes": [node_index[st.node] for st in stages],
-                    "stages": stage_meta,
-                    "name": names,
-                }
-            )
-        elif kind == "region":
-            modes = [
-                resolve_phase_mode(ph) for ph in obj.members if ph.node.kind == FILTER
-            ]
-            mode = "fallback" if "fallback" in modes else "call"
-            body.append(f"# region {obj.name}: {obj.tier} ({mode})")
-            body.append(f"rg{len(meta_blocks)}(scale)")
-            meta_blocks.append(
-                {
-                    "kind": "region",
-                    "mode": mode,
-                    "tier": obj.tier,
-                    "nodes": [node_index[ph.node] for ph in obj.members],
-                    "name": obj.name,
-                }
-            )
-        elif kind == "core":
-            core: CoreLoopRunner = obj
-            core_nodes = sorted(node_index[n] for n in core.nodes)
-            body.append(f"# cyclic core: {'+'.join(sorted(n.name for n in core.nodes))}")
-            try:
-                emitter = CoreEmitter(plan, core, node_index, edge_index)
-                lines = emitter.emit()
-            except Unsupported as exc:
-                body.append(f"# core fallback ({exc})")
-                body.append("_core_run(scale)")
-                meta_blocks.append(
-                    {
-                        "kind": "core",
-                        "mode": "fallback",
-                        "nodes": core_nodes,
-                        "reason": str(exc),
-                    }
-                )
-            else:
-                body.extend(lines)
-                meta_blocks.append(
-                    {
-                        "kind": "core",
-                        "mode": "inline",
-                        "nodes": core_nodes,
-                        **emitter.meta(),
-                    }
-                )
-        else:
-            raise Unsupported(f"a {kind} block has no codegen lowering")
-
+    emitter = CoreEmitter(core, node_index, edge_index)
+    body = emitter.emit()
     meta = {
         "emitter": EMITTER_VERSION,
         "fingerprint": fingerprint,
-        "blocks": meta_blocks,
+        "blocks": [
+            {
+                "kind": "core",
+                "mode": "inline",
+                "name": core.name,
+                "nodes": sorted(node_index[n] for n in core.nodes),
+                **emitter.meta(),
+            }
+        ],
     }
     src_lines = [
         '"""Auto-generated by repro.runtime.codegen — do not edit.',
         "",
-        "One fused steady-state module for a compiled ExecutionPlan:",
-        "run_chunk(scale) executes `scale` steady periods with no engine",
-        "dispatch loop.  Names like f3/x3/ch2/_K3 are injected by the",
-        "binder (repro.runtime.codegen.bind_module) before first use.",
+        "The inlined closed loop of one feedback core: run_chunk(scale) runs",
+        "`scale` steady periods of it.  Names like f3/_g3_x/_rd5/_core are",
+        "injected by the binder (repro.runtime.codegen.bind_core) before",
+        "first use.",
         '"""',
         "",
         f"__codegen_meta__ = {meta!r}",
         "",
+        "",
+        "def run_chunk(scale):",
+        *("    " + line for line in body),
+        "",
     ]
-    for kdef in kernel_defs:
-        src_lines.append(kdef)
-        src_lines.append("")
-    src_lines.append("")
-    src_lines.append("def run_chunk(scale):")
-    src_lines.extend(_indent(body))
-    src_lines.append("")
     return "\n".join(src_lines), meta

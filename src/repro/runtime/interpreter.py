@@ -10,34 +10,28 @@ are bound automatically, message thresholds are computed with the wavefront
 oracle at send time, and deliveries happen exactly at the firing boundaries
 the semantics prescribe.
 
-Two execution engines share this front end (see DESIGN.md, "Execution
+Three engines share this front end, a ladder (see DESIGN.md, "Execution
 engines"):
 
 * ``engine="scalar"`` — the reference path: Python-list channels, one
   ``work()`` call per firing, messaging checks interleaved.
-* ``engine="batched"`` — an :class:`~repro.runtime.plan.ExecutionPlan`
-  compiled from the same schedule, running block kernels over
-  :class:`~repro.runtime.array_channel.ArrayChannel` tapes.  Portal-bound
-  programs run batched too (as many periods per pass as the stated
-  latencies allow, with receiver batches split at the SDEP-derived
-  delivery points); the only remaining fallback to the
-  scalar path is a portal inside a feedback-interleaved schedule, which is
-  reported via :class:`~repro.errors.EngineDowngradeWarning` (or raises
-  with ``strict=True``).  Check :attr:`Interpreter.engine_used` to see
-  which engine actually ran.
+* ``engine="codegen"`` (``"batched"`` names the same engine) — an
+  :class:`~repro.runtime.plan.ExecutionPlan` compiled from the same
+  schedule, walking its block list of batched kernels over
+  :class:`~repro.runtime.array_channel.ArrayChannel` tapes; a feedback
+  core runs as a generated module of its own.  Portal-bound programs run
+  here too (as many periods per pass as the stated latencies allow, with
+  receiver batches split at the SDEP-derived delivery points); the only
+  fallback to the scalar path is a portal inside a feedback-interleaved
+  schedule, reported via :class:`~repro.errors.EngineDowngradeWarning`
+  (or raised with ``strict=True``).  Check :attr:`Interpreter.engine_used`
+  to see which engine actually ran.
 * ``engine="parallel"`` — a :class:`~repro.runtime.parallel.ParallelSession`
   runs the batched executors across forked worker processes, one per core
   a mapping strategy assigns work to, with shared-memory ring buffers on
   cross-worker edges.  Graphs the parallel engine cannot run safely
   (teleport portals, dynamic-rate filters, degenerate partitions)
-  downgrade to ``engine="batched"`` with an ``SL304`` diagnostic.
-* ``engine="codegen"`` — a :class:`~repro.runtime.codegen.CodegenPlan`
-  generates one fused source module per plan (kernels spliced inline,
-  fused chains unrolled, the feedback core an inlined closed loop) and
-  executes ``run_chunk(scale)`` directly — no per-block dispatch loop.
-  Unliftable blocks fall back to their batched executors and teleport
-  messaging disables codegen for the whole plan, both reported with an
-  ``SL305`` diagnostic.
+  downgrade to the single-process engine with an ``SL304`` diagnostic.
 """
 
 from __future__ import annotations
@@ -50,8 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 from repro.errors import EngineDowngradeWarning, MessagingError, StreamItError
 from repro.graph.base import Filter, Stream
-from repro.graph.flatgraph import FILTER, JOINER, SPLITTER, FlatGraph, FlatNode
-from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL, ROUND_ROBIN
+from repro.graph.flatgraph import FILTER, FlatGraph, FlatNode
 from repro.graph.validation import validate
 from repro.obs.metrics import METRICS
 from repro.obs.recorder import FLIGHT
@@ -59,7 +52,7 @@ from repro.obs.tracer import CAT_ENGINE, CAT_FILTER
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel
 from repro.runtime.messaging import PendingMessage, Portal
-from repro.runtime.plan import ExecutionPlan, single_topological_sweep
+from repro.runtime.plan import ExecutionPlan, make_item_op, single_topological_sweep
 from repro.scheduling.steady import ProgramSchedule, build_schedule
 
 if TYPE_CHECKING:
@@ -89,21 +82,21 @@ class Interpreter:
         stream: the top-level (closed) stream to run.
         check: run full semantic validation before executing.
         engine: ``"scalar"`` (reference, one ``work()`` per firing),
-            ``"batched"`` (compiled plan over array channels; teleport
-            portals run batched in latency-bounded chunks), ``"parallel"``
+            ``"codegen"`` or its alias ``"batched"`` (the compiled plan over
+            array channels, a feedback core as generated code; teleport
+            portals run in latency-bounded chunks), or ``"parallel"``
             (batched executors across forked worker processes; see
-            :mod:`repro.runtime.parallel`), or ``"codegen"`` (one fused
-            generated module per plan; see :mod:`repro.runtime.codegen`).
-        strict: with ``engine="batched"`` or ``engine="parallel"``, raise
-            :class:`StreamItError` instead of emitting
+            :mod:`repro.runtime.parallel`).
+        strict: raise :class:`StreamItError` instead of emitting
             :class:`EngineDowngradeWarning` when the request cannot be
-            honoured in full (engine fallback or loss of superbatching).
+            honoured in full (an engine fallback, or a feedback core that
+            runs interpreted).
         strategy: with ``engine="parallel"``, the mapping strategy whose
             partition decides worker placement (a key of
             :data:`repro.mapping.strategies.STRATEGIES`).
         cores: with ``engine="parallel"``, how many cores the strategy maps
             to.  Defaults to the machine's CPU count; on a single-CPU host
-            the default honestly degrades to the batched engine with an
+            the default honestly degrades to the single-process engine with an
             ``SL304`` diagnostic instead of forking workers that would
             serialize on one core (pass ``cores=`` explicitly to force it).
         trace: observability (:mod:`repro.obs`).  ``None`` (default) keeps
@@ -170,7 +163,7 @@ class Interpreter:
         self.plan: Optional[ExecutionPlan] = None
         #: Live multicore session when ``engine="parallel"`` is in effect.
         self.parallel: Optional[Any] = None
-        #: Structured engine downgrades (analysis Diagnostics, SL302/SL303).
+        #: Structured engine downgrades (analysis Diagnostics, SL302/4/5).
         self.downgrades: List[Any] = []
         self._setup()
 
@@ -193,13 +186,15 @@ class Interpreter:
         )
 
     def _setup(self) -> None:
-        # Plan feasibility must be decided before channels are allocated
-        # (it selects Channel vs ArrayChannel): portal-bound programs run
-        # batched when the steady schedule is a single topological sweep —
-        # then every delivery point falls on a phase-internal batch boundary
-        # the plan can honour.  A portal inside a feedback-interleaved
-        # schedule needs per-firing delivery everywhere, so it downgrades to
-        # the scalar engine (warning, or an error under ``strict``).
+        # One ladder: the scalar oracle, the compiled plan, the parallel
+        # session — each rung falls back to the one below it.  It is decided
+        # before channels are allocated (it selects Channel vs ArrayChannel):
+        # portal-bound programs run compiled when the steady schedule is a
+        # single topological sweep — then every delivery point falls on a
+        # phase-internal batch boundary the plan can honour.  A portal inside
+        # a feedback-interleaved schedule needs per-firing delivery
+        # everywhere, so it downgrades to the scalar engine (warning, or an
+        # error under ``strict``).
         portals = self._find_portals()
         self._portals = portals
         self.has_messaging = bool(portals)
@@ -216,23 +211,21 @@ class Interpreter:
                 self._engine_downgrade(
                     f"this host reports {self.cores} usable CPU(s); forked "
                     "workers would serialize on one core (pass cores= "
-                    "explicitly to override); falling back to the batched "
-                    "engine",
+                    "explicitly to override); falling back to the "
+                    "single-process engine",
                     code="SL304",
                 )
-                engine = "batched"
             else:
                 try:
                     self.parallel = ParallelSession(self, self.strategy, self.cores)
                 except ParallelUnsafe as exc:
                     self._engine_downgrade(
                         f"parallel execution unavailable: {exc}; falling back "
-                        "to the batched engine",
+                        "to the single-process engine",
                         code="SL304",
                     )
-                    engine = "batched"
-        batched = engine in ("batched", "codegen")
-        if batched and self.has_messaging and not single_topological_sweep(
+        compiled = engine != "scalar"
+        if compiled and self.has_messaging and not single_topological_sweep(
             self.graph, self.program.steady
         ):
             self._engine_downgrade(
@@ -241,14 +234,14 @@ class Interpreter:
                 "engine",
                 code="SL302",
             )
-            batched = False
+            compiled = False
         if self.parallel is not None:
             # The session decided Ring vs Array per edge when it planned the
             # partition; adopt its channel map wholesale.
             self.channels = self.parallel.channels
         else:
-            channel_cls = ArrayChannel if batched else Channel
-            if batched and self.tracer.enabled:
+            channel_cls = ArrayChannel if compiled else Channel
+            if compiled and self.tracer.enabled:
                 # Traced runs pay for occupancy high-water tracking; the
                 # untraced engine keeps the plain class (and its hot path).
                 from repro.obs.counters import HwmArrayChannel
@@ -270,26 +263,12 @@ class Interpreter:
                 if previous is not None and previous.rebound is None:
                     previous.rebound = filt
                 filt._rt_owner = self._binding
-            self._executors[node] = self._make_executor(node)
+            if not compiled:
+                self._executors[node] = make_item_op(node, self.channels)
         for portal in portals:
             portal.bind(self)
-        if batched and self.parallel is None:
-            if engine == "codegen":
-                from repro.runtime.codegen import CodegenPlan
-
-                # No SL303 here: a segmented schedule is codegen's home
-                # turf (the cyclic core inlines into the generated loop);
-                # any genuine degradation surfaces as SL305 instead.
-                self.plan = CodegenPlan(self)
-            else:
-                self.plan = ExecutionPlan(self)
-                if any(block.kind == "core" for block in self.plan.blocks):
-                    self._engine_downgrade(
-                        "feedback loop interleaves the steady schedule; batched "
-                        "execution degrades to segmented superbatching (the "
-                        "cyclic core runs period-at-a-time)",
-                        code="SL303",
-                    )
+        if compiled and self.parallel is None:
+            self.plan = ExecutionPlan(self)
         #: What runs whole passes (``run_init()`` / ``run_steady(periods)``):
         #: the parallel session or the plan; None on the scalar engine.
         self._runner = self.plan if self.parallel is None else self.parallel
@@ -299,8 +278,8 @@ class Interpreter:
         self._items_per_period = sum(
             self.program.reps[e.src] * e.push_rate for e in self.graph.edges
         )
-        #: This session's run accounts under the engine now in use; made by
-        #: the first metered call, and again when the engine changes.
+        #: This session's run accounts under its engine; made by the first
+        #: metered call.
         self._tally: Any = None
         if METRICS.enabled:
             used = self.engine_used
@@ -330,27 +309,27 @@ class Interpreter:
 
     @property
     def engine_used(self) -> str:
-        """The engine actually executing (after any structured downgrade)."""
+        """The engine actually executing (after any structured downgrade):
+        ``"scalar"``, ``"codegen"`` (the compiled plan, whichever of its two
+        names was asked for) or ``"parallel"``."""
         if self.parallel is not None:
             return "parallel"
-        if self.plan is None:
-            return "scalar"
-        if getattr(self.plan, "codegen_active", False):
-            return "codegen"
-        return "batched"
+        return "scalar" if self.plan is None else "codegen"
 
     def engine_report(self) -> Dict[str, Any]:
         """Structured engine outcome: which engine ran, why it degraded.
 
         ``downgrades`` lists the analysis diagnostics (``SL302`` scalar
-        fallback, ``SL303`` superbatch degradation) behind every
-        :class:`EngineDowngradeWarning` this interpreter emitted,
-        ``vectorization`` (batched engine only) maps each generically-lifted
-        filter to its executor mode, trusted-proof status, and structured
-        downgrade reason, and ``regions`` has one ``{name, tier, branches,
-        reason}`` row per splitjoin: the tier it was lowered by
-        (``collapse`` / ``permute`` / ``columns``) or why it was not
-        (empty until ``run_init``).  Portal-bound plans add ``messaging``:
+        fallback, ``SL304`` parallel fallback, ``SL305`` a core run
+        interpreted) behind every :class:`EngineDowngradeWarning` this
+        interpreter emitted.  A compiled plan adds ``vectorization``, which
+        maps each generically-lifted filter to its executor mode,
+        trusted-proof status, and structured downgrade reason; ``codegen``,
+        how each block runs (:meth:`ExecutionPlan.codegen_report`); and
+        ``regions``, one ``{name, tier, branches, reason}`` row per
+        splitjoin: the tier it was lowered by (``collapse`` / ``permute`` /
+        ``columns``) or why it was not (empty until ``run_init``).
+        Portal-bound plans add ``messaging``:
         ``{chunk_periods, constraints, limited_by}`` — the periods one pass
         covers, every (send, receiver) with its direction, latency and
         ``slack_periods``, and the constraint (or reason) that binds; None
@@ -371,9 +350,7 @@ class Interpreter:
             from repro.runtime.plan import plan_cache_summary
 
             report["plan_cache"] = plan_cache_summary()
-            codegen_report = getattr(self.plan, "codegen_report", None)
-            if codegen_report is not None:
-                report["codegen"] = codegen_report()
+            report["codegen"] = self.plan.codegen_report()
         if self.parallel is not None:
             report["parallel"] = self.parallel.layout_report()
         graph_analysis = self._graph_analysis_report()
@@ -439,63 +416,6 @@ class Interpreter:
                 "live interpreter at a time — build a fresh stream per "
                 "interpreter instead of sharing one"
             )
-
-    def _make_executor(self, node: FlatNode) -> Callable[[], None]:
-        if node.kind == FILTER:
-            return node.filter.work
-        if node.kind == SPLITTER:
-            return self._make_splitter(node)
-        if node.kind == JOINER:
-            return self._make_joiner(node)
-        raise StreamItError(f"unknown node kind {node.kind!r}")
-
-    def _make_splitter(self, node: FlatNode) -> Callable[[], None]:
-        flavor = node.flavor
-        if flavor == NULL:
-            return lambda: None
-        in_chan = self.channels[node.in_edges[0]]
-        outs = [self.channels[e] for e in node.out_edges]
-        if flavor == DUPLICATE:
-            def fire_duplicate() -> None:
-                item = in_chan.pop()
-                for chan in outs:
-                    chan.push(item)
-
-            return fire_duplicate
-        # Weighted round robin: per firing, weights[b] items to branch b.
-        weights = [node.out_rates[e.src_port] for e in node.out_edges]
-
-        def fire_roundrobin() -> None:
-            for chan, w in zip(outs, weights):
-                if w:
-                    chan.push_many(in_chan.pop_many(w))
-
-        return fire_roundrobin
-
-    def _make_joiner(self, node: FlatNode) -> Callable[[], None]:
-        flavor = node.flavor
-        if flavor == NULL:
-            return lambda: None
-        out_chan = self.channels[node.out_edges[0]]
-        ins = [self.channels[e] for e in node.in_edges]
-        if flavor == COMBINE:
-            owner = node.obj
-            reducer = getattr(getattr(owner, "joiner", None), "reducer", None)
-            if reducer is None:
-                reducer = lambda items: items[0]
-
-            def fire_combine() -> None:
-                out_chan.push(reducer([chan.pop() for chan in ins]))
-
-            return fire_combine
-        weights = [node.in_rates[e.dst_port] for e in node.in_edges]
-
-        def fire_roundrobin() -> None:
-            for chan, w in zip(ins, weights):
-                if w:
-                    out_chan.push_many(chan.pop_many(w))
-
-        return fire_roundrobin
 
     # -- messaging -----------------------------------------------------------
 
@@ -795,7 +715,7 @@ class Interpreter:
             return
         engine = self.engine_used
         tally = self._tally
-        if tally is None or tally.engine != engine:
+        if tally is None:
             tally = self._tally = METRICS.run_tally(
                 self, engine, self._items_per_period
             )
@@ -867,10 +787,9 @@ class Interpreter:
         tracer.meta["channels"] = channel_snapshot(self.channels)
         tracer.meta["engine_report"] = self.engine_report()
         if self.plan is not None:
-            tracer.meta["plan_cache"] = dict(self.plan.cache_stats)
-        if getattr(self.plan, "codegen_active", False):
             from repro.runtime.codegen import codegen_cache_summary
 
+            tracer.meta["plan_cache"] = dict(self.plan.cache_stats)
             tracer.meta["codegen_cache"] = codegen_cache_summary()
         if self._trace_path is not None:
             tracer.write(self._trace_path)
@@ -880,8 +799,8 @@ class Interpreter:
         """Release engine resources (parallel workers, shared memory,
         grown channel buffers).
 
-        Idempotent and safe on every engine.  The batched and codegen
-        engines shrink every tape to its live items; introspection still
+        Idempotent and safe on every engine.  The compiled engine shrinks
+        every tape to its live items; introspection still
         answers, and running on simply regrows them.  Traced runs flush
         their metadata (and the ``trace=<path>`` file) here.
         """

@@ -207,7 +207,7 @@ def clear_struct_cache() -> None:
 
 
 def _struct_cache_key(interp, strategy: str, cores: int) -> Tuple:
-    """(plan fingerprint, strategy, cores): the codegen cache's fingerprint
+    """(plan fingerprint, strategy, cores): the core-module cache's fingerprint
     (structural signature + per-class work code hashes) without messaging
     endpoints — portal-bound graphs never reach the parallel engine."""
     from repro import __version__
@@ -234,7 +234,7 @@ def _release_arena(arena: RingArena, rings: List[RingChannel]) -> None:
 class ParallelUnsafe(Exception):
     """Setup-time verdict: this graph/strategy cannot run in parallel.
 
-    The interpreter catches this and downgrades to the batched engine with
+    The interpreter catches this and downgrades to the compiled engine with
     an ``SL304`` diagnostic — it is a structured refusal, not an error.
     """
 

@@ -29,16 +29,20 @@ tapes:
   one static gather (``permute``), or per-branch kernels over column views
   writing the joiner's output in place (``columns``);
 * **one block list, one pass** — the result is :attr:`ExecutionPlan.blocks`,
-  the steady program every back end reads.  Each block (a phase, a fused
-  chain, a region, a teleport endpoint, the cyclic core) has a ``kind``,
-  ``run(scale)`` and ``span(scale)``; ``run_steady`` is one loop of passes,
-  each running every block once with its firing count scaled by the periods
-  the pass covers (chunked so buffers stay bounded).  A schedule that is a
-  pure topological pass is its own block order; where feedback interleaves
-  it, the feedforward prefix and suffix are blocks either side of one
+  the steady program.  Each block (a phase, a fused chain, a region, a
+  teleport endpoint, the cyclic core) has a ``kind``, ``run(scale)`` and
+  ``span(scale)``; ``run_steady`` is one loop of passes, each running every
+  block once with its firing count scaled by the periods the pass covers
+  (chunked so buffers stay bounded).  A schedule that is a pure topological
+  pass is its own block order; where feedback interleaves it, the
+  feedforward prefix and suffix are blocks either side of one
   :class:`CoreLoopRunner`, the only block that iterates period-at-a-time —
   data always flows forward, so running the prefix ``P`` periods ahead
   merely buffers more, and the suffix drains exactly what the core produced;
+* **core lowering** — the core is also the only block that runs generated
+  code: at the first steady pass it lowers itself into a small module of its
+  own (:func:`~repro.runtime.codegen.lower_core`), its tapes kept in locals
+  where the emitter can follow them;
 * **batched teleport messaging** — a portal-bound pass covers as many
   periods as the latencies its senders state leave the receivers free to
   run ahead (:attr:`ExecutionPlan.message_slack`, Eq. mc1 read as a
@@ -190,6 +194,58 @@ def make_node_executor(
     if node.kind == JOINER:
         return make_joiner_executor(node, channels)
     raise StreamItError(f"unknown node kind {node.kind!r}")
+
+
+def make_item_op(node: FlatNode, tapes: Dict[object, object]) -> Callable[[], None]:
+    """One firing of ``node`` over item-at-a-time tapes (``pop`` / ``push`` /
+    ``pop_many`` / ``push_many``): a filter's ``work``, or one splitter or
+    joiner cycle.  The scalar engine fires over its channels, the
+    interpreted core loop over :class:`_LTape` s."""
+    if node.kind == FILTER:
+        return node.filter.work
+    if node.flavor == NULL:
+        return lambda: None
+    if node.kind == SPLITTER:
+        in_chan = tapes[node.in_edges[0]]
+        if node.flavor == DUPLICATE:
+            outs = [tapes[e] for e in node.out_edges]
+
+            def fire_duplicate() -> None:
+                item = in_chan.pop()
+                for chan in outs:
+                    chan.push(item)
+
+            return fire_duplicate
+        # Weighted round robin: per firing, weights[b] items to branch b.
+        splits = [(tapes[e], node.out_rates[e.src_port]) for e in node.out_edges]
+        splits = [(chan, w) for chan, w in splits if w]
+
+        def fire_split() -> None:
+            for chan, w in splits:
+                chan.push_many(in_chan.pop_many(w))
+
+        return fire_split
+    if node.kind != JOINER:
+        raise StreamItError(f"unknown node kind {node.kind!r}")
+    out_chan = tapes[node.out_edges[0]]
+    if node.flavor == COMBINE:
+        ins = [tapes[e] for e in node.in_edges]
+        reducer = getattr(getattr(node.obj, "joiner", None), "reducer", None)
+        if reducer is None:
+            reducer = lambda items: items[0]  # the default keeps the first branch's
+
+        def fire_combine() -> None:
+            out_chan.push(reducer([chan.pop() for chan in ins]))
+
+        return fire_combine
+    joins = [(tapes[e], node.in_rates[e.dst_port]) for e in node.in_edges]
+    joins = [(chan, w) for chan, w in joins if w]
+
+    def fire_join() -> None:
+        for chan, w in joins:
+            out_chan.push_many(chan.pop_many(w))
+
+    return fire_join
 
 
 def single_topological_sweep(graph: FlatGraph, schedule) -> bool:
@@ -354,6 +410,10 @@ class CompiledPhase:
 
     kind = "phase"
 
+    @property
+    def name(self) -> str:
+        return self.node.name
+
     def run(self, scale: int) -> None:
         self.fire(self.count * scale)
 
@@ -438,12 +498,13 @@ class ReceiverPhase(CompiledPhase):
 class FusedPhase:
     """A maximal chain of adjacent SISO fire-nodes run as one composite.
 
-    ``run(scale)`` rebinds each stage filter's channels so intermediate
-    results flow through :class:`_FusionTape` scratch tapes instead of the
-    real graph edges (whose history counters are bumped afterwards so
-    introspection still sees every item)."""
+    From the plan's first steady pass on (:meth:`bind`), each stage filter
+    reads and writes private :class:`_FusionTape` scratch tapes instead of
+    the real graph edges between stages, whose history counters are bumped
+    after every ``run(scale)`` so introspection still sees every item.  The
+    init schedule ran on those edges and left them empty."""
 
-    __slots__ = ("stages", "_tapes", "_bumps")
+    __slots__ = ("stages", "_tapes", "_fires", "_bumps")
 
     kind = "fused"
 
@@ -452,11 +513,16 @@ class FusedPhase:
         self._tapes = [
             _FusionTape(name=f"fused:{st.node.name}") for st in self.stages[:-1]
         ]
+        self._fires = tuple((st.fire, st.count) for st in self.stages)
         # Real channels bypassed by the chain: (channel, items per period).
         self._bumps = [
             (channels[st.node.out_edges[0]], st.count * st.node.out_edges[0].push_rate)
             for st in self.stages[:-1]
         ]
+
+    @property
+    def name(self) -> str:
+        return "+".join(st.node.name for st in self.stages)
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_FUSED
@@ -464,7 +530,7 @@ class FusedPhase:
         last = self.stages[-1]
         push = last.node.out_edges[0].push_rate if last.node.out_edges else 0
         return (
-            "+".join(st.node.name for st in self.stages),
+            self.name,
             CAT_FUSED,
             {
                 "firings": sum(st.count for st in self.stages) * scale,
@@ -472,26 +538,23 @@ class FusedPhase:
             },
         )
 
+    def bind(self) -> None:
+        """Wire every stage to the scratch tapes either side of it."""
+        tapes = self._tapes
+        for i, st in enumerate(self.stages):
+            filt = st.node.filter
+            if i:
+                filt.input = tapes[i - 1]
+            if i < len(tapes):
+                filt.output = tapes[i]
+
     def release(self) -> None:
         for tape in self._tapes:
             tape.release()
 
     def run(self, scale: int) -> None:
-        stages = self.stages
-        tapes = self._tapes
-        last = len(stages) - 1
-        for i, st in enumerate(stages):
-            filt = st.node.filter
-            old_in, old_out = filt.input, filt.output
-            if i:
-                filt.input = tapes[i - 1]
-            if i < last:
-                filt.output = tapes[i]
-            try:
-                st.fire(st.count * scale)
-            finally:
-                filt.input = old_in
-                filt.output = old_out
+        for fire, count in self._fires:
+            fire(count * scale)
         for chan, per_period in self._bumps:
             items = per_period * scale
             chan.pushed_count += items
@@ -527,8 +590,19 @@ class _LTape:
             raise ChannelUnderflow(f"peek({index}) beyond core tape {self.name!r}")
         return self.items[j]
 
+    def pop_many(self, count: int) -> List[float]:
+        c = self.cursor
+        end = c + count
+        if end > len(self.items):
+            raise ChannelUnderflow(f"pop_many({count}) on core tape {self.name!r}")
+        self.cursor = end
+        return self.items[c:end]
+
     def push(self, item: float) -> None:
         self.items.append(item)
+
+    def push_many(self, items: List[float]) -> None:
+        self.items.extend(items)
 
     def compact(self) -> None:
         if self.cursor:
@@ -549,22 +623,27 @@ class CoreLoopRunner:
     * external inputs are snapshot to a list per chunk, and exactly the
       consumed prefix is dropped from the real channel afterwards;
     * external outputs accumulate in a list and land as one ``push_block``;
-    * the flattened per-period op sequence — bound ``work`` methods and
-      closure splitters/joiners — runs ``scale`` times in a tight loop.
+    * the core's filters read and write those tapes from then on, and the
+      flattened per-period op sequence — bound ``work`` methods and the
+      scalar engine's splitter/joiner cycles (:func:`make_item_op`) — runs
+      ``scale`` times in a tight loop.
 
     Firing order inside a period is exactly the steady schedule's, and every
     item round-trips through Python floats, so results are bit-identical to
     the scalar engine.  History counters of bypassed internal edges are
     bumped in bulk (the :class:`FusedPhase` convention).
+
+    That loop (:meth:`interpret`) is what the core runs until :meth:`lower`
+    binds its generated module, which does the same with each ``work()``
+    body inlined and the tapes the emitter can follow kept in locals.
     """
 
     kind = "core"
 
-    def __init__(
-        self, phases: Sequence[Tuple[FlatNode, int]], channels, graph_edges: Sequence
-    ) -> None:
+    def __init__(self, phases: Sequence[Tuple[FlatNode, int]], plan) -> None:
         self.phases: Tuple[Tuple[FlatNode, int], ...] = tuple(phases)
-        self.channels = channels
+        self.plan = plan
+        self.channels = plan.channels
         self.nodes = {node for node, _ in self.phases}
         self.name = "core:" + "+".join(sorted(n.name for n in self.nodes))
         nodes = self.nodes
@@ -579,14 +658,43 @@ class CoreLoopRunner:
         self.ext_out = [e for e in own if e.dst not in nodes]
         #: Graph-wide index of each of those edges (what a generated module
         #: names a tape by).
-        self.edge_index = {e: i for i, e in enumerate(graph_edges) if e in own}
+        self.edge_index = {e: i for i, e in enumerate(plan.graph.edges) if e in own}
         self._ops: Optional[Tuple[Callable[[], None], ...]] = None
+        #: What ``run(scale)`` calls: the interpreted loop, or once
+        #: :meth:`lower` has bound it, the generated module's ``run_chunk``.
+        self.chunk: Callable[[int], None] = self.interpret
+        #: How the core runs, for ``engine_report()["codegen"]``: None until
+        #: lowered, then ``mode`` "inline" with the module's tape forms and
+        #: cache outcome, or "fallback" with the emitter's reason.
+        self.lowering: Optional[Dict[str, object]] = None
+        #: The generated module's text and its disk entry (None without one).
+        self.source: Optional[str] = None
+        self.path: Optional[str] = None
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
-        from repro.obs.tracer import CAT_CORE
+        from repro.obs.tracer import CAT_CODEGEN, CAT_CORE
 
         firings = sum(count for _node, count in self.phases) * scale
-        return self.name, CAT_CORE, {"firings": firings, "items": 0}
+        category = CAT_CORE if self.chunk == self.interpret else CAT_CODEGEN
+        return self.name, category, {"firings": firings, "items": 0}
+
+    def lower(self) -> None:
+        """Run through the core's generated module from now on
+        (:func:`~repro.runtime.codegen.lower_core`: cached in memory and on
+        disk); a core the emitter cannot lower keeps the interpreted loop
+        and says why with ``SL305``."""
+        from repro.runtime.codegen import lower_core
+        from repro.runtime.codegen_emit import Unsupported
+
+        try:
+            self.chunk = lower_core(self)
+        except Unsupported as exc:
+            self.lowering = {"mode": "fallback", "reason": str(exc)}
+            self.plan.interp._engine_downgrade(
+                f"feedback core {self.name} cannot be lowered ({exc}); it runs "
+                "the interpreted core loop",
+                code="SL305",
+            )
 
     # -- compilation (lazy: runs after init, when channels hold real state) --
 
@@ -609,85 +717,23 @@ class CoreLoopRunner:
         self._bumps = [
             (self.channels[e], counts[e.src] * e.push_rate) for e in self.internal
         ]
-        bind, restore = [], []
         for node in self.nodes:
-            if node.kind != FILTER:
-                continue
-            filt = node.filter
-            tin = tapes[node.in_edges[0]] if node.in_edges else None
-            tout = tapes[node.out_edges[0]] if node.out_edges else None
-            cin = self.channels[node.in_edges[0]] if node.in_edges else None
-            cout = self.channels[node.out_edges[0]] if node.out_edges else None
-            bind.append((filt, tin, tout))
-            restore.append((filt, cin, cout))
-        self._bind = bind
-        self._restore = restore
+            if node.kind == FILTER:
+                filt = node.filter
+                filt.input = tapes[node.in_edges[0]] if node.in_edges else None
+                filt.output = tapes[node.out_edges[0]] if node.out_edges else None
         ops: List[Callable[[], None]] = []
         for node, count in self.phases:
-            op = self._node_op(node)
-            ops.extend([op] * count)
+            ops.extend([make_item_op(node, tapes)] * count)
         self._ops = tuple(ops)
-
-    def _node_op(self, node: FlatNode) -> Callable[[], None]:
-        if node.kind == FILTER:
-            return node.filter.work
-        if node.flavor == NULL:
-            return lambda: None
-        if node.kind == SPLITTER:
-            tin = self._tapes[node.in_edges[0]]
-            outs = [self._tapes[e] for e in node.out_edges]
-            if node.flavor == DUPLICATE:
-
-                def fire_duplicate() -> None:
-                    item = tin.pop()
-                    for t in outs:
-                        t.items.append(item)
-
-                return fire_duplicate
-            weights = [node.out_rates[e.src_port] for e in node.out_edges]
-            pairs = [(t, w) for t, w in zip(outs, weights) if w]
-
-            def fire_split() -> None:
-                for t, w in pairs:
-                    if w == 1:
-                        t.items.append(tin.pop())
-                    else:
-                        for _ in range(w):
-                            t.items.append(tin.pop())
-
-            return fire_split
-        # Joiner.
-        tout = self._tapes[node.out_edges[0]]
-        ins = [self._tapes[e] for e in node.in_edges]
-        if node.flavor == COMBINE:
-            reducer = getattr(getattr(node.obj, "joiner", None), "reducer", None)
-            if reducer is None:
-                reducer = lambda items: items[0]
-
-            def fire_combine() -> None:
-                tout.items.append(reducer([t.pop() for t in ins]))
-
-            return fire_combine
-        weights = [node.in_rates[e.dst_port] for e in node.in_edges]
-        pairs = [(t, w) for t, w in zip(ins, weights) if w]
-
-        def fire_join() -> None:
-            for t, w in pairs:
-                if w == 1:
-                    tout.items.append(t.pop())
-                else:
-                    for _ in range(w):
-                        tout.items.append(t.pop())
-
-        return fire_join
 
     # -- execution -----------------------------------------------------------
     #
     # ``begin`` / ``end`` are the chunk boundary, whoever runs the chunk in
-    # between: ``run`` below, or a generated module's inlined loop, which
-    # reaches its tapes through ``items`` and hands back the read positions
-    # it kept in locals through ``set_cursor``.  Either can take the next
-    # chunk over from the other.
+    # between: ``interpret`` below, or a generated module's inlined loop,
+    # which reaches its tapes through ``items`` and hands back the read
+    # positions it kept in locals through ``set_cursor``.  Either can take
+    # the next chunk over from the other.
 
     def held(self, edge) -> int:
         """Items on ``edge``'s tape at a chunk boundary."""
@@ -729,24 +775,20 @@ class CoreLoopRunner:
             chan.popped_count += moved
 
     def run(self, scale: int) -> None:
+        self.chunk(scale)
+
+    def interpret(self, scale: int) -> None:
         self.begin()
-        for filt, tin, tout in self._bind:
-            filt.input = tin
-            filt.output = tout
-        try:
-            ops = self._ops
-            for _ in range(scale):
-                for op in ops:
-                    op()
-        finally:
-            for filt, cin, cout in self._restore:
-                filt.input = cin
-                filt.output = cout
+        ops = self._ops
+        for _ in range(scale):
+            for op in ops:
+                op()
         self.end(scale)
 
 
 class ExecutionPlan:
-    """The batched engine's compiled form of one interpreter's schedule."""
+    """The compiled engine's form of one interpreter's schedule: the block
+    list a pass walks (``engine="codegen"``, or its alias ``"batched"``)."""
 
     def __init__(self, interp) -> None:
         self.interp = interp
@@ -816,20 +858,40 @@ class ExecutionPlan:
         )
 
     def _set_blocks(self, blocks: List[object]) -> None:
-        """Make ``blocks`` the steady program.
-
-        ``blocks`` is what every back end reads: a batched pass runs them in
-        order, the emitter writes one section per block, the binder walks a
-        cached module's meta against them.  ``_steps`` is what a pass
-        actually calls, one ``run(scale)`` per block — under tracing (fixed
-        when the interpreter was built) each through :func:`timed`.
-        """
+        """Make ``blocks`` the steady program; the first steady pass turns
+        it into the steps a pass calls (:meth:`_first_pass`)."""
         self.blocks = blocks
+        self._steps: Optional[Tuple[Tuple[Callable[[int], None], int], ...]] = None
+
+    def _first_pass(self) -> Tuple[Tuple[Callable[[int], None], int], ...]:
+        """Settle, once, what only a running session needs.
+
+        The rate reports this process computed go to the cache directory
+        for the next process (whatever the graph is), fused chains wire
+        their scratch tapes, and the feedback core lowers itself.  Then the
+        steps: ``(fire, count)`` pairs a pass calls as ``fire(count *
+        scale)`` — a phase's executor directly, every other block's
+        ``run`` with a count of 1 — and under tracing (fixed when the
+        interpreter was built) each block's ``run`` through :func:`timed`.
+        """
+        from repro.analysis.rates import MEMO
+
+        MEMO.flush()
+        for block in self.blocks:
+            if block.kind == "fused":
+                block.bind()
+            elif block.kind == "core":
+                block.lower()
         tracer = self.interp.tracer
         if tracer.enabled:
-            self._steps = tuple(timed(tracer, b.run, b.span) for b in blocks)
+            steps = tuple((timed(tracer, b.run, b.span), 1) for b in self.blocks)
         else:
-            self._steps = tuple(b.run for b in blocks)
+            steps = tuple(
+                (b.fire, b.count) if b.kind == "phase" else (b.run, 1)
+                for b in self.blocks
+            )
+        self._steps = steps
+        return steps
 
     # -- messaging endpoints --------------------------------------------------
 
@@ -1002,7 +1064,7 @@ class ExecutionPlan:
             for ph in steady
             if ph.node not in pre_set and ph.node not in suf_set
         ]
-        core = CoreLoopRunner(core_phases, self.channels, self.graph.edges)
+        core = CoreLoopRunner(core_phases, self)
         return aggregate(pre_set) + [core] + aggregate(suf_set)
 
     def _fusion_ranges(
@@ -1205,6 +1267,23 @@ class ExecutionPlan:
                 tiers[row["tier"]] = tiers.get(row["tier"], 0) + 1
         return tiers
 
+    def codegen_report(self) -> Dict[str, object]:
+        """``engine_report()["codegen"]``: one row per block — ``kind``,
+        ``name`` and ``mode``, which is ``"walk"`` for every block but the
+        feedback core, whose row is its :attr:`CoreLoopRunner.lowering` —
+        and the module cache's counters."""
+        from repro.runtime.codegen import codegen_cache_summary
+
+        blocks = []
+        for block in self.blocks:
+            row: Dict[str, object] = {"kind": block.kind, "name": block.name, "mode": "walk"}
+            if block.kind == "region":
+                row["tier"] = block.tier
+            elif block.kind == "core":
+                row.update(block.lowering or {"mode": None})
+            blocks.append(row)
+        return {"blocks": blocks, "cache": codegen_cache_summary()}
+
     def release_scratch(self) -> None:
         """Let go of every drained scratch tape's last block (``close()``)."""
         for block in self.blocks:
@@ -1241,17 +1320,15 @@ class ExecutionPlan:
         self.periods_done = 0
         self._lower_regions()
 
-    def _pass_steps(self) -> Sequence[Callable[[int], None]]:
-        """What one pass over ``scale`` periods calls, in order."""
-        return self._steps
-
     def run_steady(self, periods: int) -> None:
         """Run ``periods`` steady periods in passes of up to ``chunk_periods``
         (so buffers stay bounded), every firing count of a pass scaled by
         the periods it covers.  Fusion and region lowering regroup the
         phases and never change what fires, so the interpreter credits its
         firing counts from the schedule (:attr:`Interpreter.fired`)."""
-        steps = self._pass_steps()
+        steps = self._steps
+        if steps is None:
+            steps = self._first_pass()
         cap = self.chunk_periods
         if self.messaging and periods > 1:
             # One period never asks for the slack: a job's first call and a
@@ -1260,8 +1337,8 @@ class ExecutionPlan:
         left = periods
         while left > 0:
             scale = min(left, cap)
-            for step in steps:
-                step(scale)
+            for fire, count in steps:
+                fire(count * scale)
             self.periods_done += scale
             left -= scale
 

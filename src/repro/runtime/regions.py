@@ -19,8 +19,8 @@ pure item routing around per-branch kernels, so
 * **columns** — each branch chain reads its column of the input block and
   its last stage writes its column of the joiner's output block in place.
 
-The batched engine walks the phase, the codegen engine emits one call to
-it, and the traced path gives it one span: one implementation.
+The compiled engine walks the phase and the traced path gives it one span:
+one implementation.
 """
 
 from __future__ import annotations

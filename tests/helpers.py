@@ -265,13 +265,20 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(np.signbit(got[held]), np.signbit(want[held]))
 
 
+def cores_of(interp: Interpreter) -> list:
+    """The plan's feedback-core blocks (none without a plan)."""
+    plan = interp.plan
+    return [] if plan is None else [b for b in plan.blocks if b.kind == "core"]
+
+
 def run_calls(
     build, engine: str, calls: Sequence[int], downgrade_before: Optional[int] = None
 ) -> Tuple[List[float], Interpreter]:
     """``run_init()`` then one ``run_steady`` per entry of ``calls`` on a
-    fresh ``build()``.  From call ``downgrade_before`` on, a codegen plan
-    runs its batched parent — what ``CodegenPlan._materialize`` does on
-    ``Unsupported``, here between two calls of a session."""
+    fresh ``build()``.  From call ``downgrade_before`` on, a feedback core
+    runs the interpreted loop instead of its generated module — what a core
+    the emitter cannot lower runs, here taking over between two calls of a
+    session."""
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     with warnings.catch_warnings():
@@ -281,7 +288,8 @@ def run_calls(
             interp.run_init()
             for k, periods in enumerate(calls):
                 if k == downgrade_before:
-                    interp.plan.codegen_active = False
+                    for core in cores_of(interp):
+                        core.chunk = core.interpret
                 interp.run_steady(periods)
         finally:
             interp.close()

@@ -1000,8 +1000,10 @@ class TestDiagnostics:
     def test_registry_has_stable_codes(self):
         for code in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
                      "SL007", "SL101", "SL102", "SL103", "SL104", "SL201",
-                     "SL300", "SL301", "SL302", "SL303"):
+                     "SL300", "SL301", "SL302", "SL304", "SL305"):
             assert code in CODES
+        for retired in ("SL303", "SL306"):  # never reused
+            assert retired not in CODES
 
     def test_format_mentions_code_and_subject(self):
         analysis, _ = codes_of(BadPush())

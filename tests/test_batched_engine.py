@@ -82,7 +82,7 @@ def test_messaging_app_runs_batched():
     batched, interp = _run(builder, "batched", 6)
     assert interp.has_messaging
     assert interp.plan is not None  # portals no longer force the scalar path
-    assert interp.engine_used == "batched"
+    assert interp.engine_used == "codegen"  # "batched" names the same engine
     # Delivery points bound each pass: the endpoints are blocks of their own.
     assert {"sender", "receiver"} <= {b.kind for b in interp.plan.blocks}
     assert isinstance(next(iter(interp.channels.values())), ArrayChannel)
@@ -282,7 +282,7 @@ def test_one_period_calls_equal_one_long_run(app_name, engine, tmp_path, monkeyp
                 del firings[:]
                 for count in calls:
                     interp.run_steady(count)
-                assert engine == "scalar" or interp.engine_used == engine
+                assert engine == "scalar" or interp.engine_used == "codegen"
         return np.array(sink.collected), sorted(set(firings))
 
     want, _ = drive("scalar", [periods])
@@ -353,7 +353,7 @@ def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
     builder, periods, first = ALL_APPS[app_name], 7, 3
     _, scalar = run_calls(builder, "scalar", [periods])
     want = _by_name(scalar, scalar.fired)
-    downgrade = 1 if engine == "codegen" else None  # mid-session, to batched
+    downgrade = 1 if engine == "codegen" else None  # mid-session, core interpreted
     chopped = ([1] * periods, None), ([periods], None), ([first, periods - first], downgrade)
     for calls, downgrade_before in chopped:
         _, interp = run_calls(builder, engine, calls, downgrade_before)

@@ -1,12 +1,15 @@
-"""The codegen engine's contract: one generated module, same outputs.
+"""The compiled engine's contract: one block walk, the feedback core as
+generated code, same outputs.
 
-``engine="codegen"`` must be bit-exact against the scalar interpreter on
-every application (the generated module splices the same lifted kernels
-and rewrites the same core work() bodies the batched engine runs, so
-there is no tolerance to hide behind), must report its per-block lowering
-through ``engine_report()`` and ``SL305``, and must hit its two-level
-module cache — in-memory within a process, on disk across "processes"
-(simulated here by clearing the memory level).
+``engine="codegen"`` (``"batched"`` names the same engine) must be
+bit-exact against the scalar interpreter on every application (the core's
+module rewrites the same work() bodies the interpreted core loop runs, so
+there is no tolerance to hide behind), must report how each block runs
+through ``engine_report()`` — and ``SL305`` for a core it cannot lower —
+and must hit the core module's two-level cache: in memory within a
+process, on disk across "processes" (simulated here by clearing the memory
+level).  The cache directory also keeps the rate reports, written by every
+session whatever its graph.
 """
 
 import copy
@@ -29,10 +32,9 @@ from repro.diskcache import cache_dir
 from repro.obs import METRICS
 from repro.errors import EngineDowngradeWarning, StreamItError
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, SplitJoin, duplicate
-from repro.graph.builtins import Identity
 from repro.graph.splitjoin import combine
 from repro.runtime import (
-    CodegenPlan,
+    ExecutionPlan,
     Interpreter,
     clear_codegen_cache,
     codegen_cache_stats,
@@ -40,7 +42,16 @@ from repro.runtime import (
 )
 from repro.runtime import codegen as codegen_mod
 from repro.runtime.plan import clear_plan_cache, plan_cache_summary
-from tests.helpers import FIR, Accumulator, Fold, Gain, Peek3, feedback_app, run_calls
+from tests.helpers import (
+    FIR,
+    Accumulator,
+    Fold,
+    Gain,
+    Peek3,
+    cores_of,
+    feedback_app,
+    run_calls,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -72,11 +83,9 @@ def test_codegen_matches_scalar_exactly(app_name):
     generated, interp = _run(builder, "codegen", 3)
     assert len(scalar) > 0
     assert generated == scalar  # bit-for-bit, not approximately
-    if app_name == "FreqHopRadio":  # teleport messaging: whole-plan fallback
-        assert interp.engine_used == "batched"
-    else:
-        assert interp.engine_used == "codegen"
-        assert isinstance(interp.plan, CodegenPlan)
+    assert interp.engine_used == "codegen"  # teleport messaging included
+    assert type(interp.plan) is ExecutionPlan
+    assert interp.downgrades == []
 
 
 @pytest.mark.parametrize("app_name", ["FIR", "FilterBank", "Oversampler", "DToA"])
@@ -88,13 +97,22 @@ def test_fired_counts_match_scalar(app_name):
     assert codegen_counts == scalar_counts
 
 
+def _core(interp):
+    (core,) = cores_of(interp)
+    return core
+
+
 def test_dtoa_core_is_inlined():
     """The tentpole case: DToA's feedback core must lower to the closed
-    loop, not fall back to the interpreted CoreLoopRunner."""
+    loop, not fall back to the interpreted CoreLoopRunner; every other
+    block is walked."""
     _, interp = _run(ALL_APPS["DToA"], "codegen", 5)
-    cores = [b for b in interp.plan.codegen_meta["blocks"] if b["kind"] == "core"]
-    assert cores and all(b["mode"] == "inline" for b in cores)
-    assert interp.plan.codegen_fallbacks == []
+    core = _core(interp)
+    assert core.lowering["mode"] == "inline"
+    assert core.chunk != core.interpret
+    assert interp.downgrades == []
+    modes = {row["kind"]: row["mode"] for row in interp.engine_report()["codegen"]["blocks"]}
+    assert modes == {"phase": "walk", "core": "inline"}
 
 
 def test_core_round_is_emitted_once_however_often_it_repeats():
@@ -118,7 +136,7 @@ def test_core_round_is_emitted_once_however_often_it_repeats():
     (core,) = [b for b in interp.plan.blocks if b.kind == "core"]
     rounds = len(core.phases) // 4
     assert rounds >= 32  # the up+interp FrequencyFilter pushes a block a period
-    source = interp.plan.generated_source
+    source = core.source
     assert f"for _ in range({rounds}):" in source
     assert source.count(".leak") == 1  # ErrorShaper's body, once
 
@@ -132,22 +150,22 @@ def _core_row(interp) -> dict:
 
 
 def _core_source(interp) -> str:
-    source = interp.plan.generated_source
+    source = _core(interp).source
     return source[source.index("_core.begin()") : source.index("_core.end(")]
 
 
 def _assert_chopping_invariant(builder, total=9):
     """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a), and a
-    codegen run handed to the interpreted ``CoreLoopRunner`` between two
+    generated core handed to the interpreted ``CoreLoopRunner`` between two
     calls carries on from what the forwarded tapes left on the lists."""
     scalar, _ = run_calls(builder, "scalar", (total,))
     assert len(scalar) > 0
     for calls in ((total,), (1,) * total, (4, total - 4)):
         got, interp = run_calls(builder, "codegen", calls)
-        assert interp.engine_used == "codegen"
+        assert _core(interp).lowering["mode"] == "inline"
         assert got == scalar, calls
     got, downgraded = run_calls(builder, "codegen", (4, total - 4), downgrade_before=1)
-    assert downgraded.engine_used == "batched"
+    assert _core(downgraded).chunk == _core(downgraded).interpret
     assert got == scalar
     return interp
 
@@ -177,8 +195,10 @@ def test_dtoa_core_keeps_its_tapes_in_locals():
     # The report is read from the module's own meta: a disk hit says the same.
     clear_codegen_cache()
     _, again = _run(ALL_APPS["DToA"], "codegen", 2)
-    assert again.plan.cache_outcome == "disk_hit"
-    assert _core_row(again) == row
+    again_row = _core_row(again)
+    assert again_row.pop("cache_outcome") == "disk_hit"
+    row.pop("cache_outcome")  # a miss, or a hit on the chopped runs' module
+    assert again_row == row
 
 
 def _mix(items):
@@ -247,9 +267,12 @@ def test_literal_peeks_read_carried_locals():
     row = _core_row(interp)
     (into_peek,) = [name for name in row["forwarded"] if "->Peek3_" in name]
     assert set(row["taped"].values()) == {"external input", "external output"}
-    (core,) = [b for b in interp.plan.codegen_meta["blocks"] if b["kind"] == "core"]
+    core = _core(interp)
+    held = [
+        core.held(e) for e in core.internal if f"{e.src.name}->{e.dst.name}" in row["forwarded"]
+    ]
     # delay 3 = the filter's two-item peek residue + one item on the way in.
-    assert sorted(core["forwarded"].values()) == [0, 0, 1, 2]
+    assert sorted(held) == [0, 0, 1, 2]
     source = _core_source(interp)
     assert ".append(" not in source
     assert source.count("[:] = [") == 2  # both carrying tapes are stored back
@@ -281,21 +304,24 @@ def test_reducer_and_repeated_round():
 
 
 def test_bind_refuses_a_core_that_is_not_this_plans():
-    from repro.runtime.codegen import BindMismatch, bind_module
+    from repro.runtime.codegen import BindMismatch, bind_core
 
     _, interp = _run(ALL_APPS["DToA"], "codegen", 2)
-    plan = interp.plan
+    core = _core(interp)
+    code = compile(core.source, "<test>", "exec")
+    module = {}
+    exec(code, module)
 
     def bind(edit):
-        meta = copy.deepcopy(plan.codegen_meta)
-        (core,) = [b for b in meta["blocks"] if b["kind"] == "core"]
-        edit(core)
+        meta = copy.deepcopy(module["__codegen_meta__"])
+        (entry,) = meta["blocks"]
+        edit(entry)
         ns = {}
-        exec(compile(plan.generated_source, "<test>", "exec"), ns)
-        return bind_module(plan, ns, meta)
+        exec(code, ns)
+        return bind_core(core, ns, meta)
 
-    assert bind(lambda core: None) == ([], "inline")
-    edge = next(iter(plan.codegen_meta["blocks"][3]["forwarded"]))
+    assert bind(lambda core: None)["mode"] == "inline"
+    edge = next(iter(module["__codegen_meta__"]["blocks"][0]["forwarded"]))
     with pytest.raises(BindMismatch, match="tapes differ"):  # an edge the plan lacks
         bind(lambda core: core["forwarded"].update({"99": core["forwarded"].pop(edge)}))
     with pytest.raises(BindMismatch, match="tapes differ"):  # an edge the module lacks
@@ -310,43 +336,50 @@ def test_bind_refuses_a_core_that_is_not_this_plans():
 
 
 def test_generated_source_is_real_compilable_python():
-    _, interp = _run(ALL_APPS["FMRadio"], "codegen", 2)
-    source = interp.plan.generated_source
+    _, interp = _run(ALL_APPS["DToA"], "codegen", 2)
+    source = _core(interp).source
     assert source and "def run_chunk(scale):" in source
     compile(source, "<check>", "exec")  # must be valid standalone source
-    assert interp.plan.generated_path is not None
+    assert _core(interp).path is not None
 
 
 def test_engine_report_carries_codegen_section():
-    _, interp = _run(ALL_APPS["DToA"], "codegen", 2)
+    _, interp = _run(ALL_APPS["FMRadio"], "codegen", 2)
     report = interp.engine_report()
     assert report["used"] == "codegen"
     section = report["codegen"]
-    assert section["active"] and section["materialized"]
-    assert section["cache_outcome"] in ("miss", "mem_hit", "disk_hit")
-    modes = [b.get("mode") for b in section["blocks"] if b["kind"] != "fused"]
-    assert all(m in ("inline", "call", "fallback") for m in modes)
+    assert [(row["kind"], row["name"]) for row in section["blocks"]] == [
+        (b.kind, b.name) for b in interp.plan.blocks
+    ]
+    assert {row["mode"] for row in section["blocks"]} == {"walk"}  # no core here
+    assert section["cache"]["disk_max"] >= 1
     assert "plan_cache" in report and "size" in report["plan_cache"]
+    _, dtoa = _run(ALL_APPS["DToA"], "codegen", 2)
+    assert _core_row(dtoa)["cache_outcome"] in ("miss", "mem_hit", "disk_hit")
 
 
 # -- cache behaviour ---------------------------------------------------------
 
 
+def _outcome(interp) -> str:
+    return _core(interp).lowering["cache_outcome"]
+
+
 def test_second_run_hits_memory_then_disk_cache():
-    builder = ALL_APPS["FMRadio"]
+    builder = ALL_APPS["DToA"]
     _, first = _run(builder, "codegen", 2)
-    assert first.plan.cache_outcome == "miss"
+    assert _outcome(first) == "miss"
     assert codegen_cache_stats["disk_misses"] == 1
 
     _, second = _run(builder, "codegen", 2)
-    assert second.plan.cache_outcome == "mem_hit"
+    assert _outcome(second) == "mem_hit"
     assert codegen_cache_stats["mem_hits"] == 1
 
     # A fresh process keeps the disk artifact but not the memory cache.
     clear_codegen_cache()
     out_scalar, _ = _run(builder, "scalar", 2)
     out_disk, third = _run(builder, "codegen", 2)
-    assert third.plan.cache_outcome == "disk_hit"
+    assert _outcome(third) == "disk_hit"
     assert codegen_cache_stats["disk_hits"] == 1
     assert codegen_cache_stats["disk_misses"] == 0
     assert out_disk == out_scalar  # the rebound cached module still runs
@@ -365,9 +398,14 @@ def _drop_digest_line(raw: bytes) -> bytes:  # what a pre-digest writer left
     return raw.partition(b"\n")[2]
 
 
+def _small_loop():
+    """A feedback app other than DToA: a second core module."""
+    return feedback_app(DATA)
+
+
 def _digest_of_another_module(raw: bytes) -> bytes:
-    _, other = _run(ALL_APPS["FMRadio"], "codegen", 2)
-    other_digest = Path(other.plan.generated_path).read_bytes().partition(b"\n")[0]
+    _, other = _run(_small_loop, "codegen", 2)
+    other_digest = Path(_core(other).path).read_bytes().partition(b"\n")[0]
     return other_digest + b"\n" + raw.partition(b"\n")[2]
 
 
@@ -376,15 +414,15 @@ def _digest_of_another_module(raw: bytes) -> bytes:
     [_drop_last_lines, _flip_one_byte, _drop_digest_line, _digest_of_another_module],
 )
 def test_disk_entry_that_does_not_verify_is_a_miss(damage):
-    builder = ALL_APPS["FIR"]
+    builder = ALL_APPS["DToA"]
     scalar, _ = _run(builder, "scalar", 3)
     _, first = _run(builder, "codegen", 3)
-    path = Path(first.plan.generated_path)
+    path = Path(_core(first).path)
     intact = path.read_bytes()
     header, _, body = intact.partition(b"\n")
     assert header == b"# repro-codegen sha256=" + hashlib.sha256(body).hexdigest().encode()
     # Only the file carries the digest line.
-    assert body.decode() == first.plan.generated_source
+    assert body.decode() == _core(first).source
     damaged = damage(intact)
     # Line-boundary truncation and a flipped byte can both leave valid Python.
     assert damaged != intact
@@ -392,23 +430,23 @@ def test_disk_entry_that_does_not_verify_is_a_miss(damage):
 
     clear_codegen_cache()  # memory level and counters only
     out, second = _run(builder, "codegen", 3)
-    assert second.plan.cache_outcome == "miss"
+    assert _outcome(second) == "miss"
     assert codegen_cache_stats["disk_misses"] == 1
     assert codegen_cache_stats["disk_hits"] == 0
     assert out == scalar
-    assert second.plan.generated_source == first.plan.generated_source
+    assert _core(second).source == _core(first).source
     assert path.read_bytes() == intact  # regenerated and overwritten
 
     clear_codegen_cache()
     out, third = _run(builder, "codegen", 3)
-    assert third.plan.cache_outcome == "disk_hit"
+    assert _outcome(third) == "disk_hit"
     assert out == scalar
 
 
 def test_memory_cache_eviction_is_bounded(monkeypatch):
     monkeypatch.setattr(codegen_mod, "_MEM_CACHE_MAX", 1)
-    _run(ALL_APPS["FIR"], "codegen", 2)
-    _run(ALL_APPS["FMRadio"], "codegen", 2)
+    _run(ALL_APPS["DToA"], "codegen", 2)
+    _run(_small_loop, "codegen", 2)
     summary = codegen_cache_summary()
     assert summary["mem_size"] <= 1
     assert summary["mem_evictions"] >= 1
@@ -416,8 +454,8 @@ def test_memory_cache_eviction_is_bounded(monkeypatch):
 
 def test_disk_cache_eviction_is_bounded(monkeypatch):
     monkeypatch.setattr(codegen_mod, "_DISK_CACHE_MAX", 1)
-    _run(ALL_APPS["FIR"], "codegen", 2)
-    _run(ALL_APPS["FMRadio"], "codegen", 2)
+    _run(ALL_APPS["DToA"], "codegen", 2)
+    _run(_small_loop, "codegen", 2)
     summary = codegen_cache_summary()
     assert summary["disk_size"] <= 1
     assert summary["disk_evictions"] >= 1
@@ -464,7 +502,7 @@ def _wrong_magic(raw: bytes) -> bytes:
     "damage", [_drop_last_lines, _flip_one_byte, _drop_digest_line, _wrong_python]
 )
 def test_rate_entry_that_does_not_verify_is_a_miss(damage):
-    builder = ALL_APPS["FIR"]
+    builder = ALL_APPS["FIR"]  # no core, no module: the session writes the reports
     _new_process()
     cold, cold_diagnostics, _ = _run_checked(builder)
     entries = _entries(".rates")
@@ -480,6 +518,26 @@ def test_rate_entry_that_does_not_verify_is_a_miss(damage):
     _new_process()  # the miss rewrote the entry
     assert _run_checked(builder)[:2] == (cold, cold_diagnostics)
     assert codegen_cache_stats["analysis_hits"] == len(entries)
+    assert codegen_cache_stats["analysis_misses"] == 0
+
+
+def test_a_session_without_a_core_writes_the_rate_reports(monkeypatch):
+    """The reports are written by a session's first steady call whatever
+    its graph: FIR lowers nothing, writes no module, and a second process
+    still reads every report back instead of running the executor."""
+    _new_process()
+    cold = _run_checked(ALL_APPS["FIR"])[:2]
+    stored = _entries(".rates")
+    assert stored and not _entries(".py") and not _entries(".code")
+    ran = []
+    real_run = rates_mod.RateAnalyzer.run
+    monkeypatch.setattr(
+        rates_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
+    )
+    _new_process()
+    assert _run_checked(ALL_APPS["FIR"])[:2] == cold
+    assert ran == []
+    assert codegen_cache_stats["analysis_hits"] == len(stored)
     assert codegen_cache_stats["analysis_misses"] == 0
 
 
@@ -581,24 +639,24 @@ def test_reads_through_a_module_are_part_of_the_stored_key(gain_modules, monkeyp
     "damage", [_drop_last_lines, _flip_one_byte, _drop_digest_line, _wrong_magic]
 )
 def test_code_object_that_does_not_verify_is_recompiled(damage):
-    builder = ALL_APPS["FMRadio"]
+    builder = ALL_APPS["DToA"]
     scalar, _ = _run(builder, "scalar", 3)
     out, _, first = _run_checked(builder)
-    blob = Path(first.plan.generated_path).with_suffix(".code")
+    blob = Path(_core(first).path).with_suffix(".code")
     intact = blob.read_bytes()
     blob.write_bytes(damage(intact))
 
     _new_process()
     out, _, second = _run_checked(builder)
-    assert second.plan.cache_outcome == "disk_hit"
+    assert _outcome(second) == "disk_hit"
     assert codegen_cache_stats["code_misses"] == 1
     assert codegen_cache_stats["code_hits"] == 0
     assert out == scalar
-    assert second.plan.generated_source == first.plan.generated_source
+    assert _core(second).source == _core(first).source
 
     _new_process()
     out, _, third = _run_checked(builder)
-    assert third.plan.cache_outcome == "disk_hit"
+    assert _outcome(third) == "disk_hit"
     assert codegen_cache_stats["code_hits"] == 1
     assert out == scalar
 
@@ -625,7 +683,7 @@ def _cache_events(level: str, event: str) -> float:
 
 def test_clear_disk_removes_every_entry_kind():
     _new_process()
-    _run_checked(ALL_APPS["FIR"])
+    _run_checked(ALL_APPS["DToA"])
     assert _entries(".py") and _entries(".code") and _entries(".rates")
     clear_codegen_cache(disk=True)
     assert list(cache_dir().iterdir()) == []
@@ -635,8 +693,8 @@ def test_eviction_bounds_every_entry_kind(monkeypatch):
     monkeypatch.setattr(codegen_mod, "_DISK_CACHE_MAX", 1)
     monkeypatch.setattr(rates_mod, "STORE_MAX", 2)
     _new_process()
-    for name in ("FIR", "FMRadio", "DToA"):
-        _run_checked(ALL_APPS[name])
+    for builder in (ALL_APPS["FIR"], _small_loop, ALL_APPS["DToA"]):
+        _run_checked(builder)
     assert len(_entries(".py")) == len(_entries(".code")) == 1
     assert len(_entries(".rates")) == 2
 
@@ -685,7 +743,7 @@ def test_racing_processes_share_one_cache_directory(tmp_path):
     cold = [json.loads(p.communicate(timeout=300)[0]) for p in racers]
     warm = json.loads(_sweep_process(cache, apps).communicate(timeout=300)[0])
     stats = warm["stats"]
-    assert stats["disk_hits"] == stats["code_hits"] == len(apps)
+    assert stats["disk_hits"] == stats["code_hits"] == 1  # DToA's core module
     assert stats["analysis_hits"] > 0
     assert stats["disk_misses"] == stats["code_misses"] == stats["analysis_misses"] == 0
     for name in apps:
@@ -709,32 +767,37 @@ def test_plan_cache_eviction_counter(monkeypatch):
     assert plan_cache_summary()["evictions"] == 0
 
 
-# -- fallback ladder (SL305) -------------------------------------------------
+# -- what runs walked, what says SL305 ---------------------------------------
 
 
-def test_messaging_app_downgrades_whole_plan_with_sl305():
+def test_messaging_app_runs_compiled_without_sl305():
+    """Sender and receiver blocks are ordinary blocks of the walk."""
     builder = ALL_APPS["FreqHopRadio"]
     scalar, _ = _run(builder, "scalar", 3)
     app = builder()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
-    with pytest.warns(EngineDowngradeWarning, match="SL305"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineDowngradeWarning)
         interp = Interpreter(app, check=False, engine="codegen")
-    interp.run(3)
-    assert interp.engine_used == "batched"
-    assert any(d.code == "SL305" for d in interp.downgrades)
+        interp.run(3)
+    assert interp.engine_used == "codegen"
+    assert interp.downgrades == []
+    kinds = {row["kind"] for row in interp.engine_report()["codegen"]["blocks"]}
+    assert {"sender", "receiver"} <= kinds
     assert list(sink.collected) == scalar
 
 
-def test_messaging_app_strict_raises():
-    with pytest.raises(StreamItError, match="SL305"):
-        Interpreter(
-            ALL_APPS["FreqHopRadio"](), check=False, engine="codegen", strict=True
-        )
+def test_messaging_app_runs_under_strict():
+    interp = Interpreter(
+        ALL_APPS["FreqHopRadio"](), check=False, engine="codegen", strict=True
+    )
+    interp.run(3)
+    assert interp.engine_used == "codegen"
 
 
-def test_unliftable_filter_becomes_fallback_block():
-    """A stateful filter the lifter rejects keeps its adaptive executor;
-    the rest of the module still runs generated, and SL305 names it."""
+def test_unliftable_filter_runs_its_loop_executor():
+    """A stateful filter the lifter rejects is a walked block like any
+    other: its executor runs the per-firing loop, and nothing says SL305."""
 
     def build():
         return Pipeline(
@@ -747,24 +810,51 @@ def test_unliftable_filter_becomes_fallback_block():
     scalar, _ = _run(build, "scalar", 6)
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
-    interp = Interpreter(app, check=False, engine="codegen")
-    with pytest.warns(EngineDowngradeWarning, match="SL305"):
-        interp.run(6)
-    assert interp.engine_used == "codegen"  # partial fallback, still codegen
-    assert interp.plan.codegen_fallbacks  # the Accumulator block
-    assert any(d.code == "SL305" for d in interp.downgrades)
+    interp = Interpreter(app, check=False, engine="codegen", strict=True)
+    interp.run(6)
+    kinds = {
+        name.rstrip("0123456789_"): row["kind"]
+        for name, row in interp.plan.vectorization_report().items()
+    }
+    assert kinds["Accumulator"] == "loop"
+    assert interp.downgrades == []
     assert list(sink.collected) == scalar
 
 
-def test_strict_raises_on_fallback_blocks():
-    def build():
-        return Pipeline(
-            ArraySource([1.0, 2.0]), Accumulator(), Identity(), CollectSink()
-        )
+class Guarded(Filter):
+    """A body the core emitter refuses (``try``): its core runs interpreted."""
 
-    interp = Interpreter(build(), check=False, engine="codegen", strict=True)
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
+
+    def work(self) -> None:
+        x = self.pop()
+        try:
+            y = 1.0 / x
+        except ZeroDivisionError:
+            y = 0.0
+        self.push(y)
+
+
+def test_strict_raises_on_fallback_blocks():
+    """The one fallback block left: a core the emitter cannot lower."""
+
+    def build():
+        return feedback_app(DATA, loopback=[Guarded()])
+
+    strict = Interpreter(build(), check=False, engine="codegen", strict=True)
     with pytest.raises(StreamItError, match="SL305"):
-        interp.run(3)
+        strict.run(3)
+
+    scalar, _ = run_calls(build, "scalar", (5,))
+    with pytest.warns(EngineDowngradeWarning, match="SL305"):
+        interp = Interpreter(build(), check=False, engine="codegen")
+        interp.run(5)
+    sink = next(f for f in interp.stream.filters() if isinstance(f, CollectSink))
+    assert list(sink.collected) == scalar
+    row = _core_row(interp)
+    assert row["mode"] == "fallback" and "Try" in row["reason"]
+    assert _core(interp).chunk == _core(interp).interpret
 
 
 # -- observability -----------------------------------------------------------

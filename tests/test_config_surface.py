@@ -4,7 +4,7 @@ Every ``REPRO_*`` environment variable named anywhere under ``src/`` must
 appear in README's "Environment variables" table and vice versa, so a new
 knob cannot land undocumented and a retired one cannot linger in the docs.
 The retired ``Interpreter(tune=...)`` argument must fail loudly rather than
-be silently accepted.  The docs and the CI workflow may only name bench and
+be silently accepted, and the ``engine=`` names are pinned.  The docs and the CI workflow may only name bench and
 test files that exist, and CI runs nothing a local command does not.
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.runtime import Interpreter
+from repro.runtime import ENGINES, ExecutionPlan, Interpreter
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 _NAME = re.compile(r"REPRO_[A-Z_]+")
@@ -105,3 +105,15 @@ def test_ci_has_no_inline_scripts(pytestconfig):
 def test_retired_tune_argument_is_rejected():
     with pytest.raises(TypeError):
         Interpreter(ALL_APPS["FIR"](), tune=True)
+
+
+def test_the_engine_names_are_pinned():
+    """Three engines, four names: ``"batched"`` is the compiled engine's
+    older name, kept because scripts and the frozen ledger say it."""
+    assert ENGINES == ("scalar", "batched", "parallel", "codegen")
+
+
+def test_batched_and_codegen_name_one_engine():
+    sessions = [Interpreter(ALL_APPS["DToA"](), engine=name) for name in ("batched", "codegen")]
+    assert {type(s.plan) for s in sessions} == {ExecutionPlan}
+    assert [s.engine_used for s in sessions] == ["codegen", "codegen"]

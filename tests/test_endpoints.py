@@ -292,7 +292,7 @@ def _drive(name, calls, clear_after=None, **options):
                     sink.collected.clear()
                 interp.run_steady(count)
             engine = options["engine"]
-            assert engine == "scalar" or interp.engine_used == engine or name == "FreqHopRadio"
+            assert interp.engine_used == {"batched": "codegen"}.get(engine, engine)
         if interp.parallel is not None:
             assert interp.parallel.alive_workers == 0
     return sink.collected, dropped

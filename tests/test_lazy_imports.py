@@ -12,12 +12,12 @@ import pytest
 
 import repro
 
-_FIR_RUN = """
+_RUN = """
 import sys
 from repro.apps import ALL_APPS
 from repro.runtime import Interpreter
 
-Interpreter(ALL_APPS["FIR"](), check=True, engine="codegen").run(2)
+Interpreter(ALL_APPS[sys.argv[1]](), check=True, engine="codegen").run(2)
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -31,7 +31,7 @@ NOT_RUN = {
 }
 
 
-def test_a_codegen_run_leaves_the_unused_subsystems_unimported(tmp_path):
+def _loaded_by(app: str, tmp_path) -> set:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -39,10 +39,22 @@ def test_a_codegen_run_leaves_the_unused_subsystems_unimported(tmp_path):
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     done = subprocess.run(
-        [sys.executable, "-c", _FIR_RUN], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _RUN, app], env=env, capture_output=True, text=True, check=True
     )
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_a_codegen_run_leaves_the_unused_subsystems_unimported(tmp_path):
+    loaded = _loaded_by("FIR", tmp_path)
     assert "repro.runtime.codegen" in loaded
+    assert loaded & NOT_RUN == set()
+    # No feedback core, no generated code: the emitter stays unloaded.
+    assert "repro.runtime.codegen_emit" not in loaded
+
+
+def test_only_a_feedback_core_loads_the_emitter(tmp_path):
+    loaded = _loaded_by("DToA", tmp_path)
+    assert "repro.runtime.codegen_emit" in loaded
     assert loaded & NOT_RUN == set()
 
 

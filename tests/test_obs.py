@@ -239,8 +239,8 @@ class TestEngineTracing:
         payload = load_trace(path)  # raises on schema violation
         summary = trace_summary(payload)
         assert summary["spans"] > 0
-        assert payload["repro"]["meta"]["engine"] == "batched"
-        assert payload["repro"]["meta"]["engine_report"]["used"] == "batched"
+        assert payload["repro"]["meta"]["engine"] == "codegen"  # batched's one name
+        assert payload["repro"]["meta"]["engine_report"]["used"] == "codegen"
 
     @pytest.mark.parametrize("engine", ["scalar", "batched", "parallel"])
     def test_engine_report_shape(self, engine):
@@ -351,18 +351,13 @@ def test_spans_are_the_block_list(app_name, engine, chunk):
         expected, left = [], periods
         while left > 0:
             scale = min(left, cap)
-            if interp.engine_used == "codegen":
-                expected.append(
-                    (
-                        "codegen:run_chunk",
-                        CAT_CODEGEN,
-                        {"periods": scale, "firings": program.steady.total_firings * scale},
-                    )
-                )
-            else:
-                expected.extend(block.span(scale) for block in plan.blocks)
+            expected.extend(block.span(scale) for block in plan.blocks)
             left -= scale
         assert spans == expected
+        # Generated code runs in the feedback core alone.
+        assert {cat for _, cat, _ in spans if cat == CAT_CODEGEN} == (
+            {CAT_CODEGEN} if any(b.kind == "core" for b in plan.blocks) else set()
+        )
 
     if interp.has_messaging:
         _, oracle = _drive(builder, "scalar", None, True)

@@ -285,18 +285,18 @@ class TestFlightRecorder:
 class TestInterpreterIntegration:
     def test_batched_run_bumps_counters_and_histograms(self):
         assert METRICS.enabled, "metrics must be on by default in the suite"
-        runs0 = _counter("repro_runs_total", engine="batched")
-        sessions0 = _counter("repro_sessions_total", engine="batched")
-        items0 = _counter("repro_items_total", engine="batched")
-        count0 = _observations("repro_run_seconds", engine="batched")
+        runs0 = _counter("repro_runs_total", engine="codegen")
+        sessions0 = _counter("repro_sessions_total", engine="codegen")
+        items0 = _counter("repro_items_total", engine="codegen")
+        count0 = _observations("repro_run_seconds", engine="codegen")
 
         out, interp = _run_app("FMRadio", "batched", periods=4)
         assert out
-        assert _counter("repro_sessions_total", engine="batched") == sessions0 + 1
+        assert _counter("repro_sessions_total", engine="codegen") == sessions0 + 1
         # run(periods=4) = init + one steady run.
-        assert _counter("repro_runs_total", engine="batched") >= runs0 + 1
-        assert _counter("repro_items_total", engine="batched") > items0
-        assert _observations("repro_run_seconds", engine="batched") >= count0 + 1
+        assert _counter("repro_runs_total", engine="codegen") >= runs0 + 1
+        assert _counter("repro_items_total", engine="codegen") > items0
+        assert _observations("repro_run_seconds", engine="codegen") >= count0 + 1
         kinds = [e["kind"] for e in FLIGHT.tail(16)]
         assert "engine_selected" in kinds or "run_end" in kinds
         assert "run_end" in kinds
@@ -304,7 +304,7 @@ class TestInterpreterIntegration:
     def test_run_end_flight_event_carries_timing(self):
         _run_app("FIR", "batched", periods=3)
         [end] = FLIGHT.tail(1, kinds=("run_end",))
-        assert end["engine"] == "batched"
+        assert end["engine"] == "codegen"
         assert end["periods"] == 3
         assert end["seconds"] >= 0.0
 
@@ -321,7 +321,7 @@ class TestInterpreterIntegration:
         ) as interp:
             interp.run(periods=3)
             used = interp.engine_used
-            assert used == engine
+            assert used == {"batched": "codegen"}.get(engine, engine)
 
             def books():
                 return (
@@ -379,11 +379,11 @@ class TestInterpreterIntegration:
 
     def test_disabled_registry_freezes_counters_not_output(self):
         baseline, _ = _run_app("FIR", "batched", periods=3)
-        runs0 = _counter("repro_runs_total", engine="batched")
+        runs0 = _counter("repro_runs_total", engine="codegen")
         with METRICS.disabled():
             out, _ = _run_app("FIR", "batched", periods=3)
         assert out == baseline
-        assert _counter("repro_runs_total", engine="batched") == runs0
+        assert _counter("repro_runs_total", engine="codegen") == runs0
 
     def test_bound_children_report_the_same_series(self, tmp_path, monkeypatch):
         """The interpreter tallies its calls and the registry folds them on
@@ -406,39 +406,34 @@ class TestInterpreterIntegration:
         want, _ = _run_app("FIR", "scalar", periods=10)
         app = ALL_APPS["FIR"]()
         sink = next(f for f in app.filters() if isinstance(f, CollectSink))
-        interp = Interpreter(app, check=False, engine="codegen")
+        interp = Interpreter(app, check=False, engine="batched")
         interp.run_init()
         per_period = interp._items_per_period
         codegen0, batched0 = series("codegen"), series("batched")
         for _ in range(3):
             interp.run_steady(1)
+        interp.run_steady(2)
+        interp.run_steady(2)
+        # "batched" names the compiled engine, which reports as "codegen".
         assert interp.engine_used == "codegen"
-        assert moved("codegen", codegen0) == (3, 3, 3 * per_period, 3, 3)
+        assert moved("codegen", codegen0) == (5, 7, 7 * per_period, 5, 5)
         assert moved("batched", batched0) == (0, 0, 0, 0, 0)
-
-        # Mid-session downgrade (what _materialize does on Unsupported).
-        interp.plan.codegen_active = False
-        interp.run_steady(2)
-        interp.run_steady(2)
-        assert interp.engine_used == "batched"
-        assert moved("codegen", codegen0) == (3, 3, 3 * per_period, 3, 3)
-        assert moved("batched", batched0) == (2, 4, 4 * per_period, 2, 2)
 
         METRICS.set_enabled(False)
         try:
             interp.run_steady(1)
-            assert moved("batched", batched0) == (2, 4, 4 * per_period, 2, 2)
+            assert moved("codegen", codegen0) == (5, 7, 7 * per_period, 5, 5)
         finally:
             METRICS.set_enabled(True)
         interp.run_steady(1)
-        assert moved("batched", batched0) == (3, 5, 5 * per_period, 3, 3)
+        assert moved("codegen", codegen0) == (6, 8, 8 * per_period, 6, 6)
 
         # clear() drops every series; calls made before it must not leak
         # into the ones that start after it.
         METRICS.clear()
         interp.run_steady(1)
-        assert series("batched") == (1, 1, per_period, 1, 1)
-        assert series("codegen") == (0, 0, 0, 0, 0)
+        assert series("codegen") == (1, 1, per_period, 1, 1)
+        assert series("batched") == (0, 0, 0, 0, 0)
         interp.close()
         assert list(sink.collected) == want
 
@@ -493,8 +488,8 @@ class TestSteadyCallWritesNothing:
             want = [scalar.fired[node] for node in scalar.graph.nodes]
         interp = open_session(ALL_APPS["BitonicSort"](), engine)
         interp.run(3)
-        assert interp.engine_used == engine
-        runs0 = _counter("repro_runs_total", engine=engine)
+        assert interp.engine_used == "codegen"  # whichever name asked
+        runs0 = _counter("repro_runs_total", engine="codegen")
         # A publish now: the next is a whole default interval away.
         assert METRICS.publish(str(tmp_path)) is not None
 
@@ -539,9 +534,9 @@ class TestSteadyCallWritesNothing:
         assert [interp.fired[node] for node in interp.graph.nodes] == want
         assert touched.count("fired[]=") == len(interp.graph.nodes)
         monkeypatch.undo()
-        assert _counter("repro_runs_total", engine=engine) == runs0 + 200
+        assert _counter("repro_runs_total", engine="codegen") == runs0 + 200
         [end] = FLIGHT.tail(1, kinds=("run_end",))
-        assert (end["engine"], end["runs"], end["periods"]) == (engine, 200, 1)
+        assert (end["engine"], end["runs"], end["periods"]) == ("codegen", 200, 1)
         interp.close()
 
 
@@ -623,7 +618,7 @@ class TestReadsAreUnchanged:
 
     def _script(self, tmp_path):
         want = {}
-        errors0 = _counter("repro_run_errors_total", engine="batched")
+        errors0 = _counter("repro_run_errors_total", engine="codegen")
         with open_session(ALL_APPS["FIR"](), "scalar") as interp:
             self._drive(want, interp, [2, 1, 1, 1])
         with open_session(ALL_APPS["FMRadio"](), "batched") as interp:
@@ -631,14 +626,11 @@ class TestReadsAreUnchanged:
         with open_session(ALL_APPS["FilterBank"](), "parallel") as interp:
             self._drive(want, interp, [3, 1])
 
-        # The downgrade of test_bound_children_report_the_same_series, and
-        # a window with the registry off (those calls are nobody's).
+        # A window with the registry off (those calls are nobody's).
         interp = open_session(ALL_APPS["FIR"](), "codegen")
         self._drive(want, interp, [1, 1, 1])
         assert interp.engine_used == "codegen"
-        interp.plan.codegen_active = False
         self._drive(want, interp, [2, 2])
-        assert interp.engine_used == "batched"
         with METRICS.disabled():
             interp.run_steady(5)
         self._drive(want, interp, [1])
@@ -650,7 +642,7 @@ class TestReadsAreUnchanged:
         with pytest.raises(ValueError, match="tripped"):
             interp.run_steady(3)
         interp.close()
-        assert _counter("repro_run_errors_total", engine="batched") == errors0 + 1
+        assert _counter("repro_run_errors_total", engine="codegen") == errors0 + 1
         kinds = [e["kind"] for e in FLIGHT.tail(3)]
         assert kinds[-2:] == ["run_start", "run_error"], kinds
         assert FLIGHT.tail(1)[0]["error"] == "ValueError"
@@ -663,7 +655,7 @@ class TestReadsAreUnchanged:
         self._check_every_read(want, tmp_path)
         [end] = FLIGHT.tail(1, kinds=("run_end",))
         # (runs is 1 or 2: the publisher thread may have folded in between.)
-        assert (end["engine"], end["periods"]) == ("batched", 3)
+        assert (end["engine"], end["periods"]) == ("codegen", 3)
         assert end["runs"] in (1, 2) and end["seconds"] >= 0.0
 
         # A run blocked inside work() shows as run_start, then as run_end.

@@ -312,7 +312,7 @@ class TestParallelDowngrade:
         app = _chain_app(Identity())
         with pytest.warns(EngineDowngradeWarning, match="SL304"):
             interp = Interpreter(app, engine="parallel", strategy="softpipe", cores=1)
-        assert interp.engine_used == "batched"
+        assert interp.engine_used == "codegen"  # the one single-process engine
         assert any(d.code == "SL304" for d in interp.downgrades)
         interp.run(periods=4)
         interp.close()
@@ -323,7 +323,7 @@ class TestParallelDowngrade:
         app = freqhop.build_teleport()
         with pytest.warns(EngineDowngradeWarning, match="SL304"):
             interp = Interpreter(app, engine="parallel", strategy="softpipe", cores=2)
-        assert interp.engine_used == "batched"
+        assert interp.engine_used == "codegen"  # the one single-process engine
         assert any(d.code == "SL304" for d in interp.downgrades)
         interp.close()
 
@@ -348,7 +348,7 @@ class TestParallelDowngrade:
             interp = Interpreter(
                 ALL_APPS["FMRadio"](), check=False, engine="parallel", cores=2
             )
-        assert interp.engine_used == "batched"
+        assert interp.engine_used == "codegen"  # the one single-process engine
         [downgrade] = [d for d in interp.downgrades if d.code == "SL304"]
         assert "analyzer exploded" in downgrade.message
         interp.close()
@@ -365,7 +365,7 @@ class TestParallelDowngrade:
             interp = Interpreter(app, engine="parallel", strategy="softpipe", cores=1)
         report = interp.engine_report()
         assert report["requested"] == "parallel"
-        assert report["used"] == "batched"
+        assert report["used"] == "codegen"
         assert any(d["code"] == "SL304" for d in report["downgrades"])
         interp.close()
 
@@ -666,7 +666,7 @@ class TestHonestCores:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         with pytest.warns(EngineDowngradeWarning, match=r"\[SL304\]"):
             interp = Interpreter(_small_pipeline(), check=False, engine="parallel")
-        assert interp.engine_used == "batched"
+        assert interp.engine_used == "codegen"  # the one single-process engine
         assert any(d.code == "SL304" for d in interp.downgrades)
         interp.close()
 

@@ -34,6 +34,7 @@ from tests.helpers import (
     Fold,
     Gain,
     Peek3,
+    cores_of,
     feedback_app,
     run_calls,
     run_pipeline,
@@ -506,12 +507,10 @@ def _isolated_codegen_cache():
 
 class TestBatchedEngineDifferential:
     """Randomized engine-differential tests: every generated graph must
-    produce bit-identical outputs on the scalar, batched, and codegen
-    engines (a three-way matrix — the codegen module splices the same
-    kernels the batched plan runs, so it inherits the same contract).
-    The pipeline and feedback tests rerun both compiled engines with
-    ``plan.chunk_periods`` in {1, 2, 3}, so the run really splits into
-    several chunks."""
+    produce bit-identical outputs on the scalar and the compiled engine
+    (``"codegen"``; ``"batched"`` names the same one).  The pipeline and
+    feedback tests rerun the compiled engine with ``plan.chunk_periods`` in
+    {1, 2, 3}, so the run really splits into several chunks."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -531,18 +530,13 @@ class TestBatchedEngineDifferential:
             )
 
         scalar, _ = _run_engine(build, "scalar", 5)
-        batched, interp = _run_engine(build, "batched", 5)
-        assert interp.engine_used == "batched"
-        assert batched == scalar
-        generated, cg_interp = _run_engine(build, "codegen", 5)
-        assert cg_interp.engine_used == "codegen"
+        generated, interp = _run_engine(build, "codegen", 5)
+        assert interp.engine_used == "codegen"
         assert generated == scalar
-        # The chunk-split arms: 5 periods in chunks of 1-3 must give the
+        # The chunk-split arm: 5 periods in chunks of 1-3 must give the
         # same bits — chunking must never change semantics.
-        for engine in ("batched", "codegen"):
-            split, split_interp = _run_engine(build, engine, 5, chunk_periods=chunk)
-            assert split_interp.engine_used == engine
-            assert split == scalar
+        split, _ = _run_engine(build, "codegen", 5, chunk_periods=chunk)
+        assert split == scalar
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -565,14 +559,13 @@ class TestBatchedEngineDifferential:
             )
 
         scalar, _ = _run_engine(build, "scalar", 5)
-        for engine in ("batched", "codegen"):
-            whole, interp = _run_engine(build, engine, 5)
-            assert interp.engine_used == engine
-            assert whole == scalar
-            rows = interp.engine_report()["regions"]
-            assert len(rows) == n_regions and all(r["tier"] for r in rows), rows
-            split, _ = _run_engine(build, engine, 5, chunk_periods=chunk)
-            assert split == scalar
+        whole, interp = _run_engine(build, "codegen", 5)
+        assert interp.engine_used == "codegen"
+        assert whole == scalar
+        rows = interp.engine_report()["regions"]
+        assert len(rows) == n_regions and all(r["tier"] for r in rows), rows
+        split, _ = _run_engine(build, "codegen", 5, chunk_periods=chunk)
+        assert split == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -600,18 +593,12 @@ class TestBatchedEngineDifferential:
             )
 
         scalar, _ = _run_engine(build, "scalar", 6)
-        batched, interp = _run_engine(build, "batched", 6)
-        assert interp.engine_used == "batched"
+        generated, interp = _run_engine(build, "codegen", 6)
+        assert interp.engine_used == "codegen"
         assert [b.kind for b in interp.plan.blocks].count("core") == 1
-        assert batched == scalar
-        generated, cg_interp = _run_engine(build, "codegen", 6)
-        assert cg_interp.engine_used == "codegen"
         assert generated == scalar
-        for engine in ("batched", "codegen"):
-            split, split_interp = _run_engine(build, engine, 6, chunk_periods=chunk)
-            assert split_interp.engine_used == engine
-            assert [b.kind for b in split_interp.plan.blocks].count("core") == 1
-            assert split == scalar
+        split, _ = _run_engine(build, "codegen", 6, chunk_periods=chunk)
+        assert split == scalar
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -623,7 +610,7 @@ class TestBatchedEngineDifferential:
         """The inlined core keeps some tapes in locals and some on lists,
         by what the loop's filters do; whatever mix a random loop gets, the
         engines agree bit for bit however the run is chopped, and a
-        codegen run handed to the interpreted core runner mid-session
+        generated core handed to the interpreted core runner mid-session
         carries on from the state the forwarded tapes left behind."""
         gen = np.random.default_rng(seed)
         data = [float(v) for v in gen.uniform(-2, 2, size=7)]
@@ -646,11 +633,9 @@ class TestBatchedEngineDifferential:
         scalar, _ = run_calls(build, "scalar", (total,))
         assert len(scalar) == total * rounds
         choppings = ((total,), (1,) * total, (first, total - first))
-        for engine in ("batched", "codegen"):
-            for calls in choppings:
-                got, interp = run_calls(build, engine, calls)
-                assert interp.engine_used == engine
-                assert got == scalar, (engine, calls)
+        for calls in choppings:
+            got, interp = run_calls(build, "codegen", calls)
+            assert got == scalar, calls
         (core,) = [
             b for b in interp.engine_report()["codegen"]["blocks"] if b["kind"] == "core"
         ]
@@ -663,7 +648,8 @@ class TestBatchedEngineDifferential:
         assert not any(name.endswith(".total") for name in core["hoisted"])
         assert any(name.endswith(".leak") for name in core["hoisted"])
         got, interp = run_calls(build, "codegen", (first, total - first), downgrade_before=1)
-        assert interp.engine_used == "batched"
+        (runner,) = cores_of(interp)
+        assert runner.chunk == runner.interpret
         assert got == scalar
 
     @settings(max_examples=12, deadline=None)
@@ -692,17 +678,13 @@ class TestBatchedEngineDifferential:
         # 24 periods: an upstream receiver runs ``latency`` periods per pass
         # (tests/test_teleport_chunks.py), so the run spans several passes.
         scalar, scalar_interp = _run_engine(build, "scalar", 24)
-        batched, interp = _run_engine(build, "batched", 24)
+        generated, interp = _run_engine(build, "codegen", 24)
         assert scalar_interp.has_messaging
-        assert interp.engine_used == "batched"
-        assert batched == scalar
+        assert interp.engine_used == "codegen"
+        assert interp.downgrades == []
+        assert generated == scalar
         if upstream:
             assert interp.plan.message_slack == latency
-        # Teleport messaging disables codegen for the whole plan (SL305):
-        # the request must still run, batched, with identical output.
-        generated, cg_interp = _run_engine(build, "codegen", 24)
-        assert cg_interp.engine_used in ("batched", "scalar")
-        assert generated == scalar
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -776,11 +758,8 @@ class TestBatchedEngineDifferential:
             )
 
         scalar, _ = _run_engine(build, "scalar", 7)
-        batched, interp = _run_engine(build, "batched", 7)
+        generated, interp = _run_engine(build, "codegen", 7)
         assert interp.plan.fused_chains, "expected at least one fused chain"
-        assert batched == scalar
-        generated, cg_interp = _run_engine(build, "codegen", 7)
-        assert cg_interp.engine_used == "codegen"
         assert generated == scalar
 
 

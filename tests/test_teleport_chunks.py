@@ -247,18 +247,17 @@ def random_portal_graph(seed):
     return build
 
 
-def check_random_portal_graph(seed, engines=("batched", "codegen")):
+def check_random_portal_graph(seed):
     build = random_portal_graph(seed)
     gen = np.random.default_rng(seed + 1)
     n = 30
     cut = int(gen.integers(1, n))
     scalar, scalar_interp, scalar_app = run(build, "scalar", [n], trace=True)
-    for engine in engines:
-        out, interp, app = run(build, engine, [cut, n - cut], trace=True)
-        assert interp.engine_used == "batched"
-        assert np.array_equal(out, scalar), (seed, engine)
-        assert named(app, "recv").log == named(scalar_app, "recv").log, (seed, engine)
-        assert deliveries(interp) == deliveries(scalar_interp), (seed, engine)
+    out, interp, app = run(build, "codegen", [cut, n - cut], trace=True)
+    assert interp.engine_used == "codegen"
+    assert np.array_equal(out, scalar), seed
+    assert named(app, "recv").log == named(scalar_app, "recv").log, seed
+    assert deliveries(interp) == deliveries(scalar_interp), seed
     return interp
 
 
@@ -274,7 +273,7 @@ def test_random_portal_graphs_do_chunk():
     chunks = []
     delivered = 0
     for seed in range(40):
-        interp = check_random_portal_graph(seed, engines=("batched",))
+        interp = check_random_portal_graph(seed)
         chunks.append(interp.engine_report()["messaging"]["chunk_periods"])
         delivered += len(named(interp.stream, "recv").log)
     assert sum(c > 1 for c in chunks) >= 15 and sum(1 < c <= 12 for c in chunks) >= 5
@@ -544,7 +543,7 @@ def test_shipped_radios_resolve():
     for build, chunk in ((freqhop.build_teleport, 6), (freqhop.build, 1)):
         scalar, _, _ = run(build, "scalar", [600])
         out, interp, _ = run(build, "batched", [600], trace=True)
-        assert interp.engine_used == "batched"
+        assert interp.engine_used == "codegen"  # "batched" names the same engine
         assert interp.engine_report()["messaging"]["chunk_periods"] == chunk
         assert np.array_equal(out, scalar)
         records = interp.tracer.meta["teleports"]
