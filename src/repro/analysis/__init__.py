@@ -2,14 +2,15 @@
 
 The pass pipeline (see DESIGN.md "Static analysis layer"):
 
-1. :mod:`~repro.analysis.effects` — effects/purity: which ``self``
-   attributes does ``work()`` read/write (through loops, branches, helper
-   methods, aliases)?  Classifies stateless / peeking / stateful.
-2. :mod:`~repro.analysis.rates` — the one symbolic executor of ``work()``:
+1. :mod:`~repro.analysis.rates` — the one symbolic executor of ``work()``:
    do the ``push``/``pop``/``peek`` occurrences match the declared rates,
-   do peek offsets stay in bounds — and, asked for rows by
-   :func:`repro.linear.extraction.try_extract`, which affine form of the
+   do peek offsets stay in bounds, which ``self`` attributes does it write
+   (through loops, branches, helper methods, aliases) — and, asked for rows
+   by :func:`repro.linear.extraction.try_extract`, which affine form of the
    input window is each pushed item?
+2. :mod:`~repro.analysis.effects` — effects/purity, a view over the
+   executor's facts: classifies stateless / peeking / stateful per
+   instance and lists the teleport sends with their latency.
 3. :mod:`~repro.analysis.linearity` — the effects-only half of linearity:
    the ``SL201`` candidates and the ``stateful:`` reasons ``try_extract``
    reports.
@@ -39,10 +40,8 @@ from repro.analysis.effects import (
     UNRESOLVED,
     EffectsReport,
     SendSite,
-    WorkEffects,
     classify,
     send_sites,
-    work_effects,
 )
 from repro.analysis.linearity import affine_prescreen, affine_prescreen_report
 from repro.analysis.rates import RateReport, analyze_rates
@@ -60,7 +59,6 @@ __all__ = [
     "Severity",
     "UNRESOLVED",
     "VectorProof",
-    "WorkEffects",
     "affine_prescreen",
     "analyze_filter",
     "analyze_graph",
@@ -70,7 +68,6 @@ __all__ = [
     "prove_vectorizable",
     "send_sites",
     "suppressed_codes",
-    "work_effects",
 ]
 
 
@@ -135,8 +132,19 @@ def _analyze(filt: Filter) -> FilterAnalysis:
     def emit(code: str, message: str) -> None:
         bag.add(Diagnostic.make(code, message, filt).with_suppression(suppress))
 
+    def unanalyzed(reason: str) -> FilterAnalysis:
+        return FilterAnalysis(
+            filter_name=filt.name,
+            class_name=type(filt).__name__,
+            effects=None,
+            rates=None,
+            affine_candidate=False,
+            affine_reason=reason,
+            proof=VectorProof(False, (reason,)),
+            diagnostics=bag,
+        )
+
     # Declared-rate invariants first: everything else assumes sane rates.
-    rate = filt.rate
     rate_ok = _check_declared_rates(filt, emit)
 
     if type(filt).work is Filter.work:
@@ -144,38 +152,18 @@ def _analyze(filt: Filter) -> FilterAnalysis:
             "SL006",
             f"filter {filt.name!r} ({type(filt).__name__}) does not implement work()",
         )
-        proof = VectorProof(False, ("work() is not implemented",))
-        return FilterAnalysis(
-            filter_name=filt.name,
-            class_name=type(filt).__name__,
-            effects=None,
-            rates=None,
-            affine_candidate=False,
-            affine_reason="work() is not implemented",
-            proof=proof,
-            diagnostics=bag,
-        )
+        return unanalyzed("work() is not implemented")
 
     try:
-        effects = classify(filt)
-        unstable = set(effects.mutated) | {a for a, _ in effects.message_sends}
-        rates = analyze_rates(filt, unstable) if rate_ok else None
+        report = analyze_rates(filt)
+        effects = classify(filt, report)
+        rates = report if rate_ok else None
     except Exception as exc:  # analyzer bug: degrade, never break the build
         emit("SL005", f"internal analysis error: {type(exc).__name__}: {exc}")
-        proof = VectorProof(False, (f"internal analysis error: {exc}",))
-        return FilterAnalysis(
-            filter_name=filt.name,
-            class_name=type(filt).__name__,
-            effects=None,
-            rates=None,
-            affine_candidate=False,
-            affine_reason=f"internal analysis error: {exc}",
-            proof=proof,
-            diagnostics=bag,
-        )
+        return unanalyzed(f"internal analysis error: {exc}")
 
     _emit_effects_diags(filt, effects, emit)
-    if effects.message_sends or not effects.effects.bounded:
+    if effects.message_sends or not effects.bounded:
         _emit_send_diags(filt, effects, emit)
     if rates is not None:
         _emit_rate_diags(filt, rates, emit)

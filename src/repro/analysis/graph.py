@@ -140,7 +140,7 @@ def shared_state_groups(graph: FlatGraph) -> List[SharedStateGroup]:
     """Mutable objects reachable as attributes of >= 2 filter instances.
 
     A group is a *race* only when at least one sharer mutates the attribute
-    (per the effects pass) — or when a sharer's effects cannot be bounded,
+    (per the effects facts) — or when a sharer's effects cannot be bounded,
     in which case mutation cannot be ruled out and the sharer counts as a
     mutator conservatively.
     """

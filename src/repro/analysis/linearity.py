@@ -1,10 +1,10 @@
-"""Linearity pre-screen: what the effects pass alone says about linearity.
+"""Linearity pre-screen: what the effects facts alone say about linearity.
 
 :func:`repro.linear.extraction.try_extract` recovers a filter's
 :class:`~repro.linear.linrep.LinearRep` by running the symbolic executor
-of :mod:`repro.analysis.rates` with affine rows.  Before that, the
-alias-aware effects pass answers the questions whose answer is always "not
-linear", each with the reason ``try_extract`` reports:
+of :mod:`repro.analysis.rates` with affine rows.  The same run's
+alias-aware effects facts first answer the questions whose answer is
+always "not linear", each with the reason ``try_extract`` reports:
 
 * sources and sinks (pop == 0 or push == 0) have no input-to-output map;
 * any state write (including aliased and helper-reached ones) makes the

@@ -31,13 +31,25 @@ Safety rules — the analyzer must never perturb the program under analysis:
   lint time!);
 * **no mutation of live objects**: whatever is read off the instance or
   the module is copied through and through, the copies are remembered as
-  *foreign*, and a store into a foreign object is not performed — it is
-  reported (:data:`FOREIGN_STORE`): ``work()`` keeps state where neither
-  the effects pass nor a trial clone can see it.
+  *foreign* with the ``self`` attribute they stem from, and a store into a
+  foreign object is not performed — it is reported
+  (:data:`FOREIGN_STORE`) and is a write of that attribute, or, for an
+  object of the module, a write no trial clone can see.
 
 The pass also records *certification blockers*: reasons the computation is
 not provably safe to run column-wise over a whole batch.  These feed the
 vectorization proof in :mod:`repro.analysis.vectorsafety`.
+
+The same run records the *effects facts* (:class:`WorkFacts`) that
+:mod:`repro.analysis.effects` classifies: the ``self`` attributes written
+(directly, or through a copy whose root is ``self.X``), ``self.X.m(…)``
+calls with the latency each states, ``self`` escaping, and writes it
+cannot bound.  A write counts wherever it stands, so code the run does not
+take — the other arm of a concrete test, a loop of zero trips, what
+follows a ``return`` — is walked *effects-only*: its counts are thrown
+away.  An attribute written is *unstable*: its reads evaluate to
+:data:`UNKNOWN`, and a run that read one as a value before the write is
+run again with the grown set, until the set holds.
 """
 
 from __future__ import annotations
@@ -52,12 +64,14 @@ import numbers
 import operator
 import sys
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.effects import (
     CHANNEL_ATTRS,
+    CHANNEL_METHODS,
+    UNRESOLVED,
     SourceUnavailable,
     method_ast,
 )
@@ -201,6 +215,27 @@ class Interval:
         return f"[{int(self.lo)}, {hi}]"
 
 
+class WorkFacts(NamedTuple):
+    """What one ``work()`` does besides counting: the effects facts."""
+
+    #: ``self`` attributes stored to, directly or into a copy rooted there.
+    writes: Tuple[str, ...]
+    #: ``self`` attributes used as a value: anywhere but as the owner of a
+    #: ``self.X.m(…)`` call.
+    value_reads: Tuple[str, ...]
+    #: ``(attr, method)`` calls on a ``self`` attribute or a copy rooted
+    #: there: a mutation, or a message send when the attribute is a Portal.
+    calls: Tuple[Tuple[str, str], ...]
+    #: ``(attr, method, latency, reason)`` of each ``self.X.m(…)`` call:
+    #: the latency its ``interval=`` states (see
+    #: :class:`repro.analysis.effects.SendSite`).
+    sites: Tuple[Tuple[str, str, Any, str], ...]
+    #: Reasons the write set cannot be bounded.
+    dynamic: Tuple[str, ...]
+    #: Reasons ``self`` escapes to code the analysis cannot see.
+    escapes: Tuple[str, ...]
+
+
 @dataclass
 class RateReport:
     """Result of symbolically executing one ``work()``."""
@@ -221,6 +256,7 @@ class RateReport:
     #: which, naming the first construct that lost the form.
     rows: Optional[Tuple[Affine, ...]]
     nonlinear: Optional[str]
+    facts: WorkFacts
 
     @property
     def exact(self) -> bool:
@@ -246,6 +282,16 @@ class _Continue(Exception):
 
 class _GiveUp(Exception):
     """Budget exceeded or structurally unanalyzable; degrade to dynamic."""
+
+
+#: :meth:`RateAnalyzer.inline_helper` could not bind the call's arguments.
+_NOT_INLINED = object()
+
+#: What a pass reports besides its counts: :meth:`RateAnalyzer.effects_only`
+#: restores them.
+_FINDINGS = (
+    "nonlinear", "max_peek", "dynamic", "violations", "blockers", "ended", "channel_escaped",
+)
 
 
 _BIN_OPS = {
@@ -321,38 +367,56 @@ class _State:
 class RateAnalyzer:
     """Symbolic executor for one filter instance's ``work()``."""
 
-    def __init__(self, filt: Filter, unstable_attrs: Set[str], rows: bool = False) -> None:
+    def __init__(self, filt: Filter, rows: bool = False) -> None:
         self.filt = filt
         self.cls = type(filt)
-        self.unstable = set(unstable_attrs)
+        self.rows = rows
+        #: Attributes written or called on: their reads are UNKNOWN.  It
+        #: only grows, and outlives a pass (see :meth:`run`).
+        self.unstable: Set[str] = set()
+        # The effects facts, kept across passes (the write set may grow
+        # but never shrink); ``sites`` is the last pass's.  A dict is an
+        # ordered set of reasons.
+        self.writes: Set[str] = set()
+        self.value_reads: Set[str] = set()
+        self.calls: Set[Tuple[str, str]] = set()
+        self.unbounded: Dict[str, None] = {}
+        self.escapes: Dict[str, None] = {}
+        #: Where work()'s free names resolve.
+        self.globals: Dict[str, Any] = _work_globals(self.cls)
+        self._new_pass()
+
+    def _new_pass(self) -> None:
         #: Why pushed items have no affine rows (the first reason stands);
         #: while it is None, ``pop``/``peek`` hand out :class:`Affine` forms.
-        self.nonlinear: Optional[str] = None if rows else "rows not requested"
+        self.nonlinear: Optional[str] = None if self.rows else "rows not requested"
         self.max_peek: float = -1
         self.dynamic: List[str] = []
         self.violations: List[str] = []
         self.blockers: List[str] = []
         self.steps = 0
-        #: id() -> (object, the analysis's stand-in for it), for every live
-        #: object met (on the instance, in the module) and for every
-        #: stand-in: a private copy of a container, the object itself when
-        #: opaque.  Both are held, so no id is reused within a run; a store
-        #: into any of them is never performed.
-        self.foreign: Dict[int, Tuple[Any, Any]] = {}
+        #: id() -> (object, the analysis's stand-in for it, the ``self``
+        #: attribute it was read from or None), for every live object met
+        #: (on the instance, in the module) and for every stand-in: a
+        #: private copy of a container, the object itself when opaque.
+        #: Both are held, so no id is reused within a run; a store into any
+        #: of them is never performed.
+        self.foreign: Dict[int, Tuple[Any, Any, Optional[str]]] = {}
         #: True once a channel reference was stored somewhere the analysis
         #: cannot see through (an attribute of an opaque object, an argument
         #: to an unevaluated call).  After that, any opaque call may drive
         #: this filter's channels, so such calls must degrade to dynamic.
         self.channel_escaped = False
         self.ended: List[_State] = []
-        #: Where work()'s free names resolve.
-        self.globals: Dict[str, Any] = _work_globals(self.cls)
         #: ``self.<attr>`` read off the live instance (key ``attr``), module
         #: globals or builtins resolved (key ``("global", name)``) and
         #: attributes read through a module (key ``("attr", module, name)``)
         #: -> fingerprint of the value seen (None: opaque), in first-read
         #: order; the memo key.
         self.reads: Dict[Any, Any] = {}
+        #: Attributes whose live value this pass handed out.
+        self.concrete: Set[str] = set()
+        self.sites: Dict[Tuple[str, str, Any, str], None] = {}
 
     # -- notes ---------------------------------------------------------------
 
@@ -365,9 +429,15 @@ class RateAnalyzer:
         """From here on the pushed items are not known affine forms."""
         self.nonlinear = self.nonlinear or reason
 
-    def note_foreign_store(self) -> None:
+    def note_foreign_store(self, root: Optional[str]) -> None:
+        """A store into an object read off the instance (``root``) or the
+        module (None): never performed, and a write either way."""
         self.note_blocker(FOREIGN_STORE)
         self.void(f"stateful: {FOREIGN_STORE}")
+        if root is None:
+            self.unbounded[FOREIGN_STORE] = None
+        else:
+            self.note_write(root)
 
     def note_blocker(self, reason: str) -> None:
         if reason not in self.blockers:
@@ -377,21 +447,52 @@ class RateAnalyzer:
         if reason not in self.violations:
             self.violations.append(reason)
 
+    def note_write(self, attr: str) -> None:
+        self.writes.add(attr)
+        self.unstable.add(attr)
+
+    def note_call(self, attr: str, method: str) -> None:
+        self.calls.add((attr, method))
+        self.unstable.add(attr)
+
     def tick(self) -> None:
         self.steps += 1
         if self.steps > _MAX_STEPS:
-            self.note_dynamic("analysis budget exceeded")
             raise _GiveUp
+
+    def effects_only(self, walk, *args) -> Any:
+        """``walk(*args)`` for its effects facts alone — on code this run
+        does not take — and its value (None if it jumps): the counts,
+        findings and rows it produces are thrown away."""
+        saved = {name: getattr(self, name) for name in _FINDINGS}
+        self.dynamic, self.violations, self.blockers, self.ended = [], [], [], []
+        try:
+            return walk(*args)
+        except (_Return, _Break, _Continue, _PathRaise):
+            return None
+        finally:
+            self.__dict__.update(saved)
 
     # -- entry ---------------------------------------------------------------
 
     def run(self) -> RateReport:
+        """Passes until no attribute turned unstable after a pass read its
+        value: the report is the last pass's, run with every unstable
+        attribute UNKNOWN from its first read."""
+        while True:
+            report = self._pass()
+            if not self.unstable & self.concrete:
+                return report
+            self._new_pass()
+
+    def _pass(self) -> RateReport:
         pop = Interval.exactly(0)
         push = Interval.exactly(0)
         try:
             fn = method_ast(self.cls)
         except SourceUnavailable as exc:
             self.note_dynamic(str(exc))
+            self.unbounded[str(exc)] = None
             self.note_blocker("work() source unavailable")
             return self._report(Interval(0, math.inf), Interval(0, math.inf))
         self_name = fn.args.args[0].arg if fn.args.args else "self"
@@ -409,6 +510,8 @@ class RateAnalyzer:
             self.note_dynamic("work() unconditionally raises")
             self.note_blocker("work() unconditionally raises")
         except _GiveUp:
+            self.note_dynamic("analysis budget exceeded")
+            self.unbounded["analysis budget exceeded"] = None
             state.pop = state.pop.merged(Interval(state.pop.lo, math.inf))
             state.push = state.push.merged(Interval(state.push.lo, math.inf))
             self.note_blocker("rate analysis gave up")
@@ -427,6 +530,14 @@ class RateAnalyzer:
             cert_blockers=tuple(self.blockers),
             rows=None if self.nonlinear else rows,
             nonlinear=self.nonlinear,
+            facts=WorkFacts(
+                writes=tuple(sorted(self.writes)),
+                value_reads=tuple(sorted(self.value_reads)),
+                calls=tuple(sorted(self.calls)),
+                sites=tuple(self.sites),
+                dynamic=tuple(self.unbounded),
+                escapes=tuple(self.escapes),
+            ),
         )
 
     # -- channel ops ---------------------------------------------------------
@@ -489,15 +600,28 @@ class RateAnalyzer:
     # -- statements ----------------------------------------------------------
 
     def exec_body(self, stmts: List[ast.stmt], state: _State, depth: int) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt, state, depth)
+        for i, stmt in enumerate(stmts):
+            try:
+                self.exec_stmt(stmt, state, depth)
+            except (_Return, _Break, _Continue, _PathRaise):
+                if i + 1 < len(stmts):  # what follows the jump still writes
+                    self.effects_only(self.exec_body, stmts[i + 1:], state.clone(), depth)
+                raise
+
+    def is_self(self, node: ast.expr, state: _State) -> bool:
+        return isinstance(node, ast.Name) and state.env.get(node.id) is SELF
 
     def exec_stmt(self, stmt: ast.stmt, state: _State, depth: int) -> None:
         self.tick()
         if isinstance(stmt, ast.Expr):
             self.eval(stmt.value, state, depth)
         elif isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value, state, depth)
+            if self.is_self(stmt.value, state) and all(
+                isinstance(t, ast.Name) for t in stmt.targets
+            ):
+                value = SELF  # an alias of self, not an escape
+            else:
+                value = self.eval(stmt.value, state, depth)
             for target in stmt.targets:
                 self.assign(target, value, state, depth)
         elif isinstance(stmt, ast.AnnAssign):
@@ -505,6 +629,11 @@ class RateAnalyzer:
                 value = self.eval(stmt.value, state, depth)
                 self.assign(stmt.target, value, state, depth)
         elif isinstance(stmt, ast.AugAssign):
+            if isinstance(stmt.target, ast.Name):
+                # ``buf += …`` may mutate in place what ``buf`` names.
+                held = state.env.get(stmt.target.id)
+                if id(held) in self.foreign:
+                    self.note_foreign_store(self.foreign[id(held)][2])
             # eval() never looks at an expression's context, so the
             # Store-context target reads as a load.
             load = ast.BinOp(left=stmt.target, op=stmt.op, right=stmt.value)
@@ -517,6 +646,9 @@ class RateAnalyzer:
         elif isinstance(stmt, ast.While):
             self.exec_while(stmt, state, depth)
         elif isinstance(stmt, ast.Return):
+            if stmt.value is not None and self.is_self(stmt.value, state):
+                self.escapes["work returns self"] = None
+                raise _Return(SELF)
             value = self.eval(stmt.value, state, depth) if stmt.value else None
             raise _Return(value)
         elif isinstance(stmt, ast.Raise):
@@ -545,19 +677,52 @@ class RateAnalyzer:
             pass
         elif isinstance(stmt, ast.Delete):
             self.void("unsupported statement Delete")
+            for target in stmt.targets:
+                self.delete(target, state, depth)
         elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            pass  # effects pass reports these
+            names = " ".join(stmt.names)
+            self.unbounded[f"declares {names} {type(stmt).__name__.lower()}"] = None
         elif isinstance(stmt, ast.Try):
             self.exec_try(stmt, state, depth)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # A nested function closing over self can do anything later.
+            if self._mentions_self(stmt, state):
+                self.escapes[f"self captured by nested {stmt.name!r}"] = None
             self._degrade_if_channel_ops(stmt, "nested definition")
             state.env[stmt.name] = UNKNOWN
             self.note_blocker(f"nested {type(stmt).__name__} in work()")
         else:
-            # try/with/match/… — too much control-flow ambiguity to model.
+            # with/match/… — too much control-flow ambiguity to model.
+            if isinstance(stmt, ast.With):
+                self.effects_only(self._walk_with, stmt, state.clone(), depth)
+            elif self._mentions_self(stmt, state):
+                self.escapes[f"self reachable through unmodelled {type(stmt).__name__}"] = None
             self._degrade_if_channel_ops(stmt, type(stmt).__name__)
             self._havoc_assigned(stmt, state)
             self.note_blocker(f"unmodelled statement {type(stmt).__name__}")
+
+    def _walk_with(self, stmt: ast.With, state: _State, depth: int) -> None:
+        for item in stmt.items:
+            self.eval(item.context_expr, state, depth)
+            if item.optional_vars is not None:
+                self.assign(item.optional_vars, UNKNOWN, state, depth)
+        self.exec_body(stmt.body, state, depth)
+
+    def _mentions_self(self, node: ast.AST, state: _State) -> bool:
+        return any(self.is_self(sub, state) for sub in ast.walk(node))
+
+    def delete(self, target: ast.expr, state: _State, depth: int) -> None:
+        """``del target``: of an attribute or item of state, a write."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self.delete(elt, state, depth)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            root = self.self_root(target, state)
+            if root is not None:
+                self.note_write(root)
+            held = self.owner(target.value, state, depth)
+            if id(held) in self.foreign:
+                self.note_foreign_store(self.foreign[id(held)][2])
 
     def exec_try(self, stmt: ast.Try, state: _State, depth: int) -> None:
         """Model try/finally exactly; try/except degrades to dynamic.
@@ -567,6 +732,8 @@ class RateAnalyzer:
         clauses the transfer points are unknowable statically.
         """
         if stmt.handlers:
+            for part in (stmt.body, *(h.body for h in stmt.handlers), stmt.orelse, stmt.finalbody):
+                self.effects_only(self.exec_body, part, state.clone(), depth)
             self._degrade_if_channel_ops(stmt, "try/except")
             self._havoc_assigned(stmt, state)
             self.note_blocker("try/except in work()")
@@ -603,7 +770,12 @@ class RateAnalyzer:
             except Exception:
                 taint = UNKNOWN
             else:
-                self.exec_body(stmt.body if taken else stmt.orelse, state, depth)
+                if taken:
+                    self.skipped(stmt.orelse, state, depth)
+                    self.exec_body(stmt.body, state, depth)
+                else:
+                    self.skipped(stmt.body, state, depth)
+                    self.exec_body(stmt.orelse, state, depth)
                 return
         if taint is DATA:
             self.note_blocker("branch condition depends on stream data")
@@ -612,6 +784,11 @@ class RateAnalyzer:
             self.note_blocker("branch condition is not statically resolvable")
             self.void("branch condition is not statically resolvable")
         self._run_both(stmt.body, stmt.orelse, state, depth)
+
+    def skipped(self, stmts: List[ast.stmt], state: _State, depth: int) -> None:
+        """Walk code this run does not take for its effects alone."""
+        if stmts:
+            self.effects_only(self.exec_body, stmts, state.clone(), depth)
 
     def _run_both(
         self,
@@ -680,17 +857,24 @@ class RateAnalyzer:
             self.note_dynamic("for loop over a non-iterable value")
             self._dynamic_loop(stmt, state, depth, "for loop over a non-iterable")
             return
+        if not items:
+            self.effects_only(self._one_trip, stmt, state.clone(), depth)
         for item in items:
             self.tick()
             self.assign(stmt.target, item, state, depth)
             try:
                 self.exec_body(stmt.body, state, depth)
             except _Break:
+                self.skipped(stmt.orelse, state, depth)
                 break
             except _Continue:
                 continue
         else:
             self.exec_body(stmt.orelse, state, depth)
+
+    def _one_trip(self, stmt: ast.For, state: _State, depth: int) -> None:
+        self.assign(stmt.target, UNKNOWN, state, depth)
+        self.exec_body(stmt.body, state, depth)
 
     def exec_while(self, stmt: ast.While, state: _State, depth: int) -> None:
         # Try bounded concrete execution first (e.g. ``while i < n: i += 1``).
@@ -722,6 +906,8 @@ class RateAnalyzer:
             except Exception:
                 return False
             if not alive:
+                if not iterations:
+                    self.skipped(stmt.body, state, depth)
                 self.exec_body(stmt.orelse, state, depth)
                 return True
             iterations += 1
@@ -731,6 +917,7 @@ class RateAnalyzer:
             try:
                 self.exec_body(stmt.body, state, depth)
             except _Break:
+                self.skipped(stmt.orelse, state, depth)
                 return True
             except _Continue:
                 continue
@@ -757,6 +944,7 @@ class RateAnalyzer:
             self.exec_body(body, probe, depth)
         except (_Return, _Break, _Continue, _PathRaise):
             pass
+        self.skipped(getattr(stmt, "orelse", []), state, depth)
         if probe.pop.hi > before_pop.hi:
             state.pop = Interval(before_pop.lo, math.inf)
         if probe.push.hi > before_push.hi:
@@ -793,8 +981,11 @@ class RateAnalyzer:
             if _tainted(index) is DATA:
                 self.note_blocker("store index depends on stream data")
                 self.void("store with a data-dependent index")
+            root = self.self_root(target.value, state)
+            if root is not None:
+                self.note_write(root)
             if id(container) in self.foreign:
-                self.note_foreign_store()
+                self.note_foreign_store(self.foreign[id(container)][2])
             elif _tainted(container, index) is None:
                 try:
                     container[index] = value
@@ -804,22 +995,43 @@ class RateAnalyzer:
             self.void("a subscript store the analysis cannot perform")
             return
         if isinstance(target, ast.Attribute):
-            # self.X = … — a state write; the effects pass reports it.  The
-            # attribute becomes unstable for the rest of this analysis.
-            base = self.eval(target.value, state, depth)
+            # self.X = … — a state write: X is unstable from here on.
+            base = self.owner(target.value, state, depth)
             if isinstance(value, _Channel):
                 # A channel reference now lives inside an object the analysis
                 # reads back as opaque (delegation idiom: inner.output =
                 # self.output); later opaque calls may push/pop through it.
                 self.channel_escaped = True
+            root = self.self_root(target.value, state)
             if base is SELF:
-                self.unstable.add(target.attr)
-            elif id(base) in self.foreign:
-                self.note_foreign_store()
+                self.note_write(target.attr)
+            elif root is not None:
+                self.note_write(root)
+            if id(base) in self.foreign:
+                self.note_foreign_store(self.foreign[id(base)][2])
             return
         if isinstance(target, ast.Starred):
             self.assign(target.value, UNKNOWN, state, depth)
             return
+
+    def self_root(self, node: ast.expr, state: _State) -> Optional[str]:
+        """``X`` when ``node`` is ``self.X`` or an item or attribute of it."""
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            if isinstance(node, ast.Attribute) and self.is_self(node.value, state):
+                return node.attr
+            node = node.value
+        return None
+
+    def owner(self, node: ast.expr, state: _State, depth: int) -> Any:
+        """``node`` as the owner of an attribute or method: self itself is
+        no escape there."""
+        return SELF if self.is_self(node, state) else self.eval(node, state, depth)
+
+    def eval_arg(self, node: ast.expr, state: _State, depth: int) -> Any:
+        if self.is_self(node, state):
+            self.escapes["self passed as a call argument"] = None
+            return SELF
+        return self.eval(node, state, depth)
 
     # -- expressions ---------------------------------------------------------
 
@@ -829,7 +1041,10 @@ class RateAnalyzer:
             return node.value
         if isinstance(node, ast.Name):
             if node.id in state.env:
-                return state.env[node.id]
+                value = state.env[node.id]
+                if value is SELF:
+                    self.escapes["bare self used as a value"] = None
+                return value
             return self._global(node.id)
         if isinstance(node, ast.Attribute):
             return self.eval_attribute(node, state, depth)
@@ -925,6 +1140,8 @@ class RateAnalyzer:
                 except Exception:
                     taint = UNKNOWN
                 else:
+                    other = node.orelse if taken else node.body
+                    self.effects_only(self.eval, other, state.clone(), depth)
                     return self.eval(node.body if taken else node.orelse, state, depth)
             if taint is DATA:
                 self.note_blocker("conditional expression over stream data")
@@ -951,7 +1168,8 @@ class RateAnalyzer:
             except Exception:
                 return UNKNOWN
             if id(container) in self.foreign and not _copied(container):
-                result = self._import_value(result)  # an opaque object's item
+                # an opaque object's item
+                result = self._import_value(result, self.foreign[id(container)][2])
             return result
         if isinstance(node, (ast.List, ast.Set)):
             items = [self.eval(e, state, depth) for e in node.elts]
@@ -979,18 +1197,29 @@ class RateAnalyzer:
                 return taint
             return slice(lower, upper, step)
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return self.eval_comprehension(node, state, depth)
+            out = self.eval_comprehension(node, state, depth)
+            if out is UNKNOWN or not out:  # the element was never evaluated
+                self.effects_only(self._comprehension_effects, node, state.clone(), depth)
+            return out
         if isinstance(node, ast.Starred):
             return self.eval(node.value, state, depth)
         if isinstance(node, ast.Lambda):
             self.note_blocker("lambda in work()")
+            self.effects_only(self._lambda_body, node, state.clone(), depth)
             return UNKNOWN
         if isinstance(node, (ast.JoinedStr, ast.FormattedValue)):
+            for part in ast.iter_child_nodes(node):
+                if isinstance(part, ast.expr):
+                    self.effects_only(self.eval, part, state.clone(), depth)
             return UNKNOWN
         if isinstance(node, ast.NamedExpr):
             value = self.eval(node.value, state, depth)
             self.assign(node.target, value, state, depth)
             return value
+        if isinstance(node, (ast.SetComp, ast.DictComp)):
+            self.effects_only(self._comprehension_effects, node, state.clone(), depth)
+        elif self._mentions_self(node, state):
+            self.escapes[f"self reachable through unmodelled {type(node).__name__}"] = None
         self.note_blocker(f"unmodelled expression {type(node).__name__}")
         if _has_consuming_ops(node):
             self.note_dynamic(
@@ -1022,6 +1251,22 @@ class RateAnalyzer:
         else:
             self.void(f"nonlinear operator {op.__name__} on a data-dependent value")
         return DATA
+
+    def _lambda_body(self, node: ast.Lambda, state: _State, depth: int) -> None:
+        for arg in ast.walk(node.args):
+            if isinstance(arg, ast.arg):
+                state.env[arg.arg] = UNKNOWN
+        self.eval(node.body, state, depth)
+
+    def _comprehension_effects(self, node: ast.expr, state: _State, depth: int) -> None:
+        """Every part of a comprehension, once, its targets UNKNOWN."""
+        for gen in node.generators:
+            self.eval(gen.iter, state, depth)
+            self.assign(gen.target, UNKNOWN, state, depth)
+            for cond in gen.ifs:
+                self.eval(cond, state, depth)
+        for part in (node.key, node.value) if isinstance(node, ast.DictComp) else (node.elt,):
+            self.eval(part, state, depth)
 
     def eval_comprehension(self, node: ast.expr, state: _State, depth: int) -> Any:
         gens = node.generators
@@ -1087,21 +1332,9 @@ class RateAnalyzer:
             self.reads[read] = _attr_fingerprint(name, attr) if mine else None
 
     def eval_attribute(self, node: ast.Attribute, state: _State, depth: int) -> Any:
-        owner = self.eval(node.value, state, depth)
+        owner = self.owner(node.value, state, depth)
         if owner is SELF:
-            attr = node.attr
-            if attr in CHANNEL_ATTRS:
-                return _Channel("in" if attr == "input" else "out")
-            if attr in self.unstable:
-                return UNKNOWN
-            if attr not in self.reads:
-                self.reads[attr] = _read_fingerprint(self.filt, self.globals, attr)
-            try:
-                value = getattr(self.filt, attr)
-            except AttributeError:
-                self.note_dynamic(f"work() reads undefined attribute self.{attr}")
-                return UNKNOWN
-            return self._import_value(value)
+            return self.self_attr(node.attr)
         taint = _tainted(owner)
         if taint is DATA:
             self.note_blocker(f"attribute access .{node.attr} on stream data")
@@ -1117,16 +1350,37 @@ class RateAnalyzer:
         except Exception:
             return UNKNOWN
         if id(owner) in self.foreign:
-            value = self._import_value(value)
+            value = self._import_value(value, self.foreign[id(owner)][2])
         return value
 
-    def _import_value(self, value: Any) -> Any:
+    def self_attr(self, attr: str, value_read: bool = True) -> Any:
+        """``self.<attr>``: the live value's stand-in, UNKNOWN once unstable."""
+        if attr in CHANNEL_ATTRS:
+            return _Channel("in" if attr == "input" else "out")
+        if attr == "__dict__":
+            self.unbounded["touches self.__dict__"] = None
+        elif value_read:
+            self.value_reads.add(attr)
+        if attr in self.unstable:
+            return UNKNOWN
+        if attr not in self.reads:
+            self.reads[attr] = _read_fingerprint(self.filt, self.globals, attr)
+        try:
+            value = getattr(self.filt, attr)
+        except AttributeError:
+            self.note_dynamic(f"work() reads undefined attribute self.{attr}")
+            return UNKNOWN
+        self.concrete.add(attr)
+        return self._import_value(value, attr)
+
+    def _import_value(self, value: Any, root: Optional[str] = None) -> Any:
         """The analysis's stand-in for a live object, made once per run:
         numbers and strings are themselves, builtin containers and arrays are
         copied all the way down (nothing the analysis can store into aliases
         the instance), anything else — a Portal, a module, a callable — is
         itself: usable for identity and marker checks, never mutated or
-        called blindly.  Copies and opaque objects alike are ``foreign``."""
+        called blindly.  Copies and opaque objects alike are ``foreign``,
+        and remember ``root``: the ``self`` attribute they were read from."""
         kind = type(value)
         if kind in _SCALAR_TYPES or isinstance(value, numbers.Number):
             return value
@@ -1136,12 +1390,12 @@ class RateAnalyzer:
         if not _copied(value):
             mine = value
         elif kind is dict:
-            mine = {k: self._import_value(v) for k, v in value.items()}
+            mine = {k: self._import_value(v, root) for k, v in value.items()}
         elif kind in (list, tuple, set, frozenset):
-            mine = kind(map(self._import_value, value))
+            mine = kind(self._import_value(v, root) for v in value)
         else:
             mine = value.copy()
-        self.foreign[id(value)] = self.foreign[id(mine)] = (value, mine)
+        self.foreign[id(value)] = self.foreign[id(mine)] = (value, mine, root)
         return mine
 
     # -- calls ---------------------------------------------------------------
@@ -1149,8 +1403,16 @@ class RateAnalyzer:
     def eval_call(self, node: ast.Call, state: _State, depth: int) -> Any:
         func = node.func
         if isinstance(func, ast.Attribute):
-            owner = self.eval(func.value, state, depth)
-            method = func.attr
+            method, base = func.attr, func.value
+            if isinstance(base, ast.Attribute) and self.is_self(base.value, state):
+                if not (base.attr in CHANNEL_ATTRS and method in CHANNEL_METHODS):
+                    self.note_site(node, base.attr, method, state, depth)
+                owner = self.self_attr(base.attr, value_read=False)
+            else:
+                owner = self.owner(base, state, depth)
+                root = self.foreign.get(id(owner), (None, None, None))[2]
+                if root is not None:  # a call on a copy of self.<root>
+                    self.note_call(root, method)
             if owner is SELF:
                 return self.call_self_method(node, method, state, depth)
             if isinstance(owner, _Channel):
@@ -1158,7 +1420,7 @@ class RateAnalyzer:
             taint = _tainted(owner)
             if taint is not None:
                 self.void(f"call to method {method!r} on a value that is not constant")
-                args = [self.eval(a, state, depth) for a in node.args]
+                args = [self.eval_arg(a, state, depth) for a in node.args]
                 if taint is DATA:
                     self.note_blocker(
                         f"method call .{method}() on stream data"
@@ -1188,14 +1450,34 @@ class RateAnalyzer:
             return UNKNOWN
         return self.call_concrete(node, callee, state, depth)
 
+    def note_site(
+        self, node: ast.Call, attr: str, method: str, state: _State, depth: int
+    ) -> None:
+        """A ``self.<attr>.<method>(…)`` call, with the latency its
+        ``interval=`` states should ``attr`` hold a Portal."""
+        self.note_call(attr, method)
+        latency, reason = None, ""
+        for kw in node.keywords:
+            if kw.arg is None:
+                latency, reason = UNRESOLVED, "the call spreads **kwargs"
+                break
+            if kw.arg == "interval":
+                value = self.effects_only(self.eval, kw.value, state.clone(), depth)
+                if _is_time_interval(type(value)) and type(value.max_time) is int:
+                    latency = value.max_time
+                elif value is not None:
+                    latency = UNRESOLVED
+                    reason = f"interval={ast.unparse(kw.value)} is not a compile-time constant"
+        self.sites[(attr, method, latency, reason)] = None
+
     def _consume_args(self, node: ast.Call, state: _State, depth: int) -> List[Any]:
         self.void("a call the analysis cannot resolve")
         args = []
         for a in node.args:
-            args.append(self.eval(a, state, depth))
+            args.append(self.eval_arg(a, state, depth))
         for kw in node.keywords:
             if kw.value is not None:
-                args.append(self.eval(kw.value, state, depth))
+                args.append(self.eval_arg(kw.value, state, depth))
         if any(isinstance(a, _Channel) for a in args):
             self.channel_escaped = True
         return args
@@ -1206,9 +1488,9 @@ class RateAnalyzer:
         if channel.direction == "in" and method == "pop" and not node.args:
             return self.do_pop(state)
         if channel.direction == "in" and method == "peek" and len(node.args) == 1:
-            return self.do_peek(state, self.eval(node.args[0], state, depth))
+            return self.do_peek(state, self.eval_arg(node.args[0], state, depth))
         if channel.direction == "out" and method == "push" and len(node.args) == 1:
-            self.do_push(state, self.eval(node.args[0], state, depth))
+            self.do_push(state, self.eval_arg(node.args[0], state, depth))
             return None
         self.note_dynamic(f"unmodelled channel call .{method}()")
         self.note_blocker(f"unmodelled channel call .{method}()")
@@ -1221,15 +1503,19 @@ class RateAnalyzer:
         if method == "pop" and not node.args and not node.keywords:
             return self.do_pop(state)
         if method == "peek" and len(node.args) == 1 and not node.keywords:
-            return self.do_peek(state, self.eval(node.args[0], state, depth))
+            return self.do_peek(state, self.eval_arg(node.args[0], state, depth))
         if method == "push" and len(node.args) == 1 and not node.keywords:
-            self.do_push(state, self.eval(node.args[0], state, depth))
+            self.do_push(state, self.eval_arg(node.args[0], state, depth))
             return None
         fn = getattr(self.cls, method, None)
         raw = inspect_unwrap(fn) if fn is not None else None
-        if raw is None or not callable(fn) or not _is_plain_function(raw):
+        if raw is None or not callable(fn) or not isinstance(raw, types.FunctionType):
             # A callable instance attribute or an unresolvable descriptor:
             # never call it.  If it could touch channels we cannot know.
+            if fn is None:
+                self.note_call(method, "__call__")
+            elif not isinstance(raw, property):
+                self.unbounded[f"unresolvable self.{method}() (not a plain method)"] = None
             args = self._consume_args(node, state, depth)
             self.note_dynamic(f"opaque call self.{method}()")
             if any(_tainted(a) is DATA for a in args):
@@ -1238,6 +1524,7 @@ class RateAnalyzer:
                 self.note_blocker(f"opaque call self.{method}()")
             return UNKNOWN
         if depth >= _MAX_CALL_DEPTH:
+            self.unbounded[f"recursive helper call self.{method}()"] = None
             self.note_dynamic(f"helper call self.{method}() exceeds inline depth")
             self.note_blocker(f"helper call self.{method}() exceeds inline depth")
             self._consume_args(node, state, depth)
@@ -1246,10 +1533,20 @@ class RateAnalyzer:
             helper = method_ast(self.cls, method)
         except SourceUnavailable as exc:
             self.note_dynamic(str(exc))
+            self.unbounded[str(exc)] = None
             self.note_blocker(f"helper self.{method}() source unavailable")
             self._consume_args(node, state, depth)
             return UNKNOWN
-        return self.inline_helper(node, helper, method, state, depth)
+        result = self.inline_helper(node, helper, method, state, depth)
+        if result is _NOT_INLINED:  # the body still writes
+            names = [a.arg for a in ast.walk(helper.args) if isinstance(a, ast.arg)]
+            env = dict.fromkeys(names, UNKNOWN)
+            if helper.args.posonlyargs or helper.args.args:
+                env[(helper.args.posonlyargs or helper.args.args)[0].arg] = SELF
+            sub = _State(env, Interval.exactly(0), Interval.exactly(0))
+            self.effects_only(self.exec_body, helper.body, sub, depth + 1)
+            return UNKNOWN
+        return result
 
     def inline_helper(
         self,
@@ -1259,19 +1556,19 @@ class RateAnalyzer:
         state: _State,
         depth: int,
     ) -> Any:
-        args = [self.eval(a, state, depth) for a in node.args]
+        args = [self.eval_arg(a, state, depth) for a in node.args]
         kwargs = {}
         for kw in node.keywords:
             if kw.arg is None:
                 self.note_dynamic(f"**kwargs call to self.{method}()")
                 self.note_blocker(f"**kwargs call to self.{method}()")
-                return UNKNOWN
-            kwargs[kw.arg] = self.eval(kw.value, state, depth)
+                return _NOT_INLINED
+            kwargs[kw.arg] = self.eval_arg(kw.value, state, depth)
         params = helper.args
         if params.vararg or params.kwarg or params.posonlyargs or params.kwonlyargs:
             self.note_dynamic(f"helper self.{method}() has a complex signature")
             self.note_blocker(f"helper self.{method}() has a complex signature")
-            return UNKNOWN
+            return _NOT_INLINED
         names = [a.arg for a in params.args]
         env: Dict[str, Any] = {names[0]: SELF} if names else {}
         defaults = params.defaults
@@ -1284,14 +1581,14 @@ class RateAnalyzer:
         for name, value in kwargs.items():
             if name not in names:
                 self.note_dynamic(f"bad keyword {name!r} for self.{method}()")
-                return UNKNOWN
+                return _NOT_INLINED
             env[name] = value
         missing = [n for n in required if n not in env]
         if missing:
             self.note_dynamic(
                 f"helper self.{method}() called without argument(s) {missing}"
             )
-            return UNKNOWN
+            return _NOT_INLINED
         if any(_tainted(v) is DATA for v in env.values()):
             # runtime/vectorize.py only rebinds ``math`` in work()'s own
             # globals; a helper calling real libm on a batch column would
@@ -1315,14 +1612,16 @@ class RateAnalyzer:
         return result
 
     def call_concrete(self, node: ast.Call, callee: Any, state: _State, depth: int) -> Any:
-        args = [self.eval(a, state, depth) for a in node.args]
+        args = [self.eval_arg(a, state, depth) for a in node.args]
         kwargs: Dict[str, Any] = {}
         for kw in node.keywords:
             if kw.arg is None:
                 return UNKNOWN
-            kwargs[kw.arg] = self.eval(kw.value, state, depth)
+            kwargs[kw.arg] = self.eval_arg(kw.value, state, depth)
         if callee is None:
             return UNKNOWN
+        if callee in (setattr, delattr, vars) and any(a is SELF for a in args):
+            self.unbounded[f"calls {callee.__name__}() on self"] = None
         has_data = any(_tainted(a) is DATA for a in list(args) + list(kwargs.values()))
         has_unknown = any(
             _tainted(a) is UNKNOWN for a in list(args) + list(kwargs.values())
@@ -1357,7 +1656,7 @@ class RateAnalyzer:
             if callee in _SAFE_BUILTINS or is_np:
                 return DATA
             return DATA
-        pure = callee in _SAFE_BUILTINS or is_math or is_np
+        pure = callee in _SAFE_BUILTINS or is_math or is_np or _is_time_interval(callee)
         if has_unknown:
             if not pure:  # never run: what it does to its arguments is lost
                 self.void("a call the analysis cannot resolve")
@@ -1374,6 +1673,12 @@ class RateAnalyzer:
         return UNKNOWN
 
 
+def _is_time_interval(value: Any) -> bool:
+    """Is ``value`` the teleport latency class (a pure value constructor)?"""
+    messaging = sys.modules.get("repro.runtime.messaging")
+    return messaging is not None and value is messaging.TimeInterval
+
+
 def _copied(value: Any) -> bool:
     """Does :meth:`RateAnalyzer._import_value` copy ``value`` (or hand it
     over as the live, opaque object it is)?"""
@@ -1382,22 +1687,18 @@ def _copied(value: Any) -> bool:
     )
 
 
-def _has_channel_ops(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr in {"pop", "peek", "push", "pop_many", "push_many"}:
-                return True
-    return False
+def _has_channel_ops(node: ast.AST, methods: frozenset = CHANNEL_METHODS) -> bool:
+    return any(
+        isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr in methods
+        for sub in ast.walk(node)
+    )
 
 
 def _has_consuming_ops(node: ast.AST) -> bool:
     """Channel operations that move the pop/push counters — ``peek`` is
     read-only and excluded, so peek-only constructs never cost exactness."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr in {"pop", "push", "pop_many", "push_many"}:
-                return True
-    return False
+    return _has_channel_ops(node, CHANNEL_METHODS - {"peek"})
 
 
 def inspect_unwrap(fn: Any) -> Any:
@@ -1407,10 +1708,6 @@ def inspect_unwrap(fn: Any) -> Any:
         return inspect.unwrap(fn)
     except Exception:
         return fn
-
-
-def _is_plain_function(fn: Any) -> bool:
-    return isinstance(fn, types.FunctionType)
 
 
 def _work_globals(cls: type) -> Dict[str, Any]:
@@ -1479,6 +1776,8 @@ def _resolved(value: Any) -> Any:
     fingerprint, anything else (a function, a class, an object) opaque."""
     if isinstance(value, types.ModuleType):
         return ("module", value.__name__)
+    if _is_time_interval(value):  # a value constructor of fixed meaning
+        return ("TimeInterval",)
     return _fingerprint(value)
 
 
@@ -1675,15 +1974,14 @@ def _class_origin(k: type) -> Optional[tuple]:
 def _store_stem(key: tuple) -> Optional[str]:
     """The name ``key``'s entries are stored under, the same in every
     process: its class by :func:`_class_origin` of each class of the MRO,
-    the declared rate, the unstable set, the rows flag, this package's
-    source, the Python version and numpy's; None when the class has no
-    such name."""
-    cls, _work, rate, unstable, rows = key
+    the declared rate, the rows flag, this package's source, the Python
+    version and numpy's; None when the class has no such name."""
+    cls, _work, rate, rows = key
     origins = [_class_origin(k) for k in cls.__mro__ if k is not object]
     if None in origins:
         return None
     parts = (
-        origins, (rate.peek, rate.pop, rate.push), sorted(unstable), rows,
+        origins, (rate.peek, rate.pop, rate.push), rows,
         _analysis_digest(), sys.version_info[:2], getattr(_np, "__version__", None),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:32]
@@ -1695,56 +1993,56 @@ def _report_data(report: RateReport) -> tuple:
     return (
         report.pop.lo, report.pop.hi, report.push.lo, report.push.hi, report.max_peek,
         report.dynamic, report.peek_violations, report.cert_blockers, rows, report.nonlinear,
+        tuple(report.facts),
     )
 
 
 def _report_of(data: tuple) -> RateReport:
-    pop_lo, pop_hi, push_lo, push_hi, *findings, rows, nonlinear = data
+    pop_lo, pop_hi, push_lo, push_hi, *findings, rows, nonlinear, facts = data
     rows = rows and tuple(Affine(dict(coeffs), const) for coeffs, const in rows)
     return RateReport(
-        Interval(pop_lo, pop_hi), Interval(push_lo, push_hi), *findings, rows, nonlinear
+        Interval(pop_lo, pop_hi), Interval(push_lo, push_hi), *findings, rows, nonlinear,
+        WorkFacts(*facts),
     )
 
 
 MEMO = _ReadSetMemo()
 
 
-def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
-    """Symbolically execute ``filt.work()`` and report channel counts.
+def analyze_rates(filt: Filter) -> RateReport:
+    """Symbolically execute ``filt.work()``: channel counts and effects facts.
 
-    ``unstable_attrs`` are the attributes the effects pass proved (or
-    suspects) are mutated across firings — their reads evaluate to
-    :data:`UNKNOWN` so the analysis never trusts a stale build-time value.
+    Attributes the run writes or calls on are unstable — their reads
+    evaluate to :data:`UNKNOWN`, so the analysis never trusts a stale
+    build-time value (:meth:`RateAnalyzer.run`).
 
     The report is a deterministic function of the class (its ``work()`` and
-    helper ASTs), the declared rates, the unstable set and the values of
-    the ``self.<attr>``, module globals and module attributes the run
-    reads, so it is memoised
+    helper ASTs), the declared rates and the values of the ``self.<attr>``,
+    module globals and module attributes the run reads, so it is memoised
     on exactly those: an instance whose current values fingerprint like an
     earlier run's shares that run's (read-only) report — in this process
     or, through the cache directory, in a later one.  A run that read an
     opaque value is not memoised.
     """
-    return _memoised(filt, unstable_attrs, rows=False)
+    return _memoised(filt, rows=False)
 
 
 def affine_rows(filt: Filter) -> RateReport:
-    """:func:`analyze_rates` of a filter the linearity pre-screen passed (no
-    unstable attribute), with the affine form of every pushed item in
+    """:func:`analyze_rates` with the affine form of every pushed item in
     ``report.rows`` — or the reason there is none in ``report.nonlinear``.
     A second memo entry beside the rate report's: ``validate()`` and
     streamlint never ask for rows and never pay for them."""
-    return _memoised(filt, frozenset(), rows=True)
+    return _memoised(filt, rows=True)
 
 
-def _memoised(filt: Filter, unstable_attrs: Set[str], rows: bool) -> RateReport:
+def _memoised(filt: Filter, rows: bool) -> RateReport:
     cls = type(filt)
-    key = (cls, inspect_unwrap(cls.work), filt.rate, frozenset(unstable_attrs), rows)
+    key = (cls, inspect_unwrap(cls.work), filt.rate, rows)
     report = MEMO.recall(key, filt)
     if report is None:
         report = MEMO.load(key, filt)
     if report is None:
-        analyzer = RateAnalyzer(filt, unstable_attrs, rows)
+        analyzer = RateAnalyzer(filt, rows)
         report = analyzer.run()
         MEMO.remember(key, analyzer.reads, report)
     return report

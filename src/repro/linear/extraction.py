@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.effects import STATEFUL, classify
-from repro.analysis.linearity import affine_prescreen
+from repro.analysis.linearity import affine_prescreen_report
 from repro.analysis.rates import affine_rows
 from repro.errors import ExtractionError
 from repro.graph.base import Filter
@@ -47,18 +47,18 @@ class ExtractionResult:
 def try_extract(filt: Filter) -> ExtractionResult:
     """Run linear extraction, reporting the rep or the reason it failed.
 
-    The effects pre-screen answers "stateful" (and "sends messages") from
-    the alias- and helper-aware write set; what passes it is executed once
-    per distinct (class, values read) with rows.  A ``work()`` that breaks
-    its declared rates is an :class:`ExtractionError`, not a verdict.
+    One run of the executor with rows per distinct (class, values read):
+    its effects facts answer "stateful" (and "sends messages") first, from
+    the alias- and helper-aware write set.  A ``work()`` that breaks its
+    declared rates is an :class:`ExtractionError`, not a verdict.
     """
     rate = filt.rate
     if rate.pop == 0 or rate.push == 0:
         return ExtractionResult(None, stateful=False, reason="source or sink filter")
-    candidate, reason = affine_prescreen(filt)
+    report = affine_rows(filt)
+    candidate, reason = affine_prescreen_report(filt, classify(filt, report))
     if not candidate:
         return ExtractionResult(None, stateful=True, reason=reason)
-    report = affine_rows(filt)
     if report.peek_violations:
         raise ExtractionError(f"{filt.name}: {report.peek_violations[0]}")
     if report.rows is None:
@@ -85,9 +85,10 @@ def extract_linear(filt: Filter) -> Optional[LinearRep]:
 
 
 def is_stateful(filt: Filter) -> bool:
-    """True if the filter's work function may mutate instance state: the
-    effects pass found a write (direct, aliased or in a helper) or could not
-    bound the write set (conservatively stateful).
+    """True if the filter's work function may mutate state: the executor
+    found a write (direct, aliased, in a helper, on an arm it did not take,
+    or into a module-level object) or could not bound the write set
+    (conservatively stateful).
 
     Stateless filters can be fissed (data-parallelized); stateful ones
     cannot.  Peeking does not make a filter stateful, but fissing a peeking

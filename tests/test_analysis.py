@@ -27,7 +27,6 @@ from repro.analysis import (
     analyze_filter,
     analyze_stream,
     classify,
-    work_effects,
 )
 from repro.analysis import rates as rates_mod
 from repro.analysis.effects import method_ast
@@ -41,6 +40,7 @@ from repro.graph import source as source_mod
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.linear import apply_selection
 from repro.linear.extraction import is_stateful, try_extract
+from repro.machine.model import ModelGraph
 from repro.runtime import Interpreter, clear_codegen_cache
 from repro.runtime.messaging import Portal
 from repro.runtime.plan import clear_plan_cache
@@ -313,7 +313,8 @@ class TestEffects:
         assert "target" in mutator.mutated
 
     def test_class_level_effects_cached(self):
-        assert work_effects(Gain) is work_effects(Gain)
+        # Equal instances share one executor run, and so its facts.
+        assert classify(Gain(2.0)).facts is classify(Gain(2.0)).facts
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +454,6 @@ class PortalGuard(Filter):
         self.push(x)
 
 
-def _unstable(analysis):
-    effects = analysis.effects
-    return set(effects.mutated) | {attr for attr, _ in effects.message_sends}
-
-
 @pytest.fixture
 def analyzer_runs(monkeypatch):
     """Names of the filters the symbolic executor actually ran on."""
@@ -519,7 +515,7 @@ class TestRateMemo:
                 analysis = analyze_filter(filt)
                 if analysis.rates is None:
                     continue
-                fresh = RateAnalyzer(filt, _unstable(analysis)).run()
+                fresh = RateAnalyzer(filt).run()
                 assert analysis.rates == fresh, (name, filt.name)
 
     def test_repeated_template_is_analysed_once(self, analyzer_runs):
@@ -592,13 +588,13 @@ class TestRateMemo:
         assert rates_mod.value_fingerprint is _fingerprint  # region collapse
 
     def test_module_global_is_part_of_the_read_set(self, monkeypatch, analyzer_runs):
-        first = rates_mod.analyze_rates(PopsGlobal(), set())
+        first = rates_mod.analyze_rates(PopsGlobal())
         assert first.pop.exact and first.pop.lo == 2
         monkeypatch.setattr(sys.modules[__name__], "POPS", 4)
-        again = rates_mod.analyze_rates(PopsGlobal(), set())
+        again = rates_mod.analyze_rates(PopsGlobal())
         assert again is not first and again.pop.exact and again.pop.lo == 4
         monkeypatch.setattr(sys.modules[__name__], "POPS", 2)
-        assert rates_mod.analyze_rates(PopsGlobal(), set()) is first
+        assert rates_mod.analyze_rates(PopsGlobal()) is first
         assert len(analyzer_runs) == 2
 
     def test_a_full_memo_keeps_the_entries_not_written_yet(self, monkeypatch, analyzer_runs):
@@ -606,7 +602,7 @@ class TestRateMemo:
         module = sys.modules[__name__]
         for pops in (1, 2, 3):  # three entries of a stored key, unwritten
             monkeypatch.setattr(module, "POPS", pops)
-            rates_mod.analyze_rates(PopsGlobal(), set())
+            rates_mod.analyze_rates(PopsGlobal())
 
         for pop in range(1, 8):  # seven keys never stored overflow the memo
 
@@ -617,7 +613,7 @@ class TestRateMemo:
                 def work(self):
                     self.push(self.pop())
 
-            rates_mod.analyze_rates(Local(), set())
+            rates_mod.analyze_rates(Local())
             assert len(rates_mod.MEMO) <= 8
 
         rates_mod.MEMO.flush()
@@ -625,12 +621,12 @@ class TestRateMemo:
         analyzer_runs.clear()
         for pops in (1, 2, 3):
             monkeypatch.setattr(module, "POPS", pops)
-            assert rates_mod.analyze_rates(PopsGlobal(), set()).pop.lo == pops
+            assert rates_mod.analyze_rates(PopsGlobal()).pop.lo == pops
         assert analyzer_runs == []
 
     def test_filter_reading_an_opaque_global_is_never_memoised(self, analyzer_runs):
         for _ in range(2):
-            rates_mod.analyze_rates(CallsModuleFunction(), set())
+            rates_mod.analyze_rates(CallsModuleFunction())
         assert len(analyzer_runs) == 2
         assert len(rates_mod.MEMO) == 0
 
@@ -942,6 +938,25 @@ class TestStateOutsideTheInstance:
         assert filt.coeffs == [2.0, 3.0]
 
 
+class ModeCounter(Filter):
+    """Counts its firings once a message has turned ``mode`` on."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+        self.mode = False
+        self.count = 0
+
+    def set_mode(self, on):
+        """Teleport message handler."""
+        self.mode = on
+
+    def work(self):
+        self.pop()
+        if self.mode:
+            self.count += 1
+        self.push(self.count)
+
+
 class TestOneDefinitionOfStateful:
     @pytest.mark.parametrize("cls", [AliasBufWriter, AliasHelperState])
     def test_alias_and_helper_writes_are_stateful(self, cls):
@@ -952,6 +967,31 @@ class TestOneDefinitionOfStateful:
     def test_unbounded_effects_are_stateful(self):
         assert is_stateful(SetattrState()) and is_stateful(EscapingSelf())
         assert not is_stateful(FIR([1.0, 2.0]))
+
+    @pytest.mark.parametrize("cls", [NestedAliasWriter, GlobalStore])
+    def test_hidden_state_is_never_fissed(self, cls, table):
+        # Splitting either would change the output: the copies would each
+        # keep (or fight over) the one piece of state.
+        filt = cls()
+        assert is_stateful(filt)
+        with pytest.raises(ValidationError, match="stateful"):
+            fiss(cls(), 2)
+        actors = {a.name: a for a in ModelGraph.from_stream(pipe(filt)).actors}
+        assert actors[filt.name].stateful
+
+    def test_a_write_on_an_untaken_arm_is_a_write(self):
+        # ``mode`` is False at build time, but a message handler flips it:
+        # the write set may grow with what the run skips, never shrink.
+        filt = ModeCounter()
+        for _ in range(2):
+            report = classify(filt)
+            assert report.classification == "stateful"
+            assert report.mutated == ("count",)
+            rates = analyze_filter(filt, refresh=True).rates
+            # self.count reads as UNKNOWN, not as its build-time 0.
+            assert "pushes a value the analysis cannot type" in rates.cert_blockers
+            filt.set_mode(True)
+        assert is_stateful(filt)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1136,39 @@ class Draining(Filter):
 def build():
     return Pipeline(ArraySource([1.0] * 8), Draining(), CollectSink())
 """
+
+
+#: Per-code diagnostic counts of ``analyze_stream`` over every app.  A
+#: change of verdict must change this table on purpose.
+STREAMLINT_VERDICTS = {
+    "Beamformer": {"SL101": 2, "SL201": 20, "SL300": 16, "SL301": 6},
+    "BitonicSort": {"SL101": 2, "SL201": 48, "SL300": 24, "SL301": 26},
+    "ChannelVocoder": {"SL101": 2, "SL201": 32, "SL300": 16, "SL301": 18},
+    "DCT": {"SL101": 2, "SL201": 34, "SL300": 34, "SL301": 2},
+    "DES": {"SL101": 2, "SL201": 243, "SL300": 114, "SL301": 131},
+    "DToA": {"SL101": 2, "SL201": 5, "SL300": 5, "SL301": 2},
+    "FFT": {"SL101": 2, "SL201": 12, "SL300": 12, "SL301": 2},
+    "FIR": {"SL101": 2, "SL201": 1, "SL300": 1, "SL301": 2},
+    "FMRadio": {"SL101": 2, "SL201": 9, "SL300": 9, "SL301": 2},
+    "FilterBank": {"SL101": 2, "SL201": 25, "SL300": 25, "SL301": 2},
+    "FreqHopRadio": {"SL101": 7, "SL201": 12, "SL300": 12, "SL301": 7},
+    "MPEG2Decoder": {"SL101": 4, "SL201": 20, "SL300": 19, "SL301": 5},
+    "Oversampler": {"SL101": 2, "SL201": 8, "SL300": 8, "SL301": 2},
+    "Radar": {"SL101": 18, "SL201": 4, "SL300": 4, "SL301": 18},
+    "RateConvert": {"SL101": 2, "SL201": 3, "SL300": 3, "SL301": 2},
+    "Serpent": {"SL101": 2, "SL201": 274, "SL300": 17, "SL301": 259},
+    "TDE": {"SL101": 2, "SL201": 22, "SL300": 22, "SL301": 2},
+    "TargetDetect": {"SL101": 2, "SL201": 5, "SL300": 4, "SL301": 3},
+    "Vocoder": {"SL101": 10, "SL201": 33, "SL300": 33, "SL301": 10},
+}
+
+
+def test_streamlint_verdicts_are_pinned():
+    counts = {}
+    for name, build in sorted(ALL_APPS.items()):
+        codes = [d.code for d in analyze_stream(build())]
+        counts[name] = {code: codes.count(code) for code in sorted(set(codes))}
+    assert counts == STREAMLINT_VERDICTS
 
 
 class TestLintCLI:

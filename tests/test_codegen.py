@@ -563,7 +563,7 @@ def test_work_assigned_at_run_time_is_not_read_from_the_store(monkeypatch):
     monkeypatch.setattr(PushOnce, "work", _push_twice)
     # ...and another process whose PushOnce.work is not the source's own
     # does not read it.
-    assert rates_mod.analyze_rates(PushOnce(), set()).push.lo == 2
+    assert rates_mod.analyze_rates(PushOnce()).push.lo == 2
 
 
 _GAIN_CFG = "TAPS = 2\nGAIN = 2.0\n"
@@ -621,11 +621,11 @@ def test_reads_through_a_module_are_part_of_the_stored_key(gain_modules, monkeyp
     _new_process()
     ran.clear()
     assert coeffs() == [{0: 3.0, 1: 3.0}]
-    assert rates_mod.analyze_rates(mod.Gain(), set()).pop.lo == 2
+    assert rates_mod.analyze_rates(mod.Gain()).pop.lo == 2
     assert len(ran) == 2 and codegen_cache_stats["analysis_misses"] == 2
 
     cfg.TAPS = 3  # in-process: the memo's key moves too
-    assert rates_mod.analyze_rates(mod.Gain(), set()).pop.lo == 3
+    assert rates_mod.analyze_rates(mod.Gain()).pop.lo == 3
     assert len(ran) == 3
 
     cfg.GAIN, cfg.TAPS = 2.0, 2  # back to what the store holds
@@ -723,7 +723,7 @@ print(json.dumps(result))
 """
 
 
-def _sweep_process(cache: Path, apps) -> subprocess.Popen:
+def _sweep_process(cache: Path, apps, script: str = _SWEEP) -> subprocess.Popen:
     src = str(Path(codegen_mod.__file__).resolve().parents[2])
     env = dict(
         os.environ,
@@ -731,7 +731,7 @@ def _sweep_process(cache: Path, apps) -> subprocess.Popen:
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     return subprocess.Popen(
-        [sys.executable, "-W", "ignore", "-c", _SWEEP, *apps],
+        [sys.executable, "-W", "ignore", "-c", script, *apps],
         env=env, stdout=subprocess.PIPE, text=True,
     )
 
@@ -751,6 +751,49 @@ def test_racing_processes_share_one_cache_directory(tmp_path):
         assert warm["apps"][name]["output"] == scalar
         for racer in cold:
             assert racer["apps"][name] == warm["apps"][name]
+
+
+_EFFECTS = """
+import json, sys
+from repro.analysis import classify, effects, rates, send_sites
+from repro.apps import ALL_APPS
+from repro.runtime import Interpreter, codegen_cache_stats
+
+runs, asts = [], []
+real_run, real_ast = rates.RateAnalyzer.run, effects.function_ast
+rates.RateAnalyzer.run = lambda self: runs.append(1) or real_run(self)
+effects.function_ast = lambda fn: asts.append(fn.__name__) or real_ast(fn)
+found = {}
+for name in ("Beamformer", "FreqHopRadio"):
+    app = ALL_APPS[name]()
+    if sys.argv[1] == "store":
+        with Interpreter(app, check=True, engine="codegen") as interp:
+            interp.run(1)
+    for filt in app.filters():
+        if type(filt).__name__ in ("BeamFirFilter", "HopDetector"):
+            report = classify(filt)
+            found[filt.name] = [repr(report), [list(s) for s in send_sites(filt, report)]]
+print(json.dumps({
+    "effects": found, "runs": len(runs), "work_asts": asts.count("work"),
+    "stats": dict(codegen_cache_stats),
+}))
+"""
+
+
+def test_a_warm_process_reads_the_effects_from_the_entry(tmp_path):
+    """Stateful filters and a sender: the second process classifies them
+    and lists the sends off the stored reports, without reading work()."""
+    cold, warm = (
+        json.loads(_sweep_process(tmp_path, [mode], _EFFECTS).communicate(timeout=300)[0])
+        for mode in ("store", "read")
+    )
+    assert warm["effects"] == cold["effects"]
+    assert all("classification='stateful'" in r for r, _ in warm["effects"].values())
+    sites = [site for _, found in warm["effects"].values() for site in found]
+    assert sites and all(site == ["portal", "setf", 6, ""] for site in sites)
+    assert cold["runs"] > 0 and cold["work_asts"] > 0
+    assert warm["stats"]["analysis_hits"] > 0 and warm["stats"]["analysis_misses"] == 0
+    assert warm["runs"] == 0 and warm["work_asts"] == 0
 
 
 def test_plan_cache_eviction_counter(monkeypatch):

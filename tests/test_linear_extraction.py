@@ -1,6 +1,7 @@
 """Tests for linear extraction (the paper's linear dataflow analysis)."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import work_effects
+from repro.analysis.effects import CHANNEL_ATTRS, CHANNEL_METHODS, method_ast
 from repro.analysis.rates import value_fingerprint
 from repro.apps import ALL_APPS
 from repro.errors import ExtractionError
@@ -317,13 +318,29 @@ class TestExtractionAgainstExecution:
         assert np.allclose(out, expected[: len(out)])
 
 
+def _named_attributes(cls):
+    """Every ``self.<name>`` in ``work()`` and the helpers it calls, but
+    the channel operations."""
+    names, todo, walked = set(), ["work"], set()
+    while todo:
+        method = todo.pop()
+        if method in walked | CHANNEL_METHODS or not inspect.isfunction(getattr(cls, method, None)):
+            continue
+        walked.add(method)
+        for node in ast.walk(method_ast(cls, method)):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
+                names.add(node.attr)
+                todo.append(node.attr)
+    return names - CHANNEL_ATTRS - CHANNEL_METHODS
+
+
 def _shipped_linear_filters():
     """One filter per distinct (class, fingerprint of the attributes its
-    ``work()`` reads) over every app, keeping those extraction calls linear."""
+    ``work()`` names) over every app, keeping those extraction calls linear."""
     seen, cases = set(), []
     for app, build in sorted(ALL_APPS.items()):
         for filt in build().filters():
-            reads = sorted(work_effects(type(filt)).reads)
+            reads = sorted(_named_attributes(type(filt)))
             key = (type(filt), tuple(value_fingerprint(getattr(filt, a, None)) for a in reads))
             if key in seen or not (filt.rate.pop and filt.rate.push):
                 continue
@@ -369,3 +386,27 @@ class TestOneReaderOfWork:
                 if isinstance(node, ast.ClassDef):
                     bases = {ast.unparse(b) for b in node.bases}
                     assert not bases & {"ast.NodeVisitor", "NodeVisitor"}, (path.name, node.name)
+
+    def test_one_analysis_module_dispatches_on_statements(self):
+        hits = sorted(
+            path.name
+            for path in (self.SRC / "repro" / "analysis").glob("*.py")
+            if re.search(r"\bast\.(Assign|AugAssign|For)\b", path.read_text())
+        )
+        assert hits == ["rates.py"]
+
+    def test_effects_defines_no_statement_methods(self):
+        tree = ast.parse((self.SRC / "repro" / "analysis" / "effects.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                walkers = {"stmt", "body", "expr", "target", "exec_stmt", "exec_body", "generic_visit"}
+                assert not methods & walkers, (node.name, methods & walkers)
+                assert not any(m.startswith("visit_") for m in methods), node.name
+
+    def test_the_effects_scanner_is_gone(self):
+        import repro.analysis as analysis
+        from repro.analysis import effects
+
+        for name in ("work_effects", "WorkEffects", "_Scanner", "CallSite", "_site_latency"):
+            assert not hasattr(effects, name) and not hasattr(analysis, name), name

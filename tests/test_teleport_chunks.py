@@ -471,6 +471,7 @@ def sender_graph(cls, upstream=True, latency=3):
         (SendPositional, 6),
         (SendHeldInterval, 3),
         (SendModuleInterval, 6),
+        (SendComputed, 4),  # latency + 1: the executor evaluates interval=
     ],
 )
 def test_constant_latency_resolves_and_sets_the_chunk(cls, latency):
@@ -490,7 +491,6 @@ def test_constant_latency_resolves_and_sets_the_chunk(cls, latency):
     "cls",
     [
         SendWrittenAttr,
-        SendComputed,
         SendShadowedName,
         SendThroughAlias,
         SendThroughContainer,
