@@ -413,9 +413,14 @@ class SendWrittenAttr(_Send):
         self.portal.retune(x, interval=TimeInterval(max_time=self.latency))
 
 
-class SendComputed(_Send):
+class SendAttrPlusOne(_Send):
     def send(self, x):
         self.portal.retune(x, interval=TimeInterval(max_time=self.latency + 1))
+
+
+class SendComputed(_Send):
+    def send(self, x):
+        self.portal.retune(x, interval=TimeInterval(max_time=2 + int(x)))
 
 
 class SendShadowedName(_Send):
@@ -471,7 +476,7 @@ def sender_graph(cls, upstream=True, latency=3):
         (SendPositional, 6),
         (SendHeldInterval, 3),
         (SendModuleInterval, 6),
-        (SendComputed, 4),  # latency + 1: the executor evaluates interval=
+        (SendAttrPlusOne, 4),  # latency + 1: the executor evaluates interval=
     ],
 )
 def test_constant_latency_resolves_and_sets_the_chunk(cls, latency):
@@ -491,6 +496,7 @@ def test_constant_latency_resolves_and_sets_the_chunk(cls, latency):
     "cls",
     [
         SendWrittenAttr,
+        SendComputed,
         SendShadowedName,
         SendThroughAlias,
         SendThroughContainer,
