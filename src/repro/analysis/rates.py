@@ -1,6 +1,7 @@
 """Static rate analysis: symbolically count ``push``/``pop``/``peek``.
 
-An abstract interpreter over a filter's ``work()`` AST.  Values live in a
+An abstract interpreter over a filter's ``work()``, whose AST is lowered
+once per process into closures (see "lowering" below).  Values live in a
 three-level domain:
 
 * **concrete** Python values (ints, floats, lists, modules, …) — evaluated
@@ -64,6 +65,7 @@ import numbers
 import operator
 import sys
 import types
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
@@ -287,13 +289,6 @@ class _GiveUp(Exception):
 #: :meth:`RateAnalyzer.inline_helper` could not bind the call's arguments.
 _NOT_INLINED = object()
 
-#: What a pass reports besides its counts: :meth:`RateAnalyzer.effects_only`
-#: restores them.
-_FINDINGS = (
-    "nonlinear", "max_peek", "dynamic", "violations", "blockers", "ended", "channel_escaped",
-)
-
-
 _BIN_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
@@ -365,7 +360,9 @@ class _State:
 
 
 class RateAnalyzer:
-    """Symbolic executor for one filter instance's ``work()``."""
+    """Symbolic executor for one filter instance's ``work()``: it runs the
+    closures :func:`lowered` made of the body, and of each helper the body
+    inlines, against this instance."""
 
     def __init__(self, filt: Filter, rows: bool = False) -> None:
         self.filt = filt
@@ -384,6 +381,8 @@ class RateAnalyzer:
         self.escapes: Dict[str, None] = {}
         #: Where work()'s free names resolve.
         self.globals: Dict[str, Any] = _work_globals(self.cls)
+        #: method name -> what ``self.<name>(…)`` calls (:meth:`method`).
+        self.methods: Dict[str, Any] = {}
         self._new_pass()
 
     def _new_pass(self) -> None:
@@ -439,6 +438,13 @@ class RateAnalyzer:
         else:
             self.note_write(root)
 
+    def note_held_store(self, held: Any) -> None:
+        """A store into ``held``: reported, and never performed, when it
+        is a live object or its stand-in."""
+        known = self.foreign.get(id(held))
+        if known is not None:
+            self.note_foreign_store(known[2])
+
     def note_blocker(self, reason: str) -> None:
         if reason not in self.blockers:
             self.blockers.append(reason)
@@ -456,22 +462,35 @@ class RateAnalyzer:
         self.unstable.add(attr)
 
     def tick(self) -> None:
+        """One step of the budget (the closures of the commonest nodes
+        inline it)."""
         self.steps += 1
         if self.steps > _MAX_STEPS:
             raise _GiveUp
 
     def effects_only(self, walk, *args) -> Any:
-        """``walk(*args)`` for its effects facts alone — on code this run
-        does not take — and its value (None if it jumps): the counts,
+        """``walk(self, *args)`` for its effects facts alone — on code this
+        run does not take — and its value (None if it jumps): the counts,
         findings and rows it produces are thrown away."""
-        saved = {name: getattr(self, name) for name in _FINDINGS}
+        saved = (
+            self.nonlinear, self.max_peek, self.dynamic, self.violations, self.blockers,
+            self.ended, self.channel_escaped,
+        )
         self.dynamic, self.violations, self.blockers, self.ended = [], [], [], []
         try:
-            return walk(*args)
-        except (_Return, _Break, _Continue, _PathRaise):
+            return walk(self, *args)
+        except _JUMPS:
             return None
         finally:
-            self.__dict__.update(saved)
+            (
+                self.nonlinear, self.max_peek, self.dynamic, self.violations, self.blockers,
+                self.ended, self.channel_escaped,
+            ) = saved
+
+    def skipped(self, body, state: _State, depth: int) -> None:
+        """Walk a lowered body this run does not take for its effects alone."""
+        if body is not _nothing:
+            self.effects_only(body, state.clone(), depth)
 
     # -- entry ---------------------------------------------------------------
 
@@ -489,17 +508,16 @@ class RateAnalyzer:
         pop = Interval.exactly(0)
         push = Interval.exactly(0)
         try:
-            fn = method_ast(self.cls)
+            work = lowered(method_ast(self.cls))
         except SourceUnavailable as exc:
             self.note_dynamic(str(exc))
             self.unbounded[str(exc)] = None
             self.note_blocker("work() source unavailable")
             return self._report(Interval(0, math.inf), Interval(0, math.inf))
-        self_name = fn.args.args[0].arg if fn.args.args else "self"
-        state = _State({self_name: SELF}, pop, push)
+        state = _State({work.self_name: SELF}, pop, push)
         try:
             try:
-                self.exec_body(fn.body, state, depth=0)
+                work.body(self, state, 0)
             except _Return:
                 pass
             except (_Break, _Continue):
@@ -543,7 +561,7 @@ class RateAnalyzer:
     # -- channel ops ---------------------------------------------------------
 
     def do_pop(self, state: _State) -> Any:
-        if state.pop.exact and state.pop.hi == self.filt.rate.pop:
+        if state.pop.hi == self.filt.rate.pop and state.pop.exact:
             self.note_violation(
                 f"work() pops more than the declared pop rate "
                 f"{self.filt.rate.pop}"
@@ -590,644 +608,46 @@ class RateAnalyzer:
                 self.void(f"value {value!r} cannot appear in stream arithmetic")
             else:
                 state.rows += (row,)
-        if state.push.exact and state.push.hi == self.filt.rate.push:
+        if state.push.hi == self.filt.rate.push and state.push.exact:
             self.note_violation(
                 f"work() pushes more than the declared push rate "
                 f"{self.filt.rate.push}"
             )
         state.push.bump()
 
-    # -- statements ----------------------------------------------------------
+    # -- control flow --------------------------------------------------------
 
-    def exec_body(self, stmts: List[ast.stmt], state: _State, depth: int) -> None:
-        for i, stmt in enumerate(stmts):
-            try:
-                self.exec_stmt(stmt, state, depth)
-            except (_Return, _Break, _Continue, _PathRaise):
-                if i + 1 < len(stmts):  # what follows the jump still writes
-                    self.effects_only(self.exec_body, stmts[i + 1:], state.clone(), depth)
-                raise
-
-    def is_self(self, node: ast.expr, state: _State) -> bool:
-        return isinstance(node, ast.Name) and state.env.get(node.id) is SELF
-
-    def exec_stmt(self, stmt: ast.stmt, state: _State, depth: int) -> None:
-        self.tick()
-        if isinstance(stmt, ast.Expr):
-            self.eval(stmt.value, state, depth)
-        elif isinstance(stmt, ast.Assign):
-            if self.is_self(stmt.value, state) and all(
-                isinstance(t, ast.Name) for t in stmt.targets
-            ):
-                value = SELF  # an alias of self, not an escape
-            else:
-                value = self.eval(stmt.value, state, depth)
-            for target in stmt.targets:
-                self.assign(target, value, state, depth)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                value = self.eval(stmt.value, state, depth)
-                self.assign(stmt.target, value, state, depth)
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name):
-                # ``buf += …`` may mutate in place what ``buf`` names.
-                held = state.env.get(stmt.target.id)
-                if id(held) in self.foreign:
-                    self.note_foreign_store(self.foreign[id(held)][2])
-            # eval() never looks at an expression's context, so the
-            # Store-context target reads as a load.
-            load = ast.BinOp(left=stmt.target, op=stmt.op, right=stmt.value)
-            value = self.eval(load, state, depth)
-            self.assign(stmt.target, value, state, depth)
-        elif isinstance(stmt, ast.If):
-            self.exec_if(stmt, state, depth)
-        elif isinstance(stmt, ast.For):
-            self.exec_for(stmt, state, depth)
-        elif isinstance(stmt, ast.While):
-            self.exec_while(stmt, state, depth)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None and self.is_self(stmt.value, state):
-                self.escapes["work returns self"] = None
-                raise _Return(SELF)
-            value = self.eval(stmt.value, state, depth) if stmt.value else None
-            raise _Return(value)
-        elif isinstance(stmt, ast.Raise):
-            raise _PathRaise
-        elif isinstance(stmt, ast.Assert):
-            held = self.nonlinear
-            test = self.eval(stmt.test, state, depth)
-            if _tainted(test) is None:
-                try:
-                    if not test:
-                        raise _PathRaise
-                except _PathRaise:
-                    raise
-                except Exception:
-                    pass
-            elif not self.dynamic:
-                # A check *on* stream data is not stream arithmetic: what
-                # its test lost of the affine forms is not held against
-                # the rows (a linear node just does not make the check).
-                self.nonlinear = held
-        elif isinstance(stmt, (ast.Break,)):
-            raise _Break
-        elif isinstance(stmt, ast.Continue):
-            raise _Continue
-        elif isinstance(stmt, ast.Pass):
-            pass
-        elif isinstance(stmt, ast.Delete):
-            self.void("unsupported statement Delete")
-            for target in stmt.targets:
-                self.delete(target, state, depth)
-        elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            names = " ".join(stmt.names)
-            self.unbounded[f"declares {names} {type(stmt).__name__.lower()}"] = None
-        elif isinstance(stmt, ast.Try):
-            self.exec_try(stmt, state, depth)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            # A nested function closing over self can do anything later.
-            if self._mentions_self(stmt, state):
-                self.escapes[f"self captured by nested {stmt.name!r}"] = None
-            self._degrade_if_channel_ops(stmt, "nested definition")
-            state.env[stmt.name] = UNKNOWN
-            self.note_blocker(f"nested {type(stmt).__name__} in work()")
-        else:
-            # with/match/… — too much control-flow ambiguity to model.
-            if isinstance(stmt, ast.With):
-                self.effects_only(self._walk_with, stmt, state.clone(), depth)
-            elif self._mentions_self(stmt, state):
-                self.escapes[f"self reachable through unmodelled {type(stmt).__name__}"] = None
-            self._degrade_if_channel_ops(stmt, type(stmt).__name__)
-            self._havoc_assigned(stmt, state)
-            self.note_blocker(f"unmodelled statement {type(stmt).__name__}")
-
-    def _walk_with(self, stmt: ast.With, state: _State, depth: int) -> None:
-        for item in stmt.items:
-            self.eval(item.context_expr, state, depth)
-            if item.optional_vars is not None:
-                self.assign(item.optional_vars, UNKNOWN, state, depth)
-        self.exec_body(stmt.body, state, depth)
-
-    def _mentions_self(self, node: ast.AST, state: _State) -> bool:
-        return any(self.is_self(sub, state) for sub in ast.walk(node))
-
-    def delete(self, target: ast.expr, state: _State, depth: int) -> None:
-        """``del target``: of an attribute or item of state, a write."""
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self.delete(elt, state, depth)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            root = self.self_root(target, state)
-            if root is not None:
-                self.note_write(root)
-            held = self.owner(target.value, state, depth)
-            if id(held) in self.foreign:
-                self.note_foreign_store(self.foreign[id(held)][2])
-
-    def exec_try(self, stmt: ast.Try, state: _State, depth: int) -> None:
-        """Model try/finally exactly; try/except degrades to dynamic.
-
-        Without handlers the body either completes or aborts the firing, so
-        counting the body then the finalizer is exact.  With ``except``
-        clauses the transfer points are unknowable statically.
-        """
-        if stmt.handlers:
-            for part in (stmt.body, *(h.body for h in stmt.handlers), stmt.orelse, stmt.finalbody):
-                self.effects_only(self.exec_body, part, state.clone(), depth)
-            self._degrade_if_channel_ops(stmt, "try/except")
-            self._havoc_assigned(stmt, state)
-            self.note_blocker("try/except in work()")
-            return
-        try:
-            self.exec_body(stmt.body, state, depth)
-        except (_Return, _Break, _Continue, _PathRaise):
-            self.exec_body(stmt.finalbody, state, depth)
-            raise
-        self.exec_body(stmt.orelse, state, depth)
-        self.exec_body(stmt.finalbody, state, depth)
-
-    def _degrade_if_channel_ops(self, node: ast.AST, what: str) -> None:
-        self.void(f"unsupported {what}")
-        if _has_consuming_ops(node):
-            self.note_dynamic(f"channel operation inside unanalyzable {what}")
-        elif _has_channel_ops(node):
-            self.max_peek = math.inf
-            self.note_blocker(f"peek inside unanalyzable {what}")
-
-    def _havoc_assigned(self, node: ast.AST, state: _State) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
-                state.env[sub.id] = UNKNOWN
-
-    # -- branching -----------------------------------------------------------
-
-    def exec_if(self, stmt: ast.If, state: _State, depth: int) -> None:
-        test = self.eval(stmt.test, state, depth)
-        taint = _tainted(test)
-        if taint is None:
-            try:
-                taken = bool(test)
-            except Exception:
-                taint = UNKNOWN
-            else:
-                if taken:
-                    self.skipped(stmt.orelse, state, depth)
-                    self.exec_body(stmt.body, state, depth)
-                else:
-                    self.skipped(stmt.body, state, depth)
-                    self.exec_body(stmt.orelse, state, depth)
-                return
-        if taint is DATA:
-            self.note_blocker("branch condition depends on stream data")
-            self.void("branch on a data-dependent condition")
-        else:
-            self.note_blocker("branch condition is not statically resolvable")
-            self.void("branch condition is not statically resolvable")
-        self._run_both(stmt.body, stmt.orelse, state, depth)
-
-    def skipped(self, stmts: List[ast.stmt], state: _State, depth: int) -> None:
-        """Walk code this run does not take for its effects alone."""
-        if stmts:
-            self.effects_only(self.exec_body, stmts, state.clone(), depth)
-
-    def _run_both(
-        self,
-        body: List[ast.stmt],
-        orelse: List[ast.stmt],
-        state: _State,
-        depth: int,
-    ) -> None:
+    def run_both(self, body, orelse, state: _State, depth: int) -> None:
         """Execute both arms of an unresolvable branch and merge counts."""
         outcomes: List[Tuple[str, Optional[_State], Optional[BaseException]]] = []
         for arm in (body, orelse):
             arm_state = state.clone()
             try:
-                self.exec_body(arm, arm_state, depth)
+                arm(self, arm_state, depth)
             except _PathRaise:
                 outcomes.append(("raise", None, None))
             except _Return:
                 self.ended.append(arm_state)
                 outcomes.append(("return", None, None))
             except (_Break, _Continue) as exc:
-                self.note_dynamic(
-                    "break/continue under a data-dependent condition"
-                )
+                self.note_dynamic("break/continue under a data-dependent condition")
                 outcomes.append(("jump", arm_state, exc))
             else:
                 outcomes.append(("fall", arm_state, None))
-        fallthrough = [s for kind, s, _ in outcomes if kind == "fall" and s]
+        fallthrough = [s for kind, s, _ in outcomes if kind == "fall"]
         if fallthrough:
             merged = fallthrough[0]
-            for extra in fallthrough[1:]:
-                merged.merge(extra)
             # jump arms contribute their counts conservatively
-            for kind, s, _ in outcomes:
-                if kind == "jump" and s is not None:
-                    merged.merge(s)
-            state.env = merged.env
-            state.pop = merged.pop
-            state.push = merged.push
+            for extra in fallthrough[1:] + [s for kind, s, _ in outcomes if kind == "jump"]:
+                merged.merge(extra)
+            state.env, state.pop, state.push = merged.env, merged.pop, merged.push
             return
         # No arm falls through: propagate the strongest control transfer.
         for kind, s, exc in outcomes:
-            if kind == "jump" and exc is not None:
-                if s is not None:
-                    state.env = s.env
-                    state.pop = s.pop
-                    state.push = s.push
+            if kind == "jump":
+                state.env, state.pop, state.push = s.env, s.pop, s.push
                 raise exc
-        if any(kind == "return" for kind, _, _ in outcomes):
-            raise _Return(None)
-        raise _PathRaise
-
-    # -- loops ---------------------------------------------------------------
-
-    def exec_for(self, stmt: ast.For, state: _State, depth: int) -> None:
-        iterable = self.eval(stmt.iter, state, depth)
-        taint = _tainted(iterable)
-        if taint is not None:
-            if taint is DATA:
-                self.note_blocker("loop iterates over stream data")
-                self.void("iteration over a data-dependent value")
-            self._dynamic_loop(stmt, state, depth, "for loop over an unresolvable iterable")
-            return
-        try:
-            items = list(iterable)
-        except TypeError:
-            self.note_dynamic("for loop over a non-iterable value")
-            self._dynamic_loop(stmt, state, depth, "for loop over a non-iterable")
-            return
-        if not items:
-            self.effects_only(self._one_trip, stmt, state.clone(), depth)
-        for item in items:
-            self.tick()
-            self.assign(stmt.target, item, state, depth)
-            try:
-                self.exec_body(stmt.body, state, depth)
-            except _Break:
-                self.skipped(stmt.orelse, state, depth)
-                break
-            except _Continue:
-                continue
-        else:
-            self.exec_body(stmt.orelse, state, depth)
-
-    def _one_trip(self, stmt: ast.For, state: _State, depth: int) -> None:
-        self.assign(stmt.target, UNKNOWN, state, depth)
-        self.exec_body(stmt.body, state, depth)
-
-    def exec_while(self, stmt: ast.While, state: _State, depth: int) -> None:
-        # Try bounded concrete execution first (e.g. ``while i < n: i += 1``).
-        snapshot = state.clone()
-        bounded = self._try_concrete_while(stmt, state, depth)
-        if bounded:
-            return
-        state.env = snapshot.env
-        state.pop = snapshot.pop
-        state.push = snapshot.push
-        test = self.eval(stmt.test, state, depth)
-        if _tainted(test) is DATA:
-            self.note_blocker("while condition depends on stream data")
-            self.void("while on a data-dependent condition")
-        else:
-            self.note_blocker("while loop is not statically bounded")
-        self._dynamic_loop(stmt, state, depth, "while loop with an unresolvable bound")
-
-    def _try_concrete_while(self, stmt: ast.While, state: _State, depth: int) -> bool:
-        """Concretely iterate a while loop; False if any test is non-concrete."""
-        iterations = 0
-        while True:
-            self.tick()
-            test = self.eval(stmt.test, state, depth)
-            if _tainted(test) is not None:
-                return False
-            try:
-                alive = bool(test)
-            except Exception:
-                return False
-            if not alive:
-                if not iterations:
-                    self.skipped(stmt.body, state, depth)
-                self.exec_body(stmt.orelse, state, depth)
-                return True
-            iterations += 1
-            if iterations > 100_000:
-                self.note_dynamic("while loop exceeded the iteration budget")
-                return False
-            try:
-                self.exec_body(stmt.body, state, depth)
-            except _Break:
-                self.skipped(stmt.orelse, state, depth)
-                return True
-            except _Continue:
-                continue
-
-    def _dynamic_loop(self, stmt: ast.AST, state: _State, depth: int, what: str) -> None:
-        """A loop whose trip count is unknown: body 0..inf times."""
-        self.void(what)
-        body = stmt.body if hasattr(stmt, "body") else []
-        if _has_consuming_ops(stmt):
-            self.note_dynamic(f"channel operation inside {what}")
-        elif _has_channel_ops(stmt):
-            # peek() never consumes: a loop of peeks with an unknown trip
-            # count leaves the pop/push counts exact — only the reachable
-            # peek window is lost (the probe below may see a resolvable
-            # index, but iteration-varying state can reach further).
-            self.max_peek = math.inf
-            self.note_blocker(f"peek window unbounded inside {what}")
-        before_pop, before_push = state.pop.copy(), state.push.copy()
-        # Havoc loop-assigned names, then analyze the body once for peek
-        # bounds and nested findings; counts widen to [before, inf).
-        self._havoc_assigned(stmt, state)
-        probe = state.clone()
-        try:
-            self.exec_body(body, probe, depth)
-        except (_Return, _Break, _Continue, _PathRaise):
-            pass
-        self.skipped(getattr(stmt, "orelse", []), state, depth)
-        if probe.pop.hi > before_pop.hi:
-            state.pop = Interval(before_pop.lo, math.inf)
-        if probe.push.hi > before_push.hi:
-            state.push = Interval(before_push.lo, math.inf)
-        self._havoc_assigned(stmt, state)
-
-    # -- assignment ----------------------------------------------------------
-
-    def assign(self, target: ast.expr, value: Any, state: _State, depth: int) -> None:
-        if isinstance(target, ast.Name):
-            state.env[target.id] = value
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            taint = _tainted(value)
-            if taint is None:
-                try:
-                    items = list(value)
-                except TypeError:
-                    items = None
-                if items is not None and len(items) == len(target.elts) and not any(
-                    isinstance(e, ast.Starred) for e in target.elts
-                ):
-                    for elt, item in zip(target.elts, items):
-                        self.assign(elt, item, state, depth)
-                    return
-                taint = UNKNOWN
-            for elt in target.elts:
-                inner = elt.value if isinstance(elt, ast.Starred) else elt
-                self.assign(inner, taint, state, depth)
-            return
-        if isinstance(target, ast.Subscript):
-            container = self.eval(target.value, state, depth)
-            index = self.eval(target.slice, state, depth)
-            if _tainted(index) is DATA:
-                self.note_blocker("store index depends on stream data")
-                self.void("store with a data-dependent index")
-            root = self.self_root(target.value, state)
-            if root is not None:
-                self.note_write(root)
-            if id(container) in self.foreign:
-                self.note_foreign_store(self.foreign[id(container)][2])
-            elif _tainted(container, index) is None:
-                try:
-                    container[index] = value
-                    return
-                except Exception:
-                    pass
-            self.void("a subscript store the analysis cannot perform")
-            return
-        if isinstance(target, ast.Attribute):
-            # self.X = … — a state write: X is unstable from here on.
-            base = self.owner(target.value, state, depth)
-            if isinstance(value, _Channel):
-                # A channel reference now lives inside an object the analysis
-                # reads back as opaque (delegation idiom: inner.output =
-                # self.output); later opaque calls may push/pop through it.
-                self.channel_escaped = True
-            root = self.self_root(target.value, state)
-            if base is SELF:
-                self.note_write(target.attr)
-            elif root is not None:
-                self.note_write(root)
-            if id(base) in self.foreign:
-                self.note_foreign_store(self.foreign[id(base)][2])
-            return
-        if isinstance(target, ast.Starred):
-            self.assign(target.value, UNKNOWN, state, depth)
-            return
-
-    def self_root(self, node: ast.expr, state: _State) -> Optional[str]:
-        """``X`` when ``node`` is ``self.X`` or an item or attribute of it."""
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            if isinstance(node, ast.Attribute) and self.is_self(node.value, state):
-                return node.attr
-            node = node.value
-        return None
-
-    def owner(self, node: ast.expr, state: _State, depth: int) -> Any:
-        """``node`` as the owner of an attribute or method: self itself is
-        no escape there."""
-        return SELF if self.is_self(node, state) else self.eval(node, state, depth)
-
-    def eval_arg(self, node: ast.expr, state: _State, depth: int) -> Any:
-        if self.is_self(node, state):
-            self.escapes["self passed as a call argument"] = None
-            return SELF
-        return self.eval(node, state, depth)
-
-    # -- expressions ---------------------------------------------------------
-
-    def eval(self, node: ast.expr, state: _State, depth: int) -> Any:
-        self.tick()
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in state.env:
-                value = state.env[node.id]
-                if value is SELF:
-                    self.escapes["bare self used as a value"] = None
-                return value
-            return self._global(node.id)
-        if isinstance(node, ast.Attribute):
-            return self.eval_attribute(node, state, depth)
-        if isinstance(node, ast.Call):
-            return self.eval_call(node, state, depth)
-        if isinstance(node, ast.BinOp):
-            left = self.eval(node.left, state, depth)
-            right = self.eval(node.right, state, depth)
-            taint = _tainted(left, right)
-            if taint is not None:
-                if taint is UNKNOWN or self.nonlinear:
-                    return taint
-                return self.affine_op(type(node.op), left, right)
-            op = _BIN_OPS.get(type(node.op))
-            if op is None:
-                return UNKNOWN
-            try:
-                return op(left, right)
-            except Exception:
-                return UNKNOWN
-        if isinstance(node, ast.UnaryOp):
-            operand = self.eval(node.operand, state, depth)
-            taint = _tainted(operand)
-            if taint is not None:
-                if isinstance(node.op, ast.Not) and taint is DATA:
-                    self.note_blocker("boolean not applied to stream data")
-                if taint is DATA and not self.nonlinear:
-                    if isinstance(operand, Affine) and isinstance(node.op, (ast.USub, ast.UAdd)):
-                        return operand.neg() if isinstance(node.op, ast.USub) else operand
-                    self.void(
-                        f"unary {type(node.op).__name__} of a data-dependent value"
-                    )
-                return taint
-            op = _UNARY_OPS.get(type(node.op))
-            if op is None:
-                return UNKNOWN
-            try:
-                return op(operand)
-            except Exception:
-                return UNKNOWN
-        if isinstance(node, ast.Compare):
-            values = [self.eval(node.left, state, depth)]
-            values.extend(self.eval(c, state, depth) for c in node.comparators)
-            taint = _tainted(*values)
-            if taint is not None:
-                if taint is DATA:
-                    self.note_blocker("comparison over stream data")
-                    self.void("comparison of a data-dependent value")
-                return taint
-            try:
-                result = True
-                left = values[0]
-                for op_node, right in zip(node.ops, values[1:]):
-                    op = _CMP_OPS.get(type(op_node))
-                    if op is None:
-                        return UNKNOWN
-                    if not op(left, right):
-                        result = False
-                        break
-                    left = right
-                return result
-            except Exception:
-                return UNKNOWN
-        if isinstance(node, ast.BoolOp):
-            values = [self.eval(v, state, depth) for v in node.values]
-            taint = _tainted(*values)
-            if taint is not None:
-                if taint is DATA:
-                    self.note_blocker("boolean operator over stream data")
-                return taint
-            try:
-                if isinstance(node.op, ast.And):
-                    result: Any = True
-                    for v in values:
-                        result = v
-                        if not v:
-                            break
-                    return result
-                result = False
-                for v in values:
-                    result = v
-                    if v:
-                        break
-                return result
-            except Exception:
-                return UNKNOWN
-        if isinstance(node, ast.IfExp):
-            test = self.eval(node.test, state, depth)
-            taint = _tainted(test)
-            if taint is None:
-                try:
-                    taken = bool(test)
-                except Exception:
-                    taint = UNKNOWN
-                else:
-                    other = node.orelse if taken else node.body
-                    self.effects_only(self.eval, other, state.clone(), depth)
-                    return self.eval(node.body if taken else node.orelse, state, depth)
-            if taint is DATA:
-                self.note_blocker("conditional expression over stream data")
-                self.void("conditional expression on a data-dependent value")
-            else:
-                self.note_blocker("conditional expression is not statically resolvable")
-                self.void("conditional expression is not statically resolvable")
-            a = self.eval(node.body, state, depth)
-            b = self.eval(node.orelse, state, depth)
-            if a is b:
-                return a
-            inner = _tainted(a, b)
-            return inner if inner is not None else UNKNOWN
-        if isinstance(node, ast.Subscript):
-            container = self.eval(node.value, state, depth)
-            index = self.eval(node.slice, state, depth)
-            taint = _tainted(container, index)
-            if taint is not None:
-                if _tainted(index) is DATA:
-                    self.note_blocker("subscript index depends on stream data")
-                return taint
-            try:
-                result = container[index]
-            except Exception:
-                return UNKNOWN
-            if id(container) in self.foreign and not _copied(container):
-                # an opaque object's item
-                result = self._import_value(result, self.foreign[id(container)][2])
-            return result
-        if isinstance(node, (ast.List, ast.Set)):
-            items = [self.eval(e, state, depth) for e in node.elts]
-            return items if isinstance(node, ast.List) else UNKNOWN
-        if isinstance(node, ast.Tuple):
-            return tuple(self.eval(e, state, depth) for e in node.elts)
-        if isinstance(node, ast.Dict):
-            result: Dict[Any, Any] = {}
-            for k, v in zip(node.keys, node.values):
-                if k is None:
-                    return UNKNOWN
-                key = self.eval(k, state, depth)
-                if _tainted(key) is not None:
-                    return UNKNOWN
-                result[key] = self.eval(v, state, depth)
-            return result
-        if isinstance(node, ast.Slice):
-            lower = self.eval(node.lower, state, depth) if node.lower else None
-            upper = self.eval(node.upper, state, depth) if node.upper else None
-            step = self.eval(node.step, state, depth) if node.step else None
-            taint = _tainted(
-                *(v for v in (lower, upper, step) if v is not None)
-            )
-            if taint is not None:
-                return taint
-            return slice(lower, upper, step)
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            out = self.eval_comprehension(node, state, depth)
-            if out is UNKNOWN or not out:  # the element was never evaluated
-                self.effects_only(self._comprehension_effects, node, state.clone(), depth)
-            return out
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, state, depth)
-        if isinstance(node, ast.Lambda):
-            self.note_blocker("lambda in work()")
-            self.effects_only(self._lambda_body, node, state.clone(), depth)
-            return UNKNOWN
-        if isinstance(node, (ast.JoinedStr, ast.FormattedValue)):
-            for part in ast.iter_child_nodes(node):
-                if isinstance(part, ast.expr):
-                    self.effects_only(self.eval, part, state.clone(), depth)
-            return UNKNOWN
-        if isinstance(node, ast.NamedExpr):
-            value = self.eval(node.value, state, depth)
-            self.assign(node.target, value, state, depth)
-            return value
-        if isinstance(node, (ast.SetComp, ast.DictComp)):
-            self.effects_only(self._comprehension_effects, node, state.clone(), depth)
-        elif self._mentions_self(node, state):
-            self.escapes[f"self reachable through unmodelled {type(node).__name__}"] = None
-        self.note_blocker(f"unmodelled expression {type(node).__name__}")
-        if _has_consuming_ops(node):
-            self.note_dynamic(
-                f"channel operation inside unmodelled {type(node).__name__}"
-            )
-        elif _has_channel_ops(node):
-            self.max_peek = math.inf
-        return UNKNOWN
+        raise _Return(None) if any(kind == "return" for kind, _, _ in outcomes) else _PathRaise
 
     def affine_op(self, op: type, left: Any, right: Any) -> Any:
         """``left op right`` over stream data while rows are tracked: the
@@ -1252,66 +672,9 @@ class RateAnalyzer:
             self.void(f"nonlinear operator {op.__name__} on a data-dependent value")
         return DATA
 
-    def _lambda_body(self, node: ast.Lambda, state: _State, depth: int) -> None:
-        for arg in ast.walk(node.args):
-            if isinstance(arg, ast.arg):
-                state.env[arg.arg] = UNKNOWN
-        self.eval(node.body, state, depth)
-
-    def _comprehension_effects(self, node: ast.expr, state: _State, depth: int) -> None:
-        """Every part of a comprehension, once, its targets UNKNOWN."""
-        for gen in node.generators:
-            self.eval(gen.iter, state, depth)
-            self.assign(gen.target, UNKNOWN, state, depth)
-            for cond in gen.ifs:
-                self.eval(cond, state, depth)
-        for part in (node.key, node.value) if isinstance(node, ast.DictComp) else (node.elt,):
-            self.eval(part, state, depth)
-
-    def eval_comprehension(self, node: ast.expr, state: _State, depth: int) -> Any:
-        gens = node.generators
-        if len(gens) != 1 or gens[0].is_async:
-            self.note_blocker("nested/async comprehension in work()")
-            self._degrade_if_channel_ops(node, "comprehension")
-            return UNKNOWN
-        gen = gens[0]
-        iterable = self.eval(gen.iter, state, depth)
-        if _tainted(iterable) is not None:
-            if _tainted(iterable) is DATA:
-                self.note_blocker("comprehension iterates over stream data")
-            self._degrade_if_channel_ops(node, "comprehension")
-            return UNKNOWN
-        try:
-            items = list(iterable)
-        except TypeError:
-            self._degrade_if_channel_ops(node, "comprehension")
-            return UNKNOWN
-        out: List[Any] = []
-        inner = state  # comprehension shares counts; env writes are scoped
-        saved = dict(inner.env)
-        try:
-            for item in items:
-                self.tick()
-                self.assign(gen.target, item, inner, depth)
-                keep = True
-                for cond in gen.ifs:
-                    test = self.eval(cond, inner, depth)
-                    if _tainted(test) is not None:
-                        self.note_blocker("comprehension filter is not resolvable")
-                        self._degrade_if_channel_ops(node, "comprehension filter")
-                        return UNKNOWN
-                    if not test:
-                        keep = False
-                        break
-                if keep:
-                    out.append(self.eval(node.elt, inner, depth))
-        finally:
-            inner.env = saved
-        return out
-
     # -- attribute / global resolution ---------------------------------------
 
-    def _global(self, name: str) -> Any:
+    def global_value(self, name: str) -> Any:
         globs = self.globals
         read = ("global", name)
         if read not in self.reads:
@@ -1331,22 +694,22 @@ class RateAnalyzer:
             mine = sys.modules.get(name) is module
             self.reads[read] = _attr_fingerprint(name, attr) if mine else None
 
-    def eval_attribute(self, node: ast.Attribute, state: _State, depth: int) -> Any:
-        owner = self.owner(node.value, state, depth)
+    def attribute(self, owner: Any, attr: str) -> Any:
+        """``owner.<attr>``."""
         if owner is SELF:
-            return self.self_attr(node.attr)
+            return self.self_attr(attr)
         taint = _tainted(owner)
         if taint is DATA:
-            self.note_blocker(f"attribute access .{node.attr} on stream data")
+            self.note_blocker(f"attribute access .{attr} on stream data")
             return DATA
         if taint is UNKNOWN:
             return UNKNOWN
         if isinstance(owner, _Channel):
             return UNKNOWN
         if isinstance(owner, types.ModuleType):
-            self._module_read(owner, node.attr)
+            self._module_read(owner, attr)
         try:
-            value = getattr(owner, node.attr)
+            value = getattr(owner, attr)
         except Exception:
             return UNKNOWN
         if id(owner) in self.foreign:
@@ -1392,7 +755,10 @@ class RateAnalyzer:
         elif kind is dict:
             mine = {k: self._import_value(v, root) for k, v in value.items()}
         elif kind in (list, tuple, set, frozenset):
-            mine = kind(self._import_value(v, root) for v in value)
+            if _SCALAR_TYPES.issuperset(map(type, value)):  # items are themselves
+                mine = kind(list(value))
+            else:
+                mine = kind(self._import_value(v, root) for v in value)
         else:
             mine = value.copy()
         self.foreign[id(value)] = self.foreign[id(mine)] = (value, mine, root)
@@ -1400,264 +766,56 @@ class RateAnalyzer:
 
     # -- calls ---------------------------------------------------------------
 
-    def eval_call(self, node: ast.Call, state: _State, depth: int) -> Any:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            method, base = func.attr, func.value
-            if isinstance(base, ast.Attribute) and self.is_self(base.value, state):
-                if not (base.attr in CHANNEL_ATTRS and method in CHANNEL_METHODS):
-                    self.note_site(node, base.attr, method, state, depth)
-                owner = self.self_attr(base.attr, value_read=False)
+    def method(self, name: str) -> Any:
+        """What ``self.<name>(…)`` calls, resolved once per analyzer: the
+        lowered helper (:class:`_Function`), the :class:`SourceUnavailable`
+        its source raised, or ``(attribute, unwrapped)`` when the class
+        has no plain function by that name."""
+        found = self.methods.get(name)
+        if found is None:
+            fn = getattr(self.cls, name, None)
+            raw = inspect_unwrap(fn) if fn is not None else None
+            if raw is None or not callable(fn) or not isinstance(raw, types.FunctionType):
+                found = (fn, raw)
             else:
-                owner = self.owner(base, state, depth)
-                root = self.foreign.get(id(owner), (None, None, None))[2]
-                if root is not None:  # a call on a copy of self.<root>
-                    self.note_call(root, method)
-            if owner is SELF:
-                return self.call_self_method(node, method, state, depth)
-            if isinstance(owner, _Channel):
-                return self.call_channel(node, owner, method, state, depth)
-            taint = _tainted(owner)
-            if taint is not None:
-                self.void(f"call to method {method!r} on a value that is not constant")
-                args = [self.eval_arg(a, state, depth) for a in node.args]
-                if taint is DATA:
-                    self.note_blocker(
-                        f"method call .{method}() on stream data"
-                    )
-                    return DATA
-                if any(_tainted(a) is DATA for a in args):
-                    return DATA
-                if self.channel_escaped:
-                    self.note_dynamic(
-                        f"call .{method}() on an opaque object after a "
-                        "channel reference escaped"
-                    )
-                return UNKNOWN
-            if isinstance(owner, types.ModuleType):
-                self._module_read(owner, method)
-            callee = getattr(owner, method, None)
-            return self.call_concrete(node, callee, state, depth)
-        callee = self.eval(func, state, depth)
-        taint = _tainted(callee)
-        if taint is not None:
-            if self.channel_escaped:
-                self.note_dynamic(
-                    "call through an unresolved callee after a channel "
-                    "reference escaped"
-                )
-            self._consume_args(node, state, depth)
-            return UNKNOWN
-        return self.call_concrete(node, callee, state, depth)
+                try:
+                    found = lowered(method_ast(self.cls, name))
+                except SourceUnavailable as exc:
+                    found = exc
+            self.methods[name] = found
+        return found
 
-    def note_site(
-        self, node: ast.Call, attr: str, method: str, state: _State, depth: int
-    ) -> None:
-        """A ``self.<attr>.<method>(…)`` call, with the latency its
-        ``interval=`` states should ``attr`` hold a Portal."""
-        self.note_call(attr, method)
-        latency, reason = None, ""
-        for kw in node.keywords:
-            if kw.arg is None:
-                latency, reason = UNRESOLVED, "the call spreads **kwargs"
-                break
-            if kw.arg == "interval":
-                value = self.effects_only(self.eval, kw.value, state.clone(), depth)
-                if _is_time_interval(type(value)) and type(value.max_time) is int:
-                    latency = value.max_time
-                elif value is not None:
-                    latency = UNRESOLVED
-                    reason = f"interval={ast.unparse(kw.value)} is not a compile-time constant"
-        self.sites[(attr, method, latency, reason)] = None
-
-    def _consume_args(self, node: ast.Call, state: _State, depth: int) -> List[Any]:
-        self.void("a call the analysis cannot resolve")
-        args = []
-        for a in node.args:
-            args.append(self.eval_arg(a, state, depth))
-        for kw in node.keywords:
-            if kw.value is not None:
-                args.append(self.eval_arg(kw.value, state, depth))
-        if any(isinstance(a, _Channel) for a in args):
-            self.channel_escaped = True
-        return args
-
-    def call_channel(
-        self, node: ast.Call, channel: _Channel, method: str, state: _State, depth: int
-    ) -> Any:
-        if channel.direction == "in" and method == "pop" and not node.args:
-            return self.do_pop(state)
-        if channel.direction == "in" and method == "peek" and len(node.args) == 1:
-            return self.do_peek(state, self.eval_arg(node.args[0], state, depth))
-        if channel.direction == "out" and method == "push" and len(node.args) == 1:
-            self.do_push(state, self.eval_arg(node.args[0], state, depth))
-            return None
-        self.note_dynamic(f"unmodelled channel call .{method}()")
-        self.note_blocker(f"unmodelled channel call .{method}()")
-        self._consume_args(node, state, depth)
-        return UNKNOWN
-
-    def call_self_method(
-        self, node: ast.Call, method: str, state: _State, depth: int
-    ) -> Any:
-        if method == "pop" and not node.args and not node.keywords:
-            return self.do_pop(state)
-        if method == "peek" and len(node.args) == 1 and not node.keywords:
-            return self.do_peek(state, self.eval_arg(node.args[0], state, depth))
-        if method == "push" and len(node.args) == 1 and not node.keywords:
-            self.do_push(state, self.eval_arg(node.args[0], state, depth))
-            return None
-        fn = getattr(self.cls, method, None)
-        raw = inspect_unwrap(fn) if fn is not None else None
-        if raw is None or not callable(fn) or not isinstance(raw, types.FunctionType):
-            # A callable instance attribute or an unresolvable descriptor:
-            # never call it.  If it could touch channels we cannot know.
-            if fn is None:
-                self.note_call(method, "__call__")
-            elif not isinstance(raw, property):
-                self.unbounded[f"unresolvable self.{method}() (not a plain method)"] = None
-            args = self._consume_args(node, state, depth)
-            self.note_dynamic(f"opaque call self.{method}()")
-            if any(_tainted(a) is DATA for a in args):
-                self.note_blocker(f"opaque call self.{method}() on stream data")
-            else:
-                self.note_blocker(f"opaque call self.{method}()")
-            return UNKNOWN
-        if depth >= _MAX_CALL_DEPTH:
-            self.unbounded[f"recursive helper call self.{method}()"] = None
-            self.note_dynamic(f"helper call self.{method}() exceeds inline depth")
-            self.note_blocker(f"helper call self.{method}() exceeds inline depth")
-            self._consume_args(node, state, depth)
-            return UNKNOWN
-        try:
-            helper = method_ast(self.cls, method)
-        except SourceUnavailable as exc:
-            self.note_dynamic(str(exc))
-            self.unbounded[str(exc)] = None
-            self.note_blocker(f"helper self.{method}() source unavailable")
-            self._consume_args(node, state, depth)
-            return UNKNOWN
-        result = self.inline_helper(node, helper, method, state, depth)
-        if result is _NOT_INLINED:  # the body still writes
-            names = [a.arg for a in ast.walk(helper.args) if isinstance(a, ast.arg)]
-            env = dict.fromkeys(names, UNKNOWN)
-            if helper.args.posonlyargs or helper.args.args:
-                env[(helper.args.posonlyargs or helper.args.args)[0].arg] = SELF
-            sub = _State(env, Interval.exactly(0), Interval.exactly(0))
-            self.effects_only(self.exec_body, helper.body, sub, depth + 1)
-            return UNKNOWN
-        return result
-
-    def inline_helper(
-        self,
-        node: ast.Call,
-        helper: ast.FunctionDef,
-        method: str,
-        state: _State,
-        depth: int,
-    ) -> Any:
-        args = [self.eval_arg(a, state, depth) for a in node.args]
-        kwargs = {}
-        for kw in node.keywords:
-            if kw.arg is None:
-                self.note_dynamic(f"**kwargs call to self.{method}()")
-                self.note_blocker(f"**kwargs call to self.{method}()")
-                return _NOT_INLINED
-            kwargs[kw.arg] = self.eval_arg(kw.value, state, depth)
-        params = helper.args
-        if params.vararg or params.kwarg or params.posonlyargs or params.kwonlyargs:
-            self.note_dynamic(f"helper self.{method}() has a complex signature")
-            self.note_blocker(f"helper self.{method}() has a complex signature")
-            return _NOT_INLINED
-        names = [a.arg for a in params.args]
-        env: Dict[str, Any] = {names[0]: SELF} if names else {}
-        defaults = params.defaults
-        required = names[1:]
-        # Apply defaults from the tail.
-        for name, default in zip(required[len(required) - len(defaults):], defaults):
-            env[name] = self.eval(default, state, depth)
-        for name, value in zip(required, args):
-            env[name] = value
-        for name, value in kwargs.items():
-            if name not in names:
-                self.note_dynamic(f"bad keyword {name!r} for self.{method}()")
-                return _NOT_INLINED
-            env[name] = value
-        missing = [n for n in required if n not in env]
-        if missing:
-            self.note_dynamic(
-                f"helper self.{method}() called without argument(s) {missing}"
-            )
-            return _NOT_INLINED
-        if any(_tainted(v) is DATA for v in env.values()):
-            # runtime/vectorize.py only rebinds ``math`` in work()'s own
-            # globals; a helper calling real libm on a batch column would
-            # fail or silently diverge, so data flowing into helpers blocks
-            # certification (counting continues unaffected).
-            self.note_blocker(
-                f"stream data flows into helper self.{method}()"
-            )
-        sub = _State(env, state.pop, state.push, state.rows)
-        result: Any = None
-        try:
-            self.exec_body(helper.body, sub, depth + 1)
-        except _Return as ret:
-            result = ret.value
-        except (_Break, _Continue):
-            self.note_dynamic(f"stray break/continue in helper self.{method}()")
-            result = UNKNOWN
-        state.pop = sub.pop
-        state.push = sub.push
-        state.rows = sub.rows
-        return result
-
-    def call_concrete(self, node: ast.Call, callee: Any, state: _State, depth: int) -> Any:
-        args = [self.eval_arg(a, state, depth) for a in node.args]
-        kwargs: Dict[str, Any] = {}
-        for kw in node.keywords:
-            if kw.arg is None:
-                return UNKNOWN
-            kwargs[kw.arg] = self.eval_arg(kw.value, state, depth)
-        if callee is None:
-            return UNKNOWN
+    def apply(self, callee: Any, args: List[Any], kwargs: Dict[str, Any], depth: int) -> Any:
+        """A call of a concrete callee on evaluated arguments: run only when
+        it is pure, else its result is opaque."""
+        values = args + list(kwargs.values())
         if callee in (setattr, delattr, vars) and any(a is SELF for a in args):
             self.unbounded[f"calls {callee.__name__}() on self"] = None
-        has_data = any(_tainted(a) is DATA for a in list(args) + list(kwargs.values()))
-        has_unknown = any(
-            _tainted(a) is UNKNOWN for a in list(args) + list(kwargs.values())
-        )
-        if any(a is SELF for a in list(args) + list(kwargs.values())):
+        if any(a is SELF for a in values):
             self.note_dynamic("self escapes into a foreign call")
             self.note_blocker("self escapes into a foreign call")
             return UNKNOWN
+        taints = {_tainted(a) for a in values}
         module = getattr(callee, "__module__", None) or ""
-        is_math = module == "math" or (
-            getattr(math, getattr(callee, "__name__", ""), None) is callee
-        )
-        is_np = _np is not None and (module.startswith("numpy"))
-        if has_data:
+        is_math = module == "math" or getattr(math, getattr(callee, "__name__", ""), None) is callee
+        if DATA in taints:
             if not self.nonlinear:
-                self.void(
-                    f"call to {getattr(callee, '__name__', callee)!r} with a "
-                    "data-dependent argument"
-                )
+                name = getattr(callee, "__name__", callee)
+                self.void(f"call to {name!r} with a data-dependent argument")
             if is_math:
                 name = getattr(callee, "__name__", "?")
                 if name not in VECTOR_SAFE_MATH or depth > 0:
-                    self.note_blocker(
-                        f"math.{name}() on stream data"
-                        + (" inside a helper" if depth > 0 else " is not batch-exact")
-                    )
-                return DATA
-            if callee in _DATA_SAFE_BUILTINS:
-                return DATA
-            name = getattr(callee, "__name__", repr(callee))
-            self.note_blocker(f"call to {name}() on stream data")
-            if callee in _SAFE_BUILTINS or is_np:
-                return DATA
+                    where = " inside a helper" if depth > 0 else " is not batch-exact"
+                    self.note_blocker(f"math.{name}() on stream data{where}")
+            elif callee not in _DATA_SAFE_BUILTINS:
+                name = getattr(callee, "__name__", repr(callee))
+                self.note_blocker(f"call to {name}() on stream data")
             return DATA
-        pure = callee in _SAFE_BUILTINS or is_math or is_np or _is_time_interval(callee)
-        if has_unknown:
+        pure = (
+            callee in _SAFE_BUILTINS or is_math or module.startswith("numpy")
+            or _is_time_interval(callee)
+        )
+        if UNKNOWN in taints:
             if not pure:  # never run: what it does to its arguments is lost
                 self.void("a call the analysis cannot resolve")
             return UNKNOWN
@@ -1673,6 +831,1174 @@ class RateAnalyzer:
         return UNKNOWN
 
 
+# -- lowering -----------------------------------------------------------------
+#
+# A body is lowered once per process into closures ``fn(analyzer, state,
+# depth)``: an expression's returns its value, an assignment target's takes
+# the value as a fourth argument.  What the shape of the code decides is
+# taken here — which statement or expression a node is, whether a call is
+# ``self.push(…)``, a channel operation, a helper or a concrete callee, the
+# names a loop assigns, whether a subtree holds channel operations, the
+# messages it reports.  What the instance decides is left to the closures:
+# whether a name holds ``self``, attribute values and their fingerprints,
+# taint, affine rows, findings, ``tick()``.
+
+_JUMPS = (_Return, _Break, _Continue, _PathRaise)
+
+
+class _Function:
+    """A lowered ``FunctionDef``: its body, and how a call binds it.  It
+    holds no reference to the tree, so it goes when the tree does."""
+
+    __slots__ = ("body", "names", "self_name", "defaults", "complex", "arg_names", "first")
+
+    def __init__(self, fn: ast.FunctionDef) -> None:
+        params = fn.args
+        self.body = lower_body(fn.body)
+        self.names = [a.arg for a in params.args]
+        self.self_name = self.names[0] if self.names else "self"
+        required = self.names[1:]
+        self.defaults = tuple(
+            zip(required[len(required) - len(params.defaults):], map(lower_expr, params.defaults))
+        )
+        self.complex = bool(params.vararg or params.kwarg or params.posonlyargs or params.kwonlyargs)
+        # What an effects-only walk of a body no call could bind starts from.
+        self.arg_names = [a.arg for a in ast.walk(params) if isinstance(a, ast.arg)]
+        positional = params.posonlyargs or params.args
+        self.first = positional[0].arg if positional else None
+
+
+#: shared ``FunctionDef`` -> its lowering; weak, so it goes with the tree
+#: (:func:`repro.graph.source.function_ast` drops a tree with its function).
+_LOWERED: "weakref.WeakKeyDictionary[ast.FunctionDef, _Function]" = weakref.WeakKeyDictionary()
+
+
+def lowered(fn: ast.FunctionDef) -> _Function:
+    """The closures of ``fn``, made on its first executor run."""
+    low = _LOWERED.get(fn)
+    if low is None:
+        low = _LOWERED[fn] = _Function(fn)
+    return low
+
+
+def _nothing(an: RateAnalyzer, state: _State, depth: int) -> None:
+    """An empty body."""
+
+
+def lower_body(stmts: List[ast.stmt]):
+    """A statement list: what follows a jump is walked effects-only."""
+    fns = tuple(map(lower_stmt, stmts))
+    if len(fns) <= 1:
+        return fns[0] if fns else _nothing
+    count = len(fns)
+    def body(an, state, depth, start=0):
+        for i in range(start, count):
+            try:
+                fns[i](an, state, depth)
+            except _JUMPS:
+                if i + 1 < count:  # what follows the jump still writes
+                    an.effects_only(body, state.clone(), depth, i + 1)
+                raise
+    return body
+
+
+# -- static facts of a subtree ------------------------------------------------
+
+
+class _Subtree(NamedTuple):
+    """What a subtree holds, read in one walk."""
+
+    #: The names it mentions: one that holds self lets self escape.
+    names: Tuple[str, ...]
+    #: The names it stores to or deletes: :func:`_havoc` them.
+    assigned: Tuple[str, ...]
+    #: A channel operation that moves the pop/push counters — ``peek`` is
+    #: read-only, so peek-only constructs never cost exactness.
+    consuming: bool
+    #: A channel operation, ``peek`` included.
+    channel: bool
+
+
+def _subtree(node: ast.AST):
+    """``facts()`` of ``node``, a :class:`_Subtree` read in one walk the
+    first time a run asks: most loops and comprehensions never do."""
+    read: List[_Subtree] = []
+    def facts() -> _Subtree:
+        if not read:
+            read.append(_read_subtree(node))
+        return read[0]
+    return facts
+
+
+def _read_subtree(node: ast.AST) -> _Subtree:
+    names: Dict[str, None] = {}
+    assigned: Dict[str, None] = {}
+    methods = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] = None
+            if isinstance(sub.ctx, (ast.Store, ast.Del)):
+                assigned[sub.id] = None
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            methods.add(sub.func.attr)
+    methods &= CHANNEL_METHODS
+    return _Subtree(tuple(names), tuple(assigned), bool(methods - {"peek"}), bool(methods))
+
+
+def _mentions_self(names: Tuple[str, ...], env: Dict[str, Any]) -> bool:
+    return any(env.get(name) is SELF for name in names)
+
+
+def _havoc(state: _State, names: Tuple[str, ...]) -> None:
+    for name in names:
+        state.env[name] = UNKNOWN
+
+
+def _self_root(node: ast.expr) -> Optional[Tuple[str, str]]:
+    """``(name, X)`` when ``node`` is ``name.X`` or an item or attribute of
+    it: ``X`` is the ``self`` attribute it stems from when ``name`` holds
+    self (:func:`_root_of`)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id, node.attr
+        node = node.value
+    return None
+
+
+def _root_of(root: Optional[Tuple[str, str]], env: Dict[str, Any]) -> Optional[str]:
+    return root[1] if root is not None and env.get(root[0]) is SELF else None
+
+
+def _lower_degrade(facts, what: str):
+    """Code the executor cannot model: it loses the rows, and the counts if
+    it could move a channel."""
+    def degrade(an):
+        an.void(f"unsupported {what}")
+        if facts().consuming:
+            an.note_dynamic(f"channel operation inside unanalyzable {what}")
+        elif facts().channel:
+            an.max_peek = math.inf
+            an.note_blocker(f"peek inside unanalyzable {what}")
+    return degrade
+
+
+def _lower_operand(node: ast.expr, escape: Optional[str] = None):
+    """``node`` where a name holding self is no value: the owner of an
+    attribute or method, or (``escape``) a call argument."""
+    if type(node) is not ast.Name:
+        return lower_expr(node)
+    name = node.id
+    def operand(an, state, depth):
+        env = state.env
+        if name not in env:
+            an.tick()
+            return an.global_value(name)
+        value = env[name]
+        if value is SELF:
+            if escape:
+                an.escapes[escape] = None
+            return SELF
+        an.tick()
+        return value
+    return operand
+
+
+def _lower_arg(node: ast.expr):
+    return _lower_operand(node, "self passed as a call argument")
+
+
+# -- statements ---------------------------------------------------------------
+
+
+def lower_stmt(stmt: ast.stmt):
+    """One statement: ``fn(analyzer, state, depth)``, which ticks first."""
+    kind = type(stmt)
+    if kind is ast.Expr:
+        value = lower_expr(stmt.value)
+        def run(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            value(an, state, depth)
+        return run
+    if kind is ast.Assign or (kind is ast.AnnAssign and stmt.value is not None):
+        value = lower_expr(stmt.value)
+        nodes = stmt.targets if kind is ast.Assign else [stmt.target]
+        targets = tuple(map(lower_target, nodes))
+        # ``s = self`` makes an alias of self, not an escape.
+        alias = kind is ast.Assign and type(stmt.value) is ast.Name and all(
+            type(t) is ast.Name for t in nodes
+        ) and stmt.value.id
+        def run(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            if alias and state.env.get(alias) is SELF:
+                held = SELF
+            else:
+                held = value(an, state, depth)
+            for target in targets:
+                target(an, state, depth, held)
+        return run
+    if kind is ast.AugAssign:
+        # The Store-context target reads as a load: lowering never looks at
+        # an expression's context.
+        value = lower_expr(ast.BinOp(left=stmt.target, op=stmt.op, right=stmt.value))
+        target = lower_target(stmt.target)
+        name = type(stmt.target) is ast.Name and stmt.target.id
+        def run(an, state, depth):
+            an.tick()
+            if name:  # ``buf += …`` may mutate in place what ``buf`` names
+                an.note_held_store(state.env.get(name))
+            target(an, state, depth, value(an, state, depth))
+        return run
+    if kind is ast.If:
+        return _lower_if(stmt)
+    if kind is ast.For:
+        return _lower_for(stmt)
+    if kind is ast.While:
+        return _lower_while(stmt)
+    if kind is ast.Return:
+        value = lower_expr(stmt.value) if stmt.value is not None else None
+        name = type(stmt.value) is ast.Name and stmt.value.id
+        def run(an, state, depth):
+            an.tick()
+            if name and state.env.get(name) is SELF:
+                an.escapes["work returns self"] = None
+                raise _Return(SELF)
+            raise _Return(value(an, state, depth) if value is not None else None)
+        return run
+    if kind in (ast.Raise, ast.Break, ast.Continue):
+        jump = {ast.Raise: _PathRaise, ast.Break: _Break, ast.Continue: _Continue}[kind]
+        def run(an, state, depth):
+            an.tick()
+            raise jump
+        return run
+    if kind is ast.Assert:
+        test = lower_expr(stmt.test)
+        def run(an, state, depth):
+            an.tick()
+            held = an.nonlinear
+            value = test(an, state, depth)
+            if _tainted(value) is None:
+                try:
+                    if not value:
+                        raise _PathRaise
+                except _PathRaise:
+                    raise
+                except Exception:
+                    pass
+            elif not an.dynamic:
+                # A check *on* stream data is not stream arithmetic: what its
+                # test lost of the affine forms is not held against the rows
+                # (a linear node just does not make the check).
+                an.nonlinear = held
+        return run
+    if kind in (ast.Pass, ast.AnnAssign):
+        def run(an, state, depth):
+            an.tick()
+        return run
+    if kind is ast.Delete:
+        targets = tuple(map(_lower_delete, stmt.targets))
+        def run(an, state, depth):
+            an.tick()
+            an.void("unsupported statement Delete")
+            for target in targets:
+                target(an, state, depth)
+        return run
+    if kind in (ast.Global, ast.Nonlocal):
+        reason = f"declares {' '.join(stmt.names)} {kind.__name__.lower()}"
+        def run(an, state, depth):
+            an.tick()
+            an.unbounded[reason] = None
+        return run
+    if kind is ast.Try:
+        return _lower_try(stmt)
+    if kind in (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef):
+        # A nested function closing over self can do anything later.
+        facts, defined = _subtree(stmt), stmt.name
+        degrade = _lower_degrade(facts, "nested definition")
+        def run(an, state, depth):
+            an.tick()
+            if _mentions_self(facts().names, state.env):
+                an.escapes[f"self captured by nested {defined!r}"] = None
+            degrade(an)
+            state.env[defined] = UNKNOWN
+            an.note_blocker(f"nested {kind.__name__} in work()")
+        return run
+    # with/match/… — too much control-flow ambiguity to model.
+    walk = _lower_with(stmt) if kind is ast.With else None
+    facts = _subtree(stmt)
+    degrade = _lower_degrade(facts, kind.__name__)
+    def run(an, state, depth):
+        an.tick()
+        if walk is not None:
+            an.effects_only(walk, state.clone(), depth)
+        elif _mentions_self(facts().names, state.env):
+            an.escapes[f"self reachable through unmodelled {kind.__name__}"] = None
+        degrade(an)
+        _havoc(state, facts().assigned)
+        an.note_blocker(f"unmodelled statement {kind.__name__}")
+    return run
+
+
+def _lower_with(stmt: ast.With):
+    items = tuple(
+        (lower_expr(item.context_expr),
+         None if item.optional_vars is None else lower_target(item.optional_vars))
+        for item in stmt.items
+    )
+    body = lower_body(stmt.body)
+    def walk(an, state, depth):
+        for context, target in items:
+            context(an, state, depth)
+            if target is not None:
+                target(an, state, depth, UNKNOWN)
+        body(an, state, depth)
+    return walk
+
+
+def _lower_delete(target: ast.expr):
+    """``del target``: of an attribute or item of state, a write."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        parts = tuple(map(_lower_delete, target.elts))
+        def delete(an, state, depth):
+            for part in parts:
+                part(an, state, depth)
+        return delete
+    if not isinstance(target, (ast.Attribute, ast.Subscript)):
+        return _nothing
+    root, owner = _self_root(target), _lower_operand(target.value)
+    def delete(an, state, depth):
+        attr = _root_of(root, state.env)
+        if attr is not None:
+            an.note_write(attr)
+        an.note_held_store(owner(an, state, depth))
+    return delete
+
+
+def _lower_try(stmt: ast.Try):
+    """try/finally is modelled exactly; try/except degrades to dynamic.
+
+    Without handlers the body either completes or aborts the firing, so
+    counting the body then the finalizer is exact.  With ``except`` clauses
+    the transfer points are unknowable statically.
+    """
+    body, orelse, final = map(lower_body, (stmt.body, stmt.orelse, stmt.finalbody))
+    if not stmt.handlers:
+        def run(an, state, depth):
+            an.tick()
+            try:
+                body(an, state, depth)
+            except _JUMPS:
+                final(an, state, depth)
+                raise
+            orelse(an, state, depth)
+            final(an, state, depth)
+        return run
+    parts = (body, *(lower_body(h.body) for h in stmt.handlers), orelse, final)
+    facts = _subtree(stmt)
+    degrade = _lower_degrade(facts, "try/except")
+    def run(an, state, depth):
+        an.tick()
+        for part in parts:
+            an.effects_only(part, state.clone(), depth)
+        degrade(an)
+        _havoc(state, facts().assigned)
+        an.note_blocker("try/except in work()")
+    return run
+
+
+# -- branching and loops ------------------------------------------------------
+
+
+def _lower_if(stmt: ast.If):
+    test = lower_expr(stmt.test)
+    body, orelse = lower_body(stmt.body), lower_body(stmt.orelse)
+    def run(an, state, depth):
+        an.tick()
+        value = test(an, state, depth)
+        taint = _tainted(value)
+        if taint is None:
+            try:
+                taken = bool(value)
+            except Exception:
+                taint = UNKNOWN
+            else:
+                an.skipped(orelse if taken else body, state, depth)
+                (body if taken else orelse)(an, state, depth)
+                return
+        if taint is DATA:
+            an.note_blocker("branch condition depends on stream data")
+            an.void("branch on a data-dependent condition")
+        else:
+            an.note_blocker("branch condition is not statically resolvable")
+            an.void("branch condition is not statically resolvable")
+        an.run_both(body, orelse, state, depth)
+    return run
+
+
+#: Iterables a loop body may store into: iterated over a snapshot, so the
+#: body's stores do not change the trips.  Any other (a ``range``) is
+#: iterated lazily.
+_SNAPSHOT_ITERABLES = (list, dict, set, bytearray) + ((_np.ndarray,) if _np is not None else ())
+
+
+def _lower_for(stmt: ast.For):
+    iterable_ev, target = lower_expr(stmt.iter), lower_target(stmt.target)
+    body, orelse = lower_body(stmt.body), lower_body(stmt.orelse)
+    facts = _subtree(stmt)
+    unresolved = _lower_dynamic_loop(facts, body, orelse, "for loop over an unresolvable iterable")
+    uniterable = _lower_dynamic_loop(facts, body, orelse, "for loop over a non-iterable")
+    def one_trip(an, state, depth):
+        target(an, state, depth, UNKNOWN)
+        body(an, state, depth)
+    def run(an, state, depth):
+        an.tick()
+        iterable = iterable_ev(an, state, depth)
+        taint = _tainted(iterable)
+        if taint is not None:
+            if taint is DATA:
+                an.note_blocker("loop iterates over stream data")
+                an.void("iteration over a data-dependent value")
+            unresolved(an, state, depth)
+            return
+        try:
+            items = iter(list(iterable) if isinstance(iterable, _SNAPSHOT_ITERABLES) else iterable)
+        except TypeError:
+            an.note_dynamic("for loop over a non-iterable value")
+            uniterable(an, state, depth)
+            return
+        seen = False
+        for item in items:
+            seen = True
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            target(an, state, depth, item)
+            try:
+                body(an, state, depth)
+            except _Break:
+                an.skipped(orelse, state, depth)
+                break
+            except _Continue:
+                continue
+        else:
+            if not seen:
+                an.effects_only(one_trip, state.clone(), depth)
+            orelse(an, state, depth)
+    return run
+
+
+def _lower_while(stmt: ast.While):
+    test = lower_expr(stmt.test)
+    body, orelse = lower_body(stmt.body), lower_body(stmt.orelse)
+    unbounded = _lower_dynamic_loop(_subtree(stmt), body, orelse, "while loop with an unresolvable bound")
+    def concrete(an, state, depth) -> bool:
+        """Iterate concretely (``while i < n: i += 1``); False as soon as a
+        test is not concrete."""
+        iterations = 0
+        while True:
+            an.tick()
+            value = test(an, state, depth)
+            if _tainted(value) is not None:
+                return False
+            try:
+                alive = bool(value)
+            except Exception:
+                return False
+            if not alive:
+                if not iterations:
+                    an.skipped(body, state, depth)
+                orelse(an, state, depth)
+                return True
+            iterations += 1
+            if iterations > 100_000:
+                an.note_dynamic("while loop exceeded the iteration budget")
+                return False
+            try:
+                body(an, state, depth)
+            except _Break:
+                an.skipped(orelse, state, depth)
+                return True
+            except _Continue:
+                continue
+    def run(an, state, depth):
+        an.tick()
+        snapshot = state.clone()
+        if concrete(an, state, depth):
+            return
+        state.env, state.pop, state.push = snapshot.env, snapshot.pop, snapshot.push
+        if _tainted(test(an, state, depth)) is DATA:
+            an.note_blocker("while condition depends on stream data")
+            an.void("while on a data-dependent condition")
+        else:
+            an.note_blocker("while loop is not statically bounded")
+        unbounded(an, state, depth)
+    return run
+
+
+def _lower_dynamic_loop(facts, body, orelse, what: str):
+    """A loop whose trip count is unknown: body 0..inf times."""
+    def loop(an, state, depth):
+        an.void(what)
+        assigned = facts().assigned
+        if facts().consuming:
+            an.note_dynamic(f"channel operation inside {what}")
+        elif facts().channel:
+            # peek() never consumes: a loop of peeks with an unknown trip
+            # count leaves the pop/push counts exact — only the reachable
+            # peek window is lost (the probe below may see a resolvable
+            # index, but iteration-varying state can reach further).
+            an.max_peek = math.inf
+            an.note_blocker(f"peek window unbounded inside {what}")
+        before_pop, before_push = state.pop.copy(), state.push.copy()
+        # Havoc loop-assigned names, then analyze the body once for peek
+        # bounds and nested findings; counts widen to [before, inf).
+        _havoc(state, assigned)
+        probe = state.clone()
+        try:
+            body(an, probe, depth)
+        except _JUMPS:
+            pass
+        an.skipped(orelse, state, depth)
+        if probe.pop.hi > before_pop.hi:
+            state.pop = Interval(before_pop.lo, math.inf)
+        if probe.push.hi > before_push.hi:
+            state.push = Interval(before_push.lo, math.inf)
+        _havoc(state, assigned)
+    return loop
+
+
+# -- assignment targets -------------------------------------------------------
+
+
+def lower_target(target: ast.expr):
+    """An assignment target: ``fn(analyzer, state, depth, value)``."""
+    kind = type(target)
+    if kind is ast.Name:
+        name = target.id
+        def store(an, state, depth, value):
+            state.env[name] = value
+    elif kind in (ast.Tuple, ast.List):
+        elts = target.elts
+        starred = any(type(e) is ast.Starred for e in elts)
+        parts = tuple(map(lower_target, elts))
+        inner = tuple(lower_target(e.value) if type(e) is ast.Starred else p for e, p in zip(elts, parts))
+        def store(an, state, depth, value):
+            taint = _tainted(value)
+            if taint is None:
+                try:
+                    items = list(value)
+                except TypeError:
+                    items = None
+                if items is not None and len(items) == len(parts) and not starred:
+                    for part, item in zip(parts, items):
+                        part(an, state, depth, item)
+                    return
+                taint = UNKNOWN
+            for part in inner:
+                part(an, state, depth, taint)
+    elif kind is ast.Subscript:
+        container_ev, index_ev = lower_expr(target.value), lower_expr(target.slice)
+        root = _self_root(target.value)
+        def store(an, state, depth, value):
+            container = container_ev(an, state, depth)
+            index = index_ev(an, state, depth)
+            if _tainted(index) is DATA:
+                an.note_blocker("store index depends on stream data")
+                an.void("store with a data-dependent index")
+            attr = _root_of(root, state.env)
+            if attr is not None:
+                an.note_write(attr)
+            if id(container) in an.foreign:
+                an.note_foreign_store(an.foreign[id(container)][2])
+            elif _tainted(container, index) is None:
+                try:
+                    container[index] = value
+                    return
+                except Exception:
+                    pass
+            an.void("a subscript store the analysis cannot perform")
+    elif kind is ast.Attribute:
+        # self.X = … — a state write: X is unstable from here on.
+        owner, root, attr = _lower_operand(target.value), _self_root(target.value), target.attr
+        def store(an, state, depth, value):
+            base = owner(an, state, depth)
+            if isinstance(value, _Channel):
+                # A channel reference now lives inside an object the analysis
+                # reads back as opaque (delegation idiom: inner.output =
+                # self.output); later opaque calls may push/pop through it.
+                an.channel_escaped = True
+            written = attr if base is SELF else _root_of(root, state.env)
+            if written is not None:
+                an.note_write(written)
+            an.note_held_store(base)
+    elif kind is ast.Starred:
+        inner_store = lower_target(target.value)
+        def store(an, state, depth, value):
+            inner_store(an, state, depth, UNKNOWN)
+    else:
+        def store(an, state, depth, value):
+            pass
+    return store
+
+
+# -- expressions --------------------------------------------------------------
+
+
+def lower_expr(node: ast.expr):
+    """One expression: ``fn(analyzer, state, depth) -> value``, which ticks
+    first."""
+    kind = type(node)
+    if kind is ast.Constant:
+        value = node.value
+        def ev(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            return value
+    elif kind is ast.Name:
+        name = node.id
+        def ev(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            env = state.env
+            if name not in env:
+                return an.global_value(name)
+            value = env[name]
+            if value is SELF:
+                an.escapes["bare self used as a value"] = None
+            return value
+    elif kind is ast.Attribute:
+        owner, attr = lower_expr(node.value), node.attr
+        held = type(node.value) is ast.Name and node.value.id
+        def ev(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            if held and state.env.get(held) is SELF:  # ``self.attr``: self is no value here
+                return an.self_attr(attr)
+            return an.attribute(owner(an, state, depth), attr)
+    elif kind is ast.Call:
+        return _lower_call(node)
+    elif kind is ast.BinOp:
+        left, right = lower_expr(node.left), lower_expr(node.right)
+        op_kind = type(node.op)
+        op = _BIN_OPS.get(op_kind)
+        def ev(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            a = left(an, state, depth)
+            b = right(an, state, depth)
+            taint = _tainted(a, b)
+            if taint is not None:
+                if taint is UNKNOWN or an.nonlinear:
+                    return taint
+                return an.affine_op(op_kind, a, b)
+            if op is None:
+                return UNKNOWN
+            try:
+                return op(a, b)
+            except Exception:
+                return UNKNOWN
+    elif kind is ast.UnaryOp:
+        operand_ev, op_kind = lower_expr(node.operand), type(node.op)
+        op, negation = _UNARY_OPS.get(op_kind), op_kind is ast.Not
+        #: How a sign keeps an affine form.
+        sign = {ast.USub: Affine.neg, ast.UAdd: lambda form: form}.get(op_kind)
+        def ev(an, state, depth):
+            an.tick()
+            operand = operand_ev(an, state, depth)
+            taint = _tainted(operand)
+            if taint is not None:
+                if negation and taint is DATA:
+                    an.note_blocker("boolean not applied to stream data")
+                if taint is DATA and not an.nonlinear:
+                    if sign is not None and isinstance(operand, Affine):
+                        return sign(operand)
+                    an.void(f"unary {op_kind.__name__} of a data-dependent value")
+                return taint
+            if op is None:
+                return UNKNOWN
+            try:
+                return op(operand)
+            except Exception:
+                return UNKNOWN
+    elif kind is ast.Compare:
+        parts = tuple(map(lower_expr, (node.left, *node.comparators)))
+        ops = tuple(_CMP_OPS.get(type(op)) for op in node.ops)
+        def ev(an, state, depth):
+            an.tick()
+            values = [part(an, state, depth) for part in parts]
+            taint = _tainted(*values)
+            if taint is not None:
+                if taint is DATA:
+                    an.note_blocker("comparison over stream data")
+                    an.void("comparison of a data-dependent value")
+                return taint
+            try:
+                for op, left, right in zip(ops, values, values[1:]):
+                    if op is None:
+                        return UNKNOWN
+                    if not op(left, right):
+                        return False
+                return True
+            except Exception:
+                return UNKNOWN
+    elif kind is ast.BoolOp:
+        parts, conjunction = tuple(map(lower_expr, node.values)), type(node.op) is ast.And
+        def ev(an, state, depth):
+            an.tick()
+            values = [part(an, state, depth) for part in parts]
+            taint = _tainted(*values)
+            if taint is not None:
+                if taint is DATA:
+                    an.note_blocker("boolean operator over stream data")
+                return taint
+            try:
+                result: Any = conjunction
+                for result in values:
+                    if (not result) if conjunction else result:
+                        break
+                return result
+            except Exception:
+                return UNKNOWN
+    elif kind is ast.IfExp:
+        test, body, orelse = map(lower_expr, (node.test, node.body, node.orelse))
+        def ev(an, state, depth):
+            an.tick()
+            value = test(an, state, depth)
+            taint = _tainted(value)
+            if taint is None:
+                try:
+                    taken = bool(value)
+                except Exception:
+                    taint = UNKNOWN
+                else:
+                    an.effects_only(orelse if taken else body, state.clone(), depth)
+                    return (body if taken else orelse)(an, state, depth)
+            if taint is DATA:
+                an.note_blocker("conditional expression over stream data")
+                an.void("conditional expression on a data-dependent value")
+            else:
+                an.note_blocker("conditional expression is not statically resolvable")
+                an.void("conditional expression is not statically resolvable")
+            a = body(an, state, depth)
+            b = orelse(an, state, depth)
+            if a is b:
+                return a
+            inner = _tainted(a, b)
+            return inner if inner is not None else UNKNOWN
+    elif kind is ast.Subscript:
+        container_ev, index_ev = lower_expr(node.value), lower_expr(node.slice)
+        def ev(an, state, depth):
+            an.steps += 1
+            if an.steps > _MAX_STEPS:
+                raise _GiveUp
+            container = container_ev(an, state, depth)
+            index = index_ev(an, state, depth)
+            taint = _tainted(container, index)
+            if taint is not None:
+                if _tainted(index) is DATA:
+                    an.note_blocker("subscript index depends on stream data")
+                return taint
+            try:
+                result = container[index]
+            except Exception:
+                return UNKNOWN
+            if id(container) in an.foreign and not _copied(container):
+                # an opaque object's item
+                result = an._import_value(result, an.foreign[id(container)][2])
+            return result
+    elif kind in (ast.List, ast.Tuple, ast.Set):
+        # A list is a list, a tuple a tuple; a set is opaque.
+        parts = tuple(map(lower_expr, node.elts))
+        make = {ast.List: list, ast.Tuple: tuple}.get(kind, lambda items: UNKNOWN)
+        def ev(an, state, depth):
+            an.tick()
+            return make([part(an, state, depth) for part in parts])
+    elif kind is ast.Dict:
+        entries = tuple(
+            (None if k is None else lower_expr(k), lower_expr(v)) for k, v in zip(node.keys, node.values)
+        )
+        def ev(an, state, depth):
+            an.tick()
+            result: Dict[Any, Any] = {}
+            for key_ev, value_ev in entries:
+                if key_ev is None:
+                    return UNKNOWN
+                key = key_ev(an, state, depth)
+                if _tainted(key) is not None:
+                    return UNKNOWN
+                result[key] = value_ev(an, state, depth)
+            return result
+    elif kind is ast.Slice:
+        parts = tuple(None if p is None else lower_expr(p) for p in (node.lower, node.upper, node.step))
+        def ev(an, state, depth):
+            an.tick()
+            bounds = [None if p is None else p(an, state, depth) for p in parts]
+            taint = _tainted(*(v for v in bounds if v is not None))
+            return taint if taint is not None else slice(*bounds)
+    elif kind in (ast.ListComp, ast.GeneratorExp):
+        comprehension, effects = _lower_comprehension(node), _lower_comprehension_effects(node)
+        def ev(an, state, depth):
+            an.tick()
+            out = comprehension(an, state, depth)
+            if out is UNKNOWN or not out:  # the element was never evaluated
+                an.effects_only(effects, state.clone(), depth)
+            return out
+    elif kind is ast.Starred:
+        inner = lower_expr(node.value)
+        def ev(an, state, depth):
+            an.tick()
+            return inner(an, state, depth)
+    elif kind is ast.Lambda:
+        params = tuple(a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg))
+        body = lower_expr(node.body)
+        def walk(an, state, depth):
+            _havoc(state, params)
+            body(an, state, depth)
+        def ev(an, state, depth):
+            an.tick()
+            an.note_blocker("lambda in work()")
+            an.effects_only(walk, state.clone(), depth)
+            return UNKNOWN
+    elif kind in (ast.JoinedStr, ast.FormattedValue):
+        parts = tuple(lower_expr(p) for p in ast.iter_child_nodes(node) if isinstance(p, ast.expr))
+        def ev(an, state, depth):
+            an.tick()
+            for part in parts:
+                an.effects_only(part, state.clone(), depth)
+            return UNKNOWN
+    elif kind is ast.NamedExpr:
+        value_ev, target = lower_expr(node.value), lower_target(node.target)
+        def ev(an, state, depth):
+            an.tick()
+            value = value_ev(an, state, depth)
+            target(an, state, depth, value)
+            return value
+    else:
+        effects = _lower_comprehension_effects(node) if kind in (ast.SetComp, ast.DictComp) else None
+        facts = _subtree(node)
+        def ev(an, state, depth):
+            an.tick()
+            if effects is not None:
+                an.effects_only(effects, state.clone(), depth)
+            elif _mentions_self(facts().names, state.env):
+                an.escapes[f"self reachable through unmodelled {kind.__name__}"] = None
+            an.note_blocker(f"unmodelled expression {kind.__name__}")
+            if facts().consuming:
+                an.note_dynamic(f"channel operation inside unmodelled {kind.__name__}")
+            elif facts().channel:
+                an.max_peek = math.inf
+            return UNKNOWN
+    return ev
+
+
+def _lower_comprehension(node: ast.expr):
+    gens = node.generators
+    facts = _subtree(node)
+    degrade = _lower_degrade(facts, "comprehension")
+    if len(gens) != 1 or gens[0].is_async:
+        def comprehension(an, state, depth):
+            an.note_blocker("nested/async comprehension in work()")
+            degrade(an)
+            return UNKNOWN
+        return comprehension
+    iterable_ev, target = lower_expr(gens[0].iter), lower_target(gens[0].target)
+    conds, elt = tuple(map(lower_expr, gens[0].ifs)), lower_expr(node.elt)
+    unfiltered = _lower_degrade(facts, "comprehension filter")
+    def comprehension(an, state, depth):
+        iterable = iterable_ev(an, state, depth)
+        taint = _tainted(iterable)
+        if taint is not None:
+            if taint is DATA:
+                an.note_blocker("comprehension iterates over stream data")
+            degrade(an)
+            return UNKNOWN
+        try:
+            items = list(iterable)
+        except TypeError:
+            degrade(an)
+            return UNKNOWN
+        out: List[Any] = []
+        saved = dict(state.env)  # the comprehension shares counts; env writes are scoped
+        try:
+            for item in items:
+                an.tick()
+                target(an, state, depth, item)
+                for cond in conds:
+                    test = cond(an, state, depth)
+                    if _tainted(test) is not None:
+                        an.note_blocker("comprehension filter is not resolvable")
+                        unfiltered(an)
+                        return UNKNOWN
+                    if not test:
+                        break
+                else:
+                    out.append(elt(an, state, depth))
+        finally:
+            state.env = saved
+        return out
+    return comprehension
+
+
+def _lower_comprehension_effects(node: ast.expr):
+    """Every part of a comprehension, once, its targets UNKNOWN."""
+    gens = tuple(
+        (lower_expr(gen.iter), lower_target(gen.target), tuple(map(lower_expr, gen.ifs)))
+        for gen in node.generators
+    )
+    parts = (node.key, node.value) if type(node) is ast.DictComp else (node.elt,)
+    parts = tuple(map(lower_expr, parts))
+    def walk(an, state, depth):
+        for iterable_ev, target, conds in gens:
+            iterable_ev(an, state, depth)
+            target(an, state, depth, UNKNOWN)
+            for cond in conds:
+                cond(an, state, depth)
+        for part in parts:
+            part(an, state, depth)
+    return walk
+
+
+# -- calls --------------------------------------------------------------------
+
+
+def _lower_call(node: ast.Call):
+    """A call: on ``self`` (a channel operation or a helper), on a channel,
+    on a ``self.X`` (a call site), on another owner, or of a callee."""
+    args = tuple(map(_lower_arg, node.args))
+    keywords = tuple((kw.arg, _lower_arg(kw.value)) for kw in node.keywords)
+    def consume(an, state, depth):
+        """Evaluate every argument of a call the analysis cannot resolve."""
+        an.void("a call the analysis cannot resolve")
+        values = [arg(an, state, depth) for arg in args]
+        values += [ev(an, state, depth) for _, ev in keywords]
+        if any(isinstance(a, _Channel) for a in values):
+            an.channel_escaped = True
+        return values
+    def concrete(an, callee, state, depth):
+        values = [arg(an, state, depth) for arg in args]
+        kwargs: Dict[str, Any] = {}
+        for name, ev in keywords:
+            if name is None:
+                return UNKNOWN
+            kwargs[name] = ev(an, state, depth)
+        return UNKNOWN if callee is None else an.apply(callee, values, kwargs, depth)
+
+    func = node.func
+    if type(func) is not ast.Attribute:
+        callee_ev = lower_expr(func)
+        def ev(an, state, depth):
+            an.tick()
+            callee = callee_ev(an, state, depth)
+            if _tainted(callee) is None:
+                return concrete(an, callee, state, depth)
+            if an.channel_escaped:
+                an.note_dynamic(
+                    "call through an unresolved callee after a channel reference escaped"
+                )
+            consume(an, state, depth)
+            return UNKNOWN
+        return ev
+    method, base = func.attr, func.value
+    on_self = _lower_self_call(method, args, keywords, consume)
+    on_channel = _lower_channel_call(method, args, consume)
+    def call_on(an, owner, state, depth):
+        if owner is SELF:
+            return on_self(an, state, depth)
+        if isinstance(owner, _Channel):
+            return on_channel(an, owner, state, depth)
+        taint = _tainted(owner)
+        if taint is not None:
+            an.void(f"call to method {method!r} on a value that is not constant")
+            values = [arg(an, state, depth) for arg in args]
+            if taint is DATA:
+                an.note_blocker(f"method call .{method}() on stream data")
+                return DATA
+            if any(_tainted(a) is DATA for a in values):
+                return DATA
+            if an.channel_escaped:
+                an.note_dynamic(
+                    f"call .{method}() on an opaque object after a channel reference escaped"
+                )
+            return UNKNOWN
+        if isinstance(owner, types.ModuleType):
+            an._module_read(owner, method)
+        return concrete(an, getattr(owner, method, None), state, depth)
+
+    owner_ev = _lower_operand(base)
+    held = type(base) is ast.Name and base.id  # ``self.m(…)``: self is never foreign
+    # ``self.X.m(…)``: a call site on a self attribute, noted with the
+    # latency its ``interval=`` states.
+    site = type(base) is ast.Attribute and type(base.value) is ast.Name and (
+        base.value.id, base.attr,
+        None if base.attr in CHANNEL_ATTRS and method in CHANNEL_METHODS
+        else _lower_site(node, base.attr, method),
+    )
+    def ev(an, state, depth):
+        an.steps += 1
+        if an.steps > _MAX_STEPS:
+            raise _GiveUp
+        if held and state.env.get(held) is SELF:
+            return on_self(an, state, depth)
+        if site and state.env.get(site[0]) is SELF:
+            if site[2] is not None:
+                site[2](an, state, depth)
+            return call_on(an, an.self_attr(site[1], value_read=False), state, depth)
+        owner = owner_ev(an, state, depth)
+        known = an.foreign.get(id(owner))
+        if known is not None and known[2] is not None:  # a call on a copy of self.<root>
+            an.note_call(known[2], method)
+        return call_on(an, owner, state, depth)
+    return ev
+
+
+def _lower_site(node: ast.Call, attr: str, method: str):
+    """A ``self.<attr>.<method>(…)`` call, with the latency its
+    ``interval=`` states should ``attr`` hold a Portal."""
+    steps = []
+    for kw in node.keywords:
+        if kw.arg is None:
+            steps.append((None, "the call spreads **kwargs"))
+            break
+        if kw.arg == "interval":
+            text = f"interval={ast.unparse(kw.value)} is not a compile-time constant"
+            steps.append((lower_expr(kw.value), text))
+    def site(an, state, depth):
+        an.note_call(attr, method)
+        latency, reason = None, ""
+        for ev, text in steps:
+            if ev is None:
+                latency, reason = UNRESOLVED, text
+                break
+            value = an.effects_only(ev, state.clone(), depth)
+            if _is_time_interval(type(value)) and type(value.max_time) is int:
+                latency = value.max_time
+            elif value is not None:
+                latency, reason = UNRESOLVED, text
+        an.sites[(attr, method, latency, reason)] = None
+    return site
+
+
+def _channel_op(method: str, args: tuple):
+    """``pop()``, ``peek(i)`` or ``push(x)`` with the argument count it
+    takes, as ``fn(analyzer, state, depth)``; None for anything else."""
+    if method == "pop" and not args:
+        return lambda an, state, depth: an.do_pop(state)
+    if method in ("peek", "push") and len(args) == 1:
+        op, arg = getattr(RateAnalyzer, "do_" + method), args[0]
+        return lambda an, state, depth: op(an, state, arg(an, state, depth))
+    return None
+
+
+def _lower_channel_call(method: str, args: tuple, consume):
+    """``self.input.pop()``, ``self.input.peek(i)``, ``self.output.push(x)``."""
+    op = _channel_op(method, args)
+    direction = "out" if method == "push" else "in"
+    def call(an, channel, state, depth):
+        if op is not None and channel.direction == direction:
+            return op(an, state, depth)
+        an.note_dynamic(f"unmodelled channel call .{method}()")
+        an.note_blocker(f"unmodelled channel call .{method}()")
+        consume(an, state, depth)
+        return UNKNOWN
+    return call
+
+
+def _lower_self_call(method: str, args: tuple, keywords: tuple, consume):
+    """``self.<method>(…)``: a channel operation, or a helper inlined."""
+    op = None if keywords else _channel_op(method, args)
+    if op is not None:
+        return op
+    def call(an, state, depth):
+        found = an.method(method)
+        if type(found) is tuple:
+            # A callable instance attribute or an unresolvable descriptor:
+            # never call it.  If it could touch channels we cannot know.
+            fn, raw = found
+            if fn is None:
+                an.note_call(method, "__call__")
+            elif not isinstance(raw, property):
+                an.unbounded[f"unresolvable self.{method}() (not a plain method)"] = None
+            values = consume(an, state, depth)
+            an.note_dynamic(f"opaque call self.{method}()")
+            on_data = any(_tainted(a) is DATA for a in values)
+            an.note_blocker(f"opaque call self.{method}()" + (" on stream data" if on_data else ""))
+            return UNKNOWN
+        if depth >= _MAX_CALL_DEPTH:
+            an.unbounded[f"recursive helper call self.{method}()"] = None
+            an.note_dynamic(f"helper call self.{method}() exceeds inline depth")
+            an.note_blocker(f"helper call self.{method}() exceeds inline depth")
+            consume(an, state, depth)
+            return UNKNOWN
+        if isinstance(found, SourceUnavailable):
+            an.note_dynamic(str(found))
+            an.unbounded[str(found)] = None
+            an.note_blocker(f"helper self.{method}() source unavailable")
+            consume(an, state, depth)
+            return UNKNOWN
+        result = inline(an, found, state, depth)
+        if result is _NOT_INLINED:  # the body still writes
+            env = dict.fromkeys(found.arg_names, UNKNOWN)
+            if found.first is not None:
+                env[found.first] = SELF
+            sub = _State(env, Interval.exactly(0), Interval.exactly(0))
+            an.effects_only(found.body, sub, depth + 1)
+            return UNKNOWN
+        return result
+    def inline(an, helper: _Function, state, depth):
+        values = [arg(an, state, depth) for arg in args]
+        kwargs = {}
+        for name, ev in keywords:
+            if name is None:
+                an.note_dynamic(f"**kwargs call to self.{method}()")
+                an.note_blocker(f"**kwargs call to self.{method}()")
+                return _NOT_INLINED
+            kwargs[name] = ev(an, state, depth)
+        if helper.complex:
+            an.note_dynamic(f"helper self.{method}() has a complex signature")
+            an.note_blocker(f"helper self.{method}() has a complex signature")
+            return _NOT_INLINED
+        names = helper.names
+        env: Dict[str, Any] = {names[0]: SELF} if names else {}
+        required = names[1:]
+        for name, default in helper.defaults:
+            env[name] = default(an, state, depth)
+        env.update(zip(required, values))
+        for name, value in kwargs.items():
+            if name not in names:
+                an.note_dynamic(f"bad keyword {name!r} for self.{method}()")
+                return _NOT_INLINED
+            env[name] = value
+        missing = [n for n in required if n not in env]
+        if missing:
+            an.note_dynamic(f"helper self.{method}() called without argument(s) {missing}")
+            return _NOT_INLINED
+        if any(_tainted(v) is DATA for v in env.values()):
+            # runtime/vectorize.py only rebinds ``math`` in work()'s own
+            # globals; a helper calling real libm on a batch column would
+            # fail or silently diverge, so data flowing into helpers blocks
+            # certification (counting continues unaffected).
+            an.note_blocker(f"stream data flows into helper self.{method}()")
+        sub = _State(env, state.pop, state.push, state.rows)
+        result: Any = None
+        try:
+            helper.body(an, sub, depth + 1)
+        except _Return as ret:
+            result = ret.value
+        except (_Break, _Continue):
+            an.note_dynamic(f"stray break/continue in helper self.{method}()")
+            result = UNKNOWN
+        state.pop, state.push, state.rows = sub.pop, sub.push, sub.rows
+        return result
+    return call
+
+
 def _is_time_interval(value: Any) -> bool:
     """Is ``value`` the teleport latency class (a pure value constructor)?"""
     messaging = sys.modules.get("repro.runtime.messaging")
@@ -1685,20 +2011,6 @@ def _copied(value: Any) -> bool:
     return type(value) in (list, tuple, set, frozenset, dict, bytearray) or (
         _np is not None and isinstance(value, _np.ndarray)
     )
-
-
-def _has_channel_ops(node: ast.AST, methods: frozenset = CHANNEL_METHODS) -> bool:
-    return any(
-        isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-        and sub.func.attr in methods
-        for sub in ast.walk(node)
-    )
-
-
-def _has_consuming_ops(node: ast.AST) -> bool:
-    """Channel operations that move the pop/push counters — ``peek`` is
-    read-only and excluded, so peek-only constructs never cost exactness."""
-    return _has_channel_ops(node, CHANNEL_METHODS - {"peek"})
 
 
 def inspect_unwrap(fn: Any) -> Any:

@@ -7,12 +7,17 @@ once per process however many filter instances share it.
 
 The returned tree is **shared and read-only**: a consumer that rewrites
 nodes takes a ``copy.deepcopy`` first.
+
+The text is read through :mod:`linecache`, from the function's code
+object: no tokenizer pass over the file (``inspect.getsource``'s) finds
+where the definition ends.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
 import weakref
 
@@ -46,11 +51,33 @@ def function_ast(fn) -> ast.FunctionDef:
     except TypeError as exc:  # not weak-referenceable: a C method, no source
         raise SourceUnavailable(str(exc))
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        node = ast.parse(source).body[0]
-    except (OSError, TypeError, SyntaxError, IndexError) as exc:
+        node = ast.parse(_definition_text(fn)).body[0]
+    except (OSError, AttributeError, SyntaxError, IndexError) as exc:
         raise SourceUnavailable(str(exc))
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         raise SourceUnavailable("not a plain function definition")
     _ASTS[fn] = node
     return node
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def _definition_text(fn) -> str:
+    """``fn``'s definition, decorators included: its file's lines from the
+    code's first line to the last one an instruction spans, then on over
+    the blank lines and the lines indented deeper than the ``def`` — the
+    body's end may hold no instruction (a docstring-only body, a trailing
+    ``pass``)."""
+    code = fn.__code__
+    lines = linecache.getlines(code.co_filename, fn.__globals__)
+    first = code.co_firstlineno - 1
+    if not 0 <= first < len(lines):
+        raise OSError(f"no source lines for {code.co_filename}")
+    end = max((last for _, last, _, _ in code.co_positions() if last is not None), default=first)
+    end = max(end, first + 1)
+    indent = _indent(lines[first])
+    while end < len(lines) and (not lines[end].strip() or _indent(lines[end]) > indent):
+        end += 1
+    return textwrap.dedent("".join(lines[first:end]))

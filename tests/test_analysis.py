@@ -771,6 +771,166 @@ class TestSourceProvider:
         after = dumps()
         assert {fn: after[fn] for fn in before} == before
 
+    def test_definition_text_parses_like_getsource(self):
+        """The provider reads a definition through linecache, not through
+        ``inspect.getsource``'s tokenizer: every method of every filter class
+        in the apps, the builtins and the tests parses to the same tree."""
+        import importlib
+        import inspect
+        import pkgutil
+        import types
+        from pathlib import Path
+
+        import repro.apps
+
+        modules = [m.name for m in pkgutil.iter_modules(repro.apps.__path__, "repro.apps.")]
+        modules.append("repro.graph.builtins")
+        modules += [
+            f"tests.{path.stem}"
+            for path in sorted(Path(__file__).parent.glob("*.py"))
+            if path.stem not in ("__init__", "conftest", "executor_digests")
+        ]
+        classes = {Filter}
+        for name in modules:
+            for value in vars(importlib.import_module(name)).values():
+                if isinstance(value, type) and issubclass(value, Filter) and value.__module__ == name:
+                    classes.add(value)
+        methods = [
+            fn
+            for cls in classes
+            for value in vars(cls).values()
+            for fn in [getattr(value, "__func__", value)]
+            if isinstance(fn, types.FunctionType)
+        ]
+        assert len(methods) > 300 and Filter.init in methods  # a docstring-only body
+        for fn in methods:
+            want = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+            got = ast.parse(source_mod._definition_text(fn)).body[0]
+            assert ast.dump(got) == ast.dump(want), fn.__qualname__
+
+
+# ---------------------------------------------------------------------------
+# The executor itself: its pinned output, its step budget, lazy loops.
+# ---------------------------------------------------------------------------
+
+
+def test_executor_output_matches_the_pinned_digests():
+    """Every ``RateReport`` field and the step count of every app instance,
+    in both rows modes, as ``tests/executor_digests.py`` pinned them."""
+    from tests.executor_digests import DIGEST_FILE, digests
+
+    pinned = json.loads(DIGEST_FILE.read_text())
+    assert len(pinned) == 879
+    got = digests()
+    assert [name for name, _ in got] == [name for name, _ in pinned]
+    differ = [name for (name, digest), (_, want) in zip(got, pinned) if digest != want]
+    assert not differ, f"{len(differ)} instance(s) differ: {differ}"
+
+
+class UnrolledSum(Filter):
+    """Pops ``trips`` items in a constant-bound loop: its analysis takes
+    9 steps plus 5 per trip."""
+
+    def __init__(self, trips):
+        super().__init__(pop=trips, push=1)
+        self.trips = trips
+
+    def work(self):
+        total = 0.0
+        for _ in range(self.trips):
+            total += self.pop()
+        self.push(total)
+
+
+class Jumps(Filter):
+    """Every jump the executor models, under concrete and data tests."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+        self.n = 4
+
+    def work(self):
+        x = self.pop()
+        for i in range(self.n):
+            if i == 1:
+                continue
+            if i == 3:
+                break
+        else:
+            raise ValueError("unreachable")
+        j = 0
+        while j < self.n:
+            j += 1
+            if j > 2:
+                break
+        try:
+            y = x + 1
+        finally:
+            pass
+        if x > 0:
+            self.push(y)
+            return
+        self.push(x)
+
+
+class HugeLoop(Filter):
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+        self.n = 10**9
+
+    def work(self):
+        x = self.pop()
+        for i in range(self.n):
+            x = x + i
+        self.push(x)
+
+
+class TestStepBudget:
+    def test_a_loop_that_needs_exactly_the_budget_is_analysed(self, monkeypatch):
+        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 9 + 5 * 8)
+        analyzer = RateAnalyzer(UnrolledSum(8))
+        report = analyzer.run()
+        assert analyzer.steps == 49
+        assert report.exact and report.pop.lo == 8 and report.push.lo == 1
+        assert "rate analysis gave up" not in report.cert_blockers
+
+    def test_one_more_trip_gives_up(self, monkeypatch):
+        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 9 + 5 * 8)
+        analyzer = RateAnalyzer(UnrolledSum(9))
+        report = analyzer.run()
+        # The step past the budget is the ninth trip's read of ``total``:
+        # eight pops were counted, and the counts widen from there.
+        assert analyzer.steps == 50
+        assert "rate analysis gave up" in report.cert_blockers
+        assert report.dynamic == ("analysis budget exceeded",)
+        assert report.facts.dynamic == ("analysis budget exceeded",)
+        assert (report.pop.lo, report.pop.hi) == (8, float("inf"))
+        assert (report.push.lo, report.push.hi) == (0, float("inf"))
+
+    def test_every_jump_takes_its_step(self):
+        """No app's ``work()`` runs a ``raise``, ``break`` or ``continue``,
+        so the pinned digests do not place their steps: this does."""
+        for rows in (False, True):
+            analyzer = RateAnalyzer(Jumps(), rows)
+            report = analyzer.run()
+            assert analyzer.steps == 110
+            assert report.exact and not report.dynamic
+
+    def test_a_huge_range_is_iterated_lazily(self, monkeypatch):
+        """A billion-trip ``range`` gives up at the budget without being
+        listed first (a smaller budget keeps the traced run short)."""
+        import tracemalloc
+
+        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 200_000)
+        tracemalloc.start()
+        try:
+            report = RateAnalyzer(HugeLoop()).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "rate analysis gave up" in report.cert_blockers
+        assert peak < 50 * 2**20
+
 
 # ---------------------------------------------------------------------------
 # Stateful / hidden-state diagnostics.

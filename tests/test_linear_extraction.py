@@ -372,13 +372,42 @@ class TestOneReaderOfWork:
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
-    def test_one_module_defines_exec_stmt(self):
+    def test_one_module_defines_lower_stmt(self):
         hits = [
             str(p.relative_to(self.SRC))
             for p in self.SRC.rglob("*.py")
-            if re.search(r"^\s*def exec_stmt\b", p.read_text(), re.M)
+            if re.search(r"^\s*def lower_stmt\b", p.read_text(), re.M)
         ]
         assert hits == ["repro/analysis/rates.py"]
+
+    def test_the_executor_run_path_dispatches_on_no_node(self):
+        """Node shapes are decided when a body is lowered: no closure the
+        lowering makes and no ``RateAnalyzer`` method asks what kind of
+        ``ast`` node it holds."""
+
+        def dispatches(fn):
+            return [
+                ast.unparse(call)
+                for call in ast.walk(fn)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+                and "ast." in ast.unparse(call.args[1])
+            ]
+
+        tree = ast.parse((self.SRC / "repro" / "analysis" / "rates.py").read_text())
+        run_path = []
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name == "RateAnalyzer":
+                run_path += [f for f in top.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(top, ast.FunctionDef):
+                run_path += [
+                    f for f in ast.walk(top) if isinstance(f, ast.FunctionDef) and f is not top
+                ]
+        assert len(run_path) > 60
+        assert {f.name: dispatches(f) for f in run_path if dispatches(f)} == {}
+        assert not any(
+            isinstance(f, ast.FunctionDef) and f.name in ("exec_stmt", "eval", "exec_body")
+            for f in ast.walk(tree)
+        )
 
     def test_linear_package_walks_no_ast(self):
         for path in (self.SRC / "repro" / "linear").glob("*.py"):
@@ -400,7 +429,10 @@ class TestOneReaderOfWork:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                walkers = {"stmt", "body", "expr", "target", "exec_stmt", "exec_body", "generic_visit"}
+                walkers = {
+                    "stmt", "body", "expr", "target", "exec_stmt", "exec_body", "generic_visit",
+                    "lower_stmt", "lower_body", "lower_expr",
+                }
                 assert not methods & walkers, (node.name, methods & walkers)
                 assert not any(m.startswith("visit_") for m in methods), node.name
 
