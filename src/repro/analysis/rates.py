@@ -286,7 +286,7 @@ class _GiveUp(Exception):
     """Budget exceeded or structurally unanalyzable; degrade to dynamic."""
 
 
-#: :meth:`RateAnalyzer.inline_helper` could not bind the call's arguments.
+#: A helper call could not bind its arguments: the helper is not inlined.
 _NOT_INLINED = object()
 
 _BIN_OPS = {
@@ -462,8 +462,7 @@ class RateAnalyzer:
         self.unstable.add(attr)
 
     def tick(self) -> None:
-        """One step of the budget (the closures of the commonest nodes
-        inline it)."""
+        """One step of the budget."""
         self.steps += 1
         if self.steps > _MAX_STEPS:
             raise _GiveUp
@@ -982,25 +981,29 @@ def _lower_degrade(facts, what: str):
     return degrade
 
 
-def _lower_operand(node: ast.expr, escape: Optional[str] = None):
-    """``node`` where a name holding self is no value: the owner of an
-    attribute or method, or (``escape``) a call argument."""
-    if type(node) is not ast.Name:
-        return lower_expr(node)
-    name = node.id
-    def operand(an, state, depth):
-        env = state.env
-        if name not in env:
-            an.tick()
-            return an.global_value(name)
-        value = env[name]
-        if value is SELF:
+def _lower_name(name: str, escape: Optional[str], operand: bool):
+    """A name's value.  Where self is no value (``operand``: the owner of an
+    attribute or method, a call argument) a name holding it costs no step;
+    ``escape`` is noted when the name holds self."""
+    def ev(an, state, depth):
+        if operand and state.env.get(name) is SELF:
             if escape:
                 an.escapes[escape] = None
             return SELF
         an.tick()
+        env = state.env
+        if name not in env:
+            return an.global_value(name)
+        value = env[name]
+        if value is SELF:
+            an.escapes[escape] = None
         return value
-    return operand
+    return ev
+
+
+def _lower_operand(node: ast.expr, escape: Optional[str] = None):
+    """``node`` where a name holding self is no value."""
+    return _lower_name(node.id, escape, True) if type(node) is ast.Name else lower_expr(node)
 
 
 def _lower_arg(node: ast.expr):
@@ -1016,9 +1019,7 @@ def lower_stmt(stmt: ast.stmt):
     if kind is ast.Expr:
         value = lower_expr(stmt.value)
         def run(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             value(an, state, depth)
         return run
     if kind is ast.Assign or (kind is ast.AnnAssign and stmt.value is not None):
@@ -1030,9 +1031,7 @@ def lower_stmt(stmt: ast.stmt):
             type(t) is ast.Name for t in nodes
         ) and stmt.value.id
         def run(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             if alias and state.env.get(alias) is SELF:
                 held = SELF
             else:
@@ -1116,29 +1115,34 @@ def lower_stmt(stmt: ast.stmt):
         return _lower_try(stmt)
     if kind in (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef):
         # A nested function closing over self can do anything later.
-        facts, defined = _subtree(stmt), stmt.name
-        degrade = _lower_degrade(facts, "nested definition")
-        def run(an, state, depth):
-            an.tick()
-            if _mentions_self(facts().names, state.env):
-                an.escapes[f"self captured by nested {defined!r}"] = None
-            degrade(an)
-            state.env[defined] = UNKNOWN
-            an.note_blocker(f"nested {kind.__name__} in work()")
-        return run
+        return _lower_opaque(
+            stmt, "nested definition", f"nested {kind.__name__} in work()",
+            escape=f"self captured by nested {stmt.name!r}", assigned=(stmt.name,),
+        )
     # with/match/… — too much control-flow ambiguity to model.
-    walk = _lower_with(stmt) if kind is ast.With else None
+    return _lower_opaque(
+        stmt, kind.__name__, f"unmodelled statement {kind.__name__}",
+        walk=_lower_with(stmt) if kind is ast.With else None,
+        escape=f"self reachable through unmodelled {kind.__name__}",
+    )
+
+
+def _lower_opaque(stmt: ast.stmt, what: str, blocker: str, walk=None, escape=None, assigned=None):
+    """A statement the executor does not model: ``walk`` (effects-only), or
+    else ``escape`` noted if it mentions self; then the rows (and the
+    counts, if it could move a channel) are lost, and the names it assigns
+    (``assigned``, else every name it stores to) are UNKNOWN."""
     facts = _subtree(stmt)
-    degrade = _lower_degrade(facts, kind.__name__)
+    degrade = _lower_degrade(facts, what)
     def run(an, state, depth):
         an.tick()
         if walk is not None:
             an.effects_only(walk, state.clone(), depth)
         elif _mentions_self(facts().names, state.env):
-            an.escapes[f"self reachable through unmodelled {kind.__name__}"] = None
+            an.escapes[escape] = None
         degrade(an)
-        _havoc(state, facts().assigned)
-        an.note_blocker(f"unmodelled statement {kind.__name__}")
+        _havoc(state, assigned or facts().assigned)
+        an.note_blocker(blocker)
     return run
 
 
@@ -1197,51 +1201,46 @@ def _lower_try(stmt: ast.Try):
             final(an, state, depth)
         return run
     parts = (body, *(lower_body(h.body) for h in stmt.handlers), orelse, final)
-    facts = _subtree(stmt)
-    degrade = _lower_degrade(facts, "try/except")
-    def run(an, state, depth):
-        an.tick()
+    def walk(an, state, depth):
         for part in parts:
             an.effects_only(part, state.clone(), depth)
-        degrade(an)
-        _havoc(state, facts().assigned)
-        an.note_blocker("try/except in work()")
-    return run
+    return _lower_opaque(stmt, "try/except", "try/except in work()", walk=walk)
 
 
 # -- branching and loops ------------------------------------------------------
 
 
+def _decide(an: RateAnalyzer, value: Any, on_data: Tuple[str, str], unresolved: str) -> Optional[bool]:
+    """Whether a concrete test holds; None when it is not concrete, noted
+    with ``on_data`` (blocker, loss of rows) or ``unresolved`` (both)."""
+    taint = _tainted(value)
+    if taint is None:
+        try:
+            return bool(value)
+        except Exception:
+            taint = UNKNOWN
+    blocker, lost = on_data if taint is DATA else (unresolved, unresolved)
+    an.note_blocker(blocker)
+    an.void(lost)
+    return None
+
+
 def _lower_if(stmt: ast.If):
     test = lower_expr(stmt.test)
     body, orelse = lower_body(stmt.body), lower_body(stmt.orelse)
+    notes = (
+        ("branch condition depends on stream data", "branch on a data-dependent condition"),
+        "branch condition is not statically resolvable",
+    )
     def run(an, state, depth):
         an.tick()
-        value = test(an, state, depth)
-        taint = _tainted(value)
-        if taint is None:
-            try:
-                taken = bool(value)
-            except Exception:
-                taint = UNKNOWN
-            else:
-                an.skipped(orelse if taken else body, state, depth)
-                (body if taken else orelse)(an, state, depth)
-                return
-        if taint is DATA:
-            an.note_blocker("branch condition depends on stream data")
-            an.void("branch on a data-dependent condition")
+        taken = _decide(an, test(an, state, depth), *notes)
+        if taken is None:
+            an.run_both(body, orelse, state, depth)
         else:
-            an.note_blocker("branch condition is not statically resolvable")
-            an.void("branch condition is not statically resolvable")
-        an.run_both(body, orelse, state, depth)
+            an.skipped(orelse if taken else body, state, depth)
+            (body if taken else orelse)(an, state, depth)
     return run
-
-
-#: Iterables a loop body may store into: iterated over a snapshot, so the
-#: body's stores do not change the trips.  Any other (a ``range``) is
-#: iterated lazily.
-_SNAPSHOT_ITERABLES = (list, dict, set, bytearray) + ((_np.ndarray,) if _np is not None else ())
 
 
 def _lower_for(stmt: ast.For):
@@ -1263,8 +1262,8 @@ def _lower_for(stmt: ast.For):
                 an.void("iteration over a data-dependent value")
             unresolved(an, state, depth)
             return
-        try:
-            items = iter(list(iterable) if isinstance(iterable, _SNAPSHOT_ITERABLES) else iterable)
+        try:  # a range is iterated lazily: a huge one gives up at the budget
+            items = iterable if type(iterable) is range else list(iterable)
         except TypeError:
             an.note_dynamic("for loop over a non-iterable value")
             uniterable(an, state, depth)
@@ -1272,9 +1271,7 @@ def _lower_for(stmt: ast.For):
         seen = False
         for item in items:
             seen = True
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             target(an, state, depth, item)
             try:
                 body(an, state, depth)
@@ -1454,30 +1451,15 @@ def lower_expr(node: ast.expr):
     if kind is ast.Constant:
         value = node.value
         def ev(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             return value
     elif kind is ast.Name:
-        name = node.id
-        def ev(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
-            env = state.env
-            if name not in env:
-                return an.global_value(name)
-            value = env[name]
-            if value is SELF:
-                an.escapes["bare self used as a value"] = None
-            return value
+        ev = _lower_name(node.id, "bare self used as a value", False)
     elif kind is ast.Attribute:
         owner, attr = lower_expr(node.value), node.attr
         held = type(node.value) is ast.Name and node.value.id
         def ev(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             if held and state.env.get(held) is SELF:  # ``self.attr``: self is no value here
                 return an.self_attr(attr)
             return an.attribute(owner(an, state, depth), attr)
@@ -1488,9 +1470,7 @@ def lower_expr(node: ast.expr):
         op_kind = type(node.op)
         op = _BIN_OPS.get(op_kind)
         def ev(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             a = left(an, state, depth)
             b = right(an, state, depth)
             taint = _tainted(a, b)
@@ -1568,24 +1548,16 @@ def lower_expr(node: ast.expr):
                 return UNKNOWN
     elif kind is ast.IfExp:
         test, body, orelse = map(lower_expr, (node.test, node.body, node.orelse))
+        notes = (
+            ("conditional expression over stream data", "conditional expression on a data-dependent value"),
+            "conditional expression is not statically resolvable",
+        )
         def ev(an, state, depth):
             an.tick()
-            value = test(an, state, depth)
-            taint = _tainted(value)
-            if taint is None:
-                try:
-                    taken = bool(value)
-                except Exception:
-                    taint = UNKNOWN
-                else:
-                    an.effects_only(orelse if taken else body, state.clone(), depth)
-                    return (body if taken else orelse)(an, state, depth)
-            if taint is DATA:
-                an.note_blocker("conditional expression over stream data")
-                an.void("conditional expression on a data-dependent value")
-            else:
-                an.note_blocker("conditional expression is not statically resolvable")
-                an.void("conditional expression is not statically resolvable")
+            taken = _decide(an, test(an, state, depth), *notes)
+            if taken is not None:
+                an.effects_only(orelse if taken else body, state.clone(), depth)
+                return (body if taken else orelse)(an, state, depth)
             a = body(an, state, depth)
             b = orelse(an, state, depth)
             if a is b:
@@ -1595,9 +1567,7 @@ def lower_expr(node: ast.expr):
     elif kind is ast.Subscript:
         container_ev, index_ev = lower_expr(node.value), lower_expr(node.slice)
         def ev(an, state, depth):
-            an.steps += 1
-            if an.steps > _MAX_STEPS:
-                raise _GiveUp
+            an.tick()
             container = container_ev(an, state, depth)
             index = index_ev(an, state, depth)
             taint = _tainted(container, index)
@@ -1781,14 +1751,19 @@ def _lower_call(node: ast.Call):
         if any(isinstance(a, _Channel) for a in values):
             an.channel_escaped = True
         return values
-    def concrete(an, callee, state, depth):
+    def bind(an, state, depth):
+        """The arguments' values and the keywords' — None from a ``**``
+        spread on, which is not evaluated."""
         values = [arg(an, state, depth) for arg in args]
-        kwargs: Dict[str, Any] = {}
+        kwargs: Optional[Dict[str, Any]] = {}
         for name, ev in keywords:
             if name is None:
-                return UNKNOWN
+                return values, None
             kwargs[name] = ev(an, state, depth)
-        return UNKNOWN if callee is None else an.apply(callee, values, kwargs, depth)
+        return values, kwargs
+    def concrete(an, callee, state, depth):
+        values, kwargs = bind(an, state, depth)
+        return UNKNOWN if callee is None or kwargs is None else an.apply(callee, values, kwargs, depth)
 
     func = node.func
     if type(func) is not ast.Attribute:
@@ -1806,7 +1781,7 @@ def _lower_call(node: ast.Call):
             return UNKNOWN
         return ev
     method, base = func.attr, func.value
-    on_self = _lower_self_call(method, args, keywords, consume)
+    on_self = _lower_self_call(method, args, keywords, bind, consume)
     on_channel = _lower_channel_call(method, args, consume)
     def call_on(an, owner, state, depth):
         if owner is SELF:
@@ -1841,9 +1816,7 @@ def _lower_call(node: ast.Call):
         else _lower_site(node, base.attr, method),
     )
     def ev(an, state, depth):
-        an.steps += 1
-        if an.steps > _MAX_STEPS:
-            raise _GiveUp
+        an.tick()
         if held and state.env.get(held) is SELF:
             return on_self(an, state, depth)
         if site and state.env.get(site[0]) is SELF:
@@ -1910,7 +1883,7 @@ def _lower_channel_call(method: str, args: tuple, consume):
     return call
 
 
-def _lower_self_call(method: str, args: tuple, keywords: tuple, consume):
+def _lower_self_call(method: str, args: tuple, keywords: tuple, bind, consume):
     """``self.<method>(…)``: a channel operation, or a helper inlined."""
     op = None if keywords else _channel_op(method, args)
     if op is not None:
@@ -1952,14 +1925,11 @@ def _lower_self_call(method: str, args: tuple, keywords: tuple, consume):
             return UNKNOWN
         return result
     def inline(an, helper: _Function, state, depth):
-        values = [arg(an, state, depth) for arg in args]
-        kwargs = {}
-        for name, ev in keywords:
-            if name is None:
-                an.note_dynamic(f"**kwargs call to self.{method}()")
-                an.note_blocker(f"**kwargs call to self.{method}()")
-                return _NOT_INLINED
-            kwargs[name] = ev(an, state, depth)
+        values, kwargs = bind(an, state, depth)
+        if kwargs is None:
+            an.note_dynamic(f"**kwargs call to self.{method}()")
+            an.note_blocker(f"**kwargs call to self.{method}()")
+            return _NOT_INLINED
         if helper.complex:
             an.note_dynamic(f"helper self.{method}() has a complex signature")
             an.note_blocker(f"helper self.{method}() has a complex signature")

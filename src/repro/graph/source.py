@@ -10,7 +10,8 @@ nodes takes a ``copy.deepcopy`` first.
 
 The text is read through :mod:`linecache`, from the function's code
 object: no tokenizer pass over the file (``inspect.getsource``'s) finds
-where the definition ends.
+where the definition ends, except for a layout that line span misses (a
+decorated or multi-line ``def`` whose body holds no instruction).
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ def function_ast(fn) -> ast.FunctionDef:
     except TypeError as exc:  # not weak-referenceable: a C method, no source
         raise SourceUnavailable(str(exc))
     try:
-        node = ast.parse(_definition_text(fn)).body[0]
-    except (OSError, AttributeError, SyntaxError, IndexError) as exc:
+        try:
+            node = ast.parse(_definition_text(fn)).body[0]
+        except SyntaxError:  # the span stopped short of the body
+            node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    except (OSError, TypeError, AttributeError, SyntaxError, IndexError) as exc:
         raise SourceUnavailable(str(exc))
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         raise SourceUnavailable("not a plain function definition")
@@ -66,16 +70,17 @@ def _indent(line: str) -> int:
 
 def _definition_text(fn) -> str:
     """``fn``'s definition, decorators included: its file's lines from the
-    code's first line to the last one an instruction spans, then on over
+    code's first line to the last one an instruction starts on, then on over
     the blank lines and the lines indented deeper than the ``def`` — the
     body's end may hold no instruction (a docstring-only body, a trailing
     ``pass``)."""
     code = fn.__code__
+    linecache.checkcache(code.co_filename)  # the file may have changed since
     lines = linecache.getlines(code.co_filename, fn.__globals__)
     first = code.co_firstlineno - 1
     if not 0 <= first < len(lines):
         raise OSError(f"no source lines for {code.co_filename}")
-    end = max((last for _, last, _, _ in code.co_positions() if last is not None), default=first)
+    end = max((line for _, _, line in code.co_lines() if line is not None), default=first)
     end = max(end, first + 1)
     indent = _indent(lines[first])
     while end < len(lines) and (not lines[end].strip() or _indent(lines[end]) > indent):

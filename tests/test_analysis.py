@@ -716,6 +716,31 @@ def _sourceless_filter_class():
     return namespace["Sourceless"]
 
 
+def _identity(fn):
+    return fn
+
+
+@_identity
+def _decorated_docstring_only(self):
+    """Nothing but a docstring."""
+
+
+def _multiline_docstring_only(
+    self,
+):
+    """Nothing but a docstring."""
+
+
+_RELOADED_HEAD = """from repro.graph import Filter
+
+
+class Reloaded(Filter):
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+"""
+
+
 class TestSourceProvider:
     def test_one_tree_per_function(self):
         assert method_ast(Gain) is method_ast(Gain)
@@ -808,6 +833,42 @@ class TestSourceProvider:
             got = ast.parse(source_mod._definition_text(fn)).body[0]
             assert ast.dump(got) == ast.dump(want), fn.__qualname__
 
+    def test_a_def_whose_body_holds_no_instruction_is_read(self):
+        """A decorated or multi-line ``def`` whose body is a docstring: the
+        line span stops short of the body, and the tokenizer reads it."""
+        for fn in (_decorated_docstring_only, _multiline_docstring_only):
+            with pytest.raises(SyntaxError):
+                ast.parse(source_mod._definition_text(fn))
+            tree = function_ast(fn)
+            assert tree.name == fn.__name__
+            assert [type(s).__name__ for s in tree.body] == ["Expr"]
+
+    def test_a_reloaded_module_is_read_afresh(self, tmp_path, monkeypatch):
+        """A filter module rewritten and reloaded in one process: its new
+        ``work()`` is read from the file as it is now, not from the lines
+        cached for the old one."""
+        import importlib
+
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        path = tmp_path / "reloaded_filter.py"
+        path.write_text(_RELOADED_HEAD + "    def work(self):\n        self.push(self.pop())\n")
+        try:
+            module = importlib.import_module("reloaded_filter")
+            assert rates_mod.analyze_rates(module.Reloaded()).push.lo == 1
+            # Two lines more above work(), which now pushes twice.
+            path.write_text(
+                "SCALE = 2\n\n" + _RELOADED_HEAD
+                + "    def work(self):\n        x = self.pop()\n"
+                + "        self.push(x)\n        self.push(x * SCALE)\n"
+            )
+            module = importlib.reload(module)
+            tree = function_ast(module.Reloaded.work)
+            assert [type(s).__name__ for s in tree.body] == ["Assign", "Expr", "Expr"]
+            assert rates_mod.analyze_rates(module.Reloaded()).push.lo == 2
+        finally:
+            sys.modules.pop("reloaded_filter", None)
+
 
 # ---------------------------------------------------------------------------
 # The executor itself: its pinned output, its step budget, lazy loops.
@@ -885,6 +946,19 @@ class HugeLoop(Filter):
         self.push(x)
 
 
+class GrowsWhatItEnumerates(Filter):
+    """A loop whose body adds keys to the dict it enumerates."""
+
+    def __init__(self):
+        super().__init__(pop=1, push=1)
+
+    def work(self):
+        seen = {0: 0, 1: 1}
+        for i, key in enumerate(seen):
+            seen[key + 10] = i
+        self.push(self.pop() + len(seen))
+
+
 class TestStepBudget:
     def test_a_loop_that_needs_exactly_the_budget_is_analysed(self, monkeypatch):
         monkeypatch.setattr(rates_mod, "_MAX_STEPS", 9 + 5 * 8)
@@ -930,6 +1004,15 @@ class TestStepBudget:
             tracemalloc.stop()
         assert "rate analysis gave up" in report.cert_blockers
         assert peak < 50 * 2**20
+
+    def test_a_loop_body_does_not_change_its_trips(self):
+        """Only a ``range`` is iterated lazily: anything else (here an
+        ``enumerate`` over a dict the body grows) is listed first."""
+        for rows in (False, True):
+            analyzer = RateAnalyzer(GrowsWhatItEnumerates(), rows)
+            report = analyzer.run()
+            assert report.exact and (report.pop.lo, report.push.lo) == (1, 1)
+            assert not report.dynamic
 
 
 # ---------------------------------------------------------------------------
