@@ -888,6 +888,17 @@ def test_executor_output_matches_the_pinned_digests():
     assert not differ, f"{len(differ)} instance(s) differ: {differ}"
 
 
+def test_crafted_constructs_match_their_pinned_digests():
+    """The same digest for one crafted filter per construct no app uses."""
+    from tests.executor_digests import CRAFTED_FILE, crafted_digests
+
+    pinned = json.loads(CRAFTED_FILE.read_text())
+    got = crafted_digests()
+    assert [name for name, _ in got] == [name for name, _ in pinned]
+    differ = [name for (name, digest), (_, want) in zip(got, pinned) if digest != want]
+    assert not differ, f"{len(differ)} filter(s) differ: {differ}"
+
+
 class UnrolledSum(Filter):
     """Pops ``trips`` items in a constant-bound loop: its analysis takes
     9 steps plus 5 per trip."""

@@ -1,5 +1,7 @@
 """Tests for static work estimation and benchmark characteristics."""
 
+import json
+
 import pytest
 
 from repro.estimate import (
@@ -60,6 +62,23 @@ class TestWorkEstimation:
         reps = repetitions(graph)
         work = steady_state_work(graph, reps)
         assert all(v >= 1 for v in work.values())
+
+
+def test_estimates_match_the_pinned_table():
+    """One ``work_per_firing`` value per app instance, as
+    ``tests/work_estimates.py`` pinned them."""
+    from tests.work_estimates import ESTIMATE_FILE, estimates
+
+    pinned = json.loads(ESTIMATE_FILE.read_text())
+    assert len(pinned) == 879
+    got = estimates()
+    assert [name for name, _ in got] == [name for name, _ in pinned]
+    differ = [
+        f"{name}: {want} -> {value}"
+        for (name, value), (_, want) in zip(got, pinned)
+        if value != want
+    ]
+    assert not differ, f"{len(differ)} instance(s) differ: {differ}"
 
 
 class TestCharacteristics:
