@@ -1,5 +1,6 @@
 """Static estimation: per-filter work, program characteristics."""
 
+from repro.analysis.rates import DEFAULT_TRIP, TRANSCENDENTAL_COST
 from repro.estimate.characteristics import (
     Characteristics,
     characteristics_table,
@@ -7,9 +8,7 @@ from repro.estimate.characteristics import (
     format_table,
 )
 from repro.estimate.work import (
-    DEFAULT_TRIP,
     ITEM_MOVE_COST,
-    TRANSCENDENTAL_COST,
     node_work,
     steady_state_work,
     work_per_firing,

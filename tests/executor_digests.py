@@ -3,7 +3,7 @@
 Each digest covers every :class:`repro.analysis.rates.RateReport` field
 (counts, ``max_peek``, ``dynamic``, violations, blockers, ``rows``,
 ``nonlinear``, ``facts``) and the run's ``steps``, for an unmemoised
-:class:`~repro.analysis.rates.RateAnalyzer` run in both ``rows`` modes.
+:class:`~repro.analysis.executor.RateAnalyzer` run in both ``rows`` modes.
 Instances are listed app by app in ``ALL_APPS`` order, each app's in
 ``filters()`` order.
 
@@ -151,7 +151,7 @@ CRAFTED = (TryExcept, TryFinally, With, Del, Lambda, FString, Match, Walrus, Kwa
 
 
 def _run_data(filt, rows: bool) -> tuple:
-    from repro.analysis.rates import RateAnalyzer
+    from repro.analysis.executor import RateAnalyzer
 
     analyzer = RateAnalyzer(filt, rows)
     report = analyzer.run()

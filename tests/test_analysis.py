@@ -28,10 +28,12 @@ from repro.analysis import (
     analyze_stream,
     classify,
 )
+from repro.analysis import executor as executor_mod
 from repro.analysis import rates as rates_mod
 from repro.analysis.effects import method_ast
 from repro.analysis.lint import main as lint_main
-from repro.analysis.rates import RateAnalyzer, _fingerprint
+from repro.analysis.executor import RateAnalyzer
+from repro.analysis.rates import _fingerprint
 from repro.apps import ALL_APPS
 from repro.apps.common import Adder, FIRFilter
 from repro.errors import ValidationError
@@ -846,7 +848,8 @@ class TestSourceProvider:
     def test_a_reloaded_module_is_read_afresh(self, tmp_path, monkeypatch):
         """A filter module rewritten and reloaded in one process: its new
         ``work()`` is read from the file as it is now, not from the lines
-        cached for the old one."""
+        cached for the old one, and the stored report of the old file is
+        not read for it."""
         import importlib
 
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
@@ -856,6 +859,7 @@ class TestSourceProvider:
         try:
             module = importlib.import_module("reloaded_filter")
             assert rates_mod.analyze_rates(module.Reloaded()).push.lo == 1
+            rates_mod.MEMO.flush()  # the old file's entry is on disk
             # Two lines more above work(), which now pushes twice.
             path.write_text(
                 "SCALE = 2\n\n" + _RELOADED_HEAD
@@ -970,9 +974,35 @@ class GrowsWhatItEnumerates(Filter):
         self.push(self.pop() + len(seen))
 
 
+class PushesMany(Filter):
+    def __init__(self, n):
+        super().__init__(pop=1, push=n)
+        self.n = n
+
+    def work(self):
+        x = self.pop()
+        for i in range(self.n):
+            self.push(x * 2.0)
+
+
+def test_affine_rows_grow_in_linear_time():
+    """Recording the rows of 4·10^4 pushes costs a small multiple of
+    counting them: the rows grow in linear time, not quadratic."""
+    import time
+
+    times = {False: [], True: []}
+    for _ in range(3):  # interleaved, best of three each
+        for rows in times:
+            start = time.perf_counter()
+            report = RateAnalyzer(PushesMany(40_000), rows).run()
+            times[rows].append(time.perf_counter() - start)
+            assert report.push.lo == 40_000 and (report.rows is not None) == rows
+    assert min(times[True]) <= 4 * min(times[False])
+
+
 class TestStepBudget:
     def test_a_loop_that_needs_exactly_the_budget_is_analysed(self, monkeypatch):
-        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 9 + 5 * 8)
+        monkeypatch.setattr(executor_mod, "_MAX_STEPS", 9 + 5 * 8)
         analyzer = RateAnalyzer(UnrolledSum(8))
         report = analyzer.run()
         assert analyzer.steps == 49
@@ -980,7 +1010,7 @@ class TestStepBudget:
         assert "rate analysis gave up" not in report.cert_blockers
 
     def test_one_more_trip_gives_up(self, monkeypatch):
-        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 9 + 5 * 8)
+        monkeypatch.setattr(executor_mod, "_MAX_STEPS", 9 + 5 * 8)
         analyzer = RateAnalyzer(UnrolledSum(9))
         report = analyzer.run()
         # The step past the budget is the ninth trip's read of ``total``:
@@ -1006,7 +1036,7 @@ class TestStepBudget:
         listed first (a smaller budget keeps the traced run short)."""
         import tracemalloc
 
-        monkeypatch.setattr(rates_mod, "_MAX_STEPS", 200_000)
+        monkeypatch.setattr(executor_mod, "_MAX_STEPS", 200_000)
         tracemalloc.start()
         try:
             report = RateAnalyzer(HugeLoop()).run()

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_filter
+from repro.analysis import executor as executor_mod
 from repro.analysis import rates as rates_mod
 from repro.apps import ALL_APPS
 from repro.diskcache import cache_dir
@@ -530,9 +531,9 @@ def test_a_session_without_a_core_writes_the_rate_reports(monkeypatch):
     stored = _entries(".rates")
     assert stored and not _entries(".py") and not _entries(".code")
     ran = []
-    real_run = rates_mod.RateAnalyzer.run
+    real_run = executor_mod.RateAnalyzer.run
     monkeypatch.setattr(
-        rates_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
+        executor_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
     )
     _new_process()
     assert _run_checked(ALL_APPS["FIR"])[:2] == cold
@@ -604,9 +605,9 @@ def gain_modules(tmp_path, monkeypatch):
 def test_reads_through_a_module_are_part_of_the_stored_key(gain_modules, monkeypatch):
     cfg, mod = gain_modules
     ran = []
-    real_run = rates_mod.RateAnalyzer.run
+    real_run = executor_mod.RateAnalyzer.run
     monkeypatch.setattr(
-        rates_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
+        executor_mod.RateAnalyzer, "run", lambda self: ran.append(1) or real_run(self)
     )
 
     def coeffs():
@@ -755,13 +756,13 @@ def test_racing_processes_share_one_cache_directory(tmp_path):
 
 _EFFECTS = """
 import json, sys
-from repro.analysis import classify, effects, rates, send_sites
+from repro.analysis import classify, effects, executor, send_sites
 from repro.apps import ALL_APPS
 from repro.runtime import Interpreter, codegen_cache_stats
 
 runs, asts = [], []
-real_run, real_ast = rates.RateAnalyzer.run, effects.function_ast
-rates.RateAnalyzer.run = lambda self: runs.append(1) or real_run(self)
+real_run, real_ast = executor.RateAnalyzer.run, effects.function_ast
+executor.RateAnalyzer.run = lambda self: runs.append(1) or real_run(self)
 effects.function_ast = lambda fn: asts.append(fn.__name__) or real_ast(fn)
 found = {}
 for name in ("Beamformer", "FreqHopRadio"):

@@ -30,6 +30,23 @@ class TestWorkEstimation:
         # Same class, different loop bounds -> different (cached) costs.
         assert work_per_firing(FIR([1.0] * 8)) != work_per_firing(FIR([1.0] * 32))
 
+    def test_a_branch_the_executor_decides_is_costed_per_instance(self):
+        """Equal-length keys, different bits: each instance is charged the
+        arms its own key takes."""
+        from repro.apps.des import KeyXor
+
+        assert work_per_firing(KeyXor([1, 1, 0, 0])) == work_per_firing(KeyXor([1, 0, 0, 0])) + 1
+
+    def test_a_run_that_gives_up_falls_back_to_the_rates(self, monkeypatch):
+        from repro.analysis import executor
+
+        class Long(FIR):  # a class of its own: no report is memoised for it
+            pass
+
+        monkeypatch.setattr(executor, "_MAX_STEPS", 50)
+        filt = Long([1.0] * 64)
+        assert work_per_firing(filt) == 2.0 * (64 + 1) + 4.0
+
     def test_transcendental_costed(self):
         from repro.apps.vocoder import RectToPolar
 

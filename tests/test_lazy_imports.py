@@ -58,6 +58,15 @@ def test_only_a_feedback_core_loads_the_emitter(tmp_path):
     assert loaded & NOT_RUN == set()
 
 
+def test_a_warm_process_imports_no_executor(tmp_path):
+    """The second process reads every rate report from the cache
+    directory: the symbolic executor is never loaded."""
+    assert "repro.analysis.executor" in _loaded_by("FIR", tmp_path)
+    warm = _loaded_by("FIR", tmp_path)
+    assert "repro.analysis.rates" in warm
+    assert "repro.analysis.executor" not in warm
+
+
 @pytest.mark.parametrize("package", ["repro.runtime", "repro.obs", "repro.scheduling"])
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)

@@ -378,7 +378,7 @@ class TestOneReaderOfWork:
             for p in self.SRC.rglob("*.py")
             if re.search(r"^\s*def lower_stmt\b", p.read_text(), re.M)
         ]
-        assert hits == ["repro/analysis/rates.py"]
+        assert hits == ["repro/analysis/executor.py"]
 
     def test_the_executor_run_path_dispatches_on_no_node(self):
         """Node shapes are decided when a body is lowered: no closure the
@@ -393,7 +393,7 @@ class TestOneReaderOfWork:
                 and "ast." in ast.unparse(call.args[1])
             ]
 
-        tree = ast.parse((self.SRC / "repro" / "analysis" / "rates.py").read_text())
+        tree = ast.parse((self.SRC / "repro" / "analysis" / "executor.py").read_text())
         run_path = []
         for top in tree.body:
             if isinstance(top, ast.ClassDef) and top.name == "RateAnalyzer":
@@ -418,11 +418,23 @@ class TestOneReaderOfWork:
 
     def test_one_analysis_module_dispatches_on_statements(self):
         hits = sorted(
-            path.name
-            for path in (self.SRC / "repro" / "analysis").glob("*.py")
+            str(path.relative_to(self.SRC))
+            for package in ("analysis", "estimate")
+            for path in (self.SRC / "repro" / package).glob("*.py")
             if re.search(r"\bast\.(Assign|AugAssign|For)\b", path.read_text())
         )
-        assert hits == ["rates.py"]
+        assert hits == ["repro/analysis/executor.py"]
+        # The work estimate queries the executor's report: no module of
+        # ``estimate/`` imports ``ast`` or ``graph.source``.
+        for path in (self.SRC / "repro" / "estimate").glob("*.py"):
+            imported = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                    imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+            assert not imported & {"ast", "repro.graph.source"}, (path.name, imported)
 
     def test_effects_defines_no_statement_methods(self):
         tree = ast.parse((self.SRC / "repro" / "analysis" / "effects.py").read_text())
