@@ -61,9 +61,12 @@ is not charged) plus its positional arguments.  A call's callee and
 keywords, an assignment's target and a loop's iterable are free; a
 construct with no row (a dict, a slice, ``try``, …) costs 1, its parts
 nothing.  A decided branch costs its test and the arm taken, an undecided
-one the dearer arm.  A ``for`` over literals, attributes and globals costs
-its trips; one over a local, and a ``while``, ``DEFAULT_TRIP`` first trips;
-a loop the run cannot iterate ``DEFAULT_TRIP`` × (1 + one probe trip).
+one the dearer arm.  A ``for`` over literals, attributes and globals, and a
+``while`` the run iterates, cost the trips run; a ``for`` over a local
+keeps the walker's ``DEFAULT_TRIP`` first trips (see :func:`_lower_for`);
+a loop the run cannot iterate costs ``DEFAULT_TRIP`` × (1 + one probe
+trip).  A run that gives up at the step budget reports what it charged
+so far, a lower bound.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from repro.analysis.effects import (
 from repro.analysis.rates import (
     _SCALAR_TYPES,
     _VERSIONED_MODULES,
+    BUDGET_EXCEEDED,
     DEFAULT_TRIP,
     FOREIGN_STORE,
     TRANSCENDENTAL_COST,
@@ -418,7 +422,6 @@ class RateAnalyzer:
             self.note_blocker("work() source unavailable")
             return self._report(Interval(0, math.inf), Interval(0, math.inf), [], None)
         state = _State({work.self_name: SELF}, pop, push)
-        gave_up = False
         try:
             try:
                 work.body(self, state, 0)
@@ -432,17 +435,16 @@ class RateAnalyzer:
             self.note_dynamic("work() unconditionally raises")
             self.note_blocker("work() unconditionally raises")
         except _GiveUp:
-            self.note_dynamic("analysis budget exceeded")
-            self.unbounded["analysis budget exceeded"] = None
+            self.note_dynamic(BUDGET_EXCEEDED)
+            self.unbounded[BUDGET_EXCEEDED] = None
             state.pop = state.pop.merged(Interval(state.pop.lo, math.inf))
             state.push = state.push.merged(Interval(state.push.lo, math.inf))
             self.note_blocker("rate analysis gave up")
-            gave_up = True
         for done in self.ended:
             state.pop = state.pop.merged(done.pop)
             state.push = state.push.merged(done.push)
             state.cost = max(state.cost, done.cost)
-        return self._report(state.pop, state.push, state.rows, None if gave_up else state.cost)
+        return self._report(state.pop, state.push, state.rows, state.cost)
 
     def _report(
         self, pop: Interval, push: Interval, rows: List[Affine], work: Optional[float]
@@ -1256,9 +1258,11 @@ def _lower_for(stmt: ast.For):
                 an.effects_only(one_trip, probe, depth)
                 first = 1 + probe.cost - before
             orelse(an, state, depth)
-        # The instance fixes the trips of a loop over literals, attributes
-        # and globals; one over a value work() computes (a local) has no
-        # static trip count, and the table charges DEFAULT_TRIP first trips.
+        # Not exact on purpose: a loop over a value work() computes (a
+        # local) is charged DEFAULT_TRIP first trips, the rule of the walker
+        # the table comes from, though the run knows its trips.  Its real
+        # trips move FFT's and TDE's CombineDFT stages, and the E3 ordering
+        # with them (EXPERIMENTS.md §E33); that stays open until decided.
         if any(state.env.get(name, SELF) is not SELF for name in iterable_facts().names):
             state.cost = before + DEFAULT_TRIP * first
     return run
@@ -1268,46 +1272,39 @@ def _lower_while(stmt: ast.While):
     test = lower_expr(stmt.test)
     body, orelse = lower_body(stmt.body), lower_body(stmt.orelse)
     unbounded = _lower_dynamic_loop(_subtree(stmt), body, orelse, "while loop with an unresolvable bound")
-    def concrete(an, state, depth) -> Optional[float]:
-        """Iterate concretely (``while i < n: i += 1``): the cost of the
-        first trip, its test included; None as soon as a test is not
-        concrete."""
-        iterations, before, first = 0, state.cost, None
+    def concrete(an, state, depth) -> bool:
+        """Iterate concretely (``while i < n: i += 1``), charging every
+        trip; False as soon as a test is not concrete."""
+        iterations = 0
         while True:
             an.tick()
             value = test(an, state, depth)
             if _tainted(value) is not None:
-                return None
+                return False
             try:
                 alive = bool(value)
             except Exception:
-                return None
+                return False
             if not alive:
                 if not iterations:
                     an.skipped(body, state, depth)
                 orelse(an, state, depth)
-                break
+                return True
             iterations += 1
             if iterations > 100_000:
                 an.note_dynamic("while loop exceeded the iteration budget")
-                return None
+                return False
             try:
                 body(an, state, depth)
             except _Break:
                 an.skipped(orelse, state, depth)
-                break
+                return True
             except _Continue:
                 pass
-            if first is None:
-                first = state.cost - before
-        return state.cost - before if first is None else first
     def run(an, state, depth):
         an.tick()
         snapshot = state.clone()
-        first = concrete(an, state, depth)
-        if first is not None:
-            # Its test reads what its body changes: no static trip count.
-            state.cost = snapshot.cost + DEFAULT_TRIP * first
+        if concrete(an, state, depth):
             return
         state.adopt(snapshot)
         if _tainted(test(an, state, depth)) is DATA:

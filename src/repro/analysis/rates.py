@@ -84,6 +84,10 @@ class Affine(_Data):
 #: it too: such a filter may not even be *tried* on clones.
 FOREIGN_STORE = "work() stores into a non-local object"
 
+#: The dynamic finding of a run that gave up at the step budget: its counts
+#: widen to infinity and its ``work`` is what it charged before, a lower bound.
+BUDGET_EXCEEDED = "analysis budget exceeded"
+
 
 @dataclass
 class Interval:
@@ -159,7 +163,7 @@ class RateReport:
     facts: WorkFacts
     #: Estimated cycles per firing, charged by the static cost table as the
     #: run went (see :mod:`repro.analysis.executor`); None when the source
-    #: is unavailable or the run gave up.
+    #: is unavailable, a lower bound when the run gave up.
     work: Optional[float]
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.rates import analyze_rates
+from repro.analysis.rates import BUDGET_EXCEEDED, analyze_rates
 from repro.graph.base import Filter
 from repro.graph.flatgraph import FILTER, FlatGraph, FlatNode
 
@@ -21,10 +21,12 @@ ITEM_MOVE_COST = 1
 
 def work_per_firing(filt: Filter) -> float:
     """Estimated cycles per invocation of the filter's work function."""
-    cost = analyze_rates(filt).work
-    if cost is None:
-        # Source unavailable or the run gave up: a rate-proportional estimate.
-        cost = 2.0 * (filt.rate.peek + filt.rate.push) + 4.0
+    report = analyze_rates(filt)
+    cost = report.work
+    if cost is None or BUDGET_EXCEEDED in report.dynamic:
+        # Source unavailable, or a run that gave up (its charge is a lower
+        # bound): at least a rate-proportional estimate.
+        cost = max(cost or 0.0, 2.0 * (filt.rate.peek + filt.rate.push) + 4.0)
     return max(cost, 1.0)
 
 

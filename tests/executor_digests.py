@@ -1,16 +1,18 @@
 """Pin the rate executor's output: one digest per ``ALL_APPS`` instance.
 
 Each digest covers every :class:`repro.analysis.rates.RateReport` field
-(counts, ``max_peek``, ``dynamic``, violations, blockers, ``rows``,
-``nonlinear``, ``facts``) and the run's ``steps``, for an unmemoised
-:class:`~repro.analysis.executor.RateAnalyzer` run in both ``rows`` modes.
+but the cost estimate ``work`` (counts, ``max_peek``, ``dynamic``,
+violations, blockers, ``rows``, ``nonlinear``, ``facts``) and the run's
+``steps``, for an unmemoised :class:`~repro.analysis.executor.RateAnalyzer`
+run in both ``rows`` modes.
 Instances are listed app by app in ``ALL_APPS`` order, each app's in
 ``filters()`` order.
 
 A second file pins the same digest for a corpus of crafted filters
 (:data:`CRAFTED`), one per construct no app uses: ``try`` with and without
 handlers, ``with``, ``del``, a lambda, an f-string, ``match``, the walrus
-and a ``**kwargs`` helper call.
+and a ``**kwargs`` helper call.  :mod:`tests.work_estimates` pins the
+``work`` field, for the apps and this corpus, through ``work_per_firing``.
 
 ``tests/test_analysis.py::test_executor_output_matches_the_pinned_digests``
 and ``::test_crafted_constructs_match_their_pinned_digests`` recompute the

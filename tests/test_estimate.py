@@ -37,15 +37,63 @@ class TestWorkEstimation:
 
         assert work_per_firing(KeyXor([1, 1, 0, 0])) == work_per_firing(KeyXor([1, 0, 0, 0])) + 1
 
-    def test_a_run_that_gives_up_falls_back_to_the_rates(self, monkeypatch):
+    def test_a_run_that_gives_up_is_at_least_the_rate_estimate(self, monkeypatch):
         from repro.analysis import executor
+        from repro.analysis.rates import BUDGET_EXCEEDED, analyze_rates
 
         class Long(FIR):  # a class of its own: no report is memoised for it
             pass
 
         monkeypatch.setattr(executor, "_MAX_STEPS", 50)
         filt = Long([1.0] * 64)
-        assert work_per_firing(filt) == 2.0 * (64 + 1) + 4.0
+        report = analyze_rates(filt)
+        assert BUDGET_EXCEEDED in report.dynamic and report.work > 0
+        assert work_per_firing(filt) == max(report.work, 2.0 * (64 + 1) + 4.0)
+
+    def test_a_run_that_gives_up_keeps_what_it_charged(self, monkeypatch):
+        """A compute loop too long for the budget is charged the trips run
+        before the run gave up, not a rate-proportional few cycles."""
+        from repro.analysis import executor
+        from repro.analysis.rates import BUDGET_EXCEEDED, analyze_rates
+        from repro.graph import Filter
+
+        class Heavy(Filter):
+            def __init__(self, n):
+                super().__init__(pop=1, push=1)
+                self.n = n
+
+            def work(self):
+                x = self.pop()
+                acc = 0.0
+                for i in range(self.n):
+                    acc += x * i
+                self.push(acc)
+
+        monkeypatch.setattr(executor, "_MAX_STEPS", 2_000)
+        filt = Heavy(10**6)
+        report = analyze_rates(filt)
+        assert BUDGET_EXCEEDED in report.dynamic
+        assert work_per_firing(filt) == report.work > 1_000 > 2.0 * (1 + 1) + 4.0
+
+    def test_a_while_the_run_bounds_is_charged_its_trips(self):
+        from repro.graph import Filter
+
+        class Halve(Filter):
+            def __init__(self, n):
+                super().__init__(pop=1, push=1)
+                self.n = n
+
+            def work(self):
+                x = self.pop()
+                i = 0
+                while i < self.n:
+                    x = x * 0.5
+                    i += 1
+                self.push(x)
+
+        three, six, nine = (work_per_firing(Halve(n)) for n in (3, 6, 9))
+        # A trip is its test (1) plus ``x = x * 0.5`` (2) plus ``i += 1`` (2).
+        assert six - three == nine - six == 3 * 5
 
     def test_transcendental_costed(self):
         from repro.apps.vocoder import RectToPolar
@@ -82,12 +130,13 @@ class TestWorkEstimation:
 
 
 def test_estimates_match_the_pinned_table():
-    """One ``work_per_firing`` value per app instance, as
-    ``tests/work_estimates.py`` pinned them."""
+    """One ``work_per_firing`` value per app instance and crafted filter,
+    as ``tests/work_estimates.py`` pinned them."""
+    from tests.executor_digests import CRAFTED
     from tests.work_estimates import ESTIMATE_FILE, estimates
 
     pinned = json.loads(ESTIMATE_FILE.read_text())
-    assert len(pinned) == 879
+    assert len(pinned) == 879 + len(CRAFTED)
     got = estimates()
     assert [name for name, _ in got] == [name for name, _ in pinned]
     differ = [
