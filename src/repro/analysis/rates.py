@@ -386,7 +386,7 @@ class _ReadSetMemo:
             except (EOFError, ValueError, TypeError):  # verified bytes of another shape
                 pass
         report = self.recall(key, filt)
-        codegen_cache_stats["analysis_misses" if report is None else "analysis_hits"] += 1
+        codegen_cache_stats["disk_misses" if report is None else "disk_hits"] += 1
         return report
 
     def flush(self) -> None:

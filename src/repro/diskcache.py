@@ -1,13 +1,8 @@
 """The on-disk cache directory a second process reads instead of recomputing.
 
 One directory — ``.repro_codegen/``, ``REPRO_CODEGEN_CACHE`` overrides —
-holds one file per entry:
-
-* ``<fingerprint>.py``: the text of a feedback core's generated module
-  (:mod:`repro.runtime.codegen`);
-* ``<fingerprint>.code``: that text compiled, as a marshalled code object;
-* ``<key>.rates``: the rate reports of one filter class
-  (:mod:`repro.analysis.rates`).
+holds one ``<key>.rates`` entry per filter class: that class's rate
+reports (:mod:`repro.analysis.rates`).
 
 An entry's first line is ``# <tag> sha256=<digest of the rest>``; one that
 does not verify (truncated, flipped, written under another tag) reads as
@@ -20,15 +15,20 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
+from contextlib import suppress
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import METRICS, MeteredStats
 
 DEFAULT_CACHE_DIR = ".repro_codegen"
 
-#: Every kind of entry the directory holds.
-SUFFIXES = (".py", ".code", ".rates")
+#: The one kind of entry the directory holds.
+SUFFIX = ".rates"
+
+#: A write that never landed: ``<entry>.tmp<pid>``.
+_TEMPORARY = re.compile(r"\.tmp\d+$")
 
 
 def cache_dir() -> Path:
@@ -41,29 +41,17 @@ def _cache_labels(key: str) -> Dict[str, str]:
     return {"level": level, "event": event}
 
 
-#: Cumulative cache counters (process lifetime): the generated-module levels
-#: (``mem``, ``disk``), the code objects beside the disk entries (``code``)
-#: and the stored rate reports (``analysis``).  Increments mirror into the
-#: always-on metrics registry as repro_codegen_cache_total, the key split
-#: into {level=..., event=...} labels.
+#: Cumulative store counters (process lifetime): entry lookups that found
+#: a verified entry or not, and entries evicted.  Increments mirror into
+#: the always-on metrics registry as repro_codegen_cache_total, the key
+#: split into {level=..., event=...} labels.
 codegen_cache_stats: Dict[str, int] = MeteredStats(
     METRICS.counter(
         "repro_codegen_cache_total",
-        "Generated-module, code-object and rate-report cache events by level",
+        "Rate-report store lookups and evictions",
     ),
     _cache_labels,
-    {
-        "mem_hits": 0,
-        "mem_misses": 0,
-        "disk_hits": 0,
-        "disk_misses": 0,
-        "mem_evictions": 0,
-        "disk_evictions": 0,
-        "code_hits": 0,
-        "code_misses": 0,
-        "analysis_hits": 0,
-        "analysis_misses": 0,
-    },
+    {"disk_hits": 0, "disk_misses": 0, "disk_evictions": 0},
 )
 
 
@@ -84,7 +72,7 @@ def read_entry(path: Path, tag: str) -> Optional[bytes]:
 def write_entry(path: Path, tag: str, body: bytes) -> bool:
     """Store ``body`` at ``path`` under ``tag``, atomically; False when the
     directory is not writable (the cache is an optimisation, never an
-    error)."""
+    error).  A write that fails takes its temporary file with it."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         try:
@@ -96,33 +84,36 @@ def write_entry(path: Path, tag: str, body: bytes) -> bool:
             out.write(_digest_line(tag, body) + b"\n" + body)
         os.replace(tmp, path)
     except OSError:
+        with suppress(OSError):
+            os.unlink(tmp)
         return False
     return True
 
 
-def evict(directory: Path, suffix: str, keep: int) -> List[Path]:
-    """Delete the oldest ``*<suffix>`` entries (by mtime) beyond ``keep``
-    and return them; a directory another process is pruning at the same
-    time is left for the next writer."""
+def evict(directory: Path, suffix: str, keep: int) -> None:
+    """Delete the oldest ``*<suffix>`` entries (by mtime) beyond ``keep``,
+    counting each under ``disk_evictions``; a directory another process is
+    pruning at the same time is left for the next writer."""
     try:
         names = [name for name in os.listdir(directory) if name.endswith(suffix)]
         if len(names) <= keep:
-            return []
+            return
         entries = sorted((directory / name for name in names), key=lambda p: p.stat().st_mtime)
-        victims = entries[: len(entries) - keep]
-        for path in victims:
+        for path in entries[: len(entries) - keep]:
             path.unlink(missing_ok=True)
+            codegen_cache_stats["disk_evictions"] += 1
     except OSError:
-        return []
-    return victims
+        pass
 
 
 def clear_disk() -> None:
-    """Delete every entry of every kind."""
-    directory = cache_dir()
+    """Delete every entry and every temporary file a write left behind (a
+    process killed mid-write); one that cannot be deleted is skipped."""
     try:
-        for path in directory.iterdir():
-            if path.name.endswith(SUFFIXES):
-                path.unlink(missing_ok=True)
+        paths = list(cache_dir().iterdir())
     except OSError:
-        pass
+        return
+    for path in paths:
+        if path.name.endswith(SUFFIX) or _TEMPORARY.search(path.name):
+            with suppress(OSError):
+                path.unlink()

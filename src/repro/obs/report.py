@@ -264,14 +264,9 @@ def render_report(payload: Dict[str, Any], top: Optional[int] = None) -> str:
     cg = meta.get("codegen_cache")
     if isinstance(cg, dict) and cg:
         lines.append(
-            f"codegen cache: memory {cg.get('mem_hits', 0)} hit(s) / "
-            f"{cg.get('mem_misses', 0)} miss(es) "
-            f"({cg.get('mem_size', 0)}/{cg.get('mem_max', 0)} modules), "
-            f"disk {cg.get('disk_hits', 0)} hit(s) / "
-            f"{cg.get('disk_misses', 0)} miss(es) "
-            f"({cg.get('disk_size', 0)} files in {cg.get('disk_dir', '?')})"
+            f"codegen cache: {cg.get('disk_hits', 0)} hit(s) / "
+            f"{cg.get('disk_misses', 0)} miss(es) / "
+            f"{cg.get('disk_evictions', 0)} eviction(s) of rate reports "
+            f"in {cg.get('disk_dir', '?')}"
         )
-        evictions = cg.get("mem_evictions", 0) + cg.get("disk_evictions", 0)
-        if evictions:
-            lines.append(f"  codegen cache evictions: {evictions}")
     return "\n".join(lines)

@@ -4,11 +4,7 @@ from repro import lazy_getattr
 from repro.errors import EngineDowngradeWarning
 from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.channel import Channel, ChannelUnderflow
-from repro.runtime.codegen import (
-    clear_codegen_cache,
-    codegen_cache_stats,
-    codegen_cache_summary,
-)
+from repro.runtime.codegen import clear_codegen_cache, codegen_cache_stats
 from repro.runtime.interpreter import ENGINES, Interpreter, run_to_list
 from repro.runtime.messaging import BEST_EFFORT, PendingMessage, Portal, TimeInterval
 from repro.runtime.plan import (
@@ -45,7 +41,6 @@ __all__ = [
     "clear_codegen_cache",
     "clear_plan_cache",
     "codegen_cache_stats",
-    "codegen_cache_summary",
     "compile_and_run",
     "plan_cache_stats",
     "plan_cache_summary",

@@ -5,22 +5,19 @@ Every other block of a plan runs as the walk calls it (see
 :mod:`repro.runtime.plan`).  A feedback core fires each node about once a
 period, so it is the block where per-firing Python overhead — a bound
 method call, a list push and pop per item — is the whole cost.
-:func:`emit_module` writes the core of a compiled plan as **one small
-Python source module** whose ``run_chunk(scale)`` runs ``scale`` periods
-of it as an inlined closed loop: the scalar ``work()`` bodies are rewritten
-by a statement-level AST transformer, ``self.pop()``/``peek``/``push``
-becoming reads and bindings of locals where :class:`CoreEmitter` can follow
-a tape's contents through the loop body, and list indexing where it
-cannot.
+:func:`emit_module` writes the core as **one small Python source module**
+whose ``run_chunk(scale)`` runs ``scale`` periods of it as an inlined
+closed loop: the scalar ``work()`` bodies are rewritten by a
+statement-level AST transformer, ``self.pop()``/``peek``/``push`` becoming
+reads and bindings of locals where :class:`CoreEmitter` can follow a
+tape's contents through the loop body, and list indexing where it cannot.
 
-The module is *source*, not closures, so it can be cached on disk and
-rebound to a structurally identical plan later (see
-:mod:`repro.runtime.codegen` for the cache and the binder).  Everything a
-bound module needs at run time — filter instances, kernel globals,
-reducers, the core runner itself — is injected into the module namespace
-under deterministic names derived from node/edge indices, so emission and
-binding can happen in different processes.  A core the emitter cannot
-lower raises :class:`Unsupported`; it then runs interpreted (``SL305``).
+The module names what it needs at run time — filter instances, kernel
+globals, reducers, the core runner itself — by node and edge index, and
+the emitter hands over the namespace that binds those names with the text
+(:func:`repro.runtime.codegen.lower_core` compiles and runs the two).  A
+core the emitter cannot lower raises :class:`Unsupported`; it then runs
+interpreted (``SL305``).
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.plan import CoreLoopRunner
-
-#: Bump on any change to the emitted module's shape or binding contract;
-#: part of the cache key, so stale on-disk modules are never rebound.
-EMITTER_VERSION = 5
 
 
 class Unsupported(Exception):
@@ -66,21 +59,13 @@ def _code_fingerprint(fn) -> str:
 
 
 def plan_fingerprint(plan, signature: tuple, version: str) -> str:
-    """Cache key: structural signature + per-class work code + emitter rev.
+    """Structural signature + per-class work code: what a graph's program
+    is, by shape and by the ``work()`` bodies it runs (the parallel
+    engine's structural cache key; ``plan`` needs only ``.graph``).
 
-    The structural signature pins the plan *shape*; the per-class code
-    hashes pin the bodies a core module inlines, so editing a filter's
-    ``work()`` (same class name, same rates) invalidates cached modules.
+    Editing a filter's ``work()`` (same class name, same rates) changes it.
     """
-    parts: List[str] = [repr(signature), version, str(EMITTER_VERSION)]
-    # A region's tier is decided from live state, not structure: a module
-    # must never be rebound to a plan that lowered differently.  (The
-    # parallel engine keys its struct cache on a bare interpreter, which
-    # lowers nothing.)
-    region_report = getattr(plan, "region_report", None)
-    if region_report is not None:
-        # Rows are in graph order; names may be auto-generated per build.
-        parts.append(repr([row["tier"] for row in region_report()]))
+    parts: List[str] = [repr(signature), version]
     for node in plan.graph.nodes:
         if node.kind != FILTER:
             if node.kind == JOINER and node.flavor == COMBINE:
@@ -472,10 +457,10 @@ class CoreEmitter:
     either way.
     """
 
-    def __init__(self, core: CoreLoopRunner, node_index, edge_index) -> None:
+    def __init__(self, core: CoreLoopRunner) -> None:
         self.core = core
-        self.node_index = node_index
-        self.edge_index = edge_index
+        self.node_index = {node: i for i, node in enumerate(core.plan.graph.nodes)}
+        self.edge_index = core.edge_index
         internal, ext_in, ext_out = core.internal, core.ext_in, core.ext_out
         self.edges = internal + ext_in + ext_out
         self.ext_out = set(ext_out)
@@ -546,18 +531,28 @@ class CoreEmitter:
         lines.append("_core.end(scale)")
         return lines
 
-    def meta(self) -> dict:
-        """What the binder needs and ``codegen_report`` shows, by index."""
-        index = self.edge_index
+    def namespace(self) -> dict:
+        """The live objects the emitted names refer to."""
+        nodes = self.core.plan.graph.nodes
+        ns: dict = {f"f{i}": nodes[i].filter for i in self.filter_idx}
+        for i, names in self.globals_map.items():
+            g = type(nodes[i].filter).work.__globals__
+            ns.update((f"_g{i}_{name}", g[name]) for name in names)
+        for i in self.reducer_idx:
+            ns[f"_rd{i}"] = nodes[i].obj.joiner.reducer
+        ns["_core"] = self.core
+        return ns
+
+    def lowering(self) -> dict:
+        """The core's row of ``codegen_report``: its tapes' forms and the
+        loads read once above the loop."""
+        names = {e: f"{e.src.name}->{e.dst.name}" for e in self.edges}
+        nodes = self.core.plan.graph.nodes
         return {
-            "filters": self.filter_idx,
-            "globals": {str(k): v for k, v in self.globals_map.items()},
-            "reducers": self.reducer_idx,
-            "forwarded": {
-                str(index[e]): held for e, held in self.carried.items() if e not in self.taped
-            },
-            "taped": {str(index[e]): why for e, why in self.taped.items()},
-            "hoisted": [list(pair) for pair in sorted(self.hoisted)],
+            "mode": "inline",
+            "forwarded": [names[e] for e in self.carried if e not in self.taped],
+            "taped": {names[e]: why for e, why in self.taped.items()},
+            "hoisted": sorted(f"{nodes[i].name}.{attr}" for i, attr in self.hoisted),
         }
 
     # -- one pass over the unit ----------------------------------------------
@@ -740,50 +735,25 @@ class CoreEmitter:
 # -- module emission ----------------------------------------------------------
 
 
-def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
-    """Emit the module of the plan's feedback core; returns ``(source, meta)``.
-
-    ``meta`` (also embedded in the source as ``__codegen_meta__``) has one
-    entry in ``blocks``, the core's: which nodes it covers and what the
-    binder needs to rebind a cached copy (:meth:`CoreEmitter.meta`).
-    Raises :class:`Unsupported` when the plan has no core or the emitter
-    cannot lower it.
+def emit_module(core: CoreLoopRunner) -> Tuple[str, dict, dict]:
+    """Emit ``core``'s module: ``(source, namespace, lowering)`` — its text,
+    the live objects that text names (:meth:`CoreEmitter.namespace`) and
+    its report row (:meth:`CoreEmitter.lowering`).  Raises
+    :class:`Unsupported` when the emitter cannot lower the core.
     """
-    cores = [block for block in plan.blocks if block.kind == "core"]
-    if not cores:
-        raise Unsupported("the plan has no feedback core")
-    (core,) = cores
-    node_index = {node: i for i, node in enumerate(plan.graph.nodes)}
-    edge_index = {edge: i for i, edge in enumerate(plan.graph.edges)}
-    emitter = CoreEmitter(core, node_index, edge_index)
+    emitter = CoreEmitter(core)
     body = emitter.emit()
-    meta = {
-        "emitter": EMITTER_VERSION,
-        "fingerprint": fingerprint,
-        "blocks": [
-            {
-                "kind": "core",
-                "mode": "inline",
-                "name": core.name,
-                "nodes": sorted(node_index[n] for n in core.nodes),
-                **emitter.meta(),
-            }
-        ],
-    }
     src_lines = [
-        '"""Auto-generated by repro.runtime.codegen — do not edit.',
+        '"""Auto-generated by repro.runtime.codegen_emit — do not edit.',
         "",
         "The inlined closed loop of one feedback core: run_chunk(scale) runs",
         "`scale` steady periods of it.  Names like f3/_g3_x/_rd5/_core are",
-        "injected by the binder (repro.runtime.codegen.bind_core) before",
-        "first use.",
+        "bound by the namespace the module was emitted with.",
         '"""',
-        "",
-        f"__codegen_meta__ = {meta!r}",
         "",
         "",
         "def run_chunk(scale):",
         *("    " + line for line in body),
         "",
     ]
-    return "\n".join(src_lines), meta
+    return "\n".join(src_lines), emitter.namespace(), emitter.lowering()

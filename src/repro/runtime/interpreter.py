@@ -787,10 +787,8 @@ class Interpreter:
         tracer.meta["channels"] = channel_snapshot(self.channels)
         tracer.meta["engine_report"] = self.engine_report()
         if self.plan is not None:
-            from repro.runtime.codegen import codegen_cache_summary
-
             tracer.meta["plan_cache"] = dict(self.plan.cache_stats)
-            tracer.meta["codegen_cache"] = codegen_cache_summary()
+            tracer.meta["codegen_cache"] = tracer.meta["engine_report"]["codegen"]["cache"]
         if self._trace_path is not None:
             tracer.write(self._trace_path)
             self._trace_path = None

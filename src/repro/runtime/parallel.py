@@ -207,9 +207,9 @@ def clear_struct_cache() -> None:
 
 
 def _struct_cache_key(interp, strategy: str, cores: int) -> Tuple:
-    """(plan fingerprint, strategy, cores): the core-module cache's fingerprint
-    (structural signature + per-class work code hashes) without messaging
-    endpoints — portal-bound graphs never reach the parallel engine."""
+    """(plan fingerprint, strategy, cores): the structural signature and the
+    per-class work code hashes, without messaging endpoints — portal-bound
+    graphs never reach the parallel engine."""
     from repro import __version__
     from repro.runtime.codegen_emit import plan_fingerprint
     from repro.runtime.plan import _plan_signature

@@ -650,9 +650,9 @@ class CoreLoopRunner:
         own = dict.fromkeys(  # an ordered set: first-seen over the phases' edge lists
             e for n, _ in self.phases for e in (*n.in_edges, *n.out_edges)
         )
-        #: The core's edges by where their ends lie, in the one order the
-        #: interpreted loop, the emitter and a module bound in another
-        #: process all agree on.
+        #: The core's edges by where their ends lie, in one order: the
+        #: interpreted loop and the emitter agree on it, and two sessions
+        #: over one graph emit the same module.
         self.internal = [e for e in own if e.src in nodes and e.dst in nodes]
         self.ext_in = [e for e in own if e.src not in nodes]
         self.ext_out = [e for e in own if e.dst not in nodes]
@@ -664,12 +664,11 @@ class CoreLoopRunner:
         #: :meth:`lower` has bound it, the generated module's ``run_chunk``.
         self.chunk: Callable[[int], None] = self.interpret
         #: How the core runs, for ``engine_report()["codegen"]``: None until
-        #: lowered, then ``mode`` "inline" with the module's tape forms and
-        #: cache outcome, or "fallback" with the emitter's reason.
+        #: lowered, then ``mode`` "inline" with the module's tape forms, or
+        #: "fallback" with the emitter's reason.
         self.lowering: Optional[Dict[str, object]] = None
-        #: The generated module's text and its disk entry (None without one).
+        #: The generated module's text (None until lowered).
         self.source: Optional[str] = None
-        self.path: Optional[str] = None
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_CODEGEN, CAT_CORE
@@ -680,9 +679,9 @@ class CoreLoopRunner:
 
     def lower(self) -> None:
         """Run through the core's generated module from now on
-        (:func:`~repro.runtime.codegen.lower_core`: cached in memory and on
-        disk); a core the emitter cannot lower keeps the interpreted loop
-        and says why with ``SL305``."""
+        (:func:`~repro.runtime.codegen.lower_core`, emitted for this core);
+        a core the emitter cannot lower keeps the interpreted loop and says
+        why with ``SL305``."""
         from repro.runtime.codegen import lower_core
         from repro.runtime.codegen_emit import Unsupported
 
@@ -1271,8 +1270,8 @@ class ExecutionPlan:
         """``engine_report()["codegen"]``: one row per block — ``kind``,
         ``name`` and ``mode``, which is ``"walk"`` for every block but the
         feedback core, whose row is its :attr:`CoreLoopRunner.lowering` —
-        and the module cache's counters."""
-        from repro.runtime.codegen import codegen_cache_summary
+        and the on-disk store's counters and directory."""
+        from repro.diskcache import cache_dir, codegen_cache_stats
 
         blocks = []
         for block in self.blocks:
@@ -1282,7 +1281,7 @@ class ExecutionPlan:
             elif block.kind == "core":
                 row.update(block.lowering or {"mode": None})
             blocks.append(row)
-        return {"blocks": blocks, "cache": codegen_cache_summary()}
+        return {"blocks": blocks, "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())}}
 
     def release_scratch(self) -> None:
         """Let go of every drained scratch tape's last block (``close()``)."""

@@ -5,8 +5,8 @@ import pytest
 
 @pytest.fixture(scope="session", autouse=True)
 def _session_cache_dir(tmp_path_factory):
-    """The suite writes its generated modules, code objects and rate reports
-    into a directory of its own, never into the working tree."""
+    """The suite writes its rate reports into a directory of its own, never
+    into the working tree."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path_factory.mktemp("codegen-cache")))
         yield

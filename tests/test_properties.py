@@ -487,7 +487,7 @@ def _run_engine(build, engine, periods, chunk_periods=None, **engine_opts):
 
 @pytest.fixture(scope="module", autouse=True)
 def _isolated_codegen_cache():
-    """Keep fuzz-generated codegen modules out of the repo's cache dir."""
+    """Keep fuzz-generated rate reports out of the repo's cache dir."""
     import os
     import tempfile
 
