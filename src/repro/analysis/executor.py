@@ -36,7 +36,7 @@ Safety rules — the analyzer must never perturb the program under analysis:
   *foreign* with the ``self`` attribute they stem from, and a store into a
   foreign object is not performed — it is reported
   (:data:`FOREIGN_STORE`) and is a write of that attribute, or, for an
-  object of the module, a write no trial clone can see.
+  object of the module, a write of state outside the instance.
 
 The pass also records *certification blockers*: reasons the computation is
 not provably safe to run column-wise over a whole batch.  These feed the
@@ -108,17 +108,7 @@ from repro.analysis.rates import (
     inspect_unwrap,
 )
 from repro.graph.base import Filter
-
-#: math functions that vectorize bit-exactly (or via a guarded wrapper) in
-#: runtime/vectorize.py; calling any other function on DATA blocks the proof.
-VECTOR_SAFE_MATH = frozenset(
-    {
-        "sqrt", "sin", "cos", "floor", "ceil", "trunc", "fabs", "copysign",
-        "atan2", "hypot", "fmod", "pow", "atan", "asin", "acos", "tan",
-        "exp", "expm1", "log", "log1p", "log2", "log10", "sinh", "cosh",
-        "tanh",
-    }
-)
+from repro.vecmath import VECTOR_SAFE_MATH
 
 
 class _Unknown:

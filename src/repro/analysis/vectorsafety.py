@@ -1,12 +1,12 @@
 """Vectorization-safety proof for the batched execution engine.
 
 :class:`~repro.runtime.vectorize.BatchExecutor` lifts a filter's ``work()``
-to operate on whole batch *columns* instead of scalars.  Historically the
-only safety evidence was empirical: run a trial clone for 32 firings and
-compare bit-exactly against the scalar path.  This module derives the same
-guarantee *statically* from the effects and rate passes, so provably-safe
-filters skip the trial clone entirely (``trusted=True``) and unprovable
-ones carry a structured machine-readable reason for their downgrade.
+to operate on whole batch *columns* instead of scalars, and does so
+exactly when this module certifies the filter: the guarantee that the
+columns are bit-identical to per-firing execution is derived *statically*
+from the effects and rate passes, never tested on samples.  Unprovable
+filters run the per-firing loop and carry a structured machine-readable
+reason for their downgrade.
 
 A filter is **certified** when all of the following hold:
 
@@ -16,8 +16,8 @@ A filter is **certified** when all of the following hold:
   peek offsets in bounds;
 * every operation applied to stream data is columnwise-exact: arithmetic,
   ``abs``, and the ``math`` functions the lifted namespace rebinds
-  (``VECTOR_SAFE_MATH``) — and only in ``work()`` itself, since helper
-  bodies keep their own (scalar) ``math`` binding;
+  (:data:`repro.vecmath.VECTOR_SAFE_MATH`) — and only in ``work()``
+  itself, since helper bodies keep their own (scalar) ``math`` binding;
 * control flow never branches on stream data.
 
 Everything else produces a :class:`VectorProof` with ``certified=False``
@@ -65,7 +65,7 @@ def prove_vectorizable(
     effects: EffectsReport,
     rates: Optional[RateReport],
 ) -> VectorProof:
-    """Statically decide whether ``filt`` may take the trusted lift path."""
+    """Statically decide whether ``filt`` may take the lifted path."""
     reasons: List[str] = []
     rate = filt.rate
     if getattr(type(filt), "stateless", None) is False:

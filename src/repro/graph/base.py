@@ -174,11 +174,12 @@ class Filter(Stream):
     supports_work_batch = False
 
     #: Vectorization hint for the batched engine's *generic* lifter
-    #: (``runtime/vectorize.py``).  ``None`` (default) lets the engine decide
-    #: via bytecode analysis plus a bit-exactness trial; ``False`` opts the
-    #: filter out of lifting entirely (it still runs via the hoisted-I/O
-    #: per-firing loop); ``True`` asserts the work function is pure so the
-    #: engine may skip the bytecode screen (the trial still runs).
+    #: (``runtime/vectorize.py``).  ``None`` (default) lets the static
+    #: vectorization proof decide; ``False`` opts the filter out of lifting
+    #: entirely (it still runs via the hoisted-I/O per-firing loop).
+    #: ``True`` is only a claim that the work function writes no state: the
+    #: analyzer checks it (``SL102``, an error) and lifting still needs the
+    #: proof.
     stateless: Optional[bool] = None
 
     def work(self) -> None:

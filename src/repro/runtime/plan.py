@@ -12,8 +12,8 @@ tapes:
   path);
 * **run-length batching** — consecutive firings of one node execute as a
   single ``work_batch(n)`` call when the filter provides one, as a
-  *generically lifted* vector kernel when
-  :mod:`~repro.runtime.vectorize` proves the filter stateless, and as a
+  *generically lifted* vector kernel when the static vectorization proof
+  certifies the filter (:mod:`~repro.runtime.vectorize`), and as a
   hoisted-I/O ``work()`` loop otherwise;
 * **splitter/joiner vectorization** — distribution cycles become
   reshape/interleave block copies instead of item loops;
@@ -91,16 +91,11 @@ _CHUNK_ITEM_CAP = 1 << 16
 # maps) compile the same batched ``fire(n)`` callables.
 
 
-def make_filter_executor(
-    node: FlatNode, allow_trusted: bool = True
-) -> Callable[[int], None]:
+def make_filter_executor(node: FlatNode) -> Callable[[int], None]:
     filt = node.filter
     if type(filt).supports_work_batch:
         return filt.work_batch
-    # Teleport receivers mutate configuration attributes at delivery
-    # points, so a build-time static proof cannot speak for every batch:
-    # they must earn lifting through the empirical trial instead.
-    return BatchExecutor(filt, allow_trusted=allow_trusted)
+    return BatchExecutor(filt)
 
 
 def make_splitter_executor(
@@ -182,13 +177,11 @@ def make_joiner_executor(
 
 
 def make_node_executor(
-    node: FlatNode,
-    channels: Dict[object, object],
-    allow_trusted: bool = True,
+    node: FlatNode, channels: Dict[object, object]
 ) -> Callable[[int], None]:
     """Batched ``fire(n)`` executor for any node kind."""
     if node.kind == FILTER:
-        return make_filter_executor(node, allow_trusted)
+        return make_filter_executor(node)
     if node.kind == SPLITTER:
         return make_splitter_executor(node, channels)
     if node.kind == JOINER:
@@ -925,16 +918,14 @@ class ExecutionPlan:
 
     def _executor(self, node: FlatNode) -> Callable[[int], None]:
         if node not in self._executors:
-            self._executors[node] = make_node_executor(
-                node, self.channels, allow_trusted=node not in self._receivers
-            )
+            self._executors[node] = make_node_executor(node, self.channels)
         return self._executors[node]
 
     def vectorization_report(self) -> Dict[str, Dict[str, object]]:
         """Per-filter executor outcome: mode, trust, and downgrade reason.
 
-        Executors resolve lazily, so entries show ``"untried"`` until the
-        plan has run at least once.
+        Executors resolve at ``run_init``, so entries show ``"untried"``
+        before it.
         """
         report: Dict[str, Dict[str, object]] = {}
         for node, fire in self._executors.items():
@@ -1313,6 +1304,11 @@ class ExecutionPlan:
     # -- execution ------------------------------------------------------------
 
     def run_init(self) -> None:
+        # init() has set the attribute values the lifting proof reads:
+        # decide every executor's mode here, not inside a steady call.
+        for fire in self._executors.values():
+            if isinstance(fire, BatchExecutor):
+                fire.resolve()
         self.periods_done = -1
         for block in self.init_blocks:
             block.run(1)

@@ -8,6 +8,8 @@ is the one documented exception (GEMM vs GEMV kernel selection inside BLAS)
 and is covered by a tight ``allclose`` unit test instead.
 """
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +24,8 @@ from repro.linear.linrep import LinearFilter, LinearRep
 from repro.runtime import ArrayChannel, Channel, Interpreter, compile_and_run
 from repro.runtime.kernels import TABLE_MAX_FIRINGS, ordered_mac
 from repro.runtime.plan import _CHUNK_ITEM_CAP
+from repro.runtime.vectorize import VEC_MATH
+from repro.vecmath import EXACT_UFUNCS, VECTOR_SAFE_MATH
 
 from .helpers import FIR, Gain, Tripwire, open_session, run_calls
 
@@ -386,3 +390,134 @@ def test_a_run_that_raises_is_credited_nothing(engine, tmp_path, monkeypatch):
         with pytest.raises((ValueError, StreamItError), match="tripped"):
             interp.run_steady(4)
         assert _by_name(interp, interp.fired) == want
+
+
+# -- lifted math ------------------------------------------------------------
+
+#: a seeded column over each vector-safe ``math`` function's domain
+_DOMAINS = {
+    "sqrt": [(0.0, 1e6)],
+    "sin": [(-1e3, 1e3)],
+    "cos": [(-1e3, 1e3)],
+    "tan": [(-1e3, 1e3)],
+    "fabs": [(-1e6, 1e6)],
+    "copysign": [(-1e6, 1e6), (-1.0, 1.0)],
+    "floor": [(-1e6, 1e6)],
+    "ceil": [(-1e6, 1e6)],
+    "trunc": [(-1e6, 1e6)],
+    "atan2": [(-10.0, 10.0), (-10.0, 10.0)],
+    "hypot": [(-1e3, 1e3), (-1e3, 1e3)],
+    "fmod": [(-1e3, 1e3), (0.5, 50.0)],
+    "pow": [(0.0, 10.0), (-8.0, 8.0)],
+    "atan": [(-1e3, 1e3)],
+    "asin": [(-1.0, 1.0)],
+    "acos": [(-1.0, 1.0)],
+    "exp": [(-700.0, 700.0)],
+    "expm1": [(-700.0, 700.0)],
+    "log": [(1e-9, 1e6)],
+    "log1p": [(-0.999, 1e6)],
+    "log2": [(1e-9, 1e6)],
+    "log10": [(1e-9, 1e6)],
+    "sinh": [(-700.0, 700.0)],
+    "cosh": [(-700.0, 700.0)],
+    "tanh": [(-20.0, 20.0)],
+}
+
+
+def test_the_domain_table_covers_every_vector_safe_name():
+    assert set(_DOMAINS) == VECTOR_SAFE_MATH
+
+
+@pytest.mark.parametrize("name", sorted(_DOMAINS))
+def test_vector_math_is_bit_identical_to_math(name):
+    rng = np.random.default_rng(sorted(_DOMAINS).index(name))
+    cols = [rng.uniform(lo, hi, 4096) for lo, hi in _DOMAINS[name]]
+    lo, hi = _DOMAINS[name][0]
+    if lo < -0.5 and hi > 0.5:  # signed zeros, and roundings to them
+        cols[0][:4] = (0.0, -0.0, 0.5, -0.5)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got = np.asarray(getattr(VEC_MATH, name)(*cols), dtype=np.float64)
+    fn = getattr(math, name)
+    want = np.array([float(fn(*args)) for args in zip(*(c.tolist() for c in cols))])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_UFUNCS))
+def test_an_exact_ufunc_flags_exactly_where_math_raises(name):
+    ufunc, fn = EXACT_UFUNCS[name], getattr(math, name)
+    specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]
+    for args in itertools.product(specials, repeat=ufunc.nin):
+        try:
+            want = fn(*args)
+        except (ValueError, OverflowError):
+            want = FloatingPointError
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                got = ufunc(*(np.array([a]) for a in args))[0]
+        except FloatingPointError:
+            got = FloatingPointError
+        if want is FloatingPointError or got is FloatingPointError:
+            assert got is want, (name, args)
+        else:
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (name, args)
+
+
+class _OneLine(Filter):
+    """Pushes one expression of its input, picked by ``op``; certified for
+    every ``op``."""
+
+    def __init__(self, op):
+        super().__init__(pop=1, push=1)
+        self.op = op
+
+    def work(self):
+        x = self.pop()
+        if self.op == "sqrt":
+            y = math.sqrt(x)
+        elif self.op == "sin":
+            y = math.sin(x)
+        elif self.op == "recip":
+            y = 1.0 / x
+        elif self.op == "mod":
+            y = 3.0 % x
+        elif self.op == "square":
+            y = x**2
+        elif self.op == "floor":
+            y = math.floor(x)
+        else:
+            y = x * 1e300
+        self.push(y)
+
+
+def _outcome(op, x, engine):
+    sink = CollectSink()
+    app = Pipeline(ArraySource([1.0, 2.0, x, 4.0]), _OneLine(op), sink)
+    try:
+        Interpreter(app, check=False, engine=engine).run(4)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the result
+        return type(exc)
+    return list(sink.collected)
+
+
+@pytest.mark.parametrize(
+    "op, x, raises",
+    [
+        ("sqrt", -1.0, ValueError),
+        ("sin", math.inf, ValueError),
+        ("recip", 0.0, ZeroDivisionError),
+        ("mod", 0.0, ZeroDivisionError),
+        ("square", 1e200, OverflowError),
+        ("floor", math.inf, OverflowError),
+        ("huge", 1e300, None),
+    ],
+)
+def test_a_lifted_kernel_raises_where_scalar_raises(op, x, raises):
+    """The compiled engine raises the scalar engine's exception instead of
+    pushing the ufunc's nan or inf."""
+    from repro.analysis import analyze_filter
+
+    assert analyze_filter(_OneLine(op)).certified
+    scalar = _outcome(op, x, "scalar")
+    assert scalar == raises if raises is not None else scalar[2] == math.inf
+    assert _outcome(op, x, "batched") == scalar

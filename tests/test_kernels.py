@@ -419,7 +419,7 @@ def test_run_lifted_leaves_the_channels_alone_when_a_check_fails():
     filt = _InPlace()
     filt.input, filt.output = ArrayChannel("in", data), ArrayChannel("out")
     with pytest.raises(ValueError):
-        vectorize.run_lifted(filt, vectorize.lift_work(_InPlace, trusted=True), 11)
+        vectorize.run_lifted(filt, vectorize.lift_work(_InPlace), 11)
     assert filt.input.snapshot() == data.tolist() and len(filt.output) == 0
 
 

@@ -292,7 +292,7 @@ class _FuzzLookup(Filter):
 
 
 class _FuzzStateful(Filter):
-    """Serial recurrence (the trial demotes this to the hoisted loop path)."""
+    """Serial recurrence (uncertified: runs on the hoisted loop path)."""
 
     def __init__(self) -> None:
         super().__init__(pop=1, push=1)
@@ -692,9 +692,9 @@ class TestBatchedEngineDifferential:
         """Differential guard on the static vectorization proof.
 
         Any filter the analyzer certifies (SL300) must actually run on the
-        trusted lifted path — no trial clones, and never a runtime
-        demotion to loop mode (a demotion would mean the proof was
-        unsound) — while the whole graph stays bit-exact vs scalar.
+        trusted lifted path — never a runtime demotion to loop mode (a
+        demotion would mean the proof was unsound) — and no other filter
+        may lift, while the whole graph stays bit-exact vs scalar.
         """
         from repro.analysis import analyze_filter
 
@@ -727,14 +727,9 @@ class TestBatchedEngineDifferential:
                     f"{node.name}: certified filter was demoted to loop "
                     f"mode ({info['code']}: {info['reason']}) — unsound proof"
                 )
-                if info["kind"] == "lifted":
-                    assert info["trusted"], (
-                        f"{node.name}: certified filter took the trial path"
-                    )
-            elif info["kind"] == "lifted":
-                # Uncertified filters may still lift, but only through the
-                # audited trial path, never on trust.
-                assert not info["trusted"], node.name
+            else:
+                # The proof is the only way onto the lifted path.
+                assert info["kind"] != "lifted", node.name
         # The generator always emits at least one certifiable stage kind in
         # most draws; the guard is vacuous only if nothing certified.
         stateless = [

@@ -2,6 +2,7 @@
 pass — the latency its senders state, read as a schedule input — and stays
 bit-identical to the scalar engine at every chunking of the run."""
 
+import math
 import warnings
 
 import numpy as np
@@ -302,6 +303,9 @@ def test_two_senders_to_one_receiver_land_in_scalar_order(monkeypatch):
     assert interp.plan.message_slack == 4
     assert named(app, "recv").log == named(scalar_app, "recv").log
     assert np.array_equal(out, scalar)
+    # The proof certifies the receiver, so it lifts between deliveries.
+    row = interp.plan.vectorization_report()["recv"]
+    assert row["kind"] == "lifted" and row["trusted"]
 
     # The same graph with every stamp equal, i.e. queues in arrival order.
     post_message = Interpreter.post_message
@@ -335,6 +339,53 @@ def test_latency_zero_downstream_send_is_not_chunked():
     assert interp.plan.message_slack == 1
     assert np.array_equal(out, scalar)
     assert named(app, "recv").log == named(scalar_app, "recv").log
+
+
+class Bent(Filter):
+    """Receiver whose first ``retune`` switches work() onto a ``math.gamma``
+    arm: the proof, run before any message, never saw that arm, and no
+    column can take it."""
+
+    def __init__(self, name=None):
+        super().__init__(pop=1, push=1, name=name)
+        self.curve = 0.0
+
+    def retune(self, gain):
+        self.curve = gain
+
+    def work(self):
+        x = self.pop()
+        if self.curve:
+            self.push(math.gamma(abs(x) + self.curve))
+        else:
+            self.push(x * 0.5)
+
+
+def test_a_message_onto_an_unliftable_arm_demotes_the_receiver():
+    def build():
+        portal = Portal()
+        receiver = Bent(name="recv")
+        portal.register(receiver)
+        return Pipeline(
+            ArraySource([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, 0.5]),
+            Watcher(portal, 2, 0.0, name="send"),
+            receiver,
+            CollectSink(),
+        )
+
+    scalar, _, _ = run(build, "scalar", [40])
+    app = build()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    with Interpreter(app, check=False, engine="batched") as interp:
+        interp.run(0)
+        interp.run_steady(6)  # no sum above 0 yet: nothing sent
+        assert interp.plan.vectorization_report()["recv"]["kind"] == "lifted"
+        interp.run_steady(34)
+        row = interp.plan.vectorization_report()["recv"]
+    assert named(app, "recv").curve > 0
+    assert (row["kind"], row["trusted"], row["code"]) == ("loop", False, "SL301")
+    assert "demoted" in row["reason"]
+    assert np.array_equal(np.asarray(sink.collected), scalar)
 
 
 # -- (c) the bound is tight --------------------------------------------------
