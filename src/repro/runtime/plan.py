@@ -13,8 +13,9 @@ tapes:
 * **run-length batching** — consecutive firings of one node execute as a
   single ``work_batch(n)`` call when the filter provides one, as a
   *generically lifted* vector kernel when the static vectorization proof
-  certifies the filter (:mod:`~repro.runtime.vectorize`), and as a
-  hoisted-I/O ``work()`` loop otherwise;
+  certifies the filter (:mod:`~repro.runtime.vectorize`) and the call has
+  at least :data:`~repro.runtime.vectorize.LIFT_MIN_FIRINGS` firings, and
+  as a hoisted-I/O ``work()`` loop otherwise;
 * **splitter/joiner vectorization** — distribution cycles become
   reshape/interleave block copies instead of item loops;
 * **operator fusion** — maximal chains of adjacent single-input/
@@ -922,7 +923,8 @@ class ExecutionPlan:
         return self._executors[node]
 
     def vectorization_report(self) -> Dict[str, Dict[str, object]]:
-        """Per-filter executor outcome: mode, trust, and downgrade reason.
+        """Per-filter executor outcome: mode, trust, and downgrade reason;
+        a ``lifted`` row also has its ``crossover`` in firings.
 
         Executors resolve at ``run_init``, so entries show ``"untried"``
         before it.
@@ -939,6 +941,8 @@ class ExecutionPlan:
                     "code": downgrade.code if downgrade is not None else None,
                     "reason": downgrade.message if downgrade is not None else None,
                 }
+                if fire.crossover is not None:
+                    report[node.name]["crossover"] = fire.crossover
             else:
                 report[node.name] = {
                     "kind": "work_batch",
@@ -1260,7 +1264,8 @@ class ExecutionPlan:
     def codegen_report(self) -> Dict[str, object]:
         """``engine_report()["codegen"]``: one row per block — ``kind``,
         ``name`` and ``mode``, which is ``"walk"`` for every block but the
-        feedback core, whose row is its :attr:`CoreLoopRunner.lowering` —
+        feedback core, whose row is its :attr:`CoreLoopRunner.lowering`;
+        a block whose executor is lifted adds its ``crossover`` in firings —
         and the on-disk store's counters and directory."""
         from repro.diskcache import cache_dir, codegen_cache_stats
 
@@ -1271,6 +1276,9 @@ class ExecutionPlan:
                 row["tier"] = block.tier
             elif block.kind == "core":
                 row.update(block.lowering or {"mode": None})
+            crossover = getattr(getattr(block, "fire", None), "crossover", None)
+            if crossover is not None:
+                row["crossover"] = crossover
             blocks.append(row)
         return {"blocks": blocks, "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())}}
 

@@ -23,12 +23,18 @@ Whether a filter is lifted is decided once per instance, after its
 ``init()`` (by the plan's ``run_init``, else at the executor's first
 call): exactly when the static vectorization proof
 (:mod:`repro.analysis.vectorsafety`) certifies it over the instance's live
-attribute values.  The lifted call runs with numpy's floating-point flags
-raising, so a firing the scalar engine would fail on (``math.sqrt(-1)``,
-``1.0 / 0``, an overflow) fails the lifted call too; that failure, or any
-other, permanently demotes the instance to the hoisted loop, which reruns
-the batch (the real channels are never touched before a lifted call
-succeeds, so demotion is transparent) and raises what scalar raises.
+attribute values.  A lifted instance still picks its form per call: a call
+of fewer than :data:`LIFT_MIN_FIRINGS` firings runs the hoisted loop, where
+a few Python float ops (~50 ns each) beat numpy calls on a short column
+(~1 us each); a longer call runs the lifted kernel.  Both forms are
+bit-identical to the scalar engine and a certified filter keeps no state,
+so the choice changes time and never output.  The lifted call runs with
+numpy's floating-point flags raising, so a firing the scalar engine would
+fail on (``math.sqrt(-1)``, ``1.0 / 0``, an overflow) fails the lifted call
+too; that failure, or any other, permanently demotes the instance to the
+hoisted loop, which reruns the batch (the real channels are never touched
+before a lifted call succeeds, so demotion is transparent) and raises what
+scalar raises.
 """
 
 from __future__ import annotations
@@ -43,6 +49,28 @@ from repro.runtime.array_channel import ChannelUnderflow
 from repro.runtime.kernels import firing_windows
 from repro.runtime.messaging import Portal
 from repro.vecmath import EXACT_UFUNCS, WRAPPED_FUNCS
+
+
+#: Fewest firings a lifted filter's kernel runs; a shorter call runs the
+#: hoisted loop.  The kernel pays ~1 us per numpy call whatever ``n`` is,
+#: the loop ~50 ns per Python float op per firing, so the crossover is where
+#: ``n`` firings of the loop outweigh one kernel call.  Measured on the
+#: 2-CPU reference host (EXPERIMENTS.md E36, ``benchmarks/probe_one_period.py``),
+#: kernel / loop, microseconds per call:
+#:
+#:     class             n=1     n=4     n=8    n=16    n=64
+#:     SumReals        26/10   21/24   22/44   22/81  25/339
+#:     BeamWeights     38/10   30/26   30/47   31/89  35/371
+#:     BinMultiply    224/51 239/159 240/337 244/662 257/2572
+#:     RealToComplex     8/4     8/6     7/8    9/13    9/36
+#:     DFTBin         129/16   89/42   89/77  92/149   96/578
+#:     RectToPolar      13/4    13/7   14/10   17/19   24/58
+#:     PolarToRect      10/4    10/7   10/10   12/18   13/56
+#:
+#: (the other four lifted classes read like ``PolarToRect``).  Over all
+#: eleven classes and n = 1, 2, 4 ... 64, 8 has the least summed regret:
+#: 20 us, against 168 for 4 and 141 for 16.
+LIFT_MIN_FIRINGS = 8
 
 
 class _LiftError(Exception):
@@ -271,9 +299,11 @@ class BatchExecutor:
 
     :meth:`resolve` runs once, after ``init()``: a filter the static
     vectorization proof from :mod:`repro.analysis` certifies over its live
-    attribute values adopts the lifted kernel; everything else runs the
-    hoisted loop.  ``kind`` is ``"untried"``, ``"lifted"`` or ``"loop"``;
-    a loop's reason (an ``SL301`` diagnostic) is kept on :attr:`downgrade`.
+    attribute values is ``"lifted"``, and runs the lifted kernel for a call
+    of at least :attr:`crossover` firings and the hoisted loop below it;
+    everything else runs the hoisted loop.  ``kind`` is ``"untried"``,
+    ``"lifted"`` or ``"loop"``; a loop's reason (an ``SL301`` diagnostic)
+    is kept on :attr:`downgrade`.
     """
 
     __slots__ = ("filt", "mode", "downgrade")
@@ -306,6 +336,12 @@ class BatchExecutor:
     def trusted(self) -> bool:
         return self.mode == "lifted"
 
+    @property
+    def crossover(self) -> Optional[int]:
+        """Fewest firings a call runs the lifted kernel for (None unless
+        lifted)."""
+        return LIFT_MIN_FIRINGS if self.mode == "lifted" else None
+
     def resolve(self) -> None:
         """Decide the mode once, after ``init()``: lifted exactly when the
         static proof certifies the filter over its live attribute values."""
@@ -326,7 +362,7 @@ class BatchExecutor:
             return
         if self.mode is None:  # no plan's run_init resolved this executor
             self.resolve()
-        if self.mode == "lifted":
+        if self.mode == "lifted" and n >= LIFT_MIN_FIRINGS:
             try:
                 run_lifted(self.filt, lift_work(type(self.filt)), n)
                 return

@@ -24,6 +24,7 @@ from repro.graph import (
     roundrobin,
 )
 from repro.runtime import Interpreter, Portal, TimeInterval
+from repro.runtime.vectorize import LIFT_MIN_FIRINGS
 from repro.scheduling import ConstraintSystem
 from tests.helpers import FIR, Gain
 
@@ -362,13 +363,15 @@ class Bent(Filter):
 
 
 def test_a_message_onto_an_unliftable_arm_demotes_the_receiver():
+    # The receiver fires LIFT_MIN_FIRINGS times a period, so every batch
+    # after the delivery is long enough to run the kernel, which fails.
     def build():
         portal = Portal()
         receiver = Bent(name="recv")
         portal.register(receiver)
         return Pipeline(
             ArraySource([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, 0.5]),
-            Watcher(portal, 2, 0.0, name="send"),
+            Watcher(portal, 2, 0.0, n_push=LIFT_MIN_FIRINGS, name="send"),
             receiver,
             CollectSink(),
         )
