@@ -1276,9 +1276,9 @@ class ExecutionPlan:
                 row["tier"] = block.tier
             elif block.kind == "core":
                 row.update(block.lowering or {"mode": None})
-            crossover = getattr(getattr(block, "fire", None), "crossover", None)
-            if crossover is not None:
-                row["crossover"] = crossover
+            fire = block.fire if isinstance(block, CompiledPhase) else None
+            if isinstance(fire, BatchExecutor) and fire.crossover is not None:
+                row["crossover"] = fire.crossover
             blocks.append(row)
         return {"blocks": blocks, "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())}}
 

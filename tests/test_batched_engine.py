@@ -24,7 +24,7 @@ from repro.linear.linrep import LinearFilter, LinearRep
 from repro.runtime import ArrayChannel, Channel, Interpreter, compile_and_run
 from repro.runtime.kernels import TABLE_MAX_FIRINGS, ordered_mac
 from repro.runtime.plan import _CHUNK_ITEM_CAP
-from repro.runtime.vectorize import VEC_MATH
+from repro.runtime.vectorize import LIFT_MIN_FIRINGS, VEC_MATH
 from repro.vecmath import EXACT_UFUNCS, VECTOR_SAFE_MATH
 
 from .helpers import FIR, Gain, Tripwire, open_session, run_calls
@@ -491,13 +491,18 @@ class _OneLine(Filter):
 
 
 def _outcome(op, x, engine):
-    sink = CollectSink()
-    app = Pipeline(ArraySource([1.0, 2.0, x, 4.0]), _OneLine(op), sink)
+    """What a run of ``LIFT_MIN_FIRINGS`` periods raises or pushes (one call,
+    so a lifted filter runs its kernel), and the filter's executor row."""
+    filt, sink = _OneLine(op), CollectSink()
+    app = Pipeline(ArraySource([1.0, 2.0, x, 4.0]), filt, sink)
+    interp = Interpreter(app, check=False, engine=engine)
     try:
-        Interpreter(app, check=False, engine=engine).run(4)
+        interp.run(LIFT_MIN_FIRINGS)
+        outcome = list(sink.collected)
     except Exception as exc:  # noqa: BLE001 - the exception type is the result
-        return type(exc)
-    return list(sink.collected)
+        outcome = type(exc)
+    row = interp.plan.vectorization_report()[filt.name] if interp.plan is not None else None
+    return outcome, row
 
 
 @pytest.mark.parametrize(
@@ -518,6 +523,10 @@ def test_a_lifted_kernel_raises_where_scalar_raises(op, x, raises):
     from repro.analysis import analyze_filter
 
     assert analyze_filter(_OneLine(op)).certified
-    scalar = _outcome(op, x, "scalar")
+    scalar, _ = _outcome(op, x, "scalar")
     assert scalar == raises if raises is not None else scalar[2] == math.inf
-    assert _outcome(op, x, "batched") == scalar
+    compiled, row = _outcome(op, x, "batched")
+    assert compiled == scalar
+    # Either way the kernel's flag demoted the filter: ``huge`` overflows
+    # in numpy where a Python float quietly goes to inf.
+    assert (row["kind"], row["code"]) == ("loop", "SL301") and "demoted" in row["reason"]

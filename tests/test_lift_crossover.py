@@ -2,6 +2,7 @@
 firings run the hoisted loop, more run the lifted kernel, and either way
 the items are the scalar engine's, bit for bit."""
 
+import functools
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from repro.graph import ArraySource, Filter, Pipeline
 from repro.graph.builtins import CollectSink
 from repro.runtime import Interpreter, vectorize
 from repro.runtime.vectorize import LIFT_MIN_FIRINGS
+from benchmarks.probe_one_period import SIZES, kernel_vs_loop, lifted_inputs
 from tests.test_batched_engine import _OneLine
 
 
@@ -102,6 +104,36 @@ def test_calls_across_the_crossover_equal_scalar(name):
     scalar.run(sum(ACROSS))
     got, ref = np.asarray(sink.collected), np.asarray(want.collected)
     assert got.tobytes() == ref.tobytes()
+
+
+#: Every filter class an app lifts, and one app that lifts it.
+LIFTED_CLASSES = {
+    "BeamWeights": "Beamformer",
+    "BinMultiply": "TDE",
+    "ComplexMagnitude": "FreqHopRadio",
+    "ComplexScale": "TDE",
+    "ComplexToReal": "TDE",
+    "DFTBin": "Vocoder",
+    "FMDemodulator": "FMRadio",
+    "PolarToRect": "Vocoder",
+    "RealToComplex": "FFT",
+    "RectToPolar": "Vocoder",
+    "SumReals": "Vocoder",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_inputs(app):
+    return lifted_inputs(ALL_APPS[app])
+
+
+@pytest.mark.parametrize("cls, app", sorted(LIFTED_CLASSES.items()))
+def test_kernel_and_loop_push_the_same_items(cls, app):
+    """At every n either side of the crossover, fed the items its app
+    sends it, the kernel pushes what the loop pushes (``kernel_vs_loop``
+    raises on the first n where they differ)."""
+    filt, items = _lifted_inputs(app)[cls]
+    assert sorted(kernel_vs_loop(filt, items, reps=1, check=True)) == list(SIZES)
 
 
 #: Certified one-line filters and the item each raises on (scalar's

@@ -24,8 +24,9 @@ from repro.graph import (
 from repro.graph.base import Filter
 from repro.graph.composites import FeedbackLoop
 from repro.linear import LinearRep, combine_pipeline, extract_linear, fir_rep
-from repro.runtime import Channel, Interpreter
+from repro.runtime import Channel, Interpreter, vectorize
 from repro.runtime.messaging import Portal, TimeInterval
+from repro.runtime.vectorize import LIFT_MIN_FIRINGS
 from repro.scheduling import build_schedule, repetitions
 from repro.graph.splitjoin import combine
 from tests.helpers import (
@@ -469,6 +470,12 @@ def _random_loop_stages(gen, delay):
     return body, loopback
 
 
+#: Periods of one differential run.  A filter fires at least once a period,
+#: so in a run of one call every lifted filter gets at least this many
+#: firings and runs its kernel, not the loop below the crossover.
+PERIODS = 2 * LIFT_MIN_FIRINGS
+
+
 def _run_engine(build, engine, periods, chunk_periods=None, **engine_opts):
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
@@ -529,13 +536,13 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", 5)
-        generated, interp = _run_engine(build, "codegen", 5)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        generated, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert generated == scalar
-        # The chunk-split arm: 5 periods in chunks of 1-3 must give the
+        # The chunk-split arm: the same periods in chunks of 1-3 must give the
         # same bits — chunking must never change semantics.
-        split, _ = _run_engine(build, "codegen", 5, chunk_periods=chunk)
+        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
 
     @settings(max_examples=25, deadline=None)
@@ -558,13 +565,13 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", 5)
-        whole, interp = _run_engine(build, "codegen", 5)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        whole, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert whole == scalar
         rows = interp.engine_report()["regions"]
         assert len(rows) == n_regions and all(r["tier"] for r in rows), rows
-        split, _ = _run_engine(build, "codegen", 5, chunk_periods=chunk)
+        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
 
     @settings(max_examples=12, deadline=None)
@@ -592,12 +599,12 @@ class TestBatchedEngineDifferential:
                 ArraySource(data), _FuzzPeek(taps), loop, _FuzzMap(0.5, 1.0, 0), CollectSink()
             )
 
-        scalar, _ = _run_engine(build, "scalar", 6)
-        generated, interp = _run_engine(build, "codegen", 6)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        generated, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert [b.kind for b in interp.plan.blocks].count("core") == 1
         assert generated == scalar
-        split, _ = _run_engine(build, "codegen", 6, chunk_periods=chunk)
+        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
 
     @settings(max_examples=20, deadline=None)
@@ -711,8 +718,17 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", 5)
-        batched, interp = _run_engine(build, "batched", 5)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        kernels = set()
+        run_lifted = vectorize.run_lifted
+
+        def spy(filt, lifted, n):
+            kernels.add(filt.name)
+            return run_lifted(filt, lifted, n)
+
+        with pytest.MonkeyPatch.context() as patch:  # per Hypothesis example
+            patch.setattr(vectorize, "run_lifted", spy)
+            batched, interp = _run_engine(build, "batched", PERIODS)
         assert batched == scalar
         report = interp.plan.vectorization_report()
         certified = 0
@@ -727,6 +743,8 @@ class TestBatchedEngineDifferential:
                     f"{node.name}: certified filter was demoted to loop "
                     f"mode ({info['code']}: {info['reason']}) — unsound proof"
                 )
+                # Not demoted because its kernel ran, not because it never did.
+                assert node.name in kernels, node.name
             else:
                 # The proof is the only way onto the lifted path.
                 assert info["kind"] != "lifted", node.name
@@ -752,8 +770,8 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", 7)
-        generated, interp = _run_engine(build, "codegen", 7)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        generated, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.plan.fused_chains, "expected at least one fused chain"
         assert generated == scalar
 
@@ -786,13 +804,13 @@ class TestParallelEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", 5)
-        batched, _ = _run_engine(build, "batched", 5)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        batched, _ = _run_engine(build, "batched", PERIODS)
         assert batched == scalar
         ran_parallel = []
         for strategy in STRATEGIES:
             out, interp = _run_engine(
-                build, "parallel", 5, strategy=strategy, cores=2
+                build, "parallel", PERIODS, strategy=strategy, cores=2
             )
             if interp.engine_used != "parallel":
                 # Structured downgrade (SL304) — output must still match.
@@ -863,8 +881,8 @@ class TestGraphAnalysisDifferential:
         regions = certified_fusion_regions(flatten(build()))
         assert regions, "pure-branch splitjoin must certify a region"
 
-        scalar, _ = _run_engine(build, "scalar", 5)
-        generated, _ = _run_engine(build, "codegen", 5)
+        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        generated, _ = _run_engine(build, "codegen", PERIODS)
         assert generated == scalar
 
     @settings(max_examples=6, deadline=None)
