@@ -3,7 +3,6 @@ kernel against its per-firing loop by batch size.
 
     PYTHONPATH=src python benchmarks/probe_one_period.py [--calls N] [--reps R]
                                                          [--app NAME ...] [--json]
-    PYTHONPATH=src python benchmarks/probe_one_period.py --check
 
 For every app of ``repro.apps.ALL_APPS`` the probe prints the median wall
 time of one ``run_steady(1)`` call on the compiled engine and on the scalar
@@ -11,12 +10,9 @@ engine, both after two warm periods, the calls of the two sessions
 interleaved.  Then, for one instance of every filter class the plan lifts,
 it prints the median time of ``vectorize.run_lifted`` (the kernel) and of
 ``vectorize.run_loop`` (the hoisted loop) at n = 1, 2, 4, ..., 64 firings,
-fed the items the app itself sends that filter.
-
-``--check`` times nothing.  It asserts, bit for bit, that a compiled
-session calling ``run_steady`` with 1, 64, 1 and 7, 8, 9 periods pushes
-what a scalar ``run`` of as many periods pushes, and that kernel and loop
-push the same items at every n.  It exits non-zero on the first mismatch.
+fed the items the app itself sends that filter; it raises if kernel and
+loop push different items.  Bit-exactness across the crossover is
+tier-1's (``tests/test_lift_crossover.py``); the probe only times.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from repro.apps import ALL_APPS
 from repro.graph.builtins import CollectSink
 from repro.runtime import Interpreter
@@ -38,19 +32,12 @@ from repro.runtime.array_channel import ArrayChannel
 
 #: Firing counts the kernel and the loop are compared at.
 SIZES = (1, 2, 4, 8, 16, 32, 64)
-#: ``run_steady`` periods of the ``--check`` session: across the crossover
-#: and back.
-CHECK_CALLS = (1, 64, 1, 7, 8, 9, 1)
 
 
 def _session(build, engine):
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     return Interpreter(app, check=False, engine=engine), sink
-
-
-def _items(sink) -> bytes:
-    return np.asarray(sink.collected, dtype=np.float64).tobytes()
 
 
 def one_period(build, calls: int):
@@ -67,19 +54,6 @@ def one_period(build, calls: int):
     for interp in sessions:
         interp.close()
     return tuple(statistics.median(s) * 1e6 for s in times)
-
-
-def check_app(build) -> None:
-    """A compiled session across the crossover pushes what scalar pushes."""
-    compiled, out = _session(build, "codegen")
-    compiled.run(0)
-    for periods in CHECK_CALLS:
-        compiled.run_steady(periods)
-    compiled.close()
-    scalar, want = _session(build, "scalar")
-    scalar.run(sum(CHECK_CALLS))
-    if _items(out) != _items(want):
-        raise AssertionError("compiled output differs from scalar")
 
 
 def lifted_inputs(build):
@@ -126,15 +100,16 @@ def _fire(filt, items, form, n):
     return dt, pushed
 
 
-def kernel_vs_loop(filt, items, reps: int, check: bool):
+def kernel_vs_loop(filt, items, reps: int):
     """``{n: (kernel_us, loop_us)}`` over :data:`SIZES` (medians of
-    ``reps`` calls; one call each, untimed, under ``check``)."""
+    ``reps`` calls); raises on the first n where the two push different
+    items."""
     rate = filt.rate
     rows = {}
     for n in SIZES:
         window = items[: (n - 1) * rate.pop + rate.peek]
         kernel, loop = [], []
-        for _ in range(1 if check else reps):
+        for _ in range(reps):
             dt_k, out_k = _fire(filt, window, "kernel", n)
             dt_l, out_l = _fire(filt, window, "loop", n)
             if out_k != out_l:
@@ -151,27 +126,17 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=41, help="calls per kernel/loop cell")
     parser.add_argument("--app", action="append", help="only this app (repeatable)")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
-    parser.add_argument("--check", action="store_true", help="bit-exactness only, no timing")
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")
     apps = {name: ALL_APPS[name] for name in (args.app or ALL_APPS)}
 
     result = {"crossover": getattr(vectorize, "LIFT_MIN_FIRINGS", None), "apps": {}, "lifted": {}}
     for name, build in apps.items():
-        if args.check:
-            check_app(build)
-            print(f"{name}: compiled == scalar over run_steady{CHECK_CALLS}")
-        else:
-            compiled, scalar = one_period(build, args.calls)
-            result["apps"][name] = {"compiled_us": compiled, "scalar_us": scalar}
+        compiled, scalar = one_period(build, args.calls)
+        result["apps"][name] = {"compiled_us": compiled, "scalar_us": scalar}
         for cls, (filt, items) in lifted_inputs(build).items():
             if cls not in result["lifted"]:
-                result["lifted"][cls] = kernel_vs_loop(filt, items, args.reps, args.check)
-                if args.check:
-                    print(f"{name}.{cls}: kernel == loop at n = {SIZES}")
-    if args.check:
-        return 0
-
+                result["lifted"][cls] = kernel_vs_loop(filt, items, args.reps)
     if args.json:
         print(json.dumps(result))
         return 0

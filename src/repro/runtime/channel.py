@@ -5,7 +5,8 @@ semantics: ``pushed_count`` is ``n(t)`` (total items ever pushed onto tape
 ``t``) and ``popped_count`` is ``p(t)``.  Occupancy is ``n(t) - p(t)``.
 
 The buffer is a Python list with a moving head index; ``pop`` is amortized
-O(1) and ``peek(i)`` is O(1).
+O(1) and ``peek(i)`` is O(1).  :class:`ListTape` is the same FIFO without
+the history counters, for per-firing loops over a hoisted tape.
 """
 
 from __future__ import annotations
@@ -134,3 +135,54 @@ class Channel:
         if self._head >= _COMPACT_THRESHOLD and self._head * 2 >= len(self._buf):
             del self._buf[: self._head]
             self._head = 0
+
+
+class ListTape:
+    """Plain-list FIFO a per-firing loop binds its filters to.
+
+    ``items``/``cursor`` instead of head-sliced lists: a pop is one index
+    increment, a push one ``list.append`` — the cheapest per-item operations
+    CPython offers.  Values stay Python floats, so arithmetic matches the
+    scalar engine bit-for-bit.  The owner moves items between the tape and
+    its real channel (``vectorize.run_loop`` per call, the feedback core's
+    ``CoreLoopRunner`` per chunk).
+    """
+
+    __slots__ = ("name", "items", "cursor")
+
+    def __init__(self, name: str = "", items: Optional[List[float]] = None) -> None:
+        self.name = name
+        self.items: List[float] = [] if items is None else items
+        self.cursor = 0
+
+    def pop(self) -> float:
+        c = self.cursor
+        if c >= len(self.items):
+            raise ChannelUnderflow(f"pop on empty list tape {self.name!r}")
+        self.cursor = c + 1
+        return self.items[c]
+
+    def peek(self, index: int) -> float:
+        j = self.cursor + index
+        if index < 0 or j >= len(self.items):
+            raise ChannelUnderflow(f"peek({index}) beyond list tape {self.name!r}")
+        return self.items[j]
+
+    def pop_many(self, count: int) -> List[float]:
+        c = self.cursor
+        end = c + count
+        if end > len(self.items):
+            raise ChannelUnderflow(f"pop_many({count}) on list tape {self.name!r}")
+        self.cursor = end
+        return self.items[c:end]
+
+    def push(self, item: float) -> None:
+        self.items.append(item)
+
+    def push_many(self, items: List[float]) -> None:
+        self.items.extend(items)
+
+    def compact(self) -> None:
+        if self.cursor:
+            del self.items[: self.cursor]
+            self.cursor = 0

@@ -60,10 +60,13 @@ def _code_fingerprint(fn) -> str:
 
 def plan_fingerprint(plan, signature: tuple, version: str) -> str:
     """Structural signature + per-class work code: what a graph's program
-    is, by shape and by the ``work()`` bodies it runs (the parallel
-    engine's structural cache key; ``plan`` needs only ``.graph``).
+    is, by shape and by the ``work()`` bodies it runs (``plan`` needs only
+    ``.graph``).
 
     Editing a filter's ``work()`` (same class name, same rates) changes it.
+    Nothing under ``src/`` calls it or :func:`_code_fingerprint`: they stay
+    only because the cost ledger's per-layer probe
+    (``benchmarks/ledger/layers.py``) imports them, and go when it stops.
     """
     parts: List[str] = [repr(signature), version]
     for node in plan.graph.nodes:

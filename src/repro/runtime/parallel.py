@@ -38,13 +38,10 @@ produced by the :mod:`repro.mapping.strategies` pipeline on real OS cores:
   Failures are reported through an error queue tagged with the firing
   filter's instance name, and every peer is unblocked via the arena-wide
   abort flag — no orphaned processes, no partial hangs;
-* setup is amortized: workers fork once per session and stay warm across
-  ``run()`` calls (``fork_count`` is observable), the partition/proof
-  computation is memoized in a structural plan cache keyed by the PR-6
-  plan fingerprint, and shared-memory segments are parked in a bounded
-  warm-arena pool on clean close so the next session of the same footprint
-  skips ``shm_open``/``mmap`` (:func:`drain_warm_arenas` reclaims them;
-  an ``atexit`` hook drains at interpreter shutdown).
+* setup is paid once per session: workers fork once and stay warm across
+  ``run()`` calls (``fork_count`` is observable).  Nothing outlives the
+  session — each one computes its own partition and ring proofs, creates
+  its own arena, and ``close()`` releases and unlinks it.
 
 Graphs the engine cannot run safely raise :class:`ParallelUnsafe` during
 setup; the interpreter downgrades to ``engine="batched"`` with a structured
@@ -53,7 +50,6 @@ setup; the interpreter downgrades to ``engine="batched"`` with a structured
 
 from __future__ import annotations
 
-import atexit
 import gc
 import multiprocessing
 import os
@@ -63,7 +59,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import StreamItError
 from repro.graph.flatgraph import FILTER, FlatNode
@@ -133,91 +129,6 @@ RING_STALL_S = 120.0
 #: one lets a producer run a whole batch generation ahead (the double
 #: buffer); zero runs at the proved minimum, still stall-free.
 RING_SLACK_BATCHES = 1
-
-
-# ---------------------------------------------------------------------------
-# Warm-arena pool: shared-memory segments parked across sessions
-# ---------------------------------------------------------------------------
-
-#: Parked (still-mapped) shared-memory segments from cleanly-closed
-#: sessions, newest last.  Bounded; drained at interpreter exit.
-_WARM_ARENAS: List[object] = []
-_WARM_ARENAS_MAX = 4
-
-
-def drain_warm_arenas() -> int:
-    """Unlink every parked shared-memory segment; returns how many."""
-    drained = 0
-    while _WARM_ARENAS:
-        segment = _WARM_ARENAS.pop()
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
-        drained += 1
-    return drained
-
-
-atexit.register(drain_warm_arenas)
-
-
-def _adopt_warm_arena(size_needed: int):
-    """Smallest parked segment that fits, or None (pool keeps the rest)."""
-    fits = [s for s in _WARM_ARENAS if s.size >= size_needed]
-    if not fits:
-        return None
-    best = min(fits, key=lambda s: s.size)
-    _WARM_ARENAS.remove(best)
-    return best
-
-
-def _park_arena(arena: RingArena) -> bool:
-    """Park a cleanly-closed arena's segment for reuse (bounded pool)."""
-    segment = arena.park()
-    if segment is None:
-        return False
-    _WARM_ARENAS.append(segment)
-    while len(_WARM_ARENAS) > _WARM_ARENAS_MAX:
-        victim = _WARM_ARENAS.pop(0)
-        try:
-            victim.close()
-            victim.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Structural plan cache: partition + proofs memoized by plan fingerprint
-# ---------------------------------------------------------------------------
-
-#: fingerprint-keyed structural decisions (partition by node name, batch
-#: sizing, ring-capacity proof payloads) — everything about a session that
-#: depends only on the graph's structure, not on live filter state.
-_STRUCT_CACHE: Dict[Tuple, Dict[str, object]] = {}
-_STRUCT_CACHE_MAX = 32
-struct_cache_stats = {"hits": 0, "misses": 0}
-
-
-def clear_struct_cache() -> None:
-    _STRUCT_CACHE.clear()
-    struct_cache_stats["hits"] = 0
-    struct_cache_stats["misses"] = 0
-
-
-def _struct_cache_key(interp, strategy: str, cores: int) -> Tuple:
-    """(plan fingerprint, strategy, cores): the structural signature and the
-    per-class work code hashes, without messaging endpoints — portal-bound
-    graphs never reach the parallel engine."""
-    from repro import __version__
-    from repro.runtime.codegen_emit import plan_fingerprint
-    from repro.runtime.plan import _plan_signature
-
-    signature = _plan_signature(interp.graph, interp.program, (), ())
-    # plan_fingerprint reads only ``.graph`` of its plan argument.
-    fingerprint = plan_fingerprint(interp, signature, __version__)
-    return (fingerprint, strategy, int(cores))
 
 
 def _release_arena(arena: RingArena, rings: List[RingChannel]) -> None:
@@ -290,8 +201,6 @@ class ParallelSession:
             "steady_runs": 0,
             "barrier_waits": 0,
             "barrier_wait_s": 0.0,
-            "arena_reused": False,
-            "struct_cache": "off",
         }
         #: Wall-clock seconds the parent spent inside steady commands.
         self.steady_seconds = 0.0
@@ -310,34 +219,16 @@ class ParallelSession:
         except ValueError as exc:  # pragma: no cover - non-POSIX platform
             raise ParallelUnsafe(f"fork start method unavailable: {exc}")
 
-        # Structural decisions (partition, batch sizing, capacity proofs)
-        # depend only on the graph's structure, so repeated sessions over
-        # the same plan fingerprint reuse them instead of re-running the
-        # model transforms and the proof replay.
-        self._struct_key = _struct_cache_key(interp, strategy, self.cores)
-        cached = _STRUCT_CACHE.get(self._struct_key)
-        by_name = {n.name: n for n in graph.nodes}
-        if cached is not None:
-            struct_cache_stats["hits"] += 1
-            self.protocol["struct_cache"] = "hit"
-            part = {
-                by_name[name]: core
-                for name, core in cached["part"]
-                if name in by_name
-            }
-        else:
-            struct_cache_stats["misses"] += 1
-            self.protocol["struct_cache"] = "miss"
-            from repro.mapping.strategies import partition_nodes
+        from repro.mapping.strategies import partition_nodes
 
-            try:
-                part = partition_nodes(
-                    interp.stream, graph, program.reps, strategy, self.cores
-                )
-            except Exception as exc:
-                raise ParallelUnsafe(
-                    f"strategy {strategy!r} cannot map this graph: {exc}"
-                )
+        try:
+            part = partition_nodes(
+                interp.stream, graph, program.reps, strategy, self.cores
+            )
+        except Exception as exc:
+            raise ParallelUnsafe(
+                f"strategy {strategy!r} cannot map this graph: {exc}"
+            )
         used = sorted(set(part.values()))
         if len(used) < 2:
             raise ParallelUnsafe(
@@ -397,27 +288,17 @@ class ParallelSession:
         # peak, barrier or no barrier).  If the replay cannot complete, the
         # proof object itself carries the legacy guess (init peak + two
         # batches + slop) with proved=False.
-        self.ring_proofs: Dict[object, object] = {}
-        edge_key = lambda e: (e.src.name, e.dst.name, e.src_port, e.dst_port)
-        from repro.analysis.graph import RingProof, ring_capacity_proofs
+        from repro.analysis.graph import ring_capacity_proofs
 
-        if cached is not None and "proofs" in cached:
-            stored = cached["proofs"]
-            self.ring_proofs = {
-                e: RingProof(**stored[edge_key(e)])
-                for e in cross
-                if edge_key(e) in stored
-            }
-        if not self.ring_proofs:
-            try:
-                self.ring_proofs = ring_capacity_proofs(
-                    program, self.node_wid, self.batch_periods, self.monolithic
-                )
-            except Exception:
-                # An analyzer crash proves nothing: every edge takes the
-                # stricter unproved path below (legacy capacity guess,
-                # per-batch barrier for DAG strategies).
-                self.ring_proofs = {}
+        try:
+            self.ring_proofs: Dict[object, object] = ring_capacity_proofs(
+                program, self.node_wid, self.batch_periods, self.monolithic
+            )
+        except Exception:
+            # An analyzer crash proves nothing: every edge takes the
+            # stricter unproved path below (legacy capacity guess,
+            # per-batch barrier for DAG strategies).
+            self.ring_proofs = {}
         # Discipline.  Pipelined strategies always free-run.  DAG strategies
         # free-run *double-buffered* when every cross edge has a proved
         # capacity (the SL404 witness replay models no barriers, so it
@@ -446,26 +327,10 @@ class ParallelSession:
                     + 64
                 )
             capacities.append(cap)
-        if cached is None:
-            import dataclasses
-
-            entry: Dict[str, object] = {
-                "part": tuple((n.name, c) for n, c in part.items()),
-            }
-            if self.ring_proofs:
-                entry["proofs"] = {
-                    edge_key(e): dataclasses.asdict(p)
-                    for e, p in self.ring_proofs.items()
-                }
-            while len(_STRUCT_CACHE) >= _STRUCT_CACHE_MAX:
-                _STRUCT_CACHE.pop(next(iter(_STRUCT_CACHE)))
-            _STRUCT_CACHE[self._struct_key] = entry
         # Blocked-wait policy: with more workers than CPUs, spinning steals
         # the quantum the peer needs; yield immediately instead.
         self._spin = 0 if self.n_workers > (os.cpu_count() or 1) else _SPIN_ITERS
-        segment = _adopt_warm_arena(RingArena.required_size(capacities))
-        self._arena = RingArena(capacities, segment=segment)
-        self.protocol["arena_reused"] = self._arena.reused
+        self._arena = RingArena(capacities)
         self.channels: Dict[object, object] = {}
         for i, edge in enumerate(cross):
             chan = self._arena.ring(
@@ -715,7 +580,6 @@ class ParallelSession:
         for edge in self.ring_edges:
             self.channels[edge].wid = wid  # per-process: who a stall blames
         spec = self.specs[wid]
-        header = self._header
         # Workers live only for this session and their steady-state
         # allocations are acyclic numpy temporaries that refcounting frees
         # on the spot — so run with the cyclic collector off and collect
@@ -730,14 +594,14 @@ class ParallelSession:
                 self._start_barrier.wait()
             except threading.BrokenBarrierError:
                 return
-            cmd = int(header[1])
+            cmd = int(self._header[1])
             if cmd == _CMD_SHUTDOWN:
                 return
             try:
                 if cmd == _CMD_INIT:
                     self._exec_schedule(spec.init, 1)
                 else:
-                    self._run_periods(spec, int(header[2]))
+                    self._run_periods(spec, int(self._header[2]))
             except RingAbort:
                 # A peer failed first; it owns the error report.
                 return
@@ -1078,18 +942,10 @@ class ParallelSession:
                     proc.terminate()
                     proc.join(timeout=10)
         finally:
-            stragglers = [p for p in self._procs if p.is_alive()]
-            # A cleanly-shut-down arena parks its shared segment in the warm
-            # pool so the next session of the same footprint skips
-            # shm_open+mmap; anything suspect (abort, failure, stuck worker)
-            # is released and unlinked outright.
-            clean = not self._failed and not stragglers and not self._arena.aborted
-            self._procs = stragglers
+            self._procs = [p for p in self._procs if p.is_alive()]
             # Drop the session's own header view, then detach + release via
             # the finalizer (which runs exactly once; later calls no-op).
             self._header = None
-            if clean:
-                _park_arena(self._arena)
             self._finalizer()
 
     # -- introspection ---------------------------------------------------------

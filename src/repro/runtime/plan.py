@@ -77,9 +77,9 @@ from repro.graph.composites import SplitJoin
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER, FlatGraph, FlatNode
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.array_channel import ArrayChannel
-from repro.runtime.channel import ChannelUnderflow
+from repro.runtime.channel import ListTape
 from repro.runtime.messaging import Portal
-from repro.runtime.vectorize import BatchExecutor
+from repro.runtime.vectorize import LIFT_MIN_FIRINGS, BatchExecutor
 
 #: Per-edge item cap for one superbatched chunk (512 KiB of float64).
 _CHUNK_ITEM_CAP = 1 << 16
@@ -194,7 +194,7 @@ def make_item_op(node: FlatNode, tapes: Dict[object, object]) -> Callable[[], No
     """One firing of ``node`` over item-at-a-time tapes (``pop`` / ``push`` /
     ``pop_many`` / ``push_many``): a filter's ``work``, or one splitter or
     joiner cycle.  The scalar engine fires over its channels, the
-    interpreted core loop over :class:`_LTape` s."""
+    interpreted core loop over :class:`~repro.runtime.channel.ListTape` s."""
     if node.kind == FILTER:
         return node.filter.work
     if node.flavor == NULL:
@@ -555,55 +555,6 @@ class FusedPhase:
             chan.popped_count += items
 
 
-class _LTape:
-    """Plain-list FIFO used inside a :class:`CoreLoopRunner` chunk.
-
-    ``items``/``cursor`` instead of head-sliced lists: a pop is one index
-    increment, a push one ``list.append`` — the cheapest per-item operations
-    CPython offers.  Values stay Python floats, so arithmetic matches the
-    scalar engine bit-for-bit.
-    """
-
-    __slots__ = ("name", "items", "cursor")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.items: List[float] = []
-        self.cursor = 0
-
-    def pop(self) -> float:
-        c = self.cursor
-        if c >= len(self.items):
-            raise ChannelUnderflow(f"pop on empty core tape {self.name!r}")
-        self.cursor = c + 1
-        return self.items[c]
-
-    def peek(self, index: int) -> float:
-        j = self.cursor + index
-        if index < 0 or j >= len(self.items):
-            raise ChannelUnderflow(f"peek({index}) beyond core tape {self.name!r}")
-        return self.items[j]
-
-    def pop_many(self, count: int) -> List[float]:
-        c = self.cursor
-        end = c + count
-        if end > len(self.items):
-            raise ChannelUnderflow(f"pop_many({count}) on core tape {self.name!r}")
-        self.cursor = end
-        return self.items[c:end]
-
-    def push(self, item: float) -> None:
-        self.items.append(item)
-
-    def push_many(self, items: List[float]) -> None:
-        self.items.extend(items)
-
-    def compact(self) -> None:
-        if self.cursor:
-            del self.items[: self.cursor]
-            self.cursor = 0
-
-
 class CoreLoopRunner:
     """Executes a cyclic schedule core over hoisted Python-list tapes.
 
@@ -612,8 +563,9 @@ class CoreLoopRunner:
     of per-firing ArrayChannel traffic, one ``run(scale)`` call moves all
     channel I/O to plain lists for the whole chunk:
 
-    * edges internal to the core become persistent :class:`_LTape` scratch
-      tapes (seeded once by detaching the post-init channel contents);
+    * edges internal to the core become persistent
+      :class:`~repro.runtime.channel.ListTape` scratch tapes (seeded once
+      by detaching the post-init channel contents);
     * external inputs are snapshot to a list per chunk, and exactly the
       consumed prefix is dropped from the real channel afterwards;
     * external outputs accumulate in a list and land as one ``push_block``;
@@ -693,7 +645,7 @@ class CoreLoopRunner:
 
     def _build(self) -> None:
         tapes = self._tapes = {
-            e: _LTape(f"core:{e.src.name}->{e.dst.name}") for e in self.edge_index
+            e: ListTape(f"core:{e.src.name}->{e.dst.name}") for e in self.edge_index
         }
         self._by_index = {i: tapes[e] for e, i in self.edge_index.items()}
         counts: Dict[FlatNode, int] = {}
@@ -923,8 +875,7 @@ class ExecutionPlan:
         return self._executors[node]
 
     def vectorization_report(self) -> Dict[str, Dict[str, object]]:
-        """Per-filter executor outcome: mode, trust, and downgrade reason;
-        a ``lifted`` row also has its ``crossover`` in firings.
+        """Per-filter executor outcome: mode, trust, and downgrade reason.
 
         Executors resolve at ``run_init``, so entries show ``"untried"``
         before it.
@@ -941,8 +892,6 @@ class ExecutionPlan:
                     "code": downgrade.code if downgrade is not None else None,
                     "reason": downgrade.message if downgrade is not None else None,
                 }
-                if fire.crossover is not None:
-                    report[node.name]["crossover"] = fire.crossover
             else:
                 report[node.name] = {
                     "kind": "work_batch",
@@ -1264,9 +1213,10 @@ class ExecutionPlan:
     def codegen_report(self) -> Dict[str, object]:
         """``engine_report()["codegen"]``: one row per block — ``kind``,
         ``name`` and ``mode``, which is ``"walk"`` for every block but the
-        feedback core, whose row is its :attr:`CoreLoopRunner.lowering`;
-        a block whose executor is lifted adds its ``crossover`` in firings —
-        and the on-disk store's counters and directory."""
+        feedback core, whose row is its :attr:`CoreLoopRunner.lowering` —
+        the ``crossover`` (:data:`~repro.runtime.vectorize.LIFT_MIN_FIRINGS`,
+        the fewest firings a lifted filter runs its kernel for), and the
+        on-disk store's counters and directory."""
         from repro.diskcache import cache_dir, codegen_cache_stats
 
         blocks = []
@@ -1276,11 +1226,12 @@ class ExecutionPlan:
                 row["tier"] = block.tier
             elif block.kind == "core":
                 row.update(block.lowering or {"mode": None})
-            fire = block.fire if isinstance(block, CompiledPhase) else None
-            if isinstance(fire, BatchExecutor) and fire.crossover is not None:
-                row["crossover"] = fire.crossover
             blocks.append(row)
-        return {"blocks": blocks, "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())}}
+        return {
+            "blocks": blocks,
+            "crossover": LIFT_MIN_FIRINGS,
+            "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())},
+        }
 
     def release_scratch(self) -> None:
         """Let go of every drained scratch tape's last block (``close()``)."""

@@ -121,26 +121,12 @@ class RingArena:
 
     The parent constructs the arena (``create=True``) before forking; child
     processes inherit the mapping through fork, so no name handshake or
-    re-attach is needed.  The parent is responsible for :meth:`close` +
-    :meth:`unlink` at session teardown — or may :meth:`park` the segment
-    into a warm pool instead, handing an already-mapped ``segment`` to the
-    next arena with the same (or smaller) footprint so repeated sessions
-    pay ``shm_open`` + ``mmap`` once.
+    re-attach is needed.  The arena lives exactly as long as its session:
+    the parent creates the segment, and :meth:`release` with
+    ``unlink=True`` closes and unlinks it at teardown.
     """
 
-    @staticmethod
-    def required_size(capacities: Sequence[int]) -> int:
-        """Bytes a segment must hold for these ring capacities (pool sizing)."""
-        cursor = _HEADER_SLOTS * 8
-        for cap in capacities:
-            cursor += _CTRL_SLOTS * 8 + _align(cap * 8, 64)
-        return max(cursor, 64)
-
-    def __init__(
-        self,
-        capacities: Sequence[int],
-        segment: Optional[shared_memory.SharedMemory] = None,
-    ) -> None:
+    def __init__(self, capacities: Sequence[int]) -> None:
         offsets: List[int] = []
         cursor = _HEADER_SLOTS * 8
         for cap in capacities:
@@ -151,33 +137,9 @@ class RingArena:
         self._capacities = list(capacities)
         self._offsets = offsets
         self._channels: List["RingChannel"] = []
-        self.size_needed = max(cursor, 64)
-        self.reused = False
-        if segment is not None and segment.size >= self.size_needed:
-            # Adopt a parked segment: zero the header and every ring's
-            # control block (counters define the live contents, so stale
-            # data slots are unreachable and need no clearing).
-            self.shm = segment
-            self.reused = True
-            for off in offsets:
-                np.frombuffer(
-                    self.shm.buf, dtype=np.int64, count=_CTRL_SLOTS, offset=off
-                )[:] = 0
-        else:
-            if segment is not None:  # too small to adopt: retire it
-                try:
-                    segment.close()
-                    segment.unlink()
-                except Exception:  # pragma: no cover - already gone
-                    pass
-            self.shm = shared_memory.SharedMemory(
-                create=True, size=self.size_needed
-            )
-        header = np.frombuffer(self.shm.buf, dtype=np.int64, count=_HEADER_SLOTS)
-        header[:] = 0
-        self._header = header
+        self.shm = shared_memory.SharedMemory(create=True, size=max(cursor, 64))
+        self._header = np.frombuffer(self.shm.buf, dtype=np.int64, count=_HEADER_SLOTS)
         self._unlinked = False
-        self._parked = False
 
     # -- abort flag ----------------------------------------------------------
 
@@ -221,36 +183,17 @@ class RingArena:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def park(self) -> Optional[shared_memory.SharedMemory]:
-        """Detach every view and hand the still-mapped segment to the caller.
-
-        The caller (the warm-arena pool) takes ownership: the segment stays
-        open in this process so a later :class:`RingArena` can adopt it
-        without a fresh ``shm_open``/``mmap``.  Returns ``None`` if the
-        segment was already released.
-        """
-        if self._unlinked or self._parked:
-            return None
-        for chan in self._channels:
-            chan.detach()
-        self._header = None
-        self._parked = True
-        return self.shm
-
     def release(self, unlink: bool) -> None:
         """Drop this process's mapping; the creator also unlinks the segment.
 
         Numpy views pin the underlying ``memoryview``, so they must be
         dropped before ``close()`` or CPython raises ``BufferError``.
         Every channel this arena vended is detached here; callers holding
-        additional hand-made views must drop them first.  A parked arena
-        (see :meth:`park`) no longer owns the segment and is a no-op.
+        additional hand-made views must drop them first.
         """
         for chan in self._channels:
             chan.detach()
         self._header = None
-        if self._parked:
-            return
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - a live view escaped
@@ -376,30 +319,32 @@ class RingChannel:
 
     # -- blocking -------------------------------------------------------------
 
+    def _ready(self, need: int, for_space: bool) -> bool:
+        ctrl = self._ctrl
+        live = ctrl[0] - ctrl[8]
+        return self.capacity - live >= need if for_space else live >= need
+
     def _wait(self, need: int, *, for_space: bool) -> None:
         """Block until ``need`` items (or free slots) are available."""
-        ctrl = self._ctrl
-        if for_space:
-            if need > self.capacity:
-                raise StreamItError(
-                    f"ring {self.name!r}: a single push of {need} items can "
-                    f"never fit capacity {self.capacity} (planner bug)"
-                )
-            ready = lambda: self.capacity - (ctrl[0] - ctrl[8]) >= need
-        else:
-            ready = lambda: ctrl[0] - ctrl[8] >= need
-        if ready():
+        if for_space and need > self.capacity:
+            raise StreamItError(
+                f"ring {self.name!r}: a single push of {need} items can "
+                f"never fit capacity {self.capacity} (planner bug)"
+            )
+        if self._ready(need, for_space):
             return
         # The blocked path: account the stall (events + nanoseconds) in the
         # blocked side's own control slots.  The unblocked path above pays
-        # nothing for this.
+        # nothing for this.  Every slot is read through ``self``: the
+        # traceback of a RingAbort or RingStall keeps this frame alive, and
+        # a local view of the segment would pin it past
+        # RingArena.release().
         stall_slot = _PROD_STALLS if for_space else _CONS_STALLS
         ns_slot = _PROD_STALL_NS if for_space else _CONS_STALL_NS
         need_slot = _PROD_NEED if for_space else _CONS_NEED
         t0 = time.perf_counter_ns()
-        ctrl[stall_slot] += 1
-        ctrl[need_slot] = need
-        header = self._header
+        self._ctrl[stall_slot] += 1
+        self._ctrl[need_slot] = need
         spin = self.spin
         max_sleep = self.max_sleep
         spins = 0
@@ -407,9 +352,9 @@ class RingChannel:
         deadline: Optional[float] = None
         try:
             while True:
-                if ready():
+                if self._ready(need, for_space):
                     return
-                if header[0]:
+                if self._header[0]:
                     raise RingAbort(f"ring {self.name!r}: session aborted by a peer")
                 spins += 1
                 if spins <= spin:
@@ -426,8 +371,8 @@ class RingChannel:
                 if sleep < max_sleep:
                     sleep = min(max_sleep, sleep * 2.0)
         finally:
-            ctrl[need_slot] = 0
-            ctrl[ns_slot] += time.perf_counter_ns() - t0
+            self._ctrl[need_slot] = 0
+            self._ctrl[ns_slot] += time.perf_counter_ns() - t0
 
     def _stall_error(self, need: int, for_space: bool) -> RingStall:
         side = "producer" if for_space else "consumer"

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.runtime.array_channel import ChannelUnderflow
+from repro.runtime.channel import ChannelUnderflow, ListTape
 from repro.runtime.kernels import firing_windows
 from repro.runtime.messaging import Portal
 from repro.vecmath import EXACT_UFUNCS, WRAPPED_FUNCS
@@ -235,39 +235,6 @@ def run_lifted(filt, lifted: Callable, n: int) -> None:
 # -- hoisted-I/O per-firing loop -------------------------------------------
 
 
-class _ListTape:
-    """Input shim for the loop fallback: plain-list reads, no array indexing."""
-
-    __slots__ = ("_items", "cursor")
-
-    def __init__(self, items: List[float]) -> None:
-        self._items = items
-        self.cursor = 0
-
-    def pop(self) -> float:
-        c = self.cursor
-        if c >= len(self._items):
-            raise ChannelUnderflow("pop on exhausted batch window")
-        self.cursor = c + 1
-        return self._items[c]
-
-    def peek(self, index: int) -> float:
-        j = self.cursor + index
-        if index < 0 or j >= len(self._items):
-            raise ChannelUnderflow(f"peek({index}) beyond batch window")
-        return self._items[j]
-
-
-class _ListSink:
-    __slots__ = ("items",)
-
-    def __init__(self) -> None:
-        self.items: List[float] = []
-
-    def push(self, item: float) -> None:
-        self.items.append(item)
-
-
 def run_loop(filt, n: int) -> None:
     """``n`` scalar ``work()`` firings with channel I/O hoisted to lists.
 
@@ -275,8 +242,8 @@ def run_loop(filt, n: int) -> None:
     so results are bit-identical for *any* filter, stateful or not.
     """
     inp, out = filt.input, filt.output
-    tape = _ListTape(inp.peek_block(len(inp)).tolist()) if inp is not None else None
-    sink = _ListSink() if out is not None else None
+    tape = ListTape("", inp.peek_block(len(inp)).tolist()) if inp is not None else None
+    sink = ListTape() if out is not None else None
     filt.input = tape
     filt.output = sink
     try:
@@ -300,7 +267,7 @@ class BatchExecutor:
     :meth:`resolve` runs once, after ``init()``: a filter the static
     vectorization proof from :mod:`repro.analysis` certifies over its live
     attribute values is ``"lifted"``, and runs the lifted kernel for a call
-    of at least :attr:`crossover` firings and the hoisted loop below it;
+    of at least :data:`LIFT_MIN_FIRINGS` firings and the hoisted loop below it;
     everything else runs the hoisted loop.  ``kind`` is ``"untried"``,
     ``"lifted"`` or ``"loop"``; a loop's reason (an ``SL301`` diagnostic)
     is kept on :attr:`downgrade`.
@@ -335,12 +302,6 @@ class BatchExecutor:
     @property
     def trusted(self) -> bool:
         return self.mode == "lifted"
-
-    @property
-    def crossover(self) -> Optional[int]:
-        """Fewest firings a call runs the lifted kernel for (None unless
-        lifted)."""
-        return LIFT_MIN_FIRINGS if self.mode == "lifted" else None
 
     def resolve(self) -> None:
         """Decide the mode once, after ``init()``: lifted exactly when the

@@ -35,7 +35,6 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.chrome import track_names
 from repro.obs.tracer import CAT_CODEGEN, SELF_TIME_CATS
 from repro.runtime import Interpreter
-from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 from repro.scheduling.sdep import delivery_on_boundary
 
 
@@ -371,8 +370,6 @@ def test_spans_are_the_block_list(app_name, engine, chunk):
 
 class TestWarmSessionTracing:
     def test_repeated_runs_share_one_fork_and_stay_well_formed(self):
-        drain_warm_arenas()
-        clear_struct_cache()
         app = ALL_APPS["FMRadio"]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EngineDowngradeWarning)

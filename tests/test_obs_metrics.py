@@ -44,7 +44,6 @@ from repro.obs.recorder import (
     format_flight_tail,
 )
 from repro.runtime import Interpreter
-from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 
 from .helpers import Tripwire, open_session
 
@@ -843,8 +842,6 @@ class TestStallWatchdog:
     ):
         monkeypatch.setattr("repro.runtime.parallel.RING_STALL_S", 0.4)
         monkeypatch.setattr("repro.obs.watchdog.INTERVAL_S", 0.05)
-        drain_warm_arenas()
-        clear_struct_cache()
         FLIGHT.clear()
         def suspected():
             family = METRICS.snapshot()["repro_watchdog_stall_suspected_total"]
@@ -888,8 +885,6 @@ class TestStallWatchdog:
 
     def test_watchdog_gauges_update_on_healthy_run(self, monkeypatch):
         monkeypatch.setattr("repro.obs.watchdog.INTERVAL_S", 0.02)
-        drain_warm_arenas()
-        clear_struct_cache()
         ticks_before = _counter("repro_watchdog_ticks_total")
         steady_before = _counter("repro_parallel_commands_total", kind="steady")
         out, interp = _run_app(
