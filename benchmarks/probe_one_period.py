@@ -7,7 +7,10 @@ kernel against its per-firing loop by batch size.
 For every app of ``repro.apps.ALL_APPS`` the probe prints the median wall
 time of one ``run_steady(1)`` call on the compiled engine and on the scalar
 engine, both after two warm periods, the calls of the two sessions
-interleaved.  Then, for one instance of every filter class the plan lifts,
+interleaved.  Before the timed calls the compiled session runs one-period
+calls until its plan has settled its small-call form (lowered or refused,
+``engine_report()["codegen"]["small_calls"]``), so the compiled column is
+what a long session of small calls pays; the ``form`` column says which.  Then, for one instance of every filter class the plan lifts,
 it prints the median time of ``vectorize.run_lifted`` (the kernel) and of
 ``vectorize.run_loop`` (the hoisted loop) at n = 1, 2, 4, ..., 64 firings,
 fed the items the app itself sends that filter; it raises if kernel and
@@ -40,12 +43,30 @@ def _session(build, engine):
     return Interpreter(app, check=False, engine=engine), sink
 
 
+#: One-period calls a compiled session may take to settle its small-call
+#: form (DES, the slowest, settles in about a hundred).
+SETTLE_CALLS = 5000
+
+
+def settle(interp) -> str:
+    """Run one-period calls until the plan has lowered or refused its
+    small-call form; the state it settled in."""
+    small = interp.plan.small
+    for _ in range(SETTLE_CALLS):
+        if small is None or not small.deciding:
+            break
+        interp.run_steady(1)
+    return interp.engine_report()["codegen"]["small_calls"]["state"]
+
+
 def one_period(build, calls: int):
-    """Median microseconds of one ``run_steady(1)``: (compiled, scalar)."""
+    """Median microseconds of one ``run_steady(1)`` and the compiled
+    session's small-call state: (compiled, scalar, state)."""
     sessions = [_session(build, "codegen")[0], _session(build, "scalar")[0]]
     times = [[], []]
     for interp in sessions:
         interp.run(2)
+    state = settle(sessions[0])
     for _ in range(calls):
         for interp, samples in zip(sessions, times):
             t0 = time.perf_counter()
@@ -53,7 +74,7 @@ def one_period(build, calls: int):
             samples.append(time.perf_counter() - t0)
     for interp in sessions:
         interp.close()
-    return tuple(statistics.median(s) * 1e6 for s in times)
+    return (*(statistics.median(s) * 1e6 for s in times), state)
 
 
 def lifted_inputs(build):
@@ -132,8 +153,8 @@ def main(argv=None) -> int:
 
     result = {"crossover": getattr(vectorize, "LIFT_MIN_FIRINGS", None), "apps": {}, "lifted": {}}
     for name, build in apps.items():
-        compiled, scalar = one_period(build, args.calls)
-        result["apps"][name] = {"compiled_us": compiled, "scalar_us": scalar}
+        compiled, scalar, state = one_period(build, args.calls)
+        result["apps"][name] = {"compiled_us": compiled, "scalar_us": scalar, "form": state}
         for cls, (filt, items) in lifted_inputs(build).items():
             if cls not in result["lifted"]:
                 result["lifted"][cls] = kernel_vs_loop(filt, items, args.reps)
@@ -141,10 +162,10 @@ def main(argv=None) -> int:
         print(json.dumps(result))
         return 0
     print(f"LIFT_MIN_FIRINGS = {result['crossover']}")
-    print(f"\n{'app':<16}{'compiled us':>13}{'scalar us':>12}{'ratio':>8}")
+    print(f"\n{'app':<16}{'compiled us':>13}{'scalar us':>12}{'ratio':>8}  form")
     for name, row in result["apps"].items():
         c, s = row["compiled_us"], row["scalar_us"]
-        print(f"{name:<16}{c:>13.1f}{s:>12.1f}{c / s:>8.2f}")
+        print(f"{name:<16}{c:>13.1f}{s:>12.1f}{c / s:>8.2f}  {row['form']}")
     print("\nkernel / loop, us per call, by firings")
     print(f"{'class':<18}" + "".join(f"{n:>13}" for n in SIZES))
     for cls, rows in result["lifted"].items():

@@ -173,6 +173,12 @@ class Filter(Stream):
     #: stateful or unanalyzable filters.
     supports_work_batch = False
 
+    #: False where :meth:`work_batch` may round differently from ``n``
+    #: calls of :meth:`work` (``LinearFilter``'s GEMM).  A compiled plan
+    #: then never runs its small-call form, whose inlined ``work()`` would
+    #: disagree in the last ulp with the kernel the walk runs.
+    work_batch_exact = True
+
     #: Vectorization hint for the batched engine's *generic* lifter
     #: (``runtime/vectorize.py``).  ``None`` (default) lets the static
     #: vectorization proof decide; ``False`` opts the filter out of lifting

@@ -6,7 +6,8 @@ from :func:`function_ast`, so a function's source is fetched and parsed
 once per process however many filter instances share it.
 
 The returned tree is **shared and read-only**: a consumer that rewrites
-nodes takes a ``copy.deepcopy`` first.
+nodes builds new ones (the codegen emitter copies only the nodes it
+changes).
 
 The text is read through :mod:`linecache`, from the function's code
 object: no tokenizer pass over the file (``inspect.getsource``'s) finds
@@ -42,7 +43,7 @@ def function_ast(fn) -> ast.FunctionDef:
     """The shared ``FunctionDef`` of ``fn`` (raises :class:`SourceUnavailable`).
 
     Decorator wrappers are looked through (``inspect.unwrap``).  Do not
-    mutate the result — ``copy.deepcopy`` it before rewriting.
+    mutate the result — copy what you rewrite.
     """
     fn = inspect.unwrap(fn)
     try:

@@ -136,6 +136,7 @@ class LinearFilter(Filter):
     """A filter that directly executes a :class:`LinearRep` with numpy."""
 
     supports_work_batch = True
+    work_batch_exact = False
 
     def __init__(self, rep: LinearRep, name: Optional[str] = None) -> None:
         super().__init__(peek=rep.peek, pop=rep.pop, push=rep.push, name=name)

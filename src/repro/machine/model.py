@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MachineError
 from repro.estimate.work import node_work
@@ -65,7 +65,43 @@ class ModelGraph:
 
     def __init__(self, actors: List[ModelActor], edges: List[ModelEdge]) -> None:
         self.actors = actors
-        self.edges = edges
+        self._set_edges(edges)
+
+    @property
+    def actors(self) -> List[ModelActor]:
+        """The actors, in order (a fused actor takes the last place)."""
+        if self._actor_list is None:
+            self._actor_list = list(self._actors)
+        return self._actor_list
+
+    @actors.setter
+    def actors(self, actors: List[ModelActor]) -> None:
+        self._actors: Dict[ModelActor, None] = dict.fromkeys(actors)
+        self._actor_list: Optional[List[ModelActor]] = None
+
+    def _set_edges(self, edges: List[ModelEdge]) -> None:
+        """Make ``edges`` the graph's, in that order.
+
+        The graph keeps each edge's place in that order (``seq``) and the
+        in/out adjacency every query walks, each actor's edges in order: a
+        partitioner asks for one actor's neighbours once per candidate
+        fusion, and contracts one pair at a time, so a scan or a rebuild of
+        every edge there makes fusion cubic.  ``edges`` is rebuilt from
+        ``seq`` only when read.
+        """
+        self.seq: Dict[ModelEdge, int] = {e: i for i, e in enumerate(edges)}
+        self._edges: Optional[List[ModelEdge]] = list(edges)
+        self._out: Dict[ModelActor, List[ModelEdge]] = {}
+        self._in: Dict[ModelActor, List[ModelEdge]] = {}
+        for e in edges:
+            self._out.setdefault(e.src, []).append(e)
+            self._in.setdefault(e.dst, []).append(e)
+
+    @property
+    def edges(self) -> List[ModelEdge]:
+        if self._edges is None:
+            self._edges = sorted(self.seq, key=self.seq.__getitem__)
+        return self._edges
 
     # -- construction ---------------------------------------------------------
 
@@ -113,11 +149,14 @@ class ModelGraph:
 
     # -- queries ---------------------------------------------------------------
 
-    def out_edges(self, actor: ModelActor) -> List[ModelEdge]:
-        return [e for e in self.edges if e.src is actor]
+    def out_edges(self, actor: ModelActor) -> Sequence[ModelEdge]:
+        """``actor``'s outgoing edges in order (the graph's own list: read it,
+        do not change it)."""
+        return self._out.get(actor, ())
 
-    def in_edges(self, actor: ModelActor) -> List[ModelEdge]:
-        return [e for e in self.edges if e.dst is actor]
+    def in_edges(self, actor: ModelActor) -> Sequence[ModelEdge]:
+        """``actor``'s incoming edges in order (the graph's own list)."""
+        return self._in.get(actor, ())
 
     def total_work(self) -> float:
         return sum(a.work for a in self.actors)
@@ -136,8 +175,8 @@ class ModelGraph:
         while ready:
             actor = ready.pop()
             order.append(actor)
-            for e in self.edges:
-                if e.src is actor and not e.delayed:
+            for e in self._out.get(actor, ()):
+                if not e.delayed:
                     indeg[e.dst] -= 1
                     if indeg[e.dst] == 0:
                         ready.append(e.dst)
@@ -156,9 +195,9 @@ class ModelGraph:
         cannot be fissed").
         """
         boundary_peeking = any(
-            (e.src is a and e.dst is b) or (e.src is b and e.dst is a)
-            for e in self.edges
-        ) and (b.peeking or a.peeking)
+            e.dst is b for e in self._out.get(a, ())
+        ) or any(e.dst is a for e in self._out.get(b, ()))
+        boundary_peeking = boundary_peeking and (b.peeking or a.peeking)
         fused = ModelActor(
             name=f"{a.name}+{b.name}",
             work=a.work + b.work,
@@ -168,15 +207,36 @@ class ModelGraph:
             io=False,
             members=a.members + b.members,
         )
-        new_edges: List[ModelEdge] = []
-        for e in self.edges:
-            src = fused if e.src in (a, b) else e.src
-            dst = fused if e.dst in (a, b) else e.dst
+        # Only the pair's own edges change: each keeps its place in the
+        # order, re-pointed at the fused actor, or goes if it joined the two.
+        incident = dict.fromkeys(
+            [*self._out.pop(a, ()), *self._out.pop(b, ()), *self._in.pop(a, ()), *self._in.pop(b, ())]
+        )
+        seq = self.seq
+        fused_out: List[ModelEdge] = []
+        fused_in: List[ModelEdge] = []
+        for e in incident:
+            src = fused if e.src is a or e.src is b else e.src
+            dst = fused if e.dst is a or e.dst is b else e.dst
+            place = seq.pop(e)
             if src is fused and dst is fused:
                 continue  # internalized
-            new_edges.append(ModelEdge(src, dst, e.words, e.delayed))
-        self.actors = [x for x in self.actors if x not in (a, b)] + [fused]
-        self.edges = new_edges
+            new = ModelEdge(src, dst, e.words, e.delayed)
+            seq[new] = place
+            if src is fused:
+                fused_out.append(new)
+                neighbours = self._in[dst]
+            else:
+                fused_in.append(new)
+                neighbours = self._out[src]
+            neighbours[neighbours.index(e)] = new
+        fused_out.sort(key=seq.__getitem__)
+        fused_in.sort(key=seq.__getitem__)
+        self._out[fused], self._in[fused] = fused_out, fused_in
+        self._edges = None
+        del self._actors[a], self._actors[b]
+        self._actors[fused] = None
+        self._actor_list = None
         return fused
 
     def fiss(self, actor: ModelActor, k: int, sync_cost_per_word: float = 1.0) -> List[ModelActor]:
@@ -235,7 +295,7 @@ class ModelGraph:
             new_edges.append(ModelEdge(scatter, rep, per_replica_in))
             new_edges.append(ModelEdge(rep, gather, out_words / k))
         self.actors = [x for x in self.actors if x is not actor] + [scatter, gather] + replicas
-        self.edges = new_edges
+        self._set_edges(new_edges)
         return replicas
 
     def copy(self) -> "ModelGraph":

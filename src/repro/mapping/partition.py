@@ -14,6 +14,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.machine.model import ModelActor, ModelEdge, ModelGraph
@@ -30,38 +32,36 @@ def lpt_assign(model: ModelGraph, n_cores: int) -> Dict[ModelActor, int]:
     return assignment
 
 
+def _contractible(e: ModelEdge) -> bool:
+    return e.src is not e.dst and not e.src.io and not e.dst.io and not e.delayed
+
+
 def _contractible_edges(model: ModelGraph) -> List[ModelEdge]:
-    return [
-        e
-        for e in model.edges
-        if e.src is not e.dst
-        and not e.src.io
-        and not e.dst.io
-        and not e.delayed
-    ]
+    return [e for e in model.edges if _contractible(e)]
 
 
-def _would_create_cycle(model: ModelGraph, a: ModelActor, b: ModelActor) -> bool:
-    """True if fusing ``a`` and ``b`` leaves a zero-delay cycle.
+def _would_create_cycle(model: ModelGraph, edge: ModelEdge) -> bool:
+    """True if contracting ``edge`` leaves a zero-delay cycle.
 
-    That happens exactly when an *indirect* zero-delay path connects them
-    (e.g. fusing a splitter with its joiner around an unfused branch).
+    That happens exactly when an *indirect* zero-delay path leads from its
+    source to its destination (e.g. fusing a splitter with its joiner
+    around an unfused branch).  Only that direction is searched: ``edge``
+    is a zero-delay edge of a model whose zero-delay edges form no cycle
+    (an edge carrying initial items is delayed, every contraction is
+    vetted here and a fission adds none), so no zero-delay path leads
+    back.  One search over the model's adjacency: O(V + E).
     """
-    for start, goal in ((a, b), (b, a)):
-        stack = [
-            e.dst
-            for e in model.edges
-            if e.src is start and e.dst is not goal and not e.delayed
-        ]
-        seen = set(stack)
-        while stack:
-            cur = stack.pop()
-            if cur is goal:
-                return True
-            for e in model.edges:
-                if e.src is cur and not e.delayed and e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
+    goal = edge.dst
+    stack = [e.dst for e in model.out_edges(edge.src) if e.dst is not goal and not e.delayed]
+    seen = set(stack)
+    while stack:
+        cur = stack.pop()
+        if cur is goal:
+            return True
+        for e in model.out_edges(cur):
+            if not e.delayed and e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
     return False
 
 
@@ -80,16 +80,39 @@ def selective_fusion(
     so fusing after data-parallelization cannot undo the parallelism.
     """
     model = model.copy()
-    while len(model.compute_actors()) > target_actors:
-        candidates = sorted(
-            _contractible_edges(model), key=lambda e: e.src.work + e.dst.work
-        )
-        for edge in candidates:
-            if protect_replicas and "#" in edge.src.name and "#" in edge.dst.name:
+    seq = model.seq
+    ticket = itertools.count()  # a stale entry may tie with its replacement
+
+    def eligible(edges):
+        # The pair order is (src.work + dst.work, place in model.edges): a
+        # stable sort by weight.  Only a contraction's own edges change.
+        for e in edges:
+            if not _contractible(e):
                 continue
-            if not _would_create_cycle(model, edge.src, edge.dst):
-                model.contract(edge.src, edge.dst)
-                break
+            if protect_replicas and "#" in e.src.name and "#" in e.dst.name:
+                continue
+            yield (e.src.work + e.dst.work, seq[e], next(ticket), e)
+
+    heap = list(eligible(model.edges))
+    heapq.heapify(heap)
+    actors = len(model.compute_actors())
+    while actors > target_actors:
+        blocked = []  # pairs whose fusion would close a cycle, for now
+        while heap:
+            entry = heapq.heappop(heap)
+            edge = entry[-1]
+            if edge not in seq:  # replaced or internalized by a contraction
+                continue
+            if _would_create_cycle(model, edge):
+                blocked.append(entry)
+                continue
+            fused = model.contract(edge.src, edge.dst)
+            actors -= 1
+            for entry in blocked:
+                heapq.heappush(heap, entry)
+            for entry in eligible([*model.out_edges(fused), *model.in_edges(fused)]):
+                heapq.heappush(heap, entry)
+            break
         else:
             break
     return model
@@ -113,7 +136,7 @@ def coarsen_stateless(model: ModelGraph) -> ModelGraph:
                 continue
             if edge.dst.peeking or edge.src.peeking:
                 continue
-            if _would_create_cycle(model, edge.src, edge.dst):
+            if _would_create_cycle(model, edge):
                 continue
             model.contract(edge.src, edge.dst)
             changed = True

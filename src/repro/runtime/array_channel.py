@@ -217,3 +217,12 @@ class ArrayChannel:
         items = self._buf[self._head : self._tail].tolist()
         self._head = self._tail = 0
         return items
+
+    def attach(self, items: List[float]) -> None:
+        """Take ``items`` back after :meth:`detach_all`, behind whatever the
+        channel holds — the custody transfer the other way, history counters
+        untouched."""
+        n = len(items)
+        self._reserve(n)
+        self._buf[self._tail : self._tail + n] = items
+        self._tail += n

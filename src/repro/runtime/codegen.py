@@ -1,10 +1,12 @@
-"""The generated module of a feedback core: emitted, compiled and run for
-the core that lowers it.
+"""The generated module of a core: emitted, compiled and run for the core
+that lowers it.
 
 A plan runs by walking its blocks (:mod:`repro.runtime.plan`); the one
 block generated code speeds up is the cyclic core of a feedback loop,
 which :class:`~repro.runtime.codegen_emit.CoreEmitter` lowers to an
-inlined closed loop.  :func:`lower_core` emits that module from the core's
+inlined closed loop.  Its second job is a plan's small calls: the whole
+steady schedule as one core (:class:`~repro.runtime.plan.SmallCalls`),
+lowered the same way.  :func:`lower_core` emits that module from the core's
 live tapes and filters, compiles it, and runs it in the namespace the
 emitter hands over with the text; the core then runs its ``run_chunk``
 instead of the interpreted loop.  Nothing is stored or looked up: the

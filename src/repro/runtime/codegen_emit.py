@@ -1,10 +1,13 @@
-"""Source emission for the one block that runs generated code: the cyclic
-core of a feedback loop.
+"""Source emission for the one kind of block that runs generated code: a
+:class:`~repro.runtime.plan.CoreLoopRunner`, the cyclic core of a feedback
+loop — or, for a plan's small calls, the whole steady schedule as one core
+(:class:`~repro.runtime.plan.SmallCalls`).
 
 Every other block of a plan runs as the walk calls it (see
 :mod:`repro.runtime.plan`).  A feedback core fires each node about once a
-period, so it is the block where per-firing Python overhead — a bound
-method call, a list push and pop per item — is the whole cost.
+period, and a one-period call fires every node about once, so there
+per-firing Python overhead — a bound method call, a list push and pop per
+item — is the whole cost.
 :func:`emit_module` writes the core as **one small Python source module**
 whose ``run_chunk(scale)`` runs ``scale`` periods of it as an inlined
 closed loop: the scalar ``work()`` bodies are rewritten by a
@@ -23,14 +26,14 @@ interpreted (``SL305``).
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.source import SourceUnavailable, function_ast
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
-from repro.runtime.plan import CoreLoopRunner
+from repro.runtime.plan import _INLINE_ROUNDS, CoreLoopRunner, _repeating_unit
 
 
 class Unsupported(Exception):
@@ -149,8 +152,116 @@ def _store(ident: str) -> ast.Name:
     return ast.Name(id=ident, ctx=ast.Store())
 
 
-def _parse_stmt(src: str) -> ast.stmt:
-    return ast.parse(src).body[0]
+def _bump(ident: str, by: int) -> ast.AugAssign:
+    """``ident += by``."""
+    return ast.AugAssign(target=_store(ident), op=ast.Add(), value=ast.Constant(value=by))
+
+
+def _shallow(node: ast.AST) -> ast.AST:
+    """A copy of ``node`` sharing its children (a rewrite replaces fields
+    of the copy, never of the shared template)."""
+    new = type(node).__new__(type(node))
+    new.__dict__.update(node.__dict__)
+    return new
+
+
+class _WorkTemplate:
+    """What inlining reads of one ``work`` function, whatever the node:
+    its checked definition (shared and never mutated — :class:`WorkInliner`
+    builds new nodes wherever it rewrites) and the names it binds."""
+
+    __slots__ = ("fdef", "self_name", "assigned", "stored_attrs", "fn_globals", "accesses")
+
+    def __init__(self, fn) -> None:
+        fdef = _work_fdef(fn)
+        if fn.__code__.co_freevars:
+            raise Unsupported("work() closes over free variables")
+        if not fdef.args.args:
+            raise Unsupported("work() takes no self argument")
+        for node in ast.walk(fdef):
+            if node is fdef:
+                continue
+            if isinstance(node, _BANNED_STMTS) or isinstance(node, _BANNED_EXPRS):
+                raise Unsupported(f"work() uses {type(node).__name__}")
+        self.fdef = fdef
+        self.self_name = fdef.args.args[0].arg
+        self.assigned = _assigned_names(fdef)
+        self.stored_attrs = {
+            node.attr
+            for node in ast.walk(fdef)
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == self.self_name
+        }
+        self.fn_globals = fn.__globals__
+        self.accesses: Dict[Tuple[bool, bool], object] = {}
+
+
+class _Recorder:
+    """Stands in for the emitter while one ``work()`` body is inlined to
+    list its channel accesses, in the order inlining meets them:
+    ``(op, nested, position)``, ``position`` a literal peek index or None."""
+
+    def __init__(self) -> None:
+        self.events: List[Tuple[str, bool, Optional[int]]] = []
+
+    def pop(self, edge, out, nested=False) -> ast.Name:
+        self.events.append(("pop", nested, None))
+        return _name("_")
+
+    def peek(self, edge, position, out, nested=False) -> ast.Name:
+        fixed = (
+            isinstance(position, ast.Constant)
+            and type(position.value) is int
+            and position.value >= 0
+        )
+        self.events.append(("peek", nested, position.value if fixed else None))
+        return _name("_")
+
+    def push(self, edge, value, out, nested=False) -> None:
+        self.events.append(("push", nested, None))
+
+
+def _accesses(filt, has_in: bool, has_out: bool) -> List[Tuple[str, bool, Optional[int]]]:
+    """The channel accesses of ``filt``'s inlined ``work()`` (per class and
+    edge layout, recorded once per process)."""
+    template = _template(type(filt).work)
+    key = (has_in, has_out)
+    events = template.accesses.get(key)
+    if events is None:
+        recorder = _Recorder()
+        try:
+            WorkInliner(
+                filt, "f", "_g_", recorder, "in" if has_in else None, "out" if has_out else None
+            ).inline()
+            events = recorder.events
+        except Unsupported as exc:
+            events = str(exc)
+        template.accesses[key] = events
+    if isinstance(events, str):
+        raise Unsupported(events)
+    return events
+
+
+#: work function -> its template, or why it cannot be inlined.  Built once
+#: per process however many nodes and firings inline it; weak, so a class
+#: defined inside a test dies with it.
+_TEMPLATES: "weakref.WeakKeyDictionary[object, object]" = weakref.WeakKeyDictionary()
+
+
+def _template(fn) -> _WorkTemplate:
+    try:
+        template = _TEMPLATES[fn]
+    except KeyError:
+        try:
+            template = _WorkTemplate(fn)
+        except Unsupported as exc:
+            template = str(exc)
+        _TEMPLATES[fn] = template
+    if isinstance(template, str):
+        raise Unsupported(template)
+    return template
 
 
 class WorkInliner:
@@ -173,33 +284,16 @@ class WorkInliner:
     """
 
     def __init__(self, filt, fvar: str, gprefix: str, tapes, in_edge, out_edge) -> None:
-        fn = type(filt).work
-        fdef = copy.deepcopy(_work_fdef(fn))  # expr() rewrites nodes in place
-        if fn.__code__.co_freevars:
-            raise Unsupported("work() closes over free variables")
-        if not fdef.args.args:
-            raise Unsupported("work() takes no self argument")
-        for node in ast.walk(fdef):
-            if node is fdef:
-                continue
-            if isinstance(node, _BANNED_STMTS) or isinstance(node, _BANNED_EXPRS):
-                raise Unsupported(f"work() uses {type(node).__name__}")
-        self.fdef = fdef
-        self.self_name = fdef.args.args[0].arg
+        template = _template(type(filt).work)
+        self.fdef = template.fdef
+        self.self_name = template.self_name
+        self.assigned = template.assigned
+        self.stored_attrs = template.stored_attrs
+        self.fn_globals = template.fn_globals
         self.filt = filt
         self.fvar = fvar
         self.tapes, self.in_edge, self.out_edge = tapes, in_edge, out_edge
         self.gprefix = gprefix
-        self.fn_globals = fn.__globals__
-        self.assigned = _assigned_names(fdef)
-        self.stored_attrs = {
-            node.attr
-            for node in ast.walk(fdef)
-            if isinstance(node, ast.Attribute)
-            and not isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == self.self_name
-        }
         self.globals_seen: set = set()
         self.hoisted: set = set()
         self.depth = 0  # loops and conditionals of the body around this point
@@ -252,7 +346,7 @@ class WorkInliner:
         if isinstance(st, ast.Assign):
             value = self.expr(st.value, False)
             targets = [self.expr(t, False) for t in st.targets]
-            return self.pre + [ast.Assign(targets=targets, value=value)]
+            return self.pre + [ast.Assign(targets=targets, value=value, lineno=0)]
         if isinstance(st, ast.AugAssign):
             value = self.expr(st.value, False)
             target = self.expr(st.target, False)
@@ -262,7 +356,7 @@ class WorkInliner:
                 return []
             value = self.expr(st.value, False)
             target = self.expr(st.target, False)
-            return self.pre + [ast.Assign(targets=[target], value=value)]
+            return self.pre + [ast.Assign(targets=[target], value=value, lineno=0)]
         if isinstance(st, ast.If):
             test = self.expr(st.test, False)
             pre = self.pre
@@ -284,7 +378,7 @@ class WorkInliner:
                 raise Unsupported("channel op in a for-loop target")
             body = self._nested(st.body) or [ast.Pass()]
             orelse = self._nested(st.orelse)
-            return pre + [ast.For(target=target, iter=it, body=body, orelse=orelse)]
+            return pre + [ast.For(target=target, iter=it, body=body, orelse=orelse, lineno=0)]
         if isinstance(st, (ast.Pass, ast.Break, ast.Continue)):
             return [st]
         if isinstance(st, ast.Assert):
@@ -377,10 +471,11 @@ class WorkInliner:
             return ast.Compare(left=left, ops=node.ops, comparators=comparators)
         # Generic recursion: BinOp, UnaryOp, Subscript, Slice, Tuple, List,
         # Dict, Set, Starred, f-strings, Constant, ...
+        new = _shallow(node)
         for field, old in ast.iter_fields(node):
             if isinstance(old, list):
                 setattr(
-                    node,
+                    new,
                     field,
                     [
                         self.expr(x, cond) if isinstance(x, ast.expr) else x
@@ -388,8 +483,8 @@ class WorkInliner:
                     ],
                 )
             elif isinstance(old, ast.expr):
-                setattr(node, field, self.expr(old, cond))
-        return node
+                setattr(new, field, self.expr(old, cond))
+        return new
 
 
 # -- core section emission ----------------------------------------------------
@@ -402,9 +497,6 @@ def plain_attribute(filt, attr: str) -> bool:
     return attr in getattr(filt, "__dict__", ()) and not hasattr(type(filt), attr)
 
 
-#: Copies of a core's round that are still inlined rather than looped over.
-_INLINE_ROUNDS = 8
-
 #: Most items a tape may hold between units and still be kept in locals.
 #: Every unit re-binds all of a tape's carried locals (a pop shifts each one
 #: place), a list pops by bumping a cursor whatever it holds.  A loop whose
@@ -416,15 +508,6 @@ _INLINE_ROUNDS = 8
 _CARRY_MAX = 4
 
 
-def _repeating_unit(phases: list) -> Tuple[list, int]:
-    """``(unit, k)`` with ``unit * k == phases`` and ``unit`` the shortest."""
-    n = len(phases)
-    for size in range(1, n // 2 + 1):
-        if n % size == 0 and phases == phases[:size] * (n // size):
-            return phases[:size], n // size
-    return phases, 1
-
-
 def _counted_loop(count, body: List[ast.stmt]) -> ast.For:
     """``for _ in range(count): body`` (``count`` an int or a name)."""
     bound = ast.Constant(value=count) if isinstance(count, int) else _name(count)
@@ -433,6 +516,7 @@ def _counted_loop(count, body: List[ast.stmt]) -> ast.For:
         iter=ast.Call(func=_name("range"), args=[bound], keywords=[]),
         body=body,
         orelse=[],
+        lineno=0,
     )
 
 
@@ -500,12 +584,15 @@ class CoreEmitter:
         if repeats <= _INLINE_ROUNDS:
             round_, repeats = phases, 1
         # Sending a tape back to list form changes how every access to it
-        # is emitted: go round again until a pass sends none.
+        # is emitted: go round again until a pass sends none.  Those passes
+        # replay each body's recorded channel accesses, and only the last
+        # inlines the bodies.
         while True:
             known = len(self.taped)
-            unit = self._unit(round_)
+            self._unit(round_, dry=True)
             if len(self.taped) == known:
                 break
+        unit = self._unit(round_)
         if not unit:
             raise Unsupported("empty cyclic core")
         if repeats > 1:
@@ -529,7 +616,7 @@ class CoreEmitter:
         for i, attr in sorted(self.hoisted):
             lines.append(f"_f{i}_{attr} = f{i}.{attr}")
         loop = _counted_loop("scale", unit)
-        lines.extend(ast.unparse(ast.fix_missing_locations(loop)).splitlines())
+        lines.extend(ast.unparse(loop).splitlines())
         lines.extend(below)
         lines.append("_core.end(scale)")
         return lines
@@ -560,9 +647,11 @@ class CoreEmitter:
 
     # -- one pass over the unit ----------------------------------------------
 
-    def _unit(self, round_) -> List[ast.stmt]:
+    def _unit(self, round_, dry: bool = False) -> List[ast.stmt]:
         """The unit's statements under the current ``taped`` set (which the
-        pass may grow)."""
+        pass may grow); a ``dry`` pass decides the tapes' forms alone and
+        builds no statement that reads or writes a list."""
+        self._dry = dry
         self.globals_map: Dict[int, List[str]] = {}
         self.filter_idx: List[int] = []
         self.reducer_idx: List[int] = []
@@ -577,6 +666,9 @@ class CoreEmitter:
         unit: List[ast.stmt] = []
         for node, count in round_:
             self._looped = count > 1
+            if dry and node.kind == FILTER:
+                self._filter_accesses(node)
+                continue
             stmts = self._node_stmts(node)
             if stmts and count > 1:
                 stmts = [_counted_loop(count, stmts)]
@@ -591,7 +683,13 @@ class CoreEmitter:
                     targets.append(target)
                     values.append(value)
         if targets:  # one assignment: a carried local may be both read and re-bound
-            unit.append(_parse_stmt(f"{', '.join(targets)} = {', '.join(values)}"))
+            unit.append(
+                ast.Assign(
+                    targets=[ast.Tuple(elts=[_store(t) for t in targets], ctx=ast.Store())],
+                    value=ast.Tuple(elts=[_name(v) for v in values], ctx=ast.Load()),
+                    lineno=0,
+                )
+            )
         return unit
 
     # -- tape access -----------------------------------------------------------
@@ -611,10 +709,13 @@ class CoreEmitter:
         self._values += 1
         name = f"_v{self._values}"
         self.symbols.add(name)
-        out.append(ast.Assign(targets=[_store(name)], value=value))
+        if not self._dry:
+            out.append(ast.Assign(targets=[_store(name)], value=value, lineno=0))
         return _name(name)
 
     def _read(self, edge, position: Optional[ast.expr], out: List[ast.stmt]) -> ast.Name:
+        if self._dry:
+            return self._new_value(None, out)
         index: ast.expr = _name(self._cur(edge))
         if position is not None:
             index = ast.BinOp(left=index, op=ast.Add(), right=position)
@@ -628,7 +729,8 @@ class CoreEmitter:
                 return _name(self.queue[edge].pop(0))
             self.taped[edge] = "read past the items its schedule provides"
         item = self._read(edge, None, out)
-        out.append(_parse_stmt(f"{self._cur(edge)} += 1"))
+        if not self._dry:
+            out.append(_bump(self._cur(edge), 1))
         return item
 
     def peek(self, edge, position: ast.expr, out: List[ast.stmt], nested: bool = False) -> ast.Name:
@@ -651,6 +753,8 @@ class CoreEmitter:
                 value = self._new_value(value, out)
             self.queue[edge].append(value.id)
             return
+        if self._dry:
+            return
         tape = self._tape(edge)
         push = _name(f"{tape}_push") if edge in self.ext_out else ast.Attribute(
             value=_name(tape), attr="append", ctx=ast.Load()
@@ -660,9 +764,17 @@ class CoreEmitter:
     def _move(self, src, dst, w: int, out: List[ast.stmt]) -> None:
         """``w`` items from the front of ``src`` onto the back of ``dst``."""
         if w > 1 and not (self._symbolic(src, False) or self._symbolic(dst, False)):
+            if self._dry:
+                return
             ts, cs, td = self._tape(src), self._cur(src), self._tape(dst)
-            out.append(_parse_stmt(f"{td}.extend({ts}[{cs}:{cs} + {w}])"))
-            out.append(_parse_stmt(f"{cs} += {w}"))
+            window = ast.Slice(
+                lower=_name(cs),
+                upper=ast.BinOp(left=_name(cs), op=ast.Add(), right=ast.Constant(value=w)),
+            )
+            extend = ast.Attribute(value=_name(td), attr="extend", ctx=ast.Load())
+            items = ast.Subscript(value=_name(ts), slice=window, ctx=ast.Load())
+            out.append(ast.Expr(value=ast.Call(func=extend, args=[items], keywords=[])))
+            out.append(_bump(cs, w))
             return
         for _ in range(w):
             self.push(dst, self.pop(src, out), out)
@@ -696,6 +808,22 @@ class CoreEmitter:
         self.hoisted.update((i, attr) for attr in inliner.hoisted)
         self.filter_idx.append(i)
         return stmts
+
+    def _filter_accesses(self, node) -> None:
+        """One firing's channel accesses without its statements: all a dry
+        pass needs to decide the tapes' forms."""
+        in_edge = node.in_edges[0] if node.in_edges else None
+        out_edge = node.out_edges[0] if node.out_edges else None
+        scratch: List[ast.stmt] = []
+        has_in, has_out = in_edge is not None, out_edge is not None
+        for op, nested, position in _accesses(node.filter, has_in, has_out):
+            if op == "pop":
+                self.pop(in_edge, scratch, nested)
+            elif op == "peek":
+                index = _name("_") if position is None else ast.Constant(value=position)
+                self.peek(in_edge, index, scratch, nested)
+            else:
+                self.push(out_edge, _name("_"), scratch, nested)
 
     def _splitter_stmts(self, node) -> List[ast.stmt]:
         in_edge = node.in_edges[0]

@@ -802,16 +802,18 @@ class Interpreter:
         answers, and running on simply regrows them.  Traced runs flush
         their metadata (and the ``trace=<path>`` file) here.
         """
+        if self.plan is not None:
+            # A closed session stays reachable through plan<->interpreter
+            # cycles until a full collection: hand its grown tapes back now,
+            # and the small-call form's items to the channels the snapshot
+            # below reads.  Live items, counters and snapshot() are untouched.
+            self.plan.release_scratch()
         # Snapshot counters before the parallel arena (and its ring-control
         # shared memory) is torn down.
         self.flush_trace()
         if self.parallel is not None:
             self.parallel.close()
         elif self.plan is not None:
-            # A closed session stays reachable through plan<->interpreter
-            # cycles until a full collection: hand its grown tapes back now.
-            # Live items, counters and snapshot() are untouched.
-            self.plan.release_scratch()
             for chan in self.channels.values():
                 chan.trim()
         METRICS.fold()

@@ -44,6 +44,9 @@ tapes:
   code: at the first steady pass it lowers itself into a small module of its
   own (:func:`~repro.runtime.codegen.lower_core`), its tapes kept in locals
   where the emitter can follow them;
+* **the small-call form** — a call of few periods, once the plan's
+  one-period calls have paid for it, runs the whole steady schedule as one
+  such module instead of the walk (:class:`SmallCalls`);
 * **batched teleport messaging** — a portal-bound pass covers as many
   periods as the latencies its senders state leave the receivers free to
   run ahead (:attr:`ExecutionPlan.message_slack`, Eq. mc1 read as a
@@ -564,8 +567,9 @@ class CoreLoopRunner:
     channel I/O to plain lists for the whole chunk:
 
     * edges internal to the core become persistent
-      :class:`~repro.runtime.channel.ListTape` scratch tapes (seeded once
-      by detaching the post-init channel contents);
+      :class:`~repro.runtime.channel.ListTape` scratch tapes, which take
+      the channels' live items (at first, the post-init contents) whenever
+      the core :meth:`acquire` s them;
     * external inputs are snapshot to a list per chunk, and exactly the
       consumed prefix is dropped from the real channel afterwards;
     * external outputs accumulate in a list and land as one ``push_block``;
@@ -586,12 +590,14 @@ class CoreLoopRunner:
 
     kind = "core"
 
-    def __init__(self, phases: Sequence[Tuple[FlatNode, int]], plan) -> None:
+    def __init__(
+        self, phases: Sequence[Tuple[FlatNode, int]], plan, name: Optional[str] = None
+    ) -> None:
         self.phases: Tuple[Tuple[FlatNode, int], ...] = tuple(phases)
         self.plan = plan
         self.channels = plan.channels
         self.nodes = {node for node, _ in self.phases}
-        self.name = "core:" + "+".join(sorted(n.name for n in self.nodes))
+        self.name = name or "core:" + "+".join(sorted(n.name for n in self.nodes))
         nodes = self.nodes
         own = dict.fromkeys(  # an ordered set: first-seen over the phases' edge lists
             e for n, _ in self.phases for e in (*n.in_edges, *n.out_edges)
@@ -606,6 +612,9 @@ class CoreLoopRunner:
         #: names a tape by).
         self.edge_index = {e: i for i, e in enumerate(plan.graph.edges) if e in own}
         self._ops: Optional[Tuple[Callable[[], None], ...]] = None
+        #: True while the internal edges' items are on the tapes
+        #: (:meth:`acquire` / :meth:`release`).
+        self.holding = False
         #: What ``run(scale)`` calls: the interpreted loop, or once
         #: :meth:`lower` has bound it, the generated module's ``run_chunk``.
         self.chunk: Callable[[int], None] = self.interpret
@@ -651,26 +660,63 @@ class CoreLoopRunner:
         counts: Dict[FlatNode, int] = {}
         for node, count in self.phases:
             counts[node] = counts.get(node, 0) + count
-        # Internal tapes inherit the live post-init channel contents
-        # (feedback delay items); the channels stay empty from here on,
-        # with their history counters bumped in bulk per chunk.
-        for edge in self.internal:
-            tapes[edge].items = self.channels[edge].detach_all()
         self._ext_in = [(self.channels[e], tapes[e]) for e in self.ext_in]
         self._ext_out = [(self.channels[e], tapes[e]) for e in self.ext_out]
-        self._internal = [tapes[e] for e in self.internal]
+        self._internal = [(self.channels[e], tapes[e]) for e in self.internal]
         self._bumps = [
             (self.channels[e], counts[e.src] * e.push_rate) for e in self.internal
         ]
+        #: (filter, its (input, output) on the channels, on the tapes)
+        self._bindings = []
         for node in self.nodes:
             if node.kind == FILTER:
-                filt = node.filter
-                filt.input = tapes[node.in_edges[0]] if node.in_edges else None
-                filt.output = tapes[node.out_edges[0]] if node.out_edges else None
+                e_in = node.in_edges[0] if node.in_edges else None
+                e_out = node.out_edges[0] if node.out_edges else None
+                self._bindings.append(
+                    (
+                        node.filter,
+                        (self.channels.get(e_in), self.channels.get(e_out)),
+                        (tapes.get(e_in), tapes.get(e_out)),
+                    )
+                )
         ops: List[Callable[[], None]] = []
         for node, count in self.phases:
             ops.extend([make_item_op(node, tapes)] * count)
         self._ops = tuple(ops)
+
+    # -- custody of the internal edges' items ----------------------------------
+    #
+    # While the core holds them, the items on its internal edges live on its
+    # tapes (the channels stay empty, their history counters bumped in bulk
+    # per chunk) and its filters read and write those tapes.  ``release``
+    # hands both back at a chunk boundary, so whatever runs next finds the
+    # items on the channels and the filters bound to them; the next chunk
+    # takes them again.
+
+    def acquire(self) -> None:
+        """Take the internal edges' items onto the tapes (at first, the
+        post-init contents: feedback delay items) and bind the filters to
+        the tapes."""
+        if self._ops is None:
+            self._build()
+        for chan, tape in self._internal:
+            tape.items = chan.detach_all() if len(chan) else []
+            tape.cursor = 0
+        for filt, _channels, (tape_in, tape_out) in self._bindings:
+            filt.input, filt.output = tape_in, tape_out
+        self.holding = True
+
+    def release(self) -> None:
+        """Hand the internal edges' items back to their channels and bind
+        the filters to the channels again."""
+        for chan, tape in self._internal:
+            if len(tape.items) > tape.cursor:
+                chan.attach(tape.items[tape.cursor :])
+            tape.items = []
+            tape.cursor = 0
+        for filt, (chan_in, chan_out), _tapes in self._bindings:
+            filt.input, filt.output = chan_in, chan_out
+        self.holding = False
 
     # -- execution -----------------------------------------------------------
     #
@@ -682,8 +728,8 @@ class CoreLoopRunner:
 
     def held(self, edge) -> int:
         """Items on ``edge``'s tape at a chunk boundary."""
-        if self._ops is None:
-            self._build()
+        if not self.holding:
+            self.acquire()
         tape = self._tapes[edge]
         return len(tape.items) - tape.cursor
 
@@ -695,8 +741,8 @@ class CoreLoopRunner:
 
     def begin(self) -> None:
         """Snapshot every external input into its tape."""
-        if self._ops is None:
-            self._build()
+        if not self.holding:
+            self.acquire()
         for chan, tape in self._ext_in:
             tape.items = chan.peek_block(len(chan)).tolist()
             tape.cursor = 0
@@ -712,7 +758,7 @@ class CoreLoopRunner:
             if tape.items:
                 chan.push_block(np.asarray(tape.items, dtype=np.float64))
                 tape.items = []
-        for tape in self._internal:
+        for _chan, tape in self._internal:
             tape.compact()
         for chan, per_period in self._bumps:
             moved = per_period * scale
@@ -729,6 +775,329 @@ class CoreLoopRunner:
             for op in ops:
                 op()
         self.end(scale)
+
+
+#: Copies of a core's round that are still inlined rather than looped over.
+_INLINE_ROUNDS = 8
+
+
+def _repeating_unit(phases: list) -> Tuple[list, int]:
+    """``(unit, k)`` with ``unit * k == phases`` and ``unit`` the shortest."""
+    n = len(phases)
+    for size in range(1, n // 2 + 1):
+        if n % size == 0 and phases == phases[:size] * (n // size):
+            return phases[:size], n // size
+    return phases, 1
+
+
+def inline_bytes(phases: Sequence[Tuple[FlatNode, int]]) -> int:
+    """The size of what :class:`~repro.runtime.codegen_emit.CoreEmitter`
+    writes for ``phases``, read before it writes anything: the bytecode
+    bytes of every ``work()`` body its loop body inlines (a round repeated
+    more than :data:`_INLINE_ROUNDS` times is written once, and a node fired
+    ``k`` times in a row is written once under a loop), each item a
+    splitter or joiner moves counted as one ``Identity.work``."""
+    from repro.graph.builtins import Identity
+
+    phases = list(phases)
+    round_, repeats = _repeating_unit(phases)
+    move = len(Identity.work.__code__.co_code)
+    size = 0
+    for node, _count in round_ if repeats > _INLINE_ROUNDS else phases:
+        if node.kind == FILTER:
+            code = getattr(type(node.filter).work, "__code__", None)
+            size += len(code.co_code) if code is not None else move
+        elif node.kind == SPLITTER:
+            size += move * sum(node.out_rates)
+        else:
+            size += move * sum(node.in_rates)
+    return size
+
+
+#: Seconds a whole-program lowering (emit, compile, bind) takes per byte of
+#: :func:`inline_bytes`: what a plan expects its small-call form to cost
+#: before it pays for it.  The median over the 18 portal-free apps on the
+#: 2-CPU reference host, each lowered three times in one process (best of
+#: three, so a class's ``work()`` is parsed before the lowering timed):
+#:
+#:     app             bytes   lower ms   us/byte   module lines
+#:     BitonicSort     27366      51.1      1.87        1072
+#:     ChannelVocoder  11254      20.6      1.83         487
+#:     DCT             49266      25.8      0.52         544
+#:     DES            308944     295.1      0.96        4729
+#:     FFT              7150      20.2      2.82         294
+#:     FilterBank       7894      13.4      1.69         346
+#:     FMRadio          3664       5.7      1.55         138
+#:     Serpent        246462     371.5      1.51        6161
+#:     TDE             12256      41.3      3.37         498
+#:     MPEG2Decoder    27410      28.0      1.02         539
+#:     Vocoder         15498      22.5      1.45         333
+#:     Radar           10622      21.7      2.04         337
+#:     FIR               542       1.6      3.03          30
+#:     RateConvert       906       3.6      3.97          60
+#:     TargetDetect     2258       3.1      1.39          95
+#:     Oversampler      2142       4.5      2.10         113
+#:     DToA             2682       5.2      1.94          84
+#:     Beamformer       8158      17.5      2.14         309
+#:
+#: The estimate is within 4x of every measurement (splitter- and
+#: joiner-heavy DES, DCT and MPEG2Decoder are over-estimated: a moved item
+#: often becomes a renamed local, not an ``Identity`` body).  The eleven
+#: timed calls of a compile job (``run_init`` and twelve one-period calls)
+#: stay below every app's budget by 2.9x (Vocoder, TDE) or more.
+LOWER_S_PER_BYTE = 1.85e-6
+
+#: One-period calls of the emitted form timed before the plan decides: the
+#: median of three drops one call that carries a switch or a collection.
+_TRIAL_CALLS = 3
+
+
+class SmallCallPolicy:
+    """When a plan lowers its small-call form, and which calls it then runs.
+
+    Fed the seconds of finished one-period calls, by the form that ran them.
+    Ski rental: lowering is worth it once the walk's one-period calls have
+    together taken ``budget``, what the lowering is expected to cost (rent
+    paid up to the price of buying never costs more than twice the better
+    choice made in hindsight).  After it, :data:`_TRIAL_CALLS` one-period
+    calls run the emitted form, and the medians of the two forms' calls
+    give the :meth:`crossover`.
+    """
+
+    def __init__(self, budget: float) -> None:
+        self.budget = budget
+        self.rent = 0.0
+        self.walk: List[float] = []
+        self.emit: List[float] = []
+
+    def walked(self, seconds: float) -> None:
+        self.walk.append(seconds)
+        self.rent += seconds
+
+    def emitted(self, seconds: float) -> None:
+        self.emit.append(seconds)
+
+    @property
+    def due(self) -> bool:
+        """Have the walk's one-period calls paid for a lowering?"""
+        return self.rent >= self.budget
+
+    @property
+    def tried(self) -> bool:
+        return len(self.emit) >= _TRIAL_CALLS
+
+    def crossover(self) -> int:
+        """The most periods a call may have and still run the emitted form:
+        the largest ``s`` with ``s * emitted(1) < walk(1)``, 0 where the
+        walk wins even at one period."""
+        from math import ceil
+        from statistics import median
+
+        return ceil(median(self.walk) / median(self.emit)) - 1
+
+
+class SmallCalls:
+    """The plan's second form, for calls of few periods: the whole steady
+    schedule as one :class:`CoreLoopRunner`, lowered by the emitter that
+    lowers a feedback core (:func:`~repro.runtime.codegen.lower_core`).
+
+    The walk pays per block (a numpy call, a channel transfer) what one
+    inlined loop over every firing does not, and at one period that is
+    most of a call.  The form fires the steady schedule in its own order
+    over Python floats, so it is bit-exact to the scalar engine by
+    construction: which form runs a call changes its time, never its
+    output.  The plan lowers it lazily (:class:`SmallCallPolicy`), timing
+    the calls through the interpreter's run tally, which already times
+    each one (a session with metrics off times none and keeps the walk).
+    Once the policy has decided, a call of ``s`` periods runs the form
+    when ``s <= limit`` and the walk otherwise.
+
+    Live items stay on whichever form ran last.  Either form takes the
+    next call over from the other at a period boundary: the form's
+    :meth:`CoreLoopRunner.release` moves every edge's items back to the
+    channels and binds every filter to them again, the fused chains rebind
+    their scratch tapes and a feedback core retakes its own; history
+    counters are bumped in bulk all along.
+    """
+
+    def __init__(self, plan: "ExecutionPlan") -> None:
+        self.plan = plan
+        self.policy: Optional[SmallCallPolicy] = None
+        #: The lowered whole-program runner; None before lowering and once
+        #: refused.
+        self.form: Optional[CoreLoopRunner] = None
+        self._chunk: Optional[Callable[[int], None]] = None
+        #: Calls of at most this many periods run the form (0: none yet).
+        self.limit = 0
+        #: Are the live items on the form's tapes?
+        self.live = False
+        self.deciding = True
+        #: Why the plan keeps the walk for every call; None while it may not.
+        self.reason: Optional[str] = None
+        self.lines: Optional[int] = None
+        self.lower_s: Optional[float] = None
+        self._seen: object = None
+        self._timing: Optional[Callable[[float], None]] = None
+
+    def run(self, periods: int) -> None:
+        if self.deciding:
+            self._settle(periods)
+        if periods <= self.limit:
+            if not self.live:
+                self._take()
+            self._chunk(periods)
+        else:
+            if self.live:
+                self._give()
+            self.plan._walk(periods)
+
+    # -- deciding ------------------------------------------------------------
+
+    def _settle(self, periods: int) -> None:
+        """Credit the last finished call's seconds (the run tally's) to the
+        form it was timed as; lower or decide where the evidence now says
+        so; say how this call is timed.  Only one-period calls are timed,
+        never the one that runs the plan's first pass or lowers."""
+        tally = self.plan.interp._tally
+        last = tally.last if tally is not None else None
+        if last is not self._seen:
+            self._seen = last
+            if self._timing is not None:
+                self._timing(last[1])
+        self._timing = None
+        if periods != 1 or self.plan._steps is None:
+            return
+        if self.form is None:
+            if self.policy is None:
+                budget = LOWER_S_PER_BYTE * inline_bytes(self.plan.interp.program.steady)
+                self.policy = SmallCallPolicy(budget)
+            if self.policy.due:
+                self.lower()
+                if self.form is not None:
+                    self.limit = 1
+                return
+            self._timing = self.policy.walked
+        elif self.policy.tried:
+            self._decide()
+        else:
+            self._timing = self.policy.emitted
+
+    def _decide(self) -> None:
+        from statistics import median
+
+        policy = self.policy
+        crossover = policy.crossover()
+        if crossover < 1:
+            self.refuse(
+                f"the emitted form took {median(policy.emit) * 1e6:.0f} us a period, "
+                f"the walk {median(policy.walk) * 1e6:.0f} us"
+            )
+        else:
+            self.limit = crossover
+            self.deciding = False
+
+    def lower(self) -> None:
+        """Emit, compile and bind the form now; it holds the live items
+        from here on.  A program the emitter cannot lower is refused."""
+        from time import perf_counter
+
+        from repro.runtime.codegen import lower_core
+        from repro.runtime.codegen_emit import Unsupported
+
+        plan = self.plan
+        t0 = perf_counter()
+        if plan._steps is None:
+            plan._first_pass()
+        self._release_cores()
+        form = CoreLoopRunner(plan.interp.program.steady, plan, name="program")
+        try:
+            chunk = lower_core(form)
+        except Unsupported as exc:
+            if form.holding:
+                form.release()
+            self._rebind_walk()
+            self.refuse(f"the emitter cannot lower it: {exc}")
+            return
+        tracer = plan.interp.tracer
+        self._chunk = timed(tracer, form.run, form.span) if tracer.enabled else chunk
+        form.chunk = chunk
+        self.form, self.live = form, True
+        self.lines = form.source.count("\n")
+        self.lower_s = perf_counter() - t0
+        if tracer.enabled:
+            from repro.obs.tracer import CAT_PLAN
+
+            tracer.complete("plan.small_calls.lower", CAT_PLAN, t0, self.lower_s)
+
+    def refuse(self, reason: str) -> None:
+        """Keep the walk for every call from now on and drop the module."""
+        if self.live:
+            self._give()
+        self.form = self._chunk = None
+        self.reason = reason
+        self.limit = 0
+        self.deciding = False
+        self.plan._run = self.plan._walk
+
+    def force(self, limit: int) -> None:
+        """Lower now and run the form for every call of at most ``limit``
+        periods, with no rent and no trial (a test hook: the decision is
+        timing's, and a test must cross both forms deterministically)."""
+        self.lower()
+        if self.form is None:
+            raise StreamItError(f"small-call form refused: {self.reason}")
+        self.limit = limit
+        self.deciding = False
+
+    # -- switching -----------------------------------------------------------
+
+    def _release_cores(self) -> None:
+        for block in self.plan.blocks:
+            if block.kind == "core" and block.holding:
+                block.release()
+
+    def _rebind_walk(self) -> None:
+        for block in self.plan.blocks:
+            if block.kind == "fused":
+                block.bind()
+
+    def _take(self) -> None:
+        """The walk hands over: its feedback cores give their items back,
+        then the form takes every edge's."""
+        self._release_cores()
+        self.form.acquire()
+        self.live = True
+
+    def _give(self) -> None:
+        """The form hands over: every edge's items and filter back on the
+        channels, the fused chains on their scratch tapes (a feedback core
+        retakes its own at its next chunk)."""
+        self.form.release()
+        self._rebind_walk()
+        self.live = False
+
+    def report(self) -> Dict[str, object]:
+        """``engine_report()["codegen"]["small_calls"]``."""
+        from statistics import median
+
+        policy = self.policy
+        if self.reason is not None:
+            state = "refused"
+        elif self.form is None:
+            state = "renting"
+        else:
+            state = "trying" if self.deciding else "lowered"
+        return {
+            "state": state,
+            "reason": self.reason,
+            "crossover": self.limit,
+            "lines": self.lines,
+            "lower_s": self.lower_s,
+            "walk_us": median(policy.walk) * 1e6 if policy and policy.walk else None,
+            "emitted_us": median(policy.emit) * 1e6 if policy and policy.emit else None,
+            "budget_s": policy.budget if policy else None,
+            "rent_s": policy.rent if policy else 0.0,
+        }
 
 
 class ExecutionPlan:
@@ -801,6 +1170,28 @@ class ExecutionPlan:
             if self.single_sweep
             else self._segmented(steady, analysis["segments_idx"])
         )
+        #: The small-call form (:class:`SmallCalls`), or why there is none.
+        self.small: Optional[SmallCalls] = None
+        self._small_refusal = self._small_calls_refusal()
+        if self._small_refusal is None:
+            self.small = SmallCalls(self)
+        #: What ``run_steady`` calls: the small-call form's dispatch, or the
+        #: walk alone.
+        self._run: Callable[[int], None] = (
+            self._walk if self.small is None else self.small.run
+        )
+
+    def _small_calls_refusal(self) -> Optional[str]:
+        """Why this plan has no small-call form (None: it has one)."""
+        if self.messaging:
+            return "the graph has portals: a sender fires one work() at a time"
+        for node in self.graph.filter_nodes():
+            if not type(node.filter).work_batch_exact:
+                return (
+                    f"{node.name}'s work_batch may round differently from its "
+                    "work(), which the emitted form runs"
+                )
+        return None
 
     def _set_blocks(self, blocks: List[object]) -> None:
         """Make ``blocks`` the steady program; the first steady pass turns
@@ -1215,8 +1606,10 @@ class ExecutionPlan:
         ``name`` and ``mode``, which is ``"walk"`` for every block but the
         feedback core, whose row is its :attr:`CoreLoopRunner.lowering` —
         the ``crossover`` (:data:`~repro.runtime.vectorize.LIFT_MIN_FIRINGS`,
-        the fewest firings a lifted filter runs its kernel for), and the
-        on-disk store's counters and directory."""
+        the fewest firings a lifted filter runs its kernel for),
+        ``small_calls`` (:meth:`SmallCalls.report`, or ``refused`` with the
+        reason the plan has no small-call form), and the on-disk store's
+        counters and directory."""
         from repro.diskcache import cache_dir, codegen_cache_stats
 
         blocks = []
@@ -1227,14 +1620,22 @@ class ExecutionPlan:
             elif block.kind == "core":
                 row.update(block.lowering or {"mode": None})
             blocks.append(row)
+        if self.small is not None:
+            small = self.small.report()
+        else:
+            small = {"state": "refused", "reason": self._small_refusal, "crossover": 0}
         return {
             "blocks": blocks,
             "crossover": LIFT_MIN_FIRINGS,
+            "small_calls": small,
             "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())},
         }
 
     def release_scratch(self) -> None:
-        """Let go of every drained scratch tape's last block (``close()``)."""
+        """Hand the small-call form's items back to the channels and let go
+        of every drained scratch tape's last block (``close()``)."""
+        if self.small is not None and self.small.live:
+            self.small._give()
         for block in self.blocks:
             if block.kind == "fused":
                 block.release()
@@ -1275,6 +1676,12 @@ class ExecutionPlan:
         self._lower_regions()
 
     def run_steady(self, periods: int) -> None:
+        """Run ``periods`` steady periods: by the walk (:meth:`_walk`), or
+        for a small call, once the plan has lowered it, by the small-call
+        form (:class:`SmallCalls`)."""
+        self._run(periods)
+
+    def _walk(self, periods: int) -> None:
         """Run ``periods`` steady periods in passes of up to ``chunk_periods``
         (so buffers stay bounded), every firing count of a pass scaled by
         the periods it covers.  Fusion and region lowering regroup the

@@ -187,8 +187,14 @@ class WavefrontOracle:
         self.max_firings = max_firings
         self._reach: Dict[FlatNode, frozenset] = {}
         self._max_cache: Dict[Tuple[int, int, int], int] = {}
+        #: (id(a), id(b)) -> max[a->b] from 0 up, and the simulation state
+        #: that extends it (:meth:`_table`).
+        self._tables: Dict[Tuple[int, int], tuple] = {}
         self._min_cache: Dict[Tuple[int, int, int], int] = {}
         self._reps: Optional[Dict[FlatNode, int]] = None
+        #: node -> its (edge, peek, pop, producer) inputs and (edge, push)
+        #: outputs.
+        self._rates: Dict[FlatNode, tuple] = {}
 
     def _period_items(self, tape: FlatEdge) -> Optional[int]:
         """Items pushed onto ``tape`` per steady-state period.
@@ -240,7 +246,11 @@ class WavefrontOracle:
         SDF steady-state periodicity makes the function affine beyond a
         short transient — ``max(x + k·P_a) = max(x) + k·P_b`` — which the
         oracle exploits to answer large-``x`` queries (e.g. message
-        thresholds deep into a run) in amortized O(1).
+        thresholds deep into a run) in O(1).  Below the transient it reads
+        the pair's table where a ``min`` query has built it (:meth:`_table`)
+        and otherwise simulates ``x`` once (one query needs no table); so
+        does a negative ``x`` (a latency-0 send) or a graph with no
+        periodic schedule.
         """
         if a is b:
             return x
@@ -248,72 +258,111 @@ class WavefrontOracle:
             raise SchedulingError(
                 f"max[a->b] undefined: {a!r} is not upstream of {b!r}"
             )
-        key = (id(a), id(b), x)
-        cached = self._max_cache.get(key)
-        if cached is not None:
-            return cached
         p_a = self._period_items(a)
         p_b = self._period_items(b)
-        if p_a is not None and p_b is not None:
+        periods = 0
+        if x >= 0 and p_a is not None and p_b is not None:
             transient = 8 * p_a + len(a.initial) + 64
             if x > transient:
                 periods = (x - transient + p_a - 1) // p_a
-                value = self.max_items(a, b, x - periods * p_a) + periods * p_b
-                self._max_cache[key] = value
-                return value
-        value = self._max_items_direct(a, b, x)
-        self._max_cache[key] = value
-        return value
+            x -= periods * p_a
+            entry = self._tables.get((id(a), id(b)))
+            if entry is not None and x < len(entry[0]):
+                return entry[0][x] + periods * p_b
+        key = (id(a), id(b), x)
+        value = self._max_cache.get(key)
+        if value is None:
+            value = self._max_cache[key] = self._max_items_direct(a, b, x)
+        return value + periods * p_b if periods else value
+
+    def _table(self, a: FlatEdge, b: FlatEdge, top: int, until: int) -> List[int]:
+        """``[max[a->b](x) for x in 0..]``, tabulated once per pair, as far
+        as ``top`` or the first entry reaching ``until``, whichever is first.
+
+        One incremental pull simulation: ``a``'s producer frozen, ``b``'s
+        producer fired as often as the items on ``a`` allow, then one more
+        item put on ``a`` and the pull resumed.  Firing rules are monotone
+        (more input never disables a firing), so the state reached with
+        ``x`` items is one the run with ``x + 1`` passes through, and
+        resuming from it gives what a fresh simulation would.  The state is
+        kept with the table, so a later query extends it.
+        """
+        key = (id(a), id(b))
+        entry = self._tables.get(key)
+        if entry is None:
+            occ: Dict[FlatEdge, int] = {e: len(e.initial) for e in self.graph.edges}
+            occ[a] = -1  # the first step below puts it at 0
+            pull = self._puller(occ, a.src)
+            entry = self._tables[key] = ([], occ, [len(b.initial)], pull)
+        table, occ, produced, pull = entry
+        producer, push = b.src, b.push_rate
+        while len(table) <= top and (not table or table[-1] < until):
+            occ[a] += 1
+            # Below its peek rate, ``a`` enables nothing new: the last
+            # pull would fail again exactly where it failed.
+            if occ[a] >= a.peek_rate or not table:
+                while pull(producer):
+                    produced[0] += push
+            table.append(produced[0])
+        return table
 
     def _max_items_direct(self, a: FlatEdge, b: FlatEdge, x: int) -> int:
         occ: Dict[FlatEdge, int] = {e: len(e.initial) for e in self.graph.edges}
         occ[a] = x
         produced_on_b = len(b.initial)
-        frozen = a.src
-        budget = [self.max_firings]
-
+        pull = self._puller(occ, a.src)
         # Fire b's producer as many times as possible.
-        while self._try_fire(b.src, occ, frozen, budget, visiting=set()):
+        while pull(b.src):
             produced_on_b += b.push_rate
         return produced_on_b
 
-    def _try_fire(
-        self,
-        node: FlatNode,
-        occ: Dict[FlatEdge, int],
-        frozen: FlatNode,
-        budget: List[int],
-        visiting: set,
-    ) -> bool:
-        """Attempt to fire ``node`` once, pulling inputs recursively."""
-        if node is frozen or node in visiting:
-            return False
-        if budget[0] <= 0:
-            raise SchedulingError("wavefront oracle exceeded firing budget")
-        visiting.add(node)
-        try:
-            for edge in node.in_edges:
-                needed = edge.peek_rate
-                while occ[edge] < needed:
-                    if not self._try_fire(edge.src, occ, frozen, budget, visiting):
-                        return False
-        finally:
-            visiting.discard(node)
-        budget[0] -= 1
-        for edge in node.in_edges:
-            occ[edge] -= edge.pop_rate
-        for edge in node.out_edges:
-            occ[edge] += edge.push_rate
-        return True
+    def _puller(self, occ: Dict[FlatEdge, int], frozen: FlatNode) -> Callable[[FlatNode], bool]:
+        """``pull(node)``: fire ``node`` once over the occupancies ``occ``,
+        pulling its inputs recursively, or say False where it cannot
+        (``frozen`` never fires); one firing budget across every pull."""
+        rates = self._rates
+        budget = [self.max_firings]
+        visiting: set = set()
+
+        def pull(node: FlatNode) -> bool:
+            if node is frozen or node in visiting:
+                return False
+            if budget[0] <= 0:
+                raise SchedulingError("wavefront oracle exceeded firing budget")
+            rate = rates.get(node)
+            if rate is None:
+                rate = rates[node] = (
+                    [(e, e.peek_rate, e.pop_rate, e.src) for e in node.in_edges],
+                    [(e, e.push_rate) for e in node.out_edges],
+                )
+            ins, outs = rate
+            visiting.add(node)
+            try:
+                for edge, needed, _pop, src in ins:
+                    while occ[edge] < needed:
+                        if not pull(src):
+                            return False
+            finally:
+                visiting.discard(node)
+            budget[0] -= 1
+            for edge, _needed, pop, _src in ins:
+                occ[edge] -= pop
+            for edge, push in outs:
+                occ[edge] += push
+            return True
+
+        return pull
 
     # -- min -----------------------------------------------------------------
 
     def min_items(self, a: FlatEdge, b: FlatEdge, x: int) -> int:
         """``min[a->b](x)``: fewest items on ``a`` so ``x`` can appear on ``b``.
 
-        Computed as the least ``y`` with ``max[a->b](y) >= x`` (both counts
-        include initial delay items), by exponential + binary search over the
-        monotone ``max``.
+        The least ``y`` with ``max[a->b](y) >= x`` (both counts include
+        initial delay items).  On a periodic graph that is a search of the
+        pair's table below the transient, and past it the period ``k`` that
+        first reaches ``x`` and a search of the table's last period; on any
+        other graph, an exponential + binary search over ``max``.
         """
         if a is b:
             return x
@@ -332,14 +381,14 @@ class WavefrontOracle:
                 value = self.min_items(a, b, x - periods * p_b) + periods * p_a
                 self._min_cache[key] = value
                 return value
+            value = self._min_tabled(a, b, x, p_a, p_b)
+            self._min_cache[key] = value
+            return value
         lo, hi = 0, max(1, len(a.initial))
         while self.max_items(a, b, hi) < x:
             hi *= 2
             if hi > 10**12:
-                raise SchedulingError(
-                    f"min[a->b]({x}) infeasible: no amount of items on "
-                    f"{a!r} yields {x} items on {b!r}"
-                )
+                raise self._infeasible(a, b, x)
         while lo < hi:
             mid = (lo + hi) // 2
             if self.max_items(a, b, mid) >= x:
@@ -348,6 +397,28 @@ class WavefrontOracle:
                 lo = mid + 1
         self._min_cache[key] = lo
         return lo
+
+    def _min_tabled(self, a: FlatEdge, b: FlatEdge, x: int, p_a: int, p_b: int) -> int:
+        """The least ``y`` with ``max_items(a, b, y) >= x`` on a periodic
+        graph: beyond ``a``'s transient ``T``, ``max(y) = table[y - k·P_a] +
+        k·P_b`` with ``y - k·P_a`` in ``(T - P_a, T]``."""
+        from bisect import bisect_left
+
+        top = 8 * p_a + len(a.initial) + 64
+        table = self._table(a, b, top, x)
+        if table[-1] >= x:
+            return bisect_left(table, x)
+        if p_b <= 0:
+            raise self._infeasible(a, b, x)
+        k = -(-(x - table[top]) // p_b)
+        return bisect_left(table, x - k * p_b, top - p_a + 1, top + 1) + k * p_a
+
+    @staticmethod
+    def _infeasible(a: FlatEdge, b: FlatEdge, x: int) -> SchedulingError:
+        return SchedulingError(
+            f"min[a->b]({x}) infeasible: no amount of items on "
+            f"{a!r} yields {x} items on {b!r}"
+        )
 
 
 def output_tape(graph: FlatGraph, node: FlatNode) -> FlatEdge:

@@ -31,13 +31,6 @@ from .helpers import FIR, Gain
 
 STRATEGY_NAMES = tuple(STRATEGIES)
 
-# A numpy view that outlives RingArena.release() pins the shared segment,
-# and CPython reports it as a BufferError from SharedMemory.__del__.
-pytestmark = pytest.mark.filterwarnings(
-    "error::pytest.PytestUnraisableExceptionWarning"
-)
-
-
 def _collect(app):
     return next(f for f in app.filters() if isinstance(f, CollectSink))
 

@@ -659,6 +659,56 @@ class TestBatchedEngineDifferential:
         assert runner.chunk == runner.interpret
         assert got == scalar
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        shape=st.sampled_from(["pipeline", "splitjoin", "feedback"]),
+        limit=st.integers(min_value=1, max_value=4),
+        calls=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=7),
+    )
+    def test_random_graphs_cross_the_small_call_form_bit_exact(
+        self, seed, shape, limit, calls
+    ):
+        """The whole program lowered at once (forced, with no rent and no
+        trial) runs every call of at most ``limit`` periods and the walk the
+        rest: the live items cross between the two forms at every switch,
+        and the output is the scalar engine's bit for bit."""
+        gen = np.random.default_rng(seed)
+        data = [float(v) for v in gen.uniform(-2, 2, size=9)]
+        spec_seed = int(gen.integers(0, 2**32))
+        delay = int(gen.integers(1, 4))
+
+        def build():
+            g = np.random.default_rng(spec_seed)
+            if shape == "pipeline":
+                stages = [_random_stage(g) for _ in range(int(g.integers(1, 4)))]
+            elif shape == "splitjoin":
+                stages = [_random_flat_splitjoin(g), _random_stage(g)]
+            else:
+                body, loopback = _random_loop_stages(g, delay)
+                return feedback_app(
+                    data,
+                    [_LOOP_STAGES[k](g) for k in body],
+                    [_LOOP_STAGES[k](g) for k in loopback],
+                    delay=delay,
+                    rounds=int(g.integers(1, 4)),
+                    leak=float(g.uniform(0.1, 0.9)),
+                )
+            return Pipeline(ArraySource(data), *stages, CollectSink())
+
+        scalar, _ = run_calls(build, "scalar", (sum(calls),))
+        app = build()
+        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EngineDowngradeWarning)
+            interp = Interpreter(app, check=False, engine="codegen")
+            interp.run_init()
+            interp.plan.small.force(limit)
+            for periods in calls:
+                interp.run_steady(periods)
+            interp.close()
+        assert list(sink.collected) == scalar
+
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

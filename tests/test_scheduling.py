@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import ALL_APPS
 from repro.errors import SchedulingError
 from repro.graph import (
     ArraySource,
@@ -167,3 +168,87 @@ class TestScheduleProperties:
     def test_output_volume_scales_with_periods(self, periods):
         out = run_pipeline(PeekAverage(), data=[1.0, 2.0, 3.0, 4.0], periods=periods)
         assert len(out) == periods
+
+
+# -- integer balance equations against the rational solver they replaced -----
+
+
+def _fraction_repetitions(graph):
+    """The balance equations over ``fractions.Fraction`` rates (the solver
+    ``repetitions`` replaced with gcd-reduced integer pairs)."""
+    from fractions import Fraction
+    from math import gcd, lcm
+
+    rate, components = {}, []
+    for start in graph.nodes:
+        if start in rate:
+            continue
+        rate[start] = Fraction(1)
+        component, stack = [start], [start]
+        while stack:
+            node = stack.pop()
+            for edge in node.in_edges + node.out_edges:
+                if edge.push_rate == 0 or edge.pop_rate == 0:
+                    continue
+                if edge.src is node:
+                    other, implied = edge.dst, rate[node] * edge.push_rate / edge.pop_rate
+                else:
+                    other, implied = edge.src, rate[node] * edge.pop_rate / edge.push_rate
+                if other in rate:
+                    if rate[other] != implied:
+                        raise SchedulingError(
+                            f"inconsistent stream rates at {edge.src.name} -> "
+                            f"{edge.dst.name}: no periodic schedule exists "
+                            f"(expected rate {implied}, got {rate[other]})"
+                        )
+                else:
+                    rate[other] = implied
+                    component.append(other)
+                    stack.append(other)
+        components.append(component)
+    result = {}
+    for component in components:
+        denom = lcm(*(rate[n].denominator for n in component))
+        ints = [int(rate[n] * denom) for n in component]
+        g = gcd(*ints) if len(ints) > 1 else ints[0]
+        result.update((node, value // g) for node, value in zip(component, ints))
+    return result
+
+
+def _solve(solver, graph):
+    try:
+        return solver(graph)
+    except SchedulingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+def test_integer_rates_match_the_rational_solver_on_every_app(name):
+    graph = flatten(ALL_APPS[name]())
+    assert repetitions(graph) == _fraction_repetitions(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rates=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4
+    ),
+    weights=st.tuples(*[st.integers(0, 4)] * 4),
+)
+def test_integer_rates_match_the_rational_solver(rates, weights):
+    """Rate-changing chains and splitjoins whose weights may not balance:
+    the same vector, or the same SchedulingError text."""
+    from repro.graph import Decimator, Expander
+
+    def changer(up, down):
+        return Pipeline(Expander(up), Decimator(down))
+
+    w1, w2, v1, v2 = weights
+    sj = SplitJoin(
+        roundrobin(max(w1, 1), w2),
+        [changer(*rates[0]), changer(*rates[-1])],
+        joiner_roundrobin(v1, max(v2, 1)),
+    )
+    stages = [changer(up, down) for up, down in rates[1:-1]]
+    graph = flatten(Pipeline(ArraySource([1.0]), *stages, sj, NullSink()))
+    assert _solve(repetitions, graph) == _solve(_fraction_repetitions, graph)

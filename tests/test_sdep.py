@@ -25,6 +25,7 @@ from repro.scheduling import (
     splitter_branch_tf,
 )
 from tests.helpers import FIR, Downsample2, Gain, PeekAverage, Upsample3
+from tests.test_teleport_chunks import random_portal_graph
 
 
 class MultiRate:
@@ -206,3 +207,87 @@ class TestOracle:
         assert oracle.max_items(a, b, y) >= x
         if y > 0:
             assert oracle.max_items(a, b, y - 1) < x
+
+
+# -- the tabulated oracle against the probing one it replaced -----------------
+
+
+class _ProbingOracle(WavefrontOracle):
+    """``max`` as one fresh simulation per probe (below the transient) and
+    ``min`` as an exponential + binary search over it: the oracle before
+    ``max[a->b]`` was tabulated once per pair."""
+
+    def max_items(self, a, b, x):
+        if a is b:
+            return x
+        p_a, p_b = self._period_items(a), self._period_items(b)
+        transient = 8 * p_a + len(a.initial) + 64
+        if x > transient:
+            periods = (x - transient + p_a - 1) // p_a
+            return self.max_items(a, b, x - periods * p_a) + periods * p_b
+        return self._max_items_direct(a, b, x)
+
+    def min_items(self, a, b, x):
+        if a is b:
+            return x
+        if x <= len(b.initial):
+            return 0
+        p_a, p_b = self._period_items(a), self._period_items(b)
+        transient = 8 * p_b + len(b.initial) + 64
+        if x > transient:
+            periods = (x - transient + p_b - 1) // p_b
+            return self.min_items(a, b, x - periods * p_b) + periods * p_a
+        lo, hi = 0, max(1, len(a.initial))
+        while self.max_items(a, b, hi) < x:
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.max_items(a, b, mid) >= x:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+def _portal_pairs(app):
+    """``(upstream tape, downstream tape)`` of every sender and receiver."""
+    from repro.runtime.messaging import Portal
+
+    graph = flatten(app)
+    nodes = {node.filter: node for node in graph.filter_nodes()}
+    pairs = []
+    for node in graph.filter_nodes():
+        for value in vars(node.filter).values():
+            if isinstance(value, Portal):
+                for receiver in value.receivers:
+                    tapes = (node.out_edges[0], nodes[receiver].out_edges[0])
+                    pairs.append(tapes)
+                    pairs.append(tapes[::-1])
+    return graph, pairs
+
+
+def _same_answers(app, xs):
+    graph, pairs = _portal_pairs(app)
+    tabled, probing = WavefrontOracle(graph), _ProbingOracle(graph)
+    checked = 0
+    for a, b in pairs:
+        if not tabled.is_upstream(a, b):
+            continue
+        for x in xs:
+            assert tabled.max_items(a, b, x) == probing.max_items(a, b, x), (a, b, x)
+            assert tabled.min_items(a, b, x) == probing.min_items(a, b, x), (a, b, x)
+        checked += 1
+    return checked
+
+
+def test_tabulated_oracle_answers_freqhop_as_the_probing_one():
+    from repro.apps import freqhop
+
+    for build in (freqhop.build_teleport, freqhop.build):
+        assert _same_answers(build(), [-1] + list(range(0, 240, 8)) + [1000, 4321])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_tabulated_oracle_answers_portal_fuzz_graphs_as_the_probing_one(seed):
+    assert _same_answers(random_portal_graph(seed)(), list(range(-1, 120)) + [777, 5001])
