@@ -64,10 +64,6 @@ def _check_assignment(model: ModelGraph, assignment: Dict[ModelActor, int], mach
             raise MachineError(f"actor {actor.name} assigned to invalid core {core}")
 
 
-def _edge_core(assignment: Dict[ModelActor, int], actor: ModelActor, fallback: int = 0) -> int:
-    return assignment.get(actor, fallback)
-
-
 def dag_makespan(
     model: ModelGraph,
     assignment: Dict[ModelActor, int],

@@ -69,8 +69,9 @@ loop-sequential app filters, the generic lifter, and the FFT filters do;
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -377,8 +378,6 @@ def timed(tracer, run: Callable[[int], None], span) -> Callable[[int], None]:
     A plan built with tracing on calls these in place of the bare ``run``s;
     one built with it off never sees them, so it reads no clock.
     """
-    from time import perf_counter
-
     complete = tracer.complete
 
     def run_timed(scale: int) -> None:
@@ -847,53 +846,10 @@ def inline_bytes(phases: Sequence[Tuple[FlatNode, int]]) -> int:
 #: stay below every app's budget by 2.9x (Vocoder, TDE) or more.
 LOWER_S_PER_BYTE = 1.85e-6
 
-#: One-period calls of the emitted form timed before the plan decides: the
-#: median of three drops one call that carries a switch or a collection.
+#: One-period calls of each form the trial compares: the form's first
+#: three after the lowering against the walk's last three before it (the
+#: median of three drops one call that carries a switch or a collection).
 _TRIAL_CALLS = 3
-
-
-class SmallCallPolicy:
-    """When a plan lowers its small-call form, and which calls it then runs.
-
-    Fed the seconds of finished one-period calls, by the form that ran them.
-    Ski rental: lowering is worth it once the walk's one-period calls have
-    together taken ``budget``, what the lowering is expected to cost (rent
-    paid up to the price of buying never costs more than twice the better
-    choice made in hindsight).  After it, :data:`_TRIAL_CALLS` one-period
-    calls run the emitted form, and the medians of the two forms' calls
-    give the :meth:`crossover`.
-    """
-
-    def __init__(self, budget: float) -> None:
-        self.budget = budget
-        self.rent = 0.0
-        self.walk: List[float] = []
-        self.emit: List[float] = []
-
-    def walked(self, seconds: float) -> None:
-        self.walk.append(seconds)
-        self.rent += seconds
-
-    def emitted(self, seconds: float) -> None:
-        self.emit.append(seconds)
-
-    @property
-    def due(self) -> bool:
-        """Have the walk's one-period calls paid for a lowering?"""
-        return self.rent >= self.budget
-
-    @property
-    def tried(self) -> bool:
-        return len(self.emit) >= _TRIAL_CALLS
-
-    def crossover(self) -> int:
-        """The most periods a call may have and still run the emitted form:
-        the largest ``s`` with ``s * emitted(1) < walk(1)``, 0 where the
-        walk wins even at one period."""
-        from math import ceil
-        from statistics import median
-
-        return ceil(median(self.walk) / median(self.emit)) - 1
 
 
 class SmallCalls:
@@ -906,11 +862,21 @@ class SmallCalls:
     most of a call.  The form fires the steady schedule in its own order
     over Python floats, so it is bit-exact to the scalar engine by
     construction: which form runs a call changes its time, never its
-    output.  The plan lowers it lazily (:class:`SmallCallPolicy`), timing
-    the calls through the interpreter's run tally, which already times
-    each one (a session with metrics off times none and keeps the walk).
-    Once the policy has decided, a call of ``s`` periods runs the form
-    when ``s <= limit`` and the walk otherwise.
+    output.
+
+    The plan lowers it lazily and times the one-period calls it decides on
+    itself (a ``perf_counter()`` pair around each, and only while
+    ``deciding``; never the call that runs the plan's first pass or the one
+    that lowers).  Ski rental: lowering is worth it once the walk's
+    one-period calls have together taken ``budget``, what the lowering is
+    expected to cost (rent paid up to the price of buying never costs more
+    than twice the better choice made in hindsight).  Then
+    :data:`_TRIAL_CALLS` one-period calls run the form, and the median of
+    those against the median of the walk's last :data:`_TRIAL_CALLS`
+    one-period calls gives the crossover: the largest ``s`` with
+    ``s * emitted(1) < walk(1)``.  From then on a call of ``s`` periods
+    runs the form when ``s <= limit`` and the walk otherwise; a crossover
+    of 0 refuses the form.
 
     Live items stay on whichever form ran last.  Either form takes the
     next call over from the other at a period boundary: the form's
@@ -922,7 +888,6 @@ class SmallCalls:
 
     def __init__(self, plan: "ExecutionPlan") -> None:
         self.plan = plan
-        self.policy: Optional[SmallCallPolicy] = None
         #: The lowered whole-program runner; None before lowering and once
         #: refused.
         self.form: Optional[CoreLoopRunner] = None
@@ -936,12 +901,18 @@ class SmallCalls:
         self.reason: Optional[str] = None
         self.lines: Optional[int] = None
         self.lower_s: Optional[float] = None
-        self._seen: object = None
-        self._timing: Optional[Callable[[float], None]] = None
+        #: Seconds the lowering is expected to cost (set at the first rent).
+        self.budget: Optional[float] = None
+        #: Seconds the walk's timed one-period calls have taken together.
+        self.rent = 0.0
+        #: The walk's last and the form's first timed one-period calls.
+        self.walk: deque = deque(maxlen=_TRIAL_CALLS)
+        self.emit: List[float] = []
 
     def run(self, periods: int) -> None:
-        if self.deciding:
-            self._settle(periods)
+        sample = self._sample() if self.deciding and periods == 1 else None
+        if sample is not None:
+            t0 = perf_counter()
         if periods <= self.limit:
             if not self.live:
                 self._take()
@@ -950,47 +921,44 @@ class SmallCalls:
             if self.live:
                 self._give()
             self.plan._walk(periods)
+        if sample is not None:
+            sample(perf_counter() - t0)
 
     # -- deciding ------------------------------------------------------------
 
-    def _settle(self, periods: int) -> None:
-        """Credit the last finished call's seconds (the run tally's) to the
-        form it was timed as; lower or decide where the evidence now says
-        so; say how this call is timed.  Only one-period calls are timed,
-        never the one that runs the plan's first pass or lowers."""
-        tally = self.plan.interp._tally
-        last = tally.last if tally is not None else None
-        if last is not self._seen:
-            self._seen = last
-            if self._timing is not None:
-                self._timing(last[1])
-        self._timing = None
-        if periods != 1 or self.plan._steps is None:
-            return
+    def _sample(self) -> Optional[Callable[[float], None]]:
+        """Lower or decide where the evidence says so before a one-period
+        call; what takes the call's seconds (None: the call is not timed)."""
+        if self.plan._steps is None:
+            return None
         if self.form is None:
-            if self.policy is None:
-                budget = LOWER_S_PER_BYTE * inline_bytes(self.plan.interp.program.steady)
-                self.policy = SmallCallPolicy(budget)
-            if self.policy.due:
-                self.lower()
-                if self.form is not None:
-                    self.limit = 1
-                return
-            self._timing = self.policy.walked
-        elif self.policy.tried:
-            self._decide()
-        else:
-            self._timing = self.policy.emitted
+            if self.budget is None:
+                self.budget = LOWER_S_PER_BYTE * inline_bytes(self.plan.interp.program.steady)
+            if self.rent < self.budget:
+                return self._walked
+            self.lower()
+            if self.form is not None:
+                self.limit = 1
+            return None
+        if len(self.emit) < _TRIAL_CALLS:
+            return self.emit.append
+        self._decide()
+        return None
+
+    def _walked(self, seconds: float) -> None:
+        self.walk.append(seconds)
+        self.rent += seconds
 
     def _decide(self) -> None:
+        from math import ceil
         from statistics import median
 
-        policy = self.policy
-        crossover = policy.crossover()
+        walk, emit = median(self.walk), median(self.emit)
+        crossover = ceil(walk / emit) - 1
         if crossover < 1:
             self.refuse(
-                f"the emitted form took {median(policy.emit) * 1e6:.0f} us a period, "
-                f"the walk {median(policy.walk) * 1e6:.0f} us"
+                f"the emitted form took {emit * 1e6:.0f} us a period, "
+                f"the walk {walk * 1e6:.0f} us"
             )
         else:
             self.limit = crossover
@@ -999,8 +967,6 @@ class SmallCalls:
     def lower(self) -> None:
         """Emit, compile and bind the form now; it holds the live items
         from here on.  A program the emitter cannot lower is refused."""
-        from time import perf_counter
-
         from repro.runtime.codegen import lower_core
         from repro.runtime.codegen_emit import Unsupported
 
@@ -1077,10 +1043,11 @@ class SmallCalls:
         self.live = False
 
     def report(self) -> Dict[str, object]:
-        """``engine_report()["codegen"]["small_calls"]``."""
+        """``engine_report()["codegen"]["small_calls"]``: ``walk_us`` is the
+        median of the walk's last :data:`_TRIAL_CALLS` timed one-period
+        calls, ``emitted_us`` of the form's first."""
         from statistics import median
 
-        policy = self.policy
         if self.reason is not None:
             state = "refused"
         elif self.form is None:
@@ -1093,10 +1060,10 @@ class SmallCalls:
             "crossover": self.limit,
             "lines": self.lines,
             "lower_s": self.lower_s,
-            "walk_us": median(policy.walk) * 1e6 if policy and policy.walk else None,
-            "emitted_us": median(policy.emit) * 1e6 if policy and policy.emit else None,
-            "budget_s": policy.budget if policy else None,
-            "rent_s": policy.rent if policy else 0.0,
+            "walk_us": median(self.walk) * 1e6 if self.walk else None,
+            "emitted_us": median(self.emit) * 1e6 if self.emit else None,
+            "budget_s": self.budget,
+            "rent_s": self.rent,
         }
 
 
@@ -1729,8 +1696,6 @@ class ExecutionPlan:
         ``post_message`` raises if a later send undercuts it.
         """
         if self._message_slack is None:
-            from time import perf_counter
-
             t0 = perf_counter()
             self._derive_message_slack()
             tracer = self.interp.tracer

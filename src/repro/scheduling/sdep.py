@@ -421,13 +421,6 @@ class WavefrontOracle:
         )
 
 
-def output_tape(graph: FlatGraph, node: FlatNode) -> FlatEdge:
-    """The (single) output tape of a filter node."""
-    if len(node.out_edges) != 1:
-        raise SchedulingError(f"{node.name} does not have a unique output tape")
-    return node.out_edges[0]
-
-
 def pipeline_tf(stages: Sequence[TransferFunction]) -> TransferFunction:
     """Compose a sequence of per-stage transfer functions, upstream first."""
     tf = identity_tf()

@@ -8,7 +8,6 @@ scalar engine.
 """
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +17,10 @@ from repro.errors import EngineDowngradeWarning, StreamItError
 from repro.graph import ArraySource, CollectSink, Pipeline
 from repro.graph.base import Filter
 from repro.linear import LinearFilter, fir_rep
+from repro.obs.metrics import METRICS
 from repro.runtime import Interpreter
-from repro.runtime.plan import SmallCallPolicy
+from repro.runtime import plan as plan_module
+from repro.runtime.plan import LOWER_S_PER_BYTE, inline_bytes
 
 from .helpers import FIR, Gain
 
@@ -163,23 +164,28 @@ def test_a_program_the_emitter_cannot_lower_keeps_the_walk():
 # -- the decision, with injected timings -------------------------------------
 
 
-def test_policy_rents_until_the_budget_then_takes_the_median_crossover():
-    policy = SmallCallPolicy(budget=0.95e-3)
-    for _ in range(9):
-        policy.walked(100e-6)
-    assert not policy.due
-    policy.walked(100e-6)
-    assert policy.due
-    for seconds in (40e-6, 400e-6, 40e-6):  # one call carried a switch
-        assert not policy.tried
-        policy.emitted(seconds)
-    assert policy.tried
-    assert policy.crossover() == 2  # 2 * 40 < 100 <= 3 * 40
+class _Clock:
+    """The plan module's ``perf_counter`` in a test: every read moves it on
+    by what a one-period call takes on the form now holding the items, so a
+    timed call (one read before it, one after) measures exactly that."""
+
+    def __init__(self, small) -> None:
+        self.small = small
+        self.now = 0.0
+        self.walk_s = self.emitted_s = 0.0
+
+    def __call__(self) -> float:
+        self.now += self.emitted_s if self.small.live else self.walk_s
+        return self.now
 
 
-def _driven(walk_s, emitted_s, budget, calls):
-    """Drive a FIR plan's own ``run_steady`` with injected call times: the
-    walk's one-period calls take ``walk_s``, the form's ``emitted_s``."""
+def _driven(monkeypatch, walk, emitted, calls, each=None):
+    """Drive a FIR plan's own ``run_steady`` under a :class:`_Clock`.
+
+    ``walk`` and ``emitted`` are what a one-period call takes on each form,
+    in ticks: a tick is a 950th of the plan's rent budget, so ten calls of
+    100 ticks pay it and nine do not.  Either may be a list, one entry per
+    call.  ``each(i, small)`` runs after call ``i``."""
     build = lambda: Pipeline(  # noqa: E731
         ArraySource([float(v) for v in np.linspace(-1, 1, 9)]),
         FIR([0.5, -0.25, 0.125]),
@@ -190,20 +196,43 @@ def _driven(walk_s, emitted_s, budget, calls):
     interp = Interpreter(app, check=False, engine="codegen")
     interp.run_init()
     plan, small = interp.plan, interp.plan.small
-    small.policy = SmallCallPolicy(budget)
-    tally = interp._tally = SimpleNamespace(last=None)
+    tick = LOWER_S_PER_BYTE * inline_bytes(interp.program.steady) / 950
+    clock = _Clock(small)
+    monkeypatch.setattr(plan_module, "perf_counter", clock)
     forms = []
-    for periods in calls:
+    for i, periods in enumerate(calls):
+        clock.walk_s = tick * (walk[i] if isinstance(walk, list) else walk)
+        clock.emitted_s = tick * (emitted[i] if isinstance(emitted, list) else emitted)
         plan.run_steady(periods)
         forms.append("form" if small.live else "walk")
-        seconds = emitted_s if small.live else walk_s
-        tally.last = (periods, seconds, 0.0)
-    return app, interp, forms, build
+        if each is not None:
+            each(i, small)
+    return app, interp, forms, build, tick
 
 
-def test_a_winning_form_is_kept_below_its_crossover():
+def test_policy_rents_until_the_budget_then_takes_the_median_crossover(monkeypatch):
+    seen = []
+
+    def each(_i, small):
+        paid = small.budget is not None and small.rent >= small.budget
+        seen.append((small.report()["state"], paid, small.limit))
+
+    emitted = [40] * 16
+    emitted[13] = 400  # one trial call carried a switch
+    app, _interp, _forms, build, _tick = _driven(monkeypatch, 100, emitted, [1] * 16, each)
+    # Call 0 runs the first pass; nine calls of 100 ticks leave the rent
+    # short of the budget, the tenth pays it, call 11 lowers, 12-14 are the
+    # trial and 15 decides.
+    assert seen[9] == ("renting", False, 0)
+    assert seen[10] == ("renting", True, 0)
+    assert seen[11:15] == [("trying", True, 1)] * 4
+    assert seen[15] == ("lowered", True, 2)  # 2 * 40 < 100 <= 3 * 40, the 400 dropped
+    assert list(_sink(app).collected) == _scalar(build, 16)
+
+
+def test_a_winning_form_is_kept_below_its_crossover(monkeypatch):
     calls = [1] * 16 + [2, 3, 1, 5, 2]
-    app, interp, forms, build = _driven(100e-6, 40e-6, 0.95e-3, calls)
+    app, interp, forms, build, tick = _driven(monkeypatch, 100, 40, calls)
     # Call 0 runs the first pass, 1-10 pay the rent, 11 lowers, 12-14 are
     # the trial, 15 decides: crossover 2 (2 * 40 < 100 <= 3 * 40).
     assert forms[:11] == ["walk"] * 11
@@ -211,33 +240,50 @@ def test_a_winning_form_is_kept_below_its_crossover():
     assert forms[16:] == ["form", "walk", "form", "walk", "form"]
     row = interp.engine_report()["codegen"]["small_calls"]
     assert row["state"] == "lowered" and row["crossover"] == 2
-    assert row["walk_us"] == pytest.approx(100) and row["emitted_us"] == pytest.approx(40)
+    assert row["walk_us"] == pytest.approx(100 * tick * 1e6)
+    assert row["emitted_us"] == pytest.approx(40 * tick * 1e6)
     assert list(_sink(app).collected) == _scalar(build, sum(calls))
 
 
-def test_a_losing_form_is_refused_and_dropped():
+def test_a_losing_form_is_refused_and_dropped(monkeypatch):
     calls = [1] * 20 + [4, 1]
-    app, interp, forms, build = _driven(100e-6, 150e-6, 0.95e-3, calls)
+    app, interp, forms, build, tick = _driven(monkeypatch, 100, 150, calls)
     assert forms[11:15] == ["form"] * 4
     assert set(forms[15:]) == {"walk"}
     small = interp.plan.small
     assert small.form is None and interp.plan._run == interp.plan._walk
     row = interp.engine_report()["codegen"]["small_calls"]
-    assert row["state"] == "refused" and "150 us" in row["reason"]
+    assert row["state"] == "refused"
+    assert f"took {150 * tick * 1e6:.0f} us" in row["reason"]
     assert list(_sink(app).collected) == _scalar(build, sum(calls))
 
 
-def test_large_calls_never_pay_the_rent():
+def test_the_trial_compares_the_form_with_the_recent_walk(monkeypatch):
+    """Load drifts during the rent: calls 1-4 walk in 200 ticks, 5-7 in 60
+    (980 ticks in all), call 8 lowers and 9-11 try a form of 100.  Against
+    every rented call (median 200) the form would win; against the walk's
+    last three (60) it loses."""
+    walk = [200] * 5 + [60] * 11
+    app, interp, forms, build, tick = _driven(monkeypatch, walk, 100, [1] * 16)
+    assert forms[:8] == ["walk"] * 8
+    assert forms[8:12] == ["form"] * 4
+    assert forms[12:] == ["walk"] * 4
+    row = interp.engine_report()["codegen"]["small_calls"]
+    assert row["state"] == "refused"
+    assert row["walk_us"] == pytest.approx(60 * tick * 1e6)
+    assert row["rent_s"] == pytest.approx(980 * tick)
+    assert list(_sink(app).collected) == _scalar(build, 16)
+
+
+def test_large_calls_never_pay_the_rent(monkeypatch):
     calls = [1] + [64] * 30
-    _app, interp, forms, _build = _driven(100e-6, 40e-6, 1e-4, calls)
+    app, interp, forms, build, _tick = _driven(monkeypatch, 1000, 40, calls)
     assert set(forms) == {"walk"}
     assert interp.engine_report()["codegen"]["small_calls"]["state"] == "renting"
+    assert list(_sink(app).collected) == _scalar(build, sum(calls))
 
 
-def test_a_chopped_session_settles_bit_exact():
-    """Real timings: whatever the plan decides, the output is the scalar
-    engine's, and 400 one-period FMRadio calls pay for the lowering."""
-    build = ALL_APPS["FMRadio"]
+def _chopped_session_settles(build):
     app = build()
     interp = Interpreter(app, check=False, engine="codegen")
     interp.run(2)
@@ -247,3 +293,16 @@ def test_a_chopped_session_settles_bit_exact():
     interp.run_steady(1)
     assert list(_sink(app).collected) == _scalar(build, 412)
     assert interp.engine_report()["codegen"]["small_calls"]["state"] in ("lowered", "refused")
+
+
+def test_a_chopped_session_settles_bit_exact():
+    """Real timings: whatever the plan decides, the output is the scalar
+    engine's, and 400 one-period FMRadio calls pay for the lowering."""
+    _chopped_session_settles(ALL_APPS["FMRadio"])
+
+
+def test_a_chopped_session_settles_with_metrics_off():
+    """The plan times its calls itself: with the metrics registry off a
+    chopped session still pays the rent and settles."""
+    with METRICS.disabled():
+        _chopped_session_settles(ALL_APPS["FMRadio"])
