@@ -3,6 +3,8 @@
 Run with:  python examples/quickstart.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.apps.common import FIRFilter, lowpass_taps
@@ -12,7 +14,7 @@ from repro.runtime import Interpreter
 from repro.scheduling import build_schedule, verify_program
 
 
-def main() -> None:
+def main() -> int:
     # 1. Build a stream graph: source -> two cascaded FIR filters -> sink.
     #    Filters declare static peek/pop/push rates; work() is plain Python.
     data = list(np.sin(np.arange(64) / 3.0))
@@ -55,8 +57,10 @@ def main() -> None:
     out = np.array(opt_sink.collected)
 
     m = min(len(baseline), len(out))
-    print(f"outputs match: {bool(np.allclose(baseline[:m], out[:m]))} over {m} items")
+    match = m > 0 and bool(np.allclose(baseline[:m], out[:m]))
+    print(f"outputs match: {match} over {m} items")
+    return 0 if match else 1  # a mismatch fails the script, not only a crash
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

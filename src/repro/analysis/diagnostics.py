@@ -66,7 +66,9 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     # SL303 ("superbatch-degraded") retired: a feedback core is a block of
     # the one compiled engine, not a degradation; never reused.
     "SL304": (Severity.WARNING, "engine-parallel-fallback"),
-    "SL305": (Severity.WARNING, "core-not-lowered"),
+    # SL305 ("core-not-lowered") retired: every feedback core lowers, a
+    # work() body the emitter cannot inline is called from the generated
+    # loop; never reused.
     # SL306 ("tuned-plan-discarded") retired with repro.tune; never reused.
     "SL307": (Severity.INFO, "teleport-latency-dynamic"),
     # -- whole-graph analysis (SL4xx) --------------------------------------
@@ -96,7 +98,6 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "SL301": "filter cannot be vectorized generically (stateful or opaque)",
     "SL302": "engine request downgraded to the scalar interpreter",
     "SL304": "engine request downgraded from parallel to single-process execution",
-    "SL305": "a feedback core the emitter cannot lower runs the interpreted core loop",
     "SL307": "a teleport send's latency is best-effort or no compile-time constant, so the compiled engine runs the graph one period per pass",
     "SL401": "two or more filter instances alias the same mutable object and at least one mutates it (a parallel race across forked workers)",
     "SL402": "work()'s effects cannot be bounded statically (dynamic writes or self escapes), so parallel race freedom cannot be proven",

@@ -40,7 +40,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import FLIGHT, FlightRecorder, format_flight_tail
 from repro.obs.tracer import (
-    CAT_CORE,
     CAT_ENGINE,
     CAT_FILTER,
     CAT_FUSED,
@@ -65,7 +64,6 @@ __getattr__ = lazy_getattr(__name__, {
 })
 
 __all__ = [
-    "CAT_CORE",
     "CAT_ENGINE",
     "CAT_FILTER",
     "CAT_FUSED",

@@ -8,9 +8,9 @@ inlined closed loop.  Its second job is a plan's small calls: the whole
 steady schedule as one core (:class:`~repro.runtime.plan.SmallCalls`),
 lowered the same way.  :func:`lower_core` emits that module from the core's
 live tapes and filters, compiles it, and runs it in the namespace the
-emitter hands over with the text; the core then runs its ``run_chunk``
-instead of the interpreted loop.  Nothing is stored or looked up: the
-module exists for the one core it was emitted from.  The emitter
+emitter hands over with the text; the core then runs its ``run_chunk``.
+Nothing is stored or looked up: the module exists for the one core it was
+emitted from.  The emitter
 (:mod:`repro.runtime.codegen_emit`) is imported only when a core is
 lowered.
 
@@ -40,9 +40,7 @@ def lower_core(core) -> Callable[[int], None]:
 
     Runs at the plan's first steady pass, after ``init()`` and the init
     schedule: the emitter reads the tapes' post-init contents and the
-    hoisted attributes' live values.  Raises
-    :class:`~repro.runtime.codegen_emit.Unsupported` when the emitter
-    cannot lower the core.
+    hoisted attributes' live values.
     """
     from repro.runtime.codegen_emit import emit_module
 

@@ -14,13 +14,14 @@ closed loop: the scalar ``work()`` bodies are rewritten by a
 statement-level AST transformer, ``self.pop()``/``peek``/``push`` becoming
 reads and bindings of locals where :class:`CoreEmitter` can follow a
 tape's contents through the loop body, and list indexing where it cannot.
+A body the transformer refuses is called from the loop instead, over the
+list tapes its filter is bound to (``called``).
 
 The module names what it needs at run time — filter instances, kernel
 globals, reducers, the core runner itself — by node and edge index, and
 the emitter hands over the namespace that binds those names with the text
-(:func:`repro.runtime.codegen.lower_core` compiles and runs the two).  A
-core the emitter cannot lower raises :class:`Unsupported`; it then runs
-interpreted (``SL305``).
+(:func:`repro.runtime.codegen.lower_core` compiles and runs the two).
+Every core lowers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from repro.runtime.plan import _INLINE_ROUNDS, CoreLoopRunner, _repeating_unit
 
 
 class Unsupported(Exception):
-    """A construct the emitter cannot lower; callers fall back."""
+    """A construct :class:`WorkInliner` cannot inline: the emitter calls
+    that filter's ``work()`` instead."""
 
 
 # -- fingerprinting -----------------------------------------------------------
@@ -279,8 +281,9 @@ class WorkInliner:
     stores is read through ``_f<i>_attr``, which the emitter loads once
     above the loop (``hoisted``).  Channel ops inside conditionally-evaluated
     positions (``and``/``or`` tails, ternaries, chained-comparison tails,
-    ``while`` tests) raise :class:`Unsupported` — the whole core then falls
-    back to the :class:`~repro.runtime.plan.CoreLoopRunner`.
+    ``while`` tests) raise :class:`Unsupported`, as does any construct
+    outside the rewritten subset; :class:`CoreEmitter` then calls that
+    filter's ``work()`` from the loop.
     """
 
     def __init__(self, filt, fvar: str, gprefix: str, tapes, in_edge, out_edge) -> None:
@@ -430,6 +433,8 @@ class WorkInliner:
             return ast.Call(func=func, args=args, keywords=keywords)
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == self.self_name:
+                if node.attr in ("input", "output"):  # its cursor is the module's local
+                    raise Unsupported(f"work() reaches self.{node.attr} directly")
                 if (
                     isinstance(node.ctx, ast.Load)
                     and node.attr not in self.stored_attrs
@@ -539,9 +544,14 @@ class CoreEmitter:
     conditional, a ``peek`` at a computed position, a node fired several
     times in a row, more than :data:`_CARRY_MAX` items to carry, an
     external tape (read through its one running cursor, written through an
-    ``append`` bound above the loop).  Both forms live in one unit;
-    arithmetic and its order are those of the scalar ``work()`` bodies
-    either way.
+    ``append`` bound above the loop), a tape of a filter whose body
+    :class:`WorkInliner` refuses.  That filter's ``work()`` is called
+    (``called``, each with its reason): it pops and pushes through the
+    :class:`~repro.runtime.channel.ListTape` s the core binds it to, which
+    hold the very lists the module indexes, and the module hands its input
+    cursor over before the call and takes it back after.  Both forms live
+    in one unit; arithmetic and its order are those of the scalar
+    ``work()`` bodies either way.
     """
 
     def __init__(self, core: CoreLoopRunner) -> None:
@@ -561,6 +571,8 @@ class CoreEmitter:
         for edge, held in self.carried.items():
             if held > _CARRY_MAX:
                 self.taped[edge] = f"holds {held} items between periods"
+        #: filter node -> why its work() is called rather than inlined
+        self.called: Dict[object, str] = {}
 
     def _tape(self, edge) -> str:
         return f"t{self.edge_index[edge]}"
@@ -592,9 +604,7 @@ class CoreEmitter:
             self._unit(round_, dry=True)
             if len(self.taped) == known:
                 break
-        unit = self._unit(round_)
-        if not unit:
-            raise Unsupported("empty cyclic core")
+        unit = self._unit(round_) or [ast.Pass()]
         if repeats > 1:
             unit = [_counted_loop(repeats, unit)]
         lines = ["_core.begin()"]
@@ -643,6 +653,7 @@ class CoreEmitter:
             "forwarded": [names[e] for e in self.carried if e not in self.taped],
             "taped": {names[e]: why for e, why in self.taped.items()},
             "hoisted": sorted(f"{nodes[i].name}.{attr}" for i, attr in self.hoisted),
+            "called": {node.name: why for node, why in self.called.items()},
         }
 
     # -- one pass over the unit ----------------------------------------------
@@ -788,12 +799,18 @@ class CoreEmitter:
             return []
         if node.kind == SPLITTER:
             return self._splitter_stmts(node)
-        if node.kind == JOINER:
-            return self._joiner_stmts(node)
-        raise Unsupported(f"unknown node kind {node.kind!r}")
+        return self._joiner_stmts(node)
 
     def _filter_stmts(self, node) -> List[ast.stmt]:
         i = self.node_index[node]
+        self.filter_idx.append(i)
+        if node in self.called:
+            call = f"f{i}.work()"
+            if node.in_edges:  # the filter pops at the cursor the module keeps
+                edge = node.in_edges[0]
+                index, cur = self.edge_index[edge], self._cur(edge)
+                call = f"_core.set_cursor({index}, {cur})\n{call}\n{cur} = _core.cursor({index})"
+            return ast.parse(call).body
         inliner = WorkInliner(
             node.filter,
             fvar=f"f{i}",
@@ -806,7 +823,6 @@ class CoreEmitter:
         if inliner.globals_seen:
             self.globals_map[i] = sorted(inliner.globals_seen)
         self.hoisted.update((i, attr) for attr in inliner.hoisted)
-        self.filter_idx.append(i)
         return stmts
 
     def _filter_accesses(self, node) -> None:
@@ -815,8 +831,14 @@ class CoreEmitter:
         in_edge = node.in_edges[0] if node.in_edges else None
         out_edge = node.out_edges[0] if node.out_edges else None
         scratch: List[ast.stmt] = []
-        has_in, has_out = in_edge is not None, out_edge is not None
-        for op, nested, position in _accesses(node.filter, has_in, has_out):
+        try:
+            events = _accesses(node.filter, in_edge is not None, out_edge is not None)
+        except Unsupported as exc:
+            self.called[node] = str(exc)
+            for edge in node.in_edges + node.out_edges:
+                self.taped.setdefault(edge, f"{node.name}.work() is called: {exc}")
+            return
+        for op, nested, position in events:
             if op == "pop":
                 self.pop(in_edge, scratch, nested)
             elif op == "peek":
@@ -869,8 +891,7 @@ class CoreEmitter:
 def emit_module(core: CoreLoopRunner) -> Tuple[str, dict, dict]:
     """Emit ``core``'s module: ``(source, namespace, lowering)`` — its text,
     the live objects that text names (:meth:`CoreEmitter.namespace`) and
-    its report row (:meth:`CoreEmitter.lowering`).  Raises
-    :class:`Unsupported` when the emitter cannot lower the core.
+    its report row (:meth:`CoreEmitter.lowering`).
     """
     emitter = CoreEmitter(core)
     body = emitter.emit()

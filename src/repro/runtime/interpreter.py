@@ -89,8 +89,7 @@ class Interpreter:
             :mod:`repro.runtime.parallel`).
         strict: raise :class:`StreamItError` instead of emitting
             :class:`EngineDowngradeWarning` when the request cannot be
-            honoured in full (an engine fallback, or a feedback core that
-            runs interpreted).
+            honoured in full (an engine fallback).
         strategy: with ``engine="parallel"``, the mapping strategy whose
             partition decides worker placement (a key of
             :data:`repro.mapping.strategies.STRATEGIES`).
@@ -163,7 +162,7 @@ class Interpreter:
         self.plan: Optional[ExecutionPlan] = None
         #: Live multicore session when ``engine="parallel"`` is in effect.
         self.parallel: Optional[Any] = None
-        #: Structured engine downgrades (analysis Diagnostics, SL302/4/5).
+        #: Structured engine downgrades (analysis Diagnostics, SL302/4).
         self.downgrades: List[Any] = []
         self._setup()
 
@@ -320,11 +319,11 @@ class Interpreter:
         """Structured engine outcome: which engine ran, why it degraded.
 
         ``downgrades`` lists the analysis diagnostics (``SL302`` scalar
-        fallback, ``SL304`` parallel fallback, ``SL305`` a core run
-        interpreted) behind every :class:`EngineDowngradeWarning` this
-        interpreter emitted.  A compiled plan adds ``vectorization``, which
-        maps each generically-lifted filter to its executor mode,
-        trusted-proof status, and structured downgrade reason; ``codegen``,
+        fallback, ``SL304`` parallel fallback) behind every
+        :class:`EngineDowngradeWarning` this interpreter emitted.  A compiled
+        plan adds ``vectorization``, which maps each generically-lifted
+        filter to its executor mode, trusted-proof status, and structured
+        downgrade reason; ``codegen``,
         how each block runs (:meth:`ExecutionPlan.codegen_report`); and
         ``regions``, one ``{name, tier, branches, reason}`` row per
         splitjoin: the tier it was lowered by (``collapse`` / ``permute`` /

@@ -24,12 +24,12 @@ produced by the :mod:`repro.mapping.strategies` pipeline on real OS cores:
   free-run: the init schedule acts as the pipeline prologue and the ring
   slack realizes the steady-state overlap of the modulo schedule.
   Task/data-style strategies (``task``, ``fine_grained``, ``data``) run
-  **double-buffered** whenever every cross-worker ring capacity is proved
-  (SL404): the allocated capacity holds the proved single-batch peak plus a
-  full second batch generation, so producers run ahead into buffer
-  generation ``g+1`` while consumers drain generation ``g`` — no per-batch
-  barrier at all.  Only when a capacity proof is unavailable do they fall
-  back to the **dag** discipline with its barrier after every batch;
+  **double-buffered**: the allocated capacity holds the proved single-batch
+  peak plus a full second batch generation, so producers run ahead into
+  buffer generation ``g+1`` while consumers drain generation ``g`` — no
+  per-batch barrier at all.  Every cross-worker ring capacity is proved
+  (SL404) or the session is refused: a replay with unbounded buffers that
+  wedges means a real run in that order wedges too;
 * workers obey a *batched* command protocol: one steady-run **program**
   (period count + chunk schedule, written once into the arena header) per
   ``run_steady()`` call, so workers free-run through the whole request with
@@ -280,53 +280,43 @@ class ParallelSession:
         self.monolithic = all(spec.scale_ok for spec in self.specs)
 
         # Ring capacities: the whole-graph analysis replays the per-worker
-        # schedules at this session's exact firing granularity and proves a
-        # minimal stall-free capacity per cross edge (repro.analysis.graph).
-        # Allocated capacity adds RING_SLACK_BATCHES extra batches of
-        # headroom without touching the proof (at zero the session is still
-        # stall-free: the witness replay certifies deadlock freedom at the
-        # peak, barrier or no barrier).  If the replay cannot complete, the
-        # proof object itself carries the legacy guess (init peak + two
-        # batches + slop) with proved=False.
+        # schedules at this session's exact firing granularity with
+        # unbounded buffers and proves a minimal stall-free capacity per
+        # cross edge (repro.analysis.graph).  Allocated capacity adds
+        # RING_SLACK_BATCHES extra batches of headroom without touching the
+        # proof (at zero the session is still stall-free: the witness
+        # replay certifies deadlock freedom at the peak, with no barrier).
+        # A replay that wedges, or an analyzer that fails, proves nothing,
+        # and bounded rings only add blocking to that order: the session is
+        # refused rather than run on a guessed capacity.
         from repro.analysis.graph import ring_capacity_proofs
 
         try:
             self.ring_proofs: Dict[object, object] = ring_capacity_proofs(
                 program, self.node_wid, self.batch_periods, self.monolithic
             )
-        except Exception:
-            # An analyzer crash proves nothing: every edge takes the
-            # stricter unproved path below (legacy capacity guess,
-            # per-batch barrier for DAG strategies).
-            self.ring_proofs = {}
-        # Discipline.  Pipelined strategies always free-run.  DAG strategies
-        # free-run *double-buffered* when every cross edge has a proved
-        # capacity (the SL404 witness replay models no barriers, so it
-        # certifies barrier-free execution directly); an unproved edge keeps
-        # the per-batch barrier for safety.
-        all_proved = bool(self.ring_proofs) and all(
-            e in self.ring_proofs and self.ring_proofs[e].proved for e in cross
-        )
-        if strategy in _DAG_STRATEGIES:
-            self.discipline = "double_buffered" if all_proved else "dag"
-        else:
-            self.discipline = "pipelined"
-        capacities: List[int] = []
+        except Exception as exc:
+            raise ParallelUnsafe(
+                f"ring capacity analysis failed ({type(exc).__name__}: {exc})"
+            )
         for e in cross:
             proof = self.ring_proofs.get(e)
-            if proof is not None:
-                cap = proof.capacity
-                if proof.proved:
-                    cap += (
-                        RING_SLACK_BATCHES * self.batch_periods * items_per_period[e]
-                    )
-            else:
-                cap = (
-                    program.buffer_bounds[e]
-                    + 2 * self.batch_periods * items_per_period[e]
-                    + 64
+            if proof is None or not proof.proved:
+                why = "no proof" if proof is None else proof.reason
+                raise ParallelUnsafe(
+                    f"ring {e.src.name}->{e.dst.name} has no proved capacity ({why})"
                 )
-            capacities.append(cap)
+        # Discipline.  Both free-run on ring backpressure alone: the SL404
+        # witness replay models no barriers, so it certifies barrier-free
+        # execution directly.
+        self.discipline = (
+            "double_buffered" if strategy in _DAG_STRATEGIES else "pipelined"
+        )
+        capacities = [
+            self.ring_proofs[e].capacity
+            + RING_SLACK_BATCHES * self.batch_periods * items_per_period[e]
+            for e in cross
+        ]
         # Blocked-wait policy: with more workers than CPUs, spinning steals
         # the quantum the peer needs; yield immediately instead.
         self._spin = 0 if self.n_workers > (os.cpu_count() or 1) else _SPIN_ITERS
@@ -373,7 +363,6 @@ class ParallelSession:
         self._header = self._arena._header
         self._start_barrier = self._ctx.Barrier(self.n_workers)
         self._finish_barrier = self._ctx.Barrier(self.n_workers)
-        self._step_barrier = self._ctx.Barrier(self.n_workers)
         self._errors = self._ctx.SimpleQueue()
         self._procs: List[multiprocessing.Process] = []
         self._exec_cache: Dict[FlatNode, Callable[[int], None]] = {}
@@ -515,20 +504,16 @@ class ParallelSession:
                     )
 
     def _run_periods(self, spec: WorkerSpec, periods: int) -> None:
+        # Every discipline free-runs through the whole request on ring
+        # backpressure alone.
         left = periods
         batch = self.batch_periods
-        # Only the "dag" discipline pays a per-batch barrier; the
-        # double_buffered and pipelined disciplines free-run through the
-        # whole request on ring backpressure alone.
-        dag = self.discipline == "dag"
         done = self._steady_done
         while left > 0:
             scale = min(batch, left)
             self._exec_schedule(spec.steady, scale, base_period=done)
             done += scale
             left -= scale
-            if dag:
-                self._barrier_wait(self._step_barrier)
         self._steady_done = done
 
     def _barrier_wait(self, barrier) -> None:
@@ -542,7 +527,7 @@ class ParallelSession:
             self.protocol["barrier_wait_s"] += time.perf_counter() - t0
 
     def _abort_barriers(self) -> None:
-        for barrier in (self._start_barrier, self._finish_barrier, self._step_barrier):
+        for barrier in (self._start_barrier, self._finish_barrier):
             try:
                 barrier.abort()
             except Exception:  # pragma: no cover - already broken

@@ -195,10 +195,9 @@ def make_node_executor(
 
 
 def make_item_op(node: FlatNode, tapes: Dict[object, object]) -> Callable[[], None]:
-    """One firing of ``node`` over item-at-a-time tapes (``pop`` / ``push`` /
-    ``pop_many`` / ``push_many``): a filter's ``work``, or one splitter or
-    joiner cycle.  The scalar engine fires over its channels, the
-    interpreted core loop over :class:`~repro.runtime.channel.ListTape` s."""
+    """One scalar-engine firing of ``node`` over its item-at-a-time
+    channels (``pop`` / ``push`` / ``pop_many`` / ``push_many``): a filter's
+    ``work``, or one splitter or joiner cycle."""
     if node.kind == FILTER:
         return node.filter.work
     if node.flavor == NULL:
@@ -572,19 +571,16 @@ class CoreLoopRunner:
     * external inputs are snapshot to a list per chunk, and exactly the
       consumed prefix is dropped from the real channel afterwards;
     * external outputs accumulate in a list and land as one ``push_block``;
-    * the core's filters read and write those tapes from then on, and the
-      flattened per-period op sequence — bound ``work`` methods and the
-      scalar engine's splitter/joiner cycles (:func:`make_item_op`) — runs
-      ``scale`` times in a tight loop.
+    * the core's filters are bound to those tapes from then on, and its
+      generated module (:meth:`lower`, at the plan's first steady pass)
+      runs ``scale`` periods of the steady schedule over them: each
+      ``work()`` body inlined where the emitter can rewrite it and called
+      where it cannot, the tapes it can follow kept in locals.
 
     Firing order inside a period is exactly the steady schedule's, and every
     item round-trips through Python floats, so results are bit-identical to
     the scalar engine.  History counters of bypassed internal edges are
     bumped in bulk (the :class:`FusedPhase` convention).
-
-    That loop (:meth:`interpret`) is what the core runs until :meth:`lower`
-    binds its generated module, which does the same with each ``work()``
-    body inlined and the tapes the emitter can follow kept in locals.
     """
 
     kind = "core"
@@ -601,53 +597,40 @@ class CoreLoopRunner:
         own = dict.fromkeys(  # an ordered set: first-seen over the phases' edge lists
             e for n, _ in self.phases for e in (*n.in_edges, *n.out_edges)
         )
-        #: The core's edges by where their ends lie, in one order: the
-        #: interpreted loop and the emitter agree on it, and two sessions
-        #: over one graph emit the same module.
+        #: The core's edges by where their ends lie, in one order: two
+        #: sessions over one graph emit the same module.
         self.internal = [e for e in own if e.src in nodes and e.dst in nodes]
         self.ext_in = [e for e in own if e.src not in nodes]
         self.ext_out = [e for e in own if e.dst not in nodes]
         #: Graph-wide index of each of those edges (what a generated module
         #: names a tape by).
         self.edge_index = {e: i for i, e in enumerate(plan.graph.edges) if e in own}
-        self._ops: Optional[Tuple[Callable[[], None], ...]] = None
+        self._tapes: Optional[Dict[object, ListTape]] = None
         #: True while the internal edges' items are on the tapes
         #: (:meth:`acquire` / :meth:`release`).
         self.holding = False
-        #: What ``run(scale)`` calls: the interpreted loop, or once
-        #: :meth:`lower` has bound it, the generated module's ``run_chunk``.
-        self.chunk: Callable[[int], None] = self.interpret
+        #: What ``run(scale)`` calls: the generated module's ``run_chunk``,
+        #: once :meth:`lower` has bound it.
+        self.chunk: Optional[Callable[[int], None]] = None
         #: How the core runs, for ``engine_report()["codegen"]``: None until
-        #: lowered, then ``mode`` "inline" with the module's tape forms, or
-        #: "fallback" with the emitter's reason.
+        #: lowered, then ``mode`` "inline" with the module's tape forms and
+        #: the filters it calls.
         self.lowering: Optional[Dict[str, object]] = None
         #: The generated module's text (None until lowered).
         self.source: Optional[str] = None
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
-        from repro.obs.tracer import CAT_CODEGEN, CAT_CORE
+        from repro.obs.tracer import CAT_CODEGEN
 
         firings = sum(count for _node, count in self.phases) * scale
-        category = CAT_CORE if self.chunk == self.interpret else CAT_CODEGEN
-        return self.name, category, {"firings": firings, "items": 0}
+        return self.name, CAT_CODEGEN, {"firings": firings, "items": 0}
 
     def lower(self) -> None:
         """Run through the core's generated module from now on
-        (:func:`~repro.runtime.codegen.lower_core`, emitted for this core);
-        a core the emitter cannot lower keeps the interpreted loop and says
-        why with ``SL305``."""
+        (:func:`~repro.runtime.codegen.lower_core`, emitted for this core)."""
         from repro.runtime.codegen import lower_core
-        from repro.runtime.codegen_emit import Unsupported
 
-        try:
-            self.chunk = lower_core(self)
-        except Unsupported as exc:
-            self.lowering = {"mode": "fallback", "reason": str(exc)}
-            self.plan.interp._engine_downgrade(
-                f"feedback core {self.name} cannot be lowered ({exc}); it runs "
-                "the interpreted core loop",
-                code="SL305",
-            )
+        self.chunk = lower_core(self)
 
     # -- compilation (lazy: runs after init, when channels hold real state) --
 
@@ -678,10 +661,6 @@ class CoreLoopRunner:
                         (tapes.get(e_in), tapes.get(e_out)),
                     )
                 )
-        ops: List[Callable[[], None]] = []
-        for node, count in self.phases:
-            ops.extend([make_item_op(node, tapes)] * count)
-        self._ops = tuple(ops)
 
     # -- custody of the internal edges' items ----------------------------------
     #
@@ -696,7 +675,7 @@ class CoreLoopRunner:
         """Take the internal edges' items onto the tapes (at first, the
         post-init contents: feedback delay items) and bind the filters to
         the tapes."""
-        if self._ops is None:
+        if self._tapes is None:
             self._build()
         for chan, tape in self._internal:
             tape.items = chan.detach_all() if len(chan) else []
@@ -719,11 +698,11 @@ class CoreLoopRunner:
 
     # -- execution -----------------------------------------------------------
     #
-    # ``begin`` / ``end`` are the chunk boundary, whoever runs the chunk in
-    # between: ``interpret`` below, or a generated module's inlined loop,
-    # which reaches its tapes through ``items`` and hands back the read
-    # positions it kept in locals through ``set_cursor``.  Either can take
-    # the next chunk over from the other.
+    # ``begin`` / ``end`` are the chunk boundary around the generated
+    # module's loop, which reaches its tapes through ``items`` and keeps
+    # their read positions in locals: ``set_cursor`` hands one back (at the
+    # loop's end, and before a called ``work()`` pops), ``cursor`` takes it
+    # again after the call.
 
     def held(self, edge) -> int:
         """Items on ``edge``'s tape at a chunk boundary."""
@@ -737,6 +716,9 @@ class CoreLoopRunner:
 
     def set_cursor(self, index: int, cursor: int) -> None:
         self._by_index[index].cursor = cursor
+
+    def cursor(self, index: int) -> int:
+        return self._by_index[index].cursor
 
     def begin(self) -> None:
         """Snapshot every external input into its tape."""
@@ -766,14 +748,6 @@ class CoreLoopRunner:
 
     def run(self, scale: int) -> None:
         self.chunk(scale)
-
-    def interpret(self, scale: int) -> None:
-        self.begin()
-        ops = self._ops
-        for _ in range(scale):
-            for op in ops:
-                op()
-        self.end(scale)
 
 
 #: Copies of a core's round that are still inlined rather than looped over.
@@ -937,8 +911,7 @@ class SmallCalls:
             if self.rent < self.budget:
                 return self._walked
             self.lower()
-            if self.form is not None:
-                self.limit = 1
+            self.limit = 1
             return None
         if len(self.emit) < _TRIAL_CALLS:
             return self.emit.append
@@ -966,27 +939,16 @@ class SmallCalls:
 
     def lower(self) -> None:
         """Emit, compile and bind the form now; it holds the live items
-        from here on.  A program the emitter cannot lower is refused."""
-        from repro.runtime.codegen import lower_core
-        from repro.runtime.codegen_emit import Unsupported
-
+        from here on."""
         plan = self.plan
         t0 = perf_counter()
         if plan._steps is None:
             plan._first_pass()
         self._release_cores()
         form = CoreLoopRunner(plan.interp.program.steady, plan, name="program")
-        try:
-            chunk = lower_core(form)
-        except Unsupported as exc:
-            if form.holding:
-                form.release()
-            self._rebind_walk()
-            self.refuse(f"the emitter cannot lower it: {exc}")
-            return
+        form.lower()
         tracer = plan.interp.tracer
-        self._chunk = timed(tracer, form.run, form.span) if tracer.enabled else chunk
-        form.chunk = chunk
+        self._chunk = timed(tracer, form.run, form.span) if tracer.enabled else form.chunk
         self.form, self.live = form, True
         self.lines = form.source.count("\n")
         self.lower_s = perf_counter() - t0
@@ -1010,8 +972,6 @@ class SmallCalls:
         periods, with no rent and no trial (a test hook: the decision is
         timing's, and a test must cross both forms deterministically)."""
         self.lower()
-        if self.form is None:
-            raise StreamItError(f"small-call form refused: {self.reason}")
         self.limit = limit
         self.deciding = False
 
@@ -1021,11 +981,6 @@ class SmallCalls:
         for block in self.plan.blocks:
             if block.kind == "core" and block.holding:
                 block.release()
-
-    def _rebind_walk(self) -> None:
-        for block in self.plan.blocks:
-            if block.kind == "fused":
-                block.bind()
 
     def _take(self) -> None:
         """The walk hands over: its feedback cores give their items back,
@@ -1039,7 +994,9 @@ class SmallCalls:
         channels, the fused chains on their scratch tapes (a feedback core
         retakes its own at its next chunk)."""
         self.form.release()
-        self._rebind_walk()
+        for block in self.plan.blocks:
+            if block.kind == "fused":
+                block.bind()
         self.live = False
 
     def report(self) -> Dict[str, object]:

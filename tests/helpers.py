@@ -152,6 +152,24 @@ class LoopShaper(Filter):
         self.push(y * 0.5)
 
 
+class Guarded(Filter):
+    """A ``try`` around its arithmetic: a body the core emitter calls from
+    its loop instead of inlining.  ``|y| <= |gain|``, so a loop stays
+    bounded."""
+
+    def __init__(self, gain: float = 0.5) -> None:
+        super().__init__(pop=1, push=1)
+        self.gain = float(gain)
+
+    def work(self) -> None:
+        x = self.pop()
+        try:
+            y = self.gain / x if abs(x) > 1.0 else x * self.gain
+        except ZeroDivisionError:
+            y = 0.0
+        self.push(y)
+
+
 class Peek3(Filter):
     """Peeking (peek 3, pop 1) with every position a literal."""
 
@@ -272,24 +290,18 @@ def cores_of(interp: Interpreter) -> list:
 
 
 def run_calls(
-    build, engine: str, calls: Sequence[int], downgrade_before: Optional[int] = None
+    build, engine: str, calls: Sequence[int], **opts
 ) -> Tuple[List[float], Interpreter]:
     """``run_init()`` then one ``run_steady`` per entry of ``calls`` on a
-    fresh ``build()``.  From call ``downgrade_before`` on, a feedback core
-    runs the interpreted loop instead of its generated module — what a core
-    the emitter cannot lower runs, here taking over between two calls of a
-    session."""
+    fresh ``build()`` (``opts`` go to the :class:`Interpreter`)."""
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineDowngradeWarning)
-        interp = Interpreter(app, check=False, engine=engine)
+        interp = Interpreter(app, check=False, engine=engine, **opts)
         try:
             interp.run_init()
-            for k, periods in enumerate(calls):
-                if k == downgrade_before:
-                    for core in cores_of(interp):
-                        core.chunk = core.interpret
+            for periods in calls:
                 interp.run_steady(periods)
         finally:
             interp.close()

@@ -357,10 +357,8 @@ def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
     builder, periods, first = ALL_APPS[app_name], 7, 3
     _, scalar = run_calls(builder, "scalar", [periods])
     want = _by_name(scalar, scalar.fired)
-    downgrade = 1 if engine == "codegen" else None  # mid-session, core interpreted
-    chopped = ([1] * periods, None), ([periods], None), ([first, periods - first], downgrade)
-    for calls, downgrade_before in chopped:
-        _, interp = run_calls(builder, engine, calls, downgrade_before)
+    for calls in ([1] * periods, [periods], [first, periods - first]):
+        _, interp = run_calls(builder, engine, calls)
         assert _by_name(interp, interp.fired) == want
         assert _by_name(interp, dict(interp.fired)) == want
         assert [

@@ -3,9 +3,9 @@ generated code, same outputs.
 
 ``engine="codegen"`` (``"batched"`` names the same engine) must be
 bit-exact against the scalar interpreter on every application (the core's
-module rewrites the same work() bodies the interpreted core loop runs, so
-there is no tolerance to hide behind), must report how each block runs
-through ``engine_report()`` — and ``SL305`` for a core it cannot lower.
+module rewrites the same work() bodies the scalar engine runs, or calls
+them, so there is no tolerance to hide behind) and must report how each
+block runs through ``engine_report()``.
 The core's module is emitted for the core that runs it and stored nowhere;
 the cache directory keeps only the rate reports, written by every session
 whatever its graph and read back by the next "process" (simulated here by
@@ -45,6 +45,7 @@ from tests.helpers import (
     Accumulator,
     Fold,
     Gain,
+    Guarded,
     Peek3,
     cores_of,
     feedback_app,
@@ -101,13 +102,11 @@ def _core(interp):
 
 
 def test_dtoa_core_is_inlined():
-    """The tentpole case: DToA's feedback core must lower to the closed
-    loop, not fall back to the interpreted CoreLoopRunner; every other
-    block is walked."""
+    """The tentpole case: DToA's feedback core lowers to the closed loop
+    with every body inlined; every other block is walked."""
     _, interp = _run(ALL_APPS["DToA"], "codegen", 5)
     core = _core(interp)
-    assert core.lowering["mode"] == "inline"
-    assert core.chunk != core.interpret
+    assert core.lowering["mode"] == "inline" and core.lowering["called"] == {}
     assert interp.downgrades == []
     modes = {row["kind"]: row["mode"] for row in interp.engine_report()["codegen"]["blocks"]}
     assert modes == {"phase": "walk", "core": "inline"}
@@ -153,18 +152,13 @@ def _core_source(interp) -> str:
 
 
 def _assert_chopping_invariant(builder, total=9):
-    """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a), and a
-    generated core handed to the interpreted ``CoreLoopRunner`` between two
-    calls carries on from what the forwarded tapes left on the lists."""
+    """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a)."""
     scalar, _ = run_calls(builder, "scalar", (total,))
     assert len(scalar) > 0
     for calls in ((total,), (1,) * total, (4, total - 4)):
         got, interp = run_calls(builder, "codegen", calls)
         assert _core(interp).lowering["mode"] == "inline"
         assert got == scalar, calls
-    got, downgraded = run_calls(builder, "codegen", (4, total - 4), downgrade_before=1)
-    assert _core(downgraded).chunk == _core(downgraded).interpret
-    assert got == scalar
     return interp
 
 
@@ -323,7 +317,9 @@ def test_engine_report_carries_codegen_section():
     assert set(section["cache"]) == {"disk_hits", "disk_misses", "disk_evictions", "disk_dir"}
     assert "plan_cache" in report and "size" in report["plan_cache"]
     _, dtoa = _run(ALL_APPS["DToA"], "codegen", 2)
-    assert set(_core_row(dtoa)) == {"kind", "name", "mode", "forwarded", "taped", "hoisted"}
+    assert set(_core_row(dtoa)) == {
+        "kind", "name", "mode", "forwarded", "taped", "hoisted", "called"
+    }
 
 
 # -- the one store: rate reports ----------------------------------------------
@@ -725,7 +721,7 @@ def test_plan_cache_eviction_counter(monkeypatch):
     assert plan_cache_summary()["evictions"] == 0
 
 
-# -- what runs walked, what says SL305 ---------------------------------------
+# -- what runs walked -----------------------------------------------------------
 
 
 def test_messaging_app_runs_compiled_without_sl305():
@@ -755,7 +751,7 @@ def test_messaging_app_runs_under_strict():
 
 def test_unliftable_filter_runs_its_loop_executor():
     """A stateful filter the lifter rejects is a walked block like any
-    other: its executor runs the per-firing loop, and nothing says SL305."""
+    other: its executor runs the per-firing loop, and nothing downgrades."""
 
     def build():
         return Pipeline(
@@ -779,40 +775,120 @@ def test_unliftable_filter_runs_its_loop_executor():
     assert list(sink.collected) == scalar
 
 
-class Guarded(Filter):
-    """A body the core emitter refuses (``try``): its core runs interpreted."""
-
+class EarlyReturn(Filter):
     def __init__(self) -> None:
         super().__init__(pop=1, push=1)
 
     def work(self) -> None:
         x = self.pop()
-        try:
-            y = 1.0 / x
-        except ZeroDivisionError:
-            y = 0.0
+        if x > 0.0:
+            self.push(x * 0.5)
+            return
+        self.push(-0.25 * x)
+
+
+class Comprehension(Filter):
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
+        self.weights = [0.25, -0.5, 0.125]
+
+    def work(self) -> None:
+        x = self.pop()
+        self.push(sum([x * w for w in self.weights]))
+
+
+class OpaqueHelper(Filter):
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
+        self.k = 0.75
+
+    def scaled(self, x: float) -> float:
+        return x * self.k
+
+    def work(self) -> None:
+        self.push(self.scaled(self.pop()))
+
+
+class ConditionalPop(Filter):
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
+        self.up = True
+
+    def work(self) -> None:
+        y = self.pop() * 0.5 if self.up else -self.pop()
         self.push(y)
 
 
-def test_strict_raises_on_fallback_blocks():
-    """The one fallback block left: a core the emitter cannot lower."""
+class DirectChannel(Filter):
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=1)
 
-    def build():
-        return feedback_app(DATA, loopback=[Guarded()])
+    def work(self) -> None:
+        self.output.push(self.input.pop() * 0.5)
 
-    strict = Interpreter(build(), check=False, engine="codegen", strict=True)
-    with pytest.raises(StreamItError, match="SL305"):
-        strict.run(3)
 
-    scalar, _ = run_calls(build, "scalar", (5,))
-    with pytest.warns(EngineDowngradeWarning, match="SL305"):
-        interp = Interpreter(build(), check=False, engine="codegen")
-        interp.run(5)
-    sink = next(f for f in interp.stream.filters() if isinstance(f, CollectSink))
-    assert list(sink.collected) == scalar
-    row = _core_row(interp)
-    assert row["mode"] == "fallback" and "Try" in row["reason"]
-    assert _core(interp).chunk == _core(interp).interpret
+def _closure_filter():
+    k = 0.625
+
+    class FreeVariable(Filter):
+        def __init__(self) -> None:
+            super().__init__(pop=1, push=1)
+
+        def work(self) -> None:
+            self.push(self.pop() * k)
+
+    return FreeVariable
+
+
+#: One filter per family of bodies :class:`WorkInliner` refuses, with the
+#: words of the reason it gives.
+REFUSED = {
+    "try": (Guarded, "Try"),
+    "early return": (EarlyReturn, "Return"),
+    "comprehension": (Comprehension, "ListComp"),
+    "opaque helper": (OpaqueHelper, "opaque self.scaled() call"),
+    "conditional pop": (ConditionalPop, "pop() in a conditionally-evaluated position"),
+    "free variable": (_closure_filter(), "free variables"),
+    "channel reached directly": (DirectChannel, "reaches self.output directly"),
+}
+
+
+@pytest.mark.parametrize("family", REFUSED, ids=str)
+def test_a_refused_body_is_called_from_the_loop(family):
+    """A body the inliner refuses costs its filter the inlining, not the
+    loop: the emitter calls its work() over the filter's list tapes, in a
+    feedback core and in the small-call form alike.  Nothing downgrades,
+    and the output is the scalar engine's however the run is chopped."""
+    cls, why = REFUSED[family]
+    total = 9
+    builders = {
+        "core": lambda: feedback_app(DATA, loopback=[cls()]),
+        "small": lambda: Pipeline(ArraySource(DATA), Gain(0.5), cls(), CollectSink()),
+    }
+    for form, build in builders.items():
+        scalar, _ = run_calls(build, "scalar", (total,))
+        assert len(scalar) > 0
+        for calls in ((total,), (1,) * total, (4, total - 4)):
+            app = build()
+            sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with Interpreter(app, check=False, engine="codegen", strict=True) as interp:
+                    interp.run_init()
+                    if form == "small":
+                        interp.plan.small.force(total)
+                    for periods in calls:
+                        interp.run_steady(periods)
+            assert list(sink.collected) == scalar, (form, calls)
+            assert interp.downgrades == []
+            runner = _core(interp) if form == "core" else interp.plan.small.form
+            row = runner.lowering
+            assert row["mode"] == "inline"
+            ((name, reason),) = row["called"].items()
+            assert name.startswith(cls.__name__) and why in reason, row
+            tapes = [edge for edge, how in row["taped"].items() if name in how]
+            assert tapes and all(name in edge for edge in tapes)
+            assert ".work()" in runner.source
 
 
 # -- observability -----------------------------------------------------------

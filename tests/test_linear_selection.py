@@ -235,7 +235,7 @@ class TestLoopSafety:
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
         opt, _ = apply_selection(dtoa.build())
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no SL305 fallback warning either
+            warnings.simplefilter("error")  # no downgrade warning either
             with Interpreter(opt, check=False, engine="codegen", strict=True) as interp:
                 interp.run(8)
                 assert interp.engine_used == "codegen"

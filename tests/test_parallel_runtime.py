@@ -583,9 +583,11 @@ class TestDoubleBuffered:
             assert proto["barrier_waits"] == 2 * commands, name
             assert out == ref, name
 
-    def test_unproved_ring_keeps_dag_barriers(self, monkeypatch):
-        # A ring whose capacity proof is unavailable must not run
-        # barrier-free: the session keeps the per-batch "dag" barrier.
+    @pytest.mark.parametrize("failure", ("unproved", "raises"))
+    def test_unproved_ring_refuses_the_session(self, failure, monkeypatch):
+        # A ring with no proved capacity (the witness replay wedged, or the
+        # analyzer failed) is no ring the session may run on a guessed
+        # capacity: it downgrades with SL304 and runs single-process.
         import dataclasses
 
         import repro.analysis.graph as graph_analysis
@@ -594,26 +596,34 @@ class TestDoubleBuffered:
 
         def unproved(program, node_wid, batch_periods, monolithic):
             return {
-                e: dataclasses.replace(
-                    p, proved=False, capacity=p.db_capacity + 64, db_capacity=0
-                )
+                e: dataclasses.replace(p, proved=False, reason="replay wedged")
                 for e, p in prove(program, node_wid, batch_periods, monolithic).items()
             }
 
-        monkeypatch.setattr(graph_analysis, "ring_capacity_proofs", unproved)
+        def raises(*args):
+            raise RuntimeError("analyzer failed")
+
+        monkeypatch.setattr(
+            graph_analysis,
+            "ring_capacity_proofs",
+            unproved if failure == "unproved" else raises,
+        )
         builder = ALL_APPS["FilterBank"]
         ref, _ = _run(builder, "batched", periods=6)
-        interp, sink = _fresh_parallel(builder, strategy="task")
+        app = builder()
+        sink = _collect(app)
+        with pytest.warns(EngineDowngradeWarning, match="SL304"):
+            interp = Interpreter(app, engine="parallel", strategy="task", cores=2)
         try:
-            assert interp.parallel.discipline == "dag"
+            assert interp.engine_used == "codegen" and interp.parallel is None
+            (diag,) = interp.downgrades
+            assert diag.code == "SL304"
+            why = "replay wedged" if failure == "unproved" else "analyzer failed"
+            assert why in diag.message
             interp.run(6)
-            proto = interp.parallel.protocol_report()
-            out = list(sink.collected)
         finally:
             interp.close()
-        commands = proto["commands"]["init"] + proto["commands"]["steady"]
-        assert proto["barrier_waits"] > 2 * commands  # a step barrier per batch
-        assert out == ref
+        assert list(sink.collected) == ref
 
     def test_proofs_certify_double_buffer_capacity(self):
         interp, _ = _fresh_parallel(ALL_APPS["FilterBank"], strategy="task")

@@ -34,8 +34,8 @@ from tests.helpers import (
     Accumulator,
     Fold,
     Gain,
+    Guarded,
     Peek3,
-    cores_of,
     feedback_app,
     run_calls,
     run_pipeline,
@@ -441,13 +441,14 @@ def _mix(items):
 #: Loop stages by what they make the inlined core do: literal peeks stay
 #: forwardable, a stored-and-read attribute must not be hoisted, pushes under
 #: an ``if`` and peeks in a ``for`` must stay taped, a COMBINE joiner calls
-#: its reducer.  All are rate 1:1.
+#: its reducer, a ``try`` body is called.  All are rate 1:1.
 _LOOP_STAGES = {
     "peek3": lambda g: Peek3(*(float(v) for v in g.uniform(-0.5, 0.5, size=3))),
     "fir": lambda g: FIR([float(v) for v in g.uniform(-0.5, 0.5, size=3)]),
     "acc": lambda g: Accumulator(),
     "fold": lambda g: Fold(float(g.uniform(-0.5, 0.5))),
     "gain": lambda g: Gain(float(g.uniform(-0.9, 0.9))),
+    "guarded": lambda g: Guarded(float(g.uniform(-0.9, 0.9))),
     "dup": lambda g: SplitJoin(
         duplicate(), [Gain(float(g.uniform(-0.9, 0.9))), Accumulator()], combine(_mix)
     ),
@@ -615,10 +616,9 @@ class TestBatchedEngineDifferential:
     )
     def test_random_feedback_bodies_bit_exact(self, seed, delay, rounds):
         """The inlined core keeps some tapes in locals and some on lists,
-        by what the loop's filters do; whatever mix a random loop gets, the
-        engines agree bit for bit however the run is chopped, and a
-        generated core handed to the interpreted core runner mid-session
-        carries on from the state the forwarded tapes left behind."""
+        and calls the bodies it cannot inline, by what the loop's filters
+        do; whatever mix a random loop gets, the engines agree bit for bit
+        however the run is chopped."""
         gen = np.random.default_rng(seed)
         data = [float(v) for v in gen.uniform(-2, 2, size=7)]
         body, loopback = _random_loop_stages(gen, delay)
@@ -652,12 +652,10 @@ class TestBatchedEngineDifferential:
             assert any(name.startswith("Fold_") for name in core["taped"])
         if "fir" in kinds:  # its peeks sit in a ``for``
             assert any("->FIR_" in name for name in core["taped"])
+        called = [name for name in core["called"] if name.startswith("Guarded_")]
+        assert len(called) == kinds.count("guarded")  # a ``try`` body is called
         assert not any(name.endswith(".total") for name in core["hoisted"])
         assert any(name.endswith(".leak") for name in core["hoisted"])
-        got, interp = run_calls(build, "codegen", (first, total - first), downgrade_before=1)
-        (runner,) = cores_of(interp)
-        assert runner.chunk == runner.interpret
-        assert got == scalar
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -680,11 +678,7 @@ class TestBatchedEngineDifferential:
 
         def build():
             g = np.random.default_rng(spec_seed)
-            if shape == "pipeline":
-                stages = [_random_stage(g) for _ in range(int(g.integers(1, 4)))]
-            elif shape == "splitjoin":
-                stages = [_random_flat_splitjoin(g), _random_stage(g)]
-            else:
+            if shape == "feedback":
                 body, loopback = _random_loop_stages(g, delay)
                 return feedback_app(
                     data,
@@ -694,6 +688,12 @@ class TestBatchedEngineDifferential:
                     rounds=int(g.integers(1, 4)),
                     leak=float(g.uniform(0.1, 0.9)),
                 )
+            if shape == "pipeline":
+                stages = [_random_stage(g) for _ in range(int(g.integers(1, 4)))]
+            else:
+                stages = [_random_flat_splitjoin(g), _random_stage(g)]
+            if g.integers(0, 2):  # a body the emitter calls, not inlines
+                stages.insert(int(g.integers(0, len(stages) + 1)), _LOOP_STAGES["guarded"](g))
             return Pipeline(ArraySource(data), *stages, CollectSink())
 
         scalar, _ = run_calls(build, "scalar", (sum(calls),))

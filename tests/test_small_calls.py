@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.errors import EngineDowngradeWarning, StreamItError
+from repro.errors import EngineDowngradeWarning
 from repro.graph import ArraySource, CollectSink, Pipeline
 from repro.graph.base import Filter
 from repro.linear import LinearFilter, fir_rep
@@ -142,22 +142,23 @@ class _Summing(Filter):
         self.pop()
 
 
-def test_a_program_the_emitter_cannot_lower_keeps_the_walk():
+def test_a_body_the_emitter_cannot_inline_is_called_from_the_form():
     def build():
         return Pipeline(
             ArraySource([float(v) for v in range(10)]), _Summing(), Gain(0.5), CollectSink()
         )
 
     app = build()
-    interp = Interpreter(app, check=False, engine="codegen")
+    interp = Interpreter(app, check=False, engine="codegen", strict=True)
     interp.run(1)
-    with pytest.raises(StreamItError, match="GeneratorExp"):
-        interp.plan.small.force(1)
-    row = interp.engine_report()["codegen"]["small_calls"]
-    assert row["state"] == "refused" and "cannot lower" in row["reason"]
-    assert interp.plan._run == interp.plan._walk
-    for periods in (1, 3, 1):
+    interp.plan.small.force(1)
+    form = interp.plan.small.form
+    ((name, why),) = form.lowering["called"].items()
+    assert name.startswith("_Summing") and "GeneratorExp" in why
+    assert ".work()" in form.source
+    for periods in (1, 3, 1):  # the form, the walk, the form
         interp.run_steady(periods)
+    assert interp.engine_report()["codegen"]["small_calls"]["state"] == "lowered"
     assert list(_sink(app).collected) == _scalar(build, 6)
 
 
