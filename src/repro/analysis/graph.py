@@ -431,8 +431,10 @@ class RingProof:
     dst: str
     src_wid: int
     dst_wid: int
-    #: The proved minimal capacity (replay peak), or the legacy fallback
-    #: capacity when ``proved`` is False.
+    #: The proved minimal capacity (replay peak).  When ``proved`` is False
+    #: it is the pre-proof guess of :func:`_fallback_capacity`, which only
+    #: ``streamlint --graph --json`` shows: the parallel runtime refuses a
+    #: session with an unproved ring (``SL304``) and never allocates it.
     capacity: int
     #: Peak occupancy observed in the replay (== capacity when proved).
     peak_items: int
@@ -444,13 +446,12 @@ class RingProof:
     #: Items one batch generation pushes (batch_periods × items_per_period).
     batch_items: int = 0
     #: Certified double-buffered capacity: ``capacity + batch_items``.  The
-    #: witness replay proves the barrier-free peak is ``capacity`` (the
-    #: replay models no barriers at all), so one extra batch generation of
-    #: headroom lets producers run a whole batch ahead of consumers while
-    #: the proof's deadlock-freedom argument still applies verbatim — the
-    #: 2× bound the double-buffered discipline allocates (the parallel
-    #: engine's ``RING_SLACK_BATCHES``).  Meaningful only when ``proved``
-    #: is True.
+    #: witness replay proves the peak is ``capacity`` with no barrier at
+    #: all, so one extra batch generation of headroom lets producers run a
+    #: whole batch ahead of consumers while the proof's deadlock-freedom
+    #: argument still applies verbatim — what the parallel engine allocates
+    #: at its default ``RING_SLACK_BATCHES`` of 1.  0 when ``proved`` is
+    #: False.
     db_capacity: int = 0
 
     def payload(self) -> Dict[str, Any]:
@@ -482,7 +483,8 @@ def _edge_need(edge: FlatEdge, count: int) -> int:
 def _fallback_capacity(
     program: ProgramSchedule, edge: FlatEdge, batch_periods: int, per_period: int
 ) -> int:
-    """The pre-proof fixed-capacity guess (init peak + two batches + slop)."""
+    """The pre-proof fixed-capacity guess (init peak + two batches + slop),
+    reported as an unproved ring's ``capacity``; nothing allocates it."""
     return program.buffer_bounds[edge] + 2 * batch_periods * per_period + 64
 
 
@@ -511,16 +513,19 @@ def ring_capacity_proofs(
     minimal safe capacity.
 
     Because the replay models no barriers, a proved capacity certifies
-    **barrier-free** execution directly: the parallel engine's
-    double-buffered discipline drops the per-batch barrier for DAG
-    strategies whenever every cross edge is proved, and each proof also
-    carries the certified 2× bound ``db_capacity = capacity +
-    batch_items`` — the allocation that lets producers run one whole
-    batch generation ahead (the second buffer) at the default slack.
+    **barrier-free** execution directly: every parallel session free-runs
+    on ring backpressure alone, whatever its strategy.  Each proof also
+    carries ``db_capacity = capacity + batch_items``, the allocation that
+    lets producers run one whole batch generation ahead (the second
+    buffer) at the default slack.
 
     If the greedy replay wedges (it should not, for schedules built by
-    :func:`~repro.scheduling.steady.build_schedule`), every cross edge
-    falls back to the legacy capacity guess with ``proved=False``.
+    :func:`~repro.scheduling.steady.build_schedule`), every cross edge is
+    reported with ``proved=False``, the replay's reason, and the pre-proof
+    guess of :func:`_fallback_capacity` as its ``capacity`` — a figure for
+    ``streamlint --graph --json`` only.  The parallel runtime reads proved
+    capacities alone: it refuses a session with an unproved ring
+    (``SL304``) and runs it on the compiled engine instead.
     """
     graph = program.graph
     cross = [

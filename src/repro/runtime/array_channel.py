@@ -12,7 +12,15 @@ Layout: a single buffer with ``_head``/``_tail`` cursors.  Instead of
 wrapping around (a classic ring buffer would make ``peek_block`` windows
 discontiguous at the seam), the live region slides back to the front of the
 buffer when the dead prefix dominates; each item is therefore moved O(1)
-amortized times and every peek window is a zero-copy contiguous view.
+amortized times and every peek window is a zero-copy contiguous view.  An
+empty tape starts again at the front of its buffer, so a tape that is
+drained every pass reuses the front of its buffer and never slides.
+
+That buffer need not be the tape's own: the compiled engine hands one
+*slot* to several tapes that are never live at the same step of a pass
+(:meth:`share`; DESIGN.md, "Tape storage").  A view a tape hands out is
+therefore valid until the step of the block that took it returns, not
+until the next mutation of that one tape.
 """
 
 from __future__ import annotations
@@ -60,7 +68,11 @@ class ArrayChannel:
     # -- internal --------------------------------------------------------------
 
     def _reserve(self, extra: int) -> None:
-        """Ensure ``extra`` more items fit after ``_tail``."""
+        """Ensure ``extra`` more items fit after ``_tail``; an empty tape
+        first moves its cursors back to the front.  A tape that outgrows its
+        buffer (a shared slot included) moves to a larger private one."""
+        if self._head == self._tail:
+            self._head = self._tail = 0
         if self._tail + extra <= self._buf.size:
             return
         occ = self._tail - self._head
@@ -172,8 +184,10 @@ class ArrayChannel:
     def peek_block(self, count: int) -> np.ndarray:
         """Zero-copy view of the first ``count`` live items.
 
-        The view is valid until the next mutation of this channel; batched
-        executors consume it before returning.
+        The view is valid until the step of the block that took it returns:
+        the buffer may be a slot (:meth:`share`) that another tape writes at
+        a later step of the pass.  Batched executors consume it, or copy
+        what they keep, before returning.
         """
         if count < 0 or self._head + count > self._tail:
             raise ChannelUnderflow(
@@ -182,11 +196,24 @@ class ArrayChannel:
         return self._buf[self._head : self._head + count]
 
     def pop_block(self, count: int) -> np.ndarray:
-        """Dequeue ``count`` items as an array view (see :meth:`peek_block`)."""
+        """Dequeue ``count`` items as an array view, valid until the step of
+        the block that took it returns (see :meth:`peek_block`)."""
         block = self.peek_block(count)
         self._head += count
         self.popped_count += count
         return block
+
+    def share(self, buf: np.ndarray) -> None:
+        """Make ``buf`` this empty tape's storage from now on: a slot that
+        other tapes use at the steps of a pass where this one is empty.  The
+        tape leaves it for a private buffer when a pass outgrows it
+        (:meth:`_reserve`), or when it adopts or trims."""
+        if self._head != self._tail:
+            raise ValueError(
+                f"share() on channel {self.name!r} holding {self.occupancy}"
+            )
+        self._buf = buf
+        self._head = self._tail = 0
 
     def drop(self, count: int) -> None:
         """Discard the first ``count`` live items (a pop without the values)."""

@@ -40,6 +40,11 @@ tapes:
   :class:`CoreLoopRunner`, the only block that iterates period-at-a-time —
   data always flows forward, so running the prefix ``P`` periods ahead
   merely buffers more, and the suffix drains exactly what the core produced;
+* **tape storage** — an edge between two blocks whose consumer drains it
+  within the pass (a *transit* edge) holds items only from its producer's
+  step to its consumer's step, so at the first pass of more than one period
+  the transit edges that are never live at the same step share one buffer
+  (:meth:`ExecutionPlan._share_storage`);
 * **core lowering** — the core is also the only block that runs generated
   code: at the first steady pass it lowers itself into a small module of its
   own (:func:`~repro.runtime.codegen.lower_core`), its tapes kept in locals
@@ -71,6 +76,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1084,6 +1090,9 @@ class ExecutionPlan:
         #: Steady periods completed before the pass now running; -1 while
         #: the init schedule runs.  Senders stamp their sends from it.
         self.periods_done = 0
+        #: The transit edges' shared buffers, ``(slot, its tapes)`` each;
+        #: None until the first pass of more than one period assigns them.
+        self._slots: Optional[List[Tuple[np.ndarray, List[ArrayChannel]]]] = None
         #: Per splitjoin: (name, branches, its RegionPhase or None, the
         #: reason it has none); see :meth:`region_report`.
         self._region_rows: List[tuple] = []
@@ -1552,17 +1561,44 @@ class ExecutionPlan:
             "blocks": blocks,
             "crossover": LIFT_MIN_FIRINGS,
             "small_calls": small,
+            "storage": self.storage_report(),
             "cache": {**codegen_cache_stats, "disk_dir": str(cache_dir())},
         }
 
+    def storage_report(self) -> Dict[str, int]:
+        """``engine_report()["codegen"]["storage"]``: the transit edges
+        still on a slot, the slots they use and those slots' bytes, and the
+        bytes of every other channel's buffer (all of them before the first
+        pass of more than one period)."""
+        shared: Dict[int, np.ndarray] = {}
+        transit = 0
+        for slot, tapes in self._slots or ():
+            on_slot = sum(1 for chan in tapes if chan._buf is slot)
+            if on_slot:
+                shared[id(slot)] = slot
+                transit += on_slot
+        private: Dict[int, int] = {}
+        for chan in self.channels.values():
+            if id(chan._buf) not in shared:
+                private[id(chan._buf)] = chan._buf.nbytes
+        return {
+            "transit_edges": transit,
+            "slots": len(shared),
+            "slot_bytes": sum(slot.nbytes for slot in shared.values()),
+            "private_bytes": sum(private.values()),
+        }
+
     def release_scratch(self) -> None:
-        """Hand the small-call form's items back to the channels and let go
-        of every drained scratch tape's last block (``close()``)."""
+        """Hand the small-call form's items back to the channels, let go of
+        every drained scratch tape's last block and forget the slots
+        (``close()``, which trims every tape off them; a later pass of more
+        than one period assigns them again)."""
         if self.small is not None and self.small.live:
             self.small._give()
         for block in self.blocks:
             if block.kind == "fused":
                 block.release()
+        self._slots = None
 
     @property
     def fused_chains(self) -> List[Tuple[str, ...]]:
@@ -1619,6 +1655,8 @@ class ExecutionPlan:
             # One period never asks for the slack: a job's first call and a
             # per-call probe must not pay its ``min_items`` searches.
             cap = min(cap, self.message_slack)
+        if periods > 1 and self._slots is None and cap > 1:
+            self._share_storage(cap)
         left = periods
         while left > 0:
             scale = min(left, cap)
@@ -1626,6 +1664,63 @@ class ExecutionPlan:
                 fire(count * scale)
             self.periods_done += scale
             left -= scale
+
+    def _share_storage(self, cap: int) -> None:
+        """Give the transit edges shared buffers, once, at a pass boundary.
+
+        A *transit* edge joins two different walked blocks (a phase,
+        sender, receiver, fused chain or region; never the feedback core),
+        its consumer pops what it peeks, and it is empty at a pass boundary:
+        its consumer drains it within the pass, so it holds items only from
+        its producer's step to its consumer's step, inclusive.  Greedy
+        interval colouring in step order puts edges whose intervals are
+        disjoint on one *slot*, one buffer sized for the largest pass of
+        ``cap`` periods among them (best fit among the free slots, else the
+        largest).  Every other edge — inside a chain or region, at the core,
+        holding residue — keeps its own buffer.
+        """
+        from mmap import mmap
+
+        step: Dict[FlatNode, int] = {}
+        for i, block in enumerate(self.blocks):
+            if block.kind == "core":
+                continue
+            if block.kind in ("fused", "region"):
+                members = block.stages if block.kind == "fused" else block.members
+                step.update((ph.node, i) for ph in members)
+            else:
+                step[block.node] = i
+        reps = self.interp.program.reps
+        spans = []
+        for edge, chan in self.channels.items():
+            src, dst = step.get(edge.src), step.get(edge.dst)
+            if src is None or dst is None or src >= dst or len(chan):
+                continue
+            items = cap * reps[edge.src] * edge.push_rate
+            if edge.peek_rate == edge.pop_rate and items:
+                spans.append((src, dst, items, chan))
+        spans.sort(key=lambda span: span[:2])
+        slots: List[list] = []  # [size, last step, tapes] each
+        by_size = itemgetter(0)
+        for src, dst, items, chan in spans:
+            free = [slot for slot in slots if slot[1] < src]
+            if not free:
+                slots.append([items, dst, [chan]])
+                continue
+            fits = [slot for slot in free if slot[0] >= items]
+            slot = min(fits, key=by_size) if fits else max(free, key=by_size)
+            slot[0] = max(slot[0], items)
+            slot[1] = dst
+            slot[2].append(chan)
+        self._slots = []
+        for size, _end, tapes in slots:
+            # An anonymous mapping: only the pages a pass writes become
+            # resident (a heap block below malloc's mmap threshold may be
+            # recycled memory that is resident in full).
+            buf = np.frombuffer(mmap(-1, size * 8), dtype=np.float64)
+            for chan in tapes:
+                chan.share(buf)
+            self._slots.append((buf, tapes))
 
     def scalar_position(self, recv: FlatNode, pushed: int, direction: str) -> int:
         """``n(O_recv)`` where the scalar schedule has it at the send now in

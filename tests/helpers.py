@@ -290,15 +290,18 @@ def cores_of(interp: Interpreter) -> list:
 
 
 def run_calls(
-    build, engine: str, calls: Sequence[int], **opts
+    build, engine: str, calls: Sequence[int], chunk_periods: Optional[int] = None, **opts
 ) -> Tuple[List[float], Interpreter]:
     """``run_init()`` then one ``run_steady`` per entry of ``calls`` on a
-    fresh ``build()`` (``opts`` go to the :class:`Interpreter`)."""
+    fresh ``build()`` (``opts`` go to the :class:`Interpreter`), a compiled
+    plan's passes capped at ``chunk_periods`` when given."""
     app = build()
     sink = next(f for f in app.filters() if isinstance(f, CollectSink))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineDowngradeWarning)
         interp = Interpreter(app, check=False, engine=engine, **opts)
+        if chunk_periods is not None and interp.plan is not None:
+            interp.plan.chunk_periods = chunk_periods
         try:
             interp.run_init()
             for periods in calls:

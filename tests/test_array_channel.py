@@ -233,3 +233,45 @@ def test_trim_keeps_contents_and_counters():
     chan.trim()
     assert chan._buf.size == 110
     _invariant(chan)
+
+
+# -- cursor reset and shared slots --------------------------------------------
+
+
+def test_empty_tape_restarts_at_the_front_and_does_not_grow():
+    chan = ArrayChannel(name="pass")
+    chan.push_block(np.arange(64.0))
+    buf = chan._buf
+    chan.pop_block(64)
+    for p in range(5):  # one pass each, a third of the buffer: filled, drained
+        view = chan.alloc_block(20)
+        assert (chan._head, chan._tail) == (0, 20)  # cursors back at the front
+        view[:] = np.arange(20.0) + p
+        assert chan._buf is buf and view.base is buf  # the same items, no growth
+        chan.drop(5)
+        assert chan.pop_block(15).tolist() == (np.arange(5.0, 20.0) + p).tolist()
+    chan.push(1.0)  # a scalar push restarts at the front too
+    assert (chan._head, chan._tail, chan._buf is buf) == (0, 1, True)
+    _invariant(chan)
+
+
+def test_tape_outgrowing_its_slot_leaves_it_and_spares_the_others():
+    slot = np.empty(32, dtype=np.float64)
+    tapes = [ArrayChannel(name=f"t{i}") for i in range(3)]
+    for tape in tapes:
+        tape.share(slot)
+    # Each tape is live at its own step of a pass, then drained.
+    for tape, n in zip(tapes, (32, 8, 20)):
+        tape.push_block(np.full(n, float(n)))
+        assert tape._buf is slot
+        assert tape.pop_block(n).tolist() == [float(n)] * n
+    tapes[1].push_block(np.arange(10.0))
+    tapes[2].push_block(np.arange(40.0))  # outgrows: a private buffer
+    assert tapes[2]._buf is not slot and tapes[2]._buf.size >= 40
+    assert tapes[0]._buf is slot and tapes[1]._buf is slot
+    assert tapes[1].snapshot() == np.arange(10.0).tolist()  # untouched
+    assert tapes[2].snapshot() == np.arange(40.0).tolist()
+    with pytest.raises(ValueError):
+        tapes[1].share(np.empty(8))  # only an empty tape takes a slot
+    for tape in tapes:
+        _invariant(tape)

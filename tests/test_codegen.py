@@ -151,15 +151,65 @@ def _core_source(interp) -> str:
     return source[source.index("_core.begin()") : source.index("_core.end(")]
 
 
-def _assert_chopping_invariant(builder, total=9):
-    """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a)."""
+def _assert_chopping_invariant(builder, total=9, chunk_periods=None):
+    """scalar ≡ codegen at run(N), run(1)×N and run(a); run(N−a), every
+    pass at most ``chunk_periods`` periods when given (so a window of N
+    passes over each storage slot more than once)."""
     scalar, _ = run_calls(builder, "scalar", (total,))
     assert len(scalar) > 0
     for calls in ((total,), (1,) * total, (4, total - 4)):
-        got, interp = run_calls(builder, "codegen", calls)
-        assert _core(interp).lowering["mode"] == "inline"
+        got, interp = run_calls(builder, "codegen", calls, chunk_periods=chunk_periods)
+        for core in cores_of(interp):
+            assert core.lowering["mode"] == "inline"
         assert got == scalar, calls
     return interp
+
+
+@pytest.mark.parametrize("app_name", sorted(ALL_APPS), ids=str)
+def test_shared_tape_storage_is_bit_exact_across_passes(app_name):
+    """Passes of two periods over a seven-period window: every transit
+    edge's slot is written again at each pass, and a walked block's views
+    die with its step, so the outputs stay the scalar engine's."""
+    interp = _assert_chopping_invariant(ALL_APPS[app_name], total=7, chunk_periods=2)
+    assert interp.engine_report()["codegen"]["storage"]["slots"] == 0  # closed
+
+
+def test_des_window_keeps_its_transit_edges_on_few_slots():
+    """CI's guard against a return to per-edge buffers: after DES's
+    1 200-period window its 160 transit edges share at most 8 slots and
+    4 MiB (per-edge buffers held 44 MiB)."""
+    interp = Interpreter(ALL_APPS["DES"](), check=False, engine="codegen")
+    interp.run_init()
+    interp.run_steady(1200)
+    storage = interp.engine_report()["codegen"]["storage"]
+    assert storage["transit_edges"] == 160
+    assert 1 <= storage["slots"] <= 8
+    assert storage["slot_bytes"] <= 4 * 2**20
+    assert storage["private_bytes"] <= 2**20
+    interp.close()
+    assert interp.engine_report()["codegen"]["storage"]["slots"] == 0
+
+
+def test_raising_chunk_periods_moves_tapes_off_their_slots():
+    """A pass that outgrows the slots (the cap raised after they were
+    sized) moves each tape it outgrows to a private buffer, bit-exact."""
+    builder = ALL_APPS["DES"]
+    scalar, _ = run_calls(builder, "scalar", (5 + 12,))
+    app = builder()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    interp = Interpreter(app, check=False, engine="codegen")
+    interp.plan.chunk_periods = 2
+    interp.run_init()
+    interp.run_steady(5)
+    before = interp.engine_report()["codegen"]["storage"]
+    assert before["slots"] >= 2 and before["transit_edges"] >= 100
+    interp.plan.chunk_periods = 6
+    interp.run_steady(12)
+    after = interp.engine_report()["codegen"]["storage"]
+    assert after["transit_edges"] < before["transit_edges"]
+    assert after["private_bytes"] > before["private_bytes"]
+    assert list(sink.collected) == scalar
+    interp.close()
 
 
 def test_dtoa_core_keeps_its_tapes_in_locals():

@@ -545,6 +545,9 @@ class TestBatchedEngineDifferential:
         # same bits — chunking must never change semantics.
         split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        # Passes of two periods: every shared storage slot is reused.
+        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        assert paired == scalar
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -574,6 +577,9 @@ class TestBatchedEngineDifferential:
         assert len(rows) == n_regions and all(r["tier"] for r in rows), rows
         split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        # Passes of two periods: every shared storage slot is reused.
+        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        assert paired == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -607,6 +613,9 @@ class TestBatchedEngineDifferential:
         assert generated == scalar
         split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        # Passes of two periods: every shared storage slot is reused.
+        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        assert paired == scalar
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -643,6 +652,8 @@ class TestBatchedEngineDifferential:
         for calls in choppings:
             got, interp = run_calls(build, "codegen", calls)
             assert got == scalar, calls
+        paired, _ = run_calls(build, "codegen", (total,), chunk_periods=2)
+        assert paired == scalar
         (core,) = [
             b for b in interp.engine_report()["codegen"]["blocks"] if b["kind"] == "core"
         ]
@@ -742,6 +753,8 @@ class TestBatchedEngineDifferential:
         assert generated == scalar
         if upstream:
             assert interp.plan.message_slack == latency
+        paired, _ = _run_engine(build, "codegen", 24, chunk_periods=2)
+        assert paired == scalar
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
