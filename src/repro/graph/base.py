@@ -59,6 +59,17 @@ class Rate:
         return self.peek - self.pop
 
 
+_IMMUTABLE_TYPES = frozenset({int, float, complex, bool, str, bytes, type(None), Rate})
+
+
+def immutable(value) -> bool:
+    """Can ``value`` change only by a rebinding, never in place (a number,
+    string, ``None``, :class:`Rate`, or a tuple of these)?"""
+    if type(value) is tuple:
+        return all(immutable(v) for v in value)
+    return type(value) in _IMMUTABLE_TYPES
+
+
 class Stream:
     """Base class for every node in the stream hierarchy.
 

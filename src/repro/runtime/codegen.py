@@ -39,12 +39,14 @@ def lower_core(core) -> Callable[[int], None]:
     """``core``'s generated ``run_chunk``, bound to its live objects.
 
     Runs at the plan's first steady pass, after ``init()`` and the init
-    schedule: the emitter reads the tapes' post-init contents and the
-    hoisted attributes' live values.
+    schedule: the emitter reads the tapes' post-init contents and folds
+    the attribute values ``init()`` fixed, which the module guards by
+    identity (a rebinding sends the call to :meth:`CoreLoopRunner.stale`).
     """
     from repro.runtime.codegen_emit import emit_module
 
-    source, namespace, lowering = emit_module(core)
+    source, namespace, lowering, lists = emit_module(core)
     exec(compile(source, f"<codegen:{core.name}>", "exec"), namespace)
     core.source, core.lowering = source, lowering
+    core.keep_lists(lists)
     return namespace["run_chunk"]

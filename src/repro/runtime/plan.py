@@ -624,6 +624,12 @@ class CoreLoopRunner:
         self.lowering: Optional[Dict[str, object]] = None
         #: The generated module's text (None until lowered).
         self.source: Optional[str] = None
+        #: The internal tapes the module keeps as lists (what ``end``
+        #: compacts; a forwarded tape holds only its carried items).
+        self._lists: List[ListTape] = []
+        #: What runs a call whose module folded a value since rebound
+        #: (:meth:`stale`); None: lower again.
+        self.on_stale: Optional[Callable[[int], None]] = None
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
         from repro.obs.tracer import CAT_CODEGEN
@@ -637,6 +643,21 @@ class CoreLoopRunner:
         from repro.runtime.codegen import lower_core
 
         self.chunk = lower_core(self)
+
+    def keep_lists(self, edges) -> None:
+        """The internal ``edges`` the module keeps as lists, set at each
+        lowering."""
+        self._lists = [self._tapes[e] for e in edges]
+
+    def stale(self, scale: int) -> None:
+        """Run ``scale`` periods after the module found a folded attribute
+        rebound (it runs nothing then): through ``on_stale`` if set, else
+        by a module lowered again from the live values."""
+        if self.on_stale is not None:
+            self.on_stale(scale)
+            return
+        self.lower()
+        self.chunk(scale)
 
     # -- compilation (lazy: runs after init, when channels hold real state) --
 
@@ -736,8 +757,8 @@ class CoreLoopRunner:
 
     def end(self, scale: int) -> None:
         """Drop the consumed input prefix, land the accumulated outputs as
-        one ``push_block`` each, compact the internal tapes and bulk-bump
-        the bypassed history counters."""
+        one ``push_block`` each, compact the internal tapes that stay lists
+        and bulk-bump the bypassed history counters."""
         for chan, tape in self._ext_in:
             if tape.cursor:
                 chan.drop(tape.cursor)
@@ -745,7 +766,7 @@ class CoreLoopRunner:
             if tape.items:
                 chan.push_block(np.asarray(tape.items, dtype=np.float64))
                 tape.items = []
-        for _chan, tape in self._internal:
+        for tape in self._lists:
             tape.compact()
         for chan, per_period in self._bumps:
             moved = per_period * scale
@@ -769,62 +790,89 @@ def _repeating_unit(phases: list) -> Tuple[list, int]:
     return phases, 1
 
 
-def inline_bytes(phases: Sequence[Tuple[FlatNode, int]]) -> int:
-    """The size of what :class:`~repro.runtime.codegen_emit.CoreEmitter`
-    writes for ``phases``, read before it writes anything: the bytecode
-    bytes of every ``work()`` body its loop body inlines (a round repeated
-    more than :data:`_INLINE_ROUNDS` times is written once, and a node fired
-    ``k`` times in a row is written once under a loop), each item a
-    splitter or joiner moves counted as one ``Identity.work``."""
-    from repro.graph.builtins import Identity
+#: Most statements :class:`~repro.runtime.codegen_emit.CoreEmitter` writes
+#: for one unrolled ``for`` loop of a ``work()`` body, or for one node's
+#: firings in a row; past it the loop (or one firing) stays rolled.  A FIR
+#: of n taps (a multiply-accumulate loop over a list tape) in a small-call
+#: form on the 2-CPU reference host: us a period inside the module, rolled
+#: and unrolled (the lowest of 25 interleaved 100-period chunks), and ms to
+#: lower (best of three):
+#:
+#:     taps            4     16     32     64    128    256    512
+#:     rolled us    0.54   1.06   1.64   2.94   5.67  11.95  27.35
+#:     unrolled us  0.29   0.69   1.15   2.13   4.12   9.24  19.59
+#:     rolled ms    0.87   0.61   0.60   0.60   0.64   0.73   0.78
+#:     unrolled ms  0.76   1.22   2.13   3.62   6.77  13.44  26.30
+#:
+#: Unrolling such a loop saves a quarter to a third of it at every size,
+#: while each statement written costs about 50 us to lower, once: it pays
+#: back only after some thousands of periods, and a whole program's text
+#: (its compile memory) grows with every copy.  So a loop that reaches
+#: only tapes on lists is unrolled within a sixteenth of the budget (a drop
+#: loop, which writes nothing, always is), and one that forwards a tape —
+#: whose items then never touch a list — within the whole of it.
+_UNROLL_MAX = 256
 
+
+def inline_items(phases: Sequence[Tuple[FlatNode, int]]) -> int:
+    """The size of what :class:`~repro.runtime.codegen_emit.CoreEmitter`
+    writes for ``phases``, read before it writes anything, in items: every
+    filter firing of its loop body counts the items it pops and pushes,
+    half the items of its peek window and one item per 64 bytes of its
+    ``work()`` bytecode (a round repeated more than :data:`_INLINE_ROUNDS`
+    times is written once, and a node's firings in a row one after another
+    up to :data:`_UNROLL_MAX` items, once under a loop past it).  A
+    splitter's or joiner's moves mostly rename forwarded locals, and count
+    nothing."""
     phases = list(phases)
     round_, repeats = _repeating_unit(phases)
-    move = len(Identity.work.__code__.co_code)
     size = 0
-    for node, _count in round_ if repeats > _INLINE_ROUNDS else phases:
+    for node, count in round_ if repeats > _INLINE_ROUNDS else phases:
         if node.kind == FILTER:
+            rate = node.filter.rate
             code = getattr(type(node.filter).work, "__code__", None)
-            size += len(code.co_code) if code is not None else move
-        elif node.kind == SPLITTER:
-            size += move * sum(node.out_rates)
-        else:
-            size += move * sum(node.in_rates)
+            items = rate.pop + rate.push + rate.peek // 2
+            items += len(code.co_code) // 64 if code is not None else 1
+            size += items * (count if count * items <= _UNROLL_MAX else 1)
     return size
 
 
-#: Seconds a whole-program lowering (emit, compile, bind) takes per byte of
-#: :func:`inline_bytes`: what a plan expects its small-call form to cost
+#: Seconds a whole-program lowering (emit, compile, bind) takes per item of
+#: :func:`inline_items`: what a plan expects its small-call form to cost
 #: before it pays for it.  The median over the 18 portal-free apps on the
 #: 2-CPU reference host, each lowered three times in one process (best of
 #: three, so a class's ``work()`` is parsed before the lowering timed):
 #:
-#:     app             bytes   lower ms   us/byte   module lines
-#:     BitonicSort     27366      51.1      1.87        1072
-#:     ChannelVocoder  11254      20.6      1.83         487
-#:     DCT             49266      25.8      0.52         544
-#:     DES            308944     295.1      0.96        4729
-#:     FFT              7150      20.2      2.82         294
-#:     FilterBank       7894      13.4      1.69         346
-#:     FMRadio          3664       5.7      1.55         138
-#:     Serpent        246462     371.5      1.51        6161
-#:     TDE             12256      41.3      3.37         498
-#:     MPEG2Decoder    27410      28.0      1.02         539
-#:     Vocoder         15498      22.5      1.45         333
-#:     Radar           10622      21.7      2.04         337
-#:     FIR               542       1.6      3.03          30
-#:     RateConvert       906       3.6      3.97          60
-#:     TargetDetect     2258       3.1      1.39          95
-#:     Oversampler      2142       4.5      2.10         113
-#:     DToA             2682       5.2      1.94          84
-#:     Beamformer       8158      17.5      2.14         309
+#:     app            items   lower ms   us/item   module lines
+#:     BitonicSort       616       12.5      20.3            162
+#:     ChannelVocoder    531       19.8      37.3            388
+#:     DCT              1629       87.5      53.7           1135
+#:     DES             17752      260.5      14.7           4502
+#:     FFT              2054       78.6      38.3            797
+#:     FilterBank       1888       24.6      13.0            618
+#:     FMRadio           289        3.4      11.8            104
+#:     Serpent          9364      531.3      56.7           7067
+#:     TDE              4011      109.5      27.3           1085
+#:     MPEG2Decoder     1484       69.7      47.0            794
+#:     Vocoder           442        9.6      21.7            264
+#:     Radar             308       13.4      43.5            278
+#:     FIR                75        0.9      12.0             30
+#:     RateConvert        96        3.1      32.3             61
+#:     TargetDetect      179        3.0      16.8             77
+#:     Oversampler       414       11.4      27.5            206
+#:     DToA              138        3.9      28.3             93
+#:     Beamformer        364        9.1      25.0            238
 #:
-#: The estimate is within 4x of every measurement (splitter- and
-#: joiner-heavy DES, DCT and MPEG2Decoder are over-estimated: a moved item
-#: often becomes a renamed local, not an ``Identity`` body).  The eleven
-#: timed calls of a compile job (``run_init`` and twelve one-period calls)
-#: stay below every app's budget by 2.9x (Vocoder, TDE) or more.
-LOWER_S_PER_BYTE = 1.85e-6
+#: The estimate is within 4x of every measurement (Serpent's and DCT's
+#: selects and matrix rows are under-estimated 2.1x and 2.0x, FMRadio's and
+#: FIR's rolled windows over-estimated 2.3x).  Bytecode bytes alone no
+#: longer predict it: an unrolled loop writes a statement per item it
+#: forwards whatever its bytecode, and per byte of the former estimate
+#: these lowerings take 0.46 (BitonicSort) to 11.0 us (FFT), so FFT and TDE
+#: fall more than 4x from the median.  The eleven timed calls of a compile job
+#: (``run_init`` and twelve one-period calls) stay below every app's budget
+#: by 2.6x (Vocoder) or more.
+LOWER_S_PER_ITEM = 2.7e-5
 
 #: One-period calls of each form the trial compares: the form's first
 #: three after the lowering against the walk's last three before it (the
@@ -913,7 +961,7 @@ class SmallCalls:
             return None
         if self.form is None:
             if self.budget is None:
-                self.budget = LOWER_S_PER_BYTE * inline_bytes(self.plan.interp.program.steady)
+                self.budget = LOWER_S_PER_ITEM * inline_items(self.plan.interp.program.steady)
             if self.rent < self.budget:
                 return self._walked
             self.lower()
@@ -952,6 +1000,7 @@ class SmallCalls:
             plan._first_pass()
         self._release_cores()
         form = CoreLoopRunner(plan.interp.program.steady, plan, name="program")
+        form.on_stale = self._stale
         form.lower()
         tracer = plan.interp.tracer
         self._chunk = timed(tracer, form.run, form.span) if tracer.enabled else form.chunk
@@ -972,6 +1021,16 @@ class SmallCalls:
         self.limit = 0
         self.deciding = False
         self.plan._run = self.plan._walk
+
+    def _stale(self, periods: int) -> None:
+        """The form folded a filter attribute that has since been rebound:
+        drop it, run the call on the walk and rent again."""
+        self._give()
+        self.form = self._chunk = None
+        self.limit, self.rent, self.deciding = 0, 0.0, True
+        self.walk.clear()
+        self.emit = []
+        self.plan._walk(periods)
 
     def force(self, limit: int) -> None:
         """Lower now and run the form for every call of at most ``limit``

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import StreamItError
-from repro.graph.base import Rate
+from repro.graph.base import immutable
 from repro.graph.builtins import Identity
 from repro.graph.splitjoin import DUPLICATE
 from repro.runtime.plan import CompiledPhase, _FusionTape
@@ -98,15 +98,6 @@ def gather_map(region, splits: int, joins: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-_IMMUTABLE_TYPES = frozenset({int, float, complex, bool, str, bytes, type(None), Rate})
-
-
-def _immutable(value) -> bool:
-    if type(value) is tuple:
-        return all(_immutable(v) for v in value)
-    return type(value) in _IMMUTABLE_TYPES
-
-
 def _interchangeable(filters: Sequence[object]) -> Optional[Callable[[], bool]]:
     """A guard proving ``filters`` still hold the state they were compared
     with, or None when their live state is not provably equal.
@@ -134,8 +125,8 @@ def _interchangeable(filters: Sequence[object]) -> Optional[Callable[[], bool]]:
                 return None
             value, ref = state[key], first[key]
             if value is not ref and not (
-                _immutable(value)
-                and _immutable(ref)
+                immutable(value)
+                and immutable(ref)
                 and prints[key] is not None
                 and value_fingerprint(value) == prints[key]
             ):

@@ -183,6 +183,43 @@ class Peek3(Filter):
         self.push(y)
 
 
+class Permuted(Filter):
+    """Weights its three-item window in the order a permutation attribute
+    gives: a constant-trip loop whose peek positions are read from a
+    tuple."""
+
+    def __init__(self, perm: Sequence[int], weights: Sequence[float]) -> None:
+        super().__init__(peek=3, pop=1, push=1)
+        self.perm = tuple(int(p) for p in perm)
+        self.weights = tuple(float(w) for w in weights)
+
+    def work(self) -> None:
+        total = 0.0
+        for i in range(len(self.perm)):
+            total += self.peek(self.perm[i]) * self.weights[i]
+        self.pop()
+        self.push(total)
+
+
+class Sorter(Filter):
+    """Pushes a scaled pair low item first: a data-dependent ``if`` whose
+    arms push as many items."""
+
+    def __init__(self, scale: float) -> None:
+        super().__init__(pop=2, push=2)
+        self.scale = float(scale)
+
+    def work(self) -> None:
+        a = self.pop()
+        b = self.pop() * self.scale
+        if a <= b:
+            self.push(a)
+            self.push(b)
+        else:
+            self.push(b)
+            self.push(a)
+
+
 class Fold(Filter):
     """Pushes from inside a conditional."""
 

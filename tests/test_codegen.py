@@ -12,6 +12,7 @@ whatever its graph and read back by the next "process" (simulated here by
 clearing the in-memory memo).
 """
 
+import ast
 import hashlib
 import json
 import marshal
@@ -40,6 +41,7 @@ from repro.runtime import (
 )
 from repro.runtime import codegen as codegen_mod
 from repro.runtime.plan import clear_plan_cache, plan_cache_summary
+from repro.apps.common import FIRFilter
 from tests.helpers import (
     FIR,
     Accumulator,
@@ -47,6 +49,7 @@ from tests.helpers import (
     Gain,
     Guarded,
     Peek3,
+    Permuted,
     cores_of,
     feedback_app,
     run_calls,
@@ -266,22 +269,86 @@ class Leveled(Filter):
 DATA = [0.5, -1.25, 2.0, 0.75, -0.5]
 
 
-def test_conditional_pushes_and_loop_peeks_stay_on_lists():
+def _select_arms(source: str):
+    """``(body names, orelse names)`` bound by each ``if`` in ``source``."""
+
+    def bound(body):
+        return {t.id for st in body if isinstance(st, ast.Assign) for t in st.targets}
+
+    return [
+        (bound(node.body), bound(node.orelse))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+    ]
+
+
+def test_conditional_pushes_and_loop_peeks_are_forwarded():
+    """An ``if`` whose arms push as many items binds the same local in
+    both (the select form); a ``for`` whose trip the unit fixes is unrolled,
+    its peeks at literal positions and the coefficients its trip count read
+    folded in under the guard.  Neither sends a tape to a list."""
+
     def folded():
         return feedback_app(DATA, loopback=[Fold(0.1)])
 
-    row = _core_row(_assert_chopping_invariant(folded))
-    (why,) = [why for name, why in row["taped"].items() if name.startswith("Fold_")]
-    assert why == "accessed inside a loop or a conditional"
-    assert row["forwarded"]  # the rest of the loop is still in locals
+    interp = _assert_chopping_invariant(folded)
+    row = _core_row(interp)
+    assert set(row["taped"].values()) == {"external input", "external output"}
+    assert [name for name in row["forwarded"] if "->Fold_" in name]
+    ((body, orelse),) = _select_arms(_core(interp).source)
+    assert len(body) == 1 and body == orelse  # each arm binds the one pushed item
 
     def looped():
         return feedback_app(DATA, loopback=[FIR([0.3, -0.2, 0.1])], delay=3)
 
-    row = _core_row(_assert_chopping_invariant(looped))
-    (why,) = [why for name, why in row["taped"].items() if "->FIR_" in name]
-    assert why == "peek at a computed position"
-    assert row["forwarded"]
+    interp = _assert_chopping_invariant(looped)
+    row = _core_row(interp)
+    assert set(row["taped"].values()) == {"external input", "external output"}
+    assert [name for name in row["forwarded"] if "->FIR_" in name]
+    (coeffs,) = row["folded"]
+    assert coeffs.startswith("FIR_") and coeffs.endswith(".coeffs")
+    loop = _core_source(interp).split("for _ in range(scale):")[1]
+    assert "for " not in loop and ".coeffs" not in loop
+    assert "* 0.3" in loop and "* -0.2" in loop and "* 0.1" in loop
+
+
+class Staggered(Filter):
+    """Pushes one item in each of two conditionals whose arms push
+    different counts: two pushes a firing, but no one arm's worth."""
+
+    def __init__(self) -> None:
+        super().__init__(pop=1, push=2)
+
+    def work(self) -> None:
+        x = self.pop()
+        if x > 0.0:
+            self.push(x)
+            self.push(0.0)
+        else:
+            self.push(0.0)
+        if x <= 0.0:
+            self.push(x)
+
+
+def test_arms_that_push_different_counts_stay_on_a_list():
+    def build():
+        return Pipeline(ArraySource(DATA), Staggered(), Gain(0.5), CollectSink())
+
+    scalar, _ = run_calls(build, "scalar", (6,))
+    for calls in ((1,) * 6, (2, 4)):
+        app = build()
+        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        interp = Interpreter(app, check=False, engine="codegen")
+        interp.run_init()
+        interp.plan.small.force(2)
+        for periods in calls:
+            interp.run_steady(periods)
+        assert list(sink.collected) == scalar
+        taped = interp.plan.small.form.lowering["taped"]
+        (name,) = taped
+        assert name.startswith("Staggered_")
+        assert taped[name] == "its arms of a conditional pop or push different counts"
+        interp.close()
 
 
 def test_long_delay_line_stays_on_a_list():
@@ -295,6 +362,70 @@ def test_long_delay_line_stays_on_a_list():
     (why,) = [w for w in row["taped"].values() if not w.startswith("external")]
     assert why == "holds 6 items between periods"
     assert len(row["forwarded"]) == 3
+
+
+def _rebound_run(build, engine, calls, at, rebind):
+    """``calls`` on a fresh ``build()``, ``rebind(app)`` after the first
+    ``at`` of them: the output and the interpreter."""
+    app = build()
+    sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+    interp = Interpreter(app, check=False, engine=engine)
+    interp.run_init()
+    for i, periods in enumerate(calls):
+        if i == at:
+            rebind(app)
+        interp.run_steady(periods)
+    interp.close()
+    return list(sink.collected), interp
+
+
+def test_a_rebound_folded_attribute_lowers_the_core_again():
+    """The core folded a permutation into its peek positions.  A new tuple
+    bound between two calls fails the module's identity guard, and the core
+    lowers again from the live value before it runs the call: bit-exact
+    against a scalar session given the same rebinding."""
+
+    def build():
+        return feedback_app(DATA, loopback=[Permuted([2, 0, 1], [0.3, -0.2, 0.1])], delay=3)
+
+    def rebind(app):
+        (filt,) = [f for f in app.filters() if isinstance(f, Permuted)]
+        filt.perm = (1, 2, 0)
+
+    calls = (2, 2, 3, 2)  # walked: a two-period call never runs the small-call form
+    scalar, _ = _rebound_run(build, "scalar", calls, 2, rebind)
+    got, interp = _rebound_run(build, "codegen", calls, 2, rebind)
+    assert got == scalar
+    (core,) = cores_of(interp)
+    (folded,) = core.lowering["folded"]
+    assert folded.endswith(".perm") and "if not _fresh():" in core.source
+    _, unbound = _rebound_run(build, "codegen", calls, len(calls), rebind)
+    (first,) = cores_of(unbound)
+    assert first.source != core.source  # the peeks read the window in a new order
+
+
+def test_dtoa_rebinding_between_calls_is_bit_exact():
+    """DToA's core reads its gain and leak once a call (hoisted, never
+    folded: they decide no structure), and the walk reads a FIR's
+    coefficients at every call, so new values bound between calls take
+    effect at the next one on both."""
+
+    def rebind(app):
+        for filt in app.filters():
+            if filt.name == "loopgain":
+                filt.factor = 0.75
+            elif filt.name == "shape":
+                filt.leak = 0.375
+            elif isinstance(filt, FIRFilter):
+                filt.coeffs = tuple(reversed(filt.coeffs))
+
+    build = ALL_APPS["DToA"]
+    calls = (1, 3, 1, 1, 4, 1)
+    scalar, _ = _rebound_run(build, "scalar", calls, 3, rebind)
+    got, interp = _rebound_run(build, "codegen", calls, 3, rebind)
+    assert got == scalar
+    (core,) = cores_of(interp)
+    assert core.lowering["folded"] == [] and "if not _fresh():" not in core.source
 
 
 def test_literal_peeks_read_carried_locals():
@@ -368,7 +499,7 @@ def test_engine_report_carries_codegen_section():
     assert "plan_cache" in report and "size" in report["plan_cache"]
     _, dtoa = _run(ALL_APPS["DToA"], "codegen", 2)
     assert set(_core_row(dtoa)) == {
-        "kind", "name", "mode", "forwarded", "taped", "hoisted", "called"
+        "kind", "name", "mode", "forwarded", "taped", "hoisted", "folded", "called"
     }
 
 

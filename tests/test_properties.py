@@ -36,6 +36,8 @@ from tests.helpers import (
     Gain,
     Guarded,
     Peek3,
+    Permuted,
+    Sorter,
     feedback_app,
     run_calls,
     run_pipeline,
@@ -440,8 +442,11 @@ def _mix(items):
 
 #: Loop stages by what they make the inlined core do: literal peeks stay
 #: forwardable, a stored-and-read attribute must not be hoisted, pushes under
-#: an ``if`` and peeks in a ``for`` must stay taped, a COMBINE joiner calls
-#: its reducer, a ``try`` body is called.  All are rate 1:1.
+#: an ``if`` take the select form, a ``for`` with a constant trip is
+#: unrolled (its peek positions folded, read from a permutation for
+#: ``perm``), a COMBINE joiner calls its reducer, a ``try`` body is called.
+#: All are rate 1:1 but ``sort``, which takes the pair the loop's head
+#: pushes each round and so goes in the body only.
 _LOOP_STAGES = {
     "peek3": lambda g: Peek3(*(float(v) for v in g.uniform(-0.5, 0.5, size=3))),
     "fir": lambda g: FIR([float(v) for v in g.uniform(-0.5, 0.5, size=3)]),
@@ -452,8 +457,13 @@ _LOOP_STAGES = {
     "dup": lambda g: SplitJoin(
         duplicate(), [Gain(float(g.uniform(-0.9, 0.9))), Accumulator()], combine(_mix)
     ),
+    "perm": lambda g: Permuted(
+        [int(v) for v in g.permutation(3)], [float(v) for v in g.uniform(-0.5, 0.5, size=3)]
+    ),
+    "sort": lambda g: Sorter(float(g.uniform(0.5, 1.5))),
 }
-_PEEKING = ("peek3", "fir")
+_PEEKING = ("peek3", "fir", "perm")
+_BODY_ONLY = ("sort",)
 
 
 def _random_loop_stages(gen, delay):
@@ -462,7 +472,8 @@ def _random_loop_stages(gen, delay):
     3 on the way back, and the delays drawn here cover only one of them."""
     plain = [k for k in _LOOP_STAGES if k not in _PEEKING]
     body = [str(k) for k in gen.choice(plain, size=int(gen.integers(0, 3)))]
-    loopback = [str(k) for k in gen.choice(plain, size=int(gen.integers(0, 2)))]
+    back = [k for k in plain if k not in _BODY_ONLY]
+    loopback = [str(k) for k in gen.choice(back, size=int(gen.integers(0, 2)))]
     where = int(gen.integers(0, 3))
     if where == 1 and delay >= 2:
         body.insert(int(gen.integers(0, len(body) + 1)), str(gen.choice(_PEEKING)))
@@ -659,10 +670,15 @@ class TestBatchedEngineDifferential:
         ]
         assert core["mode"] == "inline"
         kinds = body + loopback
-        if "fold" in kinds:  # its pushes sit under an ``if``
-            assert any(name.startswith("Fold_") for name in core["taped"])
-        if "fir" in kinds:  # its peeks sit in a ``for``
-            assert any("->FIR_" in name for name in core["taped"])
+        # Unrolled loops, folded peek positions and the select form keep
+        # every tape in locals but those at the core's boundary and beside
+        # a called body.
+        for why in core["taped"].values():
+            assert why.startswith("external ") or ".work() is called" in why, why
+        if "fir" in kinds:  # its trip count reads the coefficients
+            assert any(name.endswith(".coeffs") for name in core["folded"])
+        if "perm" in kinds:  # its peek positions read the permutation
+            assert any(name.endswith(".perm") for name in core["folded"])
         called = [name for name in core["called"] if name.startswith("Guarded_")]
         assert len(called) == kinds.count("guarded")  # a ``try`` body is called
         assert not any(name.endswith(".total") for name in core["hoisted"])

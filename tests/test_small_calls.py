@@ -20,7 +20,7 @@ from repro.linear import LinearFilter, fir_rep
 from repro.obs.metrics import METRICS
 from repro.runtime import Interpreter
 from repro.runtime import plan as plan_module
-from repro.runtime.plan import LOWER_S_PER_BYTE, inline_bytes
+from repro.runtime.plan import LOWER_S_PER_ITEM, inline_items
 
 from .helpers import FIR, Gain
 
@@ -162,6 +162,86 @@ def test_a_body_the_emitter_cannot_inline_is_called_from_the_form():
     assert list(_sink(app).collected) == _scalar(build, 6)
 
 
+def _new_perm_and_key(app):
+    from repro.apps.des import KeyXor, PermuteBits
+
+    perm = next(f for f in app.filters() if isinstance(f, PermuteBits))
+    perm.perm = tuple(reversed(perm.perm))
+    key = next(f for f in app.filters() if isinstance(f, KeyXor))
+    key.key = tuple(1 - bit for bit in key.key)
+
+
+def _fir3():
+    """A three-tap FIR: its window fits in locals, so its loop is unrolled
+    and its coefficients folded."""
+    return Pipeline(
+        ArraySource([float(v) for v in np.linspace(-1, 1, 9)]),
+        FIR([0.5, -0.25, 0.125]),
+        Gain(1.5),
+        CollectSink(),
+    )
+
+
+def _new_coeffs(app):
+    fir = next(f for f in app.filters() if isinstance(f, FIR))
+    fir.coeffs = tuple(0.5 * c for c in reversed(fir.coeffs))
+
+
+@pytest.mark.parametrize(
+    "build, rebind",
+    [(ALL_APPS["DES"], _new_perm_and_key), (_fir3, _new_coeffs)],
+    ids=["DES", "FIR3"],
+)
+def test_a_rebound_folded_attribute_sends_the_form_back_to_the_walk(build, rebind):
+    """The form folded a permutation, a key or a coefficient tuple into its
+    text.  A new tuple bound between two calls fails the module's identity
+    guard: the form runs nothing, the walk runs the call, and the plan
+    rents again; a form lowered afterwards folds the new value.  Bit-exact
+    throughout against a scalar session given the same rebinding."""
+    app = build()
+    scalar = Interpreter(app, check=False, engine="scalar")
+    scalar.run_init()
+    for i in range(8):
+        if i == 3:
+            rebind(app)
+        scalar.run_steady(1)
+    want = list(_sink(app).collected)
+
+    app = build()
+    interp = Interpreter(app, check=False, engine="codegen")
+    interp.run_init()
+    small = interp.plan.small
+    small.force(1)
+    assert small.form.lowering["folded"]
+    for _ in range(3):
+        interp.run_steady(1)
+    rebind(app)
+    interp.run_steady(1)
+    assert small.form is None and not small.live
+    assert small.report()["state"] == "renting" and small.rent == 0.0
+    interp.run_steady(1)
+    small.force(1)
+    for _ in range(3):
+        interp.run_steady(1)
+    assert small.live and small.report()["state"] == "lowered"
+    interp.close()
+    assert list(_sink(app).collected) == want
+
+
+def test_bitonic_and_des_forms_keep_their_edges_in_locals():
+    """CI's guard on the form's tapes: BitonicSort keeps no edge on a list,
+    and DES forwards at least 90 % of its edges in at most 4 729 lines (a
+    whole-program lowering's compile memory grows with its text)."""
+    _, interp = _forced(ALL_APPS["BitonicSort"], (1, 1))
+    row = interp.plan.small.form.lowering
+    assert row["taped"] == {} and len(row["forwarded"]) == 115
+    _, interp = _forced(ALL_APPS["DES"], (1, 1))
+    row = interp.plan.small.form.lowering
+    edges = len(row["forwarded"]) + len(row["taped"])
+    assert edges == 452 and len(row["forwarded"]) >= 0.9 * edges
+    assert interp.plan.small.lines <= 4729
+
+
 # -- the decision, with injected timings -------------------------------------
 
 
@@ -197,7 +277,7 @@ def _driven(monkeypatch, walk, emitted, calls, each=None):
     interp = Interpreter(app, check=False, engine="codegen")
     interp.run_init()
     plan, small = interp.plan, interp.plan.small
-    tick = LOWER_S_PER_BYTE * inline_bytes(interp.program.steady) / 950
+    tick = LOWER_S_PER_ITEM * inline_items(interp.program.steady) / 950
     clock = _Clock(small)
     monkeypatch.setattr(plan_module, "perf_counter", clock)
     forms = []
