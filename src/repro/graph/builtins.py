@@ -58,8 +58,8 @@ class ArraySource(Filter):
         # What work_batch reads: ``data`` as float64 as of this call (callers
         # edit ``data`` in place between construction and the run), tiled on
         # demand so that n items from any position are one slice.  Read-only:
-        # a fusion tape copies such a block instead of adopting it as its
-        # buffer, and nothing downstream can write through a pushed view.
+        # ``ArrayChannel.adopt_block`` copies such a block instead of making
+        # it its buffer, and nothing downstream can write through a pushed view.
         self._ring = _frozen(np.array(self.data, dtype=np.float64))
 
     def work(self) -> None:

@@ -5,9 +5,9 @@ engines (see DESIGN.md, "Observability"):
 
 * :class:`Tracer` protocol with the zero-cost :data:`NULL_TRACER` and the
   in-memory :class:`MemoryTracer` ring recorder;
-* span events for scalar filter firings, batched block kernels and fused
-  chains (with plan-cache hit/miss counters), and per-worker timelines in
-  the parallel engine;
+* span events for scalar filter firings, batched block kernels and
+  lowered regions (with plan-cache hit/miss counters), and per-worker
+  timelines in the parallel engine;
 * hardware-ish counters: per-channel push/pop history, ArrayChannel
   occupancy high-water marks, SPSC ring stall/backpressure statistics,
   and teleport send→delivery records checked against the SDEP wavefront;
@@ -42,7 +42,6 @@ from repro.obs.recorder import FLIGHT, FlightRecorder, format_flight_tail
 from repro.obs.tracer import (
     CAT_ENGINE,
     CAT_FILTER,
-    CAT_FUSED,
     CAT_KERNEL,
     CAT_META,
     CAT_PLAN,
@@ -66,7 +65,6 @@ __getattr__ = lazy_getattr(__name__, {
 __all__ = [
     "CAT_ENGINE",
     "CAT_FILTER",
-    "CAT_FUSED",
     "CAT_KERNEL",
     "CAT_META",
     "CAT_PLAN",

@@ -2,7 +2,7 @@
 
 Aggregates the span events of a ``streamscope`` Chrome trace into the
 attribution table the paper's evaluation reasons about: per filter (or
-fused chain / cyclic core), how many spans and firings ran, how many items
+region / cyclic core), how many spans and firings ran, how many items
 moved, how much wall-clock self-time was spent, and — for parallel traces
 — what fraction of that time was ring-buffer stall, attributed to the
 producer/consumer filters of each cross-worker edge.  Engine downgrades

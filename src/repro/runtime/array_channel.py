@@ -164,11 +164,11 @@ class ArrayChannel:
     def adopt_block(self, block: np.ndarray) -> None:
         """Make ``block`` the channel's entire contents, copying only if needed.
 
-        Fast path for fused pipelines: when the channel is empty, the pushed
-        array *becomes* the backing buffer (zero-copy for a contiguous
-        float64 input), skipping ``_reserve`` and the memcpy of
-        :meth:`push_block`.  Falls back to :meth:`push_block` when items are
-        already queued.
+        What a ``columns`` region's branch head takes its column of the
+        input block with: when the channel is empty, the array *becomes*
+        the backing buffer (zero-copy for a contiguous writable float64
+        input), skipping ``_reserve`` and the memcpy of :meth:`push_block`.
+        Falls back to :meth:`push_block` when items are already queued.
         """
         if self._head != self._tail:
             self.push_block(block)

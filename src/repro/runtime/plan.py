@@ -18,11 +18,6 @@ tapes:
   as a hoisted-I/O ``work()`` loop otherwise;
 * **splitter/joiner vectorization** — distribution cycles become
   reshape/interleave block copies instead of item loops;
-* **operator fusion** — maximal chains of adjacent single-input/
-  single-output fire-nodes execute back to back through private
-  :class:`_FusionTape` scratch channels that *adopt* each stage's output
-  array (zero-copy handoff, no slide-to-front compaction, no per-stage
-  ArrayChannel traffic on the real graph edges);
 * **region lowering** — a certified flat splitjoin (``SL405``) whose members
   are one contiguous run of a single-sweep schedule runs as *one*
   :class:`~repro.runtime.regions.RegionPhase`: a single kernel over the
@@ -30,8 +25,8 @@ tapes:
   one static gather (``permute``), or per-branch kernels over column views
   writing the joiner's output in place (``columns``);
 * **one block list, one pass** — the result is :attr:`ExecutionPlan.blocks`,
-  the steady program.  Each block (a phase, a fused chain, a region, a
-  teleport endpoint, the cyclic core) has a ``kind``, ``run(scale)`` and
+  the steady program.  Each block (a phase, a region, a teleport
+  endpoint, the cyclic core) has a ``kind``, ``run(scale)`` and
   ``span(scale)``; ``run_steady`` is one loop of passes, each running every
   block once with its firing count scaled by the periods the pass covers
   (chunked so buffers stay bounded).  A schedule that is a pure topological
@@ -60,7 +55,7 @@ tapes:
   the SDEP-derived delivery points
   (:meth:`~repro.runtime.messaging.PendingMessage.firings_until_due`), so
   message timing is identical to the scalar engine's per-firing semantics;
-* **plan caching** — the schedule/fusion/segment analysis is memoized on
+* **plan caching** — the schedule/segment analysis is memoized on
   a structural graph signature, so repeated ``Interpreter`` constructions
   over the same program shape (the bench harness, parameter sweeps) skip
   recompilation.
@@ -317,7 +312,7 @@ def _plan_signature(graph: FlatGraph, program, senders, receivers) -> tuple:
     """Structural fingerprint of (graph, schedule, messaging endpoints).
 
     Two programs with the same signature have identical plan *shape* —
-    phases, fusion chains, single-sweep legality — even though they are built
+    phases, segments, single-sweep legality — even though they are built
     from distinct filter instances, so the analysis is reusable.
     """
     index = {node: i for i, node in enumerate(graph.nodes)}
@@ -343,37 +338,6 @@ def _plan_signature(graph: FlatGraph, program, senders, receivers) -> tuple:
         tuple(sorted(index[n] for n in receivers)),
     )
     return (nodes, edges, init, steady, msg)
-
-
-# -- fusion scratch tapes ----------------------------------------------------
-
-
-class _FusionTape(ArrayChannel):
-    """Private channel between fused stages: adopts pushed arrays zero-copy.
-
-    A fused chain is balanced and starts empty, so every stage's entire
-    output is consumed by the next stage within the same composite firing —
-    the pushed block can simply *become* the buffer instead of being copied
-    into one.
-    """
-
-    __slots__ = ()
-
-    def push_block(self, block: np.ndarray) -> None:
-        if self._head == self._tail:
-            self.adopt_block(block)
-        else:
-            ArrayChannel.push_block(self, block)
-
-    def release(self) -> None:
-        """Forget the (drained) adopted block so it can be freed."""
-        self._buf = _NO_ITEMS
-        self._head = self._tail = 0
-
-
-#: Shared backing store of every released scratch tape (never written:
-#: a push to an empty tape adopts, a scalar push reserves a fresh buffer).
-_NO_ITEMS = np.empty(0, dtype=np.float64)
 
 
 def timed(tracer, run: Callable[[int], None], span) -> Callable[[int], None]:
@@ -496,72 +460,6 @@ class ReceiverPhase(CompiledPhase):
             left -= step
 
 
-class FusedPhase:
-    """A maximal chain of adjacent SISO fire-nodes run as one composite.
-
-    From the plan's first steady pass on (:meth:`bind`), each stage filter
-    reads and writes private :class:`_FusionTape` scratch tapes instead of
-    the real graph edges between stages, whose history counters are bumped
-    after every ``run(scale)`` so introspection still sees every item.  The
-    init schedule ran on those edges and left them empty."""
-
-    __slots__ = ("stages", "_tapes", "_fires", "_bumps")
-
-    kind = "fused"
-
-    def __init__(self, stages: Sequence[CompiledPhase], channels) -> None:
-        self.stages: Tuple[CompiledPhase, ...] = tuple(stages)
-        self._tapes = [
-            _FusionTape(name=f"fused:{st.node.name}") for st in self.stages[:-1]
-        ]
-        self._fires = tuple((st.fire, st.count) for st in self.stages)
-        # Real channels bypassed by the chain: (channel, items per period).
-        self._bumps = [
-            (channels[st.node.out_edges[0]], st.count * st.node.out_edges[0].push_rate)
-            for st in self.stages[:-1]
-        ]
-
-    @property
-    def name(self) -> str:
-        return "+".join(st.node.name for st in self.stages)
-
-    def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
-        from repro.obs.tracer import CAT_FUSED
-
-        last = self.stages[-1]
-        push = last.node.out_edges[0].push_rate if last.node.out_edges else 0
-        return (
-            self.name,
-            CAT_FUSED,
-            {
-                "firings": sum(st.count for st in self.stages) * scale,
-                "items": last.count * scale * push,
-            },
-        )
-
-    def bind(self) -> None:
-        """Wire every stage to the scratch tapes either side of it."""
-        tapes = self._tapes
-        for i, st in enumerate(self.stages):
-            filt = st.node.filter
-            if i:
-                filt.input = tapes[i - 1]
-            if i < len(tapes):
-                filt.output = tapes[i]
-
-    def release(self) -> None:
-        for tape in self._tapes:
-            tape.release()
-
-    def run(self, scale: int) -> None:
-        for fire, count in self._fires:
-            fire(count * scale)
-        for chan, per_period in self._bumps:
-            items = per_period * scale
-            chan.pushed_count += items
-            chan.popped_count += items
-
-
 class CoreLoopRunner:
     """Executes a cyclic schedule core over hoisted Python-list tapes.
 
@@ -586,7 +484,7 @@ class CoreLoopRunner:
     Firing order inside a period is exactly the steady schedule's, and every
     item round-trips through Python floats, so results are bit-identical to
     the scalar engine.  History counters of bypassed internal edges are
-    bumped in bulk (the :class:`FusedPhase` convention).
+    bumped in bulk, once a chunk (:meth:`end`).
     """
 
     kind = "core"
@@ -909,9 +807,9 @@ class SmallCalls:
     Live items stay on whichever form ran last.  Either form takes the
     next call over from the other at a period boundary: the form's
     :meth:`CoreLoopRunner.release` moves every edge's items back to the
-    channels and binds every filter to them again, the fused chains rebind
-    their scratch tapes and a feedback core retakes its own; history
-    counters are bumped in bulk all along.
+    channels and binds every filter to them again, and a feedback core
+    retakes its own at its next chunk; history counters are bumped in bulk
+    all along.
     """
 
     def __init__(self, plan: "ExecutionPlan") -> None:
@@ -998,6 +896,8 @@ class SmallCalls:
         t0 = perf_counter()
         if plan._steps is None:
             plan._first_pass()
+        if self.live:
+            self._give()
         self._release_cores()
         form = CoreLoopRunner(plan.interp.program.steady, plan, name="program")
         form.on_stale = self._stale
@@ -1056,12 +956,8 @@ class SmallCalls:
 
     def _give(self) -> None:
         """The form hands over: every edge's items and filter back on the
-        channels, the fused chains on their scratch tapes (a feedback core
-        retakes its own at its next chunk)."""
+        channels (a feedback core retakes its own at its next chunk)."""
         self.form.release()
-        for block in self.plan.blocks:
-            if block.kind == "fused":
-                block.bind()
         self.live = False
 
     def report(self) -> Dict[str, object]:
@@ -1130,14 +1026,13 @@ class ExecutionPlan:
         self.init_blocks = self._compile(program.init)
         steady = self._compile(program.steady)
         if analysis is None:
-            analysis = self._analyze(program, steady)
+            analysis = self._analyze(program)
             _PLAN_CACHE[signature] = analysis
             while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
                 _PLAN_CACHE.popitem(last=False)
                 plan_cache_stats["evictions"] += 1
         self.single_sweep: bool = analysis["single_sweep"]
         self.chunk_periods: int = analysis["chunk_periods"]
-        self.fusion_ranges: Tuple[Tuple[int, int], ...] = analysis["fusion_ranges"]
         self._steady_flat = steady
         self._analysis = analysis
         #: Periods a portal-bound pass may cover; derived on first use (it
@@ -1158,7 +1053,7 @@ class ExecutionPlan:
         #: Provisional until :meth:`_lower_regions` (end of ``run_init``)
         #: has replaced every lowerable splitjoin by its RegionPhase.
         self._set_blocks(
-            self._apply_fusion(steady, self.fusion_ranges, {})
+            list(steady)
             if self.single_sweep
             else self._segmented(steady, analysis["segments_idx"])
         )
@@ -1195,20 +1090,18 @@ class ExecutionPlan:
         """Settle, once, what only a running session needs.
 
         The rate reports this process computed go to the cache directory
-        for the next process (whatever the graph is), fused chains wire
-        their scratch tapes, and the feedback core lowers itself.  Then the
-        steps: ``(fire, count)`` pairs a pass calls as ``fire(count *
-        scale)`` — a phase's executor directly, every other block's
-        ``run`` with a count of 1 — and under tracing (fixed when the
-        interpreter was built) each block's ``run`` through :func:`timed`.
+        for the next process (whatever the graph is), and the feedback core
+        lowers itself.  Then the steps: ``(fire, count)`` pairs a pass calls
+        as ``fire(count * scale)`` — a phase's executor directly, every
+        other block's ``run`` with a count of 1 — and under tracing (fixed
+        when the interpreter was built) each block's ``run`` through
+        :func:`timed`.
         """
         from repro.analysis.rates import MEMO
 
         MEMO.flush()
         for block in self.blocks:
-            if block.kind == "fused":
-                block.bind()
-            elif block.kind == "core":
+            if block.kind == "core":
                 block.lower()
         tracer = self.interp.tracer
         if tracer.enabled:
@@ -1286,21 +1179,14 @@ class ExecutionPlan:
 
     # -- analysis -------------------------------------------------------------
 
-    def _analyze(self, program, steady: List[CompiledPhase]) -> dict:
+    def _analyze(self, program) -> dict:
         # A portal-bound schedule is always a single sweep here: the
         # interpreter runs any other on the scalar engine (SL302).
         single_sweep = single_topological_sweep(self.graph, program.steady)
-        if single_sweep:
-            segments_idx = ((), ())
-            fusion_ranges = self._fusion_ranges(steady, program.init.counts())
-        else:
-            segments_idx = self._segment_sets()
-            fusion_ranges = ()
         return {
             "single_sweep": single_sweep,
             "chunk_periods": self._chunk_periods(program),
-            "segments_idx": segments_idx,
-            "fusion_ranges": fusion_ranges,
+            "segments_idx": ((), ()) if single_sweep else self._segment_sets(),
         }
 
     def _segment_sets(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -1393,77 +1279,18 @@ class ExecutionPlan:
         core = CoreLoopRunner(core_phases, self)
         return aggregate(pre_set) + [core] + aggregate(suf_set)
 
-    def _fusion_ranges(
-        self, phases: List[CompiledPhase], init_counts: Dict[FlatNode, int]
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Maximal fusable runs ``(start, end)`` (inclusive) over ``phases``.
-
-        Stage ``u`` links to the next phase ``v`` when the pair forms an
-        exclusive producer→consumer couple whose intermediate tape starts
-        empty after init and is exactly drained each period — then ``v`` can
-        read ``u``'s output straight off a scratch tape.  Splitters, joiners,
-        peeking consumers, and messaging endpoints break chains.
-        """
-
-        def fusable(ph: CompiledPhase) -> bool:
-            node = ph.node
-            return (
-                node.kind == FILTER
-                and node not in self._senders
-                and node not in self._receivers
-            )
-
-        def links(u: CompiledPhase, v: CompiledPhase) -> bool:
-            if not (fusable(u) and fusable(v)):
-                return False
-            nu, nv = u.node, v.node
-            if len(nu.out_edges) != 1 or len(nv.in_edges) != 1:
-                return False
-            e = nu.out_edges[0]
-            if e.dst is not nv or e.push_rate <= 0 or e.pop_rate <= 0:
-                return False
-            if e.peek_rate != e.pop_rate:
-                return False
-            if u.count * e.push_rate != v.count * e.pop_rate:
-                return False
-            occupancy = (
-                len(e.initial)
-                + init_counts.get(nu, 0) * e.push_rate
-                - init_counts.get(nv, 0) * e.pop_rate
-            )
-            return occupancy == 0
-
-        ranges: List[Tuple[int, int]] = []
-        i = 0
-        while i < len(phases) - 1:
-            j = i
-            while j + 1 < len(phases) and links(phases[j], phases[j + 1]):
-                j += 1
-            if j > i:
-                ranges.append((i, j))
-            i = j + 1 if j > i else i + 1
-        return tuple(ranges)
-
-    def _apply_fusion(
-        self,
-        phases: List[CompiledPhase],
-        ranges: Tuple[Tuple[int, int], ...],
-        regions: Dict[int, object],
+    @staticmethod
+    def _with_regions(
+        phases: List[CompiledPhase], regions: Dict[int, object]
     ) -> List[object]:
         """The steady program: ``regions`` (keyed by the index of their
-        first member phase) replace their members — including any fused
-        chain inside a branch — and the remaining ``ranges`` fuse."""
-        chains = dict(ranges)
+        first member phase) replace their members."""
         out: List[object] = []
         pos = 0
         while pos < len(phases):
             if pos in regions:
                 out.append(regions[pos])
                 pos += len(regions[pos].members)
-            elif pos in chains:
-                end = chains[pos]
-                out.append(FusedPhase(phases[pos : end + 1], self.channels))
-                pos = end + 1
             else:
                 out.append(phases[pos])
                 pos += 1
@@ -1522,9 +1349,7 @@ class ExecutionPlan:
                 (splitter.obj.name, len(splitter.out_edges), phase, verdict)
             )
         if lowered:
-            self._set_blocks(
-                self._apply_fusion(self._steady_flat, self.fusion_ranges, lowered)
-            )
+            self._set_blocks(self._with_regions(self._steady_flat, lowered))
         tracer = self.interp.tracer
         if tracer.enabled:
             from repro.obs.tracer import CAT_PLAN
@@ -1648,25 +1473,12 @@ class ExecutionPlan:
         }
 
     def release_scratch(self) -> None:
-        """Hand the small-call form's items back to the channels, let go of
-        every drained scratch tape's last block and forget the slots
-        (``close()``, which trims every tape off them; a later pass of more
-        than one period assigns them again)."""
+        """Hand the small-call form's items back to the channels and forget
+        the slots (``close()``, which trims every tape off them; a later
+        pass of more than one period assigns them again)."""
         if self.small is not None and self.small.live:
             self.small._give()
-        for block in self.blocks:
-            if block.kind == "fused":
-                block.release()
         self._slots = None
-
-    @property
-    def fused_chains(self) -> List[Tuple[str, ...]]:
-        """Stage names of each fused chain (introspection/testing)."""
-        return [
-            tuple(st.node.name for st in block.stages)
-            for block in self.blocks
-            if block.kind == "fused"
-        ]
 
     def _chunk_periods(self, program) -> int:
         """Periods per superbatched pass, bounding per-edge buffer growth.
@@ -1703,8 +1515,8 @@ class ExecutionPlan:
     def _walk(self, periods: int) -> None:
         """Run ``periods`` steady periods in passes of up to ``chunk_periods``
         (so buffers stay bounded), every firing count of a pass scaled by
-        the periods it covers.  Fusion and region lowering regroup the
-        phases and never change what fires, so the interpreter credits its
+        the periods it covers.  Region lowering regroups the phases
+        and never changes what fires, so the interpreter credits its
         firing counts from the schedule (:attr:`Interpreter.fired`)."""
         steps = self._steps
         if steps is None:
@@ -1728,14 +1540,14 @@ class ExecutionPlan:
         """Give the transit edges shared buffers, once, at a pass boundary.
 
         A *transit* edge joins two different walked blocks (a phase,
-        sender, receiver, fused chain or region; never the feedback core),
+        sender, receiver or region; never the feedback core),
         its consumer pops what it peeks, and it is empty at a pass boundary:
         its consumer drains it within the pass, so it holds items only from
         its producer's step to its consumer's step, inclusive.  Greedy
         interval colouring in step order puts edges whose intervals are
         disjoint on one *slot*, one buffer sized for the largest pass of
         ``cap`` periods among them (best fit among the free slots, else the
-        largest).  Every other edge — inside a chain or region, at the core,
+        largest).  Every other edge — inside a region, at the core,
         holding residue — keeps its own buffer.
         """
         from mmap import mmap
@@ -1744,9 +1556,8 @@ class ExecutionPlan:
         for i, block in enumerate(self.blocks):
             if block.kind == "core":
                 continue
-            if block.kind in ("fused", "region"):
-                members = block.stages if block.kind == "fused" else block.members
-                step.update((ph.node, i) for ph in members)
+            if block.kind == "region":
+                step.update((ph.node, i) for ph in block.members)
             else:
                 step[block.node] = i
         reps = self.interp.program.reps

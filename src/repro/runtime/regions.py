@@ -35,7 +35,8 @@ from repro.errors import StreamItError
 from repro.graph.base import immutable
 from repro.graph.builtins import Identity
 from repro.graph.splitjoin import DUPLICATE
-from repro.runtime.plan import CompiledPhase, _FusionTape
+from repro.runtime.array_channel import ArrayChannel
+from repro.runtime.plan import CompiledPhase
 
 #: Instance attributes that are identity or wiring, never filter state.
 _WIRING_ATTRS = frozenset({"name", "_uid", "parent", "input", "output", "_rt_owner"})
@@ -156,7 +157,7 @@ class RegionPhase:
     ``members`` are the region's flat phases in schedule order (splitter,
     branch stages, joiner); they are what a demoted region runs.  History
     counters of the bypassed internal edges are bumped in bulk after every
-    fire (the :class:`FusedPhase` convention).
+    fire.
     """
 
     __slots__ = (
@@ -321,15 +322,13 @@ def _columns_fire(region, branches, splits: int, joins: int, in_chan, out_chan):
     split_at = _offsets(splitter.out_rates)
     join_at = _offsets(joiner.in_rates)
     lanes = []
-    scratch: List[_FusionTape] = []
     for edge, branch in zip(splitter.out_edges, branches):
         port = branch[-1].node.out_edges[0].dst_port
-        head = _FusionTape(name=f"region:{branch[0].node.name}")
+        head = ArrayChannel(name=f"region:{branch[0].node.name}")
         tail = _ColumnOut()
         tapes = [head] + [
-            _FusionTape(name=f"region:{st.node.name}") for st in branch[:-1]
+            ArrayChannel(name=f"region:{st.node.name}") for st in branch[:-1]
         ]
-        scratch.extend(tapes)
         sinks = tapes[1:] + [tail]
         steps = [
             (st.node.filter, st.fire, st.count, tapes[i], sinks[i])
@@ -379,8 +378,6 @@ def _columns_fire(region, branches, splits: int, joins: int, in_chan, out_chan):
                         "broke its declared rates"
                     )
         finally:
-            for tape in scratch:
-                tape.release()
             for lane in lanes:
                 lane[3].dest = None
 

@@ -348,6 +348,11 @@ def _by_name(interp, fired):
     return [(node.name.rstrip("0123456789"), fired[node]) for node in interp.graph.nodes]
 
 
+def _pushed(interp):
+    """Items every filter has pushed, in graph order."""
+    return [interp.items_pushed(node.filter) for node in interp.graph.filter_nodes()]
+
+
 @pytest.mark.parametrize("engine", ["batched", "codegen", "parallel"])
 @pytest.mark.parametrize("app_name", ["FIR", "DToA", "BitonicSort", "FreqHopRadio"])
 def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
@@ -364,6 +369,10 @@ def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
         assert [
             interp.firings(node.filter) for node in interp.graph.filter_nodes()
         ] == [scalar.firings(node.filter) for node in scalar.graph.filter_nodes()]
+        # The parallel engine counts a worker's inner edges in the worker
+        # (and a closed session's rings are gone).
+        if engine != "parallel":
+            assert _pushed(interp) == _pushed(scalar)
     with open_session(builder(), engine) as interp:  # a read between the calls
         interp.run(first)
         assert sum(interp.fired.values()) < sum(n for _, n in want)

@@ -178,19 +178,29 @@ def test_shared_tape_storage_is_bit_exact_across_passes(app_name):
 
 
 def test_des_window_keeps_its_transit_edges_on_few_slots():
-    """CI's guard against a return to per-edge buffers: after DES's
-    1 200-period window its 160 transit edges share at most 8 slots and
-    4 MiB (per-edge buffers held 44 MiB)."""
+    """CI's guard against a return to per-edge or per-chain buffers: after
+    DES's 1 200-period window its 196 transit edges (its SISO chains'
+    included) share 4 slots and at most 4 MiB (per-edge buffers held
+    44 MiB), and after FFT's 4 800-period window the 13 edges of its one
+    14-stage chain share 2 slots with no private buffer left."""
     interp = Interpreter(ALL_APPS["DES"](), check=False, engine="codegen")
     interp.run_init()
     interp.run_steady(1200)
     storage = interp.engine_report()["codegen"]["storage"]
-    assert storage["transit_edges"] == 160
-    assert 1 <= storage["slots"] <= 8
+    assert storage["transit_edges"] == 196
+    assert storage["slots"] == 4
     assert storage["slot_bytes"] <= 4 * 2**20
     assert storage["private_bytes"] <= 2**20
     interp.close()
     assert interp.engine_report()["codegen"]["storage"]["slots"] == 0
+    interp = Interpreter(ALL_APPS["FFT"](), check=False, engine="codegen")
+    interp.run_init()
+    interp.run_steady(4800)
+    storage = interp.engine_report()["codegen"]["storage"]
+    assert storage == {
+        "transit_edges": 13, "slots": 2, "slot_bytes": 2**20, "private_bytes": 0
+    }
+    interp.close()
 
 
 def test_raising_chunk_periods_moves_tapes_off_their_slots():

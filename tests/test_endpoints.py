@@ -25,7 +25,6 @@ from repro.errors import EngineDowngradeWarning
 from repro.graph.builtins import ArraySource, Collected, CollectSink
 from repro.linear import apply_selection
 from repro.runtime import ArrayChannel, Interpreter
-from repro.runtime.plan import _FusionTape
 
 # -- Collected against a plain list -------------------------------------------
 
@@ -251,11 +250,24 @@ def test_init_resets_position_and_rereads_data():
     assert type(source.data) is list
 
 
+class _AdoptingTape(ArrayChannel):
+    """A tape whose empty state adopts a pushed block as its buffer
+    (:meth:`ArrayChannel.adopt_block`, what a region's branch head does)."""
+
+    __slots__ = ()
+
+    def push_block(self, block):
+        if len(self):
+            ArrayChannel.push_block(self, block)
+        else:
+            self.adopt_block(block)
+
+
 def test_pushed_slices_cannot_be_written_through():
-    """A fusion tape adopts a pushed block as its buffer, and a scalar push
+    """An adopting tape makes a pushed block its buffer, and a scalar push
     then writes into that buffer: it must not be the source's own ring."""
     source = ArraySource([1.0, 2.0, 3.0, 4.0])
-    source.output = tape = _FusionTape()
+    source.output = tape = _AdoptingTape()
     source.init()
     source.work_batch(4)
     block = tape.pop_block(4)

@@ -836,8 +836,9 @@ class TestBatchedEngineDifferential:
         if stateless:
             assert certified > 0
 
-    def test_fused_chain_bit_exact(self):
-        """A deterministic all-SISO pipeline must fuse and stay bit-exact."""
+    def test_siso_chain_bit_exact(self):
+        """A deterministic all-SISO pipeline runs as its member phases on
+        the graph's own channels and stays bit-exact."""
 
         def build():
             return Pipeline(
@@ -851,7 +852,7 @@ class TestBatchedEngineDifferential:
 
         scalar, _ = _run_engine(build, "scalar", PERIODS)
         generated, interp = _run_engine(build, "codegen", PERIODS)
-        assert interp.plan.fused_chains, "expected at least one fused chain"
+        assert {b.kind for b in interp.plan.blocks} == {"phase"}
         assert generated == scalar
 
 

@@ -70,6 +70,66 @@ def test_every_app_crosses_both_forms_bit_exact(name):
     assert row["lines"] > 0 and row["lower_s"] > 0
 
 
+def test_forcing_a_live_form_again_hands_its_items_back_first():
+    """A second lowering while the first form holds the items must not
+    build its form over empty channels."""
+    build = ALL_APPS["FMRadio"]
+    app = build()
+    interp = Interpreter(app, check=False, engine="codegen")
+    interp.run(2)
+    for _ in range(2):
+        interp.plan.small.force(1)
+        interp.run_steady(1)
+    assert interp.plan.small.live
+    interp.close()
+    assert list(_sink(app).collected) == _scalar(build, 4)
+
+
+def _unbound(interp):
+    """Filters outside a feedback core that are not bound to the channels
+    of their own edges."""
+    core = {node for b in interp.plan.blocks if b.kind == "core" for node in b.nodes}
+    chans = interp.channels
+    return [
+        node.name
+        for node in interp.graph.filter_nodes()
+        if node not in core
+        and (
+            node.filter.input is not (chans[node.in_edges[0]] if node.in_edges else None)
+            or node.filter.output
+            is not (chans[node.out_edges[0]] if node.out_edges else None)
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", list(ALL_APPS))
+def test_walked_filters_stay_bound_to_their_channels(name):
+    """Only a feedback core and the small-call form rebind a filter between
+    calls: after a multi-period call, a one-period call and a hand-back
+    from the form, every other filter reads and writes its own edges."""
+    build = ALL_APPS[name]
+    app = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        interp = Interpreter(app, check=False, engine="codegen")
+    interp.run_init()
+    interp.run_steady(3)
+    assert _unbound(interp) == []
+    interp.run_steady(1)
+    assert _unbound(interp) == []
+    periods = 4
+    small = interp.plan.small
+    if small is not None:
+        small.force(1)
+        interp.run_steady(1)
+        assert small.live
+        interp.run_steady(2)
+        assert not small.live and _unbound(interp) == []
+        periods += 3
+    interp.close()
+    assert list(_sink(app).collected) == _scalar(build, periods)
+
+
 def test_close_hands_the_items_back_to_the_channels():
     build = ALL_APPS["FMRadio"]
     app = build()
