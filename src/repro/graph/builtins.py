@@ -55,19 +55,20 @@ class ArraySource(Filter):
 
     def init(self) -> None:
         self._pos = 0
-        # What work_batch reads: ``data`` as float64 as of this call (callers
-        # edit ``data`` in place between construction and the run), tiled on
-        # demand so that n items from any position are one slice.  Read-only:
-        # ``ArrayChannel.adopt_block`` copies such a block instead of making
-        # it its buffer, and nothing downstream can write through a pushed view.
-        self._ring = _frozen(np.array(self.data, dtype=np.float64))
+        # Both firing forms stream ``data`` as of this call (callers edit
+        # ``data`` in place between construction and the run): work() reads
+        # the list, keeping each item's type, and work_batch its float64
+        # copy, tiled on demand so that n items from any position are one
+        # slice.  Read-only: nothing downstream can write through a pushed view.
+        self._items = list(self.data)
+        self._ring = _frozen(np.array(self._items, dtype=np.float64))
 
     def work(self) -> None:
-        self.push(self.data[self._pos])
-        self._pos = (self._pos + 1) % len(self.data)
+        self.push(self._items[self._pos])
+        self._pos = (self._pos + 1) % len(self._items)
 
     def work_batch(self, n: int) -> None:
-        size, pos, ring = len(self.data), self._pos, self._ring
+        size, pos, ring = len(self._items), self._pos, self._ring
         if ring.size < size + n:
             ring = self._ring = _frozen(np.tile(ring[:size], -(-n // size) + 1))
         self.output.push_block(ring[pos : pos + n])

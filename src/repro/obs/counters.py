@@ -47,11 +47,6 @@ class HwmArrayChannel(ArrayChannel):
             self.high_water = self.occupancy
         return view
 
-    def adopt_block(self, block: np.ndarray) -> None:
-        super().adopt_block(block)
-        if self.occupancy > self.high_water:
-            self.high_water = self.occupancy
-
 
 def channel_snapshot(channels: Dict[object, object]) -> Dict[str, Dict[str, Any]]:
     """Per-channel counter snapshot for the trace's metrics section."""

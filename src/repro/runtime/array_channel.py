@@ -161,26 +161,6 @@ class ArrayChannel:
         self.pushed_count += n
         return self._buf[tail : tail + n]
 
-    def adopt_block(self, block: np.ndarray) -> None:
-        """Make ``block`` the channel's entire contents, copying only if needed.
-
-        What a ``columns`` region's branch head takes its column of the
-        input block with: when the channel is empty, the array *becomes*
-        the backing buffer (zero-copy for a contiguous writable float64
-        input), skipping ``_reserve`` and the memcpy of :meth:`push_block`.
-        Falls back to :meth:`push_block` when items are already queued.
-        """
-        if self._head != self._tail:
-            self.push_block(block)
-            return
-        block = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
-        if not block.flags.writeable:
-            block = block.copy()
-        self._buf = block
-        self._head = 0
-        self._tail = block.size
-        self.pushed_count += block.size
-
     def peek_block(self, count: int) -> np.ndarray:
         """Zero-copy view of the first ``count`` live items.
 
@@ -207,7 +187,7 @@ class ArrayChannel:
         """Make ``buf`` this empty tape's storage from now on: a slot that
         other tapes use at the steps of a pass where this one is empty.  The
         tape leaves it for a private buffer when a pass outgrows it
-        (:meth:`_reserve`), or when it adopts or trims."""
+        (:meth:`_reserve`), or when it trims."""
         if self._head != self._tail:
             raise ValueError(
                 f"share() on channel {self.name!r} holding {self.occupancy}"

@@ -326,8 +326,8 @@ class Interpreter:
         downgrade reason; ``codegen``,
         how each block runs (:meth:`ExecutionPlan.codegen_report`); and
         ``regions``, one ``{name, tier, branches, reason}`` row per
-        splitjoin: the tier it was lowered by (``collapse`` / ``permute`` /
-        ``columns``) or why it was not (empty until ``run_init``).
+        splitjoin: the tier it was lowered by (``collapse`` / ``permute``)
+        or why it was not (empty until ``run_init``).
         Portal-bound plans add ``messaging``:
         ``{chunk_periods, constraints, limited_by}`` — the periods one pass
         covers, every (send, receiver) with its direction, latency and

@@ -20,10 +20,9 @@ tapes:
   reshape/interleave block copies instead of item loops;
 * **region lowering** — a certified flat splitjoin (``SL405``) whose members
   are one contiguous run of a single-sweep schedule runs as *one*
-  :class:`~repro.runtime.regions.RegionPhase`: a single kernel over the
-  unsplit tape (``collapse``),
-  one static gather (``permute``), or per-branch kernels over column views
-  writing the joiner's output in place (``columns``);
+  :class:`~repro.runtime.regions.RegionPhase` when a tier fits it: a single
+  kernel over the unsplit tape (``collapse``) or one static gather
+  (``permute``); any other splitjoin's members stay blocks of the walk;
 * **one block list, one pass** — the result is :attr:`ExecutionPlan.blocks`,
   the steady program.  Each block (a phase, a region, a teleport
   endpoint, the cyclic core) has a ``kind``, ``run(scale)`` and
@@ -1323,7 +1322,7 @@ class ExecutionPlan:
         except Exception as exc:  # the plan must run whatever the analyzer does
             certified = {}
             uncertified = f"certifier failed: {type(exc).__name__}: {exc}"
-        from repro.runtime.regions import RegionPhase
+        from repro.runtime.regions import RegionPhase, region_tier
 
         index = {node: i for i, node in enumerate(self.graph.nodes)}
         structure = self._analysis.setdefault("regions", {})
@@ -1339,12 +1338,14 @@ class ExecutionPlan:
             phase = None
             if not isinstance(verdict, str):
                 start, end = structure[key] = verdict
-                phase = lowered[start] = RegionPhase(
-                    region,
-                    self._steady_flat[start : end + 1],
-                    self.channels,
-                    caches.setdefault(key, {}),
-                )
+                members = self._steady_flat[start : end + 1]
+                tier = region_tier(region, members)
+                if isinstance(tier, str):
+                    verdict = tier
+                else:
+                    phase = lowered[start] = RegionPhase(
+                        region, members, self.channels, caches.setdefault(key, {}), tier
+                    )
             self._region_rows.append(
                 (splitter.obj.name, len(splitter.out_edges), phase, verdict)
             )
@@ -1411,7 +1412,7 @@ class ExecutionPlan:
 
     def region_tiers(self) -> Dict[str, int]:
         """How many regions run lowered by each tier (``collapse`` /
-        ``permute`` / ``columns``); refused and demoted ones do not count."""
+        ``permute``); refused and demoted ones do not count."""
         tiers: Dict[str, int] = {}
         for row in self.region_report():
             if row["tier"] is not None:

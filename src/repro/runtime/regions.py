@@ -5,71 +5,38 @@ mostly *structure* — roundrobin splitters, Identity reorderings, rows of
 identical S-boxes, joiners.  A flat splitjoin that the whole-graph analysis
 certifies (``SL405``: every branch a chain of pure, exact-rate SISO
 filters), whose internal edges carry no peek window and no init residue, is
-pure item routing around per-branch kernels, so
-:class:`~repro.runtime.plan.ExecutionPlan` runs it as ONE
-:class:`RegionPhase` by the strongest tier that is sound (DESIGN.md,
-"Region lowering"):
+pure item routing around per-branch kernels.  :func:`region_tier` decides
+whether one of two tiers fits it (DESIGN.md, "Region lowering"); if one
+does, :class:`~repro.runtime.plan.ExecutionPlan` runs the splitjoin as ONE
+:class:`RegionPhase`:
 
 * **collapse** — k interchangeable stateless branches behind a uniform
   roundrobin are the data-parallel *fission* of one filter; fire that filter
   ``k * r`` times per splitter cycle on the unsplit tape (no splitter or
   joiner copy at all);
 * **permute** — lone ``Identity`` branches only reorder items: one static
-  gather;
-* **columns** — each branch chain reads its column of the input block and
-  its last stage writes its column of the joiner's output block in place.
+  gather.
 
-The compiled engine walks the phase and the traced path gives it one span:
-one implementation.
+Any other splitjoin's splitter, branch stages and joiner stay blocks of the
+walk on their own tapes.  The compiled engine walks the phase and the traced
+path gives it one span: one implementation.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import getitem, is_
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import StreamItError
 from repro.graph.base import immutable
 from repro.graph.builtins import Identity
 from repro.graph.splitjoin import DUPLICATE
-from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.plan import CompiledPhase
 
 #: Instance attributes that are identity or wiring, never filter state.
 _WIRING_ATTRS = frozenset({"name", "_uid", "parent", "input", "output", "_rt_owner"})
-
-
-class _ColumnOut:
-    """Write-through tape: what a branch's last stage pushes lands in that
-    branch's column slice of the joiner's output block."""
-
-    __slots__ = ("dest", "cursor")
-
-    def __init__(self) -> None:
-        self.dest: Optional[np.ndarray] = None
-        self.cursor = 0
-
-    def push_block(self, block: np.ndarray) -> None:
-        dest = self.dest
-        if type(block) is not np.ndarray:
-            block = np.asarray(block, dtype=np.float64)
-        n = block.size
-        cursor = self.cursor
-        if cursor + n > dest.size:
-            raise StreamItError(
-                f"region branch pushed past its {dest.size}-item column slice"
-            )
-        if n == dest.size:
-            dest[...] = block.reshape(dest.shape)
-        else:
-            dest.flat[cursor : cursor + n] = block.reshape(-1)
-        self.cursor = cursor + n
-
-    def push(self, item: float) -> None:
-        self.push_block(np.float64(item))
 
 
 def _offsets(rates: Sequence[int]) -> List[int]:
@@ -151,6 +118,51 @@ def _interchangeable(filters: Sequence[object]) -> Optional[Callable[[], bool]]:
     return intact
 
 
+#: Why a certified splitjoin that no tier fits is not lowered.
+WALKED = (
+    "branches are neither interchangeable copies nor lone Identity filters: "
+    "its members run on the walk"
+)
+
+
+def region_tier(region, members: Sequence[CompiledPhase]) -> Union[Tuple[str, object], str]:
+    """How a certified splitjoin whose flat phases are ``members`` lowers:
+    ``("collapse", (a branch's phase, branch firings per period, state
+    guard))``, ``("permute", None)``, or the reason no tier fits (a str).
+
+    Collapse needs a uniform roundrobin splitter whose weight is a whole
+    number ``r`` of pop windows, the matching joiner weight ``r * push``,
+    one filter per branch, all of one class (hence one
+    ``work``/``work_batch``) and with provably equal live state.  Then
+    output item order equals input window order, and firing any one of
+    them ``k * r`` times per splitter cycle over the unsplit tape is the
+    same computation.  Permute needs one ``Identity`` per branch.
+    """
+    if any(len(branch) != 1 for branch in region.branches):
+        return WALKED
+    by_node = {ph.node: ph for ph in members}
+    heads = [by_node[branch[0]] for branch in region.branches]
+    filters = [ph.node.filter for ph in heads]
+    splitter, joiner = region.splitter, region.joiner
+    rate = filters[0].rate
+    weight, width = splitter.out_rates[0], joiner.in_rates[0]
+    if not (
+        splitter.flavor == DUPLICATE
+        or any(type(f) is not type(filters[0]) for f in filters)
+        or any(w != weight for w in splitter.out_rates)
+        or any(w != width for w in joiner.in_rates)
+        or not rate.pop
+        or weight % rate.pop
+        or width != weight // rate.pop * rate.push
+    ):
+        guard = _interchangeable(filters)
+        if guard is not None:
+            return "collapse", (heads[0], sum(ph.count for ph in heads), guard)
+    if all(type(f) is Identity for f in filters):
+        return "permute", None
+    return WALKED
+
+
 class RegionPhase:
     """One certified splitjoin region run as a single steady phase.
 
@@ -179,40 +191,36 @@ class RegionPhase:
         members: Sequence[CompiledPhase],
         channels,
         cache: Dict[str, np.ndarray],
+        tier: Tuple[str, object],
     ) -> None:
-        """``cache`` is this region's slot in the plan cache: whatever is
-        stored there must depend on weights and repetition counts only."""
+        """``tier`` is what :func:`region_tier` chose; ``cache`` is this
+        region's slot in the plan cache: whatever is stored there must
+        depend on weights and repetition counts only."""
         self.name: str = region.name
         self.members: Tuple[CompiledPhase, ...] = tuple(members)
         self.reason: Optional[str] = None
         self._guard: Optional[Callable[[], bool]] = None
-        by_node = {ph.node: ph for ph in self.members}
-        branches = [[by_node[n] for n in branch] for branch in region.branches]
-        splits = by_node[region.splitter].count
-        joins = by_node[region.joiner].count
+        counts = {ph.node: ph.count for ph in self.members}
+        splits = counts[region.splitter]
+        joins = counts[region.joiner]
         in_chan = channels[region.splitter.in_edges[0]]
         out_chan = channels[region.joiner.out_edges[0]]
         self._items = joins * region.joiner.out_rates[0]
         internal = list(region.splitter.out_edges) + [
-            st.node.out_edges[0] for branch in branches for st in branch
+            node.out_edges[0] for branch in region.branches for node in branch
         ]
         # Bypassed channels grouped by items per period (one or two groups
         # in practice), so the per-fire loop is two increments per edge.
         groups: Dict[int, List[object]] = {}
         for e in internal:
-            per_period = by_node[e.src].count * e.push_rate
+            per_period = counts[e.src] * e.push_rate
             groups.setdefault(per_period, []).append(channels[e])
         self._bumps = tuple(groups.items())
-        collapse = _collapse_plan(region, branches)
-        if collapse is not None:
-            self.tier = "collapse"
-            firings, self._guard = collapse
-            self._fire = _collapse_fire(branches[0][0], firings, in_chan, out_chan)
-        elif all(
-            len(branch) == 1 and type(branch[0].node.filter) is Identity
-            for branch in branches
-        ):
-            self.tier = "permute"
+        self.tier, detail = tier
+        if self.tier == "collapse":
+            rep, firings, self._guard = detail
+            self._fire = _collapse_fire(rep, firings, in_chan, out_chan)
+        else:
             if "gather" not in cache:
                 cache["gather"] = gather_map(region, splits, joins)
             self._fire = _permute_fire(
@@ -220,11 +228,6 @@ class RegionPhase:
                 splits * region.splitter.in_rates[0],
                 in_chan,
                 out_chan,
-            )
-        else:
-            self.tier = "columns"
-            self._fire = _columns_fire(
-                region, branches, splits, joins, in_chan, out_chan
             )
 
     def span(self, scale: int) -> Tuple[str, str, Dict[str, int]]:
@@ -256,38 +259,6 @@ class RegionPhase:
             phase.run(scale)
 
 
-def _collapse_plan(region, branches) -> Optional[Tuple[int, Callable[[], bool]]]:
-    """``(branch firings per period, state guard)`` when the region is the
-    fission of one stateless filter, else None.
-
-    Needs: a uniform roundrobin splitter whose weight is a whole number
-    ``r`` of pop windows, the matching joiner weight ``r * push``, one
-    filter per branch, all of one class (hence one ``work``/``work_batch``)
-    and with provably equal live state.  Then output item order equals
-    input window order, and firing any one of them ``k * r`` times per
-    splitter cycle over the unsplit tape is the same computation.
-    """
-    splitter, joiner = region.splitter, region.joiner
-    if splitter.flavor == DUPLICATE or any(len(b) != 1 for b in branches):
-        return None
-    filters = [b[0].node.filter for b in branches]
-    rate = filters[0].rate
-    weight, width = splitter.out_rates[0], joiner.in_rates[0]
-    if (
-        any(type(f) is not type(filters[0]) for f in filters)
-        or any(w != weight for w in splitter.out_rates)
-        or any(w != width for w in joiner.in_rates)
-        or not rate.pop
-        or weight % rate.pop
-        or width != weight // rate.pop * rate.push
-    ):
-        return None
-    guard = _interchangeable(filters)
-    if guard is None:
-        return None
-    return sum(b[0].count for b in branches), guard
-
-
 def _collapse_fire(rep: CompiledPhase, firings: int, in_chan, out_chan):
     filt, fire = rep.node.filter, rep.fire
 
@@ -313,72 +284,3 @@ def _permute_fire(gather: np.ndarray, n_in: int, in_chan, out_chan):
         np.take(src, gather, axis=1, out=dst, mode="clip")
 
     return fire_permute
-
-
-def _columns_fire(region, branches, splits: int, joins: int, in_chan, out_chan):
-    splitter, joiner = region.splitter, region.joiner
-    duplicate = splitter.flavor == DUPLICATE
-    total_in, total_out = splitter.in_rates[0], joiner.out_rates[0]
-    split_at = _offsets(splitter.out_rates)
-    join_at = _offsets(joiner.in_rates)
-    lanes = []
-    for edge, branch in zip(splitter.out_edges, branches):
-        port = branch[-1].node.out_edges[0].dst_port
-        head = ArrayChannel(name=f"region:{branch[0].node.name}")
-        tail = _ColumnOut()
-        tapes = [head] + [
-            ArrayChannel(name=f"region:{st.node.name}") for st in branch[:-1]
-        ]
-        sinks = tapes[1:] + [tail]
-        steps = [
-            (st.node.filter, st.fire, st.count, tapes[i], sinks[i])
-            for i, st in enumerate(branch)
-        ]
-        lo, to = split_at[edge.src_port], join_at[port]
-        lanes.append(
-            (
-                slice(lo, lo + edge.push_rate),
-                slice(to, to + joiner.in_rates[port]),
-                head,
-                tail,
-                steps,
-            )
-        )
-    last_lane = lanes[-1]
-
-    def fire_columns(scale: int) -> None:
-        block = in_chan.pop_block(splits * scale * total_in)
-        rows = block if duplicate else block.reshape(splits * scale, total_in)
-        out = out_chan.alloc_block(joins * scale * total_out).reshape(
-            joins * scale, total_out
-        )
-        try:
-            for lane in lanes:
-                cols, dest, head, tail, steps = lane
-                if not duplicate:
-                    head.adopt_block(rows[:, cols])
-                elif lane is last_lane:
-                    head.adopt_block(rows)
-                else:
-                    # A kernel may scribble on what it popped: only the
-                    # last branch may have the original.
-                    head.adopt_block(rows.copy())
-                tail.dest = out[:, dest]
-                tail.cursor = 0
-                for filt, fire, count, tin, tout in steps:
-                    old_in, old_out = filt.input, filt.output
-                    filt.input, filt.output = tin, tout
-                    try:
-                        fire(count * scale)
-                    finally:
-                        filt.input, filt.output = old_in, old_out
-                if len(head) or tail.cursor != tail.dest.size:
-                    raise StreamItError(
-                        f"region {region.name!r}: branch {steps[0][0].name!r} "
-                        "broke its declared rates"
-                    )
-        finally:
-            for lane in lanes:
-                lane[3].dest = None
-
-    return fire_columns

@@ -414,10 +414,6 @@ class RingChannel:
         # Publish: single aligned 8-byte store after the data writes.
         self._ctrl[0] += n
 
-    def adopt_block(self, block: np.ndarray) -> None:
-        """ArrayChannel compatibility: rings always copy into place."""
-        self.push_block(block)
-
     def push(self, item: float) -> None:
         self._wait(1, for_space=True)
         self._data[int(self._ctrl[0]) % self.capacity] = item

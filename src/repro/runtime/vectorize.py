@@ -222,7 +222,7 @@ def run_lifted(filt, lifted: Callable, n: int) -> None:
     inp.drop(n * pop)
     if push:
         # Fill the output tape's own tail where it can hand one out (a ring
-        # or a region's column slice cannot).  Columns may be views of the
+        # cannot).  Columns may be views of the
         # input tape: dropped items stay in its buffer, which is not this one.
         alloc = getattr(out, "alloc_block", None)
         mat = np.empty((n, push)) if alloc is None else alloc(n * push).reshape(n, push)

@@ -13,6 +13,7 @@ clearing the in-memory memo).
 """
 
 import ast
+import gc
 import hashlib
 import json
 import marshal
@@ -21,6 +22,8 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import FunctionType, ModuleType
+from typing import Set
 
 import pytest
 
@@ -40,6 +43,7 @@ from repro.runtime import (
     codegen_cache_stats,
 )
 from repro.runtime import codegen as codegen_mod
+from repro.runtime.array_channel import ArrayChannel
 from repro.runtime.plan import clear_plan_cache, plan_cache_summary
 from repro.apps.common import FIRFilter
 from tests.helpers import (
@@ -179,27 +183,66 @@ def test_shared_tape_storage_is_bit_exact_across_passes(app_name):
 
 def test_des_window_keeps_its_transit_edges_on_few_slots():
     """CI's guard against a return to per-edge or per-chain buffers: after
-    DES's 1 200-period window its 196 transit edges (its SISO chains'
-    included) share 4 slots and at most 4 MiB (per-edge buffers held
-    44 MiB), and after FFT's 4 800-period window the 13 edges of its one
-    14-stage chain share 2 slots with no private buffer left."""
+    DES's 1 200-period window all 452 of its edges, those of its
+    splitjoins' members included, are transit edges on 11 slots of at most
+    4 MiB (per-edge buffers held 44 MiB) with no private buffer left; after BitonicSort's 1 200-period window its 43 transit
+    edges share 5 slots; and after FFT's 4 800-period window the 13 edges
+    of its one 14-stage chain share 2 slots with no private buffer left."""
     interp = Interpreter(ALL_APPS["DES"](), check=False, engine="codegen")
     interp.run_init()
     interp.run_steady(1200)
     storage = interp.engine_report()["codegen"]["storage"]
-    assert storage["transit_edges"] == 196
-    assert storage["slots"] == 4
+    assert storage["transit_edges"] == 452
+    assert storage["slots"] == 11
     assert storage["slot_bytes"] <= 4 * 2**20
-    assert storage["private_bytes"] <= 2**20
+    assert storage["private_bytes"] == 0
     interp.close()
     assert interp.engine_report()["codegen"]["storage"]["slots"] == 0
-    interp = Interpreter(ALL_APPS["FFT"](), check=False, engine="codegen")
+    for app, periods, row in (
+        ("BitonicSort", 1200, (43, 5, 1835008, 9216)),
+        ("FFT", 4800, (13, 2, 2**20, 0)),
+    ):
+        interp = Interpreter(ALL_APPS[app](), check=False, engine="codegen")
+        interp.run_init()
+        interp.run_steady(periods)
+        storage = interp.engine_report()["codegen"]["storage"]
+        assert storage == dict(
+            zip(("transit_edges", "slots", "slot_bytes", "private_bytes"), row)
+        ), app
+        interp.close()
+
+
+def _reachable_tapes(root) -> Set[int]:
+    """The ids of every :class:`ArrayChannel` reachable from ``root``
+    through ``gc.get_referents``; a function is followed into its closure
+    and defaults only, and classes and modules are not entered."""
+    seen, stack, found = set(), [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ArrayChannel):
+            found.add(id(obj))
+        if isinstance(obj, FunctionType):
+            stack.extend(obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("app_name", sorted(ALL_APPS), ids=str)
+def test_the_plan_holds_no_tape_of_its_own(app_name):
+    """After a multi-period window every tape the plan can reach is one of
+    the graph's channels: no block keeps a private tape outside
+    ``storage_report`` and ``close()``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        interp = Interpreter(ALL_APPS[app_name](), check=False, engine="codegen")
     interp.run_init()
-    interp.run_steady(4800)
-    storage = interp.engine_report()["codegen"]["storage"]
-    assert storage == {
-        "transit_edges": 13, "slots": 2, "slot_bytes": 2**20, "private_bytes": 0
-    }
+    interp.run_steady(50)
+    assert _reachable_tapes(interp.plan) == {id(c) for c in interp.channels.values()}
     interp.close()
 
 

@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import ALL_APPS
 from repro.errors import EngineDowngradeWarning
-from repro.graph.builtins import ArraySource, Collected, CollectSink
+from repro.graph import Pipeline
+from repro.graph.builtins import ArraySource, Collected, CollectSink, Identity
 from repro.linear import apply_selection
 from repro.runtime import ArrayChannel, Interpreter
 
@@ -250,33 +251,40 @@ def test_init_resets_position_and_rereads_data():
     assert type(source.data) is list
 
 
-class _AdoptingTape(ArrayChannel):
-    """A tape whose empty state adopts a pushed block as its buffer
-    (:meth:`ArrayChannel.adopt_block`, what a region's branch head does)."""
-
-    __slots__ = ()
-
-    def push_block(self, block):
-        if len(self):
-            ArrayChannel.push_block(self, block)
-        else:
-            self.adopt_block(block)
-
-
 def test_pushed_slices_cannot_be_written_through():
-    """An adopting tape makes a pushed block its buffer, and a scalar push
-    then writes into that buffer: it must not be the source's own ring."""
+    """A pushed block is a read-only view of the source's ring, so nothing
+    downstream can write through it into the items the source streams."""
     source = ArraySource([1.0, 2.0, 3.0, 4.0])
-    source.output = tape = _AdoptingTape()
+    source.output = tape = ArrayChannel()
     source.init()
     source.work_batch(4)
     block = tape.pop_block(4)
     assert block.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert not source._ring.flags.writeable
     for _ in range(3):
         source.work()
     assert tape.pop_block(3).tolist() == [1.0, 2.0, 3.0]
     source.work_batch(6)
     assert tape.pop_block(6).tolist() == [4.0, 1.0, 2.0, 3.0, 4.0, 1.0]
+
+
+@pytest.mark.parametrize("data", [[1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4]], ids=["float", "int"])
+def test_data_edited_after_init_streams_alike_on_both_engines(data):
+    """``ArraySource`` streams ``data`` as of ``init()`` on every engine:
+    an in-place edit after it changes neither engine's items, and the
+    scalar engine keeps each item's type."""
+    streams = {}
+    for engine in ("scalar", "codegen"):
+        source, sink = ArraySource(list(data)), CollectSink()
+        interp = Interpreter(Pipeline(source, Identity(), sink), check=False, engine=engine)
+        interp.run_init()
+        source.data[:] = [9.0] * 4
+        interp.run_steady(8)
+        for _ in range(4):
+            interp.run_steady(1)
+        streams[engine] = list(sink.collected)
+    assert streams["scalar"] == streams["codegen"] == list(data) * 3
+    assert [type(x) for x in streams["scalar"]] == [type(x) for x in data] * 3
 
 
 # -- every engine, however the run is chopped and however it is read ----------

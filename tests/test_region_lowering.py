@@ -3,10 +3,10 @@
 A flat SL405-certified splitjoin whose internal edges carry no peek window
 and no init residue, and whose members are one contiguous run of a
 single-sweep schedule, becomes one :class:`~repro.runtime.regions.RegionPhase`
-lowered by the strongest sound tier (collapse / permute / columns).  The
-scalar engine is the oracle throughout: items bit for bit (sign of zero
-included), ``fired`` for every node and both history counters of every
-edge.
+when a tier is sound (collapse / permute); any other splitjoin's members
+stay blocks of the walk.  The scalar engine is the oracle throughout: items
+bit for bit (sign of zero included), ``fired`` for every node and both
+history counters of every edge.
 """
 
 import warnings
@@ -24,6 +24,7 @@ from repro.graph.splitjoin import combine, duplicate, joiner_roundrobin, roundro
 from repro.runtime import Interpreter, Portal, clear_codegen_cache
 from repro.runtime.array_channel import _MIN_CAPACITY
 from repro.runtime.plan import clear_plan_cache, plan_cache_stats
+from repro.runtime.regions import WALKED
 from tests.helpers import FIR, Accumulator, Gain
 
 DATA = [0.5, -1.25, 3.0, -0.0, 2.5, 0.0, -4.0, 1.75, 6.0, -2.0, 0.25, 9.0]
@@ -158,7 +159,17 @@ def _check_against_scalar(build, expect_tier, periods=5):
     return interp
 
 
-# -- the three tiers ----------------------------------------------------------------
+def _walked(build, periods=5):
+    """A certified splitjoin no tier fits: refused with its reason, its
+    members phases of the walk on their own tapes."""
+    interp = _check_against_scalar(build, None, periods)
+    [row] = interp.engine_report()["regions"]
+    assert row["reason"] == WALKED
+    assert {b.kind for b in interp.plan.blocks} == {"phase"}
+    return interp
+
+
+# -- the two tiers, and what neither fits --------------------------------------------
 
 
 class TestTiers:
@@ -183,14 +194,14 @@ class TestTiers:
             lanes = [CompareExchange(True) for _ in range(2)]
             return _app(SplitJoin(roundrobin(3, 3), lanes, joiner_roundrobin(3, 3)))
 
-        _check_against_scalar(build, "columns", periods=4)
+        _walked(build, periods=4)
 
     def test_mixed_state_lanes_take_columns_not_collapse(self):
         def build():
             lanes = [CompareExchange(True), CompareExchange(False)]
             return _app(SplitJoin(roundrobin(2, 2), lanes, joiner_roundrobin(2, 2)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
     @pytest.mark.parametrize(
         "split, join",
@@ -213,14 +224,14 @@ class TestTiers:
             lanes = [Gain(2.0), Gain(-0.5), Gain(3.0)]
             return _app(SplitJoin(roundrobin(1, 1, 1), lanes, joiner_roundrobin(1, 1, 1)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
     def test_columns_nonuniform_weights_and_rates(self):
         def build():
             lanes = [CompareExchange(True), Gain(-1.0), Triple()]
             return _app(SplitJoin(roundrobin(2, 1, 1), lanes, joiner_roundrobin(2, 1, 3)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
     def test_columns_multi_stage_branches(self):
         def build():
@@ -231,14 +242,14 @@ class TestTiers:
             ]
             return _app(SplitJoin(roundrobin(2, 2, 1), lanes, joiner_roundrobin(2, 6, 1)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
     def test_columns_duplicate_with_non_peeking_heads(self):
         def build():
             lanes = [Gain(2.0), Pipeline(Gain(3.0), Gain(-1.0)), Lookup([1, 2, 3])]
             return _app(SplitJoin(duplicate(), lanes, joiner_roundrobin(1, 1, 1)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
     def test_region_between_other_stages_keeps_their_phases(self):
         def build():
@@ -250,9 +261,14 @@ class TestTiers:
                 Gain(-1.0),
             )
 
-        interp = _check_against_scalar(build, "columns")
-        kinds = [b.kind for b in interp.plan.blocks]
-        assert kinds == ["phase"] * 3 + ["region"] + ["phase"] * 2
+        interp = _walked(build)
+        # Source, two stages, splitter, two branches, joiner, stage, sink;
+        # the edges between them are transit edges on shared slots.
+        assert len(interp.plan.blocks) == 9
+        interp.run_steady(50)
+        storage = interp.engine_report()["codegen"]["storage"]
+        assert storage["transit_edges"] == len(interp.graph.edges) == 9
+        assert storage["slots"] < storage["transit_edges"]
 
 
 # -- refusals: the plan is unchanged and says why -----------------------------------
@@ -313,8 +329,9 @@ class TestRefusals:
         assert row["tier"] is None and "messaging endpoint" in row["reason"]
 
     def test_lowered_region_next_to_messaging_endpoints(self):
-        """A portal-bound plan still lowers the regions that hold no
-        endpoint (they run between delivery checks like fused chains)."""
+        """A portal-bound plan decides a tier for the regions that hold no
+        endpoint (they run between delivery checks like any block): mixed
+        lanes run on the walk, interchangeable ones collapse."""
 
         def build():
             portal = Portal()
@@ -322,14 +339,15 @@ class TestRefusals:
             portal.register(receiver)
             return _app(
                 receiver,
-                SplitJoin(roundrobin(1, 1), [Gain(2.0), Gain(3.0)], joiner_roundrobin(1, 1)),
+                SplitJoin(roundrobin(1, 1), [Gain(g) for g in gains], joiner_roundrobin(1, 1)),
                 Sender(portal, name="send"),
             )
 
-        want, oracle = _run(build, "scalar", 6)
-        got, interp = _run(build, "batched", 6)
-        assert _same_bits(got, want) and _books(interp) == _books(oracle)
-        assert interp.engine_report()["regions"][0]["tier"] == "columns"
+        for gains, tier in (((2.0, 3.0), None), ((2.0, 2.0), "collapse")):
+            want, oracle = _run(build, "scalar", 6)
+            got, interp = _run(build, "batched", 6)
+            assert _same_bits(got, want) and _books(interp) == _books(oracle)
+            assert interp.engine_report()["regions"][0]["tier"] == tier
 
 
 # -- soundness of collapse against live state ----------------------------------------
@@ -348,7 +366,7 @@ class TestCollapseSoundness:
             return _app(SplitJoin(roundrobin(1, 1, 1), lanes, joiner_roundrobin(1, 1, 1)))
 
         _check_against_scalar(lambda: build(False), "collapse")
-        _check_against_scalar(lambda: build(True), "columns")
+        _walked(lambda: build(True))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_mutation_between_calls_demotes(self, engine):
@@ -385,7 +403,7 @@ class TestCollapseSoundness:
                 lane.table = table if shared else list(table)
             return _app(SplitJoin(roundrobin(1, 1), lanes, joiner_roundrobin(1, 1)))
 
-        _check_against_scalar(lambda: build(False), "columns")
+        _walked(lambda: build(False))
         _check_against_scalar(lambda: build(True), "collapse")
 
     def test_type_tagged_comparison(self):
@@ -395,7 +413,7 @@ class TestCollapseSoundness:
             lanes[1].k = 2
             return _app(SplitJoin(roundrobin(1, 1), lanes, joiner_roundrobin(1, 1)))
 
-        _check_against_scalar(build, "columns")
+        _walked(build)
 
 
 # -- caches hold only what their key covers -------------------------------------------
@@ -420,7 +438,8 @@ class TestCaches:
         assert second.plan.cache_stats["hit"]  # same structural signature
         assert _same_bits(got, want_mixed)
         assert first.plan.region_tiers() == {"collapse": 1}
-        assert second.plan.region_tiers() == {"columns": 1}
+        assert second.plan.region_tiers() == {}
+        assert second.engine_report()["regions"][0]["reason"] == WALKED
 
     def test_meta_rows_and_report_shapes(self):
         _, interp = _run(self._build([True, True]), "codegen")
@@ -439,7 +458,7 @@ class TestCaches:
 # -- chunking invariance ------------------------------------------------------------------
 
 
-def _three_tier_app():
+def _three_splitjoin_app():
     return _app(
         SplitJoin(roundrobin(2, 2), [Identity(), Identity()], joiner_roundrobin(1, 1)),
         SplitJoin(
@@ -459,16 +478,16 @@ def _three_tier_app():
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_chunking_invariance(engine, chunk):
     total, first = 7, 3
-    want, _ = _run(_three_tier_app, "scalar", total)
+    want, _ = _run(_three_splitjoin_app, "scalar", total)
 
     def drive(calls):
-        app = _three_tier_app()
+        app = _three_splitjoin_app()
         interp = _interp(app, engine)
         interp.plan.chunk_periods = chunk
         interp.run_init()
         for periods in calls:
             interp.run_steady(periods)
-        assert sorted(interp.plan.region_tiers()) == ["collapse", "columns", "permute"]
+        assert interp.plan.region_tiers() == {"collapse": 1, "permute": 1}
         return list(_sink(app).collected)
 
     assert _same_bits(drive([total]), want)
@@ -480,16 +499,16 @@ def test_chunking_invariance(engine, chunk):
 
 
 def test_traced_run_emits_one_span_per_region():
-    app = _three_tier_app()
+    app = _three_splitjoin_app()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineDowngradeWarning)
         interp = Interpreter(app, check=False, engine="batched", trace=True)
     interp.run(4)
     regions = [b for b in interp.plan.blocks if b.kind == "region"]
-    assert len(regions) == 3
+    assert len(regions) == 2  # the third splitjoin's members run on the walk
     spans = [e for e in interp.tracer.events if e.get("cat") == "region"]
     assert sorted({e["name"] for e in spans}) == sorted(r.name for r in regions)
-    assert len(spans) == 3  # 4 periods superbatch into one chunk
+    assert len(spans) == 2  # 4 periods superbatch into one chunk
     for span in spans:
         assert span["args"]["firings"] > 0 and span["args"]["items"] > 0
     member_names = {ph.node.name for r in regions for ph in r.members}
@@ -498,24 +517,35 @@ def test_traced_run_emits_one_span_per_region():
 
 
 def test_report_is_empty_until_init_then_one_row_per_splitjoin():
-    interp = _interp(_three_tier_app(), "batched")
+    interp = _interp(_three_splitjoin_app(), "batched")
     assert interp.engine_report()["regions"] == []
     interp.run_init()
     rows = interp.engine_report()["regions"]
-    assert [r["tier"] for r in rows] == ["permute", "collapse", "columns"]
-    assert all(r["reason"] is None and r["branches"] == 2 for r in rows)
+    assert [r["tier"] for r in rows] == ["permute", "collapse", None]
+    assert [r["reason"] for r in rows] == [None, None, WALKED]
+    assert all(r["branches"] == 2 for r in rows)
 
 
 # -- the application suite --------------------------------------------------------------------
 
-#: Steady block ceilings (every SISO chain stage is a block of its own);
-#: before region lowering: 86/292/309/40/30.
+#: Steady block ceilings of the apps with a lowered region (every SISO chain
+#: stage is a block of its own); before region lowering: 86/292/40/30.
+#: BitonicSort's 35 blocks include the members of its three mixed-lane
+#: splitjoins, which no tier fits.
 BLOCK_CEILINGS = {
-    "BitonicSort": 24,
+    "BitonicSort": 38,
     "Serpent": 31,
-    "DES": 176,
     "DCT": 9,
     "MPEG2Decoder": 15,
+}
+
+#: Regions lowered by each tier, per app; every app not named lowers none
+#: (DES's and Beamformer's splitjoins run on the walk).
+REGION_TIERS = {
+    "BitonicSort": {"collapse": 9, "permute": 6},
+    "Serpent": {"collapse": 8},
+    "DCT": {"permute": 2},
+    "MPEG2Decoder": {"permute": 2},
 }
 
 
@@ -526,8 +556,9 @@ def test_apps_bit_exact_including_sign_of_zero(app_name):
     got, interp = _run(builder, "codegen", 3)
     assert _same_bits(got, want)
     assert _books(interp) == _books(oracle)
+    assert interp.plan.region_tiers() == REGION_TIERS.get(app_name, {})
+    assert all(row["tier"] or row["reason"] for row in interp.engine_report()["regions"])
     if app_name in BLOCK_CEILINGS:
-        assert interp.plan.region_tiers(), "a lowered app has a tier histogram"
         assert len(interp.plan.blocks) <= BLOCK_CEILINGS[app_name]
 
 
