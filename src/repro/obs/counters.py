@@ -54,21 +54,16 @@ def channel_snapshot(channels: Dict[object, object]) -> Dict[str, Dict[str, Any]
 
     out: Dict[str, Dict[str, Any]] = {}
     for chan in channels.values():
-        try:
-            row: Dict[str, Any] = {
-                "pushed": int(chan.pushed_count),
-                "popped": int(chan.popped_count),
-                "occupancy": len(chan),
-            }
-            high_water = getattr(chan, "high_water", None)
-            if high_water is not None:
-                row["high_water"] = int(high_water)
-            if isinstance(chan, RingChannel):
-                row["kind"] = "ring"
-                row.update(chan.stall_stats())
-        except (TypeError, ValueError):
-            # A ring detached by a failed/closed parallel session: its
-            # shared-memory views are gone, so only note that it existed.
-            row = {"kind": "ring", "detached": True}
+        row: Dict[str, Any] = {
+            "pushed": int(chan.pushed_count),
+            "popped": int(chan.popped_count),
+            "occupancy": len(chan),
+        }
+        high_water = getattr(chan, "high_water", None)
+        if high_water is not None:
+            row["high_water"] = int(high_water)
+        if isinstance(chan, RingChannel):
+            row["kind"] = "ring"
+            row.update(chan.stall_stats())
         out[chan.name] = row
     return out

@@ -16,8 +16,8 @@ the deadline, and bumps ``repro_watchdog_stall_suspected_total``.  Dead
 workers get a ``worker_dead`` event the tick they are noticed.
 
 Everything the watchdog does is read-only and advisory: ticks are fully
-exception-guarded (a detached channel mid-``close()`` is expected, not an
-error), and the thread is a daemon so it can never hold the process alive.
+exception-guarded, and the thread is a daemon so it can never hold the
+process alive.
 """
 
 from __future__ import annotations
@@ -89,16 +89,12 @@ class StallWatchdog(threading.Thread):
         self._g_alive.labels().set(alive)
 
         for edge in session.ring_edges:
-            chan = session.channels.get(edge)
-            if chan is None:
-                continue
-            try:
-                pushed = chan.pushed_count
-                popped = chan.popped_count
-                prod_need, cons_need = chan.blocked_needs()
-                capacity = chan.capacity
-            except Exception:
-                continue  # detached mid-close: expected, skip this ring
+            chan = session.channels[edge]
+            # A ring detached by close() keeps a copy of its counters.
+            pushed = chan.pushed_count
+            popped = chan.popped_count
+            prod_need, cons_need = chan.blocked_needs()
+            capacity = chan.capacity
             name = chan.name
             self._g_occupancy.labels(edge=name).set(pushed - popped)
 

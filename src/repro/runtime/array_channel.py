@@ -219,8 +219,8 @@ class ArrayChannel:
     def detach_all(self) -> List[float]:
         """Remove and return every live item *without* touching the history
         counters — a custody transfer to a scratch tape (the items were
-        already counted when pushed, and the tape's consumer will be
-        accounted for in bulk by its owner)."""
+        already counted when pushed; what the tape's owner moves on it the
+        interpreter settles from the schedule)."""
         items = self._buf[self._head : self._tail].tolist()
         self._head = self._tail = 0
         return items

@@ -1066,7 +1066,7 @@ class CoreEmitter:
             lines.append(f"_f{i}_{attr} = f{i}.{attr}")
         lines.extend(loop)
         lines.extend(below)
-        lines.append("_core.end(scale)")
+        lines.append("_core.end()")
         return lines
 
     def lists(self) -> List[object]:

@@ -149,7 +149,7 @@ class Interpreter:
         self.channels: Dict[object, Channel] = {}
         self._fired: Dict[FlatNode, int] = {node: 0 for node in self.graph.nodes}
         #: Steady periods a plan or the parallel session ran that
-        #: :attr:`fired` has not been credited with yet.
+        #: :meth:`_settle` has not credited yet.
         self._unsettled_periods = 0
         self._executors: Dict[FlatNode, Callable[[], None]] = {}
         self._pending: Dict[FlatNode, List[PendingMessage]] = {}
@@ -750,16 +750,32 @@ class Interpreter:
         runner.run_steady(periods)
         self._unsettled_periods += periods
 
+    def _settle(self) -> None:
+        """Credit the whole periods a plan or the parallel session ran to
+        ``fired`` and to every tape's history, which static rates fix at a
+        period boundary: ``n(t) = len(initial) + fired[src] * push``,
+        ``p(t) = fired[dst] * pop``.  A counter a block left behind is
+        raised, none is lowered; a call that raised is credited nothing."""
+        periods = self._unsettled_periods
+        if not periods:
+            return
+        self._unsettled_periods = 0
+        fired = self._fired
+        for node, reps in self.program.reps.items():
+            fired[node] += reps * periods
+        for edge, chan in self.channels.items():
+            pushed = len(edge.initial) + fired[edge.src] * edge.push_rate
+            if chan.pushed_count < pushed:
+                chan.pushed_count = pushed
+            popped = fired[edge.dst] * edge.pop_rate
+            if chan.popped_count < popped:
+                chan.popped_count = popped
+
     @property
     def fired(self) -> Dict[FlatNode, int]:
-        """Firings per node so far.  The scalar engine counts as it fires;
-        a plan or parallel run leaves whole periods to settle here."""
-        periods = self._unsettled_periods
-        if periods:
-            self._unsettled_periods = 0
-            fired = self._fired
-            for node, reps in self.program.reps.items():
-                fired[node] += reps * periods
+        """Firings per node so far; reading it settles them and every
+        channel's history counters (:meth:`_settle`)."""
+        self._settle()
         return self._fired
 
     def run(self, periods: int = 1) -> None:
@@ -783,6 +799,7 @@ class Interpreter:
         if not getattr(tracer, "track_names", None):
             tracer.name_track(0, "main")
         tracer.meta["engine"] = self.engine_used
+        self._settle()
         tracer.meta["channels"] = channel_snapshot(self.channels)
         tracer.meta["engine_report"] = self.engine_report()
         if self.plan is not None:
@@ -797,18 +814,18 @@ class Interpreter:
         grown channel buffers).
 
         Idempotent and safe on every engine.  The compiled engine shrinks
-        every tape to its live items; introspection still
-        answers, and running on simply regrows them.  Traced runs flush
-        their metadata (and the ``trace=<path>`` file) here.
+        every tape to its live items; introspection still answers (every
+        history counter settled, a parallel session's rings keeping their
+        last counters), and running on simply regrows them.  Traced runs
+        flush their metadata (and the ``trace=<path>`` file) here.
         """
+        self._settle()
         if self.plan is not None:
             # A closed session stays reachable through plan<->interpreter
             # cycles until a full collection: hand its grown tapes back now,
             # and the small-call form's items to the channels the snapshot
             # below reads.  Live items, counters and snapshot() are untouched.
             self.plan.release_scratch()
-        # Snapshot counters before the parallel arena (and its ring-control
-        # shared memory) is torn down.
         self.flush_trace()
         if self.parallel is not None:
             self.parallel.close()
@@ -832,6 +849,7 @@ class Interpreter:
         node = self.graph.node_for(filt)
         if not node.out_edges:
             return 0
+        self._settle()
         return self.channels[node.out_edges[0]].pushed_count
 
     def firings(self, filt: Filter) -> int:

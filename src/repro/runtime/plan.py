@@ -482,8 +482,8 @@ class CoreLoopRunner:
 
     Firing order inside a period is exactly the steady schedule's, and every
     item round-trips through Python floats, so results are bit-identical to
-    the scalar engine.  History counters of bypassed internal edges are
-    bumped in bulk, once a chunk (:meth:`end`).
+    the scalar engine.  The interpreter settles the internal edges'
+    history counters from the schedule when they are read.
     """
 
     kind = "core"
@@ -563,15 +563,9 @@ class CoreLoopRunner:
             e: ListTape(f"core:{e.src.name}->{e.dst.name}") for e in self.edge_index
         }
         self._by_index = {i: tapes[e] for e, i in self.edge_index.items()}
-        counts: Dict[FlatNode, int] = {}
-        for node, count in self.phases:
-            counts[node] = counts.get(node, 0) + count
         self._ext_in = [(self.channels[e], tapes[e]) for e in self.ext_in]
         self._ext_out = [(self.channels[e], tapes[e]) for e in self.ext_out]
         self._internal = [(self.channels[e], tapes[e]) for e in self.internal]
-        self._bumps = [
-            (self.channels[e], counts[e.src] * e.push_rate) for e in self.internal
-        ]
         #: (filter, its (input, output) on the channels, on the tapes)
         self._bindings = []
         for node in self.nodes:
@@ -589,11 +583,11 @@ class CoreLoopRunner:
     # -- custody of the internal edges' items ----------------------------------
     #
     # While the core holds them, the items on its internal edges live on its
-    # tapes (the channels stay empty, their history counters bumped in bulk
-    # per chunk) and its filters read and write those tapes.  ``release``
-    # hands both back at a chunk boundary, so whatever runs next finds the
-    # items on the channels and the filters bound to them; the next chunk
-    # takes them again.
+    # tapes (the channels stay empty, their history counters left for the
+    # interpreter to settle) and its filters read and write those tapes.
+    # ``release`` hands both back at a chunk boundary, so whatever runs next
+    # finds the items on the channels and the filters bound to them; the
+    # next chunk takes them again.
 
     def acquire(self) -> None:
         """Take the internal edges' items onto the tapes (at first, the
@@ -652,10 +646,10 @@ class CoreLoopRunner:
             tape.items = chan.peek_block(len(chan)).tolist()
             tape.cursor = 0
 
-    def end(self, scale: int) -> None:
+    def end(self) -> None:
         """Drop the consumed input prefix, land the accumulated outputs as
-        one ``push_block`` each, compact the internal tapes that stay lists
-        and bulk-bump the bypassed history counters."""
+        one ``push_block`` each and compact the internal tapes that stay
+        lists."""
         for chan, tape in self._ext_in:
             if tape.cursor:
                 chan.drop(tape.cursor)
@@ -665,10 +659,6 @@ class CoreLoopRunner:
                 tape.items = []
         for tape in self._lists:
             tape.compact()
-        for chan, per_period in self._bumps:
-            moved = per_period * scale
-            chan.pushed_count += moved
-            chan.popped_count += moved
 
     def run(self, scale: int) -> None:
         self.chunk(scale)
@@ -807,8 +797,8 @@ class SmallCalls:
     next call over from the other at a period boundary: the form's
     :meth:`CoreLoopRunner.release` moves every edge's items back to the
     channels and binds every filter to them again, and a feedback core
-    retakes its own at its next chunk; history counters are bumped in bulk
-    all along.
+    retakes its own at its next chunk.  Neither form counts what it keeps
+    off the channels: the interpreter settles the counters on read.
     """
 
     def __init__(self, plan: "ExecutionPlan") -> None:
@@ -1643,6 +1633,7 @@ class ExecutionPlan:
         if interp._oracle is None:
             interp._oracle = WavefrontOracle(self.graph)
         # Tape counts at this period boundary and the next two.
+        interp._settle()
         boundaries = [
             {
                 e: chan.pushed_count + k * reps[e.src] * e.push_rate

@@ -167,9 +167,8 @@ class RegionPhase:
     """One certified splitjoin region run as a single steady phase.
 
     ``members`` are the region's flat phases in schedule order (splitter,
-    branch stages, joiner); they are what a demoted region runs.  History
-    counters of the bypassed internal edges are bumped in bulk after every
-    fire.
+    branch stages, joiner); they are what a demoted region runs.  The
+    interpreter settles the bypassed edges' history counters on read.
     """
 
     __slots__ = (
@@ -179,7 +178,6 @@ class RegionPhase:
         "members",
         "_fire",
         "_guard",
-        "_bumps",
         "_items",
     )
 
@@ -206,16 +204,6 @@ class RegionPhase:
         in_chan = channels[region.splitter.in_edges[0]]
         out_chan = channels[region.joiner.out_edges[0]]
         self._items = joins * region.joiner.out_rates[0]
-        internal = list(region.splitter.out_edges) + [
-            node.out_edges[0] for branch in region.branches for node in branch
-        ]
-        # Bypassed channels grouped by items per period (one or two groups
-        # in practice), so the per-fire loop is two increments per edge.
-        groups: Dict[int, List[object]] = {}
-        for e in internal:
-            per_period = counts[e.src] * e.push_rate
-            groups.setdefault(per_period, []).append(channels[e])
-        self._bumps = tuple(groups.items())
         self.tier, detail = tier
         if self.tier == "collapse":
             rep, firings, self._guard = detail
@@ -240,18 +228,12 @@ class RegionPhase:
         if self._guard is not None and not self._guard():
             self._demote("live state of a collapsed branch changed")
         self._fire(scale)
-        for per_period, chans in self._bumps:
-            items = per_period * scale
-            for chan in chans:
-                chan.pushed_count += items
-                chan.popped_count += items
 
     def _demote(self, why: str) -> None:
         """Permanently fall back to the member phases on the real edges."""
         self.tier = None
         self.reason = why
         self._guard = None
-        self._bumps = ()
         self._fire = self._run_members
 
     def _run_members(self, scale: int) -> None:

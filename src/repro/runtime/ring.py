@@ -485,8 +485,11 @@ class RingChannel:
     def detach(self) -> None:
         """Drop the shared-memory views so the segment can close cleanly.
 
-        Numpy views pin the segment's ``memoryview``; a detached channel is
-        unusable (any operation raises) but no longer blocks
+        Numpy views pin the segment's ``memoryview``; a detached channel
+        keeps a private copy of its control block — its history counters,
+        occupancy and stall statistics still answer — but moves no item
+        (any push or pop raises) and no longer blocks
         ``SharedMemory.close()``.
         """
-        self._ctrl = self._data = self._header = None
+        self._ctrl = self._ctrl.copy()
+        self._data = self._header = None

@@ -326,6 +326,17 @@ def cores_of(interp: Interpreter) -> list:
     return [] if plan is None else [b for b in plan.blocks if b.kind == "core"]
 
 
+def edge_history(interp: Interpreter) -> List[Tuple[int, int]]:
+    """Every edge's ``(pushed_count, popped_count)`` — the paper's n(t) and
+    p(t) — in graph order, read straight off the channels after ``fired``
+    (which settles them)."""
+    interp.fired
+    return [
+        (interp.channels[e].pushed_count, interp.channels[e].popped_count)
+        for e in interp.graph.edges
+    ]
+
+
 def run_calls(
     build, engine: str, calls: Sequence[int], chunk_periods: Optional[int] = None, **opts
 ) -> Tuple[List[float], Interpreter]:

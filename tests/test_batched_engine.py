@@ -8,6 +8,7 @@ is the one documented exception (GEMM vs GEMV kernel selection inside BLAS)
 and is covered by a tight ``allclose`` unit test instead.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -27,7 +28,7 @@ from repro.runtime.plan import _CHUNK_ITEM_CAP
 from repro.runtime.vectorize import LIFT_MIN_FIRINGS, VEC_MATH
 from repro.vecmath import EXACT_UFUNCS, VECTOR_SAFE_MATH
 
-from .helpers import FIR, Gain, Tripwire, open_session, run_calls
+from .helpers import FIR, Gain, Tripwire, edge_history, open_session, run_calls
 
 
 def _run(builder, engine: str, periods: int):
@@ -353,26 +354,71 @@ def _pushed(interp):
     return [interp.items_pushed(node.filter) for node in interp.graph.filter_nodes()]
 
 
-@pytest.mark.parametrize("engine", ["batched", "codegen", "parallel"])
-@pytest.mark.parametrize("app_name", ["FIR", "DToA", "BitonicSort", "FreqHopRadio"])
+_SETTLE_PERIODS = 7
+#: The apps every engine is checked on (the parallel engine only these).
+_SETTLE_APPS = ["FIR", "DToA", "BitonicSort", "FreqHopRadio"]
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_boundaries(app_name):
+    """The scalar engine's ``(items_pushed, history)`` after 0, 1, …
+    :data:`_SETTLE_PERIODS` periods."""
+    interp = open_session(ALL_APPS[app_name](), "scalar")
+    interp.run_init()
+    out = [(_pushed(interp), edge_history(interp))]
+    for _ in range(_SETTLE_PERIODS):
+        interp.run_steady(1)
+        out.append((_pushed(interp), edge_history(interp)))
+    interp.close()
+    return out
+
+
+def _run_checking_history(builder, engine, calls, want, force=0):
+    """``calls`` on a fresh session, every edge's counters compared with the
+    scalar engine's after each call (``items_pushed`` first: it settles on
+    its own); with ``force``, the small-call form runs calls of at most
+    that many periods.  Returns the closed session."""
+    interp = open_session(builder(), engine)
+    try:
+        interp.run_init()
+        if force and interp.plan is not None and interp.plan.small is not None:
+            interp.plan.small.force(force)
+        done = 0
+        for periods in calls:
+            interp.run_steady(periods)
+            done += periods
+            assert (_pushed(interp), edge_history(interp)) == want[done], (calls, done)
+    finally:
+        interp.close()
+    assert (_pushed(interp), edge_history(interp)) == want[done], (calls, "closed")
+    return interp
+
+
+@pytest.mark.parametrize(
+    "app_name, engine",
+    [(app, engine) for app in sorted(ALL_APPS) for engine in ("batched", "codegen")]
+    + [(app, "parallel") for app in _SETTLE_APPS],
+)
 def test_fired_settles_on_read(app_name, engine, tmp_path, monkeypatch):
     """``fired`` is credited whole periods when somebody reads it; however a
-    run is chopped, every way of reading it agrees with the scalar count."""
+    run is chopped, every way of reading it agrees with the scalar count,
+    and so does every edge's history (n(t) and p(t)) after every call and
+    after ``close()``."""
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
-    builder, periods, first = ALL_APPS[app_name], 7, 3
+    builder, periods, first = ALL_APPS[app_name], _SETTLE_PERIODS, 3
     _, scalar = run_calls(builder, "scalar", [periods])
     want = _by_name(scalar, scalar.fired)
+    boundaries = _scalar_boundaries(app_name)
     for calls in ([1] * periods, [periods], [first, periods - first]):
-        _, interp = run_calls(builder, engine, calls)
+        interp = _run_checking_history(builder, engine, calls, boundaries)
         assert _by_name(interp, interp.fired) == want
         assert _by_name(interp, dict(interp.fired)) == want
         assert [
             interp.firings(node.filter) for node in interp.graph.filter_nodes()
         ] == [scalar.firings(node.filter) for node in scalar.graph.filter_nodes()]
-        # The parallel engine counts a worker's inner edges in the worker
-        # (and a closed session's rings are gone).
-        if engine != "parallel":
-            assert _pushed(interp) == _pushed(scalar)
+        assert _pushed(interp) == _pushed(scalar)
+    if engine != "parallel":  # both forms of a compiled session, crossed
+        _run_checking_history(builder, engine, [1, 2, 3, 1], boundaries, force=2)
     with open_session(builder(), engine) as interp:  # a read between the calls
         interp.run(first)
         assert sum(interp.fired.values()) < sum(n for _, n in want)

@@ -232,6 +232,51 @@ class TestEngineTracing:
         assert rings
         assert all("producer_stalls" in row for row in rings)
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["closed", "failed"])
+    def test_rings_keep_their_counters_after_the_session_ends(self, fail):
+        """A ring detached by a closed session, or by one that failed
+        mid-run, keeps its last counters: the snapshot reads every ring's
+        history and stall statistics, and so do later reads."""
+        from repro.graph import ArraySource, Pipeline
+        from repro.obs.counters import channel_snapshot
+        from repro.runtime.ring import RingChannel
+
+        from .helpers import FIR, Gain, Tripwire, open_session
+
+        def build(trip):
+            data = [float(v) for v in range(8)]
+            stages = [Gain(2.0), FIR([0.5, 0.25]), Tripwire(trip)]
+            return Pipeline(ArraySource(data), *stages, CollectSink())
+
+        trip = 6 if fail else 10**9
+        interp = Interpreter(
+            build(trip), check=False, engine="parallel", cores=2, trace=True
+        )
+        if interp.engine_used != "parallel":
+            pytest.skip("degenerate partition on this host")
+        interp.run(1)
+        if fail:
+            with pytest.raises(Exception, match="tripped"):
+                interp.run_steady(8)
+        else:
+            interp.run_steady(8)
+        interp.close()
+        rings = [c for c in interp.channels.values() if isinstance(c, RingChannel)]
+        assert rings
+        snapshot = channel_snapshot(interp.channels)
+        assert snapshot == interp.tracer.meta["channels"]
+        for chan in rings:
+            row = snapshot[chan.name]
+            assert row["kind"] == "ring" and "producer_stalls" in row
+            assert (row["pushed"], row["popped"]) == (chan.pushed_count, chan.popped_count)
+            assert row["occupancy"] == row["pushed"] - row["popped"] >= 0
+        if not fail:
+            scalar = open_session(build(trip), "scalar")
+            scalar.run(9)
+            assert [(c.pushed_count, c.popped_count) for c in scalar.channels.values()] == [
+                (row["pushed"], row["popped"]) for row in snapshot.values()
+            ]
+
     def test_trace_path_writes_file_on_close(self, tmp_path):
         path = tmp_path / "fm.trace.json"
         _, interp = _run_traced(ALL_APPS["FMRadio"], "batched", trace=str(path))

@@ -38,6 +38,7 @@ from tests.helpers import (
     Peek3,
     Permuted,
     Sorter,
+    edge_history,
     feedback_app,
     run_calls,
     run_pipeline,
@@ -548,17 +549,20 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        scalar, oracle = _run_engine(build, "scalar", PERIODS)
         generated, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert generated == scalar
+        assert edge_history(interp) == edge_history(oracle)
         # The chunk-split arm: the same periods in chunks of 1-3 must give the
         # same bits — chunking must never change semantics.
-        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
+        split, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        assert edge_history(interp) == edge_history(oracle)
         # Passes of two periods: every shared storage slot is reused.
-        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        paired, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
         assert paired == scalar
+        assert edge_history(interp) == edge_history(oracle)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -580,21 +584,24 @@ class TestBatchedEngineDifferential:
                 CollectSink(),
             )
 
-        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        scalar, oracle = _run_engine(build, "scalar", PERIODS)
         whole, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert whole == scalar
+        assert edge_history(interp) == edge_history(oracle)
         rows = interp.engine_report()["regions"]
         assert len(rows) == n_regions, rows
         assert all(
             r["tier"] in ("collapse", "permute") if r["tier"] else r["reason"]
             for r in rows
         ), rows
-        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
+        split, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        assert edge_history(interp) == edge_history(oracle)
         # Passes of two periods: every shared storage slot is reused.
-        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        paired, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
         assert paired == scalar
+        assert edge_history(interp) == edge_history(oracle)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -621,16 +628,19 @@ class TestBatchedEngineDifferential:
                 ArraySource(data), _FuzzPeek(taps), loop, _FuzzMap(0.5, 1.0, 0), CollectSink()
             )
 
-        scalar, _ = _run_engine(build, "scalar", PERIODS)
+        scalar, oracle = _run_engine(build, "scalar", PERIODS)
         generated, interp = _run_engine(build, "codegen", PERIODS)
         assert interp.engine_used == "codegen"
         assert [b.kind for b in interp.plan.blocks].count("core") == 1
         assert generated == scalar
-        split, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
+        assert edge_history(interp) == edge_history(oracle)
+        split, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=chunk)
         assert split == scalar
+        assert edge_history(interp) == edge_history(oracle)
         # Passes of two periods: every shared storage slot is reused.
-        paired, _ = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
+        paired, interp = _run_engine(build, "codegen", PERIODS, chunk_periods=2)
         assert paired == scalar
+        assert edge_history(interp) == edge_history(oracle)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -661,14 +671,16 @@ class TestBatchedEngineDifferential:
                 leak=float(g.uniform(0.1, 0.9)),
             )
 
-        scalar, _ = run_calls(build, "scalar", (total,))
+        scalar, oracle = run_calls(build, "scalar", (total,))
         assert len(scalar) == total * rounds
         choppings = ((total,), (1,) * total, (first, total - first))
         for calls in choppings:
             got, interp = run_calls(build, "codegen", calls)
             assert got == scalar, calls
-        paired, _ = run_calls(build, "codegen", (total,), chunk_periods=2)
+            assert edge_history(interp) == edge_history(oracle), calls
+        paired, paired_interp = run_calls(build, "codegen", (total,), chunk_periods=2)
         assert paired == scalar
+        assert edge_history(paired_interp) == edge_history(oracle)
         (core,) = [
             b for b in interp.engine_report()["codegen"]["blocks"] if b["kind"] == "core"
         ]
@@ -730,6 +742,8 @@ class TestBatchedEngineDifferential:
         scalar, _ = run_calls(build, "scalar", (sum(calls),))
         app = build()
         sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+        oracle = Interpreter(build(), check=False)
+        oracle.run_init()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EngineDowngradeWarning)
             interp = Interpreter(app, check=False, engine="codegen")
@@ -737,8 +751,12 @@ class TestBatchedEngineDifferential:
             interp.plan.small.force(limit)
             for periods in calls:
                 interp.run_steady(periods)
+                oracle.run_steady(periods)
+                # Counters are settled after every call, whichever form ran it.
+                assert edge_history(interp) == edge_history(oracle), periods
             interp.close()
         assert list(sink.collected) == scalar
+        assert edge_history(interp) == edge_history(oracle)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -771,10 +789,12 @@ class TestBatchedEngineDifferential:
         assert interp.engine_used == "codegen"
         assert interp.downgrades == []
         assert generated == scalar
+        assert edge_history(interp) == edge_history(scalar_interp)
         if upstream:
             assert interp.plan.message_slack == latency
-        paired, _ = _run_engine(build, "codegen", 24, chunk_periods=2)
+        paired, interp = _run_engine(build, "codegen", 24, chunk_periods=2)
         assert paired == scalar
+        assert edge_history(interp) == edge_history(scalar_interp)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

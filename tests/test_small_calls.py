@@ -163,6 +163,30 @@ def test_a_traced_small_call_is_one_span():
     assert any(e["name"] == "plan.small_calls.lower" for e in interp.tracer.events)
 
 
+@pytest.mark.parametrize("name", ["FMRadio", "FIR", "DToA", "BitonicSort"])
+def test_a_traced_small_call_session_snapshots_the_scalar_counters(name):
+    """The channel snapshot ``close()`` writes after the form held the
+    items: every tape's pushed and popped counts are the scalar engine's."""
+    build = ALL_APPS[name]
+    interp = Interpreter(build(), check=False, engine="codegen", trace=True)
+    interp.run_init()
+    interp.plan.small.force(1)
+    for _ in range(5):
+        interp.run_steady(1)
+    assert interp.plan.small.live
+    interp.close()
+    scalar = Interpreter(build(), check=False, engine="scalar", trace=True)
+    scalar.run(5)
+    scalar.close()
+    # Graph order: auto-numbered names differ between two builds.
+    got, want = (
+        [(row["pushed"], row["popped"]) for row in i.tracer.meta["channels"].values()]
+        for i in (interp, scalar)
+    )
+    assert got == want
+    assert len(got) == len(interp.graph.edges)
+
+
 # -- who has no small-call form ------------------------------------------------
 
 
